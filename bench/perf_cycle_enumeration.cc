@@ -18,13 +18,22 @@
 /// produces the bit-identical canonical cycle sequence the sequential
 /// enumerator does.
 ///
+/// The scoring variants time the per-cycle structural metrics on the
+/// length-5 balls: the ball-local pair-table scorer the cycle expander
+/// runs (`graph::BallCycleScorer`, built once per ball inside the timed
+/// loop, as once per request) against the global-CSR oracle
+/// (`graph::ComputeCycleMetrics` on a freshly mapped global `Cycle`, as
+/// the expander's visitor once did).  Before timing, every cycle's scorer
+/// metrics are hard-asserted equal to the oracle's.
+///
 /// Alongside the console table the binary writes
 /// `BENCH_perf_cycle_enumeration.json` (see bench_common.h) with one
-/// record per run plus derived `speedup_vs_legacy` and
-/// `speedup_vs_sequential` records.  On a host with >= 4 hardware
-/// threads, the 4-thread sweep must reach a 1.5x best-config speedup
-/// (hard WQE_CHECK; single-core CI containers skip the gate —
-/// enumeration still runs and the identity asserts still bite).
+/// record per run plus derived `speedup_vs_legacy`,
+/// `speedup_vs_sequential` and `speedup_vs_oracle` records.  On a host
+/// with >= 4 hardware threads, the 4-thread sweep must reach a 1.5x
+/// best-config speedup (hard WQE_CHECK; single-core CI containers skip
+/// the gate — enumeration still runs and the identity asserts still
+/// bite).
 
 #include <benchmark/benchmark.h>
 
@@ -39,6 +48,7 @@
 #include "bench/bench_common.h"
 #include "common/macros.h"
 #include "graph/csr.h"
+#include "graph/cycle_metrics.h"
 #include "graph/cycles.h"
 #include "graph/undirected_view.h"
 #include "serve/thread_pool.h"
@@ -313,6 +323,85 @@ void BM_TriangleBaseline(benchmark::State& state) {
 BENCHMARK(BM_TriangleBaseline)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
+/// Every length <= 5 cycle through the ball's seeds, as local id paths.
+std::vector<std::vector<uint32_t>> LengthFiveCycles(
+    const graph::UndirectedView& view, const BallWorkload& workload) {
+  graph::CycleEnumerationOptions options;
+  options.max_length = 5;
+  options.seeds = workload.seeds;
+  std::vector<std::vector<uint32_t>> cycles;
+  graph::CycleEnumerator(view).Visit(
+      options, [&](const std::vector<uint32_t>& local) {
+        cycles.push_back(local);
+        return true;
+      });
+  return cycles;
+}
+
+graph::Cycle ToGlobalCycle(const graph::UndirectedView& view,
+                           const std::vector<uint32_t>& local) {
+  graph::Cycle cycle;
+  cycle.nodes.reserve(local.size());
+  for (uint32_t l : local) cycle.nodes.push_back(view.ToGlobal(l));
+  return cycle;
+}
+
+/// Scores every cycle of a length-5 ball with the ball-local scorer,
+/// including the scorer's per-ball table build.
+void BM_CycleScoring(benchmark::State& state) {
+  const auto& wiki = SharedWiki();
+  BallWorkload workload = SharedBall(static_cast<size_t>(state.range(0)));
+  graph::UndirectedView view(wiki.kb.csr(), workload.ball);
+  const std::vector<std::vector<uint32_t>> cycles =
+      LengthFiveCycles(view, workload);
+  {
+    const graph::BallCycleScorer scorer(view);
+    for (const std::vector<uint32_t>& local : cycles) {
+      WQE_CHECK(scorer.Score(local) ==
+                graph::ComputeCycleMetrics(wiki.kb.csr(),
+                                           ToGlobalCycle(view, local)));
+    }
+  }
+
+  for (auto _ : state) {
+    const graph::BallCycleScorer scorer(view);
+    uint64_t edges = 0;
+    for (const std::vector<uint32_t>& local : cycles) {
+      edges += scorer.Score(local).num_edges;
+    }
+    benchmark::DoNotOptimize(edges);
+  }
+  state.counters["nodes"] = static_cast<double>(view.num_nodes());
+  state.counters["cycles"] = static_cast<double>(cycles.size());
+}
+
+BENCHMARK(BM_CycleScoring)->Arg(100)->Arg(200)->Arg(400)
+    ->Unit(benchmark::kMillisecond);
+
+/// The same cycles scored by the oracle.
+void BM_CycleScoringOracle(benchmark::State& state) {
+  const auto& wiki = SharedWiki();
+  BallWorkload workload = SharedBall(static_cast<size_t>(state.range(0)));
+  graph::UndirectedView view(wiki.kb.csr(), workload.ball);
+  const std::vector<std::vector<uint32_t>> cycles =
+      LengthFiveCycles(view, workload);
+
+  for (auto _ : state) {
+    uint64_t edges = 0;
+    for (const std::vector<uint32_t>& local : cycles) {
+      edges += graph::ComputeCycleMetrics(wiki.kb.csr(),
+                                          ToGlobalCycle(view, local))
+                   .num_edges;
+    }
+    benchmark::DoNotOptimize(edges);
+  }
+  state.counters["nodes"] = static_cast<double>(view.num_nodes());
+  state.counters["cycles"] = static_cast<double>(cycles.size());
+}
+
+BENCHMARK(BM_CycleScoringOracle)->Arg(100)->Arg(200)->Arg(400)
+    ->Unit(benchmark::kMillisecond);
+
 /// View construction cost (the per-query preprocessing): CSR slicing vs
 /// the seed's hash-map rebuild.
 void BM_UndirectedViewBuild(benchmark::State& state) {
@@ -380,15 +469,18 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
   }
 
   /// Writes BENCH_perf_cycle_enumeration.json, deriving CSR-vs-legacy
-  /// speedups for every config both variants ran and parallel-vs-
-  /// sequential speedups for every thread-sweep config whose sequential
-  /// twin ran.  On a >= 4-core host the 4-thread sweep is gated: its
-  /// best-config speedup must reach 1.5x or the bench aborts.
+  /// and scorer-vs-oracle speedups for every config both variants ran,
+  /// and parallel-vs-sequential speedups for every thread-sweep config
+  /// whose sequential twin ran.  On a >= 4-core host the 4-thread sweep
+  /// is gated: its best-config speedup must reach 1.5x or the bench
+  /// aborts.
   void WriteJson() const {
     bench::BenchJsonWriter json("perf_cycle_enumeration");
     std::map<std::string, double> csr_ms;
     std::map<std::string, double> legacy_ms;
     std::map<std::string, double> parallel_ms;  // "threads/len/ball"
+    std::map<std::string, double> scoring_ms;
+    std::map<std::string, double> oracle_ms;
     for (const auto& [name, metric, value, config] : records_) {
       json.Add(name, metric, value, config);
       if (metric.rfind("real_time_", 0) == 0) {
@@ -397,6 +489,8 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
         if (name == "BM_CycleEnumerationBallParallel") {
           parallel_ms[config] = value;
         }
+        if (name == "BM_CycleScoring") scoring_ms[config] = value;
+        if (name == "BM_CycleScoringOracle") oracle_ms[config] = value;
       }
     }
     for (const auto& [config, legacy] : legacy_ms) {
@@ -404,6 +498,12 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
       if (it == csr_ms.end() || it->second <= 0.0) continue;
       json.Add("BM_CycleEnumerationBall", "speedup_vs_legacy",
                legacy / it->second, config);
+    }
+    for (const auto& [config, oracle] : oracle_ms) {
+      auto it = scoring_ms.find(config);
+      if (it == scoring_ms.end() || it->second <= 0.0) continue;
+      json.Add("BM_CycleScoring", "speedup_vs_oracle", oracle / it->second,
+               config);
     }
     double best_at_4 = 0.0;
     for (const auto& [config, par] : parallel_ms) {

@@ -24,7 +24,9 @@ run_tier1() {
 
 # Bench smoke: Release tree (the perf numbers people quote), smallest
 # cycle-enumeration configs (sequential, legacy, and a 2-thread parallel
-# run whose setup hard-asserts bit-identical cycles), the ball-pruning
+# run whose setup hard-asserts bit-identical cycles), the smallest
+# cycle-scoring config (whose setup hard-asserts the ball-local scorer
+# equals the oracle on every cycle), the ball-pruning
 # bench (whose setup hard-asserts pruned == unpruned cycle sets and a
 # >= 1.3x best speedup), and the snapshot-load bench (whose setup
 # hard-asserts bit-identical graphs across all startup paths and a
@@ -44,7 +46,7 @@ run_bench() {
     --target wqe_bench_perf_snapshot_load
   cd build-bench
   ./wqe_bench_perf_cycle_enumeration \
-    --benchmark_filter='BM_CycleEnumerationBall(Legacy|Parallel/2)?/3/100$' \
+    --benchmark_filter='BM_CycleEnumerationBall(Legacy|Parallel/2)?/3/100$|BM_CycleScoring(Oracle)?/100$' \
     --benchmark_min_time=0.05
   ./wqe_bench_perf_ball_pruning
   ./wqe_bench_perf_snapshot_load
@@ -62,6 +64,8 @@ assert any(r['metric'] == 'speedup_vs_legacy' for r in results), \
     'missing CSR-vs-legacy speedup record'
 assert any(r['metric'] == 'speedup_vs_sequential' for r in results), \
     'missing parallel-vs-sequential speedup record'
+assert any(r['metric'] == 'speedup_vs_oracle' for r in results), \
+    'missing scorer-vs-oracle speedup record'
 print(f'bench smoke OK: {len(results)} records')
 EOF
   # Bench trajectory: the comparator always self-checks (a file must never

@@ -13,6 +13,11 @@ namespace wqe::api {
 
 namespace {
 
+/// Largest `max_neighborhood` a request may ask of the cycle expander: its
+/// per-request pair table takes n² bytes for a ball of n nodes, so this
+/// caps it at 4 MiB (the default ball cap is 400).
+constexpr size_t kMaxCycleNeighborhoodOverride = 2048;
+
 /// Shared validation for the count-like knobs every strategy interprets
 /// the same way.
 Status ValidateCommon(const ExpanderOverrides& o) {
@@ -242,6 +247,17 @@ ExpanderRegistry ExpanderRegistry::WithBuiltins(
         if (o.max_cycles) options.max_cycles = *o.max_cycles;
         if (o.include_redirect_aliases) {
           options.include_redirect_aliases = *o.include_redirect_aliases;
+        }
+        if (o.max_neighborhood &&
+            *o.max_neighborhood > kMaxCycleNeighborhoodOverride) {
+          return Status::InvalidArgument(
+              "cycle expander: max_neighborhood override (",
+              *o.max_neighborhood, ") > ", kMaxCycleNeighborhoodOverride);
+        }
+        if (options.max_cycle_length > expansion::kMaxCycleLength) {
+          return Status::InvalidArgument(
+              "cycle expander: max_cycle_length (", options.max_cycle_length,
+              ") > ", expansion::kMaxCycleLength);
         }
         if (options.min_cycle_length > options.max_cycle_length) {
           return Status::InvalidArgument(

@@ -38,6 +38,8 @@ struct ExpanderOverrides {
   /// @{
   std::optional<size_t> max_features;
   std::optional<uint32_t> neighborhood_radius;
+  /// The `cycle` strategy rejects values above 2048 (its per-request pair
+  /// table is n² bytes).
   std::optional<size_t> max_neighborhood;
   /// @}
 
@@ -50,6 +52,7 @@ struct ExpanderOverrides {
   /// \name Cycle-expander knobs (the §3/§4 structural filters)
   /// @{
   std::optional<uint32_t> min_cycle_length;
+  /// At most `expansion::kMaxCycleLength` (5, the paper's bound).
   std::optional<uint32_t> max_cycle_length;
   std::optional<double> min_density;
   std::optional<double> min_category_ratio;

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
 
 #include "common/deadline.h"
 #include "common/fault_injection.h"
@@ -22,6 +21,20 @@ namespace {
 obs::Histogram* BallExtractionHistogram() {
   static obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
       "wqe.expansion.ball_extraction_ms");
+  return histogram;
+}
+
+/// Work volume behind a request's enumeration: cycles the DFS visited and
+/// cycles that passed the structural filters, one observation each per
+/// request.
+obs::Histogram* CyclesVisitedHistogram() {
+  static obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
+      "wqe.expansion.cycles_visited");
+  return histogram;
+}
+obs::Histogram* CyclesAcceptedHistogram() {
+  static obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
+      "wqe.expansion.cycles_accepted");
   return histogram;
 }
 }  // namespace
@@ -49,6 +62,11 @@ Result<std::vector<NodeId>> CycleExpander::SelectFeatures(
   // shared snapshot — no per-request adjacency re-materialization.
   // A request that arrives already over budget does no work at all.
   WQE_RETURN_NOT_OK(common::ExecStatus());
+  if (options_.max_cycle_length > kMaxCycleLength) {
+    return Status::InvalidArgument("cycle expander: max_cycle_length (",
+                                   options_.max_cycle_length, ") > ",
+                                   kMaxCycleLength);
+  }
   const graph::CsrGraph& csr = kb().csr();
 
   // 1. Neighborhood ball + its undirected slice, timed as one stage (the
@@ -74,48 +92,60 @@ Result<std::vector<NodeId>> CycleExpander::SelectFeatures(
   enum_options.prune_ball = options_.prune_ball;
   graph::CycleEnumerator enumerator(view);
 
-  // 3. Accumulate per-article, per-length quality-weighted cycle counts.
+  // 3. Score each cycle from the ball's pair table and accumulate
+  // per-article, per-length quality-weighted cycle counts, indexed by
+  // local id.  Tallies grow in emission order, so the floating sums do not
+  // depend on how a cycle was scored.
+  const graph::BallCycleScorer scorer(view);
+  const uint32_t n = view.num_nodes();
+  std::vector<uint8_t> is_candidate(n);  // an article, not a query article
+  for (uint32_t l = 0; l < n; ++l) {
+    is_candidate[l] = view.kind(l) == graph::NodeKind::kArticle;
+  }
+  for (NodeId q : query_articles) {
+    const uint32_t l = view.ToLocal(q);
+    if (l != UINT32_MAX) is_candidate[l] = 0;
+  }
   struct PerLength {
-    std::array<double, 6> weight_sum{};  // index = cycle length (2..5)
-    std::array<uint32_t, 6> count{};
+    std::array<double, kMaxCycleLength + 1> weight_sum{};  // index = length
+    std::array<uint32_t, kMaxCycleLength + 1> count{};
   };
-  std::unordered_map<NodeId, PerLength> tallies;
+  std::vector<PerLength> tallies(n);
+  size_t accepted = 0;
   WQE_FAULT_POINT("expansion.enumeration");
-  enumerator.Visit(enum_options, [&](const std::vector<uint32_t>& local) {
-    graph::Cycle cycle;
-    cycle.nodes.reserve(local.size());
-    for (uint32_t l : local) cycle.nodes.push_back(view.ToGlobal(l));
-    graph::CycleMetrics metrics = graph::ComputeCycleMetrics(csr, cycle);
-    if (!AcceptsCycle(metrics)) return true;
-
-    double quality = metrics.length == 2
-                         ? options_.two_cycle_weight
-                         : 1.0 + metrics.extra_edge_density;
-    for (NodeId n : cycle.nodes) {
-      if (!csr.IsArticle(n)) continue;
-      if (std::find(query_articles.begin(), query_articles.end(), n) !=
-          query_articles.end()) {
-        continue;
-      }
-      PerLength& t = tallies[n];
-      t.weight_sum[metrics.length] += quality;
-      ++t.count[metrics.length];
-    }
-    return true;
-  });
+  const size_t visited =
+      enumerator.Visit(enum_options, [&](const std::vector<uint32_t>& local) {
+        const graph::CycleMetrics metrics = scorer.Score(local);
+        if (!AcceptsCycle(metrics)) return true;
+        ++accepted;
+        const double quality = metrics.length == 2
+                                   ? options_.two_cycle_weight
+                                   : 1.0 + metrics.extra_edge_density;
+        for (uint32_t l : local) {
+          if (!is_candidate[l]) continue;
+          tallies[l].weight_sum[metrics.length] += quality;
+          ++tallies[l].count[metrics.length];
+        }
+        return true;
+      });
+  CyclesVisitedHistogram()->Record(static_cast<double>(visited));
+  CyclesAcceptedHistogram()->Record(static_cast<double>(accepted));
   // An enumeration truncated by a deadline/cancel interruption has seen
   // only a prefix of the cycles; a ranking built from it must never be
   // reported as success.  Surface the interruption as the request status.
   WQE_RETURN_NOT_OK(common::ExecStatus());
 
   // 4. Score: decayed by length, damped by sqrt of the count so that one
-  // rare tight structure outranks dozens of loose long cycles.
+  // rare tight structure outranks dozens of loose long cycles.  Only
+  // articles on at least one accepted cycle are ranked.
   std::vector<std::pair<NodeId, double>> ranked;
-  ranked.reserve(tallies.size());
-  for (const auto& [article, t] : tallies) {
+  for (uint32_t l = 0; l < n; ++l) {
+    const PerLength& t = tallies[l];
+    bool on_accepted_cycle = false;
     double score = 0.0;
-    for (uint32_t len = 2; len <= 5; ++len) {
+    for (uint32_t len = 2; len <= kMaxCycleLength; ++len) {
       if (t.count[len] == 0) continue;
+      on_accepted_cycle = true;
       double mean_quality =
           t.weight_sum[len] / static_cast<double>(t.count[len]);
       double volume = options_.sqrt_count_damping
@@ -124,7 +154,7 @@ Result<std::vector<NodeId>> CycleExpander::SelectFeatures(
       score += std::pow(options_.length_decay, static_cast<double>(len - 2)) *
                mean_quality * volume;
     }
-    ranked.emplace_back(article, score);
+    if (on_accepted_cycle) ranked.emplace_back(view.ToGlobal(l), score);
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const auto& a, const auto& b) {

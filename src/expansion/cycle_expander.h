@@ -20,15 +20,21 @@ class ThreadPool;  // fwd: the expander only hands the pool to the enumerator
 
 namespace wqe::expansion {
 
+/// \brief Longest cycle the expander accepts: the paper's bound, and the
+/// width of its per-length tallies.
+inline constexpr uint32_t kMaxCycleLength = 5;
+
 /// \brief Filter and ranking knobs (defaults = the paper's findings).
 struct CycleExpanderOptions {
   /// BFS radius of the neighborhood ball around the query articles.
   uint32_t neighborhood_radius = 2;
   /// Cap on the ball size (cycle enumeration is exponential in length).
+  /// Each request also builds an n² byte pair table over its ball (see
+  /// `graph::BallCycleScorer`).
   size_t max_neighborhood = 400;
 
   uint32_t min_cycle_length = 2;
-  uint32_t max_cycle_length = 5;
+  uint32_t max_cycle_length = kMaxCycleLength;  ///< at most kMaxCycleLength
 
   /// Minimum extra-edge density ("the denser the cycle, the better its
   /// contribution", Fig 9), applied to cycles of length >=

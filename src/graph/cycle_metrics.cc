@@ -41,17 +41,17 @@ uint32_t MaxCycleEdges(uint32_t num_articles, uint32_t num_categories) {
          num_categories * (num_categories - (num_categories > 0 ? 1 : 0)) / 2;
 }
 
-CycleMetrics ComputeCycleMetrics(const CsrGraph& graph, const Cycle& cycle) {
+namespace {
+
+/// The ratio and density arithmetic shared by the oracle and the
+/// ball-local scorer, so that both produce bit-identical doubles.
+CycleMetrics MetricsFromCounts(uint32_t length, uint32_t num_categories,
+                               uint32_t num_edges) {
   CycleMetrics m;
-  m.length = cycle.length();
-  for (NodeId n : cycle.nodes) {
-    if (graph.IsArticle(n)) {
-      ++m.num_articles;
-    } else {
-      ++m.num_categories;
-    }
-  }
-  m.num_edges = CountInducedEdges(graph, cycle.nodes);
+  m.length = length;
+  m.num_articles = length - num_categories;
+  m.num_categories = num_categories;
+  m.num_edges = num_edges;
   m.max_edges = MaxCycleEdges(m.num_articles, m.num_categories);
   m.category_ratio =
       m.length == 0
@@ -67,6 +67,52 @@ CycleMetrics ComputeCycleMetrics(const CsrGraph& graph, const Cycle& cycle) {
     m.extra_edge_density = 0.0;
   }
   return m;
+}
+
+}  // namespace
+
+CycleMetrics ComputeCycleMetrics(const CsrGraph& graph, const Cycle& cycle) {
+  uint32_t num_categories = 0;
+  for (NodeId n : cycle.nodes) {
+    if (!graph.IsArticle(n)) ++num_categories;
+  }
+  return MetricsFromCounts(cycle.length(), num_categories,
+                           CountInducedEdges(graph, cycle.nodes));
+}
+
+BallCycleScorer::BallCycleScorer(const UndirectedView& view)
+    : num_nodes_(view.num_nodes()),
+      is_category_(num_nodes_),
+      pair_edges_(static_cast<size_t>(num_nodes_) * num_nodes_, 0) {
+  for (uint32_t u = 0; u < num_nodes_; ++u) {
+    is_category_[u] = view.kind(u) != NodeKind::kArticle;
+  }
+  for (uint32_t u = 0; u < num_nodes_; ++u) {
+    std::span<const uint32_t> neighbors = view.Neighbors(u);
+    std::span<const uint32_t> mults = view.Multiplicities(u);
+    uint8_t* row = pair_edges_.data() + static_cast<size_t>(u) * num_nodes_;
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      const uint32_t v = neighbors[i];
+      // A schema-valid pair carries at most two edges; saturate rather
+      // than wrap on a snapshot that breaks the schema.
+      row[v] = is_category_[u] && is_category_[v]
+                   ? 1
+                   : static_cast<uint8_t>(std::min<uint32_t>(mults[i], 255));
+    }
+  }
+}
+
+CycleMetrics BallCycleScorer::Score(std::span<const uint32_t> cycle) const {
+  uint32_t num_categories = 0;
+  uint32_t num_edges = 0;
+  for (size_t i = 0; i < cycle.size(); ++i) {
+    num_categories += is_category_[cycle[i]];
+    const uint8_t* row =
+        pair_edges_.data() + static_cast<size_t>(cycle[i]) * num_nodes_;
+    for (size_t j = i + 1; j < cycle.size(); ++j) num_edges += row[cycle[j]];
+  }
+  return MetricsFromCounts(static_cast<uint32_t>(cycle.size()), num_categories,
+                           num_edges);
 }
 
 std::vector<CycleMetrics> ComputeCycleMetricsBatch(

@@ -105,6 +105,21 @@ TEST(ExpanderRegistryTest, InvalidOverridesAreRejected) {
   EXPECT_TRUE(registry.Create("cycle", bed.kb(), bed.linker(), inverted_window)
                   .status()
                   .IsInvalidArgument());
+  ExpanderOverrides too_long;  // past the per-length tallies
+  too_long.max_cycle_length = 6;
+  EXPECT_TRUE(registry.Create("cycle", bed.kb(), bed.linker(), too_long)
+                  .status()
+                  .IsInvalidArgument());
+  ExpanderOverrides huge_ball;  // an n² pair table past 4 MiB
+  huge_ball.max_neighborhood = 2049;
+  EXPECT_TRUE(registry.Create("cycle", bed.kb(), bed.linker(), huge_ball)
+                  .status()
+                  .IsInvalidArgument());
+  ExpanderOverrides at_limits;
+  at_limits.max_cycle_length = 5;
+  at_limits.max_neighborhood = 2048;
+  EXPECT_TRUE(
+      registry.Create("cycle", bed.kb(), bed.linker(), at_limits).ok());
 }
 
 // --------------------------------------------------------------- engine

@@ -314,6 +314,60 @@ TEST(CycleMetricsTest, RedirectEdgesExcludedFromInducedCount) {
   EXPECT_EQ(CountInducedEdges(CsrGraph::Freeze(g), {a, b}), 1u);
 }
 
+TEST(CycleMetricsTest, BallScorerMatchesOracleOnMutualAndRedirectPairs) {
+  // The pairs whose table entry is not simply "adjacent or not": mutual
+  // links a <-> b (2), mutual inside edges c1 <-> c2 (1, counted once per
+  // unordered pair), and a redirect d -> b next to the link b -> d (1,
+  // the redirect excluded).  Node x sits outside the subset view, so its
+  // local ids differ from the global ones.
+  PropertyGraph g;
+  NodeId x = g.AddNode(NodeKind::kArticle, "x");
+  NodeId a = g.AddNode(NodeKind::kArticle, "a");
+  NodeId b = g.AddNode(NodeKind::kArticle, "b");
+  NodeId d = g.AddNode(NodeKind::kArticle, "d");
+  NodeId c1 = g.AddNode(NodeKind::kCategory, "c1");
+  NodeId c2 = g.AddNode(NodeKind::kCategory, "c2");
+  ASSERT_TRUE(g.AddEdge(a, b, EdgeKind::kLink).ok());
+  ASSERT_TRUE(g.AddEdge(b, a, EdgeKind::kLink).ok());
+  ASSERT_TRUE(g.AddEdge(c1, c2, EdgeKind::kInside).ok());
+  ASSERT_TRUE(g.AddEdge(c2, c1, EdgeKind::kInside).ok());
+  ASSERT_TRUE(g.AddEdge(b, d, EdgeKind::kLink).ok());
+  ASSERT_TRUE(g.AddEdge(d, b, EdgeKind::kRedirect).ok());
+  ASSERT_TRUE(g.AddEdge(a, c1, EdgeKind::kBelongs).ok());
+  ASSERT_TRUE(g.AddEdge(b, c1, EdgeKind::kBelongs).ok());
+  ASSERT_TRUE(g.AddEdge(a, c2, EdgeKind::kBelongs).ok());
+  ASSERT_TRUE(g.AddEdge(d, c2, EdgeKind::kBelongs).ok());
+  ASSERT_TRUE(g.AddEdge(x, a, EdgeKind::kLink).ok());
+  ASSERT_TRUE(g.AddEdge(x, c1, EdgeKind::kBelongs).ok());
+  CsrGraph csr = CsrGraph::Freeze(g);
+
+  for (const UndirectedView& view :
+       {UndirectedView(csr), UndirectedView(csr, {a, b, d, c1, c2})}) {
+    const BallCycleScorer scorer(view);
+    size_t cycles = 0;
+    CycleEnumerator(view).Visit({}, [&](const std::vector<uint32_t>& local) {
+      Cycle cycle;
+      for (uint32_t l : local) cycle.nodes.push_back(view.ToGlobal(l));
+      EXPECT_TRUE(scorer.Score(local) == ComputeCycleMetrics(csr, cycle));
+      ++cycles;
+      return true;
+    });
+    EXPECT_GE(cycles, 4u);
+
+    auto local = [&](std::vector<NodeId> nodes) {
+      for (NodeId& n : nodes) n = view.ToLocal(n);
+      return nodes;
+    };
+    // a<->b (2) + c1<->c2 (1) + a-c1, b-c1, a-c2 (3).
+    CycleMetrics mixed = scorer.Score(local({a, b, c1, c2}));
+    EXPECT_EQ(mixed.num_edges, 6u);
+    EXPECT_EQ(mixed.num_categories, 2u);
+    // a<->b (2) + b->d (1; the redirect is excluded) + d-c2, a-c2 (2).
+    EXPECT_EQ(scorer.Score(local({a, b, d, c2})).num_edges, 5u);
+    EXPECT_EQ(scorer.Score(local({a, b})).num_edges, 2u);
+  }
+}
+
 TEST(ReciprocalLinkRateTest, CountsMutualFraction) {
   PropertyGraph g;
   for (int i = 0; i < 4; ++i) {

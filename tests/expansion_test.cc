@@ -8,11 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <functional>
+#include <unordered_map>
 
 #include "api/evaluation.h"
 #include "api/testbed.h"
 #include "expansion/baselines.h"
 #include "expansion/cycle_expander.h"
+#include "graph/cycles.h"
+#include "graph/undirected_view.h"
+#include "obs/metrics.h"
 
 namespace wqe::expansion {
 namespace {
@@ -158,6 +165,168 @@ TEST(CycleExpanderTest, DeterministicOutput) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->feature_articles, b->feature_articles);
+}
+
+/// Feature selection as the cycle expander did it before its ball-local
+/// scorer: a global `Cycle` per visit, `ComputeCycleMetrics` on the frozen
+/// snapshot, and `unordered_map` tallies keyed by global id.
+struct ReferenceSelection {
+  std::vector<graph::NodeId> features;
+  size_t visited = 0;
+  size_t accepted = 0;
+};
+
+ReferenceSelection ReferenceSelectFeatures(
+    const CycleExpander& expander, const wiki::KnowledgeBase& kb,
+    const std::vector<graph::NodeId>& query_articles) {
+  const CycleExpanderOptions& options = expander.options();
+  const graph::CsrGraph& csr = kb.csr();
+  const graph::UndirectedView view(
+      csr, kb.Neighborhood(query_articles, options.neighborhood_radius,
+                           options.max_neighborhood));
+  graph::CycleEnumerationOptions enum_options;
+  enum_options.min_length = options.min_cycle_length;
+  enum_options.max_length = options.max_cycle_length;
+  enum_options.seeds = query_articles;
+  enum_options.max_cycles = options.max_cycles;
+
+  struct PerLength {
+    std::array<double, 6> weight_sum{};
+    std::array<uint32_t, 6> count{};
+  };
+  std::unordered_map<graph::NodeId, PerLength> tallies;
+  ReferenceSelection out;
+  out.visited = graph::CycleEnumerator(view).Visit(
+      enum_options, [&](const std::vector<uint32_t>& local) {
+        graph::Cycle cycle;
+        for (uint32_t l : local) cycle.nodes.push_back(view.ToGlobal(l));
+        graph::CycleMetrics metrics = graph::ComputeCycleMetrics(csr, cycle);
+        if (!expander.AcceptsCycle(metrics)) return true;
+        ++out.accepted;
+        double quality = metrics.length == 2 ? options.two_cycle_weight
+                                             : 1.0 + metrics.extra_edge_density;
+        for (graph::NodeId n : cycle.nodes) {
+          if (!csr.IsArticle(n)) continue;
+          if (std::find(query_articles.begin(), query_articles.end(), n) !=
+              query_articles.end()) {
+            continue;
+          }
+          PerLength& t = tallies[n];
+          t.weight_sum[metrics.length] += quality;
+          ++t.count[metrics.length];
+        }
+        return true;
+      });
+
+  std::vector<std::pair<graph::NodeId, double>> ranked;
+  for (const auto& [article, t] : tallies) {
+    double score = 0.0;
+    for (uint32_t len = 2; len <= 5; ++len) {
+      if (t.count[len] == 0) continue;
+      double mean_quality =
+          t.weight_sum[len] / static_cast<double>(t.count[len]);
+      double volume = options.sqrt_count_damping
+                          ? std::sqrt(static_cast<double>(t.count[len]))
+                          : static_cast<double>(t.count[len]);
+      score += std::pow(options.length_decay, static_cast<double>(len - 2)) *
+               mean_quality * volume;
+    }
+    ranked.emplace_back(article, score);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  for (const auto& [article, score] : ranked) {
+    if (out.features.size() >= options.max_features) break;
+    out.features.push_back(article);
+  }
+  return out;
+}
+
+TEST(CycleExpanderTest, FeaturesMatchReferenceAcrossFilterVariants) {
+  const auto& bed = SmallBed();
+  // The default options plus each E11 (ablation_cycle_filters) variant.
+  const std::vector<std::pair<const char*,
+                              std::function<void(CycleExpanderOptions*)>>>
+      variants = {
+          {"defaults", [](CycleExpanderOptions*) {}},
+          {"no category-ratio filter",
+           [](CycleExpanderOptions* o) {
+             o->min_category_ratio = 0.0;
+             o->max_category_ratio = 1.0;
+           }},
+          {"no density filter",
+           [](CycleExpanderOptions* o) { o->min_density = 0.0; }},
+          {"no structural filters",
+           [](CycleExpanderOptions* o) {
+             o->min_density = 0.0;
+             o->min_category_ratio = 0.0;
+             o->max_category_ratio = 1.0;
+           }},
+          {"no length-2 boost",
+           [](CycleExpanderOptions* o) { o->two_cycle_weight = 1.0; }},
+          {"lengths 2-3",
+           [](CycleExpanderOptions* o) { o->max_cycle_length = 3; }},
+          {"lengths 4-5",
+           [](CycleExpanderOptions* o) { o->min_cycle_length = 4; }},
+          {"raw cycle counts",
+           [](CycleExpanderOptions* o) {
+             o->length_decay = 1.0;
+             o->sqrt_count_damping = false;
+           }},
+      };
+  for (const auto& [name, apply] : variants) {
+    CycleExpanderOptions options;
+    apply(&options);
+    CycleExpander system(bed.kb(), bed.linker(), options);
+    for (size_t t = 0; t < bed.num_topics(); ++t) {
+      auto expanded = system.Expand(bed.topic(t).keywords);
+      ASSERT_TRUE(expanded.ok()) << expanded.status();
+      ASSERT_FALSE(expanded->query_articles.empty());
+      ReferenceSelection want =
+          ReferenceSelectFeatures(system, bed.kb(), expanded->query_articles);
+      EXPECT_GT(want.accepted, 0u) << name << ", topic " << t;
+      EXPECT_EQ(expanded->feature_articles, want.features)
+          << name << ", topic " << t;
+    }
+  }
+}
+
+TEST(CycleExpanderTest, RecordsCycleWorkVolumePerRequest) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const auto& bed = SmallBed();
+  CycleExpander system(bed.kb(), bed.linker());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Histogram* visited =
+      registry.GetHistogram("wqe.expansion.cycles_visited");
+  obs::Histogram* accepted =
+      registry.GetHistogram("wqe.expansion.cycles_accepted");
+  const obs::HistogramSnapshot visited_before = visited->snapshot();
+  const obs::HistogramSnapshot accepted_before = accepted->snapshot();
+
+  auto expanded = system.Expand(bed.topic(1).keywords);
+  ASSERT_TRUE(expanded.ok()) << expanded.status();
+  const obs::HistogramSnapshot visited_delta =
+      visited->snapshot().DeltaSince(visited_before);
+  const obs::HistogramSnapshot accepted_delta =
+      accepted->snapshot().DeltaSince(accepted_before);
+  ReferenceSelection want =
+      ReferenceSelectFeatures(system, bed.kb(), expanded->query_articles);
+  EXPECT_EQ(visited_delta.count, 1u);
+  EXPECT_EQ(accepted_delta.count, 1u);
+  EXPECT_GT(want.visited, 0u);
+  EXPECT_EQ(visited_delta.sum, static_cast<double>(want.visited));
+  EXPECT_EQ(accepted_delta.sum, static_cast<double>(want.accepted));
+}
+
+TEST(CycleExpanderTest, RejectsCycleLengthPastTallies) {
+  const auto& bed = SmallBed();
+  CycleExpanderOptions options;
+  options.max_cycle_length = kMaxCycleLength + 1;
+  CycleExpander system(bed.kb(), bed.linker(), options);
+  EXPECT_TRUE(
+      system.Expand(bed.topic(0).keywords).status().IsInvalidArgument());
 }
 
 TEST(EvaluationTest, CycleExpansionBeatsNoExpansion) {

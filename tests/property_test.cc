@@ -197,6 +197,41 @@ TEST_P(RandomGraphProperty, CycleMetricsBounds) {
   }
 }
 
+/// Scores every cycle of `view` with the ball-local scorer and with the
+/// oracle on the cycle's global ids; every field must match exactly.
+void ExpectScorerMatchesOracle(const graph::CsrGraph& csr,
+                               const graph::UndirectedView& view) {
+  const graph::BallCycleScorer scorer(view);
+  size_t cycles = 0;
+  graph::CycleEnumerator(view).Visit(
+      {}, [&](const std::vector<uint32_t>& local) {
+        graph::Cycle cycle;
+        for (uint32_t l : local) cycle.nodes.push_back(view.ToGlobal(l));
+        const graph::CycleMetrics want = ComputeCycleMetrics(csr, cycle);
+        const graph::CycleMetrics got = scorer.Score(local);
+        EXPECT_TRUE(got == want)
+            << "length " << want.length << ": E " << got.num_edges << " vs "
+            << want.num_edges << ", C " << got.num_categories << " vs "
+            << want.num_categories;
+        ++cycles;
+        return true;
+      });
+  EXPECT_GT(cycles, 0u);
+}
+
+TEST_P(RandomGraphProperty, BallScorerMatchesOracle) {
+  graph::PropertyGraph g = RandomSchemaGraph(GetParam(), 16, 8, 110);
+  graph::CsrGraph csr = graph::CsrGraph::Freeze(g);
+  ExpectScorerMatchesOracle(csr, graph::UndirectedView(csr));
+
+  Rng rng(GetParam() + 1000);
+  std::vector<graph::NodeId> subset;
+  for (graph::NodeId u = 0; u < csr.num_nodes(); ++u) {
+    if (rng.Bernoulli(0.75)) subset.push_back(u);
+  }
+  ExpectScorerMatchesOracle(csr, graph::UndirectedView(csr, subset));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 42));
 
