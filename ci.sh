@@ -4,6 +4,7 @@
 #
 #   ./ci.sh tier1   — verify build (-Werror) + full ctest
 #   ./ci.sh bench   — Release bench smoke + BENCH_*.json schema/trajectory
+#   ./ci.sh servebench — serving benchmark: its tests + a 2 s run per workload
 #   ./ci.sh tsan    — ThreadSanitizer over the concurrency suites
 #   ./ci.sh asan    — ASan+UBSan (non-recoverable) over the full ctest suite
 #   ./ci.sh faults  — fault-injection chaos suite, Debug then TSan
@@ -91,6 +92,35 @@ EOF
   set +x
 }
 
+# Serving-benchmark smoke: builds servebench/ (a CMake package of its own
+# that compiles the library from this checkout) in Release, in the tree
+# servebench/run.py uses, runs the benchmark's own tests, then runs every
+# workload for 2 s at seed 1 and fails unless its result line reports a
+# correct run with no failed operation.  The timings are not gated here.
+run_servebench() {
+  set -x
+  cmake -S servebench -B .bench_build/servebench -DCMAKE_BUILD_TYPE=Release
+  cmake --build .bench_build/servebench -j
+  (cd .bench_build/servebench && ctest --output-on-failure)
+  python3 - <<'EOF'
+import json
+import subprocess
+import sys
+
+for workload in ('cold_miss', 'hot_hits', 'republish'):
+    out = subprocess.run(
+        [sys.executable, 'servebench/run.py', '--workload', workload,
+         '--seed', '1', '--seconds', '2', '--trace', '0'],
+        stdout=subprocess.PIPE, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    assert result['correct'] is True and result['failed'] == 0, \
+        (workload, result)
+    print(f"servebench {workload} OK: {result['attempted']} attempted, "
+          "0 failed")
+EOF
+  set +x
+}
+
 # ThreadSanitizer pass over the concurrency subsystem (tests only; the
 # benches and examples don't add coverage and double the build).  Debug
 # so NDEBUG is off and the WQE_DCHECK contracts (registry freeze, nested
@@ -172,6 +202,7 @@ lane="${1:-all}"
 case "$lane" in
   tier1) run_tier1 ;;
   bench) run_bench ;;
+  servebench) run_servebench ;;
   tsan)  run_tsan ;;
   asan)  run_asan ;;
   faults) run_faults ;;
@@ -179,13 +210,14 @@ case "$lane" in
   all)
     run_tier1
     run_bench
+    run_servebench
     run_tsan
     run_asan
     run_faults
     run_tidy
     ;;
   *)
-    echo "usage: $0 [tier1|bench|tsan|asan|faults|tidy|all]" >&2
+    echo "usage: $0 [tier1|bench|servebench|tsan|asan|faults|tidy|all]" >&2
     exit 2
     ;;
 esac

@@ -24,9 +24,14 @@ obs::Histogram* BallExtractionHistogram() {
   return histogram;
 }
 
-/// Work volume behind a request's enumeration: cycles the DFS visited and
-/// cycles that passed the structural filters, one observation each per
-/// request.
+/// Work volume behind a request's enumeration: the query ball's size,
+/// cycles the DFS visited and cycles that passed the structural filters,
+/// one observation each per request.
+obs::Histogram* BallNodesHistogram() {
+  static obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
+      "wqe.expansion.ball_nodes");
+  return histogram;
+}
 obs::Histogram* CyclesVisitedHistogram() {
   static obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
       "wqe.expansion.cycles_visited");
@@ -128,6 +133,7 @@ Result<std::vector<NodeId>> CycleExpander::SelectFeatures(
         }
         return true;
       });
+  BallNodesHistogram()->Record(static_cast<double>(ball.size()));
   CyclesVisitedHistogram()->Record(static_cast<double>(visited));
   CyclesAcceptedHistogram()->Record(static_cast<double>(accepted));
   // An enumeration truncated by a deadline/cancel interruption has seen

@@ -2,12 +2,26 @@
 
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace wqe::expansion {
 
+namespace {
+/// Entity-linking latency, L(k) of the paper, shared across expanders.
+obs::Histogram* LinkingHistogram() {
+  static obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
+      "wqe.expansion.linking_ms");
+  return histogram;
+}
+}  // namespace
+
 Result<ExpandedQuery> Expander::Expand(std::string_view keywords) const {
   ExpandedQuery out;
-  out.query_articles = linker().LinkToArticles(keywords);
+  {
+    obs::Span span("linking", LinkingHistogram());
+    out.query_articles = linker().LinkToArticles(keywords);
+  }
 
   if (out.query_articles.empty()) {
     // Nothing linked: retrieval proceeds with the raw keywords.

@@ -23,6 +23,17 @@ obs::Histogram* SurvivorFractionHistogram() {
   return histogram;
 }
 
+obs::Histogram* SurvivorsHistogram() {
+  static obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
+      "wqe.graph.prune_survivors");
+  return histogram;
+}
+
+void RecordSurvivors(const BallPruneStats& stats) {
+  SurvivorFractionHistogram()->Record(stats.survivor_fraction());
+  SurvivorsHistogram()->Record(static_cast<double>(stats.num_alive));
+}
+
 inline void ClearBit(std::vector<uint64_t>* bits, uint32_t i) {
   (*bits)[i >> 6] &= ~(uint64_t{1} << (i & 63));
 }
@@ -36,18 +47,20 @@ inline void SetBit(std::vector<uint64_t>* bits, uint32_t i) {
 BallPruneStats PruneBall(const UndirectedView& view,
                          const std::vector<NodeId>& seeds,
                          uint32_t max_cycle_length,
-                         std::vector<uint64_t>* alive) {
+                         std::vector<uint64_t>* alive,
+                         std::vector<uint32_t>* seed_distance) {
   obs::Span span("pruning", PruneMsHistogram());
   const uint32_t n = view.num_nodes();
   BallPruneStats stats;
   stats.num_nodes = n;
+  if (seed_distance != nullptr) seed_distance->clear();
 
   alive->assign((n + 63) / 64, ~uint64_t{0});
   if ((n & 63) != 0 && !alive->empty()) {
     alive->back() = (uint64_t{1} << (n & 63)) - 1;
   }
   if (n == 0) {
-    SurvivorFractionHistogram()->Record(1.0);
+    RecordSurvivors(stats);
     return stats;
   }
 
@@ -94,7 +107,11 @@ BallPruneStats PruneBall(const UndirectedView& view,
   // bounds every cycle node to distance ⌊L/2⌋ of the seed — consists of
   // alive nodes and is never cut short by the restriction.  Each kill
   // can lengthen surviving nodes' distances and drop degrees, so BFS and
-  // peel alternate until a full BFS round kills nothing.
+  // peel alternate until a full BFS round kills nothing.  A round is
+  // never cut short, so `seed_distance` holds one whole round's levels.
+  // If an interruption skips the later rounds, the last completed one's
+  // distances stay lower bounds: it relayed through a superset of the
+  // final alive nodes.
   if (!seeds.empty()) {
     std::vector<uint32_t> seed_locals;
     for (NodeId g : seeds) {
@@ -114,6 +131,7 @@ BallPruneStats PruneBall(const UndirectedView& view,
       if (common::ExecInterrupted()) break;
       ++stats.rounds;
       std::fill(visited.begin(), visited.end(), 0);
+      if (seed_distance != nullptr) seed_distance->assign(n, UINT32_MAX);
       frontier.clear();
       for (uint32_t s : seed_locals) {
         if (BallPruneAlive(alive->data(), s) &&
@@ -122,7 +140,11 @@ BallPruneStats PruneBall(const UndirectedView& view,
           frontier.push_back(s);
         }
       }
-      for (uint32_t d = 0; d < depth && !frontier.empty(); ++d) {
+      for (uint32_t d = 0; !frontier.empty(); ++d) {
+        if (seed_distance != nullptr) {
+          for (uint32_t u : frontier) (*seed_distance)[u] = d;
+        }
+        if (d == depth) break;
         next.clear();
         for (uint32_t u : frontier) {
           for (uint32_t v : view.Neighbors(u)) {
@@ -154,7 +176,7 @@ BallPruneStats PruneBall(const UndirectedView& view,
     num_alive += static_cast<uint32_t>(std::popcount(word));
   }
   stats.num_alive = num_alive;
-  SurvivorFractionHistogram()->Record(stats.survivor_fraction());
+  RecordSurvivors(stats);
   return stats;
 }
 

@@ -32,9 +32,14 @@
 /// bit-identical to unpruned (same cycles, same order, same truncation
 /// and abort prefixes; see graph/cycles.h, which skips dead nodes).
 ///
-/// The kernel records `wqe.graph.prune_ms` and
-/// `wqe.graph.prune_survivor_fraction` histograms in the global obs
-/// registry and runs under a `pruning` span stage.
+/// The BFS also yields each survivor's distance to its nearest seed,
+/// which the enumerator uses to abandon seedless DFS paths that can no
+/// longer reach a seed within the length bound (graph/cycles.h).
+///
+/// The kernel records `wqe.graph.prune_ms`,
+/// `wqe.graph.prune_survivor_fraction` and `wqe.graph.prune_survivors`
+/// histograms in the global obs registry and runs under a `pruning` span
+/// stage.
 
 #include <cstdint>
 #include <vector>
@@ -75,9 +80,18 @@ inline bool BallPruneAlive(const uint64_t* alive, uint32_t i) {
 /// local id; trailing bits of the last word are zero.  Seeds outside the
 /// view are ignored; if seeds were given but none is alive, nothing can
 /// qualify and the bitset comes back empty.
+///
+/// `seed_distance`, when given, receives by local id the undirected
+/// distance to the nearest seed over alive nodes, as measured by the last
+/// completed BFS round (UINT32_MAX for nodes it did not reach; every
+/// survivor was reached).  It is a lower bound on the in-cycle
+/// distance from a survivor to any seed on a surviving cycle.  It comes
+/// back empty when there is no distance to report: no seeds were given,
+/// or a deadline/cancel interruption came before the first round.
 BallPruneStats PruneBall(const UndirectedView& view,
                          const std::vector<NodeId>& seeds,
                          uint32_t max_cycle_length,
-                         std::vector<uint64_t>* alive);
+                         std::vector<uint64_t>* alive,
+                         std::vector<uint32_t>* seed_distance = nullptr);
 
 }  // namespace wqe::graph

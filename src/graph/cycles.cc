@@ -18,7 +18,10 @@ namespace {
 /// How many DFS extensions / start visits pass between cooperative
 /// deadline/cancel checks.  Large enough that the clock read is noise
 /// against the enumeration work, small enough that an expired deadline
-/// stops the run within a few microseconds of real work.
+/// stops the run soon after.  An extension includes its fused last level
+/// and the visitor calls it makes: on servebench's cold_miss balls
+/// (4-vCPU host, Release) 256 of them take about 15 µs at the median and
+/// under 50 µs at p99.
 constexpr int kExecCheckInterval = 256;
 
 /// Whole-enumeration latency (sequential or parallel), shared by every
@@ -30,6 +33,42 @@ obs::Histogram* EnumerationHistogram() {
   return histogram;
 }
 
+/// Read-only inputs shared by every DfsContext of one run: the seed mask
+/// and what ball pruning produced.  The parallel path builds it after its
+/// sequential fallbacks, so pruning is never computed twice.
+struct RunFilters {
+  std::vector<uint8_t> seed_mask;  ///< by local id; empty = no seed filter
+  std::vector<uint64_t> alive_bits;
+  /// PruneBall's distance to the nearest seed by local id; empty when
+  /// pruning is off, no seeds were given, or no BFS round completed.
+  std::vector<uint32_t> seed_distance;
+  bool pruned_any = false;
+
+  /// Ball-pruning bitset by local id (graph/ball_prune.h); null when
+  /// pruning is off or removed nothing, which keeps fully-alive scans
+  /// free of bitset loads.  Dead nodes lie on no qualifying cycle, so
+  /// skipping them changes no emission and no emission order.
+  const uint64_t* alive() const {
+    return pruned_any ? alive_bits.data() : nullptr;
+  }
+
+  RunFilters(const UndirectedView& view,
+             const CycleEnumerationOptions& options) {
+    if (!options.seeds.empty()) {
+      seed_mask.assign(view.num_nodes(), 0);
+      for (NodeId g : options.seeds) {
+        const uint32_t local = view.ToLocal(g);
+        if (local != UINT32_MAX) seed_mask[local] = 1;
+      }
+    }
+    if (options.prune_ball && view.num_nodes() != 0) {
+      pruned_any = PruneBall(view, options.seeds, options.max_length,
+                             &alive_bits, &seed_distance)
+                       .pruned_any();
+    }
+  }
+};
+
 /// DFS state for one enumeration run (one thread's worth: the parallel
 /// path gives every worker its own context over the shared view).
 ///
@@ -39,14 +78,18 @@ obs::Histogram* EnumerationHistogram() {
 struct DfsContext {
   const UndirectedView* view;
   const CycleEnumerationOptions* options;
-  const std::vector<bool>* is_seed;  ///< by local id (null = no filter)
-  /// Ball-pruning bitset by local id (graph/ball_prune.h); null when
-  /// pruning is off or removed nothing.  Dead nodes lie on no qualifying
-  /// cycle, so skipping them changes no emission and no emission order.
-  const uint64_t* alive = nullptr;
+  const uint8_t* is_seed = nullptr;  ///< by local id (null = no filter)
+  const uint64_t* alive = nullptr;   ///< see RunFilters::alive()
+  /// Distance to the nearest seed by local id (null = no cut).  Every
+  /// node the DFS reaches is alive, so its entry is finite.
+  const uint32_t* seed_distance = nullptr;
   std::function<bool(const std::vector<uint32_t>&)> sink;
-  std::vector<bool> on_path;
+  std::vector<uint8_t> on_path;
+  /// Marks the neighbours above path[0] while its DFS runs, so every
+  /// closing-edge test is one load.
+  std::vector<uint8_t> closes;
   std::vector<uint32_t> path;
+  uint32_t path_seeds = 0;  ///< seeds among `path`
   bool aborted = false;
   /// Sticky: set once the ambient deadline fires or cancellation is
   /// requested.  Distinct from `aborted` (which a visitor can also set)
@@ -62,12 +105,16 @@ struct DfsContext {
   int check_countdown = 1;
 
   void Init(const UndirectedView& v, const CycleEnumerationOptions& o,
-            const std::vector<bool>* seeds, const uint64_t* alive_bits) {
+            const RunFilters& filters) {
     view = &v;
     options = &o;
-    is_seed = seeds;
-    alive = alive_bits;
-    on_path.assign(v.num_nodes(), false);
+    is_seed = filters.seed_mask.empty() ? nullptr : filters.seed_mask.data();
+    alive = filters.alive();
+    seed_distance = filters.seed_distance.empty()
+                        ? nullptr
+                        : filters.seed_distance.data();
+    on_path.assign(v.num_nodes(), 0);
+    closes.assign(v.num_nodes(), 0);
     exec_active = common::CurrentExecContext().active();
   }
 
@@ -94,12 +141,21 @@ struct DfsContext {
     return alive == nullptr || BallPruneAlive(alive, v);
   }
 
-  bool PathTouchesSeed() const {
-    if (is_seed == nullptr) return true;
-    for (uint32_t v : path) {
-      if ((*is_seed)[v]) return true;
-    }
-    return false;
+  uint32_t IsSeed(uint32_t v) const {
+    return is_seed == nullptr ? 0 : is_seed[v];
+  }
+
+  void Push(uint32_t v) {
+    path.push_back(v);
+    on_path[v] = 1;
+    path_seeds += IsSeed(v);
+  }
+
+  void Pop() {
+    const uint32_t v = path.back();
+    path.pop_back();
+    on_path[v] = 0;
+    path_seeds -= IsSeed(v);
   }
 
   /// True when no chord exists: the only adjacencies among path nodes are
@@ -116,7 +172,7 @@ struct DfsContext {
   }
 
   void Emit() {
-    if (!PathTouchesSeed()) return;
+    if (is_seed != nullptr && path_seeds == 0) return;
     if (options->chordless_only && path.size() >= 4 && !PathIsChordless()) {
       return;
     }
@@ -133,84 +189,91 @@ struct DfsContext {
     for (size_t i = first; i < neighbors.size() && !aborted; ++i) {
       if (mults[i] >= 2 && Alive(neighbors[i])) {
         path = {u, neighbors[i]};
+        path_seeds = IsSeed(u) + IsSeed(neighbors[i]);
         Emit();
       }
     }
     path.clear();
+    path_seeds = 0;
   }
 
   /// Canonical DFS rooted at `s` (cycles of length >= 3 whose minimum
-  /// node is `s`).
+  /// node is `s`).  Only neighbours above `s` can close such a cycle, so
+  /// only those are marked.
   void DfsForStart(uint32_t s) {
-    path.assign(1, s);
-    on_path[s] = true;
+    std::span<const uint32_t> neighbors = view->Neighbors(s);
+    const auto above = std::upper_bound(neighbors.begin(), neighbors.end(), s);
+    for (auto it = above; it != neighbors.end(); ++it) closes[*it] = 1;
+    Push(s);
     Extend(s, s);
-    on_path[s] = false;
-    path.clear();
+    Pop();
+    for (auto it = above; it != neighbors.end(); ++it) closes[*it] = 0;
   }
 
-  /// Extends the path (whose last node is `u`); `start` is path[0].
+  /// Extends the path, whose last node is `u`; `start` is path[0].
   ///
-  /// Rows are sorted ascending, so one binary search splits `u`'s row at
-  /// `start`: everything before it is excluded by canonicality (the start
-  /// is the path minimum), equality is the closing edge, and only the
-  /// suffix can extend the path.  At maximum depth the suffix is skipped
-  /// entirely — the closure test is the whole visit.
+  /// Rows are sorted ascending and the start is the path minimum, so one
+  /// binary search splits off the part of `u`'s row that can extend the
+  /// path: everything up to `start` is excluded by canonicality.
   void Extend(uint32_t start, uint32_t u) {
-    if (aborted) return;
     if (CheckInterrupt()) {
       aborted = true;
       return;
     }
-    std::span<const uint32_t> neighbors = view->Neighbors(u);
-    auto suffix = std::upper_bound(neighbors.begin(), neighbors.end(), start);
+    const uint32_t len = static_cast<uint32_t>(path.size());
+    // Seed-distance cut.  A seedless path can only gain its seed among
+    // the k <= max_length - len nodes still to come.  A seed that is the
+    // i-th of them lies i steps past `u` and k + 1 - i steps before
+    // `start` along the cycle, so d(u) + d(start) <= k + 1.  Past that
+    // bound nothing below this call can emit.
+    if (path_seeds == 0 && seed_distance != nullptr &&
+        seed_distance[u] + seed_distance[start] >
+            options->max_length - len + 1) {
+      return;
+    }
     // Close the cycle when we are back at the start with enough nodes.
     // The orientation constraint path[1] < path.back() ensures each cycle
     // is emitted in only one of its two traversal directions.
-    if (suffix != neighbors.begin() && *(suffix - 1) == start &&
-        path.size() >= 3 && path.size() >= options->min_length &&
-        path[1] < path.back()) {
+    if (closes[u] && len >= 3 && len >= options->min_length && path[1] < u) {
       Emit();
       if (aborted) return;
     }
-    if (path.size() >= options->max_length) return;
-    for (auto it = suffix; it != neighbors.end(); ++it) {
-      uint32_t v = *it;
+    std::span<const uint32_t> neighbors = view->Neighbors(u);
+    if (len + 1 == options->max_length) {
+      EmitLastLevel(neighbors);
+      return;
+    }
+    for (auto it = std::upper_bound(neighbors.begin(), neighbors.end(), start);
+         it != neighbors.end(); ++it) {
+      const uint32_t v = *it;
       if (on_path[v] || !Alive(v)) continue;
-      path.push_back(v);
-      on_path[v] = true;
+      Push(v);
       Extend(start, v);
-      on_path[v] = false;
-      path.pop_back();
+      Pop();
+      if (aborted) return;
+    }
+  }
+
+  /// The fused last level: `path` holds max_length - 1 nodes, so a
+  /// neighbour of its last node can only join as the final node of a
+  /// cycle.  Emits each neighbour that closes one in place, in row order:
+  /// the same cycles in the same order as one recursive call per
+  /// neighbour.  The binary search skips the neighbours up to path[1],
+  /// which fail the orientation rule.
+  void EmitLastLevel(std::span<const uint32_t> neighbors) {
+    if (path.size() + 1 < options->min_length) return;
+    for (auto it =
+             std::upper_bound(neighbors.begin(), neighbors.end(), path[1]);
+         it != neighbors.end(); ++it) {
+      const uint32_t v = *it;
+      if (!closes[v] || on_path[v] || !Alive(v)) continue;
+      Push(v);
+      Emit();
+      Pop();
       if (aborted) return;
     }
   }
 };
-
-/// Builds the shared local-id seed mask; empty optional-equivalent is a
-/// null pointer at the call sites.
-std::vector<bool> BuildSeedMask(const UndirectedView& view,
-                                const CycleEnumerationOptions& options) {
-  std::vector<bool> is_seed(view.num_nodes(), false);
-  for (NodeId g : options.seeds) {
-    uint32_t local = view.ToLocal(g);
-    if (local != UINT32_MAX) is_seed[local] = true;
-  }
-  return is_seed;
-}
-
-/// Runs ball pruning when the options ask for it; `bits` backs the
-/// returned pointer.  Null when pruning is off, the view is empty, or
-/// nothing was removed — the null fast path keeps fully-alive scans free
-/// of bitset loads.
-const uint64_t* MaybePrune(const UndirectedView& view,
-                           const CycleEnumerationOptions& options,
-                           std::vector<uint64_t>* bits) {
-  if (!options.prune_ball || view.num_nodes() == 0) return nullptr;
-  BallPruneStats stats =
-      PruneBall(view, options.seeds, options.max_length, bits);
-  return stats.pruned_any() ? bits->data() : nullptr;
-}
 
 /// One chunk's output.  Cycles are stored flattened (lengths + node data)
 /// to keep the collection allocation-light; the two phases are kept in
@@ -316,14 +379,9 @@ bool AppendCapped(const std::vector<uint32_t>& path, size_t max_cycles,
 size_t CycleEnumerator::SequentialVisit(const CycleEnumerationOptions& options,
                                         const CycleVisitor& visitor) const {
   const uint32_t n = view_->num_nodes();
-  std::vector<bool> seed_mask;
-  if (!options.seeds.empty()) seed_mask = BuildSeedMask(*view_, options);
-  std::vector<uint64_t> alive_bits;
-  const uint64_t* alive = MaybePrune(*view_, options, &alive_bits);
-
+  const RunFilters filters(*view_, options);
   DfsContext ctx;
-  ctx.Init(*view_, options, options.seeds.empty() ? nullptr : &seed_mask,
-           alive);
+  ctx.Init(*view_, options, filters);
   size_t emitted = 0;
   ctx.sink = [&](const std::vector<uint32_t>& path) {
     ++emitted;
@@ -357,16 +415,8 @@ size_t CycleEnumerator::ParallelVisit(const CycleEnumerationOptions& options,
       BuildChunks(*view_, threads, options.parallel_chunk_starts);
   if (chunks.size() <= 1) return SequentialVisit(options, visitor);
 
-  std::vector<bool> seed_mask;
-  const std::vector<bool>* seeds = nullptr;
-  if (!options.seeds.empty()) {
-    seed_mask = BuildSeedMask(*view_, options);
-    seeds = &seed_mask;
-  }
-  // One shared prune for all workers (read-only after this point); runs
-  // after the sequential fallbacks above so it is never computed twice.
-  std::vector<uint64_t> alive_bits;
-  const uint64_t* alive = MaybePrune(*view_, options, &alive_bits);
+  // One shared prune for all workers (read-only after this point).
+  const RunFilters filters(*view_, options);
   const bool want_len2 = options.min_length <= 2 && options.max_length >= 2;
   const bool want_dfs = options.max_length >= 3;
 
@@ -376,7 +426,7 @@ size_t CycleEnumerator::ParallelVisit(const CycleEnumerationOptions& options,
 
   auto worker = [&] {
     DfsContext ctx;
-    ctx.Init(*view_, options, seeds, alive);
+    ctx.Init(*view_, options, filters);
     for (;;) {
       const size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks.size()) return;

@@ -18,8 +18,18 @@
 ///
 /// The enumerator exploits the view's sorted flat rows: the canonical
 /// start is the path minimum, so each DFS step binary-searches past the
-/// dead `<= start` prefix, and at maximum depth the closing edge is a
-/// single binary search instead of a row scan.
+/// dead `<= start` prefix.  Entering a start node marks its neighbours
+/// in a byte array, so every closing-edge test is one load.  The last
+/// level is fused: with one node left to add, the DFS scans the row part
+/// above path[1] (the orientation rule) and emits each marked neighbour
+/// in place instead of making one recursive call per leaf.  With seeds,
+/// a path holding none is abandoned once d(u) + d(start) >
+/// max_length + 1 − |path|, where u is its last node and d the distance
+/// to the nearest seed measured by ball pruning's BFS (graph/ball_prune.h):
+/// no extension can then reach a seed and still close in time.  Both
+/// shortcuts skip only work that emits nothing, so the emitted stream is
+/// the plain DFS's, cycle for cycle and in order (tests/cycles_test.cc
+/// checks it against such a DFS).
 ///
 /// Parallelism: canonical start nodes are independent units of work, so
 /// the enumerator can shard them into degree-balanced chunks executed on

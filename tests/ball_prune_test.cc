@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/ball_prune.h"
@@ -170,6 +171,29 @@ TEST(BallPruneTest, SeedsOutsideViewKillEverything) {
   std::vector<uint64_t> alive;
   BallPruneStats stats = PruneBall(view, {3}, 5, &alive);
   EXPECT_EQ(stats.num_alive, 0u);
+}
+
+TEST(BallPruneTest, SeedDistanceIsTheFinalRoundsBfsLevel) {
+  // 5-cycle 0-1-2-3-4 seeded at 0, a pendant 5 off 2 (peeled before any
+  // BFS) and a node 6 on a triangle with 2 and 3, at distance 3 > ⌊5/2⌋
+  // (killed by the first round, so the second round never reaches it).
+  PropertyGraph g = ArticleGraph(7);
+  for (auto [u, v] : {std::pair{0u, 1u}, {1u, 2u}, {2u, 3u}, {3u, 4u},
+                      {4u, 0u}, {2u, 5u}, {2u, 6u}, {3u, 6u}}) {
+    ASSERT_TRUE(g.AddEdge(u, v, EdgeKind::kLink).ok());
+  }
+  CsrGraph csr = CsrGraph::Freeze(g);
+  UndirectedView view(csr);
+  std::vector<uint64_t> alive;
+  std::vector<uint32_t> distance = {42};  // must be overwritten
+  PruneBall(view, {0}, 5, &alive, &distance);
+  EXPECT_EQ(AliveLocals(alive, 7), (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(distance, (std::vector<uint32_t>{0, 1, 2, 2, 1, UINT32_MAX,
+                                             UINT32_MAX}));
+
+  // Without seeds there is no BFS and so no distance.
+  PruneBall(view, {}, 5, &alive, &distance);
+  EXPECT_TRUE(distance.empty());
 }
 
 TEST(BallPruneTest, SurvivorFractionExportedToGlobalRegistry) {

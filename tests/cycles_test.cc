@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <set>
+#include <span>
 #include <future>
 #include <thread>
 #include <vector>
@@ -630,6 +632,237 @@ TEST_P(PrunedIdentityProperty, AbortPrefixMatchesUnpruned) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrunedIdentityProperty,
                          ::testing::Values(7, 19, 42, 1234, 90210));
+
+// ---- Order-exact reference.  The DFS fuses its last level and cuts
+// seedless paths by seed distance; neither may change a single emission
+// or its position.  Set-based or count-based checks would miss an
+// order-only change, so the emitted stream is compared element by
+// element against the plain DFS below.
+
+/// The cycle DFS without either shortcut: one recursive call per
+/// extension, the closing edge found by binary search in the row, the
+/// seed filter a scan of the path, no pruning and no cut.  Returns the
+/// emitted local-id paths in emission order, truncated to `max_cycles`.
+std::vector<std::vector<uint32_t>> ReferenceCyclePaths(
+    const UndirectedView& view, const CycleEnumerationOptions& options) {
+  const uint32_t n = view.num_nodes();
+  std::vector<bool> is_seed(n, false);
+  for (NodeId g : options.seeds) {
+    const uint32_t local = view.ToLocal(g);
+    if (local != UINT32_MAX) is_seed[local] = true;
+  }
+  std::vector<std::vector<uint32_t>> out;
+  std::vector<uint32_t> path;
+  auto emit = [&] {
+    if (!options.seeds.empty() &&
+        std::none_of(path.begin(), path.end(),
+                     [&](uint32_t v) { return is_seed[v]; })) {
+      return;
+    }
+    if (options.chordless_only && path.size() >= 4) {
+      for (size_t i = 0; i < path.size(); ++i) {
+        for (size_t j = i + 2; j < path.size(); ++j) {
+          if (i == 0 && j == path.size() - 1) continue;
+          if (view.HasEdge(path[i], path[j])) return;
+        }
+      }
+    }
+    out.push_back(path);
+  };
+
+  if (options.min_length <= 2 && options.max_length >= 2) {
+    for (uint32_t u = 0; u < n; ++u) {
+      std::span<const uint32_t> row = view.Neighbors(u);
+      std::span<const uint32_t> mults = view.Multiplicities(u);
+      for (size_t i = 0; i < row.size(); ++i) {
+        if (row[i] > u && mults[i] >= 2) {
+          path = {u, row[i]};
+          emit();
+        }
+      }
+    }
+  }
+  std::vector<bool> on_path(n, false);
+  std::function<void(uint32_t, uint32_t)> extend = [&](uint32_t start,
+                                                       uint32_t u) {
+    std::span<const uint32_t> row = view.Neighbors(u);
+    auto suffix = std::upper_bound(row.begin(), row.end(), start);
+    if (suffix != row.begin() && *(suffix - 1) == start && path.size() >= 3 &&
+        path.size() >= options.min_length && path[1] < path.back()) {
+      emit();
+    }
+    if (path.size() >= options.max_length) return;
+    for (auto it = suffix; it != row.end(); ++it) {
+      if (on_path[*it]) continue;
+      path.push_back(*it);
+      on_path[*it] = true;
+      extend(start, *it);
+      on_path[*it] = false;
+      path.pop_back();
+    }
+  };
+  if (options.max_length >= 3) {
+    for (uint32_t s = 0; s < n; ++s) {
+      path.assign(1, s);
+      on_path[s] = true;
+      extend(s, s);
+      on_path[s] = false;
+    }
+  }
+  if (options.max_cycles != 0 && out.size() > options.max_cycles) {
+    out.resize(options.max_cycles);
+  }
+  return out;
+}
+
+/// Uniform random article/category graph; a quarter of the article links
+/// are mutual, so length-2 cycles occur too.
+PropertyGraph UniformSchemaGraph(uint64_t seed, uint32_t num_articles,
+                                 uint32_t num_categories, uint32_t num_edges) {
+  Rng rng(seed);
+  PropertyGraph g;
+  for (uint32_t i = 0; i < num_articles; ++i) {
+    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+  }
+  for (uint32_t i = 0; i < num_categories; ++i) {
+    g.AddNode(NodeKind::kCategory, "c" + std::to_string(i));
+  }
+  const uint32_t n = num_articles + num_categories;
+  for (uint32_t e = 0; e < num_edges; ++e) {
+    const uint32_t u = rng.Uniform(n);
+    const uint32_t v = rng.Uniform(n);
+    if (u == v) continue;
+    if (g.IsArticle(u) && g.IsArticle(v)) {
+      (void)g.AddEdge(u, v, EdgeKind::kLink);
+      if (rng.Uniform(4) == 0) (void)g.AddEdge(v, u, EdgeKind::kLink);
+    } else if (g.IsArticle(u)) {
+      (void)g.AddEdge(u, v, EdgeKind::kBelongs);
+    } else if (g.IsArticle(v)) {
+      (void)g.AddEdge(v, u, EdgeKind::kBelongs);
+    } else {
+      (void)g.AddEdge(u, v, EdgeKind::kInside);
+    }
+  }
+  return g;
+}
+
+/// Runs `Visit` over every length window in 2..5, each seed set,
+/// chordless on and off, `max_cycles` in {0, 1, 5, 17}, pruning on and
+/// off, and 1 thread or 4 threads with size-1 chunks, and checks each
+/// emitted stream and returned count against `ReferenceCyclePaths`.
+/// Returns for how many (window, seeds, chordless) configurations the
+/// reference emits anything, so callers can rule out a vacuous pass.
+size_t ExpectVisitMatchesReference(
+    const UndirectedView& view,
+    const std::vector<std::vector<NodeId>>& seed_sets) {
+  CycleEnumerator e(view);
+  size_t nonempty = 0;
+  for (uint32_t min_len = 2; min_len <= 5; ++min_len) {
+    for (uint32_t max_len = min_len; max_len <= 5; ++max_len) {
+      for (const std::vector<NodeId>& seeds : seed_sets) {
+        for (bool chordless : {false, true}) {
+          CycleEnumerationOptions base;
+          base.min_length = min_len;
+          base.max_length = max_len;
+          base.seeds = seeds;
+          base.chordless_only = chordless;
+          const std::vector<std::vector<uint32_t>> full =
+              ReferenceCyclePaths(view, base);
+          if (!full.empty()) ++nonempty;
+          for (size_t cap : {size_t{0}, size_t{1}, size_t{5}, size_t{17}}) {
+            std::vector<std::vector<uint32_t>> want = full;
+            if (cap != 0 && want.size() > cap) want.resize(cap);
+            for (bool prune : {false, true}) {
+              for (uint32_t threads : {1u, 4u}) {
+                CycleEnumerationOptions options = base;
+                options.max_cycles = cap;
+                options.prune_ball = prune;
+                options.num_threads = threads;
+                options.parallel_chunk_starts = threads > 1 ? 1 : 0;
+                std::vector<std::vector<uint32_t>> got;
+                const size_t visited =
+                    e.Visit(options, [&](const std::vector<uint32_t>& p) {
+                      got.push_back(p);
+                      return true;
+                    });
+                const auto [got_end, want_end] = std::mismatch(
+                    got.begin(), got.end(), want.begin(), want.end());
+                if (got_end == got.end() && want_end == want.end() &&
+                    visited == want.size()) {
+                  continue;
+                }
+                ADD_FAILURE()
+                    << "lengths=" << min_len << ".." << max_len
+                    << " seeds=" << seeds.size() << " chordless=" << chordless
+                    << " cap=" << cap << " prune=" << prune
+                    << " threads=" << threads << ": got " << got.size()
+                    << " paths (Visit returned " << visited << "), want "
+                    << want.size() << "; first difference at index "
+                    << (got_end - got.begin());
+                return nonempty;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return nonempty;
+}
+
+class OrderExactReferenceProperty
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OrderExactReferenceProperty, UniformRandomGraph) {
+  PropertyGraph g = UniformSchemaGraph(GetParam(), 16, 6, 90);
+  CsrGraph csr = CsrGraph::Freeze(g);
+  // 10 length windows x 3 seed sets x chordless on/off.
+  EXPECT_GT(ExpectVisitMatchesReference(UndirectedView(csr),
+                                        {{}, {3}, {0, 5, 11}}),
+            40u);
+}
+
+TEST_P(OrderExactReferenceProperty, HubSkewedPendantBall) {
+  PropertyGraph g = SkewedGraphWithPendants(GetParam(), 18, 6, 150);
+  CsrGraph csr = CsrGraph::Freeze(g);
+  // A query ball: the slice without every third node, so seeds 2 and 5
+  // fall outside it.
+  std::vector<NodeId> members;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    if (n % 3 != 2) members.push_back(n);
+  }
+  // 10 length windows x 5 seed sets x chordless on/off; nothing qualifies
+  // with seeds {2, 5}.
+  EXPECT_GT(ExpectVisitMatchesReference(
+                UndirectedView(csr, members),
+                {{}, {3}, {0, 4, 9}, {2, 5, 6}, {2, 5}}),
+            50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OrderExactReferenceProperty,
+                         ::testing::Values(7, 19, 42));
+
+TEST(OrderExactReferenceTest, SeedAtTheCutBoundaryStillCloses) {
+  // The 5-cycle 0-1-2-3-4 with its only seed at 3.  From start 0 the path
+  // 0,1 holds no seed and has d(1) + d(0) = 2 + 2 = 4 = max_length + 1 -
+  // |path|, exactly the cut's bound, as has 0,1,2 with 1 + 2 = 3; the
+  // cycle must still be emitted.
+  PropertyGraph g;
+  for (int i = 0; i < 5; ++i) {
+    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+  }
+  for (auto [u, v] : {std::pair{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}) {
+    ASSERT_TRUE(g.AddEdge(u, v, EdgeKind::kLink).ok());
+  }
+  CsrGraph csr = CsrGraph::Freeze(g);
+  UndirectedView view(csr);
+  CycleEnumerationOptions options;
+  options.seeds = {3};
+  const std::vector<std::vector<uint32_t>> want = {{0, 1, 2, 3, 4}};
+  ASSERT_EQ(ReferenceCyclePaths(view, options), want);
+  // Only the windows reaching length 5 emit it, chordless or not.
+  EXPECT_EQ(ExpectVisitMatchesReference(view, {{3}}), 8u);
+}
 
 TEST(ParallelCycleTest, VisitorAbortPrefixMatchesSequential) {
   PropertyGraph g = CompleteArticleGraph(7);

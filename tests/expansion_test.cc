@@ -17,6 +17,7 @@
 #include "api/testbed.h"
 #include "expansion/baselines.h"
 #include "expansion/cycle_expander.h"
+#include "graph/ball_prune.h"
 #include "graph/cycles.h"
 #include "graph/undirected_view.h"
 #include "obs/metrics.h"
@@ -172,6 +173,8 @@ TEST(CycleExpanderTest, DeterministicOutput) {
 /// snapshot, and `unordered_map` tallies keyed by global id.
 struct ReferenceSelection {
   std::vector<graph::NodeId> features;
+  size_t ball_nodes = 0;
+  size_t prune_survivors = 0;
   size_t visited = 0;
   size_t accepted = 0;
 };
@@ -196,6 +199,11 @@ ReferenceSelection ReferenceSelectFeatures(
   };
   std::unordered_map<graph::NodeId, PerLength> tallies;
   ReferenceSelection out;
+  out.ball_nodes = view.num_nodes();
+  std::vector<uint64_t> alive;
+  out.prune_survivors =
+      graph::PruneBall(view, query_articles, options.max_cycle_length, &alive)
+          .num_alive;
   out.visited = graph::CycleEnumerator(view).Visit(
       enum_options, [&](const std::vector<uint32_t>& local) {
         graph::Cycle cycle;
@@ -297,27 +305,53 @@ TEST(CycleExpanderTest, RecordsCycleWorkVolumePerRequest) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const auto& bed = SmallBed();
   CycleExpander system(bed.kb(), bed.linker());
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::Histogram* visited =
-      registry.GetHistogram("wqe.expansion.cycles_visited");
-  obs::Histogram* accepted =
-      registry.GetHistogram("wqe.expansion.cycles_accepted");
-  const obs::HistogramSnapshot visited_before = visited->snapshot();
-  const obs::HistogramSnapshot accepted_before = accepted->snapshot();
+  const std::vector<obs::Histogram*> histograms = {
+      obs::MetricsRegistry::Global().GetHistogram("wqe.expansion.ball_nodes"),
+      obs::MetricsRegistry::Global().GetHistogram("wqe.graph.prune_survivors"),
+      obs::MetricsRegistry::Global().GetHistogram(
+          "wqe.expansion.cycles_visited"),
+      obs::MetricsRegistry::Global().GetHistogram(
+          "wqe.expansion.cycles_accepted")};
+  std::vector<obs::HistogramSnapshot> before;
+  for (obs::Histogram* h : histograms) before.push_back(h->snapshot());
 
   auto expanded = system.Expand(bed.topic(1).keywords);
   ASSERT_TRUE(expanded.ok()) << expanded.status();
-  const obs::HistogramSnapshot visited_delta =
-      visited->snapshot().DeltaSince(visited_before);
-  const obs::HistogramSnapshot accepted_delta =
-      accepted->snapshot().DeltaSince(accepted_before);
+  std::vector<obs::HistogramSnapshot> deltas;
+  for (size_t i = 0; i < histograms.size(); ++i) {
+    deltas.push_back(histograms[i]->snapshot().DeltaSince(before[i]));
+  }
   ReferenceSelection want =
       ReferenceSelectFeatures(system, bed.kb(), expanded->query_articles);
-  EXPECT_EQ(visited_delta.count, 1u);
-  EXPECT_EQ(accepted_delta.count, 1u);
   EXPECT_GT(want.visited, 0u);
-  EXPECT_EQ(visited_delta.sum, static_cast<double>(want.visited));
-  EXPECT_EQ(accepted_delta.sum, static_cast<double>(want.accepted));
+  EXPECT_GT(want.prune_survivors, 0u);
+  EXPECT_LE(want.prune_survivors, want.ball_nodes);
+  const std::vector<size_t> want_sums = {want.ball_nodes, want.prune_survivors,
+                                         want.visited, want.accepted};
+  for (size_t i = 0; i < histograms.size(); ++i) {
+    EXPECT_EQ(deltas[i].count, 1u) << i;
+    EXPECT_EQ(deltas[i].sum, static_cast<double>(want_sums[i])) << i;
+  }
+}
+
+TEST(ExpanderTest, RecordsOneLinkingObservationPerExpand) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const auto& bed = SmallBed();
+  obs::Histogram* linking =
+      obs::MetricsRegistry::Global().GetHistogram("wqe.expansion.linking_ms");
+  NoExpansion none(bed.kb(), bed.linker());
+  CycleExpander cycle(bed.kb(), bed.linker());
+  // Linked and unlinkable keywords, through a baseline and the cycle
+  // expander: linking runs once per Expand either way.
+  for (const Expander* system : {static_cast<const Expander*>(&none),
+                                 static_cast<const Expander*>(&cycle)}) {
+    for (const std::string& keywords :
+         {bed.topic(0).keywords, std::string("zzz qqq www")}) {
+      const obs::HistogramSnapshot before = linking->snapshot();
+      ASSERT_TRUE(system->Expand(keywords).ok());
+      EXPECT_EQ(linking->snapshot().DeltaSince(before).count, 1u) << keywords;
+    }
+  }
 }
 
 TEST(CycleExpanderTest, RejectsCycleLengthPastTallies) {
