@@ -31,8 +31,8 @@ groundtruth::PipelineOptions BenchPipelineOptions() {
   options.wiki.seed = EnvOr("WQE_BENCH_SEED", 42);
   options.track.num_topics = EnvOr("WQE_BENCH_TOPICS", 50);
   options.track.seed = options.wiki.seed + 7;
-  // Analysis parallelism (topic fan-out + in-ball enumeration); results
-  // are bit-identical at any setting, so this only moves wall-clock.
+  // Analysis parallelism (the per-topic fan-out); results are
+  // bit-identical at any setting, so this only moves wall-clock.
   options.num_threads = EnvOr("WQE_BENCH_THREADS", 1);
   return options;
 }

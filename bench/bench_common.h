@@ -11,9 +11,8 @@
 ///   WQE_BENCH_TOPICS   — number of topics (default 50)
 ///   WQE_BENCH_DOMAINS  — number of KB domains (default 50)
 ///   WQE_BENCH_SEED     — generator seed (default 42)
-///   WQE_BENCH_THREADS  — analysis threads: §3 topic fan-out + parallel
-///                        cycle enumeration (default 1; output identical
-///                        at any setting)
+///   WQE_BENCH_THREADS  — analysis threads for the §3 topic fan-out
+///                        (default 1; output identical at any setting)
 
 #include <memory>
 #include <string>

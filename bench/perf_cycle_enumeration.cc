@@ -12,12 +12,6 @@
 /// scans, hash-map multiplicity lookups) so the CSR speedup is measured
 /// in-binary on identical input.
 ///
-/// The parallel variants sweep the enumeration across 1/2/4/8 threads on
-/// a shared `serve::ThreadPool` (the E9 lever: canonical start ranges are
-/// independent), hard-asserting before timing that every thread count
-/// produces the bit-identical canonical cycle sequence the sequential
-/// enumerator does.
-///
 /// The scoring variants time the per-cycle structural metrics on the
 /// length-5 balls: the ball-local pair-table scorer the cycle expander
 /// runs (`graph::BallCycleScorer`, built once per ball inside the timed
@@ -28,20 +22,14 @@
 ///
 /// Alongside the console table the binary writes
 /// `BENCH_perf_cycle_enumeration.json` (see bench_common.h) with one
-/// record per run plus derived `speedup_vs_legacy`,
-/// `speedup_vs_sequential` and `speedup_vs_oracle` records.  On a host
-/// with >= 4 hardware threads, the 4-thread sweep must reach a 1.5x
-/// best-config speedup (hard WQE_CHECK; single-core CI containers skip
-/// the gate — enumeration still runs and the identity asserts still
-/// bite).
+/// record per run plus derived `speedup_vs_legacy` and
+/// `speedup_vs_oracle` records.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -51,7 +39,6 @@
 #include "graph/cycle_metrics.h"
 #include "graph/cycles.h"
 #include "graph/undirected_view.h"
-#include "serve/thread_pool.h"
 #include "wiki/synthetic.h"
 
 namespace {
@@ -252,57 +239,6 @@ BENCHMARK(BM_CycleEnumerationBallLegacy)
     ->ArgsProduct({{3, 4, 5}, {100, 200, 400}})
     ->Unit(benchmark::kMillisecond);
 
-/// Thread-scaling sweep: the same ball workload with the enumeration
-/// sharded across a shared pool.  Before timing, the parallel output is
-/// hard-asserted bit-identical (cycles AND order) to the sequential
-/// enumerator at this thread count — the bench refuses to measure a
-/// wrong kernel.
-void BM_CycleEnumerationBallParallel(benchmark::State& state) {
-  const auto& wiki = SharedWiki();
-  uint32_t threads = static_cast<uint32_t>(state.range(0));
-  uint32_t max_length = static_cast<uint32_t>(state.range(1));
-  BallWorkload workload = SharedBall(static_cast<size_t>(state.range(2)));
-  graph::UndirectedView view(wiki.kb.csr(), workload.ball);
-  graph::CycleEnumerator enumerator(view);
-  graph::CycleEnumerationOptions options;
-  options.max_length = max_length;
-  options.seeds = workload.seeds;
-  options.num_threads = threads;
-  // One long-lived pool, as a serving deployment would run: caller +
-  // (threads - 1) workers enumerate.
-  std::unique_ptr<serve::ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<serve::ThreadPool>(threads - 1);
-    options.pool = pool.get();
-  }
-
-  {
-    graph::CycleEnumerationOptions sequential = options;
-    sequential.num_threads = 1;
-    sequential.pool = nullptr;
-    std::vector<graph::Cycle> want = enumerator.Enumerate(sequential);
-    std::vector<graph::Cycle> got = enumerator.Enumerate(options);
-    WQE_CHECK(want.size() == got.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      WQE_CHECK(want[i].nodes == got[i].nodes);
-    }
-  }
-
-  size_t cycles = 0;
-  for (auto _ : state) {
-    cycles = enumerator.Visit(
-        options, [](const std::vector<uint32_t>&) { return true; });
-    benchmark::DoNotOptimize(cycles);
-  }
-  state.counters["nodes"] = static_cast<double>(view.num_nodes());
-  state.counters["cycles"] = static_cast<double>(cycles);
-  state.counters["threads"] = static_cast<double>(threads);
-}
-
-BENCHMARK(BM_CycleEnumerationBallParallel)
-    ->ArgsProduct({{1, 2, 4, 8}, {3, 5}, {100, 400}})
-    ->Unit(benchmark::kMillisecond);
-
 /// Triangle counting on the same balls, for comparison.
 void BM_TriangleBaseline(benchmark::State& state) {
   const auto& wiki = SharedWiki();
@@ -469,16 +405,11 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
   }
 
   /// Writes BENCH_perf_cycle_enumeration.json, deriving CSR-vs-legacy
-  /// and scorer-vs-oracle speedups for every config both variants ran,
-  /// and parallel-vs-sequential speedups for every thread-sweep config
-  /// whose sequential twin ran.  On a >= 4-core host the 4-thread sweep
-  /// is gated: its best-config speedup must reach 1.5x or the bench
-  /// aborts.
+  /// and scorer-vs-oracle speedups for every config both variants ran.
   void WriteJson() const {
     bench::BenchJsonWriter json("perf_cycle_enumeration");
     std::map<std::string, double> csr_ms;
     std::map<std::string, double> legacy_ms;
-    std::map<std::string, double> parallel_ms;  // "threads/len/ball"
     std::map<std::string, double> scoring_ms;
     std::map<std::string, double> oracle_ms;
     for (const auto& [name, metric, value, config] : records_) {
@@ -486,9 +417,6 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
       if (metric.rfind("real_time_", 0) == 0) {
         if (name == "BM_CycleEnumerationBall") csr_ms[config] = value;
         if (name == "BM_CycleEnumerationBallLegacy") legacy_ms[config] = value;
-        if (name == "BM_CycleEnumerationBallParallel") {
-          parallel_ms[config] = value;
-        }
         if (name == "BM_CycleScoring") scoring_ms[config] = value;
         if (name == "BM_CycleScoringOracle") oracle_ms[config] = value;
       }
@@ -505,28 +433,7 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
       json.Add("BM_CycleScoring", "speedup_vs_oracle", oracle / it->second,
                config);
     }
-    double best_at_4 = 0.0;
-    for (const auto& [config, par] : parallel_ms) {
-      // "threads/len/ball" -> the sequential twin is "len/ball".
-      size_t slash = config.find('/');
-      if (slash == std::string::npos || par <= 0.0) continue;
-      auto it = csr_ms.find(config.substr(slash + 1));
-      if (it == csr_ms.end()) continue;
-      double speedup = it->second / par;
-      json.Add("BM_CycleEnumerationBallParallel", "speedup_vs_sequential",
-               speedup, config);
-      if (config.substr(0, slash) == "4") {
-        best_at_4 = std::max(best_at_4, speedup);
-      }
-    }
     json.Write();
-    // The E9 acceptance gate.  Gated on real cores: a 1-vCPU CI container
-    // time-slices the "threads", which measures scheduling, not scaling.
-    if (std::thread::hardware_concurrency() >= 4 && best_at_4 > 0.0) {
-      std::cerr << "parallel enumeration speedup at 4 threads (best config): "
-                << best_at_4 << "x" << std::endl;
-      WQE_CHECK(best_at_4 >= 1.5);
-    }
   }
 
  private:

@@ -29,15 +29,9 @@ QueryGraphAnalyzer::QueryGraphAnalyzer(const groundtruth::Pipeline* pipeline,
     options_.num_threads = pipeline_->num_threads();
   }
   if (options_.pool == nullptr) options_.pool = pipeline_->pool();
-  options_.prune_ball = options_.prune_ball && pipeline_->prune_ball();
 }
 
 Result<TopicAnalysis> QueryGraphAnalyzer::Analyze(size_t topic_index) const {
-  return AnalyzeImpl(topic_index, options_.num_threads, options_.pool);
-}
-
-Result<TopicAnalysis> QueryGraphAnalyzer::AnalyzeImpl(
-    size_t topic_index, uint32_t num_threads, serve::ThreadPool* pool) const {
   if (topic_index >= gt_->entries.size()) {
     return Status::OutOfRange("topic index ", topic_index, " out of range");
   }
@@ -102,21 +96,12 @@ Result<TopicAnalysis> QueryGraphAnalyzer::AnalyzeImpl(
   }
 
   // --- Cycles touching a query article. ---
-  // Large topic balls parallelize the enumeration and the per-cycle
-  // metrics (direct Analyze calls only: the AnalyzeAll fan-out hands
-  // every participant num_threads = 1 here, and pool workers degrade
-  // defensively anyway).
   graph::CycleEnumerationOptions cycle_options;
   cycle_options.min_length = kMinCycleLength;
   cycle_options.max_length = kMaxCycleLength;
   cycle_options.seeds = qg.query_articles;
-  cycle_options.num_threads = num_threads;
-  cycle_options.pool = pool;
-  cycle_options.prune_ball = options_.prune_ball;
   graph::CycleEnumerator enumerator(view);
   std::vector<graph::Cycle> cycles = enumerator.Enumerate(cycle_options);
-  std::vector<graph::CycleMetrics> metrics =
-      graph::ComputeCycleMetricsBatch(csr, cycles, num_threads, pool);
 
   // Contribution: O(L(q.k) ∪ articles(C)) vs O(L(q.k)); categories in C are
   // ignored (paper footnote 3). Memoized by article set.
@@ -128,11 +113,10 @@ Result<TopicAnalysis> QueryGraphAnalyzer::AnalyzeImpl(
 
   std::unordered_map<std::string, double> memo;
   size_t scored = 0;
-  for (size_t ci = 0; ci < cycles.size(); ++ci) {
-    graph::Cycle& cycle = cycles[ci];
+  for (graph::Cycle& cycle : cycles) {
     CycleRecord record;
     // The view's globals are KB node ids already.
-    record.metrics = metrics[ci];
+    record.metrics = graph::ComputeCycleMetrics(csr, cycle);
 
     // Articles of this cycle (KB ids), for Table 4's length buckets.
     std::vector<NodeId> cycle_articles;
@@ -213,12 +197,9 @@ Result<std::vector<TopicAnalysis>> QueryGraphAnalyzer::AnalyzeAll() const {
 
   // Fan topics across the pool (atomic-cursor stealing: topic cost is
   // wildly skewed by ball size).  Every participant — including this
-  // thread — analyzes its topics with in-ball parallelism off: the pool
-  // is already saturated with topic work, so nesting would only queue
-  // sub-tasks behind whole topics (or spawn transient pools per topic).
-  // Results land in topic order; errors are all collected and the lowest
-  // failing index reports, matching the first error a sequential run
-  // would return.
+  // thread — analyzes the topics it claims sequentially.  Results land in
+  // topic order; errors are all collected and the lowest failing index
+  // reports, matching the first error a sequential run would return.
   std::vector<Result<TopicAnalysis>> results(
       num_topics, Result<TopicAnalysis>(TopicAnalysis{}));
   std::atomic<size_t> cursor{0};
@@ -228,7 +209,7 @@ Result<std::vector<TopicAnalysis>> QueryGraphAnalyzer::AnalyzeAll() const {
                          const size_t t =
                              cursor.fetch_add(1, std::memory_order_relaxed);
                          if (t >= num_topics) return;
-                         results[t] = AnalyzeImpl(t, 1, nullptr);
+                         results[t] = Analyze(t);
                        }
                      });
 

@@ -71,21 +71,14 @@ struct AnalyzerOptions {
   /// *counts* (Fig 6) always use the full enumeration.
   size_t max_scored_cycles = 4000;
 
-  /// Analysis threads: 1 = sequential, 0 (default) = inherit the
-  /// pipeline's `num_threads` knob.  `AnalyzeAll` fans topics across the
-  /// pool; a direct `Analyze` call parallelizes *within* the topic ball
-  /// (cycle enumeration + metrics).  The two never nest: the fan-out
-  /// hands every participant — pool workers and the calling thread —
-  /// sequential in-ball settings, so topic work neither deadlocks on
-  /// pool capacity nor queues sub-tasks behind whole topics.
+  /// Threads for `AnalyzeAll`'s topic fan-out: 1 = sequential, 0
+  /// (default) = inherit the pipeline's `num_threads` knob.  Each topic
+  /// is analyzed sequentially by the thread that claims it; `Analyze`
+  /// is always sequential.
   uint32_t num_threads = 0;
   /// Pool to run on (borrowed); null inherits the pipeline's pool, and a
   /// transient pool is spawned when neither exists.
   serve::ThreadPool* pool = nullptr;
-  /// Ball-prune each topic's view before enumerating (graph/ball_prune.h;
-  /// output is bit-identical either way).  ANDed with the pipeline's own
-  /// knob: disabling at either layer disables.
-  bool prune_ball = true;
 };
 
 /// \brief Per-topic analyzer bound to a pipeline + ground truth.
@@ -104,18 +97,11 @@ class QueryGraphAnalyzer {
   /// in parallel; output is element-wise identical to the sequential run
   /// (each topic's analysis is a pure function of the immutable
   /// pipeline), and on failure the lowest failing topic index reports —
-  /// the same error a sequential run would surface first.
+  /// the same error a sequential run would surface first.  Called from a
+  /// pool worker, it runs sequentially (see serve::EffectiveParallelism).
   Result<std::vector<TopicAnalysis>> AnalyzeAll() const;
 
  private:
-  /// One topic with an explicit in-ball parallelism setting: `Analyze`
-  /// passes the configured knobs, the `AnalyzeAll` fan-out passes
-  /// (1, nullptr) so every participant — pool workers *and* the calling
-  /// thread — analyzes its topics sequentially instead of contending for
-  /// the pool the fan-out itself saturates.
-  Result<TopicAnalysis> AnalyzeImpl(size_t topic_index, uint32_t num_threads,
-                                    serve::ThreadPool* pool) const;
-
   const groundtruth::Pipeline* pipeline_;
   const groundtruth::GroundTruth* gt_;
   AnalyzerOptions options_;

@@ -1,13 +1,10 @@
 #include "api/engine.h"
 
-#include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "obs/trace.h"
-#include "serve/thread_pool.h"
 
 namespace wqe::api {
 
@@ -49,8 +46,6 @@ obs::Histogram* SearchHistogram() {
 
 }  // namespace
 
-Engine::~Engine() = default;
-
 Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
                                               EngineOptions options) {
   if (options.default_top_k == 0) {
@@ -60,23 +55,6 @@ Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
   engine->options_ = std::move(options);
   engine->search_ =
       std::make_unique<ir::SearchEngine>(engine->options_.search);
-  // Intra-request enumeration parallelism: one engine-owned pool, wired
-  // into the cycle strategy's defaults before the registry captures them
-  // (sized one short of the knob — the enumerating request thread
-  // participates in its own fan-out).
-  if (engine->options_.enumeration_threads != 1) {
-    uint32_t threads = engine->options_.enumeration_threads != 0
-                           ? engine->options_.enumeration_threads
-                           : std::max(1u, std::thread::hardware_concurrency());
-    engine->options_.strategies.cycle.num_threads = threads;
-    if (threads > 1) {
-      engine->enum_pool_ = std::make_unique<serve::ThreadPool>(threads - 1);
-      engine->options_.strategies.cycle.pool = engine->enum_pool_.get();
-    }
-  }
-  engine->options_.strategies.cycle.prune_ball =
-      engine->options_.strategies.cycle.prune_ball &&
-      engine->options_.prune_ball;
   engine->registry_ =
       ExpanderRegistry::WithBuiltins(engine->options_.strategies);
   if (!engine->registry_.Contains(engine->options_.default_expander)) {

@@ -48,10 +48,6 @@
 #include "obs/metrics.h"
 #include "wiki/knowledge_base.h"
 
-namespace wqe::serve {
-class ThreadPool;  // fwd: the engine owns one for intra-query enumeration
-}  // namespace wqe::serve
-
 namespace wqe::api {
 
 /// \brief Facade configuration.  The knowledge base itself is passed to
@@ -66,20 +62,6 @@ struct EngineOptions {
   std::string default_expander = "cycle";
   /// Result count when a query request asks for 0.
   size_t default_top_k = 15;
-  /// Threads for *intra-request* cycle enumeration (1 = sequential
-  /// default, 0 = one per hardware thread).  When != 1 the engine owns a
-  /// `serve::ThreadPool` and injects it into the cycle strategy's
-  /// defaults, so single expensive queries parallelize without spawning
-  /// a pool per request.  Responses are bit-identical at any setting.
-  /// Under a `serve::Server` this knob is inert by design: requests run
-  /// on server workers, where nested enumeration degrades to sequential
-  /// (request-level parallelism already saturates the pool).
-  uint32_t enumeration_threads = 1;
-  /// Ball-prune query neighborhoods before cycle enumeration
-  /// (graph/ball_prune.h; responses are bit-identical either way).
-  /// ANDed into the cycle strategy's `prune_ball` default at `Build` —
-  /// disabling here or in `strategies.cycle` disables.
-  bool prune_ball = true;
 };
 
 /// \brief One expansion request.
@@ -170,9 +152,6 @@ class Engine {
   /// strategy must resolve).
   static Result<std::unique_ptr<Engine>> Build(wiki::KnowledgeBase kb,
                                                EngineOptions options = {});
-
-  /// Out of line: members own a forward-declared `serve::ThreadPool`.
-  ~Engine();
 
   /// \name Corpus
   /// @{
@@ -313,9 +292,6 @@ class Engine {
   /// reads of the backing registry instruments; exact once writers
   /// quiesce, which is when tests and benches read it).
   EngineStats stats() const;
-  /// \brief The engine-owned enumeration pool; null unless
-  /// `EngineOptions::enumeration_threads != 1`.
-  serve::ThreadPool* enumeration_pool() const { return enum_pool_.get(); }
   /// @}
 
  private:
@@ -370,9 +346,6 @@ class Engine {
       WQE_GUARDED_BY(snapshot_mu_);
   std::atomic<uint64_t> next_generation_{0};
   std::unique_ptr<ir::SearchEngine> search_;
-  /// Declared before the registry: factories capture the pool pointer in
-  /// their defaults, so it must outlive every expander they build.
-  std::unique_ptr<serve::ThreadPool> enum_pool_;
   ExpanderRegistry registry_;
   Counters counters_;
   mutable std::atomic<bool> registry_locked_{false};

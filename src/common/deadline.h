@@ -9,9 +9,8 @@
 /// the graph kernels can poll it without depending on the serving layer
 /// above them.  `serve::ThreadPool` captures the caller's `ExecContext`
 /// at submit time and reinstalls it inside the task (exactly as it does
-/// for `TraceContext`), so budgets follow requests across pool hops and
-/// the parallel enumeration workers see the deadline of the request that
-/// spawned them.
+/// for `TraceContext`), so budgets follow requests across pool hops: a
+/// request's deadline reaches the DFS on whichever worker serves it.
 ///
 /// Cooperative checks are deliberately cheap: when no deadline is set and
 /// no cancel token is attached, `ExecInterrupted()` is a thread-local

@@ -10,8 +10,8 @@
 /// (via the `WQE_*` macros in common/macros.h) that make locking
 /// contracts compile errors under Clang instead of header comments.
 /// Everything concurrency-bearing (`serve::ThreadPool`,
-/// `serve::ExpansionCache`, `serve::Server`, the parallel enumerator's
-/// shared state) locks through these.
+/// `serve::ExpansionCache`, `serve::Server`, `api::Engine`'s snapshot
+/// pointer) locks through these.
 ///
 /// On non-Clang toolchains the attributes expand to nothing and the
 /// wrappers behave exactly like the std types they hold.

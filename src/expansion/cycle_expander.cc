@@ -92,8 +92,6 @@ Result<std::vector<NodeId>> CycleExpander::SelectFeatures(
   enum_options.max_length = options_.max_cycle_length;
   enum_options.seeds = query_articles;
   enum_options.max_cycles = options_.max_cycles;
-  enum_options.num_threads = options_.num_threads;
-  enum_options.pool = options_.pool;
   enum_options.prune_ball = options_.prune_ball;
   graph::CycleEnumerator enumerator(view);
 

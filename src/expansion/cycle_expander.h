@@ -14,10 +14,6 @@
 #include "expansion/expander.h"
 #include "graph/cycle_metrics.h"
 
-namespace wqe::serve {
-class ThreadPool;  // fwd: the expander only hands the pool to the enumerator
-}  // namespace wqe::serve
-
 namespace wqe::expansion {
 
 /// \brief Longest cycle the expander accepts: the paper's bound, and the
@@ -79,22 +75,11 @@ struct CycleExpanderOptions {
   bool include_redirect_aliases = false;
   size_t max_alias_features = 3;
 
-  /// Threads for the enumeration over the neighborhood ball (1 =
-  /// sequential, 0 = auto; see graph/cycles.h).  Purely an execution
-  /// knob — features are bit-identical at any count — so it is *not* an
-  /// `ExpanderOverrides` field: it must never split serving-cache keys.
-  /// Requests served from a `serve::Server` worker degrade to sequential
-  /// (request-level parallelism already owns the pool there).
-  uint32_t num_threads = 1;
-  /// Pool the enumeration borrows; `api::Engine::Build` injects its own
-  /// when `EngineOptions::enumeration_threads != 1` so per-request calls
-  /// never spawn transient pools.
-  serve::ThreadPool* pool = nullptr;
   /// Ball-prune the neighborhood before enumerating (graph/ball_prune.h).
-  /// Features are bit-identical either way — like `num_threads` this is
-  /// an execution knob, NOT an `ExpanderOverrides` field, so it never
-  /// splits serving-cache keys.  `api::Engine::Build` ANDs in
-  /// `EngineOptions::prune_ball`: disabling at either layer disables.
+  /// Features are bit-identical either way; this is an execution knob,
+  /// NOT an `ExpanderOverrides` field, so it never splits serving-cache
+  /// keys.  Pruning also feeds the DFS's seed-distance cut, so turning it
+  /// off only slows a request down.
   bool prune_ball = true;
 };
 

@@ -1,10 +1,7 @@
 #include "graph/cycle_metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
-
-#include "serve/thread_pool.h"
 
 namespace wqe::graph {
 
@@ -113,36 +110,6 @@ CycleMetrics BallCycleScorer::Score(std::span<const uint32_t> cycle) const {
   }
   return MetricsFromCounts(static_cast<uint32_t>(cycle.size()), num_categories,
                            num_edges);
-}
-
-std::vector<CycleMetrics> ComputeCycleMetricsBatch(
-    const CsrGraph& graph, const std::vector<Cycle>& cycles,
-    uint32_t num_threads, serve::ThreadPool* pool) {
-  std::vector<CycleMetrics> out(cycles.size());
-  const uint32_t threads = serve::EffectiveParallelism(num_threads, pool);
-  // Per-cycle work is microseconds; don't shard tiny batches.
-  constexpr size_t kBlock = 64;
-  if (threads <= 1 || cycles.size() < 2 * kBlock) {
-    for (size_t i = 0; i < cycles.size(); ++i) {
-      out[i] = ComputeCycleMetrics(graph, cycles[i]);
-    }
-    return out;
-  }
-
-  std::atomic<size_t> cursor{0};
-  serve::RunParallel(
-      pool, std::min<size_t>(threads - 1, cycles.size() / kBlock), [&] {
-        for (;;) {
-          const size_t begin =
-              cursor.fetch_add(kBlock, std::memory_order_relaxed);
-          if (begin >= cycles.size()) return;
-          const size_t end = std::min(begin + kBlock, cycles.size());
-          for (size_t i = begin; i < end; ++i) {
-            out[i] = ComputeCycleMetrics(graph, cycles[i]);
-          }
-        }
-      });
-  return out;
 }
 
 double ReciprocalLinkRate(const CsrGraph& graph) {

@@ -56,17 +56,6 @@ struct CycleMetrics {
 /// \brief Computes all metrics of `cycle` against its parent snapshot.
 CycleMetrics ComputeCycleMetrics(const CsrGraph& graph, const Cycle& cycle);
 
-/// \brief Metrics for every cycle, in input order (element i belongs to
-/// `cycles[i]` — deterministic regardless of parallelism).  Cycles are
-/// independent, so the batch shards across `pool` (or a transient pool)
-/// when `num_threads != 1`; same thread-count semantics as
-/// `CycleEnumerationOptions` (0 = auto), and calls from a pool worker
-/// degrade to a sequential loop.  The analysis layer uses this to keep
-/// per-topic metric computation off the critical path of large balls.
-std::vector<CycleMetrics> ComputeCycleMetricsBatch(
-    const CsrGraph& graph, const std::vector<Cycle>& cycles,
-    uint32_t num_threads = 1, serve::ThreadPool* pool = nullptr);
-
 /// \brief E(C): edges of `graph` with both endpoints in `nodes`, redirects
 /// excluded.  Each directed edge counts once (mutual links count twice).
 uint32_t CountInducedEdges(const CsrGraph& graph,

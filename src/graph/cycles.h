@@ -31,15 +31,9 @@
 /// the plain DFS's, cycle for cycle and in order (tests/cycles_test.cc
 /// checks it against such a DFS).
 ///
-/// Parallelism: canonical start nodes are independent units of work, so
-/// the enumerator can shard them into degree-balanced chunks executed on
-/// a `serve::ThreadPool` (work-stealing via an atomic chunk cursor; the
-/// calling thread participates).  Per-chunk cycle buffers are merged in
-/// start-node order, so parallel output — including `max_cycles`
-/// truncation and visitor-abort semantics — is bit-identical to the
-/// sequential enumerator at every thread count.  Enumeration requested
-/// from a pool worker degrades to sequential instead of deadlocking on
-/// pool capacity (see `serve::ThreadPool::CurrentWorkerPool`).
+/// Enumeration runs on the calling thread.  Parallelism lives one level
+/// up: a `serve::Server` runs one request per pool worker, and
+/// `analysis::QueryGraphAnalyzer::AnalyzeAll` fans topics across a pool.
 
 #include <cstdint>
 #include <functional>
@@ -47,14 +41,6 @@
 
 #include "graph/graph.h"
 #include "graph/undirected_view.h"
-
-// Deliberate graph/ -> serve/ edge (one static library, no build cycle):
-// the pool and the degrade-aware fan-out policy live with the serving
-// layer that owns process-wide threading, and the enumerator executes on
-// them rather than growing a second threading runtime here.
-namespace wqe::serve {
-class ThreadPool;
-}  // namespace wqe::serve
 
 namespace wqe::graph {
 
@@ -87,31 +73,10 @@ struct CycleEnumerationOptions {
   /// seed filtering over a bitset).  The surviving subgraph is a superset
   /// of every qualifying cycle, so output — cycle set, order, truncation,
   /// visitor-abort prefix — is bit-identical either way; the knob only
-  /// removes wasted DFS work.  Like `num_threads` below, this is an
-  /// execution knob and deliberately NOT an `ExpanderOverrides` field:
-  /// it must never split serving-cache keys.
+  /// removes wasted DFS work.  It is an execution knob and deliberately
+  /// NOT an `ExpanderOverrides` field: it must never split serving-cache
+  /// keys.  Tests and the ball-pruning bench (E14) turn it off.
   bool prune_ball = true;
-
-  /// \name Parallel execution
-  /// Output is bit-identical to sequential enumeration regardless of
-  /// these knobs; they only change wall-clock and where the work runs.
-  /// @{
-  /// Enumerating threads including the caller: 1 = sequential (default),
-  /// 0 = auto (the pool's worker count + 1 when `pool` is set, otherwise
-  /// one per hardware thread).  Requests from a pool worker thread always
-  /// degrade to sequential — nested fan-out would deadlock a bounded
-  /// pool (see serve::ThreadPool::CurrentWorkerPool).
-  uint32_t num_threads = 1;
-  /// Pool to run on (borrowed; e.g. `serve::Server`'s).  When null and
-  /// `num_threads > 1`, a transient pool is spawned for the call — fine
-  /// for offline analysis, wasteful per-request; serving-path callers
-  /// pass their own pool.
-  serve::ThreadPool* pool = nullptr;
-  /// Cap on start nodes per work chunk (0 = auto degree-balanced
-  /// chunking, ~8 chunks per thread).  Mainly a testing knob: chunk size
-  /// 1 maximizes interleaving, the adversarial case for merge order.
-  uint32_t parallel_chunk_starts = 0;
-  /// @}
 };
 
 /// \brief Callback invoked per cycle with *local* view ids; return false to
@@ -123,35 +88,17 @@ class CycleEnumerator {
  public:
   explicit CycleEnumerator(const UndirectedView& view) : view_(&view) {}
 
-  /// \brief Materializes all cycles matching `options`.  Dispatches to
-  /// `ParallelEnumerate` when the options request parallelism.
+  /// \brief Materializes all cycles matching `options`.
   std::vector<Cycle> Enumerate(const CycleEnumerationOptions& options) const;
 
   /// \brief Streaming enumeration; avoids materializing cycles.
-  /// Returns the number of cycles visited.  Dispatches to `ParallelVisit`
-  /// when the options request parallelism.
+  /// Returns the number of cycles visited.  An expired deadline or a
+  /// cancel request in the ambient `common::ExecContext` stops the run
+  /// early; what was emitted is then a prefix of the full stream.
   size_t Visit(const CycleEnumerationOptions& options,
                const CycleVisitor& visitor) const;
 
-  /// \brief Explicit parallel entry points.  Workers collect per-chunk
-  /// cycle buffers which are merged in canonical order on the calling
-  /// thread; the visitor runs there, sequentially, in the exact order the
-  /// sequential enumerator would have produced — so aborting visitors and
-  /// `max_cycles` behave identically (enumeration work past an abort is
-  /// wasted, not wrong).  Falls back to the sequential path when the
-  /// effective thread count is 1, the view is tiny, or the caller is
-  /// already a pool worker.
-  /// @{
-  std::vector<Cycle> ParallelEnumerate(
-      const CycleEnumerationOptions& options) const;
-  size_t ParallelVisit(const CycleEnumerationOptions& options,
-                       const CycleVisitor& visitor) const;
-  /// @}
-
  private:
-  size_t SequentialVisit(const CycleEnumerationOptions& options,
-                         const CycleVisitor& visitor) const;
-
   const UndirectedView* view_;
 };
 

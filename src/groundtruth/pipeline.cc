@@ -52,15 +52,14 @@ Result<std::unique_ptr<Pipeline>> Pipeline::Build(
   }
 
   // Analysis parallelism: one experiment-shared pool.  Sized one short of
-  // the knob because enumeration/analysis callers participate in their
-  // own fan-out (caller + workers = num_threads enumerating threads).
+  // the knob because the analysis caller participates in its own fan-out
+  // (caller + workers = num_threads analyzing threads).
   p->num_threads_ = options.num_threads != 0
                         ? options.num_threads
                         : std::max(1u, std::thread::hardware_concurrency());
   if (p->num_threads_ > 1) {
     p->pool_ = std::make_unique<serve::ThreadPool>(p->num_threads_ - 1);
   }
-  p->prune_ball_ = options.prune_ball;
 
   WQE_LOG(Info) << "pipeline: " << p->wiki_.kb.num_articles() << " articles, "
                 << p->track_.documents.size() << " documents, "

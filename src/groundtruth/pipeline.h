@@ -39,17 +39,12 @@ struct PipelineOptions {
   clef::TrackGeneratorOptions track;
   ir::SearchEngineOptions engine;
   linking::EntityLinkerOptions linker;
-  /// Worker threads for the §3 analysis consumers (cycle enumeration,
-  /// per-topic fan-out): 1 = sequential (default), 0 = one per hardware
-  /// thread.  When != 1 the pipeline owns a `serve::ThreadPool` that
-  /// `analysis::QueryGraphAnalyzer` inherits — one pool per experiment
-  /// instead of one per call.
+  /// Worker threads for the §3 analysis's per-topic fan-out
+  /// (`analysis::QueryGraphAnalyzer::AnalyzeAll`): 1 = sequential
+  /// (default), 0 = one per hardware thread.  When != 1 the pipeline owns
+  /// a `serve::ThreadPool` that the analyzer inherits — one pool per
+  /// experiment instead of one per call.
   uint32_t num_threads = 1;
-  /// Ball-prune topic views before cycle enumeration (graph/ball_prune.h;
-  /// analysis output is bit-identical either way).  Inherited by
-  /// `analysis::QueryGraphAnalyzer` with AND semantics — disabling at
-  /// either layer disables.
-  bool prune_ball = true;
 };
 
 /// \brief Built experiment context (immutable after Build).
@@ -86,10 +81,6 @@ class Pipeline {
   /// \brief The experiment-shared analysis pool; null when sequential.
   serve::ThreadPool* pool() const { return pool_.get(); }
 
-  /// \brief Whether analysis consumers should ball-prune before
-  /// enumeration (see PipelineOptions::prune_ball).
-  bool prune_ball() const { return prune_ball_; }
-
  private:
   Pipeline() = default;
 
@@ -99,7 +90,6 @@ class Pipeline {
   std::unique_ptr<linking::EntityLinker> linker_;
   std::vector<ir::RelevantSet> relevant_;
   uint32_t num_threads_ = 1;
-  bool prune_ball_ = true;
   std::unique_ptr<serve::ThreadPool> pool_;  ///< null when num_threads_ == 1
 };
 

@@ -44,15 +44,8 @@
 /// (`Engine::LockRegistry`): registering strategies while workers resolve
 /// names is unsupported.
 ///
-/// One pool per server, even with parallel cycle enumeration in play:
-/// expansions run *on* this server's workers, where
-/// `graph::CycleEnumerator` detects the worker context
-/// (`ThreadPool::CurrentWorkerPool`) and degrades to sequential — nested
-/// fan-out can neither deadlock on pool capacity nor spawn a transient
-/// pool per request, and request-level parallelism keeps the workers
-/// saturated.  Offline analysis colocated with serving (e.g. an E9 sweep
-/// against the same engine) should borrow this pool via the non-const
-/// `pool()` accessor instead of spawning a second one.
+/// One pool per server, and one level of parallelism: each request runs
+/// on one worker, start to finish, and never fans out again.
 
 #include <atomic>
 #include <chrono>
@@ -183,16 +176,6 @@ class Server {
 
   const api::Engine& engine() const { return *engine_; }
   const ThreadPool& pool() const { return pool_; }
-  /// \brief Mutable pool access, for passing into analysis/enumeration
-  /// calls (`CycleEnumerationOptions::pool`, `AnalyzerOptions::pool`)
-  /// so colocated offline work shares this pool instead of spawning its
-  /// own.  Mind the FIFO queue: short-lived borrows (one enumeration,
-  /// one metrics batch) interleave fine with traffic, but a long
-  /// `AnalyzeAll` fan-out occupies every worker until its topics drain —
-  /// requests submitted behind it wait.  Run bulk analysis against a
-  /// serving engine on its own pool (or off-peak) instead.  Do not call
-  /// `Shutdown` through it while serving.
-  ThreadPool& pool() { return pool_; }
   /// \brief Null when the cache is disabled.
   const ExpansionCache* cache() const { return cache_.get(); }
   /// \brief Coherent-enough copy of the server counters (relaxed reads;

@@ -3,13 +3,14 @@
 /// \file thread_pool.h
 /// \brief Fixed-size worker pool with task futures and graceful shutdown.
 ///
-/// The serving layer's unit of concurrency: `serve::Server` fans batched
-/// requests across one of these.  Deliberately minimal — a mutex-guarded
-/// FIFO and `std::packaged_task` futures — because the tasks it runs
-/// (entity linking + cycle enumeration + retrieval) are milliseconds-long,
-/// so queue contention is noise.  Work-stealing deques and similar
-/// machinery (cf. the Galois runtime this subsystem is modeled after)
-/// only pay off for microsecond tasks.
+/// The unit of concurrency: `serve::Server` fans requests across one of
+/// these, and `analysis::QueryGraphAnalyzer::AnalyzeAll` fans topics.
+/// Deliberately minimal — a mutex-guarded FIFO and `std::packaged_task`
+/// futures — because the tasks it runs (entity linking + cycle
+/// enumeration + retrieval) are milliseconds-long, so queue contention
+/// is noise.  Work-stealing deques and similar machinery (cf. the Galois
+/// runtime this subsystem is modeled after) only pay off for microsecond
+/// tasks.
 
 #include <atomic>
 #include <cstddef>
@@ -90,9 +91,8 @@ class ThreadPool {
   ///
   /// This is the nested-parallelism guard: a task that wants to fan
   /// sub-work across a pool must not block on sub-tasks queued behind it
-  /// (the classic pool self-deadlock).  Parallel consumers (the cycle
-  /// enumerator, the topic analyzer) consult this and degrade to
-  /// sequential execution when already running on a worker.
+  /// (the classic pool self-deadlock).  `EffectiveParallelism` consults
+  /// this, so a fan-out requested from a worker runs sequentially.
   static ThreadPool* CurrentWorkerPool();
 
   /// \brief True when the calling thread is one of *this* pool's workers.
@@ -121,11 +121,9 @@ class ThreadPool {
 };
 
 /// \name Degrade-aware fan-out helpers
-/// The single source of the nested-parallelism policy shared by every
-/// parallel kernel (cycle enumeration, metrics batches, topic analysis).
-/// Keeping the rules here — not re-derived per call site — is what makes
-/// "a pool worker never fans out again" a property of the system rather
-/// than a convention.
+/// The nested-parallelism policy of the one fan-out below the request
+/// level, `analysis::QueryGraphAnalyzer::AnalyzeAll`'s topic fan-out: a
+/// pool worker never fans out again.
 /// @{
 
 /// \brief Resolves a `num_threads` knob to the count of threads a

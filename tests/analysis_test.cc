@@ -8,6 +8,7 @@
 #include "analysis/query_graph_analysis.h"
 #include "groundtruth/ground_truth.h"
 #include "groundtruth/pipeline.h"
+#include "serve/thread_pool.h"
 
 namespace wqe::analysis {
 namespace {
@@ -232,20 +233,14 @@ TEST(AnalyzerTest, ScoringCapStillCountsAllCycles) {
   EXPECT_EQ(a->cycles.size(), b->cycles.size());
 }
 
-TEST(AnalyzerTest, ParallelAnalyzeAllIdenticalToSequential) {
-  // The shared context's analyses were computed sequentially (pipeline
-  // num_threads defaults to 1); a 4-thread AnalyzeAll over the same
-  // ground truth must reproduce them field-for-field.
-  const Context& ctx = SmallContext();
-  AnalyzerOptions parallel;
-  parallel.num_threads = 4;
-  QueryGraphAnalyzer analyzer(ctx.pipeline, &ctx.gt, parallel);
-  auto analyses = analyzer.AnalyzeAll();
-  ASSERT_TRUE(analyses.ok()) << analyses.status();
-  ASSERT_EQ(analyses->size(), ctx.analyses.size());
+/// Field-for-field comparison of `got_all` against the shared context's
+/// sequential analyses.
+void ExpectSameAsSequential(const std::vector<TopicAnalysis>& got_all,
+                            const Context& ctx) {
+  ASSERT_EQ(got_all.size(), ctx.analyses.size());
   for (size_t t = 0; t < ctx.analyses.size(); ++t) {
     const TopicAnalysis& want = ctx.analyses[t];
-    const TopicAnalysis& got = (*analyses)[t];
+    const TopicAnalysis& got = got_all[t];
     EXPECT_EQ(got.topic_index, want.topic_index);
     EXPECT_DOUBLE_EQ(got.baseline_quality, want.baseline_quality);
     EXPECT_EQ(got.component.graph_size, want.component.graph_size);
@@ -264,21 +259,33 @@ TEST(AnalyzerTest, ParallelAnalyzeAllIdenticalToSequential) {
   }
 }
 
-TEST(AnalyzerTest, WithinTopicParallelismIdenticalToSequential) {
-  // A direct Analyze call (not the topic fan-out) parallelizes inside
-  // the topic ball — enumeration and metrics — and must stay identical.
+TEST(AnalyzerTest, ParallelAnalyzeAllIdenticalToSequential) {
+  // The shared context's analyses were computed sequentially (pipeline
+  // num_threads defaults to 1); a 4-thread AnalyzeAll over the same
+  // ground truth must reproduce them field-for-field.
   const Context& ctx = SmallContext();
-  AnalyzerOptions within;
-  within.num_threads = 4;
-  QueryGraphAnalyzer analyzer(ctx.pipeline, &ctx.gt, within);
-  auto a = analyzer.Analyze(0);
-  ASSERT_TRUE(a.ok()) << a.status();
-  const TopicAnalysis& want = ctx.analyses[0];
-  ASSERT_EQ(a->cycles.size(), want.cycles.size());
-  for (size_t c = 0; c < want.cycles.size(); ++c) {
-    EXPECT_EQ(a->cycles[c].cycle.nodes, want.cycles[c].cycle.nodes);
-    EXPECT_DOUBLE_EQ(a->cycles[c].contribution, want.cycles[c].contribution);
-  }
+  AnalyzerOptions parallel;
+  parallel.num_threads = 4;
+  QueryGraphAnalyzer analyzer(ctx.pipeline, &ctx.gt, parallel);
+  auto analyses = analyzer.AnalyzeAll();
+  ASSERT_TRUE(analyses.ok()) << analyses.status();
+  ExpectSameAsSequential(*analyses, ctx);
+}
+
+TEST(AnalyzerTest, AnalyzeAllFromPoolWorkerDegradesToSequential) {
+  // AnalyzeAll asked for a 4-thread fan-out on a 1-worker pool, from a
+  // task running on that very worker: a fan-out that waited for the pool
+  // would wait for itself forever.  It must run sequentially instead, so
+  // finishing at all is the deadlock check.
+  const Context& ctx = SmallContext();
+  serve::ThreadPool pool(1);
+  AnalyzerOptions nested;
+  nested.num_threads = 4;
+  nested.pool = &pool;
+  QueryGraphAnalyzer analyzer(ctx.pipeline, &ctx.gt, nested);
+  auto analyses = pool.Submit([&] { return analyzer.AnalyzeAll(); }).get();
+  ASSERT_TRUE(analyses.ok()) << analyses.status();
+  ExpectSameAsSequential(*analyses, ctx);
 }
 
 }  // namespace

@@ -134,15 +134,11 @@ TEST(ChaosTest, SeededFaultSchedulesPreserveServingInvariants) {
     common::FaultSpec slow_dispatch;
     slow_dispatch.delay_probability = 0.30;
     slow_dispatch.delay_ms = 1.0;
-    common::FaultSpec slow_chunk;
-    slow_chunk.delay_probability = 0.20;
-    slow_chunk.delay_ms = 1.0;
     common::FaultInjector::Global().Configure(
         seed, {{"serve.cache_lookup", flaky_lookup},
                {"serve.expander_construction", flaky_build},
                {"expansion.enumeration", flaky_enumeration},
-               {"serve.pool_dispatch", slow_dispatch},
-               {"graph.enumeration_chunk", slow_chunk}});
+               {"serve.pool_dispatch", slow_dispatch}});
 
     ServerOptions options;
     options.num_threads = 3;

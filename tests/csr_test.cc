@@ -181,10 +181,7 @@ std::set<std::vector<NodeId>> ReferenceCycles(const ReferenceGraph& g,
   return out;
 }
 
-/// CSR-side cycles in the same canonical global form.  Every property
-/// input also cross-checks the parallel enumerator (adversarial size-1
-/// chunks, more workers than cores) against the sequential stream:
-/// same cycles, same order.
+/// CSR-side cycles in the same canonical global form.
 std::set<std::vector<NodeId>> CsrCycles(const CsrGraph& csr,
                                         const UndirectedView& view,
                                         const ReferenceOptions& options) {
@@ -194,22 +191,8 @@ std::set<std::vector<NodeId>> CsrCycles(const CsrGraph& csr,
   enum_options.max_length = options.max_length;
   enum_options.seeds = options.seeds;
   enum_options.chordless_only = options.chordless_only;
-  CycleEnumerator enumerator(view);
-  std::vector<Cycle> sequential = enumerator.Enumerate(enum_options);
-
-  CycleEnumerationOptions parallel_options = enum_options;
-  parallel_options.num_threads = 4;
-  parallel_options.parallel_chunk_starts = 1;
-  std::vector<Cycle> parallel =
-      enumerator.ParallelEnumerate(parallel_options);
-  EXPECT_EQ(sequential.size(), parallel.size());
-  for (size_t i = 0; i < std::min(sequential.size(), parallel.size()); ++i) {
-    EXPECT_EQ(sequential[i].nodes, parallel[i].nodes)
-        << "parallel merge diverged at cycle " << i;
-  }
-
   std::set<std::vector<NodeId>> out;
-  for (const Cycle& c : sequential) {
+  for (const Cycle& c : CycleEnumerator(view).Enumerate(enum_options)) {
     // Locals ascend with globals, so the local-canonical rotation is
     // already the global-canonical one; this insert must never collide.
     EXPECT_TRUE(out.insert(c.nodes).second) << "duplicate cycle emitted";

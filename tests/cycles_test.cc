@@ -9,12 +9,10 @@
 #include <functional>
 #include <set>
 #include <span>
-#include <future>
 #include <thread>
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/fault_injection.h"
 #include "common/rng.h"
 #include "graph/ball_prune.h"
 #include "graph/cycle_metrics.h"
@@ -22,8 +20,6 @@
 #include "graph/cycles.h"
 #include "graph/graph.h"
 #include "graph/undirected_view.h"
-#include "serve/thread_pool.h"
-#include "wiki/knowledge_base.h"
 
 namespace wqe::graph {
 namespace {
@@ -388,16 +384,10 @@ TEST(ReciprocalLinkRateTest, EmptyGraphIsZero) {
   EXPECT_DOUBLE_EQ(ReciprocalLinkRate(CsrGraph::Freeze(g)), 0.0);
 }
 
-// ------------------------------------------- parallel determinism suite
-//
-// The contract under test: the parallel enumerator's output — cycle set,
-// cycle *order*, max_cycles truncation point, visitor-abort prefix — is
-// bit-identical to the sequential enumerator at every worker count, even
-// with adversarial chunk sizes of 1 (maximum interleaving of the merge).
+// ------------------------------------------------- random test graphs
 
 /// Hub-skewed random article/category graph: quadratically biased
-/// endpoints give the few hub nodes most of the degree mass, the
-/// worst case for naive uniform chunking.
+/// endpoints give the few hub nodes most of the degree mass.
 PropertyGraph SkewedSchemaGraph(uint64_t seed, uint32_t num_articles,
                                 uint32_t num_categories, uint32_t num_edges) {
   Rng rng(seed);
@@ -434,85 +424,6 @@ std::vector<std::vector<NodeId>> CycleNodes(const std::vector<Cycle>& cycles) {
   for (const Cycle& c : cycles) out.push_back(c.nodes);
   return out;
 }
-
-class ParallelDeterminismProperty : public ::testing::TestWithParam<uint64_t> {
-};
-
-TEST_P(ParallelDeterminismProperty, BitIdenticalAcrossWorkersAndChunks) {
-  PropertyGraph g = SkewedSchemaGraph(GetParam(), 26, 9, 260);
-  CsrGraph csr = CsrGraph::Freeze(g);
-  UndirectedView view(csr);
-  CycleEnumerator e(view);
-
-  std::vector<CycleEnumerationOptions> configs;
-  {
-    CycleEnumerationOptions base;  // lengths 2..5, no filters
-    configs.push_back(base);
-    CycleEnumerationOptions window = base;
-    window.min_length = 3;
-    window.max_length = 4;
-    configs.push_back(window);
-    CycleEnumerationOptions chordless = base;
-    chordless.min_length = 4;
-    chordless.chordless_only = true;
-    configs.push_back(chordless);
-    CycleEnumerationOptions seeded = base;
-    seeded.seeds = {0, 5, 11};
-    configs.push_back(seeded);
-    for (size_t cap : {size_t{1}, size_t{5}, size_t{17}}) {
-      CycleEnumerationOptions truncated = base;
-      truncated.max_cycles = cap;
-      configs.push_back(truncated);
-      CycleEnumerationOptions seeded_truncated = seeded;
-      seeded_truncated.max_cycles = cap;
-      configs.push_back(seeded_truncated);
-      // DFS-only stream (no length-2 phase): the prefix budget counts
-      // the DFS stream here — the other early-stop code path.
-      CycleEnumerationOptions dfs_truncated = window;
-      dfs_truncated.max_cycles = cap;
-      configs.push_back(dfs_truncated);
-    }
-  }
-
-  for (const CycleEnumerationOptions& sequential : configs) {
-    std::vector<std::vector<NodeId>> want =
-        CycleNodes(e.Enumerate(sequential));
-    for (uint32_t workers : {2u, 4u, 8u}) {
-      for (uint32_t chunk : {0u, 1u}) {  // auto and adversarial size-1
-        CycleEnumerationOptions parallel = sequential;
-        parallel.num_threads = workers;
-        parallel.parallel_chunk_starts = chunk;
-        EXPECT_EQ(want, CycleNodes(e.Enumerate(parallel)))
-            << "workers=" << workers << " chunk=" << chunk
-            << " max_cycles=" << sequential.max_cycles
-            << " chordless=" << sequential.chordless_only;
-      }
-    }
-  }
-}
-
-TEST_P(ParallelDeterminismProperty, InducedSubsetViewsMatchToo) {
-  PropertyGraph g = SkewedSchemaGraph(GetParam(), 30, 10, 300);
-  CsrGraph csr = CsrGraph::Freeze(g);
-  std::vector<NodeId> members;
-  for (NodeId n = 0; n < g.num_nodes(); n += 2) members.push_back(n);
-  UndirectedView view(csr, members);
-  CycleEnumerator e(view);
-
-  CycleEnumerationOptions sequential;
-  std::vector<std::vector<NodeId>> want = CycleNodes(e.Enumerate(sequential));
-  CycleEnumerationOptions parallel = sequential;
-  parallel.num_threads = 4;
-  parallel.parallel_chunk_starts = 1;
-  EXPECT_EQ(want, CycleNodes(e.Enumerate(parallel)));
-
-  // The induced-enumeration convenience wrapper takes the same knobs.
-  EXPECT_EQ(CycleNodes(EnumerateCycles(csr, members, sequential)),
-            CycleNodes(EnumerateCycles(csr, members, parallel)));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminismProperty,
-                         ::testing::Values(7, 19, 42, 1234, 90210));
 
 // ---- Ball pruning: pruned enumeration must be bit-identical to unpruned
 // (cycle set, order, truncation, visitor-abort prefix) — see
@@ -585,19 +496,8 @@ TEST_P(PrunedIdentityProperty, PrunedMatchesUnprunedEverywhere) {
     CycleEnumerationOptions pruned = config;
     pruned.prune_ball = true;
     EXPECT_EQ(want, CycleNodes(e.Enumerate(pruned)))
-        << "sequential lengths=" << config.min_length << ".."
-        << config.max_length << " chordless=" << config.chordless_only
-        << " cap=" << config.max_cycles << " seeds=" << config.seeds.size();
-
-    // 4-thread parallel with adversarial size-1 chunks, pruned, against
-    // the unpruned sequential reference: covers the alive-bitset fast
-    // path through the worker loops and the deterministic merge at once.
-    CycleEnumerationOptions parallel = pruned;
-    parallel.num_threads = 4;
-    parallel.parallel_chunk_starts = 1;
-    EXPECT_EQ(want, CycleNodes(e.Enumerate(parallel)))
-        << "parallel lengths=" << config.min_length << ".."
-        << config.max_length << " chordless=" << config.chordless_only
+        << "lengths=" << config.min_length << ".." << config.max_length
+        << " chordless=" << config.chordless_only
         << " cap=" << config.max_cycles << " seeds=" << config.seeds.size();
   }
 }
@@ -608,13 +508,10 @@ TEST_P(PrunedIdentityProperty, AbortPrefixMatchesUnpruned) {
   UndirectedView view(csr);
   CycleEnumerator e(view);
 
-  // An aborting visitor must see the exact same prefix with pruning on,
-  // sequential and parallel.
-  auto prefix_of = [&](bool prune, uint32_t threads, size_t abort_after) {
+  // An aborting visitor must see the exact same prefix with pruning on.
+  auto prefix_of = [&](bool prune, size_t abort_after) {
     CycleEnumerationOptions options;
     options.prune_ball = prune;
-    options.num_threads = threads;
-    options.parallel_chunk_starts = threads > 1 ? 1 : 0;
     std::vector<std::vector<uint32_t>> seen;
     e.Visit(options, [&](const std::vector<uint32_t>& cycle) {
       seen.push_back(cycle);
@@ -623,10 +520,7 @@ TEST_P(PrunedIdentityProperty, AbortPrefixMatchesUnpruned) {
     return seen;
   };
   for (size_t abort_after : {size_t{1}, size_t{4}, size_t{9}}) {
-    std::vector<std::vector<uint32_t>> want =
-        prefix_of(false, 1, abort_after);
-    EXPECT_EQ(want, prefix_of(true, 1, abort_after));
-    EXPECT_EQ(want, prefix_of(true, 4, abort_after));
+    EXPECT_EQ(prefix_of(false, abort_after), prefix_of(true, abort_after));
   }
 }
 
@@ -747,9 +641,9 @@ PropertyGraph UniformSchemaGraph(uint64_t seed, uint32_t num_articles,
 }
 
 /// Runs `Visit` over every length window in 2..5, each seed set,
-/// chordless on and off, `max_cycles` in {0, 1, 5, 17}, pruning on and
-/// off, and 1 thread or 4 threads with size-1 chunks, and checks each
-/// emitted stream and returned count against `ReferenceCyclePaths`.
+/// chordless on and off, `max_cycles` in {0, 1, 5, 17}, and pruning on
+/// and off, and checks each emitted stream and returned count against
+/// `ReferenceCyclePaths`.
 /// Returns for how many (window, seeds, chordless) configurations the
 /// reference emits anything, so callers can rule out a vacuous pass.
 size_t ExpectVisitMatchesReference(
@@ -773,34 +667,30 @@ size_t ExpectVisitMatchesReference(
             std::vector<std::vector<uint32_t>> want = full;
             if (cap != 0 && want.size() > cap) want.resize(cap);
             for (bool prune : {false, true}) {
-              for (uint32_t threads : {1u, 4u}) {
-                CycleEnumerationOptions options = base;
-                options.max_cycles = cap;
-                options.prune_ball = prune;
-                options.num_threads = threads;
-                options.parallel_chunk_starts = threads > 1 ? 1 : 0;
-                std::vector<std::vector<uint32_t>> got;
-                const size_t visited =
-                    e.Visit(options, [&](const std::vector<uint32_t>& p) {
-                      got.push_back(p);
-                      return true;
-                    });
-                const auto [got_end, want_end] = std::mismatch(
-                    got.begin(), got.end(), want.begin(), want.end());
-                if (got_end == got.end() && want_end == want.end() &&
-                    visited == want.size()) {
-                  continue;
-                }
-                ADD_FAILURE()
-                    << "lengths=" << min_len << ".." << max_len
-                    << " seeds=" << seeds.size() << " chordless=" << chordless
-                    << " cap=" << cap << " prune=" << prune
-                    << " threads=" << threads << ": got " << got.size()
-                    << " paths (Visit returned " << visited << "), want "
-                    << want.size() << "; first difference at index "
-                    << (got_end - got.begin());
-                return nonempty;
+              CycleEnumerationOptions options = base;
+              options.max_cycles = cap;
+              options.prune_ball = prune;
+              std::vector<std::vector<uint32_t>> got;
+              const size_t visited =
+                  e.Visit(options, [&](const std::vector<uint32_t>& p) {
+                    got.push_back(p);
+                    return true;
+                  });
+              const auto [got_end, want_end] = std::mismatch(
+                  got.begin(), got.end(), want.begin(), want.end());
+              if (got_end == got.end() && want_end == want.end() &&
+                  visited == want.size()) {
+                continue;
               }
+              ADD_FAILURE()
+                  << "lengths=" << min_len << ".." << max_len
+                  << " seeds=" << seeds.size() << " chordless=" << chordless
+                  << " cap=" << cap << " prune=" << prune << ": got "
+                  << got.size() << " paths (Visit returned " << visited
+                  << "), want " << want.size()
+                  << "; first difference at index "
+                  << (got_end - got.begin());
+              return nonempty;
             }
           }
         }
@@ -864,39 +754,12 @@ TEST(OrderExactReferenceTest, SeedAtTheCutBoundaryStillCloses) {
   EXPECT_EQ(ExpectVisitMatchesReference(view, {{3}}), 8u);
 }
 
-TEST(ParallelCycleTest, VisitorAbortPrefixMatchesSequential) {
-  PropertyGraph g = CompleteArticleGraph(7);
-  CsrGraph csr = CsrGraph::Freeze(g);
-  UndirectedView view(csr);
-  CycleEnumerator e(view);
-
-  // Sequential: record the prefix seen before the visitor aborts.
-  auto run = [&](CycleEnumerationOptions options, size_t abort_after) {
-    std::vector<std::vector<uint32_t>> seen;
-    size_t visited = e.Visit(options, [&](const std::vector<uint32_t>& c) {
-      seen.push_back(c);
-      return seen.size() < abort_after;
-    });
-    return std::pair(visited, seen);
-  };
-  for (size_t abort_after : {size_t{1}, size_t{4}, size_t{23}}) {
-    CycleEnumerationOptions sequential;
-    auto [want_count, want_seen] = run(sequential, abort_after);
-    CycleEnumerationOptions parallel;
-    parallel.num_threads = 4;
-    parallel.parallel_chunk_starts = 1;
-    auto [got_count, got_seen] = run(parallel, abort_after);
-    EXPECT_EQ(want_count, got_count) << "abort_after=" << abort_after;
-    EXPECT_EQ(want_seen, got_seen) << "abort_after=" << abort_after;
-  }
-}
-
 // -------------------------------- deadlines / cooperative cancellation
 //
 // The contract: an enumeration interrupted by an expired deadline or a
-// cancel request emits a *prefix* of the sequential emission order —
-// never a reordered or gap-ridden subset — at every thread count (the
-// same abort-prefix identity the visitor-abort path guarantees).
+// cancel request emits a *prefix* of the full emission order — never a
+// reordered or gap-ridden subset (the same abort-prefix identity the
+// visitor-abort path guarantees).
 
 bool IsPrefixOf(const std::vector<std::vector<NodeId>>& prefix,
                 const std::vector<std::vector<NodeId>>& full) {
@@ -904,7 +767,7 @@ bool IsPrefixOf(const std::vector<std::vector<NodeId>>& prefix,
          std::equal(prefix.begin(), prefix.end(), full.begin());
 }
 
-TEST(DeadlineCycleTest, ExpiredDeadlineEmitsNothingAtEveryThreadCount) {
+TEST(DeadlineCycleTest, ExpiredDeadlineEmitsNothing) {
   PropertyGraph g = SkewedSchemaGraph(7, 26, 9, 260);
   CsrGraph csr = CsrGraph::Freeze(g);
   UndirectedView view(csr);
@@ -914,211 +777,82 @@ TEST(DeadlineCycleTest, ExpiredDeadlineEmitsNothingAtEveryThreadCount) {
   common::ExecContext ctx;
   ctx.deadline = common::Deadline::AfterMillis(0.0);
   common::ScopedExecContext scope(ctx);
-  for (uint32_t workers : {1u, 2u, 4u}) {
-    CycleEnumerationOptions options;
-    options.num_threads = workers;
-    options.parallel_chunk_starts = 1;
-    size_t visited = e.Visit(options, [](const std::vector<uint32_t>&) {
-      ADD_FAILURE() << "emitted a cycle under an already-expired deadline";
-      return true;
-    });
-    EXPECT_EQ(visited, 0u) << "workers=" << workers;
-  }
+  size_t visited = e.Visit({}, [](const std::vector<uint32_t>&) {
+    ADD_FAILURE() << "emitted a cycle under an already-expired deadline";
+    return true;
+  });
+  EXPECT_EQ(visited, 0u);
   EXPECT_TRUE(common::ExecStatus().IsDeadlineExceeded());
 }
 
-TEST(DeadlineCycleTest, DeadlineBetweenChunksKeepsCompletedPrefix) {
-  // Deterministic between-chunk firing: the injector delays every chunk
-  // claim by more than the whole budget, so the cooperative check right
-  // after the *first* claim (per worker) already sees the deadline
-  // expired — every chunk is marked incomplete and the merge replays the
-  // empty prefix.  Parallel-only: the chunk-claim fault site does not
-  // exist on the sequential path.
-  PropertyGraph g = SkewedSchemaGraph(19, 26, 9, 260);
-  CsrGraph csr = CsrGraph::Freeze(g);
-  UndirectedView view(csr);
-  CycleEnumerator e(view);
-  ASSERT_FALSE(e.Enumerate({}).empty());
-
-  common::FaultSpec delay;
-  delay.delay_probability = 1.0;
-  delay.delay_ms = 8.0;
-  common::FaultInjector::Global().Configure(
-      /*seed=*/5, {{"graph.enumeration_chunk", delay}});
-  for (uint32_t workers : {2u, 4u}) {
-    common::ExecContext ctx;
-    ctx.deadline = common::Deadline::AfterMillis(2.0);
-    common::ScopedExecContext scope(ctx);
-    CycleEnumerationOptions options;
-    options.num_threads = workers;
-    options.parallel_chunk_starts = 1;
-    std::vector<std::vector<uint32_t>> seen;
-    size_t visited = e.Visit(options, [&](const std::vector<uint32_t>& c) {
-      seen.push_back(c);
-      return true;
-    });
-    // The budget can only expire *before* any chunk's work begins (the
-    // injected delay eats the whole budget), so nothing is emitted; what
-    // matters is that the run terminates promptly and reports the
-    // interruption.
-    EXPECT_EQ(visited, seen.size());
-    EXPECT_EQ(visited, 0u) << "workers=" << workers;
-    EXPECT_TRUE(common::ExecStatus().IsDeadlineExceeded())
-        << "workers=" << workers;
-  }
-  common::FaultInjector::Global().Disable();
-}
-
 TEST(DeadlineCycleTest, CancelMidRunPreservesPrefixIdentity) {
-  // A helper thread requests cancellation at staggered offsets while the
-  // enumeration runs; wherever the cooperative check lands, the emitted
-  // sequence must be a prefix of the full sequential order — at 1, 2 and
-  // 4 threads.  (The cut point is timing-dependent; the prefix property
-  // is not.)
+  // Wherever a cancel request lands, the emitted sequence must be a
+  // prefix of the full order.
   PropertyGraph g = SkewedSchemaGraph(42, 34, 11, 420);
   CsrGraph csr = CsrGraph::Freeze(g);
   UndirectedView view(csr);
   CycleEnumerator e(view);
   const std::vector<std::vector<NodeId>> full = CycleNodes(e.Enumerate({}));
-  ASSERT_GT(full.size(), 4u);
+  ASSERT_GT(full.size(), 5000u);
 
-  for (uint32_t workers : {1u, 2u, 4u}) {
-    for (int delay_us : {0, 50, 200, 1000}) {
+  // Visits under the installed context, collecting global-id cycles;
+  // `on_emit` sees the count emitted so far.
+  auto visit = [&](const std::function<void(size_t)>& on_emit) {
+    std::vector<std::vector<NodeId>> seen;
+    const size_t visited = e.Visit({}, [&](const std::vector<uint32_t>& c) {
+      std::vector<NodeId> nodes;
+      nodes.reserve(c.size());
+      for (uint32_t l : c) nodes.push_back(view.ToGlobal(l));
+      seen.push_back(std::move(nodes));
+      on_emit(seen.size());
+      return true;
+    });
+    EXPECT_EQ(visited, seen.size());
+    return seen;
+  };
+
+  // A helper thread requests cancellation at staggered offsets while the
+  // enumeration runs: the cut point depends on timing, the prefix
+  // property does not.
+  for (int delay_us : {0, 50, 200, 1000}) {
+    common::CancelSource source;
+    common::ExecContext ctx;
+    ctx.cancel = source.token();
+    common::ScopedExecContext scope(ctx);
+    std::thread canceller([&source, delay_us] {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+      source.RequestCancel();
+    });
+    const std::vector<std::vector<NodeId>> seen = visit([](size_t) {});
+    canceller.join();
+    EXPECT_TRUE(IsPrefixOf(seen, full))
+        << "delay_us=" << delay_us << " seen=" << seen.size() << "/"
+        << full.size();
+    EXPECT_TRUE(common::ExecStatus().IsCancelled());
+  }
+
+  // The visitor itself requests cancellation at its k-th emission, and
+  // the run stops at the next cooperative check: a cut point that does
+  // not depend on timing, so a second run stops at the same length.
+  for (size_t k : {size_t{1}, size_t{400}, size_t{5000}}) {
+    std::vector<size_t> lengths;
+    for (int repeat = 0; repeat < 2; ++repeat) {
       common::CancelSource source;
       common::ExecContext ctx;
       ctx.cancel = source.token();
       common::ScopedExecContext scope(ctx);
-      std::thread canceller([&source, delay_us] {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        source.RequestCancel();
-      });
-      CycleEnumerationOptions options;
-      options.num_threads = workers;
-      options.parallel_chunk_starts = 1;
-      std::vector<std::vector<NodeId>> seen;
-      e.Visit(options, [&](const std::vector<uint32_t>& c) {
-        std::vector<NodeId> nodes;
-        nodes.reserve(c.size());
-        for (uint32_t l : c) nodes.push_back(view.ToGlobal(l));
-        seen.push_back(std::move(nodes));
-        return true;
-      });
-      canceller.join();
-      EXPECT_TRUE(IsPrefixOf(seen, full))
-          << "workers=" << workers << " delay_us=" << delay_us
-          << " seen=" << seen.size() << "/" << full.size();
-      EXPECT_TRUE(common::ExecStatus().IsCancelled());
+      const std::vector<std::vector<NodeId>> seen =
+          visit([&](size_t emitted) {
+            if (emitted == k) source.RequestCancel();
+          });
+      EXPECT_TRUE(IsPrefixOf(seen, full)) << "k=" << k;
+      EXPECT_GE(seen.size(), k);
+      EXPECT_LT(seen.size(), full.size()) << "k=" << k;
+      EXPECT_TRUE(common::ExecStatus().IsCancelled()) << "k=" << k;
+      lengths.push_back(seen.size());
     }
+    EXPECT_EQ(lengths[0], lengths[1]) << "k=" << k;
   }
-}
-
-TEST(DeadlineCycleTest, NoDeadlineNoTokenIsBitIdenticalToBefore) {
-  // The inactive-context fast path must not perturb emission at all:
-  // with no deadline and no token installed, parallel output stays
-  // bit-identical to sequential (the pre-existing contract).
-  PropertyGraph g = SkewedSchemaGraph(1234, 26, 9, 260);
-  CsrGraph csr = CsrGraph::Freeze(g);
-  UndirectedView view(csr);
-  CycleEnumerator e(view);
-  ASSERT_FALSE(common::CurrentExecContext().active());
-  const std::vector<std::vector<NodeId>> want = CycleNodes(e.Enumerate({}));
-  for (uint32_t workers : {2u, 4u}) {
-    CycleEnumerationOptions parallel;
-    parallel.num_threads = workers;
-    parallel.parallel_chunk_starts = 1;
-    EXPECT_EQ(want, CycleNodes(e.Enumerate(parallel)));
-  }
-}
-
-TEST(ParallelCycleTest, ExternalPoolAndAutoThreadsWork) {
-  PropertyGraph g = SkewedSchemaGraph(3, 24, 8, 240);
-  CsrGraph csr = CsrGraph::Freeze(g);
-  UndirectedView view(csr);
-  CycleEnumerator e(view);
-  std::vector<std::vector<NodeId>> want = CycleNodes(e.Enumerate({}));
-
-  serve::ThreadPool pool(3);
-  CycleEnumerationOptions on_pool;
-  on_pool.num_threads = 0;  // auto: pool workers + caller
-  on_pool.pool = &pool;
-  EXPECT_EQ(want, CycleNodes(e.Enumerate(on_pool)));
-  // The pool survives for reuse (enumeration must not shut it down).
-  EXPECT_EQ(want, CycleNodes(e.Enumerate(on_pool)));
-}
-
-TEST(ParallelCycleTest, NestedEnumerationFromPoolWorkerDegrades) {
-  // A pool task that fans out onto its own pool would deadlock a bounded
-  // pool; the enumerator must detect the worker context and run the
-  // sequential path instead — completing (with identical output) IS the
-  // assertion here.
-  PropertyGraph g = SkewedSchemaGraph(11, 24, 8, 240);
-  CsrGraph csr = CsrGraph::Freeze(g);
-  UndirectedView view(csr);
-  CycleEnumerator e(view);
-  std::vector<std::vector<NodeId>> want = CycleNodes(e.Enumerate({}));
-
-  serve::ThreadPool pool(1);  // capacity 1: any nested blocking deadlocks
-  auto future = pool.Submit([&] {
-    EXPECT_NE(serve::ThreadPool::CurrentWorkerPool(), nullptr);
-    CycleEnumerationOptions nested;
-    nested.num_threads = 4;
-    nested.pool = &pool;  // same pool: the deadlock shape
-    return CycleNodes(e.Enumerate(nested));
-  });
-  EXPECT_EQ(want, future.get());
-  EXPECT_EQ(serve::ThreadPool::CurrentWorkerPool(), nullptr);
-}
-
-TEST(ParallelCycleTest, TsanStressSkewedKnowledgeBase) {
-  // Hot loop for the -fsanitize=thread CI lane: a skewed synthetic KB,
-  // concurrent top-level enumerations sharing one pool, each internally
-  // parallel or degraded — every synchronization edge of the parallel
-  // path (chunk cursor, prefix budget, buffer handoff) gets exercised.
-  wiki::KnowledgeBase kb;
-  Rng rng(99);
-  constexpr uint32_t kArticles = 120;
-  constexpr uint32_t kCategories = 24;
-  std::vector<NodeId> articles, categories;
-  for (uint32_t i = 0; i < kArticles; ++i) {
-    articles.push_back(*kb.AddArticle("a" + std::to_string(i)));
-  }
-  for (uint32_t i = 0; i < kCategories; ++i) {
-    categories.push_back(*kb.AddCategory("c" + std::to_string(i)));
-  }
-  for (uint32_t e2 = 0; e2 < 1400; ++e2) {
-    uint64_t x = rng.Uniform(kArticles);
-    uint32_t u = static_cast<uint32_t>(x * x / kArticles);  // hub skew
-    uint32_t v = rng.Uniform(kArticles);
-    if (u != v) (void)kb.AddLink(articles[u], articles[v]);
-  }
-  for (uint32_t i = 0; i < kArticles; ++i) {
-    (void)kb.AddBelongs(articles[i], categories[i % kCategories]);
-  }
-  const CsrGraph& csr = kb.Freeze();
-  UndirectedView view(csr);
-  CycleEnumerator e(view);
-
-  CycleEnumerationOptions sequential;
-  sequential.max_length = 4;  // keep the TSan (≈10×) runtime in check
-  std::vector<std::vector<NodeId>> want = CycleNodes(e.Enumerate(sequential));
-
-  serve::ThreadPool pool(4);
-  std::vector<std::future<std::vector<std::vector<NodeId>>>> degraded;
-  for (int i = 0; i < 4; ++i) {
-    degraded.push_back(pool.Submit([&] {
-      CycleEnumerationOptions nested = sequential;
-      nested.num_threads = 4;
-      nested.pool = &pool;
-      return CycleNodes(e.Enumerate(nested));  // degrades on the worker
-    }));
-  }
-  for (int i = 0; i < 4; ++i) {
-    CycleEnumerationOptions parallel = sequential;
-    parallel.num_threads = 4;
-    parallel.pool = &pool;  // top-level: fans out across the same pool
-    EXPECT_EQ(want, CycleNodes(e.Enumerate(parallel))) << "iteration " << i;
-  }
-  for (auto& f : degraded) EXPECT_EQ(want, f.get());
 }
 
 TEST(EnumerateCyclesHelperTest, InducedConvenienceWrapper) {

@@ -425,38 +425,6 @@ TEST(ServerTest, SubmitMatchesEngineQuery) {
   EXPECT_EQ(server.stats().requests, 1u);
 }
 
-TEST(ServerTest, ParallelEnumerationDegradesOnWorkersNoDeadlock) {
-  // An engine with intra-request enumeration parallelism wrapped by a
-  // capacity-1 server: the request runs on the lone worker, where the
-  // cycle enumerator must degrade to sequential — a nested fan-out
-  // blocking on this pool would deadlock forever, so this test finishing
-  // with bit-identical results IS the contract check.  It also proves no
-  // second pool gets spawned per request (the transient-pool path is
-  // skipped on worker threads by design).
-  api::TestbedOptions options;
-  options.wiki.num_domains = 8;
-  options.track.num_topics = 2;
-  options.engine.enumeration_threads = 4;
-  auto bed = api::Testbed::Build(options);
-  ASSERT_TRUE(bed.ok()) << bed.status();
-  ASSERT_NE((*bed)->engine().enumeration_pool(), nullptr);
-
-  api::QueryRequest request;
-  request.keywords = (*bed)->topic(0).keywords;
-  auto direct = (*bed)->engine().Query(request);  // parallel enumeration
-  ASSERT_TRUE(direct.ok()) << direct.status();
-
-  ServerOptions serving;
-  serving.num_threads = 1;
-  serving.enable_cache = false;
-  Server server((*bed)->engine(), serving);
-  auto served = server.Submit(request).get();  // degraded enumeration
-  ASSERT_TRUE(served.ok()) << served.status();
-  EXPECT_EQ(served->docs, direct->docs);
-  EXPECT_EQ(served->expansion.feature_articles,
-            direct->expansion.feature_articles);
-}
-
 TEST(ServerTest, SubmitExpandHitsCacheOnRepeat) {
   const api::Testbed& bed = SmallBed();
   ServerOptions options;
