@@ -12,8 +12,8 @@
 ///
 /// Hard correctness checks (aborts, not just reporting):
 ///   - every parallel ranking is document-identical to the sequential one;
-///   - cache hits are counter-verified against `EngineStats` and the
-///     cache's own counters, with a > 0.9 hit ratio on the warm pass;
+///   - cache hits are counter-verified from the cache's own counters,
+///     with every warm-pass request a hit (> 0.9 hit ratio);
 ///   - with ≥ 4 hardware threads, 4 workers must reach ≥ 2× the 1-worker
 ///     QueryBatch throughput (reported either way on smaller machines);
 ///   - the observability instrumentation costs ≤ 2% on the warm-cache
@@ -133,13 +133,12 @@ int main() {
   cached.cache.capacity = 4096;
   cached.registry = &cached_registry;
   serve::Server server(engine, cached);
-  size_t engine_hits_before = engine.stats().cache_hits;
 
   watch.Reset();
   auto cold = server.QueryBatch(requests);
   double cold_ms = watch.ElapsedMillis();
   WQE_CHECK_OK(cold.status());
-  size_t cold_hits = engine.stats().cache_hits - engine_hits_before;
+  size_t cold_hits = server.cache()->stats().hits;
   const obs::HistogramSnapshot cold_latency =
       server.StatsSnapshot().request_latency_ms;
 
@@ -147,7 +146,8 @@ int main() {
   auto warm = server.QueryBatch(requests);
   double warm_ms = watch.ElapsedMillis();
   WQE_CHECK_OK(warm.status());
-  size_t warm_hits = engine.stats().cache_hits - engine_hits_before - cold_hits;
+  serve::ExpansionCacheStats cache_stats = server.cache()->stats();
+  size_t warm_hits = cache_stats.hits - cold_hits;
   // The histogram accumulates; the warm pass's distribution is the
   // difference of the two snapshots.
   const obs::HistogramSnapshot warm_latency =
@@ -155,14 +155,12 @@ int main() {
 
   CheckIdenticalRankings(*cold, *sequential);
   CheckIdenticalRankings(*warm, *sequential);
-  // The warm pass must hit on every request, and the engine-side counters
-  // must agree with the cache's own.  (cold_hits itself is scheduling-
+  // The warm pass must hit on every request, and every lookup of both
+  // passes is a hit or a miss.  (cold_hits itself is scheduling-
   // dependent — two in-flight requests for one key can both miss — so it
-  // is consistency-checked but never printed; see the verify skill's
-  // deterministic-output contract.)
+  // is never printed; see the verify skill's deterministic-output
+  // contract.)
   WQE_CHECK(warm_hits == n);
-  serve::ExpansionCacheStats cache_stats = server.cache()->stats();
-  WQE_CHECK(cache_stats.hits == cold_hits + warm_hits);
   WQE_CHECK(cache_stats.hits + cache_stats.misses == 2 * n);
   double warm_ratio =
       static_cast<double>(warm_hits) / static_cast<double>(n);

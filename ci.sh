@@ -18,7 +18,7 @@ set -eu
 run_tier1() {
   set -x
   cmake -B build -S . -DWQE_WERROR=ON
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
   (cd build && ctest --output-on-failure -j)
   set +x
 }
@@ -41,7 +41,7 @@ run_bench() {
   set -x
   cmake -B build-bench -S . -DWQE_WERROR=ON -DCMAKE_BUILD_TYPE=Release \
     -DWQE_BUILD_TESTS=OFF -DWQE_BUILD_EXAMPLES=OFF
-  cmake --build build-bench -j --target wqe_bench_perf_cycle_enumeration \
+  cmake --build build-bench -j "$(nproc)" --target wqe_bench_perf_cycle_enumeration \
     --target wqe_bench_perf_ball_pruning \
     --target wqe_bench_perf_snapshot_load
   cd build-bench
@@ -97,7 +97,7 @@ EOF
 run_servebench() {
   set -x
   cmake -S servebench -B .bench_build/servebench -DCMAKE_BUILD_TYPE=Release
-  cmake --build .bench_build/servebench -j
+  cmake --build .bench_build/servebench -j "$(nproc)"
   (cd .bench_build/servebench && ctest --output-on-failure)
   python3 - <<'EOF'
 import json
@@ -138,7 +138,7 @@ run_tsan() {
   cmake -B build-tsan -S . -DWQE_TSAN=ON -DWQE_WERROR=ON \
     -DCMAKE_BUILD_TYPE=Debug \
     -DWQE_BUILD_BENCHES=OFF -DWQE_BUILD_EXAMPLES=OFF
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   (cd build-tsan && ctest --output-on-failure -R 'serve_test|api_test|analysis_test|cycles_test|obs_test|ball_prune_test|chaos_test|snapshot_test')
   set +x
 }
@@ -154,12 +154,12 @@ run_faults() {
   cmake -B build-faults -S . -DWQE_WERROR=ON \
     -DCMAKE_BUILD_TYPE=Debug \
     -DWQE_BUILD_BENCHES=OFF -DWQE_BUILD_EXAMPLES=OFF
-  cmake --build build-faults -j --target wqe_chaos_test
+  cmake --build build-faults -j "$(nproc)" --target wqe_chaos_test
   (cd build-faults && ctest --output-on-failure -R 'chaos_test')
   cmake -B build-tsan -S . -DWQE_TSAN=ON -DWQE_WERROR=ON \
     -DCMAKE_BUILD_TYPE=Debug \
     -DWQE_BUILD_BENCHES=OFF -DWQE_BUILD_EXAMPLES=OFF
-  cmake --build build-tsan -j --target wqe_chaos_test
+  cmake --build build-tsan -j "$(nproc)" --target wqe_chaos_test
   (cd build-tsan && ctest --output-on-failure -R 'chaos_test')
   set +x
 }
@@ -173,7 +173,7 @@ run_asan() {
   cmake -B build-asan -S . -DWQE_ASAN=ON -DWQE_WERROR=ON \
     -DCMAKE_BUILD_TYPE=Debug \
     -DWQE_BUILD_BENCHES=OFF -DWQE_BUILD_EXAMPLES=OFF
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   (cd build-asan && ctest --output-on-failure -j)
   set +x
 }

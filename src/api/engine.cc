@@ -10,12 +10,6 @@ namespace wqe::api {
 
 namespace {
 
-/// Cache key for one (strategy, overrides) configuration within a batch.
-std::string ConfigKey(std::string_view resolved_name,
-                      const ExpanderOverrides& overrides) {
-  return std::string(resolved_name) + overrides.ToKey();
-}
-
 /// The execution context a request should run under: its own budget
 /// (deadline computed now, cancel token as given) merged with whatever
 /// ambient context the caller already installed — the tighter deadline
@@ -44,6 +38,32 @@ obs::Histogram* SearchHistogram() {
   return histogram;
 }
 
+/// Retrieval needs the finalized index; queries check before expanding,
+/// so an unindexed engine fails without doing the expansion work.
+Status CheckIndexed(const ir::SearchEngine& search) {
+  if (search.finalized()) return Status::OK();
+  return Status::InvalidArgument(
+      "Query before FinalizeIndex(): the corpus is not indexed yet");
+}
+
+/// Runs `run` over every request in order and fails atomically: the
+/// first failing request aborts the batch, named as "`what` request #i".
+template <typename Response, typename Request, typename Run>
+Result<std::vector<Response>> RunBatch(const std::vector<Request>& requests,
+                                       const char* what, Run run) {
+  std::vector<Response> responses;
+  responses.reserve(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Result<Response> response = run(requests[i]);
+    if (!response.ok()) {
+      return response.status().WithContext(std::string(what) + " request #" +
+                                           std::to_string(i));
+    }
+    responses.push_back(std::move(*response));
+  }
+  return responses;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
@@ -67,17 +87,10 @@ Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
   const obs::Labels labels = {
       {"engine", std::to_string(obs::NextInstanceId())}};
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  engine->counters_.expanders_constructed =
-      registry.GetCounter("wqe.engine.expanders_constructed", labels);
   engine->counters_.expand_calls =
       registry.GetCounter("wqe.engine.expand_calls", labels);
   engine->counters_.searches =
       registry.GetCounter("wqe.engine.searches", labels);
-  engine->counters_.batches = registry.GetCounter("wqe.engine.batches", labels);
-  engine->counters_.cache_hits =
-      registry.GetCounter("wqe.engine.cache_hits", labels);
-  engine->counters_.cache_misses =
-      registry.GetCounter("wqe.engine.cache_misses", labels);
   engine->counters_.snapshot_generation =
       registry.GetGauge("wqe.server.snapshot_generation", labels);
   // Publish the initial graph epoch (generation 1).  Freezing happens
@@ -123,12 +136,8 @@ Status Engine::PublishSnapshot(wiki::KnowledgeBase kb) {
 
 EngineStats Engine::stats() const {
   EngineStats stats;
-  stats.expanders_constructed = counters_.expanders_constructed->value();
   stats.expand_calls = counters_.expand_calls->value();
   stats.searches = counters_.searches->value();
-  stats.batches = counters_.batches->value();
-  stats.cache_hits = counters_.cache_hits->value();
-  stats.cache_misses = counters_.cache_misses->value();
   return stats;
 }
 
@@ -155,34 +164,10 @@ std::string Engine::ResolveStrategy(std::string_view expander) const {
 }
 
 Result<std::unique_ptr<expansion::Expander>> Engine::BuildExpander(
-    std::string_view expander, const ExpanderOverrides& overrides) const {
-  return BuildExpander(*CurrentSnapshot(), expander, overrides);
-}
-
-Result<std::unique_ptr<expansion::Expander>> Engine::BuildExpander(
     const GraphSnapshot& snapshot, std::string_view expander,
     const ExpanderOverrides& overrides) const {
-  WQE_ASSIGN_OR_RETURN(std::unique_ptr<expansion::Expander> built,
-                       registry_.Create(ResolveStrategy(expander), snapshot.kb,
-                                        *snapshot.linker, overrides));
-  counters_.expanders_constructed->Inc();
-  return built;
-}
-
-Result<Engine::ResolvedExpander> Engine::ResolveExpander(
-    const GraphSnapshot& snapshot, std::string_view name,
-    const ExpanderOverrides& overrides,
-    std::map<std::string, std::unique_ptr<expansion::Expander>>* cache)
-    const {
-  std::string resolved = ResolveStrategy(name);
-  std::string key = ConfigKey(resolved, overrides);
-  auto it = cache->find(key);
-  if (it == cache->end()) {
-    WQE_ASSIGN_OR_RETURN(std::unique_ptr<expansion::Expander> built,
-                         BuildExpander(snapshot, resolved, overrides));
-    it = cache->emplace(std::move(key), std::move(built)).first;
-  }
-  return ResolvedExpander{it->second.get(), std::move(resolved)};
+  return registry_.Create(ResolveStrategy(expander), snapshot.kb,
+                          *snapshot.linker, overrides);
 }
 
 Result<ExpandResponse> Engine::ExpandWith(const expansion::Expander& expander,
@@ -203,30 +188,9 @@ Result<ExpandResponse> Engine::ExpandWith(const expansion::Expander& expander,
   return response;
 }
 
-Result<QueryResponse> Engine::QueryWith(const expansion::Expander& expander,
-                                        std::string_view resolved_name,
-                                        const QueryRequest& request) const {
-  if (!search_->finalized()) {
-    return Status::InvalidArgument(
-        "Query before FinalizeIndex(): the corpus is not indexed yet");
-  }
-  Stopwatch total;
-  WQE_ASSIGN_OR_RETURN(
-      ExpandResponse expansion,
-      ExpandWith(expander, resolved_name, request.keywords));
-  WQE_ASSIGN_OR_RETURN(
-      QueryResponse response,
-      QueryWithExpansion(std::move(expansion), request.top_k));
-  response.total_ms = total.ElapsedMillis();
-  return response;
-}
-
 Result<QueryResponse> Engine::QueryWithExpansion(ExpandResponse expansion,
                                                  size_t top_k) const {
-  if (!search_->finalized()) {
-    return Status::InvalidArgument(
-        "Query before FinalizeIndex(): the corpus is not indexed yet");
-  }
+  WQE_RETURN_NOT_OK(CheckIndexed(*search_));
   Stopwatch total;
   QueryResponse response;
   response.expansion = std::move(expansion);
@@ -243,88 +207,67 @@ Result<QueryResponse> Engine::QueryWithExpansion(ExpandResponse expansion,
   return response;
 }
 
-Result<ExpandResponse> Engine::Expand(const ExpandRequest& request) const {
+Result<ExpandResponse> Engine::ExpandPinned(
+    const GraphSnapshot& snapshot, const ExpandRequest& request) const {
   common::ScopedExecContext exec_scope(
       RequestExecContext(request.deadline_ms, request.cancel));
-  // Pin the graph epoch for the whole request: a concurrent
-  // PublishSnapshot cannot swap the graph out from under the expansion.
-  std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
-  std::map<std::string, std::unique_ptr<expansion::Expander>> cache;
+  const std::string name = ResolveStrategy(request.expander);
+  WQE_ASSIGN_OR_RETURN(std::unique_ptr<expansion::Expander> expander,
+                       BuildExpander(snapshot, name, request.overrides));
+  return ExpandWith(*expander, name, request.keywords);
+}
+
+Result<QueryResponse> Engine::QueryPinned(const GraphSnapshot& snapshot,
+                                          const QueryRequest& request) const {
+  common::ScopedExecContext exec_scope(
+      RequestExecContext(request.deadline_ms, request.cancel));
+  const std::string name = ResolveStrategy(request.expander);
+  WQE_ASSIGN_OR_RETURN(std::unique_ptr<expansion::Expander> expander,
+                       BuildExpander(snapshot, name, request.overrides));
+  WQE_RETURN_NOT_OK(CheckIndexed(*search_));
+  Stopwatch total;
+  WQE_ASSIGN_OR_RETURN(ExpandResponse expansion,
+                       ExpandWith(*expander, name, request.keywords));
   WQE_ASSIGN_OR_RETURN(
-      ResolvedExpander resolved,
-      ResolveExpander(*snapshot, request.expander, request.overrides, &cache));
-  return ExpandWith(*resolved.expander, resolved.name, request.keywords);
+      QueryResponse response,
+      QueryWithExpansion(std::move(expansion), request.top_k));
+  response.total_ms = total.ElapsedMillis();
+  return response;
+}
+
+// Singles pin the graph epoch for the whole request: a concurrent
+// PublishSnapshot cannot swap the graph out from under the expansion.
+Result<ExpandResponse> Engine::Expand(const ExpandRequest& request) const {
+  return ExpandPinned(*CurrentSnapshot(), request);
 }
 
 Result<QueryResponse> Engine::Query(const QueryRequest& request) const {
-  common::ScopedExecContext exec_scope(
-      RequestExecContext(request.deadline_ms, request.cancel));
-  std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
-  std::map<std::string, std::unique_ptr<expansion::Expander>> cache;
-  WQE_ASSIGN_OR_RETURN(
-      ResolvedExpander resolved,
-      ResolveExpander(*snapshot, request.expander, request.overrides, &cache));
-  return QueryWith(*resolved.expander, resolved.name, request);
+  return QueryPinned(*CurrentSnapshot(), request);
 }
 
+// Batches pin once: every request in a batch runs on the same graph
+// epoch, so its results are mutually consistent even when a republish
+// lands mid-batch.  Budgets stay per request — each item installs (and
+// on exit removes) its own exec context, so one expired deadline never
+// bleeds into its batch neighbors.
 Result<std::vector<ExpandResponse>> Engine::ExpandBatch(
     const std::vector<ExpandRequest>& requests) const {
-  counters_.batches->Inc();
-  // One pin for the whole batch: every request in it expands on the same
-  // graph epoch, so batch results are mutually consistent even when a
-  // republish lands mid-batch.
   std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
-  std::map<std::string, std::unique_ptr<expansion::Expander>> cache;
-  std::vector<ExpandResponse> responses;
-  responses.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    // Budgets are per request: each iteration installs (and on exit
-    // removes) its own request's context, so one expired deadline never
-    // bleeds into its batch neighbors.
-    common::ScopedExecContext exec_scope(
-        RequestExecContext(requests[i].deadline_ms, requests[i].cancel));
-    auto resolved = ResolveExpander(*snapshot, requests[i].expander,
-                                    requests[i].overrides, &cache);
-    if (!resolved.ok()) {
-      return resolved.status().WithContext("ExpandBatch request #" +
-                                           std::to_string(i));
-    }
-    auto response = ExpandWith(*resolved->expander, resolved->name,
-                               requests[i].keywords);
-    if (!response.ok()) {
-      return response.status().WithContext("ExpandBatch request #" +
-                                           std::to_string(i));
-    }
-    responses.push_back(std::move(*response));
-  }
-  return responses;
+  return RunBatch<ExpandResponse>(
+      requests, "ExpandBatch",
+      [&](const ExpandRequest& request) {
+        return ExpandPinned(*snapshot, request);
+      });
 }
 
 Result<std::vector<QueryResponse>> Engine::QueryBatch(
     const std::vector<QueryRequest>& requests) const {
-  counters_.batches->Inc();
   std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
-  std::map<std::string, std::unique_ptr<expansion::Expander>> cache;
-  std::vector<QueryResponse> responses;
-  responses.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    common::ScopedExecContext exec_scope(
-        RequestExecContext(requests[i].deadline_ms, requests[i].cancel));
-    auto resolved = ResolveExpander(*snapshot, requests[i].expander,
-                                    requests[i].overrides, &cache);
-    if (!resolved.ok()) {
-      return resolved.status().WithContext("QueryBatch request #" +
-                                           std::to_string(i));
-    }
-    auto response =
-        QueryWith(*resolved->expander, resolved->name, requests[i]);
-    if (!response.ok()) {
-      return response.status().WithContext("QueryBatch request #" +
-                                           std::to_string(i));
-    }
-    responses.push_back(std::move(*response));
-  }
-  return responses;
+  return RunBatch<QueryResponse>(
+      requests, "QueryBatch",
+      [&](const QueryRequest& request) {
+        return QueryPinned(*snapshot, request);
+      });
 }
 
 }  // namespace wqe::api

@@ -10,9 +10,8 @@
 ///
 ///   - `Expand(request)`   keywords → expansion features + INDRI query,
 ///   - `Query(request)`    expand + retrieve in one call,
-///   - `ExpandBatch` / `QueryBatch`   batched variants that amortize
-///     per-strategy setup (expander construction and validation) across
-///     requests,
+///   - `ExpandBatch` / `QueryBatch`   the same per-request path looped
+///     over every request on one pinned graph epoch, failing atomically,
 ///
 /// all returning `Result<T>`.  Strategy selection is by registry name with
 /// per-call `ExpanderOverrides` — callers never instantiate concrete
@@ -112,22 +111,17 @@ struct QueryResponse {
   double total_ms = 0.0;
 };
 
-/// \brief Snapshot of the engine's cumulative instrumentation counters
-/// (benches and tests assert batch amortization through these).  Returned
-/// by value from `Engine::stats()`; the live state is `obs::Counter`
-/// instruments registered as `wqe.engine.*{engine=N}` in the global
-/// metrics registry, where N is a per-engine instance id so absolute
-/// counts stay meaningful when several engines coexist in one process.
+/// \brief Snapshot of the engine's cumulative work counters (tests assert
+/// through `expand_calls` that a serving-cache hit did not expand).
+/// Returned by value from `Engine::stats()`; the live state is
+/// `obs::Counter` instruments registered as `wqe.engine.*{engine=N}` in
+/// the global metrics registry, where N is a per-engine instance id so
+/// absolute counts stay meaningful when several engines coexist in one
+/// process.  Cache outcomes are the cache's own counters
+/// (`serve::ExpansionCache::stats()`).
 struct EngineStats {
-  size_t expanders_constructed = 0;  ///< factory invocations
-  size_t expand_calls = 0;  ///< single expansions served
+  size_t expand_calls = 0;  ///< expansions computed (batch items included)
   size_t searches = 0;      ///< retrieval invocations
-  size_t batches = 0;       ///< ExpandBatch/QueryBatch calls
-  /// Serving-layer expansion-cache outcomes, recorded through
-  /// `NoteCacheHit`/`NoteCacheMiss` by the `serve::Server` wrapping this
-  /// engine (the engine itself does not cache).
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
 };
 
 /// \brief One published graph epoch: the frozen KB plus the linker built
@@ -167,15 +161,14 @@ class Engine {
   Result<ExpandResponse> Expand(const ExpandRequest& request) const;
   Result<QueryResponse> Query(const QueryRequest& request) const;
 
-  /// \brief Expands every request; one expander instance is constructed
-  /// per distinct (strategy, overrides) pair instead of per request.
-  /// Fails atomically: the first bad request aborts the batch.
+  /// \brief Expands every request, in order, on one pinned snapshot.
+  /// Fails atomically: the first bad request aborts the batch, named as
+  /// "ExpandBatch request #i".
   Result<std::vector<ExpandResponse>> ExpandBatch(
       const std::vector<ExpandRequest>& requests) const;
 
-  /// \brief Queries every request with the same amortization as
-  /// ExpandBatch.  Rankings are identical to issuing the requests through
-  /// `Query` one by one.
+  /// \brief Queries every request as ExpandBatch expands them.  Rankings
+  /// are identical to issuing the requests through `Query` one by one.
   Result<std::vector<QueryResponse>> QueryBatch(
       const std::vector<QueryRequest>& requests) const;
   /// @}
@@ -184,7 +177,7 @@ class Engine {
   /// Low-level building blocks for the `serve::Server` concurrency layer:
   /// they expose the expand/search halves of `Query` separately so a
   /// caching server can skip the expansion half on a hit, while the
-  /// amortization and stats semantics stay inside the engine.
+  /// stats semantics stay inside the engine.
   /// @{
   /// \brief A request's canonical strategy name: empty resolves to the
   /// engine default, aliases to their targets.  Unknown names pass through
@@ -192,25 +185,17 @@ class Engine {
   std::string ResolveStrategy(std::string_view expander) const;
 
   /// \brief Constructs one expander instance for `(strategy, overrides)`
-  /// against the *current* snapshot and counts it in
-  /// `stats().expanders_constructed`.  The instance only borrows the
-  /// snapshot's KB and linker and its `Expand` is const, so one instance
-  /// may serve many threads concurrently — but it does NOT pin the
-  /// snapshot; callers that hold expanders across a possible republish
-  /// use the pinned overload below.
-  Result<std::unique_ptr<expansion::Expander>> BuildExpander(
-      std::string_view expander, const ExpanderOverrides& overrides) const;
-
-  /// \brief As above, built against `snapshot` — the serve layer pins a
-  /// snapshot per request (`CurrentSnapshot`) and builds expanders
+  /// against `snapshot`.  The instance only borrows the snapshot's KB and
+  /// linker, so the caller keeps the snapshot pinned while it expands —
+  /// the serve layer pins one per request (`CurrentSnapshot`) and builds
   /// against exactly that epoch, so a concurrent `PublishSnapshot` never
   /// mixes graph versions inside one request.
   Result<std::unique_ptr<expansion::Expander>> BuildExpander(
       const GraphSnapshot& snapshot, std::string_view expander,
       const ExpanderOverrides& overrides) const;
 
-  /// \brief Expands `keywords` with a caller-provided (typically shared)
-  /// expander instance; `resolved_name` is echoed into the response.
+  /// \brief Expands `keywords` with a caller-built expander instance;
+  /// `resolved_name` is echoed into the response.
   Result<ExpandResponse> ExpandWith(const expansion::Expander& expander,
                                     std::string_view resolved_name,
                                     std::string_view keywords) const;
@@ -221,10 +206,6 @@ class Engine {
   /// first computed.  `top_k == 0` uses the engine default.
   Result<QueryResponse> QueryWithExpansion(ExpandResponse expansion,
                                            size_t top_k) const;
-
-  /// \brief Records a serving-layer cache outcome in `stats()`.
-  void NoteCacheHit() const { counters_.cache_hits->Inc(); }
-  void NoteCacheMiss() const { counters_.cache_misses->Inc(); }
 
   /// \brief Freezes the registry: after this, the non-const `registry()`
   /// accessor is a contract violation (asserted in debug builds).  Called
@@ -297,28 +278,19 @@ class Engine {
  private:
   Engine() = default;
 
-  /// A request's strategy, instantiated and canonically named.
-  struct ResolvedExpander {
-    const expansion::Expander* expander = nullptr;
-    std::string name;
-  };
-
-  /// Builds (or reuses, via `cache`) the expander for a request, against
-  /// the pinned `snapshot`.
-  Result<ResolvedExpander> ResolveExpander(
-      const GraphSnapshot& snapshot, std::string_view name,
-      const ExpanderOverrides& overrides,
-      std::map<std::string, std::unique_ptr<expansion::Expander>>* cache)
-      const;
+  /// The one request path, on an already pinned `snapshot`: installs the
+  /// request's exec context, builds its expander and expands (then, for
+  /// queries, retrieves).  The singles pin and call these; the batches
+  /// pin once and loop over them.
+  Result<ExpandResponse> ExpandPinned(const GraphSnapshot& snapshot,
+                                      const ExpandRequest& request) const;
+  Result<QueryResponse> QueryPinned(const GraphSnapshot& snapshot,
+                                    const QueryRequest& request) const;
 
   /// Freezes `kb`, builds the linker over it and wraps both with
   /// `generation` (shared by Build and PublishSnapshot).
   std::shared_ptr<const GraphSnapshot> MakeSnapshot(wiki::KnowledgeBase kb,
                                                     uint64_t generation) const;
-
-  Result<QueryResponse> QueryWith(const expansion::Expander& expander,
-                                  std::string_view resolved_name,
-                                  const QueryRequest& request) const;
 
   /// The registry instruments behind `stats()`.  Resolved once in
   /// `Build` (global-registry pointers are stable for the process);
@@ -327,12 +299,8 @@ class Engine {
   /// struct gave, now with the counts exported alongside every other
   /// metric.
   struct Counters {
-    obs::Counter* expanders_constructed = nullptr;
     obs::Counter* expand_calls = nullptr;
     obs::Counter* searches = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
     obs::Gauge* snapshot_generation = nullptr;
   };
 

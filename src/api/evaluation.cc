@@ -43,43 +43,26 @@ Result<SystemEvaluation> EvaluateSystem(
     const std::vector<EvalTopic>& topics,
     const ExpanderOverrides& overrides) {
   SystemEvaluation eval;
-  // Empty names mean the engine default, as in Engine::ResolveExpander.
-  eval.name = engine.registry().Resolve(
-      expander.empty() ? engine.options().default_expander
-                       : std::string(expander));
+  eval.name = engine.ResolveStrategy(expander);
   Accumulator acc;
-
-  std::vector<QueryRequest> requests;
-  requests.reserve(topics.size());
+  Status first_error = Status::OK();
   for (const EvalTopic& topic : topics) {
-    requests.push_back(RequestFor(expander, overrides, topic));
+    auto response = engine.Query(RequestFor(expander, overrides, topic));
+    if (!response.ok()) {
+      // A topic that cannot be evaluated (e.g. empty keywords or a query
+      // with no analyzable terms) is skipped, as the paper does for
+      // unlinkable queries; any other failure fails the evaluation.
+      if (!response.status().IsInvalidArgument()) return response.status();
+      if (first_error.ok()) first_error = response.status();
+      continue;
+    }
+    acc.Add(*response, topic.relevant);
   }
-
-  auto batch = engine.QueryBatch(requests);
-  if (batch.ok()) {
-    for (size_t t = 0; t < topics.size(); ++t) {
-      acc.Add((*batch)[t], topics[t].relevant);
-    }
-  } else if (batch.status().IsInvalidArgument()) {
-    // Some topic could not be evaluated (e.g. empty keywords or a query
-    // with no analyzable terms): fall back to per-topic calls and skip
-    // the offending ones, as the paper does for unlinkable queries.
-    for (const EvalTopic& topic : topics) {
-      auto response = engine.Query(RequestFor(expander, overrides, topic));
-      if (!response.ok()) {
-        if (response.status().IsInvalidArgument()) continue;
-        return response.status();
-      }
-      acc.Add(*response, topic.relevant);
-    }
-    if (acc.topics == 0 && !topics.empty()) {
-      // Every topic failed: this is a request-level error (bad overrides,
-      // unfinalized engine, ...), not per-topic skips — propagate it
-      // rather than returning a plausible-looking all-zero evaluation.
-      return batch.status();
-    }
-  } else {
-    return batch.status();
+  if (acc.topics == 0 && !first_error.ok()) {
+    // Every topic failed: this is a request-level error (bad overrides,
+    // unfinalized engine, ...), not per-topic skips — propagate it
+    // rather than returning a plausible-looking all-zero evaluation.
+    return first_error;
   }
 
   eval.topics = acc.topics;

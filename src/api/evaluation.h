@@ -4,9 +4,8 @@
 /// \brief Track-level evaluation of expansion strategies (E10/E11).
 ///
 /// Runs a registry-named strategy through the `api::Engine` facade over a
-/// set of evaluation topics and averages the paper's precision metrics.
-/// Batching goes through `Engine::QueryBatch`, so strategy setup is paid
-/// once per evaluation rather than once per topic.
+/// set of evaluation topics, one `Engine::Query` per topic, and averages
+/// the paper's precision metrics.
 
 #include <array>
 #include <string>

@@ -1,8 +1,5 @@
 #include "api/expander_registry.h"
 
-#include <iomanip>
-#include <limits>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 
@@ -47,32 +44,6 @@ Status ValidateCommon(const ExpanderOverrides& o) {
 }
 
 }  // namespace
-
-std::string ExpanderOverrides::ToKey() const {
-  std::ostringstream ss;
-  // Full precision: the key must distinguish any two distinct doubles,
-  // or a batch could silently serve a cached expander with the wrong
-  // options.
-  ss << std::setprecision(std::numeric_limits<double>::max_digits10);
-  auto emit = [&ss](const char* tag, const auto& field) {
-    if (field) ss << ";" << tag << "=" << *field;
-  };
-  emit("mf", max_features);
-  emit("nr", neighborhood_radius);
-  emit("mn", max_neighborhood);
-  emit("pm", prioritize_mutual);
-  emit("cl", min_cycle_length);
-  emit("cL", max_cycle_length);
-  emit("md", min_density);
-  emit("cr", min_category_ratio);
-  emit("cR", max_category_ratio);
-  emit("2w", two_cycle_weight);
-  emit("ld", length_decay);
-  emit("sq", sqrt_count_damping);
-  emit("mc", max_cycles);
-  emit("ra", include_redirect_aliases);
-  return ss.str();
-}
 
 uint64_t ExpanderOverrides::Hash() const {
   Hasher hasher;

@@ -65,9 +65,6 @@ struct ExpanderOverrides {
   std::optional<bool> include_redirect_aliases;
   /// @}
 
-  /// \brief Stable text form, used as (part of) a cache key and in logs.
-  std::string ToKey() const;
-
   /// \brief Deterministic 64-bit hash, consistent with `operator==`: equal
   /// overrides hash equal, and every field (set or unset) contributes so
   /// that distinct overrides are distinguished.  Used by the serving

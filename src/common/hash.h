@@ -56,7 +56,7 @@ class Hasher {
   Hasher& Add(bool value) { return Add(static_cast<uint64_t>(value)); }
   Hasher& Add(double value) {
     // Bit pattern, not numeric value: any two distinct doubles (including
-    // -0.0 vs +0.0) must be distinguishable, exactly as in ToKey().
+    // -0.0 vs +0.0) must be distinguishable.
     uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(value));
     std::memcpy(&bits, &value, sizeof(bits));

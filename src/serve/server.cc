@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <chrono>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -20,7 +19,7 @@ bool IsInterruption(const Status& status) {
 }
 
 /// An already-failed future, for requests shed at admission: batch
-/// phase 3 and single-submit callers consume them exactly like pool
+/// collection and single-submit callers consume them exactly like pool
 /// results, so fail-atomic lowest-failing-index semantics are untouched.
 template <typename Response>
 std::future<Result<Response>> ReadyFuture(Status status) {
@@ -166,8 +165,7 @@ void Server::AttributeFailure(const Status& status) {
 
 Result<api::ExpandResponse> Server::ExpandResolved(
     const api::GraphSnapshot& snapshot, const std::string& resolved,
-    const std::string& keywords, const api::ExpanderOverrides& overrides,
-    BatchExpanders* batch) {
+    const std::string& keywords, const api::ExpanderOverrides& overrides) {
   ExpansionCache::Key key;
   if (cache_ != nullptr) {
     key = ExpansionCache::Key{keywords, resolved, overrides};
@@ -177,46 +175,21 @@ Result<api::ExpandResponse> Server::ExpandResolved(
       WQE_FAULT_POINT("serve.cache_lookup");
       hit = cache_->Get(key, snapshot.generation);
     }
-    if (hit != nullptr) {
-      engine_->NoteCacheHit();
-      return *hit;  // copy out of the shared entry
-    }
-    engine_->NoteCacheMiss();
+    if (hit != nullptr) return *hit;  // copy out of the shared entry
   }
-  // Only a miss needs an expander: batch-shared (built under the batch
-  // mutex; map references stay stable under later insertions, and Expand
-  // on the shared instance is const) or locally owned for singles.
-  const expansion::Expander* expander = nullptr;
-  std::unique_ptr<expansion::Expander> owned;
+  // Only a miss needs an expander, built against the pinned epoch.
+  std::unique_ptr<expansion::Expander> expander;
   {
     obs::Span span("expander-construction", instruments_.expander_construction,
                    registry_);
     WQE_FAULT_POINT("serve.expander_construction");
-    if (batch != nullptr) {
-      common::MutexLock lock(batch->mu);
-      std::string config = resolved + overrides.ToKey();
-      auto it = batch->built.find(config);
-      if (it == batch->built.end()) {
-        it = batch->built
-                 .emplace(std::move(config),
-                          engine_->BuildExpander(snapshot, resolved, overrides))
-                 .first;
-      }
-      if (!it->second.ok()) {
-        instruments_.errors_expander_construction->Inc();
-        return it->second.status();
-      }
-      expander = it->second->get();
-    } else {
-      Result<std::unique_ptr<expansion::Expander>> built =
-          engine_->BuildExpander(snapshot, resolved, overrides);
-      if (!built.ok()) {
-        instruments_.errors_expander_construction->Inc();
-        return built.status();
-      }
-      owned = std::move(*built);
-      expander = owned.get();
+    Result<std::unique_ptr<expansion::Expander>> built =
+        engine_->BuildExpander(snapshot, resolved, overrides);
+    if (!built.ok()) {
+      instruments_.errors_expander_construction->Inc();
+      return built.status();
     }
+    expander = std::move(*built);
   }
   Result<api::ExpandResponse> response =
       engine_->ExpandWith(*expander, resolved, keywords);
@@ -236,24 +209,17 @@ Result<api::ExpandResponse> Server::ExpandResolved(
 }
 
 Result<api::ExpandResponse> Server::ExpandOne(
-    const api::ExpandRequest& request) {
-  // Pin the graph epoch for this request; a concurrent PublishSnapshot
-  // retires the old epoch only after pins like this one drain.
-  std::shared_ptr<const api::GraphSnapshot> snapshot =
-      engine_->CurrentSnapshot();
-  return ExpandResolved(*snapshot, engine_->ResolveStrategy(request.expander),
-                        request.keywords, request.overrides,
-                        /*batch=*/nullptr);
+    const api::GraphSnapshot& snapshot, const api::ExpandRequest& request) {
+  return ExpandResolved(snapshot, engine_->ResolveStrategy(request.expander),
+                        request.keywords, request.overrides);
 }
 
-Result<api::QueryResponse> Server::QueryOne(const api::QueryRequest& request) {
-  std::shared_ptr<const api::GraphSnapshot> snapshot =
-      engine_->CurrentSnapshot();
+Result<api::QueryResponse> Server::QueryOne(const api::GraphSnapshot& snapshot,
+                                            const api::QueryRequest& request) {
   WQE_ASSIGN_OR_RETURN(
       api::ExpandResponse expansion,
-      ExpandResolved(*snapshot, engine_->ResolveStrategy(request.expander),
-                     request.keywords, request.overrides,
-                     /*batch=*/nullptr));
+      ExpandResolved(snapshot, engine_->ResolveStrategy(request.expander),
+                     request.keywords, request.overrides));
   Result<api::QueryResponse> response =
       engine_->QueryWithExpansion(std::move(expansion), request.top_k);
   if (!response.ok() && !IsInterruption(response.status())) {
@@ -286,40 +252,42 @@ Result<Response> Server::ServeRequest(
   return result;
 }
 
-std::future<Result<api::QueryResponse>> Server::Submit(
-    api::QueryRequest request) {
+template <typename Response, typename Work>
+std::future<Result<Response>> Server::Enqueue(const common::ExecContext& exec,
+                                              Work work) {
   instruments_.requests->Inc();
-  const common::ExecContext exec =
-      RequestContext(request.deadline_ms, request.cancel);
   if (Status admit = AdmitRequest(exec); !admit.ok()) {
-    return ReadyFuture<api::QueryResponse>(std::move(admit));
+    return ReadyFuture<Response>(std::move(admit));
   }
   const auto submitted = std::chrono::steady_clock::now();
-  auto future =
-      pool_.Submit([this, exec, submitted, request = std::move(request)]() {
-        return ServeRequest<api::QueryResponse>(
-            exec, submitted, [&] { return QueryOne(request); });
-      });
+  auto future = pool_.Submit([this, exec, submitted, work = std::move(work)] {
+    return ServeRequest<Response>(exec, submitted, work);
+  });
   instruments_.queue_depth->Set(static_cast<double>(pool_.queue_depth()));
   return future;
 }
 
-std::future<Result<api::ExpandResponse>> Server::SubmitExpand(
-    api::ExpandRequest request) {
-  instruments_.requests->Inc();
+// Singles pin the graph epoch on the worker, when the request starts; the
+// temporary pin lives until the request returns, and a concurrent
+// PublishSnapshot retires the old epoch only after pins like it drain.
+std::future<Result<api::QueryResponse>> Server::Submit(
+    api::QueryRequest request) {
   const common::ExecContext exec =
       RequestContext(request.deadline_ms, request.cancel);
-  if (Status admit = AdmitRequest(exec); !admit.ok()) {
-    return ReadyFuture<api::ExpandResponse>(std::move(admit));
-  }
-  const auto submitted = std::chrono::steady_clock::now();
-  auto future =
-      pool_.Submit([this, exec, submitted, request = std::move(request)]() {
-        return ServeRequest<api::ExpandResponse>(
-            exec, submitted, [&] { return ExpandOne(request); });
+  return Enqueue<api::QueryResponse>(
+      exec, [this, request = std::move(request)] {
+        return QueryOne(*engine_->CurrentSnapshot(), request);
       });
-  instruments_.queue_depth->Set(static_cast<double>(pool_.queue_depth()));
-  return future;
+}
+
+std::future<Result<api::ExpandResponse>> Server::SubmitExpand(
+    api::ExpandRequest request) {
+  const common::ExecContext exec =
+      RequestContext(request.deadline_ms, request.cancel);
+  return Enqueue<api::ExpandResponse>(
+      exec, [this, request = std::move(request)] {
+        return ExpandOne(*engine_->CurrentSnapshot(), request);
+      });
 }
 
 template <typename Request, typename Response, typename Run>
@@ -330,55 +298,28 @@ Result<std::vector<Response>> Server::RunBatch(
   // pool), so one trace covers submit → queue-wait → stages → merge.
   obs::Span batch_span("batch", /*latency=*/nullptr, registry_);
   instruments_.batches->Inc();
-  instruments_.requests->Inc(requests.size());
 
-  // One pin for the whole batch: every item expands on the same graph
-  // epoch (and the shared expanders below are built against it), so the
-  // batch's responses stay mutually consistent across a mid-batch
-  // republish.
+  // One pin for the whole batch, on the caller thread: every item runs
+  // on the same graph epoch, so the batch's responses stay mutually
+  // consistent across a mid-batch republish.
   std::shared_ptr<const api::GraphSnapshot> snapshot =
       engine_->CurrentSnapshot();
 
-  // Phase 1 (caller thread): resolve names only.  Expanders are built
-  // lazily in the workers — at most one per distinct (strategy,
-  // overrides), the same amortization as Engine::ExpandBatch, but a
-  // fully cache-warm batch constructs nothing at all.
-  std::vector<std::string> resolved(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    resolved[i] = engine_->ResolveStrategy(requests[i].expander);
-  }
-
-  // Phase 2: fan out.  Tasks borrow `requests`/`resolved`/`expanders`;
-  // phase 3 waits on every future before this frame can unwind, so the
-  // borrows are safe even on failure.
-  BatchExpanders expanders;
+  // Fan out.  Tasks borrow `requests`, `run` and `snapshot`; the
+  // collection below waits on every future before this frame can unwind,
+  // so the borrows are safe even on failure.  Admission is per item: a
+  // shed slot becomes an already-failed future, so shed, deadline and
+  // ordinary failures share the lowest-failing-index semantics.
   std::vector<std::future<Result<Response>>> futures;
   futures.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    // Admission is per batch item: a shed slot becomes an already-failed
-    // future, so phase 3's lowest-failing-index semantics cover shed,
-    // deadline and ordinary failures uniformly.
-    const common::ExecContext exec =
-        RequestContext(requests[i].deadline_ms, requests[i].cancel);
-    if (Status admit = AdmitRequest(exec); !admit.ok()) {
-      futures.push_back(ReadyFuture<Response>(std::move(admit)));
-      continue;
-    }
-    const auto submitted = std::chrono::steady_clock::now();
-    futures.push_back(pool_.Submit([this, &run, &requests, &resolved,
-                                    &expanders, &snapshot, exec, submitted,
-                                    i]() {
-      return ServeRequest<Response>(exec, submitted, [&] {
-        return run(*snapshot, &expanders, resolved[i], requests[i]);
-      });
-    }));
+  for (const Request& request : requests) {
+    futures.push_back(Enqueue<Response>(
+        RequestContext(request.deadline_ms, request.cancel),
+        [&run, &snapshot, &request] { return run(*snapshot, request); }));
   }
-  instruments_.queue_depth->Set(static_cast<double>(pool_.queue_depth()));
 
-  // Phase 3: collect every result, then surface the lowest failing index
-  // (matching the sequential batch's first-error semantics — a bad
-  // config fails every request that uses it, so the lowest such index
-  // reports just as it would sequentially).
+  // Collect every result, then surface the lowest failing index
+  // (matching the sequential batch's first-error semantics).
   std::vector<Result<Response>> results;
   results.reserve(futures.size());
   for (auto& future : futures) results.push_back(future.get());
@@ -399,19 +340,9 @@ Result<std::vector<api::QueryResponse>> Server::QueryBatch(
     const std::vector<api::QueryRequest>& requests) {
   return RunBatch<api::QueryRequest, api::QueryResponse>(
       requests, "QueryBatch",
-      [this](const api::GraphSnapshot& snapshot, BatchExpanders* batch,
-             const std::string& name,
-             const api::QueryRequest& request) -> Result<api::QueryResponse> {
-        WQE_ASSIGN_OR_RETURN(
-            api::ExpandResponse expansion,
-            ExpandResolved(snapshot, name, request.keywords, request.overrides,
-                           batch));
-        Result<api::QueryResponse> response =
-            engine_->QueryWithExpansion(std::move(expansion), request.top_k);
-        if (!response.ok() && !IsInterruption(response.status())) {
-          instruments_.errors_search->Inc();
-        }
-        return response;
+      [this](const api::GraphSnapshot& snapshot,
+             const api::QueryRequest& request) {
+        return QueryOne(snapshot, request);
       });
 }
 
@@ -419,11 +350,9 @@ Result<std::vector<api::ExpandResponse>> Server::ExpandBatch(
     const std::vector<api::ExpandRequest>& requests) {
   return RunBatch<api::ExpandRequest, api::ExpandResponse>(
       requests, "ExpandBatch",
-      [this](const api::GraphSnapshot& snapshot, BatchExpanders* batch,
-             const std::string& name, const api::ExpandRequest& request)
-          -> Result<api::ExpandResponse> {
-        return ExpandResolved(snapshot, name, request.keywords,
-                              request.overrides, batch);
+      [this](const api::GraphSnapshot& snapshot,
+             const api::ExpandRequest& request) {
+        return ExpandOne(snapshot, request);
       });
 }
 

@@ -11,13 +11,16 @@
 ///   - `Submit` / `SubmitExpand` enqueue one request on the worker pool
 ///     and return a `std::future` for its `Result`;
 ///   - `QueryBatch` / `ExpandBatch` fan a batch across the pool and block
-///     until every response is in, preserving input order, the engine's
-///     one-expander-per-distinct-config amortization, and its fail-atomic
-///     error contract ("request #i" contexts);
+///     until every response is in, preserving input order and the
+///     engine's fail-atomic error contract ("request #i" contexts);
 ///   - every expansion is served through a sharded LRU `ExpansionCache`
 ///     keyed by `(keywords, resolved strategy, overrides)`, so repeated
-///     queries skip linking + enumeration entirely (hits/misses are
-///     recorded both here and in `EngineStats`).
+///     queries skip linking + enumeration entirely (hits/misses are the
+///     cache's own counters, `cache()->stats()`).
+///
+/// Singles and batch items run one request path: admission, then on a
+/// worker a cache lookup and, on a miss, the request's own expander
+/// built and run against the pinned snapshot.
 ///
 /// Rankings are bit-identical to sequential `Engine::Query` calls: scoring
 /// is deterministic (ties break by DocId, see ir/scorer.h) and cached
@@ -51,14 +54,12 @@
 #include <chrono>
 #include <cstddef>
 #include <future>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "api/engine.h"
 #include "common/deadline.h"
-#include "common/mutex.h"
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -189,30 +190,20 @@ class Server {
   obs::MetricsRegistry& metrics_registry() const { return *registry_; }
 
  private:
-  /// One batch's shared expanders, keyed by (strategy, overrides) config
-  /// and built lazily under the mutex on the first cache miss that needs
-  /// each one — a fully warm batch constructs nothing.  Errored slots are
-  /// kept so every request on a bad config reports the same status.
-  struct BatchExpanders {
-    common::Mutex mu;
-    /// Guarded for *mutation*; the map's node stability is what lets a
-    /// worker keep using `built[config]->get()` after releasing `mu`
-    /// (the pointee is an immutable, internally thread-safe Expander).
-    std::map<std::string, Result<std::unique_ptr<expansion::Expander>>> built
-        WQE_GUARDED_BY(mu);
-  };
-
   /// Serves one expansion on the pinned `snapshot`: cache lookup first
-  /// (generation-checked), then — on a miss — the lazily-built shared
-  /// expander from `batch`, or a locally built one when `batch` is null
-  /// (the single-request path).
+  /// (generation-checked), then — on a miss — builds the request's
+  /// expander, expands and caches the result.
   Result<api::ExpandResponse> ExpandResolved(
       const api::GraphSnapshot& snapshot, const std::string& resolved,
-      const std::string& keywords, const api::ExpanderOverrides& overrides,
-      BatchExpanders* batch);
+      const std::string& keywords, const api::ExpanderOverrides& overrides);
 
-  Result<api::ExpandResponse> ExpandOne(const api::ExpandRequest& request);
-  Result<api::QueryResponse> QueryOne(const api::QueryRequest& request);
+  /// One request on the pinned `snapshot` (the expansion, plus retrieval
+  /// for queries).  Singles pin on their worker; batches pin once on the
+  /// caller thread and pass that pin to every item.
+  Result<api::ExpandResponse> ExpandOne(const api::GraphSnapshot& snapshot,
+                                        const api::ExpandRequest& request);
+  Result<api::QueryResponse> QueryOne(const api::GraphSnapshot& snapshot,
+                                      const api::QueryRequest& request);
 
   /// This server's registry instruments (`{server=N}`-labeled), resolved
   /// once at construction; recording through them is wait-free.  The
@@ -267,9 +258,17 @@ class Server {
                                 std::chrono::steady_clock::time_point submitted,
                                 Work&& work);
 
-  /// Shared batch skeleton: prepare shared expanders (caller thread), fan
-  /// out `run` per request (pool), collect in order, surface the first
-  /// error with `what` context.
+  /// The one enqueue path of singles and batch items: counts the
+  /// request, admits it (a shed request becomes an already-failed
+  /// future), stamps the submit time and queues `work` on the pool under
+  /// `ServeRequest`, then updates the queue-depth gauge.
+  template <typename Response, typename Work>
+  std::future<Result<Response>> Enqueue(const common::ExecContext& exec,
+                                        Work work);
+
+  /// Shared batch skeleton: pin once (caller thread), enqueue `run` per
+  /// request, collect in order, surface the lowest failing index with
+  /// `what` context.
   template <typename Request, typename Response, typename Run>
   Result<std::vector<Response>> RunBatch(const std::vector<Request>& requests,
                                          const char* what, Run run);

@@ -210,28 +210,28 @@ TEST(EngineTest, UnlinkableKeywordsFallBackToRawQuery) {
 TEST(EngineBatchTest, QueryBatchMatchesSequentialQueries) {
   const Testbed& bed = SmallBed();
   const Engine& engine = bed.engine();
+  // Strategies (an alias and the empty default among them) and overrides
+  // vary across the batch, so neighboring items never share a config.
+  const char* const kStrategies[] = {"cycle",     "direct-link", "",
+                                     "community", "no-expansion", "adjacency"};
   std::vector<QueryRequest> requests;
   for (size_t i = 0; i < 50; ++i) {
     QueryRequest request;
     request.keywords = bed.topic(i % bed.num_topics()).keywords;
-    request.expander = "cycle";
+    request.expander = kStrategies[i % 6];
+    if (i % 4 == 0) request.overrides.max_features = 3;
+    if (i % 5 == 0) request.overrides.max_neighborhood = 60;
     requests.push_back(std::move(request));
   }
 
-  size_t before = engine.stats().expanders_constructed;
   std::vector<QueryResponse> sequential;
   for (const QueryRequest& request : requests) {
     auto response = engine.Query(request);
     ASSERT_TRUE(response.ok()) << response.status();
     sequential.push_back(std::move(*response));
   }
-  size_t sequential_constructed =
-      engine.stats().expanders_constructed - before;
-
-  before = engine.stats().expanders_constructed;
   auto batch = engine.QueryBatch(requests);
   ASSERT_TRUE(batch.ok()) << batch.status();
-  size_t batch_constructed = engine.stats().expanders_constructed - before;
 
   ASSERT_EQ(batch->size(), sequential.size());
   for (size_t i = 0; i < sequential.size(); ++i) {
@@ -239,29 +239,9 @@ TEST(EngineBatchTest, QueryBatchMatchesSequentialQueries) {
     EXPECT_EQ((*batch)[i].expansion.titles, sequential[i].expansion.titles);
     EXPECT_EQ((*batch)[i].expansion.feature_articles,
               sequential[i].expansion.feature_articles);
+    EXPECT_EQ((*batch)[i].expansion.expander,
+              sequential[i].expansion.expander);
   }
-  // Strategy setup is amortized: one construction for the whole batch,
-  // versus one per sequential call.
-  EXPECT_EQ(sequential_constructed, requests.size());
-  EXPECT_EQ(batch_constructed, 1u);
-}
-
-TEST(EngineBatchTest, BatchConstructsOnePerDistinctConfig) {
-  const Testbed& bed = SmallBed();
-  const Engine& engine = bed.engine();
-  std::vector<ExpandRequest> requests;
-  for (size_t i = 0; i < 12; ++i) {
-    ExpandRequest request;
-    request.keywords = bed.topic(i % bed.num_topics()).keywords;
-    request.expander = (i % 2 == 0) ? "cycle" : "no-expansion";
-    if (i % 4 == 0) request.overrides.max_features = 3;
-    requests.push_back(std::move(request));
-  }
-  size_t before = engine.stats().expanders_constructed;
-  auto batch = engine.ExpandBatch(requests);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  // cycle, cycle+max3, no-expansion: three distinct configurations.
-  EXPECT_EQ(engine.stats().expanders_constructed - before, 3u);
 }
 
 TEST(EngineBatchTest, BatchErrorNamesOffendingRequest) {
@@ -285,6 +265,21 @@ TEST(EvaluateSystemTest, SkipsUnevaluableTopicsButKeepsRest) {
   ASSERT_TRUE(eval.ok()) << eval.status();
   EXPECT_EQ(eval->topics, bed.num_topics());
   EXPECT_GT(eval->mean_o, 0.0);
+}
+
+TEST(EvaluateSystemTest, AllTopicsFailingPropagatesTheError) {
+  // Overrides no topic can run with are a request-level error, not a
+  // track of skipped topics: the evaluation fails instead of reporting
+  // all-zero precision.
+  const Testbed& bed = SmallBed();
+  ExpanderOverrides invalid;
+  invalid.max_features = 0;
+  auto eval = api::EvaluateSystem(bed.engine(), "cycle", bed.EvalTopics(),
+                                  invalid);
+  ASSERT_FALSE(eval.ok());
+  EXPECT_TRUE(eval.status().IsInvalidArgument()) << eval.status();
+  EXPECT_NE(eval.status().message().find("max_features"), std::string::npos)
+      << eval.status();
 }
 
 }  // namespace

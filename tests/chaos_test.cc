@@ -52,8 +52,8 @@ const api::Testbed& Bed() {
 }
 
 /// The request mix: keywords cycle through the track topics, strategies
-/// alternate, and overrides vary so batches exercise the amortized
-/// expander path with more than one distinct configuration.
+/// alternate, and overrides vary, so every batch mixes several distinct
+/// configurations.
 std::vector<api::QueryRequest> RequestMix(size_t count) {
   const api::Testbed& bed = Bed();
   std::vector<api::QueryRequest> requests;

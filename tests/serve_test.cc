@@ -203,7 +203,6 @@ TEST(ExpansionCacheTest, DistinctOverridesNeverShareAnEntry) {
     hashes.insert(configs[i].Hash());
     for (size_t j = i + 1; j < configs.size(); ++j) {
       EXPECT_FALSE(configs[i] == configs[j]) << i << " vs " << j;
-      EXPECT_NE(configs[i].ToKey(), configs[j].ToKey());
     }
   }
   EXPECT_EQ(hashes.size(), configs.size()) << "override hashes collided";
@@ -433,8 +432,7 @@ TEST(ServerTest, SubmitExpandHitsCacheOnRepeat) {
 
   api::ExpandRequest request;
   request.keywords = bed.topic(1).keywords;
-  size_t hits_before = bed.engine().stats().cache_hits;
-  size_t built_before = bed.engine().stats().expanders_constructed;
+  size_t expanded_before = bed.engine().stats().expand_calls;
 
   auto first = server.SubmitExpand(request).get();
   ASSERT_TRUE(first.ok()) << first.status();
@@ -443,9 +441,8 @@ TEST(ServerTest, SubmitExpandHitsCacheOnRepeat) {
 
   EXPECT_EQ(second->feature_articles, first->feature_articles);
   EXPECT_EQ(second->titles, first->titles);
-  EXPECT_EQ(bed.engine().stats().cache_hits - hits_before, 1u);
-  // The hit served without constructing an expander.
-  EXPECT_EQ(bed.engine().stats().expanders_constructed - built_before, 1u);
+  // The hit served without expanding.
+  EXPECT_EQ(bed.engine().stats().expand_calls - expanded_before, 1u);
   ASSERT_NE(server.cache(), nullptr);
   EXPECT_EQ(server.cache()->stats().hits, 1u);
 }
@@ -463,6 +460,8 @@ TEST(ServerTest, ParallelQueryBatchIsBitIdenticalToSequential) {
     Server server(bed.engine(), options);
     auto parallel = server.QueryBatch(requests);
     ASSERT_TRUE(parallel.ok()) << parallel.status();
+    EXPECT_EQ(server.stats().batches, 1u);
+    EXPECT_EQ(server.stats().requests, requests.size());
     ASSERT_EQ(parallel->size(), sequential->size());
     for (size_t i = 0; i < sequential->size(); ++i) {
       EXPECT_EQ((*parallel)[i].docs, (*sequential)[i].docs)
@@ -477,29 +476,6 @@ TEST(ServerTest, ParallelQueryBatchIsBitIdenticalToSequential) {
   }
 }
 
-TEST(ServerTest, BatchAmortizesExpanderConstruction) {
-  const api::Testbed& bed = SmallBed();
-  ServerOptions options;
-  options.num_threads = 4;
-  options.enable_cache = false;  // isolate the construction counter
-  Server server(bed.engine(), options);
-
-  const std::vector<api::QueryRequest> requests = MixedRequests(24);
-  // cycle, cycle+max4, direct-link, direct-link+max4: 4 distinct configs
-  // (i%12 ∈ {0,4,8} pair (i%3==0, i%4==0) differently).
-  std::set<std::string> distinct;
-  for (const auto& request : requests) {
-    distinct.insert(request.expander + request.overrides.ToKey());
-  }
-  size_t before = bed.engine().stats().expanders_constructed;
-  auto batch = server.QueryBatch(requests);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  EXPECT_EQ(bed.engine().stats().expanders_constructed - before,
-            distinct.size());
-  EXPECT_EQ(server.stats().batches, 1u);
-  EXPECT_EQ(server.stats().requests, requests.size());
-}
-
 TEST(ServerTest, SecondPassServesFromCache) {
   const api::Testbed& bed = SmallBed();
   ServerOptions options;
@@ -507,17 +483,16 @@ TEST(ServerTest, SecondPassServesFromCache) {
   Server server(bed.engine(), options);
 
   const std::vector<api::QueryRequest> requests = MixedRequests(18);
-  size_t hits_before = bed.engine().stats().cache_hits;
-  size_t misses_before = bed.engine().stats().cache_misses;
+  ASSERT_NE(server.cache(), nullptr);
 
   auto first = server.QueryBatch(requests);
   ASSERT_TRUE(first.ok()) << first.status();
-  size_t first_hits = bed.engine().stats().cache_hits - hits_before;
+  size_t first_hits = server.cache()->stats().hits;
 
   auto second = server.QueryBatch(requests);
   ASSERT_TRUE(second.ok()) << second.status();
-  size_t total_hits = bed.engine().stats().cache_hits - hits_before;
-  size_t total_misses = bed.engine().stats().cache_misses - misses_before;
+  size_t total_hits = server.cache()->stats().hits;
+  size_t total_misses = server.cache()->stats().misses;
 
   // 18 requests over 6 topics × few configs: the first pass already
   // repeats keys; the second pass must hit on every request.
@@ -526,9 +501,6 @@ TEST(ServerTest, SecondPassServesFromCache) {
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ((*second)[i].docs, (*first)[i].docs) << "request " << i;
   }
-  ASSERT_NE(server.cache(), nullptr);
-  EXPECT_EQ(server.cache()->stats().hits, total_hits);
-  EXPECT_EQ(server.cache()->stats().misses, total_misses);
 }
 
 TEST(ServerTest, DisabledCacheStillServes) {
@@ -539,7 +511,7 @@ TEST(ServerTest, DisabledCacheStillServes) {
   Server server(bed.engine(), options);
   EXPECT_EQ(server.cache(), nullptr);
 
-  size_t hits_before = bed.engine().stats().cache_hits;
+  size_t expanded_before = bed.engine().stats().expand_calls;
   api::QueryRequest request;
   request.keywords = bed.topic(0).keywords;
   auto a = server.Submit(request).get();
@@ -547,7 +519,8 @@ TEST(ServerTest, DisabledCacheStillServes) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->docs, b->docs);
-  EXPECT_EQ(bed.engine().stats().cache_hits, hits_before);
+  // Nothing cached: the repeat expanded again.
+  EXPECT_EQ(bed.engine().stats().expand_calls - expanded_before, 2u);
 }
 
 TEST(ServerTest, BatchFailureNamesLowestFailingRequest) {
@@ -583,7 +556,7 @@ TEST(ServerTest, BatchFailureNamesLowestFailingRequest) {
   std::vector<api::QueryRequest> mixed(2);
   mixed[0].keywords = "";              // runtime failure in the worker
   mixed[1].keywords = bed.topic(0).keywords;
-  mixed[1].expander = "warp-drive";    // construction failure in phase 1
+  mixed[1].expander = "warp-drive";    // construction failure in the worker
   auto parallel = server.QueryBatch(mixed);
   auto sequential = bed.engine().QueryBatch(mixed);
   ASSERT_FALSE(parallel.ok());

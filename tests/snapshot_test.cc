@@ -11,18 +11,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/engine.h"
 #include "api/testbed.h"
+#include "common/fault_injection.h"
 #include "common/hash.h"
 #include "graph/csr.h"
 #include "serve/expansion_cache.h"
@@ -560,6 +563,94 @@ TEST(SnapshotRepublishTest, LiveTrafficSurvivesRepublishTsan) {
   auto response = engine.Expand(request);
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->titles, reference[0].titles);
+}
+
+TEST(SnapshotRepublishTest, BatchServesOneEpochAcrossAPublish) {
+  // A batch pins one graph epoch before its first item runs, so a publish
+  // that lands mid-batch must not reach the items after it.  Every cycle
+  // enumeration is slowed so the publish lands while the batch is still
+  // running, and the published KB comes from another wiki seed, whose
+  // answers differ: a batch that pinned per item would come back mixed.
+  api::TestbedOptions options = RepublishOptions();
+  options.track.num_topics = 6;
+  common::FaultSpec slow;
+  slow.delay_probability = 1.0;
+  slow.delay_ms = 20.0;
+
+  for (bool through_server : {false, true}) {
+    SCOPED_TRACE(through_server ? "1-worker Server::QueryBatch"
+                                : "Engine::QueryBatch");
+    auto bed = api::Testbed::Build(options);
+    ASSERT_TRUE(bed.ok()) << bed.status();
+    api::Engine& engine = (*bed)->engine();
+    // Distinct keywords, so no server item is a hit on an earlier one.
+    std::vector<api::QueryRequest> requests((*bed)->num_topics());
+    std::vector<api::QueryResponse> reference;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      requests[i].keywords = (*bed)->topic(i).keywords;
+      requests[i].expander = "cycle";
+      auto response = engine.Query(requests[i]);
+      ASSERT_TRUE(response.ok()) << response.status();
+      reference.push_back(*std::move(response));
+    }
+    // Frozen up front, so the publish below is only the linker build and
+    // the swap, well inside the slowed batch.
+    wiki::KnowledgeBase other =
+        SyntheticKb(options.wiki.seed + 1, options.wiki.num_domains);
+    other.Freeze();
+    std::unique_ptr<serve::Server> server;
+    if (through_server) {
+      serve::ServerOptions serving;
+      serving.num_threads = 1;
+      server = std::make_unique<serve::Server>(engine, serving);
+    }
+
+    common::FaultInjector::Global().Configure(
+        /*seed=*/5, {{"expansion.enumeration", slow}});
+    const size_t before = engine.stats().expand_calls;
+    auto batch = std::async(std::launch::async, [&] {
+      return server != nullptr ? server->QueryBatch(requests)
+                               : engine.QueryBatch(requests);
+    });
+    // Publish once item 0 has expanded.
+    while (engine.stats().expand_calls == before &&
+           batch.wait_for(std::chrono::milliseconds(0)) !=
+               std::future_status::ready) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    const Status published = engine.PublishSnapshot(std::move(other));
+    const size_t done_at_publish = engine.stats().expand_calls - before;
+    Result<std::vector<api::QueryResponse>> during = batch.get();
+    common::FaultInjector::Global().Disable();
+
+    ASSERT_TRUE(published.ok()) << published;
+    ASSERT_TRUE(during.ok()) << during.status();
+    // At least two items were unfinished when the publish returned, so at
+    // least one of them started after it.
+    EXPECT_GE(done_at_publish, 1u);
+    EXPECT_LE(done_at_publish, requests.size() - 2);
+    auto after = engine.QueryBatch(requests);
+    ASSERT_TRUE(after.ok()) << after.status();
+    ASSERT_EQ(during->size(), requests.size());
+    size_t changed_after_publish = 0;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const api::QueryResponse& got = (*during)[i];
+      EXPECT_EQ(got.docs, reference[i].docs) << "item " << i;
+      EXPECT_EQ(got.expansion.titles, reference[i].expansion.titles)
+          << "item " << i;
+      EXPECT_EQ(got.expansion.feature_articles,
+                reference[i].expansion.feature_articles)
+          << "item " << i;
+      // The same batch on the new epoch: a mixed batch would be visible
+      // only if an item that started after the publish answers
+      // differently there.
+      if (i > done_at_publish &&
+          (*after)[i].expansion.titles != reference[i].expansion.titles) {
+        ++changed_after_publish;
+      }
+    }
+    EXPECT_GE(changed_after_publish, 1u);
+  }
 }
 
 }  // namespace
