@@ -19,7 +19,7 @@ using namespace wqe;
 int main() {
   const bench::BenchContext& ctx = bench::GetBenchContext();
   auto report = analysis::ComputeArticleFrequencyCorrelation(
-      *ctx.pipeline, ctx.gt, ctx.analyses);
+      *ctx.bed, ctx.gt, ctx.analyses);
   WQE_CHECK_OK(report.status());
 
   TablePrinter table("E12 — article cycle-frequency vs expansion goodness");

@@ -25,20 +25,13 @@ uint32_t EnvOr(const char* name, uint32_t fallback) {
 
 }  // namespace
 
-groundtruth::PipelineOptions BenchPipelineOptions() {
-  groundtruth::PipelineOptions options;
+api::TestbedOptions BenchTestbedOptions() {
+  api::TestbedOptions options;
   options.wiki.num_domains = EnvOr("WQE_BENCH_DOMAINS", 50);
   options.wiki.seed = EnvOr("WQE_BENCH_SEED", 42);
   options.track.num_topics = EnvOr("WQE_BENCH_TOPICS", 50);
   options.track.seed = options.wiki.seed + 7;
-  // Analysis parallelism (the per-topic fan-out); results are
-  // bit-identical at any setting, so this only moves wall-clock.
-  options.num_threads = EnvOr("WQE_BENCH_THREADS", 1);
   return options;
-}
-
-api::TestbedOptions BenchTestbedOptions() {
-  return api::TestbedOptions::FromPipelineOptions(BenchPipelineOptions());
 }
 
 void AddEvaluationRow(const api::SystemEvaluation& eval,
@@ -113,20 +106,13 @@ const api::Testbed& GetBenchTestbed() {
 const BenchContext& GetBenchContext() {
   static const BenchContext* kContext = [] {
     auto* ctx = new BenchContext();
+    ctx->bed = &GetBenchTestbed();
+
     Stopwatch watch;
-    groundtruth::PipelineOptions options = BenchPipelineOptions();
-
-    auto pipeline = groundtruth::Pipeline::Build(options);
-    WQE_CHECK_OK(pipeline.status());
-    ctx->pipeline = std::move(*pipeline);
-    WQE_LOG(Info) << "bench context: pipeline built in "
-                  << watch.ElapsedSeconds() << "s";
-
-    watch.Reset();
     groundtruth::XqOptimizerOptions xq;
     xq.restarts = 1;
     xq.enable_swap = false;  // ADD/REMOVE climbs well; SWAP is O(|A'|·|C|)
-    groundtruth::GroundTruthBuilder builder(ctx->pipeline.get(), xq);
+    groundtruth::GroundTruthBuilder builder(ctx->bed, xq);
     auto gt = builder.Build();
     WQE_CHECK_OK(gt.status());
     ctx->gt = std::move(*gt);
@@ -134,7 +120,12 @@ const BenchContext& GetBenchContext() {
                   << watch.ElapsedSeconds() << "s";
 
     watch.Reset();
-    analysis::QueryGraphAnalyzer analyzer(ctx->pipeline.get(), &ctx->gt);
+    // Analysis parallelism (the per-topic fan-out); results are
+    // bit-identical at any setting, so this only moves wall-clock.
+    analysis::AnalyzerOptions analyzer_options;
+    analyzer_options.num_threads = EnvOr("WQE_BENCH_THREADS", 1);
+    analysis::QueryGraphAnalyzer analyzer(ctx->bed, &ctx->gt,
+                                          analyzer_options);
     auto analyses = analyzer.AnalyzeAll();
     WQE_CHECK_OK(analyses.status());
     ctx->analyses = std::move(*analyses);

@@ -3,9 +3,10 @@
 /// \file bench_common.h
 /// \brief Shared experiment context for the paper-reproduction benches.
 ///
-/// Every table/figure bench builds the same full-size pipeline (50 topics,
-/// as in ImageCLEF 2011), constructs the §2 ground truth, and runs the §3
-/// analysis once; the context is cached across benches within a binary.
+/// Every table/figure bench builds the same full-size `api::Testbed` (50
+/// topics, as in ImageCLEF 2011), constructs the §2 ground truth, and runs
+/// the §3 analysis once on it; both are cached within a binary, so a bench
+/// that also serves expansion systems builds the experiment once.
 ///
 /// Environment overrides (useful for quick runs):
 ///   WQE_BENCH_TOPICS   — number of topics (default 50)
@@ -14,7 +15,6 @@
 ///   WQE_BENCH_THREADS  — analysis threads for the §3 topic fan-out
 ///                        (default 1; output identical at any setting)
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,13 +23,12 @@
 #include "api/testbed.h"
 #include "common/table_printer.h"
 #include "groundtruth/ground_truth.h"
-#include "groundtruth/pipeline.h"
 
 namespace wqe::bench {
 
 /// \brief Materialized experiment state shared by the benches.
 struct BenchContext {
-  std::unique_ptr<groundtruth::Pipeline> pipeline;
+  const api::Testbed* bed = nullptr;  ///< `&GetBenchTestbed()`
   groundtruth::GroundTruth gt;
   std::vector<analysis::TopicAnalysis> analyses;
 };
@@ -38,17 +37,13 @@ struct BenchContext {
 /// benches have no meaningful degraded mode.
 const BenchContext& GetBenchContext();
 
-/// \brief The pipeline options the context was built with (after env
-/// overrides); exposed so perf benches can build scaled variants.
-groundtruth::PipelineOptions BenchPipelineOptions();
-
-/// \brief The same experiment as an `api::Testbed` (engine + evaluation
-/// topics), built lazily with the same seeds/sizes as `GetBenchContext` —
-/// the generators are deterministic, so the two views hold identical
-/// content.  Expansion-system benches serve through this facade.
+/// \brief The experiment (engine + evaluation topics), built once per
+/// binary from `BenchTestbedOptions()`.  Expansion-system benches serve
+/// through it; `GetBenchContext` analyzes it.
 const api::Testbed& GetBenchTestbed();
 
-/// \brief The testbed options matching `BenchPipelineOptions()`.
+/// \brief The testbed options the experiment is built with (after env
+/// overrides); exposed so perf benches can build scaled variants.
 api::TestbedOptions BenchTestbedOptions();
 
 /// \brief Appends a system/variant row in the shared E10/E11 table format

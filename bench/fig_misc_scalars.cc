@@ -15,7 +15,7 @@ using namespace wqe;
 int main() {
   const bench::BenchContext& ctx = bench::GetBenchContext();
   analysis::MiscScalars scalars =
-      analysis::ComputeMiscScalars(*ctx.pipeline, ctx.analyses);
+      analysis::ComputeMiscScalars(*ctx.bed, ctx.analyses);
 
   TablePrinter table("Section 3 scalars");
   table.SetHeader({"metric", "measured", "paper"});
@@ -27,11 +27,11 @@ int main() {
                 FormatDouble(scalars.mean_graph_size, 2), "208.22"});
   table.Print();
 
+  const wiki::KnowledgeBase& kb = ctx.bed->kb();
   std::printf(
       "\nknowledge base: %zu articles, %zu categories, %zu redirects, %zu "
       "edges\n",
-      ctx.pipeline->kb().num_articles(), ctx.pipeline->kb().num_categories(),
-      ctx.pipeline->kb().num_redirects(),
-      ctx.pipeline->kb().graph().num_edges());
+      kb.num_articles(), kb.num_categories(), kb.num_redirects(),
+      kb.csr().num_edges());
   return 0;
 }

@@ -81,7 +81,7 @@ int main() {
   // the KB itself is built directly so this binary does not pay for
   // topics/ground truth it never touches.
   wiki::SyntheticWikipediaOptions options;
-  options.num_domains = bench::BenchPipelineOptions().wiki.num_domains;
+  options.num_domains = bench::BenchTestbedOptions().wiki.num_domains;
   auto wiki = wiki::GenerateSyntheticWikipedia(options);
   WQE_CHECK_OK(wiki.status());
   wiki::KnowledgeBase& kb = wiki->kb;

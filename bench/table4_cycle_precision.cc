@@ -19,7 +19,7 @@ using namespace wqe;
 
 int main() {
   const bench::BenchContext& ctx = bench::GetBenchContext();
-  auto rows = analysis::ComputeTable4(*ctx.pipeline, ctx.gt, ctx.analyses);
+  auto rows = analysis::ComputeTable4(*ctx.bed, ctx.gt, ctx.analyses);
   WQE_CHECK_OK(rows.status());
 
   static const char* kPaper[] = {

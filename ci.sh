@@ -23,6 +23,13 @@ run_tier1() {
   set +x
 }
 
+# The paper reproductions: every table, figure and ablation bench.
+PAPER_BENCHES="table2_groundtruth_precision table3_component_stats
+  table4_cycle_precision fig5_contribution fig6_cycle_counts
+  fig7a_category_ratio fig7b_extra_edge_density
+  fig9_density_vs_contribution fig_misc_scalars ablation_expansion_systems
+  ablation_cycle_filters ablation_article_frequency"
+
 # Bench smoke: Release tree (the perf numbers people quote), smallest
 # cycle-enumeration configs (CSR and legacy), the smallest
 # cycle-scoring config (whose setup hard-asserts the ball-local scorer
@@ -32,7 +39,9 @@ run_tier1() {
 # hard-asserts bit-identical graphs across all startup paths and a
 # >= 10x mmap-vs-rebuild speedup), hard-failing on crash or malformed
 # JSON so the perf benches and their machine-readable output can't
-# silently rot.
+# silently rot.  Then every PAPER_BENCHES binary at 12 domains / 8
+# topics: each builds the whole experiment and aborts on any internal
+# inconsistency, so it must exit 0 and print its table.
 #
 # Set WQE_WRITE_BASELINE=1 to install this run's BENCH_*.json files into
 # bench/baselines/ instead of gating against them — only do this on a
@@ -41,9 +50,7 @@ run_bench() {
   set -x
   cmake -B build-bench -S . -DWQE_WERROR=ON -DCMAKE_BUILD_TYPE=Release \
     -DWQE_BUILD_TESTS=OFF -DWQE_BUILD_EXAMPLES=OFF
-  cmake --build build-bench -j "$(nproc)" --target wqe_bench_perf_cycle_enumeration \
-    --target wqe_bench_perf_ball_pruning \
-    --target wqe_bench_perf_snapshot_load
+  cmake --build build-bench -j "$(nproc)"
   cd build-bench
   ./wqe_bench_perf_cycle_enumeration \
     --benchmark_filter='BM_CycleEnumerationBall(Legacy)?/3/100$|BM_CycleScoring(Oracle)?/100$' \
@@ -66,6 +73,17 @@ assert any(r['metric'] == 'speedup_vs_oracle' for r in results), \
     'missing scorer-vs-oracle speedup record'
 print(f'bench smoke OK: {len(results)} records')
 EOF
+  for bench in $PAPER_BENCHES; do
+    if ! out=$(WQE_BENCH_DOMAINS=12 WQE_BENCH_TOPICS=8 "./wqe_bench_$bench"); then
+      echo "ci.sh bench: wqe_bench_$bench failed" >&2
+      exit 1
+    fi
+    if [ -z "$out" ]; then
+      echo "ci.sh bench: wqe_bench_$bench printed nothing" >&2
+      exit 1
+    fi
+    echo "paper bench $bench OK"
+  done
   # Bench trajectory: the comparator always self-checks (a file must never
   # regress against itself), and gates against a committed baseline when
   # one is present (use `WQE_WRITE_BASELINE=1 ./ci.sh bench` — or

@@ -11,6 +11,7 @@
 
 #include "analysis/paper_report.h"
 #include "analysis/query_graph_analysis.h"
+#include "api/testbed.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "groundtruth/ground_truth.h"
@@ -20,20 +21,20 @@ using namespace wqe;
 int main(int argc, char** argv) {
   size_t topic_index = argc > 1 ? static_cast<size_t>(std::atol(argv[1])) : 0;
 
-  groundtruth::PipelineOptions options;
+  api::TestbedOptions options;
   options.wiki.num_domains = 24;
   options.track.num_topics = 12;
   options.track.background_docs = 400;
-  auto pipeline_result = groundtruth::Pipeline::Build(options);
-  WQE_CHECK_OK(pipeline_result.status());
-  const groundtruth::Pipeline& p = **pipeline_result;
-  if (topic_index >= p.num_topics()) topic_index = 0;
+  auto bed_result = api::Testbed::Build(options);
+  WQE_CHECK_OK(bed_result.status());
+  const api::Testbed& bed = **bed_result;
+  if (topic_index >= bed.num_topics()) topic_index = 0;
 
-  groundtruth::GroundTruthBuilder builder(&p);
+  groundtruth::GroundTruthBuilder builder(&bed);
   auto entry = builder.BuildEntry(topic_index);
   WQE_CHECK_OK(entry.status());
 
-  const wiki::KnowledgeBase& kb = p.kb();
+  const wiki::KnowledgeBase& kb = bed.kb();
   std::cout << "query " << entry->topic_id << ": \"" << entry->keywords
             << "\"\n";
   std::cout << "L(q.k):";
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   // Build a one-topic ground truth so the analyzer can run on it.
   groundtruth::GroundTruth gt;
   gt.entries.push_back(std::move(*entry));
-  analysis::QueryGraphAnalyzer analyzer(&p, &gt);
+  analysis::QueryGraphAnalyzer analyzer(&bed, &gt);
   auto a = analyzer.Analyze(0);
   WQE_CHECK_OK(a.status());
 
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < r.cycle.nodes.size(); ++i) {
         graph::NodeId n = r.cycle.nodes[i];
         if (i > 0) std::cout << " - ";
-        std::cout << (kb.graph().IsCategory(n) ? "c:" : "")
+        std::cout << (kb.csr().IsCategory(n) ? "c:" : "")
                   << kb.display_title(n);
       }
       std::printf(")  cat-ratio %.2f, density %.2f, contribution %+.1f\n",

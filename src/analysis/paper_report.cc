@@ -1,6 +1,7 @@
 #include "analysis/paper_report.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -53,9 +54,13 @@ const std::vector<std::vector<uint32_t>>& Table4Configurations() {
 }
 
 Result<std::vector<Table4Row>> ComputeTable4(
-    const groundtruth::Pipeline& pipeline,
+    const api::Testbed& bed,
     const groundtruth::GroundTruth& gt,
     const std::vector<TopicAnalysis>& analyses) {
+  const std::shared_ptr<const api::GraphSnapshot> snapshot =
+      bed.engine().CurrentSnapshot();
+  const wiki::KnowledgeBase& kb = snapshot->kb;
+  const ir::SearchEngine& search = bed.engine().search_engine();
   const std::vector<size_t>& cutoffs = ir::PaperRankCutoffs();
   std::vector<Table4Row> rows;
 
@@ -80,22 +85,22 @@ Result<std::vector<Table4Row>> ComputeTable4(
       }
       std::vector<std::string> titles;
       for (graph::NodeId q : entry.query_articles) {
-        titles.push_back(pipeline.kb().display_title(q));
+        titles.push_back(kb.display_title(q));
         feature_set.erase(q);
       }
       for (graph::NodeId f : feature_set) {
-        titles.push_back(pipeline.kb().display_title(f));
+        titles.push_back(kb.display_title(f));
       }
       if (titles.empty()) continue;
 
-      auto results = pipeline.engine().SearchTitles(titles, 15);
+      auto results = search.SearchTitles(titles, 15);
       if (!results.ok()) {
         if (results.status().IsInvalidArgument()) continue;
         return results.status();
       }
+      const ir::RelevantSet& relevant = bed.relevant(entry.topic_index);
       for (size_t c = 0; c < cutoffs.size(); ++c) {
-        sums[c] += ir::PrecisionAtR(*results, pipeline.relevant(t),
-                                    cutoffs[c]);
+        sums[c] += ir::PrecisionAtR(*results, relevant, cutoffs[c]);
       }
       ++counted;
     }
@@ -211,22 +216,26 @@ Fig9Report ComputeFig9(const std::vector<TopicAnalysis>& analyses,
 }
 
 Result<ArticleFrequencyReport> ComputeArticleFrequencyCorrelation(
-    const groundtruth::Pipeline& pipeline,
+    const api::Testbed& bed,
     const groundtruth::GroundTruth& gt,
     const std::vector<TopicAnalysis>& analyses) {
-  groundtruth::XqOptimizer evaluator(&pipeline.engine(), &pipeline.kb());
+  const std::shared_ptr<const api::GraphSnapshot> snapshot =
+      bed.engine().CurrentSnapshot();
+  const graph::CsrGraph& csr = snapshot->kb.csr();
+  groundtruth::XqOptimizer evaluator(&bed.engine().search_engine(),
+                                     &snapshot->kb);
   std::vector<double> freqs, gains;
 
   for (size_t t = 0; t < analyses.size(); ++t) {
     const TopicAnalysis& a = analyses[t];
     const groundtruth::GroundTruthEntry& entry = gt.entries[t];
-    const size_t track_index = entry.topic_index;
+    const ir::RelevantSet& relevant = bed.relevant(entry.topic_index);
 
     // Cycle frequency of every non-query article.
     std::unordered_map<graph::NodeId, uint32_t> frequency;
     for (const CycleRecord& r : a.cycles) {
       for (graph::NodeId n : r.cycle.nodes) {
-        if (!pipeline.kb().graph().IsArticle(n)) continue;
+        if (!csr.IsArticle(n)) continue;
         if (std::find(entry.query_articles.begin(),
                       entry.query_articles.end(),
                       n) != entry.query_articles.end()) {
@@ -239,15 +248,12 @@ Result<ArticleFrequencyReport> ComputeArticleFrequencyCorrelation(
 
     WQE_ASSIGN_OR_RETURN(
         double baseline,
-        evaluator.EvaluateArticles(entry.query_articles,
-                                   pipeline.relevant(track_index)));
+        evaluator.EvaluateArticles(entry.query_articles, relevant));
     for (const auto& [article, freq] : frequency) {
       std::vector<graph::NodeId> with_article = entry.query_articles;
       with_article.push_back(article);
-      WQE_ASSIGN_OR_RETURN(
-          double quality,
-          evaluator.EvaluateArticles(with_article,
-                                     pipeline.relevant(track_index)));
+      WQE_ASSIGN_OR_RETURN(double quality,
+                           evaluator.EvaluateArticles(with_article, relevant));
       freqs.push_back(static_cast<double>(freq));
       gains.push_back(100.0 * (quality - baseline));
     }
@@ -278,7 +284,7 @@ Result<ArticleFrequencyReport> ComputeArticleFrequencyCorrelation(
   return report;
 }
 
-MiscScalars ComputeMiscScalars(const groundtruth::Pipeline& pipeline,
+MiscScalars ComputeMiscScalars(const api::Testbed& bed,
                                const std::vector<TopicAnalysis>& analyses) {
   MiscScalars scalars;
   std::vector<double> tprs, sizes;
@@ -288,8 +294,9 @@ MiscScalars ComputeMiscScalars(const groundtruth::Pipeline& pipeline,
   }
   scalars.mean_largest_cc_tpr = Mean(tprs);
   scalars.mean_graph_size = Mean(sizes);
-  scalars.reciprocal_link_rate =
-      graph::ReciprocalLinkRate(pipeline.kb().csr());
+  const std::shared_ptr<const api::GraphSnapshot> snapshot =
+      bed.engine().CurrentSnapshot();
+  scalars.reciprocal_link_rate = graph::ReciprocalLinkRate(snapshot->kb.csr());
   return scalars;
 }
 

@@ -3,14 +3,16 @@
 /// \file paper_report.h
 /// \brief Aggregations reproducing every table and figure of the paper.
 ///
-/// Each `ComputeX` maps per-topic analyses (and, where retrieval is
-/// involved, the pipeline) to exactly the numbers the paper reports:
+/// Each `ComputeX` maps per-topic analyses (and, where retrieval or the
+/// KB is involved, the testbed) to exactly the numbers the paper reports:
 /// Table 2 (ground-truth precision stats), Table 3 (largest-CC stats),
 /// Table 4 (precision by cycle-length configuration), Figure 5
 /// (contribution vs length), Figure 6 (cycle counts vs length), Figures
 /// 7a/7b (category ratio and extra-edge density vs length), Figure 9
 /// (density vs contribution), and the §3 scalars (TPR, reciprocal-pair
-/// rate, average graph size).
+/// rate, average graph size).  A `ComputeX` that takes the testbed pins
+/// its engine's snapshot once per call and never reads the KB's builder
+/// graph, so a KB loaded from a snapshot file reports the same numbers.
 
 #include <array>
 #include <vector>
@@ -48,8 +50,10 @@ struct Table4Row {
 /// {2,3,4},{2,3,4,5}.
 const std::vector<std::vector<uint32_t>>& Table4Configurations();
 
+/// Each analysis is scored against the qrels of its ground-truth entry's
+/// own track topic (`topic_index`), so a partial ground truth works.
 Result<std::vector<Table4Row>> ComputeTable4(
-    const groundtruth::Pipeline& pipeline,
+    const api::Testbed& bed,
     const groundtruth::GroundTruth& gt,
     const std::vector<TopicAnalysis>& analyses);
 
@@ -98,7 +102,7 @@ struct ArticleFrequencyReport {
 };
 
 Result<ArticleFrequencyReport> ComputeArticleFrequencyCorrelation(
-    const groundtruth::Pipeline& pipeline,
+    const api::Testbed& bed,
     const groundtruth::GroundTruth& gt,
     const std::vector<TopicAnalysis>& analyses);
 
@@ -108,7 +112,7 @@ struct MiscScalars {
   double reciprocal_link_rate = 0.0;  ///< paper: 0.1147
   double mean_graph_size = 0.0;       ///< paper: 208.22 nodes
 };
-MiscScalars ComputeMiscScalars(const groundtruth::Pipeline& pipeline,
+MiscScalars ComputeMiscScalars(const api::Testbed& bed,
                                const std::vector<TopicAnalysis>& analyses);
 
 }  // namespace wqe::analysis

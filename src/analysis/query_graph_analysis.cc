@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -19,18 +20,6 @@ size_t TopicAnalysis::CountCycles(uint32_t length) const {
   return n;
 }
 
-QueryGraphAnalyzer::QueryGraphAnalyzer(const groundtruth::Pipeline* pipeline,
-                                       const groundtruth::GroundTruth* gt,
-                                       AnalyzerOptions options)
-    : pipeline_(pipeline), gt_(gt), options_(options) {
-  // 0 = inherit: the pipeline is the fixture that knows how much hardware
-  // the experiment may use; explicit analyzer options always win.
-  if (options_.num_threads == 0) {
-    options_.num_threads = pipeline_->num_threads();
-  }
-  if (options_.pool == nullptr) options_.pool = pipeline_->pool();
-}
-
 Result<TopicAnalysis> QueryGraphAnalyzer::Analyze(size_t topic_index) const {
   if (topic_index >= gt_->entries.size()) {
     return Status::OutOfRange("topic index ", topic_index, " out of range");
@@ -38,12 +27,16 @@ Result<TopicAnalysis> QueryGraphAnalyzer::Analyze(size_t topic_index) const {
   const groundtruth::GroundTruthEntry& entry = gt_->entries[topic_index];
   // Qrels are looked up by the entry's own track index, which may differ
   // from its position in this (possibly partial) ground truth.
-  const size_t track_index = entry.topic_index;
+  const ir::RelevantSet& relevant = bed_->relevant(entry.topic_index);
   const groundtruth::QueryGraph& qg = entry.graph;
+  // One pin for the whole topic (see api::Engine::kb).
+  const std::shared_ptr<const api::GraphSnapshot> snapshot =
+      bed_->engine().CurrentSnapshot();
+  const wiki::KnowledgeBase& kb = snapshot->kb;
   // The query graph's structure is analyzed as an induced slice of the
   // KB's frozen snapshot — no per-topic adjacency re-materialization; the
   // view's locals map straight back to KB node ids.
-  const graph::CsrGraph& csr = pipeline_->kb().csr();
+  const graph::CsrGraph& csr = kb.csr();
   graph::UndirectedView view(csr, qg.sub.to_parent);
 
   TopicAnalysis out;
@@ -105,11 +98,10 @@ Result<TopicAnalysis> QueryGraphAnalyzer::Analyze(size_t topic_index) const {
 
   // Contribution: O(L(q.k) ∪ articles(C)) vs O(L(q.k)); categories in C are
   // ignored (paper footnote 3). Memoized by article set.
-  groundtruth::XqOptimizer evaluator(&pipeline_->engine(), &pipeline_->kb());
+  groundtruth::XqOptimizer evaluator(&bed_->engine().search_engine(), &kb);
   WQE_ASSIGN_OR_RETURN(
       out.baseline_quality,
-      evaluator.EvaluateArticles(entry.query_articles,
-                                 pipeline_->relevant(track_index)));
+      evaluator.EvaluateArticles(entry.query_articles, relevant));
 
   std::unordered_map<std::string, double> memo;
   size_t scored = 0;
@@ -165,9 +157,8 @@ Result<TopicAnalysis> QueryGraphAnalyzer::Analyze(size_t topic_index) const {
       if (it != memo.end()) {
         quality = it->second;
       } else {
-        WQE_ASSIGN_OR_RETURN(
-            quality, evaluator.EvaluateArticles(
-                         with_cycle, pipeline_->relevant(track_index)));
+        WQE_ASSIGN_OR_RETURN(quality,
+                             evaluator.EvaluateArticles(with_cycle, relevant));
         memo.emplace(std::move(key), quality);
       }
       // "Percentual difference" interpreted as percentage points of O

@@ -9,18 +9,23 @@
 /// and its *contribution* — the change of O (Equation 1) when the cycle's
 /// articles are added to the query, in percentage points (Figure 5/9
 /// inputs; the paper's "percentual difference" read as points keeps
-/// topics with different baselines comparable).
+/// topics with different baselines comparable).  Structure is read from the
+/// testbed engine's published snapshot, retrieval from its index.
 
 #include <array>
 #include <vector>
 
+#include "api/testbed.h"
 #include "common/result.h"
 #include "graph/connected_components.h"
 #include "graph/cycle_metrics.h"
 #include "graph/cycles.h"
 #include "graph/triangles.h"
 #include "groundtruth/ground_truth.h"
-#include "groundtruth/pipeline.h"
+
+namespace wqe::serve {
+class ThreadPool;  // fwd: the analyzer only borrows a pool
+}  // namespace wqe::serve
 
 namespace wqe::analysis {
 
@@ -71,38 +76,41 @@ struct AnalyzerOptions {
   /// *counts* (Fig 6) always use the full enumeration.
   size_t max_scored_cycles = 4000;
 
-  /// Threads for `AnalyzeAll`'s topic fan-out: 1 = sequential, 0
-  /// (default) = inherit the pipeline's `num_threads` knob.  Each topic
-  /// is analyzed sequentially by the thread that claims it; `Analyze`
-  /// is always sequential.
-  uint32_t num_threads = 0;
-  /// Pool to run on (borrowed); null inherits the pipeline's pool, and a
-  /// transient pool is spawned when neither exists.
+  /// Threads for `AnalyzeAll`'s topic fan-out: 1 = sequential (default),
+  /// 0 = auto (see serve::EffectiveParallelism).  Each topic is analyzed
+  /// sequentially by the thread that claims it; `Analyze` is always
+  /// sequential.
+  uint32_t num_threads = 1;
+  /// Pool to run on (borrowed); null spawns a transient pool per
+  /// `AnalyzeAll` call that fans out.
   serve::ThreadPool* pool = nullptr;
 };
 
-/// \brief Per-topic analyzer bound to a pipeline + ground truth.
-/// Analysis calls are const and thread-safe (the pipeline is immutable
-/// after Build).
+/// \brief Per-topic analyzer bound to a testbed + ground truth.
+/// Analysis calls are const and thread-safe (the testbed is immutable
+/// after Build, and each call pins the graph epoch it reads).
 class QueryGraphAnalyzer {
  public:
-  QueryGraphAnalyzer(const groundtruth::Pipeline* pipeline,
+  QueryGraphAnalyzer(const api::Testbed* bed,
                      const groundtruth::GroundTruth* gt,
-                     AnalyzerOptions options = {});
+                     AnalyzerOptions options = {})
+      : bed_(bed), gt_(gt), options_(options) {}
 
-  /// \brief Full analysis of one topic.
+  /// \brief Full analysis of one topic (by index into the ground truth).
+  /// Pins the engine's snapshot once, so the whole topic reads one graph
+  /// epoch.
   Result<TopicAnalysis> Analyze(size_t topic_index) const;
 
   /// \brief Analyses for all topics.  With `num_threads != 1` topics run
   /// in parallel; output is element-wise identical to the sequential run
   /// (each topic's analysis is a pure function of the immutable
-  /// pipeline), and on failure the lowest failing topic index reports —
+  /// testbed), and on failure the lowest failing topic index reports —
   /// the same error a sequential run would surface first.  Called from a
   /// pool worker, it runs sequentially (see serve::EffectiveParallelism).
   Result<std::vector<TopicAnalysis>> AnalyzeAll() const;
 
  private:
-  const groundtruth::Pipeline* pipeline_;
+  const api::Testbed* bed_;
   const groundtruth::GroundTruth* gt_;
   AnalyzerOptions options_;
 };

@@ -8,16 +8,6 @@
 
 namespace wqe::api {
 
-TestbedOptions TestbedOptions::FromPipelineOptions(
-    const groundtruth::PipelineOptions& base) {
-  TestbedOptions options;
-  options.wiki = base.wiki;
-  options.track = base.track;
-  options.engine.search = base.engine;
-  options.engine.linker = base.linker;
-  return options;
-}
-
 Result<std::unique_ptr<Testbed>> Testbed::Build(
     const TestbedOptions& options) {
   std::unique_ptr<Testbed> bed(new Testbed());

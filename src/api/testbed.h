@@ -7,9 +7,11 @@
 /// track, builds an Engine over them (KB + linker + indexed metadata
 /// text), and keeps the evaluation fixture — topics, resolved relevance
 /// judgments, and the generator's planted provenance — next to it.  This
-/// is what examples, benches and tests build instead of hand-wiring
-/// `groundtruth::Pipeline` (which remains as the internal fixture of the
-/// §2/§3 ground-truth and analysis machinery).
+/// is the one experiment fixture: §4's expansion systems serve through
+/// its engine, and the §2/§3 machinery (`groundtruth::GroundTruthBuilder`,
+/// `analysis::QueryGraphAnalyzer`, the `analysis::paper_report`
+/// aggregations) reads the engine's published snapshot and retrieval
+/// index.  Nothing here depends on those layers.
 
 #include <memory>
 #include <vector>
@@ -19,7 +21,6 @@
 #include "clef/track.h"
 #include "clef/track_generator.h"
 #include "common/result.h"
-#include "groundtruth/pipeline.h"
 #include "ir/eval.h"
 #include "wiki/synthetic.h"
 
@@ -30,12 +31,6 @@ struct TestbedOptions {
   wiki::SyntheticWikipediaOptions wiki;
   clef::TrackGeneratorOptions track;
   EngineOptions engine;
-
-  /// \brief The testbed equivalent of a `groundtruth::PipelineOptions`, so
-  /// callers holding both views of one experiment (the facade and the §2/§3
-  /// fixture) map the options in exactly one place.
-  static TestbedOptions FromPipelineOptions(
-      const groundtruth::PipelineOptions& base);
 };
 
 /// \brief Engine + evaluation fixture (immutable after Build).

@@ -2,30 +2,7 @@
 
 #include <algorithm>
 
-#include "common/macros.h"
-
 namespace wqe::graph {
-
-InducedSubgraph Induce(const PropertyGraph& graph,
-                       const std::vector<NodeId>& nodes) {
-  InducedSubgraph sub;
-  for (NodeId parent : nodes) {
-    if (sub.to_local.count(parent)) continue;
-    NodeId local = sub.graph.AddNode(graph.kind(parent), graph.label(parent));
-    sub.to_local.emplace(parent, local);
-    sub.to_parent.push_back(parent);
-  }
-  for (NodeId parent : sub.to_parent) {
-    NodeId lsrc = sub.to_local.at(parent);
-    for (const Edge& e : graph.OutEdges(parent)) {
-      auto it = sub.to_local.find(e.dst);
-      if (it == sub.to_local.end()) continue;
-      // Parent graph enforces schema and uniqueness, so this cannot fail.
-      WQE_CHECK_OK(sub.graph.AddEdge(lsrc, it->second, e.kind));
-    }
-  }
-  return sub;
-}
 
 NodeId CsrSubgraph::Local(NodeId parent_id) const {
   auto it = std::lower_bound(to_parent.begin(), to_parent.end(), parent_id);

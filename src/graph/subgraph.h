@@ -4,48 +4,24 @@
 /// \brief Induced-subgraph extraction (query graph assembly, §2.3).
 ///
 /// A query graph G(q) is the subgraph of Wikipedia induced by X(q), the
-/// main articles of redirects, and their categories.  The extraction keeps
-/// a mapping back to the parent graph so analysis results can be reported
-/// in terms of the original ids/labels.
+/// main articles of redirects, and their categories.  The extraction
+/// slices a frozen `CsrGraph` snapshot and keeps a mapping back to it, so
+/// analysis results can be reported in terms of the original ids; labels
+/// are read through the KB.
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/csr.h"
-#include "graph/graph.h"
 
 namespace wqe::graph {
 
-/// \brief An induced subgraph plus the node-id mapping to its parent.
-struct InducedSubgraph {
-  PropertyGraph graph;
-  /// Local node id → parent node id.
-  std::vector<NodeId> to_parent;
-  /// Parent node id → local node id.
-  std::unordered_map<NodeId, NodeId> to_local;
-
-  /// \brief Maps a parent id, or kInvalidNode when not included.
-  NodeId Local(NodeId parent_id) const {
-    auto it = to_local.find(parent_id);
-    return it == to_local.end() ? kInvalidNode : it->second;
-  }
-};
-
-/// \brief Builds the subgraph of `graph` induced by `nodes` (duplicates
-/// ignored; order of first occurrence preserved). All edges of all kinds
-/// between included nodes are copied.  This is the *labeled* extraction —
-/// consumers that only need structure use `InduceCsr` below and skip the
-/// `PropertyGraph` copy entirely.
-InducedSubgraph Induce(const PropertyGraph& graph,
-                       const std::vector<NodeId>& nodes);
-
 /// \brief Label-free CSR-native induced subgraph: local directed rows
 /// sliced straight off a frozen snapshot's sorted out-rows by two-pointer
-/// intersection with the sorted member list — no `PropertyGraph` copy, no
-/// hash maps, no per-edge schema re-checks.  Local ids ascend with parent
-/// ids (the same convention as `UndirectedView` subsets), so structural
-/// results transfer between the two without translation.
+/// intersection with the sorted member list — no hash maps, no per-edge
+/// schema re-checks.  Local ids ascend with parent ids (the same
+/// convention as `UndirectedView` subsets), so structural results
+/// transfer between the two without translation.
 struct CsrSubgraph {
   const CsrGraph* parent = nullptr;
   /// Local node id → parent node id; sorted ascending (the member list).

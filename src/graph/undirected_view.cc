@@ -4,35 +4,16 @@
 
 namespace wqe::graph {
 
-UndirectedView::UndirectedView(const CsrGraph& csr,
-                               UndirectedViewOptions options)
-    : csr_(&csr), options_(options) {
-  if (!options_.include_redirects) {
-    // Whole-graph default view: pure offset slicing of the snapshot.
-    num_nodes_ = csr_->num_nodes();
-    num_pairs_ = csr_->num_und_pairs();
-    return;
-  }
-  BuildFromDirectedRows({}, /*whole_graph=*/true);
-}
+UndirectedView::UndirectedView(const CsrGraph& csr)
+    : csr_(&csr),
+      num_nodes_(csr.num_nodes()),
+      num_pairs_(csr.num_und_pairs()) {}
 
 UndirectedView::UndirectedView(const CsrGraph& csr,
-                               const std::vector<NodeId>& nodes,
-                               UndirectedViewOptions options)
-    : csr_(&csr), options_(options) {
-  if (!options_.include_redirects) {
-    BuildSubsetFromUndCsr(nodes);
-  } else {
-    BuildFromDirectedRows(nodes, /*whole_graph=*/false);
-  }
-}
-
-void UndirectedView::BuildSubsetFromUndCsr(std::vector<NodeId> nodes) {
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  global_ = std::move(nodes);
-  subset_ = true;
-  owned_ = true;
+                               const std::vector<NodeId>& nodes)
+    : csr_(&csr), subset_(true), global_(nodes) {
+  std::sort(global_.begin(), global_.end());
+  global_.erase(std::unique(global_.begin(), global_.end()), global_.end());
   num_nodes_ = static_cast<uint32_t>(global_.size());
 
   offsets_.reserve(num_nodes_ + 1);
@@ -55,60 +36,6 @@ void UndirectedView::BuildSubsetFromUndCsr(std::vector<NodeId> nodes) {
         ++i;
         ++m;
       }
-    }
-    offsets_.push_back(neighbors_.size());
-  }
-  num_pairs_ = neighbors_.size() / 2;
-}
-
-void UndirectedView::BuildFromDirectedRows(std::vector<NodeId> nodes,
-                                           bool whole_graph) {
-  owned_ = true;
-  if (whole_graph) {
-    num_nodes_ = csr_->num_nodes();
-  } else {
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    global_ = std::move(nodes);
-    subset_ = true;
-    num_nodes_ = static_cast<uint32_t>(global_.size());
-  }
-  auto to_local = [&](NodeId g) -> uint32_t {
-    if (whole_graph) return g;
-    auto it = std::lower_bound(global_.begin(), global_.end(), g);
-    if (it == global_.end() || *it != g) return UINT32_MAX;
-    return static_cast<uint32_t>(it - global_.begin());
-  };
-
-  offsets_.reserve(num_nodes_ + 1);
-  offsets_.push_back(0);
-  for (uint32_t u = 0; u < num_nodes_; ++u) {
-    NodeId gu = whole_graph ? u : global_[u];
-    // Merge the sorted out/in rows counting parallel edges per neighbor
-    // (redirects included — this is the include_redirects slow path).
-    std::span<const NodeId> out = csr_->OutTargets(gu);
-    std::span<const NodeId> in = csr_->InSources(gu);
-    size_t i = 0, j = 0;
-    while (i < out.size() || j < in.size()) {
-      NodeId next;
-      if (j >= in.size() || (i < out.size() && out[i] <= in[j])) {
-        next = out[i];
-      } else {
-        next = in[j];
-      }
-      uint32_t count = 0;
-      while (i < out.size() && out[i] == next) {
-        ++count;
-        ++i;
-      }
-      while (j < in.size() && in[j] == next) {
-        ++count;
-        ++j;
-      }
-      uint32_t lv = to_local(next);
-      if (lv == UINT32_MAX) continue;  // neighbor outside the view
-      neighbors_.push_back(lv);
-      mult_.push_back(count);
     }
     offsets_.push_back(neighbors_.size());
   }

@@ -6,9 +6,8 @@
 /// The paper analyzes cycles "without taking the edges direction into
 /// account": a cycle needs *at least one edge among each pair of
 /// consecutive nodes*, and a length-2 cycle needs two parallel edges
-/// (e.g. mutual links).  Redirect edges are excluded by default: per the
-/// paper's §4 remark, redirect articles "can never close a cycle (see
-/// Figure 1)".
+/// (e.g. mutual links).  Redirect edges are excluded: per the paper's §4
+/// remark, redirect articles "can never close a cycle (see Figure 1)".
 ///
 /// The view is backed by a frozen `CsrGraph` snapshot:
 ///
@@ -32,25 +31,15 @@
 
 namespace wqe::graph {
 
-/// \brief View construction options.
-struct UndirectedViewOptions {
-  /// Include redirect edges in the view (off for cycle analysis).  This is
-  /// the slow path — it bypasses the snapshot's precomputed undirected CSR
-  /// and re-merges the directed rows.
-  bool include_redirects = false;
-};
-
 /// \brief Compact undirected view with local ids `[0, num_nodes())`.
 class UndirectedView {
  public:
   /// \brief Zero-copy view over the whole snapshot.
-  explicit UndirectedView(const CsrGraph& csr,
-                          UndirectedViewOptions options = {});
+  explicit UndirectedView(const CsrGraph& csr);
 
   /// \brief View over the subgraph induced by `nodes` (global ids,
   /// duplicates ignored).  Local ids ascend with global ids.
-  UndirectedView(const CsrGraph& csr, const std::vector<NodeId>& nodes,
-                 UndirectedViewOptions options = {});
+  UndirectedView(const CsrGraph& csr, const std::vector<NodeId>& nodes);
 
   /// \brief Number of nodes in the view.
   uint32_t num_nodes() const { return num_nodes_; }
@@ -69,12 +58,12 @@ class UndirectedView {
 
   /// \brief Sorted unique undirected neighbors of `local`, as local ids.
   std::span<const uint32_t> Neighbors(uint32_t local) const {
-    return owned_ ? RowSpan(neighbors_, local) : csr_->UndNeighbors(local);
+    return subset_ ? RowSpan(neighbors_, local) : csr_->UndNeighbors(local);
   }
 
   /// \brief Parallel-edge multiplicities aligned with `Neighbors(local)`.
   std::span<const uint32_t> Multiplicities(uint32_t local) const {
-    return owned_ ? RowSpan(mult_, local) : csr_->UndMultiplicities(local);
+    return subset_ ? RowSpan(mult_, local) : csr_->UndMultiplicities(local);
   }
 
   /// \brief Undirected degree (distinct neighbors).
@@ -96,9 +85,6 @@ class UndirectedView {
   const CsrGraph& parent() const { return *csr_; }
 
  private:
-  void BuildSubsetFromUndCsr(std::vector<NodeId> nodes);
-  void BuildFromDirectedRows(std::vector<NodeId> nodes, bool whole_graph);
-
   std::span<const uint32_t> RowSpan(const std::vector<uint32_t>& data,
                                     uint32_t local) const {
     return std::span<const uint32_t>(data.data() + offsets_[local],
@@ -106,9 +92,9 @@ class UndirectedView {
   }
 
   const CsrGraph* csr_;
-  UndirectedViewOptions options_;
-  bool subset_ = false;  ///< local ids differ from global ids
-  bool owned_ = false;   ///< adjacency materialized below (vs snapshot rows)
+  /// Subset view: local ids differ from global ids, and the adjacency is
+  /// materialized below (the whole-graph view reads the snapshot's rows).
+  bool subset_ = false;
   uint32_t num_nodes_ = 0;
   size_t num_pairs_ = 0;
   std::vector<NodeId> global_;  ///< subset mode: sorted member globals

@@ -5,13 +5,15 @@
 ///
 /// For each topic q: link L(q.k) and L(q.D) (§2.1), hill-climb X(q)
 /// (§2.2), assemble G(q) (§2.3), and record the final top-r precisions
-/// (the rows of Table 2).
+/// (the rows of Table 2).  The experiment is an `api::Testbed`: the KB and
+/// linker come from its engine's published snapshot, retrieval and the
+/// document text from its index, the qrels from its track.
 
 #include <string>
 #include <vector>
 
+#include "api/testbed.h"
 #include "common/result.h"
-#include "groundtruth/pipeline.h"
 #include "groundtruth/query_graph.h"
 #include "groundtruth/xq_optimizer.h"
 
@@ -19,7 +21,7 @@ namespace wqe::groundtruth {
 
 /// \brief Ground truth for one topic.
 struct GroundTruthEntry {
-  /// Index of the topic within the pipeline's track (qrels lookup).
+  /// Index of the topic within the testbed's track (qrels lookup).
   size_t topic_index = 0;
   uint32_t topic_id = 0;
   std::string keywords;
@@ -36,24 +38,22 @@ struct GroundTruth {
   std::vector<GroundTruthEntry> entries;
 };
 
-/// \brief Builder running §2 end to end against a pipeline.
+/// \brief Builder running §2 end to end against a testbed.
 class GroundTruthBuilder {
  public:
-  GroundTruthBuilder(const Pipeline* pipeline,
+  GroundTruthBuilder(const api::Testbed* bed,
                      XqOptimizerOptions xq_options = {})
-      : pipeline_(pipeline), xq_options_(xq_options) {}
+      : bed_(bed), xq_options_(xq_options) {}
 
-  /// \brief Ground truth for one topic (by index into the track).
+  /// \brief Ground truth for one topic (by index into the track).  Pins
+  /// the engine's snapshot once, so the whole entry reads one graph epoch.
   Result<GroundTruthEntry> BuildEntry(size_t topic_index) const;
 
   /// \brief Ground truth for all topics.
   Result<GroundTruth> Build() const;
 
-  /// \brief L(q.D): articles linked from the topic's relevant documents.
-  std::vector<NodeId> LinkRelevantDocuments(size_t topic_index) const;
-
  private:
-  const Pipeline* pipeline_;
+  const api::Testbed* bed_;
   XqOptimizerOptions xq_options_;
 };
 

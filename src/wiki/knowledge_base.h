@@ -147,7 +147,7 @@ class KnowledgeBase {
   /// \brief One-way bridge from builder to serving: compiles the frozen
   /// `CsrGraph` snapshot.  Idempotent; after the first call every `Add*`
   /// mutator fails with InvalidArgument.  Called by `api::Engine::Build`
-  /// (and `groundtruth::Pipeline::Build`); call it yourself before using
+  /// and `api::Engine::PublishSnapshot`; call it yourself before using
   /// structural components (expanders, views) on a hand-built KB.
   const graph::CsrGraph& Freeze();
 

@@ -1,20 +1,27 @@
 /// \file analysis_test.cc
 /// \brief Tests for §3 analysis: component stats, cycle records, and the
-/// table/figure aggregations.
+/// table/figure aggregations, on a built KB and on the same KB republished
+/// from a snapshot file.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <string>
 
 #include "analysis/paper_report.h"
 #include "analysis/query_graph_analysis.h"
+#include "api/testbed.h"
 #include "groundtruth/ground_truth.h"
-#include "groundtruth/pipeline.h"
 #include "serve/thread_pool.h"
+#include "snapshot/reader.h"
+#include "snapshot/writer.h"
 
 namespace wqe::analysis {
 namespace {
 
 struct Context {
-  const groundtruth::Pipeline* pipeline;
+  const api::Testbed* bed;
   groundtruth::GroundTruth gt;
   std::vector<TopicAnalysis> analyses;
 };
@@ -22,23 +29,23 @@ struct Context {
 const Context& SmallContext() {
   static const Context* kContext = [] {
     auto* ctx = new Context();
-    groundtruth::PipelineOptions options;
+    api::TestbedOptions options;
     options.wiki.num_domains = 12;
     options.track.num_topics = 6;
     options.track.background_docs = 150;
-    auto pipeline = groundtruth::Pipeline::Build(options);
-    EXPECT_TRUE(pipeline.ok()) << pipeline.status();
-    ctx->pipeline = pipeline->release();
+    auto bed = api::Testbed::Build(options);
+    EXPECT_TRUE(bed.ok()) << bed.status();
+    ctx->bed = bed->release();
 
     groundtruth::XqOptimizerOptions fast;
     fast.restarts = 1;
     fast.enable_swap = false;
-    groundtruth::GroundTruthBuilder builder(ctx->pipeline, fast);
+    groundtruth::GroundTruthBuilder builder(ctx->bed, fast);
     auto gt = builder.Build();
     EXPECT_TRUE(gt.ok()) << gt.status();
     ctx->gt = std::move(gt).ValueOrDie();
 
-    QueryGraphAnalyzer analyzer(ctx->pipeline, &ctx->gt);
+    QueryGraphAnalyzer analyzer(ctx->bed, &ctx->gt);
     auto analyses = analyzer.AnalyzeAll();
     EXPECT_TRUE(analyses.ok()) << analyses.status();
     ctx->analyses = std::move(analyses).ValueOrDie();
@@ -101,7 +108,7 @@ TEST(TopicAnalysisTest, MetricsConsistentWithLength) {
 
 TEST(TopicAnalysisTest, ArticlesByLengthBucketed) {
   const Context& ctx = SmallContext();
-  const auto& kb = ctx.pipeline->kb();
+  const auto& kb = ctx.bed->kb();
   for (const TopicAnalysis& a : ctx.analyses) {
     for (uint32_t len = 2; len <= 5; ++len) {
       for (graph::NodeId article : a.articles_by_length[len]) {
@@ -137,7 +144,7 @@ TEST(PaperReportTest, Table3CategoriesDominate) {
 
 TEST(PaperReportTest, Table4UnionsDominateSingles) {
   const Context& ctx = SmallContext();
-  auto rows = ComputeTable4(*ctx.pipeline, ctx.gt, ctx.analyses);
+  auto rows = ComputeTable4(*ctx.bed, ctx.gt, ctx.analyses);
   ASSERT_TRUE(rows.ok()) << rows.status();
   ASSERT_EQ(rows->size(), 7u);
   const Table4Row& len2 = (*rows)[0];
@@ -191,7 +198,7 @@ TEST(PaperReportTest, Fig9TrendPositive) {
 
 TEST(PaperReportTest, MiscScalarsPlausible) {
   const Context& ctx = SmallContext();
-  MiscScalars scalars = ComputeMiscScalars(*ctx.pipeline, ctx.analyses);
+  MiscScalars scalars = ComputeMiscScalars(*ctx.bed, ctx.analyses);
   // TPR ≈ 0.3 in the paper; accept a generous band around it.
   EXPECT_GT(scalars.mean_largest_cc_tpr, 0.1);
   EXPECT_LT(scalars.mean_largest_cc_tpr, 0.8);
@@ -203,8 +210,8 @@ TEST(PaperReportTest, MiscScalarsPlausible) {
 
 TEST(PaperReportTest, ArticleFrequencyCorrelationComputes) {
   const Context& ctx = SmallContext();
-  auto report = ComputeArticleFrequencyCorrelation(*ctx.pipeline, ctx.gt,
-                                                   ctx.analyses);
+  auto report =
+      ComputeArticleFrequencyCorrelation(*ctx.bed, ctx.gt, ctx.analyses);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GT(report->num_articles, 0u);
   EXPECT_GE(report->pearson, -1.0);
@@ -216,7 +223,7 @@ TEST(PaperReportTest, ArticleFrequencyCorrelationComputes) {
 
 TEST(AnalyzerTest, OutOfRangeTopic) {
   const Context& ctx = SmallContext();
-  QueryGraphAnalyzer analyzer(ctx.pipeline, &ctx.gt);
+  QueryGraphAnalyzer analyzer(ctx.bed, &ctx.gt);
   EXPECT_TRUE(analyzer.Analyze(999).status().IsOutOfRange());
 }
 
@@ -224,34 +231,44 @@ TEST(AnalyzerTest, ScoringCapStillCountsAllCycles) {
   const Context& ctx = SmallContext();
   AnalyzerOptions capped;
   capped.max_scored_cycles = 1;
-  QueryGraphAnalyzer analyzer(ctx.pipeline, &ctx.gt, capped);
+  QueryGraphAnalyzer analyzer(ctx.bed, &ctx.gt, capped);
   auto a = analyzer.Analyze(0);
   ASSERT_TRUE(a.ok());
-  QueryGraphAnalyzer full(ctx.pipeline, &ctx.gt);
+  QueryGraphAnalyzer full(ctx.bed, &ctx.gt);
   auto b = full.Analyze(0);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->cycles.size(), b->cycles.size());
 }
 
-/// Field-for-field comparison of `got_all` against the shared context's
-/// sequential analyses.
-void ExpectSameAsSequential(const std::vector<TopicAnalysis>& got_all,
-                            const Context& ctx) {
-  ASSERT_EQ(got_all.size(), ctx.analyses.size());
-  for (size_t t = 0; t < ctx.analyses.size(); ++t) {
-    const TopicAnalysis& want = ctx.analyses[t];
+/// Field-for-field comparison of two analyses of one ground truth.
+void ExpectSameAnalyses(const std::vector<TopicAnalysis>& got_all,
+                        const std::vector<TopicAnalysis>& want_all) {
+  ASSERT_EQ(got_all.size(), want_all.size());
+  for (size_t t = 0; t < want_all.size(); ++t) {
+    const TopicAnalysis& want = want_all[t];
     const TopicAnalysis& got = got_all[t];
     EXPECT_EQ(got.topic_index, want.topic_index);
     EXPECT_DOUBLE_EQ(got.baseline_quality, want.baseline_quality);
     EXPECT_EQ(got.component.graph_size, want.component.graph_size);
+    EXPECT_EQ(got.component.num_components, want.component.num_components);
+    EXPECT_DOUBLE_EQ(got.component.relative_size,
+                     want.component.relative_size);
+    EXPECT_DOUBLE_EQ(got.component.query_node_ratio,
+                     want.component.query_node_ratio);
+    EXPECT_DOUBLE_EQ(got.component.article_ratio,
+                     want.component.article_ratio);
+    EXPECT_DOUBLE_EQ(got.component.category_ratio,
+                     want.component.category_ratio);
+    EXPECT_DOUBLE_EQ(got.component.expansion_ratio,
+                     want.component.expansion_ratio);
     EXPECT_DOUBLE_EQ(got.component.tpr, want.component.tpr);
     ASSERT_EQ(got.cycles.size(), want.cycles.size()) << "topic " << t;
     for (size_t c = 0; c < want.cycles.size(); ++c) {
       EXPECT_EQ(got.cycles[c].cycle.nodes, want.cycles[c].cycle.nodes);
       EXPECT_DOUBLE_EQ(got.cycles[c].contribution,
                        want.cycles[c].contribution);
-      EXPECT_EQ(got.cycles[c].metrics.num_edges,
-                want.cycles[c].metrics.num_edges);
+      EXPECT_TRUE(got.cycles[c].metrics == want.cycles[c].metrics)
+          << "topic " << t << " cycle " << c;
     }
     for (uint32_t len = kMinCycleLength; len <= kMaxCycleLength; ++len) {
       EXPECT_EQ(got.articles_by_length[len], want.articles_by_length[len]);
@@ -260,16 +277,16 @@ void ExpectSameAsSequential(const std::vector<TopicAnalysis>& got_all,
 }
 
 TEST(AnalyzerTest, ParallelAnalyzeAllIdenticalToSequential) {
-  // The shared context's analyses were computed sequentially (pipeline
-  // num_threads defaults to 1); a 4-thread AnalyzeAll over the same
-  // ground truth must reproduce them field-for-field.
+  // The shared context's analyses were computed sequentially (the
+  // analyzer's num_threads defaults to 1); a 4-thread AnalyzeAll over the
+  // same ground truth must reproduce them field-for-field.
   const Context& ctx = SmallContext();
   AnalyzerOptions parallel;
   parallel.num_threads = 4;
-  QueryGraphAnalyzer analyzer(ctx.pipeline, &ctx.gt, parallel);
+  QueryGraphAnalyzer analyzer(ctx.bed, &ctx.gt, parallel);
   auto analyses = analyzer.AnalyzeAll();
   ASSERT_TRUE(analyses.ok()) << analyses.status();
-  ExpectSameAsSequential(*analyses, ctx);
+  ExpectSameAnalyses(*analyses, ctx.analyses);
 }
 
 TEST(AnalyzerTest, AnalyzeAllFromPoolWorkerDegradesToSequential) {
@@ -282,10 +299,123 @@ TEST(AnalyzerTest, AnalyzeAllFromPoolWorkerDegradesToSequential) {
   AnalyzerOptions nested;
   nested.num_threads = 4;
   nested.pool = &pool;
-  QueryGraphAnalyzer analyzer(ctx.pipeline, &ctx.gt, nested);
+  QueryGraphAnalyzer analyzer(ctx.bed, &ctx.gt, nested);
   auto analyses = pool.Submit([&] { return analyzer.AnalyzeAll(); }).get();
   ASSERT_TRUE(analyses.ok()) << analyses.status();
-  ExpectSameAsSequential(*analyses, ctx);
+  ExpectSameAnalyses(*analyses, ctx.analyses);
+}
+
+// ----------------------------------------------- loaded-snapshot analysis
+
+/// Everything §2/§3 derives from one testbed.
+struct PaperNumbers {
+  groundtruth::GroundTruth gt;
+  std::vector<TopicAnalysis> analyses;
+  std::vector<Table4Row> table4;
+  ArticleFrequencyReport frequency;
+  MiscScalars scalars;
+};
+
+void ComputePaperNumbers(const api::Testbed& bed, PaperNumbers* out) {
+  groundtruth::XqOptimizerOptions fast;
+  fast.restarts = 1;
+  fast.enable_swap = false;
+  auto gt = groundtruth::GroundTruthBuilder(&bed, fast).Build();
+  ASSERT_TRUE(gt.ok()) << gt.status();
+  out->gt = std::move(gt).ValueOrDie();
+  auto analyses = QueryGraphAnalyzer(&bed, &out->gt).AnalyzeAll();
+  ASSERT_TRUE(analyses.ok()) << analyses.status();
+  out->analyses = std::move(analyses).ValueOrDie();
+  auto table4 = ComputeTable4(bed, out->gt, out->analyses);
+  ASSERT_TRUE(table4.ok()) << table4.status();
+  out->table4 = std::move(table4).ValueOrDie();
+  auto frequency =
+      ComputeArticleFrequencyCorrelation(bed, out->gt, out->analyses);
+  ASSERT_TRUE(frequency.ok()) << frequency.status();
+  out->frequency = *frequency;
+  out->scalars = ComputeMiscScalars(bed, out->analyses);
+}
+
+void ExpectSameGroundTruth(const groundtruth::GroundTruth& got_gt,
+                           const groundtruth::GroundTruth& want_gt) {
+  ASSERT_EQ(got_gt.entries.size(), want_gt.entries.size());
+  for (size_t t = 0; t < want_gt.entries.size(); ++t) {
+    const groundtruth::GroundTruthEntry& got = got_gt.entries[t];
+    const groundtruth::GroundTruthEntry& want = want_gt.entries[t];
+    EXPECT_EQ(got.topic_index, want.topic_index);
+    EXPECT_EQ(got.topic_id, want.topic_id);
+    EXPECT_EQ(got.keywords, want.keywords);
+    EXPECT_EQ(got.query_articles, want.query_articles);
+    EXPECT_EQ(got.doc_articles, want.doc_articles);
+    EXPECT_EQ(got.xq.selected, want.xq.selected);
+    EXPECT_DOUBLE_EQ(got.xq.quality, want.xq.quality);
+    EXPECT_DOUBLE_EQ(got.xq.baseline_quality, want.xq.baseline_quality);
+    EXPECT_EQ(got.xq.iterations, want.xq.iterations);
+    EXPECT_EQ(got.xq.evaluations, want.xq.evaluations);
+    EXPECT_EQ(got.precision_at, want.precision_at);
+    EXPECT_EQ(got.graph.sub.to_parent, want.graph.sub.to_parent);
+    EXPECT_EQ(got.graph.sub.out_offsets, want.graph.sub.out_offsets);
+    EXPECT_EQ(got.graph.sub.out_targets, want.graph.sub.out_targets);
+    EXPECT_TRUE(got.graph.sub.out_kinds == want.graph.sub.out_kinds)
+        << "topic " << t;
+    EXPECT_EQ(got.graph.query_articles, want.graph.query_articles);
+    EXPECT_EQ(got.graph.expansion_articles, want.graph.expansion_articles);
+  }
+}
+
+TEST(LoadedSnapshotAnalysisTest, MatchesTheBuiltKbFieldForField) {
+  // §2/§3 read the engine's published snapshot, which may be a KB loaded
+  // from disk — and a loaded KB has no builder graph.  Every number must
+  // come from the frozen CSR, and so match the built KB's exactly.
+  api::TestbedOptions options;
+  options.wiki.num_domains = 8;
+  options.track.num_topics = 3;
+  options.track.background_docs = 60;
+  auto built_bed = api::Testbed::Build(options);
+  ASSERT_TRUE(built_bed.ok()) << built_bed.status();
+  api::Testbed& bed = **built_bed;
+  ASSERT_FALSE(bed.kb().loaded());
+  PaperNumbers built;
+  ASSERT_NO_FATAL_FAILURE(ComputePaperNumbers(bed, &built));
+
+  const std::string path = ::testing::TempDir() + "wqe_analysis_loaded_" +
+                           std::to_string(::getpid()) + ".bin";
+  ASSERT_TRUE(snapshot::WriteSnapshot(bed.kb(), path).ok());
+  auto loaded = snapshot::LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  std::remove(path.c_str());  // a mapping outlives its directory entry
+  ASSERT_TRUE(bed.engine().PublishSnapshot(std::move(*loaded)).ok());
+  ASSERT_TRUE(bed.kb().loaded());
+  PaperNumbers reloaded;
+  ASSERT_NO_FATAL_FAILURE(ComputePaperNumbers(bed, &reloaded));
+
+  ExpectSameGroundTruth(reloaded.gt, built.gt);
+  ExpectSameAnalyses(reloaded.analyses, built.analyses);
+  ASSERT_EQ(reloaded.table4.size(), built.table4.size());
+  for (size_t i = 0; i < built.table4.size(); ++i) {
+    EXPECT_EQ(reloaded.table4[i].lengths, built.table4[i].lengths);
+    EXPECT_EQ(reloaded.table4[i].precision, built.table4[i].precision);
+  }
+  // The frequency report is the aggregation that tells articles from
+  // categories per cycle node; it must have had cycles to read.
+  EXPECT_GT(built.frequency.num_articles, 0u);
+  EXPECT_EQ(reloaded.frequency.num_articles, built.frequency.num_articles);
+  EXPECT_DOUBLE_EQ(reloaded.frequency.pearson, built.frequency.pearson);
+  EXPECT_DOUBLE_EQ(reloaded.frequency.trend.slope,
+                   built.frequency.trend.slope);
+  EXPECT_DOUBLE_EQ(reloaded.frequency.trend.intercept,
+                   built.frequency.trend.intercept);
+  EXPECT_DOUBLE_EQ(reloaded.frequency.trend.r2, built.frequency.trend.r2);
+  EXPECT_DOUBLE_EQ(reloaded.frequency.mean_gain_frequent,
+                   built.frequency.mean_gain_frequent);
+  EXPECT_DOUBLE_EQ(reloaded.frequency.mean_gain_rare,
+                   built.frequency.mean_gain_rare);
+  EXPECT_DOUBLE_EQ(reloaded.scalars.mean_largest_cc_tpr,
+                   built.scalars.mean_largest_cc_tpr);
+  EXPECT_DOUBLE_EQ(reloaded.scalars.reciprocal_link_rate,
+                   built.scalars.reciprocal_link_rate);
+  EXPECT_DOUBLE_EQ(reloaded.scalars.mean_graph_size,
+                   built.scalars.mean_graph_size);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "graph/connected_components.h"
 #include "graph/csr.h"
 #include "graph/graph.h"
-#include "graph/subgraph.h"
 #include "graph/triangles.h"
 #include "graph/undirected_view.h"
 
@@ -99,10 +98,6 @@ TEST(UndirectedViewTest, ExcludesRedirectsByDefault) {
   UndirectedView view(csr);
   // r (node 5) participates only via redirect — degree 0 in the view.
   EXPECT_EQ(view.Degree(view.ToLocal(5)), 0u);
-  UndirectedViewOptions options;
-  options.include_redirects = true;
-  UndirectedView with_redirects(csr, options);
-  EXPECT_EQ(with_redirects.Degree(with_redirects.ToLocal(5)), 1u);
 }
 
 TEST(UndirectedViewTest, MultiplicityCountsParallelEdges) {
@@ -195,24 +190,6 @@ TEST(TrianglesTest, RestrictedTpr) {
                               view.ToLocal(3)}),
                    1.0);
   EXPECT_DOUBLE_EQ(TriangleParticipationRatio(view, {view.ToLocal(2)}), 0.0);
-}
-
-TEST(InduceTest, PreservesKindsLabelsAndEdges) {
-  PropertyGraph g = TinyWiki();
-  InducedSubgraph sub = Induce(g, {0, 1, 3});
-  EXPECT_EQ(sub.graph.num_nodes(), 3u);
-  // Edges among {a0, a1, c0}: 2 links + 2 belongs.
-  EXPECT_EQ(sub.graph.num_edges(), 4u);
-  EXPECT_EQ(sub.graph.label(sub.Local(3)), "c0");
-  EXPECT_TRUE(sub.graph.IsCategory(sub.Local(3)));
-  EXPECT_EQ(sub.Local(4), kInvalidNode);
-  EXPECT_EQ(sub.to_parent[sub.Local(1)], 1u);
-}
-
-TEST(InduceTest, DuplicatesIgnored) {
-  PropertyGraph g = TinyWiki();
-  InducedSubgraph sub = Induce(g, {0, 0, 1, 1});
-  EXPECT_EQ(sub.graph.num_nodes(), 2u);
 }
 
 }  // namespace

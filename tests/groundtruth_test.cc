@@ -1,60 +1,69 @@
 /// \file groundtruth_test.cc
-/// \brief Tests for §2: the pipeline context, the X(q) hill climb, and
-/// query-graph assembly.
+/// \brief Tests for §2: the experiment fixture as §2 reads it (an
+/// `api::Testbed`: KB, linker, index, extracted text and qrels), the X(q)
+/// hill climb, and query-graph assembly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "api/testbed.h"
 #include "groundtruth/ground_truth.h"
-#include "groundtruth/pipeline.h"
 #include "groundtruth/query_graph.h"
 #include "groundtruth/xq_optimizer.h"
 
 namespace wqe::groundtruth {
 namespace {
 
-/// Small shared pipeline (built once; ~1.5k docs).
-const Pipeline& SmallPipeline() {
-  static const Pipeline* kPipeline = [] {
-    PipelineOptions options;
+/// Small shared testbed (built once; ~1.5k docs).
+const api::Testbed& SmallTestbed() {
+  static const api::Testbed* kBed = [] {
+    api::TestbedOptions options;
     options.wiki.num_domains = 12;
     options.track.num_topics = 6;
     options.track.background_docs = 150;
-    auto result = Pipeline::Build(options);
+    auto result = api::Testbed::Build(options);
     EXPECT_TRUE(result.ok()) << result.status();
     return result->release();
   }();
-  return *kPipeline;
+  return *kBed;
 }
 
-TEST(PipelineTest, WiresEverything) {
-  const Pipeline& p = SmallPipeline();
-  EXPECT_GT(p.kb().num_articles(), 100u);
-  EXPECT_EQ(p.num_topics(), 6u);
-  EXPECT_TRUE(p.engine().finalized());
-  EXPECT_EQ(p.engine().store().size(), p.track().documents.size());
-  for (size_t t = 0; t < p.num_topics(); ++t) {
-    EXPECT_EQ(p.relevant(t).size(), p.topic(t).relevant.size());
+TEST(TestbedTest, WiresEverything) {
+  const api::Testbed& bed = SmallTestbed();
+  const ir::SearchEngine& search = bed.engine().search_engine();
+  EXPECT_GT(bed.kb().num_articles(), 100u);
+  EXPECT_EQ(bed.num_topics(), 6u);
+  EXPECT_TRUE(search.finalized());
+  EXPECT_EQ(search.store().size(), bed.track().documents.size());
+  for (size_t t = 0; t < bed.num_topics(); ++t) {
+    EXPECT_EQ(bed.relevant(t).size(), bed.topic(t).relevant.size());
   }
 }
 
-TEST(PipelineTest, DocTextIsExtractedNotRawXml) {
-  const Pipeline& p = SmallPipeline();
-  const std::string& text = p.doc_text(0);
+TEST(TestbedTest, DocTextIsExtractedNotRawXml) {
+  const std::string& text =
+      SmallTestbed().engine().search_engine().store().Get(0).text;
   EXPECT_EQ(text.find("<image"), std::string::npos);
   EXPECT_EQ(text.find("xml:lang"), std::string::npos);
   EXPECT_FALSE(text.empty());
 }
 
-TEST(PipelineTest, KeywordsLinkToQueryArticles) {
-  const Pipeline& p = SmallPipeline();
-  for (size_t t = 0; t < p.num_topics(); ++t) {
-    auto linked = p.linker().LinkToArticles(p.topic(t).keywords);
+TEST(TestbedTest, DocTextNeverEmpty) {
+  const api::Testbed& bed = SmallTestbed();
+  for (const auto& doc : bed.engine().search_engine().store().documents()) {
+    EXPECT_FALSE(doc.text.empty()) << doc.name;
+  }
+}
+
+TEST(TestbedTest, KeywordsLinkToQueryArticles) {
+  const api::Testbed& bed = SmallTestbed();
+  for (size_t t = 0; t < bed.num_topics(); ++t) {
+    auto linked = bed.linker().LinkToArticles(bed.topic(t).keywords);
     // The generated keywords are hub titles; the linker must find them.
-    EXPECT_EQ(linked.size(), p.topic(t).query_articles.size())
-        << "topic " << t << ": " << p.topic(t).keywords;
-    for (graph::NodeId q : p.topic(t).query_articles) {
+    EXPECT_EQ(linked.size(), bed.topic(t).query_articles.size())
+        << "topic " << t << ": " << bed.topic(t).keywords;
+    for (graph::NodeId q : bed.topic(t).query_articles) {
       EXPECT_NE(std::find(linked.begin(), linked.end(), q), linked.end());
     }
   }
@@ -64,11 +73,11 @@ TEST(PipelineTest, KeywordsLinkToQueryArticles) {
 
 class XqOptimizerTest : public ::testing::Test {
  protected:
-  const Pipeline& p_ = SmallPipeline();
+  const api::Testbed& bed_ = SmallTestbed();
 };
 
 TEST_F(XqOptimizerTest, ImprovesOverBaseline) {
-  GroundTruthBuilder builder(&p_);
+  GroundTruthBuilder builder(&bed_);
   auto entry = builder.BuildEntry(0);
   ASSERT_TRUE(entry.ok()) << entry.status();
   EXPECT_GE(entry->xq.quality, entry->xq.baseline_quality);
@@ -77,7 +86,7 @@ TEST_F(XqOptimizerTest, ImprovesOverBaseline) {
 }
 
 TEST_F(XqOptimizerTest, SelectedSubsetOfCandidates) {
-  GroundTruthBuilder builder(&p_);
+  GroundTruthBuilder builder(&bed_);
   auto entry = builder.BuildEntry(1);
   ASSERT_TRUE(entry.ok());
   for (graph::NodeId a : entry->xq.selected) {
@@ -89,9 +98,9 @@ TEST_F(XqOptimizerTest, SelectedSubsetOfCandidates) {
 }
 
 TEST_F(XqOptimizerTest, EmptyCandidatesReturnsBaseline) {
-  XqOptimizer optimizer(&p_.engine(), &p_.kb());
-  auto linked = p_.linker().LinkToArticles(p_.topic(0).keywords);
-  auto result = optimizer.Optimize(linked, {}, p_.relevant(0));
+  XqOptimizer optimizer(&bed_.engine().search_engine(), &bed_.kb());
+  auto linked = bed_.linker().LinkToArticles(bed_.topic(0).keywords);
+  auto result = optimizer.Optimize(linked, {}, bed_.relevant(0));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->selected.empty());
   EXPECT_DOUBLE_EQ(result->quality, result->baseline_quality);
@@ -100,7 +109,7 @@ TEST_F(XqOptimizerTest, EmptyCandidatesReturnsBaseline) {
 TEST_F(XqOptimizerTest, DeterministicForSeed) {
   XqOptimizerOptions options;
   options.restarts = 1;
-  GroundTruthBuilder b1(&p_, options), b2(&p_, options);
+  GroundTruthBuilder b1(&bed_, options), b2(&bed_, options);
   auto e1 = b1.BuildEntry(2);
   auto e2 = b2.BuildEntry(2);
   ASSERT_TRUE(e1.ok());
@@ -110,14 +119,14 @@ TEST_F(XqOptimizerTest, DeterministicForSeed) {
 }
 
 TEST_F(XqOptimizerTest, EvaluateArticlesMatchesEquation1Range) {
-  XqOptimizer optimizer(&p_.engine(), &p_.kb());
-  auto linked = p_.linker().LinkToArticles(p_.topic(0).keywords);
-  auto o = optimizer.EvaluateArticles(linked, p_.relevant(0));
+  XqOptimizer optimizer(&bed_.engine().search_engine(), &bed_.kb());
+  auto linked = bed_.linker().LinkToArticles(bed_.topic(0).keywords);
+  auto o = optimizer.EvaluateArticles(linked, bed_.relevant(0));
   ASSERT_TRUE(o.ok());
   EXPECT_GE(*o, 0.0);
   EXPECT_LE(*o, 1.0);
   // Empty article set evaluates to 0, not an error.
-  auto empty = optimizer.EvaluateArticles({}, p_.relevant(0));
+  auto empty = optimizer.EvaluateArticles({}, bed_.relevant(0));
   ASSERT_TRUE(empty.ok());
   EXPECT_DOUBLE_EQ(*empty, 0.0);
 }
@@ -125,16 +134,16 @@ TEST_F(XqOptimizerTest, EvaluateArticlesMatchesEquation1Range) {
 // -------------------------------------------------------------- QueryGraph
 
 TEST(QueryGraphTest, ContainsArticlesMainsAndCategories) {
-  const Pipeline& p = SmallPipeline();
-  auto query = p.linker().LinkToArticles(p.topic(0).keywords);
+  const api::Testbed& bed = SmallTestbed();
+  auto query = bed.linker().LinkToArticles(bed.topic(0).keywords);
   ASSERT_FALSE(query.empty());
-  std::vector<graph::NodeId> expansion = {p.topic(0).planted_good.front()};
-  QueryGraph qg = BuildQueryGraph(p.kb(), query, expansion);
+  std::vector<graph::NodeId> expansion = {bed.topic(0).planted_good.front()};
+  QueryGraph qg = BuildQueryGraph(bed.kb(), query, expansion);
 
   // Every query/expansion article and each of its categories is present.
   for (graph::NodeId a : query) {
     ASSERT_NE(qg.sub.Local(a), graph::kInvalidNode);
-    for (graph::NodeId c : p.kb().CategoriesOf(a)) {
+    for (graph::NodeId c : bed.kb().CategoriesOf(a)) {
       EXPECT_NE(qg.sub.Local(c), graph::kInvalidNode);
     }
   }
@@ -160,9 +169,9 @@ TEST(QueryGraphTest, RedirectInputIncludesMainArticle) {
 }
 
 TEST(QueryGraphTest, InducedEdgesOnlyAmongMembers) {
-  const Pipeline& p = SmallPipeline();
-  auto query = p.linker().LinkToArticles(p.topic(1).keywords);
-  QueryGraph qg = BuildQueryGraph(p.kb(), query, p.topic(1).planted_good);
+  const api::Testbed& bed = SmallTestbed();
+  auto query = bed.linker().LinkToArticles(bed.topic(1).keywords);
+  QueryGraph qg = BuildQueryGraph(bed.kb(), query, bed.topic(1).planted_good);
   // Spot-check both directions of the slice invariant: every subgraph
   // edge exists in the KB between the mapped endpoints, and every KB edge
   // between two members made it into the subgraph.
@@ -172,13 +181,13 @@ TEST(QueryGraphTest, InducedEdgesOnlyAmongMembers) {
     auto targets = sub.OutTargets(n);
     auto kinds = sub.OutKinds(n);
     for (size_t i = 0; i < targets.size(); ++i, ++sub_edges) {
-      EXPECT_TRUE(p.kb().graph().HasEdge(sub.to_parent[n],
+      EXPECT_TRUE(bed.kb().graph().HasEdge(sub.to_parent[n],
                                          sub.to_parent[targets[i]], kinds[i]));
     }
   }
   size_t kb_member_edges = 0;
   for (graph::NodeId parent : sub.to_parent) {
-    for (graph::NodeId dst : p.kb().csr().OutTargets(parent)) {
+    for (graph::NodeId dst : bed.kb().csr().OutTargets(parent)) {
       if (sub.Local(dst) != graph::kInvalidNode) ++kb_member_edges;
     }
   }
@@ -189,27 +198,27 @@ TEST(QueryGraphTest, InducedEdgesOnlyAmongMembers) {
 // ------------------------------------------------------------- GroundTruth
 
 TEST(GroundTruthTest, BuildAllTopicsAndSerialize) {
-  const Pipeline& p = SmallPipeline();
+  const api::Testbed& bed = SmallTestbed();
   XqOptimizerOptions fast;
   fast.restarts = 1;
   fast.enable_swap = false;  // keep the full-track build quick
-  GroundTruthBuilder builder(&p, fast);
+  GroundTruthBuilder builder(&bed, fast);
   auto gt = builder.Build();
   ASSERT_TRUE(gt.ok()) << gt.status();
-  ASSERT_EQ(gt->entries.size(), p.num_topics());
+  ASSERT_EQ(gt->entries.size(), bed.num_topics());
   for (const GroundTruthEntry& e : gt->entries) {
     EXPECT_EQ(e.precision_at.size(), 4u);
     EXPECT_GT(e.graph.num_nodes(), 0u);
     EXPECT_GE(e.xq.quality, e.xq.baseline_quality);
   }
-  std::string serialized = WriteGroundTruth(*gt, p.kb());
+  std::string serialized = WriteGroundTruth(*gt, bed.kb());
   EXPECT_EQ(static_cast<size_t>(
                 std::count(serialized.begin(), serialized.end(), '\n')),
             gt->entries.size());
 }
 
 TEST(GroundTruthTest, OutOfRangeTopic) {
-  GroundTruthBuilder builder(&SmallPipeline());
+  GroundTruthBuilder builder(&SmallTestbed());
   EXPECT_TRUE(builder.BuildEntry(999).status().IsOutOfRange());
 }
 

@@ -5,21 +5,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "analysis/paper_report.h"
 #include "analysis/query_graph_analysis.h"
 #include "api/evaluation.h"
 #include "api/testbed.h"
 #include "groundtruth/ground_truth.h"
-#include "groundtruth/pipeline.h"
+#include "ir/eval.h"
 #include "wiki/dump.h"
 
 namespace wqe {
 namespace {
 
 struct EndToEnd {
-  const groundtruth::Pipeline* pipeline;
-  const api::Testbed* bed;  ///< facade view of the same experiment
+  const api::Testbed* bed;
   groundtruth::GroundTruth gt;
   std::vector<analysis::TopicAnalysis> analyses;
 };
@@ -27,30 +29,23 @@ struct EndToEnd {
 const EndToEnd& Context() {
   static const EndToEnd* kContext = [] {
     auto* ctx = new EndToEnd();
-    groundtruth::PipelineOptions options;
+    api::TestbedOptions options;
     options.wiki.num_domains = 20;
     options.track.num_topics = 12;
     options.track.background_docs = 300;
-    auto pipeline = groundtruth::Pipeline::Build(options);
-    EXPECT_TRUE(pipeline.ok()) << pipeline.status();
-    ctx->pipeline = pipeline->release();
-
-    // The serving-facade view: same generator options, so the engine is
-    // built over an identical KB, corpus and track.
-    auto bed = api::Testbed::Build(
-        api::TestbedOptions::FromPipelineOptions(options));
+    auto bed = api::Testbed::Build(options);
     EXPECT_TRUE(bed.ok()) << bed.status();
     ctx->bed = bed->release();
 
     groundtruth::XqOptimizerOptions xq;
     xq.restarts = 1;
     xq.enable_swap = false;
-    groundtruth::GroundTruthBuilder builder(ctx->pipeline, xq);
+    groundtruth::GroundTruthBuilder builder(ctx->bed, xq);
     auto gt = builder.Build();
     EXPECT_TRUE(gt.ok()) << gt.status();
     ctx->gt = std::move(gt).ValueOrDie();
 
-    analysis::QueryGraphAnalyzer analyzer(ctx->pipeline, &ctx->gt);
+    analysis::QueryGraphAnalyzer analyzer(ctx->bed, &ctx->gt);
     auto analyses = analyzer.AnalyzeAll();
     EXPECT_TRUE(analyses.ok()) << analyses.status();
     ctx->analyses = std::move(analyses).ValueOrDie();
@@ -157,7 +152,7 @@ TEST(EndToEndTest, GroundTruthEntriesCarryTrackIndex) {
   const auto& ctx = Context();
   for (size_t t = 0; t < ctx.gt.entries.size(); ++t) {
     EXPECT_EQ(ctx.gt.entries[t].topic_index, t);
-    EXPECT_EQ(ctx.gt.entries[t].topic_id, ctx.pipeline->topic(t).id);
+    EXPECT_EQ(ctx.gt.entries[t].topic_id, ctx.bed->topic(t).id);
   }
 }
 
@@ -165,44 +160,92 @@ TEST(EndToEndTest, PartialGroundTruthAnalyzesAgainstRightQrels) {
   // Regression test: analyzing a ground truth holding only topic 3 must
   // evaluate contributions against topic 3's qrels, not topic 0's.
   const auto& ctx = Context();
-  groundtruth::GroundTruthBuilder builder(ctx.pipeline);
+  groundtruth::GroundTruthBuilder builder(ctx.bed);
   auto entry = builder.BuildEntry(3);
   ASSERT_TRUE(entry.ok());
   double baseline = entry->xq.baseline_quality;
   groundtruth::GroundTruth partial;
   partial.entries.push_back(std::move(*entry));
-  analysis::QueryGraphAnalyzer analyzer(ctx.pipeline, &partial);
+  analysis::QueryGraphAnalyzer analyzer(ctx.bed, &partial);
   auto a = analyzer.Analyze(0);
   ASSERT_TRUE(a.ok());
   EXPECT_NEAR(a->baseline_quality, baseline, 1e-9);
 }
 
-TEST(EndToEndTest, KbSurvivesDumpRoundTripWithinPipeline) {
+TEST(EndToEndTest, PartialGroundTruthTable4UsesItsOwnQrels) {
+  // Regression test: Table 4 over a ground truth holding only topic 3 must
+  // score against topic 3's qrels, not those of the topic whose track
+  // index equals the entry's position (topic 0).
   const auto& ctx = Context();
-  std::string dump = wiki::WriteDump(ctx.pipeline->kb());
-  auto kb2 = wiki::ParseDump(dump);
-  ASSERT_TRUE(kb2.ok()) << kb2.status();
-  EXPECT_EQ(kb2->num_articles(), ctx.pipeline->kb().num_articles());
-  EXPECT_EQ(kb2->graph().num_edges(),
-            ctx.pipeline->kb().graph().num_edges());
+  const api::Testbed& bed = *ctx.bed;
+  groundtruth::GroundTruthBuilder builder(&bed);
+  auto entry = builder.BuildEntry(3);
+  ASSERT_TRUE(entry.ok());
+  groundtruth::GroundTruth partial;
+  partial.entries.push_back(std::move(*entry));
+  auto analyzed = analysis::QueryGraphAnalyzer(&bed, &partial).Analyze(0);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  const analysis::TopicAnalysis& a = *analyzed;
+  auto rows = analysis::ComputeTable4(bed, partial, {a});
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), analysis::Table4Configurations().size());
+
+  // Direct computation: each configuration's query, issued exactly as
+  // ComputeTable4 issues it, scored against topic 3's judgments.
+  const wiki::KnowledgeBase& kb = bed.kb();
+  const std::vector<size_t>& cutoffs = ir::PaperRankCutoffs();
+  double best_p15 = 0.0;
+  for (const analysis::Table4Row& row : *rows) {
+    std::unordered_set<graph::NodeId> features;
+    for (uint32_t len : row.lengths) {
+      for (graph::NodeId article : a.articles_by_length[len]) {
+        features.insert(article);
+      }
+    }
+    std::vector<std::string> titles;
+    for (graph::NodeId q : partial.entries[0].query_articles) {
+      titles.push_back(kb.display_title(q));
+      features.erase(q);
+    }
+    for (graph::NodeId f : features) titles.push_back(kb.display_title(f));
+    ASSERT_FALSE(titles.empty());
+    auto results = bed.engine().search_engine().SearchTitles(titles, 15);
+    ASSERT_TRUE(results.ok()) << results.status();
+    for (size_t c = 0; c < cutoffs.size(); ++c) {
+      EXPECT_DOUBLE_EQ(row.precision[c],
+                       ir::PrecisionAtR(*results, bed.relevant(3), cutoffs[c]))
+          << "cutoff " << cutoffs[c];
+    }
+    best_p15 = std::max(best_p15, row.precision[3]);
+  }
+  EXPECT_GT(best_p15, 0.0);
 }
 
-TEST(EndToEndTest, DeterministicAcrossPipelineBuilds) {
-  groundtruth::PipelineOptions options;
+TEST(EndToEndTest, KbSurvivesDumpRoundTripWithinPipeline) {
+  const auto& ctx = Context();
+  std::string dump = wiki::WriteDump(ctx.bed->kb());
+  auto kb2 = wiki::ParseDump(dump);
+  ASSERT_TRUE(kb2.ok()) << kb2.status();
+  EXPECT_EQ(kb2->num_articles(), ctx.bed->kb().num_articles());
+  EXPECT_EQ(kb2->graph().num_edges(), ctx.bed->kb().graph().num_edges());
+}
+
+TEST(EndToEndTest, DeterministicAcrossTestbedBuilds) {
+  api::TestbedOptions options;
   options.wiki.num_domains = 8;
   options.track.num_topics = 3;
   options.track.background_docs = 50;
-  auto p1 = groundtruth::Pipeline::Build(options);
-  auto p2 = groundtruth::Pipeline::Build(options);
-  ASSERT_TRUE(p1.ok());
-  ASSERT_TRUE(p2.ok());
-  ASSERT_EQ((*p1)->track().documents.size(),
-            (*p2)->track().documents.size());
-  for (size_t i = 0; i < (*p1)->track().documents.size(); ++i) {
-    ASSERT_EQ((*p1)->track().documents[i].xml,
-              (*p2)->track().documents[i].xml);
+  auto bed1 = api::Testbed::Build(options);
+  auto bed2 = api::Testbed::Build(options);
+  ASSERT_TRUE(bed1.ok());
+  ASSERT_TRUE(bed2.ok());
+  ASSERT_EQ((*bed1)->track().documents.size(),
+            (*bed2)->track().documents.size());
+  for (size_t i = 0; i < (*bed1)->track().documents.size(); ++i) {
+    ASSERT_EQ((*bed1)->track().documents[i].xml,
+              (*bed2)->track().documents[i].xml);
   }
-  groundtruth::GroundTruthBuilder b1(p1->get()), b2(p2->get());
+  groundtruth::GroundTruthBuilder b1(bed1->get()), b2(bed2->get());
   auto e1 = b1.BuildEntry(0);
   auto e2 = b2.BuildEntry(0);
   ASSERT_TRUE(e1.ok());

@@ -6,31 +6,31 @@
 
 #include <thread>
 
+#include "api/testbed.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "expansion/baselines.h"
 #include "expansion/cycle_expander.h"
 #include "groundtruth/ground_truth.h"
-#include "groundtruth/pipeline.h"
 
 namespace wqe {
 namespace {
 
-const groundtruth::Pipeline& TinyPipeline() {
-  static const groundtruth::Pipeline* kPipeline = [] {
-    groundtruth::PipelineOptions options;
+const api::Testbed& TinyTestbed() {
+  static const api::Testbed* kBed = [] {
+    api::TestbedOptions options;
     options.wiki.num_domains = 8;
     options.track.num_topics = 3;
     options.track.background_docs = 60;
-    auto result = groundtruth::Pipeline::Build(options);
+    auto result = api::Testbed::Build(options);
     EXPECT_TRUE(result.ok()) << result.status();
     return result->release();
   }();
-  return *kPipeline;
+  return *kBed;
 }
 
 TEST(XqOptimizerSwapTest, SwapEnabledNeverWorseThanDisabled) {
-  const auto& p = TinyPipeline();
+  const api::Testbed& bed = TinyTestbed();
   groundtruth::XqOptimizerOptions no_swap;
   no_swap.enable_swap = false;
   no_swap.restarts = 1;
@@ -38,8 +38,8 @@ TEST(XqOptimizerSwapTest, SwapEnabledNeverWorseThanDisabled) {
   with_swap.enable_swap = true;
   with_swap.restarts = 1;
 
-  for (size_t t = 0; t < p.num_topics(); ++t) {
-    groundtruth::GroundTruthBuilder b1(&p, no_swap), b2(&p, with_swap);
+  for (size_t t = 0; t < bed.num_topics(); ++t) {
+    groundtruth::GroundTruthBuilder b1(&bed, no_swap), b2(&bed, with_swap);
     auto e1 = b1.BuildEntry(t);
     auto e2 = b2.BuildEntry(t);
     ASSERT_TRUE(e1.ok());
@@ -51,14 +51,14 @@ TEST(XqOptimizerSwapTest, SwapEnabledNeverWorseThanDisabled) {
 }
 
 TEST(XqOptimizerSwapTest, MoreRestartsNeverWorse) {
-  const auto& p = TinyPipeline();
+  const api::Testbed& bed = TinyTestbed();
   groundtruth::XqOptimizerOptions one;
   one.restarts = 1;
   one.enable_swap = false;
   groundtruth::XqOptimizerOptions three;
   three.restarts = 3;
   three.enable_swap = false;
-  groundtruth::GroundTruthBuilder b1(&p, one), b3(&p, three);
+  groundtruth::GroundTruthBuilder b1(&bed, one), b3(&bed, three);
   auto e1 = b1.BuildEntry(0);
   auto e3 = b3.BuildEntry(0);
   ASSERT_TRUE(e1.ok());
@@ -90,11 +90,11 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
 }
 
 TEST(CycleExpanderEdgeTest, SingleQueryArticleStillExpands) {
-  const auto& p = TinyPipeline();
-  expansion::CycleExpander system(p.kb(), p.linker());
+  const api::Testbed& bed = TinyTestbed();
+  expansion::CycleExpander system(bed.kb(), bed.linker());
   // A bare hub title links to exactly one article.
   const auto& hub_title =
-      p.kb().display_title(p.topic(0).query_articles[0]);
+      bed.kb().display_title(bed.topic(0).query_articles[0]);
   auto expanded = system.Expand(hub_title);
   ASSERT_TRUE(expanded.ok());
   EXPECT_EQ(expanded->query_articles.size(), 1u);
@@ -102,39 +102,32 @@ TEST(CycleExpanderEdgeTest, SingleQueryArticleStillExpands) {
 }
 
 TEST(CycleExpanderEdgeTest, TinyNeighborhoodCapStillWorks) {
-  const auto& p = TinyPipeline();
+  const api::Testbed& bed = TinyTestbed();
   expansion::CycleExpanderOptions options;
   options.max_neighborhood = 5;  // barely more than the query itself
-  expansion::CycleExpander system(p.kb(), p.linker(), options);
-  auto expanded = system.Expand(p.topic(0).keywords);
+  expansion::CycleExpander system(bed.kb(), bed.linker(), options);
+  auto expanded = system.Expand(bed.topic(0).keywords);
   ASSERT_TRUE(expanded.ok());  // may find few/no features, must not fail
 }
 
 TEST(CycleExpanderEdgeTest, MaxCyclesCapRespected) {
-  const auto& p = TinyPipeline();
+  const api::Testbed& bed = TinyTestbed();
   expansion::CycleExpanderOptions options;
   options.max_cycles = 3;
-  expansion::CycleExpander system(p.kb(), p.linker(), options);
-  auto expanded = system.Expand(p.topic(0).keywords);
+  expansion::CycleExpander system(bed.kb(), bed.linker(), options);
+  auto expanded = system.Expand(bed.topic(0).keywords);
   ASSERT_TRUE(expanded.ok());
   EXPECT_LE(expanded->feature_articles.size(), options.max_features);
 }
 
 TEST(CommunityEdgeTest, EmptyNeighborhoodYieldsNoFeatures) {
-  const auto& p = TinyPipeline();
+  const api::Testbed& bed = TinyTestbed();
   expansion::CommunityOptions options;
   options.max_neighborhood = 1;
-  expansion::CommunityExpansion system(p.kb(), p.linker(), options);
-  auto expanded = system.Expand(p.topic(0).keywords);
+  expansion::CommunityExpansion system(bed.kb(), bed.linker(), options);
+  auto expanded = system.Expand(bed.topic(0).keywords);
   ASSERT_TRUE(expanded.ok());
   EXPECT_TRUE(expanded->feature_articles.empty());
-}
-
-TEST(PipelineEdgeTest, DocTextNeverEmpty) {
-  const auto& p = TinyPipeline();
-  for (const auto& doc : p.engine().store().documents()) {
-    EXPECT_FALSE(doc.text.empty()) << doc.name;
-  }
 }
 
 }  // namespace
