@@ -148,7 +148,9 @@ EOF
 # global metrics registry; obs_test for the lock-free metrics instruments
 # (multi-writer histogram stress) and trace propagation across pool
 # tasks; snapshot_test for hot republish under live traffic (epoch swap +
-# cache generation churn).
+# cache generation churn); ir_test for one engine's frozen index searched
+# from four threads at once, which must rank bit-identically to
+# sequential searches.
 # (The asan lane below runs the full ctest suite, so both already cover
 # obs_test there.)
 run_tsan() {
@@ -157,7 +159,7 @@ run_tsan() {
     -DCMAKE_BUILD_TYPE=Debug \
     -DWQE_BUILD_BENCHES=OFF -DWQE_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$(nproc)"
-  (cd build-tsan && ctest --output-on-failure -R 'serve_test|api_test|analysis_test|cycles_test|obs_test|ball_prune_test|chaos_test|snapshot_test')
+  (cd build-tsan && ctest --output-on-failure -R 'serve_test|api_test|analysis_test|cycles_test|obs_test|ball_prune_test|chaos_test|snapshot_test|ir_test')
   set +x
 }
 

@@ -32,6 +32,13 @@ obs::Histogram* ExpandHistogram() {
   return histogram;
 }
 
+obs::Histogram* PrepareHistogram() {
+  static obs::Histogram* histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "wqe.engine.query_prepare_ms");
+  return histogram;
+}
+
 obs::Histogram* SearchHistogram() {
   static obs::Histogram* histogram =
       obs::MetricsRegistry::Global().GetHistogram("wqe.engine.search_ms");
@@ -44,6 +51,14 @@ Status CheckIndexed(const ir::SearchEngine& search) {
   if (search.finalized()) return Status::OK();
   return Status::InvalidArgument(
       "Query before FinalizeIndex(): the corpus is not indexed yet");
+}
+
+/// Resolves `query` against `search`'s index under its own span, so the
+/// `expansion` and `search` spans time only their own work.
+Result<ir::PreparedQuery> PrepareTimed(const ir::SearchEngine& search,
+                                       const ir::QueryNode& query) {
+  obs::Span span("query-prepare", PrepareHistogram());
+  return search.Prepare(query);
 }
 
 /// Runs `run` over every request in order and fails atomically: the
@@ -173,17 +188,25 @@ Result<std::unique_ptr<expansion::Expander>> Engine::BuildExpander(
 Result<ExpandResponse> Engine::ExpandWith(const expansion::Expander& expander,
                                           std::string_view resolved_name,
                                           std::string_view keywords) const {
-  Stopwatch watch;
-  obs::Span span("expansion", ExpandHistogram());
-  WQE_ASSIGN_OR_RETURN(expansion::ExpandedQuery expanded,
-                       expander.Expand(keywords));
   ExpandResponse response;
-  response.expander = std::string(resolved_name);
-  response.query_articles = std::move(expanded.query_articles);
-  response.feature_articles = std::move(expanded.feature_articles);
-  response.titles = std::move(expanded.titles);
-  response.query = std::move(expanded.query);
-  response.expand_ms = watch.ElapsedMillis();
+  {
+    Stopwatch watch;
+    obs::Span span("expansion", ExpandHistogram());
+    WQE_ASSIGN_OR_RETURN(expansion::ExpandedQuery expanded,
+                         expander.Expand(keywords));
+    response.expander = std::string(resolved_name);
+    response.query_articles = std::move(expanded.query_articles);
+    response.feature_articles = std::move(expanded.feature_articles);
+    response.titles = std::move(expanded.titles);
+    response.query = std::move(expanded.query);
+    response.expand_ms = watch.ElapsedMillis();
+  }
+  // Prepared once per expansion: every retrieval of this response, cache
+  // hits included, scores from the term ids.
+  if (search_->finalized()) {
+    WQE_ASSIGN_OR_RETURN(response.prepared,
+                         PrepareTimed(*search_, response.query));
+  }
   counters_.expand_calls->Inc();
   return response;
 }
@@ -195,11 +218,16 @@ Result<QueryResponse> Engine::QueryWithExpansion(ExpandResponse expansion,
   QueryResponse response;
   response.expansion = std::move(expansion);
   size_t k = top_k == 0 ? options_.default_top_k : top_k;
+  // Made before FinalizeIndex or by another engine: re-prepare here.
+  ir::PreparedQuery& prepared = response.expansion.prepared;
+  if (prepared.index_id != search_->index().id()) {
+    WQE_ASSIGN_OR_RETURN(prepared,
+                         PrepareTimed(*search_, response.expansion.query));
+  }
   Stopwatch search_watch;
   {
     obs::Span span("search", SearchHistogram());
-    WQE_ASSIGN_OR_RETURN(response.docs,
-                         search_->Search(response.expansion.query, k));
+    WQE_ASSIGN_OR_RETURN(response.docs, search_->Search(prepared, k));
   }
   counters_.searches->Inc();
   response.search_ms = search_watch.ElapsedMillis();

@@ -100,7 +100,11 @@ struct ExpandResponse {
   std::vector<graph::NodeId> feature_articles;  ///< selected features
   std::vector<std::string> titles;              ///< issued phrase titles
   ir::QueryNode query;                          ///< #combine of phrases
-  double expand_ms = 0.0;
+  /// `query` resolved to term ids against the engine's index, once, by
+  /// `ExpandWith` (left unprepared before `FinalizeIndex`).  It rides in
+  /// the serving cache, so a hit retrieves without re-analyzing `query`.
+  ir::PreparedQuery prepared;
+  double expand_ms = 0.0;  ///< expansion only, not query preparation
 };
 
 /// \brief Query outcome: the expansion plus the ranked documents.
@@ -195,13 +199,19 @@ class Engine {
       const ExpanderOverrides& overrides) const;
 
   /// \brief Expands `keywords` with a caller-built expander instance;
-  /// `resolved_name` is echoed into the response.
+  /// `resolved_name` is echoed into the response.  Once the index is
+  /// finalized, also prepares the response's query against it, under a
+  /// `query-prepare` span of its own.
   Result<ExpandResponse> ExpandWith(const expansion::Expander& expander,
                                     std::string_view resolved_name,
                                     std::string_view keywords) const;
 
   /// \brief Completes a query from an already-computed expansion (a
-  /// serving-cache hit): retrieval only, no linking or feature selection.
+  /// serving-cache hit): retrieval only, no linking or feature selection,
+  /// and no query analysis when `expansion.prepared` came from this
+  /// engine's index.  An expansion prepared elsewhere (or not at all:
+  /// made before `FinalizeIndex`, or by another engine) is re-prepared
+  /// from `expansion.query`; foreign term ids are never read.
   /// `expansion.expand_ms` is left as recorded when the expansion was
   /// first computed.  `top_k == 0` uses the engine default.
   Result<QueryResponse> QueryWithExpansion(ExpandResponse expansion,

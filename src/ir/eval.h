@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "ir/document_store.h"
-#include "ir/scorer.h"
+#include "ir/ranker.h"
 
 namespace wqe::ir {
 

@@ -62,28 +62,6 @@ std::vector<uint32_t> AdjacentPositions(const std::vector<uint32_t>& current,
 
 }  // namespace
 
-uint32_t InvertedIndex::PhraseTf(const std::vector<std::string>& terms,
-                                 DocId doc) const {
-  if (terms.empty()) return 0;
-  const PostingsList* first = Find(terms[0]);
-  if (first == nullptr) return 0;
-  auto it = std::lower_bound(
-      first->postings.begin(), first->postings.end(), doc,
-      [](const Posting& p, DocId d) { return p.doc < d; });
-  if (it == first->postings.end() || it->doc != doc) return 0;
-  std::vector<uint32_t> current = it->positions;
-  for (size_t k = 1; k < terms.size() && !current.empty(); ++k) {
-    const PostingsList* list = Find(terms[k]);
-    if (list == nullptr) return 0;
-    auto pit = std::lower_bound(
-        list->postings.begin(), list->postings.end(), doc,
-        [](const Posting& p, DocId d) { return p.doc < d; });
-    if (pit == list->postings.end() || pit->doc != doc) return 0;
-    current = AdjacentPositions(current, pit->positions);
-  }
-  return static_cast<uint32_t>(current.size());
-}
-
 std::vector<Posting> InvertedIndex::PhrasePostings(
     const std::vector<std::string>& terms) const {
   std::vector<Posting> out;

@@ -1,12 +1,15 @@
 #pragma once
 
 /// \file inverted_index.h
-/// \brief Positional inverted index.
+/// \brief The map-based reference positional index: the test oracle.
 ///
 /// Terms map to postings lists of (document, sorted positions).  Positions
-/// are the pre-stopword token positions produced by `text::Analyzer`, so
+/// are the compacted token positions produced by `text::Analyzer`, so
 /// exact-phrase evaluation (`#1(...)`, the operator the paper's ground
-/// truth relies on) respects original word adjacency.
+/// truth relies on) respects original word adjacency.  Retrieval serves
+/// from `ir::FrozenIndex`, which holds the same postings in flat arrays;
+/// this builder, with one heap vector per posting, stays only as the
+/// index side of the `QueryEvaluator` oracle (see scorer.h).
 
 #include <cstdint>
 #include <string>
@@ -31,8 +34,6 @@ struct Posting {
 struct PostingsList {
   std::vector<Posting> postings;  ///< ascending DocId
   uint64_t collection_tf = 0;     ///< total occurrences across collection
-
-  uint32_t df() const { return static_cast<uint32_t>(postings.size()); }
 };
 
 /// \brief The index. Build by `Add`ing analyzed documents in id order.
@@ -51,12 +52,6 @@ class InvertedIndex {
   /// \brief Postings of an *analyzed* term; nullptr when absent.
   const PostingsList* Find(std::string_view analyzed_term) const;
 
-  /// \brief Number of indexed documents.
-  size_t num_docs() const { return doc_lengths_.size(); }
-
-  /// \brief Vocabulary size.
-  size_t num_terms() const { return postings_.size(); }
-
   /// \brief Length (analyzed token count) of one document.
   uint32_t doc_length(DocId doc) const { return doc_lengths_[doc]; }
 
@@ -65,10 +60,6 @@ class InvertedIndex {
 
   /// \brief The analyzer used to build this index (queries must use it).
   const text::Analyzer& analyzer() const { return *analyzer_; }
-
-  /// \brief Counts exact-phrase occurrences of the analyzed term sequence
-  /// in one document (consecutive source positions).
-  uint32_t PhraseTf(const std::vector<std::string>& terms, DocId doc) const;
 
   /// \brief Documents containing the exact phrase, with occurrence counts;
   /// ascending DocId. A single-term phrase degenerates to its postings.

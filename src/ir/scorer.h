@@ -1,15 +1,16 @@
 #pragma once
 
 /// \file scorer.h
-/// \brief Query-likelihood scoring with Dirichlet smoothing.
+/// \brief The reference query-likelihood evaluator: the ranking oracle.
 ///
-/// INDRI's retrieval model: a document's belief for a term is
-///
-///   P(t|d) = (tf(t,d) + μ·P(t|C)) / (|d| + μ)
-///
-/// and `#combine` averages the children's log-beliefs.  Exact phrases
-/// (`#1`) are scored the same way with phrase occurrence counts and a
-/// collection phrase frequency computed on the fly (cached per query).
+/// Scores the same model as `ir::RankPrepared` (ranker.h, which holds the
+/// formula and the determinism contract) straight from a query AST over
+/// the map-based `InvertedIndex`: it analyzes every leaf per call, keeps
+/// one doc→tf hash map per leaf and a hash set of candidates, and sorts
+/// them all.  Retrieval no longer runs it; it stays, like
+/// `graph::ComputeCycleMetrics` for the cycle scorer, as the slow and
+/// obviously correct side of the differential tests in ir_test and
+/// api_test, which require equal documents and bit-identical scores.
 
 #include <string>
 #include <unordered_map>
@@ -18,24 +19,9 @@
 #include "common/result.h"
 #include "ir/inverted_index.h"
 #include "ir/query.h"
+#include "ir/ranker.h"
 
 namespace wqe::ir {
-
-/// \brief One ranked result.
-struct ScoredDoc {
-  DocId doc = kInvalidDoc;
-  double score = 0.0;
-
-  bool operator==(const ScoredDoc& other) const = default;
-};
-
-/// \brief Scoring parameters.
-struct ScorerOptions {
-  /// Dirichlet μ. The classic default is 2500; the ImageCLEF-style
-  /// metadata documents are short (tens of tokens), so the engine default
-  /// is smaller.
-  double mu = 300.0;
-};
 
 /// \brief Evaluates query ASTs against an index.
 class QueryEvaluator {
@@ -43,17 +29,9 @@ class QueryEvaluator {
   QueryEvaluator(const InvertedIndex* index, ScorerOptions options = {})
       : index_(index), options_(options) {}
 
-  /// \brief Scores and ranks the top `k` documents for `query`.
-  ///
-  /// Only documents matching at least one leaf are ranked (unmatched
-  /// documents would all tie on pure background probability).
-  ///
-  /// Determinism contract: equal scores tie-break by ascending DocId, so
-  /// the ranking is a pure function of (index, query, k) regardless of
-  /// internal iteration order.  The serving layer
-  /// (`serve::Server`) relies on this to guarantee parallel execution
-  /// returns bit-identical rankings to sequential execution — do not
-  /// weaken it (regression-tested in ir_test.cc).
+  /// \brief Scores and ranks the top `k` documents for `query`, under
+  /// the same candidate rule and (score desc, doc asc) order as
+  /// `RankPrepared`.
   Result<std::vector<ScoredDoc>> Evaluate(const QueryNode& query,
                                           size_t k) const;
 

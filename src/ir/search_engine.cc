@@ -21,19 +21,30 @@ Status SearchEngine::Finalize() {
   if (store_.empty()) {
     return Status::InvalidArgument("no documents to index");
   }
-  index_ = std::make_unique<InvertedIndex>(&analyzer_);
-  WQE_RETURN_NOT_OK(index_->AddAll(store_));
-  evaluator_ = std::make_unique<QueryEvaluator>(index_.get(), options_.scorer);
+  WQE_ASSIGN_OR_RETURN(index_, FrozenIndex::Build(store_, analyzer_));
   finalized_ = true;
   return Status::OK();
 }
 
-Result<std::vector<ScoredDoc>> SearchEngine::Search(const QueryNode& query,
+Result<PreparedQuery> SearchEngine::Prepare(const QueryNode& query) const {
+  if (!finalized_) {
+    return Status::InvalidArgument("engine not finalized");
+  }
+  return PrepareQuery(index_, analyzer_, query);
+}
+
+Result<std::vector<ScoredDoc>> SearchEngine::Search(const PreparedQuery& query,
                                                     size_t k) const {
   if (!finalized_) {
     return Status::InvalidArgument("engine not finalized");
   }
-  return evaluator_->Evaluate(query, k);
+  return RankPrepared(index_, query, k, options_.scorer);
+}
+
+Result<std::vector<ScoredDoc>> SearchEngine::Search(const QueryNode& query,
+                                                    size_t k) const {
+  WQE_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(query));
+  return Search(prepared, k);
 }
 
 Result<std::vector<ScoredDoc>> SearchEngine::SearchText(

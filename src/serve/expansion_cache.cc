@@ -64,12 +64,18 @@ std::shared_ptr<const api::ExpandResponse> ExpansionCache::Get(
     misses_->Inc();
     return nullptr;
   }
-  if (it->second->generation != generation) {
-    // Computed under a different graph epoch — a republish happened.
-    // Drop rather than serve a result the current graph may contradict.
+  if (it->second->generation < generation) {
+    // Computed under an older graph epoch — a republish happened.  Drop
+    // rather than serve a result the current graph may contradict.
     shard.lru.erase(it->second);
     shard.index.erase(it);
     stale_drops_->Inc();
+    misses_->Inc();
+    return nullptr;
+  }
+  if (it->second->generation > generation) {
+    // The caller is still pinned to an older epoch mid-publish: miss, but
+    // keep the newer epoch's entry for the requests that will want it.
     misses_->Inc();
     return nullptr;
   }
@@ -94,6 +100,8 @@ void ExpansionCache::Put(const Key& key, api::ExpandResponse response,
   common::MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
+    // An old-epoch result never replaces a newer epoch's entry.
+    if (it->second->generation > generation) return;
     it->second->value = std::move(value);
     it->second->inserted = now;
     it->second->generation = generation;

@@ -24,6 +24,9 @@
 /// passes a newer generation treats the entry as stale — dropped on
 /// sight, counted as a miss plus a `stale_drops` — so a republish
 /// implicitly invalidates the whole cache without any global sweep.
+/// Generations only move forward: a caller still pinned to an older
+/// epoch during a publish misses without touching a newer entry, and a
+/// `Put` never replaces an entry stamped with a newer generation.
 
 #include <atomic>
 #include <chrono>
@@ -63,7 +66,7 @@ struct ExpansionCacheStats {
   size_t misses = 0;
   size_t evictions = 0;    ///< capacity-driven LRU drops
   size_t expirations = 0;  ///< TTL-driven drops
-  size_t stale_drops = 0;  ///< generation-mismatch drops (post-republish)
+  size_t stale_drops = 0;  ///< older-generation drops (post-republish)
   size_t entries = 0;      ///< currently resident
 
   double HitRatio() const {
@@ -102,14 +105,16 @@ class ExpansionCache {
   /// \brief Returns the cached expansion (refreshing its LRU position) or
   /// nullptr on miss.  The returned pointer stays valid after eviction.
   /// `generation` is the caller's pinned graph-snapshot generation: an
-  /// entry stamped with a different one is dropped as stale (default 0
-  /// matches the default `Put`, for generation-agnostic callers/tests).
+  /// entry stamped with an older one is dropped as stale, and one stamped
+  /// with a newer one is a miss that stays cached (default 0 matches the
+  /// default `Put`, for generation-agnostic callers/tests).
   std::shared_ptr<const api::ExpandResponse> Get(const Key& key,
                                                  uint64_t generation = 0);
 
   /// \brief Inserts (or refreshes) `response` under `key`, stamped with
   /// `generation`, evicting the least-recently-used entry of the target
-  /// shard when it is full.
+  /// shard when it is full.  An entry stamped with a newer generation is
+  /// kept as it is.
   void Put(const Key& key, api::ExpandResponse response,
            uint64_t generation = 0);
 

@@ -23,7 +23,7 @@
 /// built and run against the pinned snapshot.
 ///
 /// Rankings are bit-identical to sequential `Engine::Query` calls: scoring
-/// is deterministic (ties break by DocId, see ir/scorer.h) and cached
+/// is deterministic (ties break by DocId, see ir/ranker.h) and cached
 /// expansions are pure functions of their key over the immutable KB.
 ///
 /// All workers share the engine KB's one frozen `graph::CsrGraph`

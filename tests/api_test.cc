@@ -1,27 +1,38 @@
 /// \file api_test.cc
 /// \brief Tests for the `api::Engine` facade and its expander registry:
-/// name-based strategy lookup, per-call overrides, batched serving, and
-/// the fallback behavior of unlinkable requests.
+/// name-based strategy lookup, per-call overrides, batched serving, the
+/// fallback behavior of unlinkable requests, and retrieval against the
+/// map-based ranking oracle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "api/engine.h"
 #include "api/evaluation.h"
 #include "api/testbed.h"
 #include "expansion/cycle_expander.h"
+#include "ir/inverted_index.h"
+#include "ir/scorer.h"
+#include "obs/metrics.h"
+#include "wiki/synthetic.h"
 
 namespace wqe::api {
 namespace {
 
+TestbedOptions SmallBedOptions() {
+  TestbedOptions options;
+  options.wiki.num_domains = 12;
+  options.track.num_topics = 6;
+  options.track.background_docs = 150;
+  return options;
+}
+
 const Testbed& SmallBed() {
   static const Testbed* kBed = [] {
-    TestbedOptions options;
-    options.wiki.num_domains = 12;
-    options.track.num_topics = 6;
-    options.track.background_docs = 150;
-    auto result = Testbed::Build(options);
+    auto result = Testbed::Build(SmallBedOptions());
     EXPECT_TRUE(result.ok()) << result.status();
     return result->release();
   }();
@@ -253,6 +264,169 @@ TEST(EngineBatchTest, BatchErrorNamesOffendingRequest) {
   ASSERT_FALSE(batch.ok());
   EXPECT_TRUE(batch.status().IsInvalidArgument());
   EXPECT_NE(batch.status().message().find("request #1"), std::string::npos);
+}
+
+// ----------------------------------------------------- retrieval oracle
+
+/// The ranking oracle over `engine`'s corpus: the map-based index and the
+/// reference evaluator, with the engine's analyzer and scoring options.
+class RetrievalOracle {
+ public:
+  explicit RetrievalOracle(const Engine& engine)
+      : index_(&engine.search_engine().analyzer()),
+        evaluator_(&index_, engine.options().search.scorer) {
+    EXPECT_TRUE(index_.AddAll(engine.search_engine().store()).ok());
+  }
+  std::vector<ir::ScoredDoc> Rank(const ir::QueryNode& query,
+                                  size_t k) const {
+    auto ranked = evaluator_.Evaluate(query, k);
+    EXPECT_TRUE(ranked.ok()) << ranked.status();
+    return ranked.ok() ? *ranked : std::vector<ir::ScoredDoc>{};
+  }
+
+ private:
+  ir::InvertedIndex index_;
+  ir::QueryEvaluator evaluator_;
+};
+
+/// Equal documents and bit-identical scores.
+void ExpectSameDocs(const std::vector<ir::ScoredDoc>& got,
+                    const std::vector<ir::ScoredDoc>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+              std::bit_cast<uint64_t>(want[i].score))
+        << "rank " << i;
+  }
+}
+
+TEST(RetrievalOracleTest, EveryTopicAndStrategyMatchesTheOracle) {
+  const Testbed& bed = SmallBed();
+  const Engine& engine = bed.engine();
+  RetrievalOracle oracle(engine);
+  for (const std::string& name : engine.registry().Names()) {
+    for (size_t t = 0; t < bed.num_topics(); ++t) {
+      SCOPED_TRACE(name + ", topic " + std::to_string(t));
+      for (size_t k : {size_t{0}, size_t{1}, size_t{100000}}) {
+        QueryRequest request;
+        request.keywords = bed.topic(t).keywords;
+        request.expander = name;
+        request.top_k = k;
+        auto response = engine.Query(request);
+        ASSERT_TRUE(response.ok()) << response.status();
+        const size_t want_k = k == 0 ? engine.options().default_top_k : k;
+        ExpectSameDocs(response->docs,
+                       oracle.Rank(response->expansion.query, want_k));
+      }
+    }
+  }
+}
+
+TEST(RetrievalOracleTest, QueryRecordsWorkVolumeAndPrepareOnce) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const Testbed& bed = SmallBed();
+  RetrievalOracle oracle(bed.engine());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const std::vector<obs::Histogram*> histograms = {
+      registry.GetHistogram("wqe.ir.leaves"),
+      registry.GetHistogram("wqe.ir.candidates"),
+      registry.GetHistogram("wqe.engine.query_prepare_ms"),
+      registry.GetHistogram("wqe.engine.expand_ms")};
+  std::vector<obs::HistogramSnapshot> before;
+  for (obs::Histogram* h : histograms) before.push_back(h->snapshot());
+
+  QueryRequest request;
+  request.keywords = bed.topic(1).keywords;
+  auto response = bed.engine().Query(request);
+  ASSERT_TRUE(response.ok()) << response.status();
+  for (size_t i = 0; i < histograms.size(); ++i) {
+    EXPECT_EQ(histograms[i]->snapshot().DeltaSince(before[i]).count, 1u) << i;
+  }
+  const ir::PreparedQuery& prepared = response->expansion.prepared;
+  EXPECT_GT(prepared.num_leaves(), 0u);
+  EXPECT_EQ(histograms[0]->snapshot().DeltaSince(before[0]).sum,
+            static_cast<double>(prepared.num_leaves()));
+  const size_t candidates =
+      oracle.Rank(response->expansion.query, SIZE_MAX).size();
+  EXPECT_GT(candidates, 0u);
+  EXPECT_EQ(histograms[1]->snapshot().DeltaSince(before[1]).sum,
+            static_cast<double>(candidates));
+}
+
+/// An engine over the SmallBed KB (regenerated: same seed, same graph),
+/// with `extra` indexed ahead of the bed's documents when given, and
+/// finalized only when `finalize` is set.
+std::unique_ptr<Engine> EngineOverBedKb(const std::string& extra,
+                                        bool finalize) {
+  auto wiki = wiki::GenerateSyntheticWikipedia(SmallBedOptions().wiki);
+  EXPECT_TRUE(wiki.ok());
+  auto engine = Engine::Build(std::move(wiki->kb));
+  EXPECT_TRUE(engine.ok());
+  if (!extra.empty()) {
+    EXPECT_TRUE((*engine)->AddDocument("extra", extra).ok());
+  }
+  for (const ir::Document& doc :
+       SmallBed().engine().search_engine().store().documents()) {
+    EXPECT_TRUE((*engine)->AddDocument(doc.name, doc.text).ok());
+  }
+  if (finalize) {
+    EXPECT_TRUE((*engine)->FinalizeIndex().ok());
+  }
+  return std::move(*engine);
+}
+
+TEST(RetrievalOracleTest, ExpansionMadeBeforeFinalizeIsPreparedAtQuery) {
+  const Testbed& bed = SmallBed();
+  std::unique_ptr<Engine> engine = EngineOverBedKb("", /*finalize=*/false);
+  ExpandRequest request;
+  request.keywords = bed.topic(2).keywords;
+  auto early = engine->Expand(request);
+  ASSERT_TRUE(early.ok()) << early.status();
+  EXPECT_EQ(early->prepared.index_id, 0u);  // nothing to resolve against
+  ASSERT_TRUE(engine->FinalizeIndex().ok());
+
+  auto response = engine->QueryWithExpansion(*early, 0);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->expansion.prepared.index_id,
+            engine->search_engine().index().id());
+  RetrievalOracle oracle(*engine);
+  ExpectSameDocs(response->docs,
+                 oracle.Rank(early->query, engine->options().default_top_k));
+  // The same ranking the bed's own engine gives the same request.
+  QueryRequest query;
+  query.keywords = request.keywords;
+  auto reference = bed.engine().Query(query);
+  ASSERT_TRUE(reference.ok());
+  ExpectSameDocs(response->docs, reference->docs);
+}
+
+TEST(RetrievalOracleTest, ExpansionFromAnotherEngineIsReprepared) {
+  const Testbed& bed = SmallBed();
+  const Engine& engine = bed.engine();
+  // "aaaa" sorts ahead of the query terms, so the other engine's term ids
+  // all differ from this engine's.
+  std::unique_ptr<Engine> other = EngineOverBedKb("aaaa", /*finalize=*/true);
+  ExpandRequest request;
+  request.keywords = bed.topic(3).keywords;
+  auto foreign = other->Expand(request);
+  auto own = engine.Expand(request);
+  ASSERT_TRUE(foreign.ok() && own.ok());
+  EXPECT_EQ(foreign->query.ToString(), own->query.ToString());
+  ASSERT_NE(foreign->prepared.terms, own->prepared.terms);
+  EXPECT_TRUE(engine.search_engine()
+                  .Search(foreign->prepared, 15)
+                  .status()
+                  .IsInvalidArgument());
+
+  auto response = engine.QueryWithExpansion(*foreign, 0);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->expansion.prepared.index_id,
+            engine.search_engine().index().id());
+  EXPECT_EQ(response->expansion.prepared.terms, own->prepared.terms);
+  RetrievalOracle oracle(engine);
+  ExpectSameDocs(response->docs,
+                 oracle.Rank(own->query, engine.options().default_top_k));
 }
 
 // ----------------------------------------------------------- evaluation

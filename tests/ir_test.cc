@@ -1,15 +1,22 @@
 /// \file ir_test.cc
-/// \brief Tests for the retrieval engine: store, index, query language,
-/// scoring and evaluation metrics.
+/// \brief Tests for the retrieval engine: store, frozen index, query
+/// language, scoring (differentially against the map-based oracle,
+/// `InvertedIndex` + `QueryEvaluator`) and evaluation metrics.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <set>
+#include <thread>
 
+#include "common/rng.h"
 #include "ir/document_store.h"
 #include "ir/eval.h"
+#include "ir/frozen_index.h"
 #include "ir/inverted_index.h"
 #include "ir/query.h"
+#include "ir/ranker.h"
 #include "ir/scorer.h"
 #include "ir/search_engine.h"
 
@@ -29,54 +36,124 @@ TEST(DocumentStoreTest, AddAndLookup) {
   EXPECT_TRUE(store.Add("", "x").status().IsInvalidArgument());
 }
 
-// ----------------------------------------------------------- InvertedIndex
+// ------------------------------------------------------------ FrozenIndex
 
 class IndexTest : public ::testing::Test {
  protected:
-  IndexTest() : index_(&analyzer_) {
-    // doc0: "the gondola in venice"  → gondola(1) venic(3)
+  IndexTest() {
+    // doc0: "the gondola in venice"  → gondola venic
     // doc1: "venice venice gondola"  → venic venic gondola
-    // doc2: "grand canal of venice"
-    EXPECT_TRUE(index_.Add(0, "the gondola in venice").ok());
-    EXPECT_TRUE(index_.Add(1, "venice venice gondola").ok());
-    EXPECT_TRUE(index_.Add(2, "grand canal of venice").ok());
+    // doc2: "grand canal of venice"  → grand canal venic
+    EXPECT_TRUE(store_.Add("d0", "the gondola in venice").ok());
+    EXPECT_TRUE(store_.Add("d1", "venice venice gondola").ok());
+    EXPECT_TRUE(store_.Add("d2", "grand canal of venice").ok());
+    auto built = FrozenIndex::Build(store_, analyzer_);
+    EXPECT_TRUE(built.ok()) << built.status();
+    index_ = std::move(*built);
   }
+
+  /// Documents holding the exact phrase of analyzed `terms`, with counts;
+  /// a phrase with an unknown term matches nothing.
+  std::vector<std::pair<DocId, uint32_t>> Phrase(
+      const std::vector<std::string>& terms) const {
+    std::vector<TermId> ids;
+    for (const std::string& t : terms) ids.push_back(index_.Lookup(t));
+    std::vector<DocId> docs;
+    std::vector<uint32_t> tfs;
+    if (std::find(ids.begin(), ids.end(), kOovTerm) == ids.end()) {
+      index_.PhraseMatches(ids, &docs, &tfs);
+    }
+    std::vector<std::pair<DocId, uint32_t>> out;
+    for (size_t i = 0; i < docs.size(); ++i) out.emplace_back(docs[i], tfs[i]);
+    return out;
+  }
+
+  uint32_t PhraseTf(const std::vector<std::string>& terms, DocId doc) const {
+    for (const auto& [d, tf] : Phrase(terms)) {
+      if (d == doc) return tf;
+    }
+    return 0;
+  }
+
   text::Analyzer analyzer_;
-  InvertedIndex index_;
+  DocumentStore store_;
+  FrozenIndex index_;
 };
 
 TEST_F(IndexTest, PostingsAndStats) {
-  const PostingsList* venice = index_.Find("venic");  // stemmed
-  ASSERT_NE(venice, nullptr);
-  EXPECT_EQ(venice->df(), 3u);
-  EXPECT_EQ(venice->collection_tf, 4u);
+  const TermId venice = index_.Lookup("venic");  // stemmed
+  ASSERT_NE(venice, kOovTerm);
+  EXPECT_EQ(index_.term(venice), "venic");
+  EXPECT_EQ(index_.df(venice), 3u);
+  EXPECT_EQ(index_.collection_tf(venice), 4u);
   EXPECT_EQ(index_.num_docs(), 3u);
-  EXPECT_EQ(index_.Find("venice"), nullptr);  // unstemmed form absent
-  EXPECT_EQ(index_.Find("zzz"), nullptr);
+  EXPECT_EQ(index_.num_terms(), 4u);  // canal gondola grand venic
+  EXPECT_EQ(index_.Lookup("venice"), kOovTerm);  // unstemmed form absent
+  EXPECT_EQ(index_.Lookup("zzz"), kOovTerm);
   EXPECT_EQ(index_.doc_length(1), 3u);
   EXPECT_EQ(index_.total_tokens(), 2u + 3u + 3u);
+  EXPECT_NE(index_.id(), 0u);
+
+  const std::span<const DocId> docs = index_.docs(venice);
+  const std::span<const uint32_t> tfs = index_.tfs(venice);
+  EXPECT_EQ(std::vector<DocId>(docs.begin(), docs.end()),
+            (std::vector<DocId>{0, 1, 2}));
+  EXPECT_EQ(std::vector<uint32_t>(tfs.begin(), tfs.end()),
+            (std::vector<uint32_t>{1, 2, 1}));
+  const std::span<const uint32_t> in_doc1 = index_.positions(venice, 1);
+  EXPECT_EQ(std::vector<uint32_t>(in_doc1.begin(), in_doc1.end()),
+            (std::vector<uint32_t>{0, 1}));
+  const std::span<const uint32_t> in_doc2 = index_.positions(venice, 2);
+  EXPECT_EQ(std::vector<uint32_t>(in_doc2.begin(), in_doc2.end()),
+            (std::vector<uint32_t>{2}));  // "of" dropped, positions compacted
 }
 
-TEST_F(IndexTest, RequiresIdOrder) {
-  EXPECT_TRUE(index_.Add(7, "skip ahead").IsInvalidArgument());
+TEST_F(IndexTest, DictionaryIsSortedAndRankIsTheId) {
+  for (TermId t = 0; t < index_.num_terms(); ++t) {
+    EXPECT_EQ(index_.Lookup(index_.term(t)), t);
+    if (t > 0) {
+      EXPECT_LT(index_.term(t - 1), index_.term(t));
+    }
+  }
+  EXPECT_EQ(index_.term(0), "canal");
+  EXPECT_EQ(index_.Lookup(""), kOovTerm);
+  EXPECT_EQ(index_.Lookup("zzzz"), kOovTerm);  // past the last term
+}
+
+TEST_F(IndexTest, EveryBuildHasItsOwnId) {
+  auto again = FrozenIndex::Build(store_, analyzer_);
+  ASSERT_TRUE(again.ok());
+  EXPECT_NE(again->id(), 0u);
+  EXPECT_NE(again->id(), index_.id());
+  EXPECT_EQ(FrozenIndex().id(), 0u);
+}
+
+TEST(OracleIndexTest, RequiresIdOrder) {
+  text::Analyzer analyzer;
+  InvertedIndex index(&analyzer);
+  EXPECT_TRUE(index.Add(0, "venice").ok());
+  EXPECT_TRUE(index.Add(7, "skip ahead").IsInvalidArgument());
 }
 
 TEST_F(IndexTest, PhraseTfExactAdjacency) {
   // "grand canal" appears once in doc2 only.
-  EXPECT_EQ(index_.PhraseTf({"grand", "canal"}, 2), 1u);
-  EXPECT_EQ(index_.PhraseTf({"grand", "canal"}, 0), 0u);
-  EXPECT_EQ(index_.PhraseTf({"canal", "grand"}, 2), 0u);  // order matters
-  EXPECT_EQ(index_.PhraseTf({"venic", "venic"}, 1), 1u);
-  EXPECT_EQ(index_.PhraseTf({}, 0), 0u);
+  EXPECT_EQ(PhraseTf({"grand", "canal"}, 2), 1u);
+  EXPECT_EQ(PhraseTf({"grand", "canal"}, 0), 0u);
+  EXPECT_EQ(PhraseTf({"canal", "grand"}, 2), 0u);  // order matters
+  EXPECT_EQ(PhraseTf({"venic", "venic"}, 1), 1u);
+  EXPECT_EQ(PhraseTf({"venic", "venic", "gondola"}, 1), 1u);
+  EXPECT_EQ(PhraseTf({"canal", "venic"}, 2), 1u);  // across "of"
+  EXPECT_EQ(PhraseTf({}, 0), 0u);
 }
 
 TEST_F(IndexTest, PhrasePostingsAcrossDocs) {
-  auto postings = index_.PhrasePostings({"venic"});
-  EXPECT_EQ(postings.size(), 3u);
-  auto grand_canal = index_.PhrasePostings({"grand", "canal"});
+  EXPECT_EQ(Phrase({"venic"}).size(), 3u);
+  auto grand_canal = Phrase({"grand", "canal"});
   ASSERT_EQ(grand_canal.size(), 1u);
-  EXPECT_EQ(grand_canal[0].doc, 2u);
-  EXPECT_TRUE(index_.PhrasePostings({"zzz", "venic"}).empty());
+  EXPECT_EQ(grand_canal[0].first, 2u);
+  EXPECT_EQ(Phrase({"gondola", "venic"}),
+            (std::vector<std::pair<DocId, uint32_t>>{{0, 1}}));
+  EXPECT_TRUE(Phrase({"zzz", "venic"}).empty());
 }
 
 TEST(IndexStopwordPositionTest, PhraseMatchesAcrossStopwords) {
@@ -268,6 +345,318 @@ TEST_F(ScoringTest, TieBreakIsStableAcrossRepeatedEvaluations) {
     auto again = engine.SearchText("gondola", 25);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again, *first) << "round " << round;
+  }
+}
+
+// --------------------------------------------- frozen index vs the oracle
+
+/// The oracle over `engine`'s collection: the map-based index and the
+/// reference evaluator, with the engine's analyzer and the default
+/// scoring options every engine in this file uses.
+class Oracle {
+ public:
+  explicit Oracle(const SearchEngine& engine)
+      : index_(&engine.analyzer()), evaluator_(&index_) {
+    EXPECT_TRUE(index_.AddAll(engine.store()).ok());
+  }
+  Result<std::vector<ScoredDoc>> Evaluate(const QueryNode& query,
+                                          size_t k) const {
+    return evaluator_.Evaluate(query, k);
+  }
+
+ private:
+  InvertedIndex index_;
+  QueryEvaluator evaluator_;
+};
+
+/// Requires `engine`'s ranking of `query` to equal the oracle's document
+/// for document and score for score (bit for bit), or both to fail with
+/// the same code.
+void ExpectOracleRanking(const SearchEngine& engine, const Oracle& oracle,
+                         const QueryNode& query, size_t k) {
+  SCOPED_TRACE(query.ToString() + " k=" + std::to_string(k));
+  auto got = engine.Search(query, k);
+  auto want = oracle.Evaluate(query, k);
+  ASSERT_EQ(got.ok(), want.ok()) << got.status() << " vs " << want.status();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    return;
+  }
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    EXPECT_EQ((*got)[i].doc, (*want)[i].doc) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>((*got)[i].score),
+              std::bit_cast<uint64_t>((*want)[i].score))
+        << "rank " << i << ": " << (*got)[i].score << " vs "
+        << (*want)[i].score;
+  }
+}
+
+void ExpectOracleRanking(const SearchEngine& engine, const Oracle& oracle,
+                         std::string_view query_text) {
+  auto query = ParseQuery(query_text);
+  ASSERT_TRUE(query.ok()) << query.status();
+  for (size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{1000}}) {
+    ExpectOracleRanking(engine, oracle, *query, k);
+  }
+}
+
+/// A random text over `vocabulary` of up to `max_words` words.
+std::string RandomText(Rng& rng, const std::vector<std::string>& vocabulary,
+                       uint32_t max_words) {
+  std::string text;
+  const uint32_t words = rng.Uniform(max_words + 1);
+  for (uint32_t w = 0; w < words; ++w) {
+    if (!text.empty()) text += ' ';
+    text += vocabulary[rng.Uniform(static_cast<uint32_t>(vocabulary.size()))];
+  }
+  return text;
+}
+
+/// A random `#combine` of 1–4 leaves, each a term or a phrase of up to 5
+/// words over `vocabulary`.
+QueryNode RandomQuery(Rng& rng, const std::vector<std::string>& vocabulary) {
+  std::vector<QueryNode> leaves;
+  const uint32_t num_leaves = 1 + rng.Uniform(4);
+  for (uint32_t l = 0; l < num_leaves; ++l) {
+    std::vector<std::string> words;
+    const uint32_t length = 1 + rng.Uniform(5);
+    for (uint32_t w = 0; w < length; ++w) {
+      words.push_back(
+          vocabulary[rng.Uniform(static_cast<uint32_t>(vocabulary.size()))]);
+    }
+    leaves.push_back(words.size() == 1 ? QueryNode::Term(words[0])
+                                       : QueryNode::Phrase(std::move(words)));
+  }
+  return QueryNode::Combine(std::move(leaves));
+}
+
+const std::vector<std::string>& Words() {
+  static const std::vector<std::string> words = {
+      "venice", "canal",  "grand", "gondola", "bridge",
+      "sighs",  "palace", "doge",  "the",     "of"};
+  return words;
+}
+
+TEST(OracleRankingTest, RandomCorporaWithSmallVocabularies) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // 2–7 content words plus the two stopwords: phrases repeat, overlap
+    // and span stopwords often.
+    const size_t content = 2 + seed % 6;
+    std::vector<std::string> vocabulary(Words().begin(),
+                                        Words().begin() + content);
+    vocabulary.push_back("the");
+    vocabulary.push_back("of");
+    SearchEngine engine;
+    const uint32_t num_docs = 1 + rng.Uniform(40);
+    for (uint32_t d = 0; d < num_docs; ++d) {
+      ASSERT_TRUE(engine
+                      .AddDocument("doc" + std::to_string(d),
+                                   RandomText(rng, vocabulary, 12))
+                      .ok());
+    }
+    ASSERT_TRUE(engine.Finalize().ok());
+    Oracle oracle(engine);
+    // Queries may also name words the collection never saw.
+    std::vector<std::string> query_words = vocabulary;
+    query_words.push_back("zzz");
+    query_words.push_back(Words()[content % Words().size()]);
+    for (int q = 0; q < 40; ++q) {
+      const QueryNode query = RandomQuery(rng, query_words);
+      const size_t k = std::vector<size_t>{0, 1, 3, 10, 1000}[rng.Uniform(5)];
+      ExpectOracleRanking(engine, oracle, query, k);
+    }
+  }
+}
+
+class OracleEdgeCaseTest : public ::testing::Test {
+ protected:
+  OracleEdgeCaseTest() {
+    for (const char* text :
+         {"the gondola in venice", "venice venice gondola",
+          "venice venice venice", "grand canal of venice",
+          "the bridge of sighs in venice", "bridge sighs venice",
+          "bridge near sighs venice", "the of", "",
+          "canal grand canal grand canal"}) {
+      EXPECT_TRUE(
+          engine_.AddDocument("d" + std::to_string(next_++), text).ok());
+    }
+    EXPECT_TRUE(engine_.Finalize().ok());
+  }
+  int next_ = 0;
+  SearchEngine engine_;
+};
+
+TEST_F(OracleEdgeCaseTest, RepeatedTermPhrases) {
+  Oracle oracle(engine_);
+  ExpectOracleRanking(engine_, oracle, "#1(venice venice)");
+  ExpectOracleRanking(engine_, oracle, "#1(venice venice venice)");
+  ExpectOracleRanking(engine_, oracle, "#1(canal grand canal)");  // overlaps
+  ExpectOracleRanking(engine_, oracle, "#1(canal grand canal grand canal)");
+  ExpectOracleRanking(engine_, oracle, "#1(grand canal grand canal)");
+  ExpectOracleRanking(engine_, oracle, "#1(canal grand canal canal)");
+  ExpectOracleRanking(engine_, oracle, "#combine(#1(venice venice) gondola)");
+}
+
+TEST_F(OracleEdgeCaseTest, PhrasesSpanningStopwords) {
+  Oracle oracle(engine_);
+  ExpectOracleRanking(engine_, oracle, "#1(bridge of sighs)");
+  ExpectOracleRanking(engine_, oracle, "#1(canal of venice)");
+  ExpectOracleRanking(engine_, oracle, "#1(the bridge of the sighs)");
+}
+
+TEST_F(OracleEdgeCaseTest, OutOfVocabularyTerms) {
+  Oracle oracle(engine_);
+  ExpectOracleRanking(engine_, oracle, "zzz");
+  ExpectOracleRanking(engine_, oracle, "#combine(zzz venice)");
+  ExpectOracleRanking(engine_, oracle, "#1(zzz venice)");
+  ExpectOracleRanking(engine_, oracle, "#1(grand zzz canal)");
+  ExpectOracleRanking(engine_, oracle, "#combine(#1(grand zzz) canal)");
+}
+
+TEST_F(OracleEdgeCaseTest, StopwordAndDuplicateLeaves) {
+  Oracle oracle(engine_);
+  ExpectOracleRanking(engine_, oracle, "#combine(the venice)");
+  ExpectOracleRanking(engine_, oracle, "#combine(#1(the of) gondola)");
+  ExpectOracleRanking(engine_, oracle, "#combine(the of)");  // both fail
+  ExpectOracleRanking(engine_, oracle, "#1(the of)");
+  ExpectOracleRanking(engine_, oracle, "#combine(venice venice)");
+  ExpectOracleRanking(engine_, oracle,
+                      "#combine(#1(grand canal) #1(grand canal) venice)");
+  ExpectOracleRanking(engine_, oracle, "#combine(#combine(canal) canal)");
+}
+
+TEST(OracleRankingTest, TiesCutAtK) {
+  SearchEngine engine;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(engine
+                    .AddDocument("doc" + std::to_string(i),
+                                 i % 3 == 0 ? "gondola pier" : "gondola dock")
+                    .ok());
+  }
+  ASSERT_TRUE(engine.Finalize().ok());
+  Oracle oracle(engine);
+  auto query = ParseQuery("#combine(gondola pier)");
+  ASSERT_TRUE(query.ok());
+  for (size_t k : {size_t{0}, size_t{1}, size_t{13}, size_t{14}, size_t{25},
+                   size_t{40}, size_t{41}}) {
+    ExpectOracleRanking(engine, oracle, *query, k);
+  }
+}
+
+// ------------------------------------------------------- prepared queries
+
+TEST_F(OracleEdgeCaseTest, PrepareMarksOovAndDropsStopwordLeaves) {
+  auto query = ParseQuery("#combine(the #1(grand zzz canal) venice #1(of the))");
+  ASSERT_TRUE(query.ok());
+  auto prepared = engine_.Prepare(*query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_EQ(prepared->index_id, engine_.index().id());
+  ASSERT_EQ(prepared->num_leaves(), 2u);
+  const FrozenIndex& index = engine_.index();
+  const std::span<const TermId> phrase = prepared->leaf(0);
+  EXPECT_EQ(std::vector<TermId>(phrase.begin(), phrase.end()),
+            (std::vector<TermId>{index.Lookup("grand"), kOovTerm,
+                                 index.Lookup("canal")}));
+  const std::span<const TermId> term = prepared->leaf(1);
+  EXPECT_EQ(std::vector<TermId>(term.begin(), term.end()),
+            (std::vector<TermId>{index.Lookup("venic")}));
+  // Preparing once and ranking many times is the same as ranking the AST.
+  EXPECT_EQ(*engine_.Search(*prepared, 5), *engine_.Search(*query, 5));
+}
+
+TEST_F(OracleEdgeCaseTest, QueryPreparedElsewhereIsRejected) {
+  auto query = ParseQuery("#combine(venice #1(grand canal))");
+  ASSERT_TRUE(query.ok());
+  EXPECT_TRUE(engine_.Search(PreparedQuery{}, 5).status().IsInvalidArgument());
+
+  // Same collection, separate build: its ids are not this engine's.
+  SearchEngine other;
+  for (const Document& doc : engine_.store().documents()) {
+    ASSERT_TRUE(other.AddDocument(doc.name, doc.text).ok());
+  }
+  ASSERT_TRUE(other.Finalize().ok());
+  auto foreign = other.Prepare(*query);
+  ASSERT_TRUE(foreign.ok());
+  EXPECT_NE(foreign->index_id, engine_.index().id());
+  EXPECT_TRUE(engine_.Search(*foreign, 5).status().IsInvalidArgument());
+
+  // A query with this index's id but a broken shape fails cleanly.
+  auto prepared = engine_.Prepare(*query);
+  ASSERT_TRUE(prepared.ok());
+  PreparedQuery bad_term = *prepared;
+  bad_term.terms[0] = static_cast<TermId>(engine_.index().num_terms());
+  EXPECT_TRUE(engine_.Search(bad_term, 5).status().IsInvalidArgument());
+  PreparedQuery bad_leaves = *prepared;
+  bad_leaves.leaf_end.back() += 1;
+  EXPECT_TRUE(engine_.Search(bad_leaves, 5).status().IsInvalidArgument());
+  PreparedQuery empty_leaf = *prepared;
+  empty_leaf.leaf_end.insert(empty_leaf.leaf_end.begin(), 0);
+  EXPECT_TRUE(engine_.Search(empty_leaf, 5).status().IsInvalidArgument());
+
+  SearchEngine unfinalized;
+  EXPECT_TRUE(unfinalized.Prepare(*query).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      unfinalized.Search(PreparedQuery{}, 5).status().IsInvalidArgument());
+}
+
+// The serving layer's contract (ranker.h): one engine searched from
+// several threads returns, bit for bit, what sequential searches return.
+TEST(SearchConcurrencyTest, FourThreadsMatchSequentialBitForBit) {
+  Rng rng(7);
+  SearchEngine engine;
+  for (int d = 0; d < 300; ++d) {
+    ASSERT_TRUE(engine
+                    .AddDocument("doc" + std::to_string(d),
+                                 RandomText(rng, Words(), 16))
+                    .ok());
+  }
+  ASSERT_TRUE(engine.Finalize().ok());
+  std::vector<PreparedQuery> queries;
+  std::vector<std::vector<ScoredDoc>> sequential;
+  for (int q = 0; q < 48; ++q) {
+    auto prepared = engine.Prepare(RandomQuery(rng, Words()));
+    ASSERT_TRUE(prepared.ok());
+    auto ranked = engine.Search(*prepared, 10);
+    if (!ranked.ok()) continue;  // an all-stopword draw
+    queries.push_back(std::move(*prepared));
+    sequential.push_back(std::move(*ranked));
+  }
+  ASSERT_GT(queries.size(), 30u);
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5;
+  std::vector<std::vector<std::vector<ScoredDoc>>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        // Each thread walks the queries from its own offset.
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const size_t q = (i + static_cast<size_t>(t) * 11) % queries.size();
+          auto ranked = engine.Search(queries[q], 10);
+          results[t].push_back(ranked.ok() ? std::move(*ranked)
+                                           : std::vector<ScoredDoc>{});
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), kRounds * queries.size());
+    for (size_t r = 0; r < results[t].size(); ++r) {
+      const size_t q =
+          (r % queries.size() + static_cast<size_t>(t) * 11) % queries.size();
+      const std::vector<ScoredDoc>& got = results[t][r];
+      ASSERT_EQ(got.size(), sequential[q].size()) << "thread " << t;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].doc, sequential[q][i].doc);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+                  std::bit_cast<uint64_t>(sequential[q][i].score));
+      }
+    }
   }
 }
 

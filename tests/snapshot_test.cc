@@ -436,6 +436,35 @@ TEST(SnapshotCacheGenerationTest, StaleGenerationDropsEntry) {
   EXPECT_TRUE(cache.CheckShardInvariants().ok());
 }
 
+// A request still pinned to the old epoch during a publish must neither
+// evict the new epoch's entry nor overwrite it with old-epoch work.
+TEST(SnapshotCacheGenerationTest, OlderCallerLeavesNewerEntry) {
+  serve::ExpansionCache cache;
+  serve::ExpansionCache::Key key{"anarchist punk", "cycle", {}};
+  api::ExpandResponse newer;
+  newer.expander = "cycle";
+  newer.titles = {"new"};
+  api::ExpandResponse older = newer;
+  older.titles = {"old"};
+
+  cache.Put(key, newer, /*generation=*/2);
+  EXPECT_EQ(cache.Get(key, /*generation=*/1), nullptr);
+  EXPECT_EQ(cache.size(), 1u);  // the entry survives the older lookup
+  EXPECT_EQ(cache.stats().stale_drops, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  auto hit = cache.Get(key, /*generation=*/2);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->titles, newer.titles);
+
+  cache.Put(key, older, /*generation=*/1);  // a late old-epoch result
+  hit = cache.Get(key, /*generation=*/2);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->titles, newer.titles);
+  EXPECT_EQ(cache.stats().stale_drops, 0u);
+  EXPECT_TRUE(cache.CheckShardInvariants().ok());
+}
+
 // -------------------------------------------------------- hot republish
 
 api::TestbedOptions RepublishOptions() {
