@@ -51,9 +51,8 @@ const wiki::SyntheticWikipedia& SharedWiki() {
     options.num_domains = 50;
     auto result = wiki::GenerateSyntheticWikipedia(options);
     WQE_CHECK_OK(result.status());
-    auto* wiki = new wiki::SyntheticWikipedia(std::move(result).ValueOrDie());
-    wiki->kb.Freeze();  // one snapshot shared by every benchmark
-    return wiki;
+    // One frozen snapshot shared by every benchmark.
+    return new wiki::SyntheticWikipedia(std::move(result).ValueOrDie());
   }();
   return *kWiki;
 }
@@ -77,10 +76,10 @@ BallWorkload SharedBall(size_t ball_cap) {
 // Faithful replica of the seed-era structures: `UndirectedView` built by
 // hashing every directed edge into a pair-multiplicity map, and the DFS
 // that scans the full neighbor list at every depth.  Kept here purely as
-// the measurement baseline for the CSR refactor.
+// the measurement baseline for the CSR refactor.  The directed edges come
+// from the snapshot's out-rows: a frozen KB keeps no builder graph.
 
 struct LegacyView {
-  const graph::PropertyGraph* graph;
   std::vector<graph::NodeId> global;
   std::unordered_map<graph::NodeId, uint32_t> local;
   std::vector<std::vector<uint32_t>> adj;
@@ -92,9 +91,8 @@ struct LegacyView {
     return (static_cast<uint64_t>(lo) << 32) | hi;
   }
 
-  LegacyView(const graph::PropertyGraph& g,
-             const std::vector<graph::NodeId>& nodes)
-      : graph(&g) {
+  LegacyView(const graph::CsrGraph& g,
+             const std::vector<graph::NodeId>& nodes) {
     global.reserve(nodes.size());
     for (graph::NodeId n : nodes) {
       if (local.emplace(n, static_cast<uint32_t>(global.size())).second) {
@@ -103,9 +101,11 @@ struct LegacyView {
     }
     adj.assign(global.size(), {});
     for (uint32_t lu = 0; lu < global.size(); ++lu) {
-      for (const graph::Edge& e : g.OutEdges(global[lu])) {
-        if (e.kind == graph::EdgeKind::kRedirect) continue;
-        auto it = local.find(e.dst);
+      std::span<const graph::NodeId> targets = g.OutTargets(global[lu]);
+      std::span<const graph::EdgeKind> kinds = g.OutKinds(global[lu]);
+      for (size_t i = 0; i < targets.size(); ++i) {
+        if (kinds[i] == graph::EdgeKind::kRedirect) continue;
+        auto it = local.find(targets[i]);
         if (it == local.end() || it->second == lu) continue;
         ++multiplicity[PairKey(lu, it->second)];
       }
@@ -221,7 +221,7 @@ void BM_CycleEnumerationBallLegacy(benchmark::State& state) {
   const auto& wiki = SharedWiki();
   uint32_t max_length = static_cast<uint32_t>(state.range(0));
   BallWorkload workload = SharedBall(static_cast<size_t>(state.range(1)));
-  LegacyView view(wiki.kb.graph(), workload.ball);
+  LegacyView view(wiki.kb.csr(), workload.ball);
   LegacyDfs dfs;
   dfs.view = &view;
   dfs.max_length = max_length;
@@ -356,7 +356,7 @@ void BM_UndirectedViewBuildLegacy(benchmark::State& state) {
   const auto& wiki = SharedWiki();
   BallWorkload workload = SharedBall(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    LegacyView view(wiki.kb.graph(), workload.ball);
+    LegacyView view(wiki.kb.csr(), workload.ball);
     benchmark::DoNotOptimize(view.global.size());
   }
 }
@@ -364,17 +364,28 @@ void BM_UndirectedViewBuildLegacy(benchmark::State& state) {
 BENCHMARK(BM_UndirectedViewBuildLegacy)->Arg(100)->Arg(400)
     ->Unit(benchmark::kMicrosecond);
 
-/// One-off snapshot compilation cost (paid once per KB build).
+/// One-off snapshot compilation cost (paid once per KB build).  The
+/// generator hands back a frozen KB, so the builder is re-assembled once
+/// from the snapshot's out-rows; its edges arrive in row order.
 void BM_CsrFreeze(benchmark::State& state) {
-  const auto& wiki = SharedWiki();
+  const graph::CsrGraph& frozen = SharedWiki().kb.csr();
+  graph::PropertyGraph builder;
+  for (graph::NodeId n = 0; n < frozen.num_nodes(); ++n) {
+    builder.AddNode(frozen.kind(n), {});
+  }
+  for (graph::NodeId n = 0; n < frozen.num_nodes(); ++n) {
+    std::span<const graph::NodeId> targets = frozen.OutTargets(n);
+    std::span<const graph::EdgeKind> kinds = frozen.OutKinds(n);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      WQE_CHECK_OK(builder.AddEdge(n, targets[i], kinds[i]));
+    }
+  }
   for (auto _ : state) {
-    graph::CsrGraph csr = graph::CsrGraph::Freeze(wiki.kb.graph());
+    graph::CsrGraph csr = graph::CsrGraph::Freeze(builder);
     benchmark::DoNotOptimize(csr.num_edges());
   }
-  state.counters["nodes"] =
-      static_cast<double>(wiki.kb.graph().num_nodes());
-  state.counters["edges"] =
-      static_cast<double>(wiki.kb.graph().num_edges());
+  state.counters["nodes"] = static_cast<double>(builder.num_nodes());
+  state.counters["edges"] = static_cast<double>(builder.num_edges());
 }
 
 BENCHMARK(BM_CsrFreeze)->Unit(benchmark::kMillisecond);

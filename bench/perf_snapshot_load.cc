@@ -8,16 +8,16 @@
 /// a versioned binary snapshot (snapshot/format.h) — and the two startup
 /// paths race:
 ///
-///   rebuild  — `wiki::ParseDump(xml)` + `Freeze()`: parse, node/edge
-///              inserts, CSR construction;
+///   rebuild  — `wiki::ParseDump(xml)`: parse, node/edge inserts, CSR
+///              construction (the parser returns a frozen KB);
 ///   mmap     — `snapshot::LoadSnapshot(kMmap)`: map, validate
 ///              (checksums on, the production default), bind spans;
 ///   copy     — `snapshot::LoadSnapshot(kCopy)`: same, via one read().
 ///
 /// Hard correctness gates (aborts, not just reporting):
-///   - both load modes return a graph whose every CSR section is
-///     byte-identical to the original's, with equal titles and counts,
-///     before anything is timed;
+///   - the rebuild and both load modes return a graph whose every CSR
+///     section is byte-identical to the original's, with equal titles,
+///     display titles and counts, before anything is timed;
 ///   - `speedup_vs_rebuild` (rebuild_ms / mmap_ms) reaches the >= 10x
 ///     acceptance bar — the win is skipped parsing and graph building,
 ///     not parallelism, so it holds on any machine.
@@ -70,8 +70,20 @@ bool SectionsBitIdentical(const graph::CsrSections& a,
 wiki::KnowledgeBase RebuildFromXml(const std::string& xml) {
   auto kb = wiki::ParseDump(xml);
   WQE_CHECK_OK(kb.status());
-  kb->Freeze();
   return std::move(*kb);
+}
+
+/// Aborts unless `other` carries `kb`'s counts and every node's title
+/// and display title.
+void CheckSameNames(const wiki::KnowledgeBase& kb,
+                    const wiki::KnowledgeBase& other) {
+  WQE_CHECK(other.num_articles() == kb.num_articles());
+  WQE_CHECK(other.num_redirects() == kb.num_redirects());
+  WQE_CHECK(other.num_categories() == kb.num_categories());
+  for (graph::NodeId u = 0; u < kb.csr().num_nodes(); ++u) {
+    WQE_CHECK(other.title(u) == kb.title(u));
+    WQE_CHECK(other.display_title(u) == kb.display_title(u));
+  }
 }
 
 }  // namespace
@@ -84,8 +96,7 @@ int main() {
   options.num_domains = bench::BenchTestbedOptions().wiki.num_domains;
   auto wiki = wiki::GenerateSyntheticWikipedia(options);
   WQE_CHECK_OK(wiki.status());
-  wiki::KnowledgeBase& kb = wiki->kb;
-  kb.Freeze();
+  const wiki::KnowledgeBase& kb = wiki->kb;
 
   const std::string xml = wiki::WriteDump(kb);
   const std::string path = "snapshot_bench.bin";  // cwd = build dir
@@ -100,6 +111,7 @@ int main() {
     wiki::KnowledgeBase rebuilt = RebuildFromXml(xml);
     WQE_CHECK(
         SectionsBitIdentical(kb.csr().Sections(), rebuilt.csr().Sections()));
+    CheckSameNames(kb, rebuilt);
     for (snapshot::LoadMode mode :
          {snapshot::LoadMode::kMmap, snapshot::LoadMode::kCopy}) {
       snapshot::ReadOptions read_options;
@@ -109,11 +121,7 @@ int main() {
       WQE_CHECK_OK(loaded.status());
       WQE_CHECK(SectionsBitIdentical(kb.csr().Sections(),
                                      loaded->csr().Sections()));
-      WQE_CHECK(loaded->num_articles() == kb.num_articles());
-      for (graph::NodeId u = 0; u < kb.csr().num_nodes(); ++u) {
-        WQE_CHECK(loaded->title(u) == kb.title(u));
-        WQE_CHECK(loaded->display_title(u) == kb.display_title(u));
-      }
+      CheckSameNames(kb, *loaded);
     }
   }
 

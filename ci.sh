@@ -6,7 +6,8 @@
 #   ./ci.sh bench   — Release bench smoke + BENCH_*.json schema/trajectory
 #   ./ci.sh servebench — serving benchmark: its tests + a 2 s run per workload
 #   ./ci.sh tsan    — ThreadSanitizer over the concurrency suites
-#   ./ci.sh asan    — ASan+UBSan (non-recoverable) over the full ctest suite
+#   ./ci.sh asan    — ASan+UBSan (non-recoverable) + libstdc++ bounds
+#                     assertions over the full ctest suite
 #   ./ci.sh faults  — fault-injection chaos suite, Debug then TSan
 #   ./ci.sh tidy    — clang-tidy gate over src/ (skips if not installed)
 #   ./ci.sh all     — every lane above, in that order (the default)
@@ -187,7 +188,9 @@ run_faults() {
 # AddressSanitizer + UBSan over the *full* ctest suite.  Debug keeps the
 # WQE_DCHECK validators (CsrGraph::CheckInvariants at freeze time, the
 # cache shard invariants in serve_test) live, so memory errors and
-# structural corruption are both fatal here.
+# structural corruption are both fatal here.  WQE_ASAN also defines
+# _GLIBCXX_ASSERTIONS, so an out-of-range std::vector/std::span index
+# aborts even when it lands inside a live heap block.
 run_asan() {
   set -x
   cmake -B build-asan -S . -DWQE_ASAN=ON -DWQE_WERROR=ON \

@@ -71,8 +71,7 @@ void ReportLoad(const std::string& path, snapshot::LoadMode mode,
 int main(int argc, char** argv) {
   const std::string path = argc > 1 ? argv[1] : "/tmp/wqe_snapshot.bin";
 
-  wiki::KnowledgeBase kb = BuildKb(argc, argv);
-  kb.Freeze();
+  const wiki::KnowledgeBase kb = BuildKb(argc, argv);  // frozen
 
   Stopwatch write_watch;
   WQE_CHECK_OK(snapshot::WriteSnapshot(kb, path));

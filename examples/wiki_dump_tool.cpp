@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
   std::cout << "generated: " << wiki->kb.num_articles() << " articles, "
             << wiki->kb.num_categories() << " categories, "
             << wiki->kb.num_redirects() << " redirects, "
-            << wiki->kb.graph().num_edges() << " edges\n";
+            << wiki->kb.csr().num_edges() << " edges\n";
   std::cout << "reciprocal link-pair rate: "
-            << graph::ReciprocalLinkRate(wiki->kb.Freeze())
+            << graph::ReciprocalLinkRate(wiki->kb.csr())
             << " (Wikipedia per the paper: 0.1147)\n";
 
   // Export.
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
             << " dangling)\n";
 
   WQE_CHECK(kb2->num_articles() == wiki->kb.num_articles());
-  WQE_CHECK(kb2->graph().num_edges() == wiki->kb.graph().num_edges());
+  WQE_CHECK(kb2->csr().num_edges() == wiki->kb.csr().num_edges());
   std::cout << "round trip OK: graphs match.\n";
   return 0;
 }

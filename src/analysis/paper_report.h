@@ -11,8 +11,9 @@
 /// 7a/7b (category ratio and extra-edge density vs length), Figure 9
 /// (density vs contribution), and the §3 scalars (TPR, reciprocal-pair
 /// rate, average graph size).  A `ComputeX` that takes the testbed pins
-/// its engine's snapshot once per call and never reads the KB's builder
-/// graph, so a KB loaded from a snapshot file reports the same numbers.
+/// its engine's snapshot once per call; a built KB and one loaded from a
+/// snapshot file are the same frozen object, so both report the same
+/// numbers.
 
 #include <array>
 #include <vector>

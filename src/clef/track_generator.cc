@@ -118,8 +118,8 @@ void ClassifyStrata(const wiki::SyntheticWikipedia& wiki,
     uint32_t mutual_count = 0;
     bool single = false, shared_cat = false;
     for (NodeId q : plan->query_articles) {
-      bool fwd = kb.graph().HasEdge(q, c, graph::EdgeKind::kLink);
-      bool bwd = kb.graph().HasEdge(c, q, graph::EdgeKind::kLink);
+      bool fwd = kb.csr().HasEdge(q, c, graph::EdgeKind::kLink);
+      bool bwd = kb.csr().HasEdge(c, q, graph::EdgeKind::kLink);
       if (fwd && bwd) ++mutual_count;
       if (fwd || bwd) single = true;
     }
@@ -335,8 +335,8 @@ Result<Track> GenerateTrack(const wiki::SyntheticWikipedia& wiki,
         for (uint32_t k = 0; k < hub_pool; ++k) {
           if (k == i || k == j) continue;
           auto mutual = [&](NodeId a, NodeId b) {
-            return kb.graph().HasEdge(a, b, graph::EdgeKind::kLink) &&
-                   kb.graph().HasEdge(b, a, graph::EdgeKind::kLink);
+            return kb.csr().HasEdge(a, b, graph::EdgeKind::kLink) &&
+                   kb.csr().HasEdge(b, a, graph::EdgeKind::kLink);
           };
           if (mutual(articles[i], articles[k]) &&
               mutual(articles[j], articles[k])) {

@@ -15,9 +15,10 @@
 ///
 /// A snapshot is fully self-contained — it copies node kinds and never
 /// points back into the builder — so it can be moved freely and shared
-/// read-only across any number of serving threads.  Labels stay on the
-/// builder (`wiki::KnowledgeBase` keeps both and hands out the snapshot
-/// through `csr()`).
+/// read-only across any number of serving threads.  Labels are not part
+/// of it: `wiki::KnowledgeBase` keeps them in its own per-node store,
+/// releases the builder once frozen, and hands out the snapshot through
+/// `csr()`.
 ///
 /// Storage abstraction: the graph reads every flat array through a
 /// `std::span`, and the bytes behind those spans are interchangeable —
@@ -84,8 +85,8 @@ class CsrGraph {
 
   /// \brief Builds the snapshot.  O(V + E log max_degree); the builder is
   /// left untouched and may keep growing — the snapshot will not see later
-  /// mutations (callers that need coherence gate mutation themselves, as
-  /// `wiki::KnowledgeBase` does).
+  /// mutations (`wiki::KnowledgeBase::Freeze` releases its builder right
+  /// after this call, so it never has to reconcile the two).
   static CsrGraph Freeze(const PropertyGraph& builder);
 
   /// \brief Reconstitutes a snapshot from raw sections (the snapshot

@@ -51,8 +51,7 @@ Status PropertyGraph::AddEdge(NodeId src, NodeId dst, EdgeKind kind) {
   WQE_RETURN_NOT_OK(CheckNode(src));
   WQE_RETURN_NOT_OK(CheckNode(dst));
   if (src == dst) {
-    return Status::InvalidArgument("self-loop on node ", src, " (",
-                                   labels_[src], ")");
+    return Status::InvalidArgument("self-loop on node ", src);
   }
   // Schema validation per Figure 1.
   auto bad_schema = [&]() {

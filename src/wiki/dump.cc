@@ -15,18 +15,24 @@ constexpr int kArticleNamespace = 0;
 constexpr int kCategoryNamespace = 14;
 constexpr std::string_view kCategoryColon = "category:";
 
+/// Trims `raw` and strips an optional "Category:" prefix
+/// (case-insensitive), keeping the rest verbatim.
+std::string_view StripCategoryPrefix(std::string_view raw,
+                                     bool* is_category) {
+  std::string_view t = Trim(raw);
+  *is_category = false;
+  if (t.size() > kCategoryColon.size() &&
+      EqualsIgnoreCase(t.substr(0, kCategoryColon.size()), kCategoryColon)) {
+    *is_category = true;
+    t = t.substr(kCategoryColon.size());
+  }
+  return t;
+}
+
 /// Strips an optional "Category:" prefix (case-insensitive) and a
 /// "#fragment" suffix, then normalizes.
 std::string CleanTarget(std::string_view raw, bool* is_category) {
-  std::string_view t = Trim(raw);
-  *is_category = false;
-  if (t.size() > kCategoryColon.size()) {
-    std::string_view head = t.substr(0, kCategoryColon.size());
-    if (EqualsIgnoreCase(head, kCategoryColon)) {
-      *is_category = true;
-      t = t.substr(kCategoryColon.size());
-    }
-  }
+  std::string_view t = StripCategoryPrefix(raw, is_category);
   size_t hash = t.find('#');
   if (hash != std::string_view::npos) t = t.substr(0, hash);
   return NormalizeTitle(t);
@@ -162,10 +168,10 @@ Result<KnowledgeBase> ParseDump(std::string_view xml_text,
                                           "'");
       }
     } else if (page.ns == kCategoryNamespace) {
-      // Dump category titles carry the "Category:" prefix; strip it.
+      // Dump category titles carry the "Category:" prefix; strip only
+      // that, so the display title keeps its casing and punctuation.
       bool is_cat = false;
-      std::string name = CleanTarget(page.title, &is_cat);
-      auto added = kb.AddCategory(name);
+      auto added = kb.AddCategory(StripCategoryPrefix(page.title, &is_cat));
       if (added.ok()) {
         ++stats.categories;
       } else if (!added.status().IsAlreadyExists()) {
@@ -177,7 +183,9 @@ Result<KnowledgeBase> ParseDump(std::string_view xml_text,
     }
   }
 
-  // Pass 1b: redirects.
+  // Pass 1b: redirects.  Their targets are recorded for pass 2, which
+  // resolves link targets while the KB is still a builder.
+  std::unordered_map<NodeId, NodeId> redirect_target;
   for (const DumpPage& page : pages) {
     if (page.ns != kArticleNamespace || page.redirect_title.empty()) continue;
     std::string target = NormalizeTitle(page.redirect_title);
@@ -188,6 +196,7 @@ Result<KnowledgeBase> ParseDump(std::string_view xml_text,
     }
     auto added = kb.AddRedirect(page.title, *main);
     if (added.ok()) {
+      redirect_target.emplace(*added, *main);
       ++stats.redirects;
     }  // duplicate alias or redirect-to-redirect: drop silently
   }
@@ -199,9 +208,9 @@ Result<KnowledgeBase> ParseDump(std::string_view xml_text,
     if (page.ns != kArticleNamespace && !page_is_category) continue;
 
     bool dummy = false;
-    std::string src_title = page_is_category
-                                ? CleanTarget(page.title, &dummy)
-                                : NormalizeTitle(page.title);
+    std::string src_title = NormalizeTitle(
+        page_is_category ? StripCategoryPrefix(page.title, &dummy)
+                         : std::string_view(page.title));
     std::optional<NodeId> src =
         page_is_category ? kb.FindByTitle("category:" + src_title)
                          : kb.FindArticle(src_title);
@@ -227,7 +236,9 @@ Result<KnowledgeBase> ParseDump(std::string_view xml_text,
           ++stats.dangling_links;
           continue;
         }
-        NodeId resolved = kb.ResolveRedirect(*dst);
+        auto redirect = redirect_target.find(*dst);
+        NodeId resolved =
+            redirect == redirect_target.end() ? *dst : redirect->second;
         if (resolved == *src) continue;  // self-link via redirect
         Status st = kb.AddLink(*src, resolved);
         if (st.ok()) {
@@ -239,6 +250,7 @@ Result<KnowledgeBase> ParseDump(std::string_view xml_text,
     }
   }
 
+  kb.Freeze();
   if (stats_out != nullptr) *stats_out = stats;
   WQE_LOG(Debug) << "dump import: " << stats.articles << " articles, "
                  << stats.categories << " categories, " << stats.redirects
@@ -252,7 +264,7 @@ std::string WriteDump(const KnowledgeBase& kb) {
   w.StartElement("mediawiki");
   w.WriteAttribute("version", "0.10");
 
-  const graph::PropertyGraph& g = kb.graph();
+  const graph::CsrGraph& g = kb.csr();
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     bool is_category = g.IsCategory(n);
     bool is_redirect = kb.IsRedirect(n);
@@ -269,20 +281,22 @@ std::string WriteDump(const KnowledgeBase& kb) {
       w.WriteAttribute("title", kb.display_title(main));
       w.EndElement();
     }
-    // Synthesize wikitext from out-edges.
+    // Synthesize wikitext from the out-row.
     std::string text;
     if (is_redirect) {
       text = "#REDIRECT [[" +
              kb.display_title(kb.ResolveRedirect(n)) + "]]";
     } else {
-      for (const graph::Edge& e : g.OutEdges(n)) {
-        switch (e.kind) {
+      std::span<const NodeId> targets = g.OutTargets(n);
+      std::span<const graph::EdgeKind> kinds = g.OutKinds(n);
+      for (size_t i = 0; i < targets.size(); ++i) {
+        switch (kinds[i]) {
           case graph::EdgeKind::kLink:
-            text += "[[" + kb.display_title(e.dst) + "]] ";
+            text += "[[" + kb.display_title(targets[i]) + "]] ";
             break;
           case graph::EdgeKind::kBelongs:
           case graph::EdgeKind::kInside:
-            text += "[[Category:" + kb.display_title(e.dst) + "]] ";
+            text += "[[Category:" + kb.display_title(targets[i]) + "]] ";
             break;
           case graph::EdgeKind::kRedirect:
             break;

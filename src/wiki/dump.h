@@ -61,13 +61,15 @@ struct DumpImportStats {
 ///
 /// Two passes: pages become nodes first (so forward references resolve),
 /// then wikitext links become edges. Links to missing titles are counted
-/// in `stats.dangling_links` and dropped, as are duplicate edges.
+/// in `stats.dangling_links` and dropped, as are duplicate edges.  The
+/// knowledge base comes back frozen.
 Result<KnowledgeBase> ParseDump(std::string_view xml,
                                 DumpImportStats* stats = nullptr);
 
-/// \brief Serializes `kb` as MediaWiki dump XML.  Article wikitext is
-/// synthesized from the out-edges (`[[link]]`, `[[Category:…]]`,
-/// `#REDIRECT [[…]]`), so ParseDump(WriteDump(kb)) reconstructs the graph.
+/// \brief Serializes the frozen `kb` as MediaWiki dump XML.  Page wikitext
+/// is synthesized from the CSR out-rows (`[[link]]`, `[[Category:…]]`,
+/// `#REDIRECT [[…]]`), so ParseDump(WriteDump(kb)) reconstructs the graph
+/// and every title.
 std::string WriteDump(const KnowledgeBase& kb);
 
 }  // namespace wqe::wiki

@@ -8,11 +8,24 @@
 namespace wqe::wiki {
 
 namespace {
+
 constexpr std::string_view kCategoryPrefix = "category:";
+
+/// The nodes of one CSR row whose edge kind is `kind`, in row order.
+std::vector<NodeId> RowOfKind(std::span<const NodeId> nodes,
+                              std::span<const graph::EdgeKind> kinds,
+                              graph::EdgeKind kind) {
+  std::vector<NodeId> out;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (kinds[i] == kind) out.push_back(nodes[i]);
+  }
+  return out;
+}
+
 }  // namespace
 
 Status KnowledgeBase::CheckMutable() const {
-  if (frozen_) {
+  if (frozen()) {
     return Status::InvalidArgument(
         "knowledge base is frozen (Freeze() is one-way); finish building "
         "before freezing");
@@ -21,15 +34,15 @@ Status KnowledgeBase::CheckMutable() const {
 }
 
 const graph::CsrGraph& KnowledgeBase::Freeze() {
-  if (!frozen_) {
-    csr_ = graph::CsrGraph::Freeze(graph_);
-    frozen_ = true;
+  if (builder_) {
+    csr_ = graph::CsrGraph::Freeze(*builder_);
+    builder_.reset();
   }
   return csr_;
 }
 
 const graph::CsrGraph& KnowledgeBase::csr() const {
-  WQE_CHECK(frozen_);  // Freeze() is the builder→serving bridge
+  WQE_CHECK(frozen());  // Freeze() is the builder→serving bridge
   return csr_;
 }
 
@@ -54,22 +67,20 @@ Result<KnowledgeBase> KnowledgeBase::FromSnapshot(
         sections.node_kind_counts[1], " categories)");
   }
   KnowledgeBase kb;
+  kb.builder_.reset();
   kb.csr_ = std::move(csr);
-  kb.frozen_ = true;
-  kb.loaded_ = true;
   kb.num_articles_ = num_articles;
   kb.num_redirects_ = num_redirects;
   kb.num_categories_ = num_categories;
+  kb.labels_ = std::move(labels);
   kb.display_titles_ = std::move(display_titles);
-  kb.loaded_labels_ = std::move(labels);
   // Rebuild the title index exactly as the builder populated it: the raw
   // label for articles, "category:"-prefixed for categories.
   kb.title_index_.reserve(n);
   for (NodeId u = 0; u < n; ++u) {
-    std::string key =
-        kb.csr_.IsCategory(u)
-            ? std::string(kCategoryPrefix) + kb.loaded_labels_[u]
-            : kb.loaded_labels_[u];
+    std::string key = kb.csr_.IsCategory(u)
+                          ? std::string(kCategoryPrefix) + kb.labels_[u]
+                          : kb.labels_[u];
     auto [it, inserted] = kb.title_index_.emplace(std::move(key), u);
     if (!inserted) {
       return Status::InvalidArgument("snapshot title '", it->first,
@@ -95,11 +106,12 @@ Result<NodeId> KnowledgeBase::AddEntry(graph::NodeKind kind,
     return Status::AlreadyExists("title '", key, "' already exists as node ",
                                  it->second);
   }
-  NodeId id = graph_.AddNode(kind, std::string(
-                                        kind == graph::NodeKind::kCategory
-                                            ? index_key.substr(
-                                                  kCategoryPrefix.size())
-                                            : index_key));
+  // The label lives in `labels_`, not on the builder node, so it outlives
+  // the builder.
+  NodeId id = builder_->AddNode(kind, {});
+  labels_.emplace_back(kind == graph::NodeKind::kCategory
+                           ? index_key.substr(kCategoryPrefix.size())
+                           : index_key);
   display_titles_.emplace_back(title);
   title_index_.emplace(std::move(key), id);
   return id;
@@ -121,14 +133,21 @@ Result<NodeId> KnowledgeBase::AddCategory(std::string_view name) {
   return id;
 }
 
+bool KnowledgeBase::BuilderIsRedirect(NodeId node) const {
+  for (const graph::Edge& e : builder_->OutEdges(node)) {
+    if (e.kind == graph::EdgeKind::kRedirect) return true;
+  }
+  return false;
+}
+
 Result<NodeId> KnowledgeBase::AddRedirect(std::string_view alias_title,
                                           NodeId main) {
   WQE_RETURN_NOT_OK(CheckMutable());
-  WQE_RETURN_NOT_OK(graph_.CheckNode(main));
-  if (!graph_.IsArticle(main)) {
+  WQE_RETURN_NOT_OK(builder_->CheckNode(main));
+  if (!builder_->IsArticle(main)) {
     return Status::InvalidArgument("redirect target must be an article");
   }
-  if (IsRedirect(main)) {
+  if (BuilderIsRedirect(main)) {
     return Status::InvalidArgument(
         "redirect target '", title(main),
         "' is itself a redirect; chains are not allowed");
@@ -136,31 +155,34 @@ Result<NodeId> KnowledgeBase::AddRedirect(std::string_view alias_title,
   std::string norm = NormalizeTitle(alias_title);
   WQE_ASSIGN_OR_RETURN(NodeId id,
                        AddEntry(graph::NodeKind::kArticle, alias_title, norm));
-  WQE_RETURN_NOT_OK(graph_.AddEdge(id, main, graph::EdgeKind::kRedirect));
+  WQE_RETURN_NOT_OK(builder_->AddEdge(id, main, graph::EdgeKind::kRedirect));
   ++num_redirects_;
   return id;
 }
 
 Status KnowledgeBase::AddLink(NodeId from, NodeId to) {
   WQE_RETURN_NOT_OK(CheckMutable());
-  if (IsRedirect(from) || IsRedirect(to)) {
+  WQE_RETURN_NOT_OK(builder_->CheckNode(from));
+  WQE_RETURN_NOT_OK(builder_->CheckNode(to));
+  if (BuilderIsRedirect(from) || BuilderIsRedirect(to)) {
     return Status::InvalidArgument(
         "links must connect main articles, not redirects");
   }
-  return graph_.AddEdge(from, to, graph::EdgeKind::kLink);
+  return builder_->AddEdge(from, to, graph::EdgeKind::kLink);
 }
 
 Status KnowledgeBase::AddBelongs(NodeId article, NodeId category) {
   WQE_RETURN_NOT_OK(CheckMutable());
-  if (IsRedirect(article)) {
+  WQE_RETURN_NOT_OK(builder_->CheckNode(article));
+  if (BuilderIsRedirect(article)) {
     return Status::InvalidArgument("redirects do not belong to categories");
   }
-  return graph_.AddEdge(article, category, graph::EdgeKind::kBelongs);
+  return builder_->AddEdge(article, category, graph::EdgeKind::kBelongs);
 }
 
 Status KnowledgeBase::AddInside(NodeId category, NodeId parent) {
   WQE_RETURN_NOT_OK(CheckMutable());
-  return graph_.AddEdge(category, parent, graph::EdgeKind::kInside);
+  return builder_->AddEdge(category, parent, graph::EdgeKind::kInside);
 }
 
 std::optional<NodeId> KnowledgeBase::FindByTitle(
@@ -177,205 +199,101 @@ std::optional<NodeId> KnowledgeBase::FindArticle(
     std::string_view normalized_title) const {
   auto it = title_index_.find(std::string(normalized_title));
   if (it == title_index_.end()) return std::nullopt;
-  if (!IsArticleNode(it->second)) return std::nullopt;
+  const bool is_article = builder_ ? builder_->IsArticle(it->second)
+                                   : csr_.IsArticle(it->second);
+  if (!is_article) return std::nullopt;
   return it->second;
 }
 
 bool KnowledgeBase::IsRedirect(NodeId node) const {
-  if (frozen_) {
-    return csr_.IsArticle(node) &&
-           csr_.RedirectTarget(node) != graph::kInvalidNode;
-  }
-  if (!graph_.IsArticle(node)) return false;
-  for (const graph::Edge& e : graph_.OutEdges(node)) {
-    if (e.kind == graph::EdgeKind::kRedirect) return true;
-  }
-  return false;
+  const graph::CsrGraph& g = csr();
+  return g.IsArticle(node) && g.RedirectTarget(node) != graph::kInvalidNode;
 }
 
 NodeId KnowledgeBase::ResolveRedirect(NodeId node) const {
-  if (frozen_) {
-    NodeId target = csr_.RedirectTarget(node);
-    return target == graph::kInvalidNode ? node : target;
-  }
-  for (const graph::Edge& e : graph_.OutEdges(node)) {
-    if (e.kind == graph::EdgeKind::kRedirect) return e.dst;
-  }
-  return node;
+  NodeId target = csr().RedirectTarget(node);
+  return target == graph::kInvalidNode ? node : target;
 }
 
 std::vector<NodeId> KnowledgeBase::RedirectsOf(NodeId main) const {
-  std::vector<NodeId> out;
-  if (frozen_) {
-    std::span<const NodeId> sources = csr_.InSources(main);
-    std::span<const graph::EdgeKind> kinds = csr_.InKinds(main);
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (kinds[i] == graph::EdgeKind::kRedirect) out.push_back(sources[i]);
-    }
-    return out;
-  }
-  for (const graph::Edge& e : graph_.InEdges(main)) {
-    if (e.kind == graph::EdgeKind::kRedirect) out.push_back(e.dst);
-  }
-  return out;
+  const graph::CsrGraph& g = csr();
+  return RowOfKind(g.InSources(main), g.InKinds(main),
+                   graph::EdgeKind::kRedirect);
 }
 
 std::vector<NodeId> KnowledgeBase::CategoriesOf(NodeId article) const {
-  std::vector<NodeId> out;
-  if (frozen_) {
-    std::span<const NodeId> targets = csr_.OutTargets(article);
-    std::span<const graph::EdgeKind> kinds = csr_.OutKinds(article);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      if (kinds[i] == graph::EdgeKind::kBelongs) out.push_back(targets[i]);
-    }
-    return out;
-  }
-  for (const graph::Edge& e : graph_.OutEdges(article)) {
-    if (e.kind == graph::EdgeKind::kBelongs) out.push_back(e.dst);
-  }
-  return out;
+  const graph::CsrGraph& g = csr();
+  return RowOfKind(g.OutTargets(article), g.OutKinds(article),
+                   graph::EdgeKind::kBelongs);
 }
 
 std::vector<NodeId> KnowledgeBase::LinkedFrom(NodeId article) const {
-  std::vector<NodeId> out;
-  if (frozen_) {
-    std::span<const NodeId> targets = csr_.OutTargets(article);
-    std::span<const graph::EdgeKind> kinds = csr_.OutKinds(article);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      if (kinds[i] == graph::EdgeKind::kLink) out.push_back(targets[i]);
-    }
-    return out;
-  }
-  for (const graph::Edge& e : graph_.OutEdges(article)) {
-    if (e.kind == graph::EdgeKind::kLink) out.push_back(e.dst);
-  }
-  return out;
+  const graph::CsrGraph& g = csr();
+  return RowOfKind(g.OutTargets(article), g.OutKinds(article),
+                   graph::EdgeKind::kLink);
 }
 
 std::vector<NodeId> KnowledgeBase::LinkingTo(NodeId article) const {
-  std::vector<NodeId> out;
-  if (frozen_) {
-    std::span<const NodeId> sources = csr_.InSources(article);
-    std::span<const graph::EdgeKind> kinds = csr_.InKinds(article);
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (kinds[i] == graph::EdgeKind::kLink) out.push_back(sources[i]);
-    }
-    return out;
-  }
-  for (const graph::Edge& e : graph_.InEdges(article)) {
-    if (e.kind == graph::EdgeKind::kLink) out.push_back(e.dst);
-  }
-  return out;
+  const graph::CsrGraph& g = csr();
+  return RowOfKind(g.InSources(article), g.InKinds(article),
+                   graph::EdgeKind::kLink);
 }
 
-namespace {
-
-/// BFS ball shared by the frozen/unfrozen Neighborhood paths; memory is
-/// proportional to the ball, never to the whole graph (this runs on the
-/// serving cache-miss hot path).  `for_each_neighbor(u, visit)` must call
-/// `visit(v)` for every non-redirect neighbor of `u`, both directions.
-template <typename ForEachNeighbor>
-std::vector<NodeId> BfsBall(const std::vector<NodeId>& sources,
-                            uint32_t radius, size_t max_nodes,
-                            size_t num_nodes,
-                            ForEachNeighbor&& for_each_neighbor) {
+std::vector<NodeId> KnowledgeBase::Neighborhood(
+    const std::vector<NodeId>& sources, uint32_t radius,
+    size_t max_nodes) const {
+  // Memory is proportional to the ball, never to the whole graph (this
+  // runs on the serving cache-miss hot path).
+  const graph::CsrGraph& g = csr();
   std::unordered_set<NodeId> seen;
   std::vector<NodeId> out;  // doubles as the BFS queue (visit order)
   std::vector<uint32_t> depth;
   for (NodeId s : sources) {
-    if (s < num_nodes && seen.insert(s).second) {
+    if (s < g.num_nodes() && seen.insert(s).second) {
       out.push_back(s);
       depth.push_back(0);
     }
   }
+  auto visit = [&](NodeId next, uint32_t d) {
+    if (max_nodes != 0 && out.size() >= max_nodes) return;
+    if (seen.insert(next).second) {
+      out.push_back(next);
+      depth.push_back(d);
+    }
+  };
   for (size_t head = 0; head < out.size(); ++head) {
     NodeId u = out[head];
     uint32_t d = depth[head];
     if (d >= radius) continue;
     if (max_nodes != 0 && out.size() >= max_nodes) break;
-    for_each_neighbor(u, [&](NodeId next) {
-      if (max_nodes != 0 && out.size() >= max_nodes) return;
-      if (seen.insert(next).second) {
-        out.push_back(next);
-        depth.push_back(d + 1);
-      }
-    });
+    std::span<const NodeId> targets = g.OutTargets(u);
+    std::span<const graph::EdgeKind> out_kinds = g.OutKinds(u);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      if (out_kinds[i] != graph::EdgeKind::kRedirect) visit(targets[i], d + 1);
+    }
+    std::span<const NodeId> in = g.InSources(u);
+    std::span<const graph::EdgeKind> in_kinds = g.InKinds(u);
+    for (size_t i = 0; i < in.size(); ++i) {
+      if (in_kinds[i] != graph::EdgeKind::kRedirect) visit(in[i], d + 1);
+    }
   }
   return out;
 }
 
-}  // namespace
-
-std::vector<NodeId> KnowledgeBase::Neighborhood(
-    const std::vector<NodeId>& sources, uint32_t radius,
-    size_t max_nodes) const {
-  if (frozen_) {
-    // Frozen fast path: flat CSR row scans.
-    return BfsBall(
-        sources, radius, max_nodes, csr_.num_nodes(),
-        [&](NodeId u, auto&& visit) {
-          std::span<const NodeId> targets = csr_.OutTargets(u);
-          std::span<const graph::EdgeKind> out_kinds = csr_.OutKinds(u);
-          for (size_t i = 0; i < targets.size(); ++i) {
-            if (out_kinds[i] != graph::EdgeKind::kRedirect) visit(targets[i]);
-          }
-          std::span<const NodeId> in = csr_.InSources(u);
-          std::span<const graph::EdgeKind> in_kinds = csr_.InKinds(u);
-          for (size_t i = 0; i < in.size(); ++i) {
-            if (in_kinds[i] != graph::EdgeKind::kRedirect) visit(in[i]);
-          }
-        });
-  }
-  return BfsBall(sources, radius, max_nodes, graph_.num_nodes(),
-                 [&](NodeId u, auto&& visit) {
-                   for (const graph::Edge& e : graph_.OutEdges(u)) {
-                     if (e.kind != graph::EdgeKind::kRedirect) visit(e.dst);
-                   }
-                   for (const graph::Edge& e : graph_.InEdges(u)) {
-                     if (e.kind != graph::EdgeKind::kRedirect) visit(e.dst);
-                   }
-                 });
-}
-
 Status KnowledgeBase::Validate() const {
-  if (frozen_) {
-    // CSR path: the only one available in loaded mode, and equivalent to
-    // the builder path once frozen (Freeze preserves all edges).
-    for (NodeId n = 0; n < csr_.num_nodes(); ++n) {
-      if (!csr_.IsArticle(n)) continue;
-      if (csr_.RedirectTarget(n) != graph::kInvalidNode) {
-        if (csr_.OutDegree(n) != 1) {
-          return Status::Internal("redirect '", title(n),
-                                  "' has extra out-edges");
-        }
-        continue;
-      }
-      bool has_category = false;
-      for (graph::EdgeKind kind : csr_.OutKinds(n)) {
-        if (kind == graph::EdgeKind::kBelongs) {
-          has_category = true;
-          break;
-        }
-      }
-      if (!has_category) {
-        return Status::Internal("article '", title(n),
-                                "' belongs to no category");
-      }
-    }
-    return Status::OK();
-  }
-  for (NodeId n = 0; n < graph_.num_nodes(); ++n) {
-    if (!graph_.IsArticle(n)) continue;
-    if (IsRedirect(n)) {
-      if (graph_.OutDegree(n) != 1) {
+  const graph::CsrGraph& g = csr();
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    if (!g.IsArticle(n)) continue;
+    if (g.RedirectTarget(n) != graph::kInvalidNode) {
+      if (g.OutDegree(n) != 1) {
         return Status::Internal("redirect '", title(n),
                                 "' has extra out-edges");
       }
       continue;
     }
     bool has_category = false;
-    for (const graph::Edge& e : graph_.OutEdges(n)) {
-      if (e.kind == graph::EdgeKind::kBelongs) {
+    for (graph::EdgeKind kind : g.OutKinds(n)) {
+      if (kind == graph::EdgeKind::kBelongs) {
         has_category = true;
         break;
       }

@@ -3,28 +3,25 @@
 /// \file knowledge_base.h
 /// \brief The Wikipedia knowledge base: typed graph + title index.
 ///
-/// Wraps a `graph::PropertyGraph` with the Wikipedia-specific services the
-/// paper's pipeline needs: title lookup for entity linking (§2.1), redirect
+/// Builds a `graph::PropertyGraph`, serves a `graph::CsrGraph`, and adds
+/// the Wikipedia-specific services the paper's pipeline needs: title lookup for entity linking (§2.1), redirect
 /// resolution and redirect-derived synonyms, and category/link
 /// neighborhoods for query-graph assembly (§2.3).
 ///
 /// Titles are stored normalized (lowercase, collapsed whitespace — see
 /// `NormalizeTitle`); the display title is kept separately for output.
 ///
-/// Lifecycle: the KB is a *builder* until `Freeze()` is called, which
-/// compiles the property graph into an immutable `graph::CsrGraph`
-/// snapshot (see graph/csr.h).  Freezing is the one-way bridge — any
-/// mutation afterwards fails — so the snapshot can be shared read-only
-/// across every serving thread.  All structural reads (redirect
-/// resolution, neighborhoods, link/category scans) take the flat CSR fast
-/// path once frozen.
-///
-/// A KB can also come up *loaded*: `FromSnapshot` reconstitutes a frozen
-/// KB from an on-disk snapshot (see snapshot/reader.h) without ever
-/// running the builder.  A loaded KB serves identically to a frozen one —
-/// same CSR, same titles, same index — but its `graph()` is empty (the
-/// builder edge lists are not serialized; nothing on the serving path
-/// reads them once frozen).
+/// Lifecycle: the KB is a *builder* until `Freeze()` is called.
+/// `Freeze()` consumes the builder: it compiles the property graph into
+/// an immutable `graph::CsrGraph` snapshot (see graph/csr.h) and releases
+/// the property graph, so any mutation afterwards fails and the KB can be
+/// shared read-only across every serving thread.  `FromSnapshot` brings a
+/// KB up from an on-disk snapshot (see snapshot/reader.h) without ever
+/// running the builder.  Either way the result is the same object — CSR,
+/// per-node labels and display titles, title index — served through the
+/// same code: every structural read (redirects, link/category rows,
+/// neighborhoods, `Validate`) runs over the CSR and requires a frozen KB.
+/// Titles, display titles and title lookups work in both states.
 
 #include <optional>
 #include <string>
@@ -42,7 +39,8 @@ namespace wqe::wiki {
 using graph::NodeId;
 using graph::kInvalidNode;
 
-/// \brief Mutable Wikipedia knowledge base.
+/// \brief Wikipedia knowledge base: a builder until `Freeze()`, then an
+/// immutable snapshot.
 class KnowledgeBase {
  public:
   KnowledgeBase() = default;
@@ -63,10 +61,12 @@ class KnowledgeBase {
   /// cycles, per the paper's §4 observation).
   Result<NodeId> AddRedirect(std::string_view alias_title, NodeId main);
 
-  /// \brief Adds an article→article hyperlink.
+  /// \brief Adds an article→article hyperlink.  Fails with OutOfRange
+  /// when either id is not a node.
   Status AddLink(NodeId from, NodeId to);
 
-  /// \brief Adds article→category membership.
+  /// \brief Adds article→category membership.  Fails with OutOfRange
+  /// when either id is not a node.
   Status AddBelongs(NodeId article, NodeId category);
 
   /// \brief Adds category→parent-category nesting.
@@ -87,13 +87,10 @@ class KnowledgeBase {
 
   /// \name Lookup
   ///
-  /// Order contract for the list-valued accessors (`RedirectsOf`,
-  /// `CategoriesOf`, `LinkedFrom`, `LinkingTo`): the *set* of results is
-  /// representation-independent, but the order is not — before `Freeze()`
-  /// they follow edge-insertion order, after it the snapshot's sorted
-  /// rows (ascending node id).  Serving code always runs frozen, so
-  /// anything order-sensitive (e.g. candidate tie-breaks) sees the
-  /// deterministic ascending order.
+  /// The structural readers (`IsRedirect` through `LinkingTo`) require a
+  /// frozen KB.  The list-valued ones (`RedirectsOf`, `CategoriesOf`,
+  /// `LinkedFrom`, `LinkingTo`) return the snapshot's sorted rows:
+  /// ascending node id, whatever order the edges were inserted in.
   /// @{
 
   /// \brief Finds any entry (article, redirect or category) by normalized
@@ -115,9 +112,7 @@ class KnowledgeBase {
   std::vector<NodeId> RedirectsOf(NodeId main) const;
 
   /// \brief Normalized title of a node.
-  const std::string& title(NodeId node) const {
-    return loaded_ ? loaded_labels_[node] : graph_.label(node);
-  }
+  const std::string& title(NodeId node) const { return labels_[node]; }
 
   /// \brief Display title (original casing/punctuation).
   const std::string& display_title(NodeId node) const {
@@ -136,41 +131,35 @@ class KnowledgeBase {
 
   /// \name Graph access
   /// @{
-
-  /// \brief The builder graph.  Empty when the KB was loaded from a
-  /// snapshot (`loaded()`) — serving reads go through `csr()` instead.
-  const graph::PropertyGraph& graph() const { return graph_; }
   size_t num_articles() const { return num_articles_; }
   size_t num_redirects() const { return num_redirects_; }
   size_t num_categories() const { return num_categories_; }
 
   /// \brief One-way bridge from builder to serving: compiles the frozen
-  /// `CsrGraph` snapshot.  Idempotent; after the first call every `Add*`
-  /// mutator fails with InvalidArgument.  Called by `api::Engine::Build`
-  /// and `api::Engine::PublishSnapshot`; call it yourself before using
-  /// structural components (expanders, views) on a hand-built KB.
+  /// `CsrGraph` snapshot and releases the builder graph.  Idempotent (a
+  /// no-op on a frozen or loaded KB); after the first call every `Add*`
+  /// mutator fails with InvalidArgument.  `GenerateSyntheticWikipedia`
+  /// and `ParseDump` return frozen KBs; call it yourself on a hand-built
+  /// KB before any structural read.
   const graph::CsrGraph& Freeze();
 
   /// \brief The frozen snapshot; `Freeze()` must have been called.
   /// Safe to read from any number of threads concurrently.
   const graph::CsrGraph& csr() const;
 
-  bool frozen() const { return frozen_; }
-
-  /// \brief True when this KB was reconstituted via `FromSnapshot`
-  /// (implies `frozen()`; the builder graph is empty).
-  bool loaded() const { return loaded_; }
+  bool frozen() const { return !builder_.has_value(); }
   /// @}
 
   /// \brief Undirected BFS ball of radius `radius` around `sources`,
   /// traversing link/belongs/inside edges both ways (never redirects).
   /// `max_nodes` truncates the frontier expansion (0 = unlimited).
+  /// Requires a frozen KB.
   std::vector<NodeId> Neighborhood(const std::vector<NodeId>& sources,
                                    uint32_t radius, size_t max_nodes) const;
 
   /// \brief Schema integrity check: every non-redirect article belongs to
   /// at least one category; every redirect has exactly one out-edge (its
-  /// redirect) and no other edges.
+  /// redirect) and no other edges.  Requires a frozen KB.
   Status Validate() const;
 
  private:
@@ -180,19 +169,17 @@ class KnowledgeBase {
   /// Fails when the KB is frozen (mutators call this first).
   Status CheckMutable() const;
 
-  /// Kind probe that works in every lifecycle state (builder, frozen,
-  /// loaded — the builder graph is empty in the last).
-  bool IsArticleNode(NodeId node) const {
-    return frozen_ ? csr_.IsArticle(node) : graph_.IsArticle(node);
-  }
+  /// The mutators' schema probe on the builder: true when the in-range
+  /// `node` carries a redirect out-edge.
+  bool BuilderIsRedirect(NodeId node) const;
 
-  graph::PropertyGraph graph_;
+  /// The builder graph: engaged until `Freeze()` consumes it, never in a
+  /// KB from `FromSnapshot`.
+  std::optional<graph::PropertyGraph> builder_{std::in_place};
   graph::CsrGraph csr_;
-  bool frozen_ = false;
-  bool loaded_ = false;
-  /// Per-node normalized labels in loaded mode (the builder keeps them
-  /// in `graph_` otherwise).
-  std::vector<std::string> loaded_labels_;
+  /// Per-node normalized labels and display titles, filled by the
+  /// mutators and by `FromSnapshot` alike.
+  std::vector<std::string> labels_;
   std::vector<std::string> display_titles_;
   std::unordered_map<std::string, NodeId> title_index_;
   size_t num_articles_ = 0;

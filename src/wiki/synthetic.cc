@@ -160,13 +160,6 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
     }
   }
 
-  // Record domain of every node created so far (articles + categories).
-  wiki.domain_of.assign(wiki.kb.graph().num_nodes(), UINT32_MAX);
-  for (uint32_t d = 0; d < options.num_domains; ++d) {
-    for (NodeId a : wiki.domain_articles[d]) wiki.domain_of[a] = d;
-    for (NodeId c : wiki.domain_categories[d]) wiki.domain_of[c] = d;
-  }
-
   // --- Links (second pass so cross-domain targets exist). ---
   Rng link_rng = rng.Fork(0x11111);
   for (uint32_t d = 0; d < options.num_domains; ++d) {
@@ -285,14 +278,12 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
     }
   }
 
-  // Resize domain_of for redirect nodes added after the first sizing.
-  wiki.domain_of.resize(wiki.kb.graph().num_nodes(), UINT32_MAX);
-
+  const graph::CsrGraph& csr = wiki.kb.Freeze();
   WQE_RETURN_NOT_OK(wiki.kb.Validate());
   WQE_LOG(Debug) << "synthetic wikipedia: " << wiki.kb.num_articles()
                  << " articles, " << wiki.kb.num_categories()
                  << " categories, " << wiki.kb.num_redirects()
-                 << " redirects, " << wiki.kb.graph().num_edges() << " edges";
+                 << " redirects, " << csr.num_edges() << " edges";
   return wiki;
 }
 

@@ -96,15 +96,12 @@ struct SyntheticWikipedia {
   std::vector<std::vector<NodeId>> domain_articles;
   /// Categories of each domain (index 0 = domain root category).
   std::vector<std::vector<NodeId>> domain_categories;
-  /// Domain of each article node (by node id; UINT32_MAX for non-domain
-  /// nodes such as root categories and redirects).
-  std::vector<uint32_t> domain_of;
 
   SyntheticWikipediaOptions options;
 };
 
-/// \brief Generates the knowledge base. Fails only on inconsistent options
-/// (e.g. zero domains).
+/// \brief Generates the knowledge base, frozen. Fails only on inconsistent
+/// options (e.g. zero domains).
 Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
     const SyntheticWikipediaOptions& options);
 

@@ -112,7 +112,7 @@ TEST(TopicAnalysisTest, ArticlesByLengthBucketed) {
   for (const TopicAnalysis& a : ctx.analyses) {
     for (uint32_t len = 2; len <= 5; ++len) {
       for (graph::NodeId article : a.articles_by_length[len]) {
-        EXPECT_TRUE(kb.graph().IsArticle(article));
+        EXPECT_TRUE(kb.csr().IsArticle(article));
       }
     }
   }
@@ -365,8 +365,7 @@ void ExpectSameGroundTruth(const groundtruth::GroundTruth& got_gt,
 
 TEST(LoadedSnapshotAnalysisTest, MatchesTheBuiltKbFieldForField) {
   // §2/§3 read the engine's published snapshot, which may be a KB loaded
-  // from disk — and a loaded KB has no builder graph.  Every number must
-  // come from the frozen CSR, and so match the built KB's exactly.
+  // from disk.  Every number must match the built KB's exactly.
   api::TestbedOptions options;
   options.wiki.num_domains = 8;
   options.track.num_topics = 3;
@@ -374,7 +373,7 @@ TEST(LoadedSnapshotAnalysisTest, MatchesTheBuiltKbFieldForField) {
   auto built_bed = api::Testbed::Build(options);
   ASSERT_TRUE(built_bed.ok()) << built_bed.status();
   api::Testbed& bed = **built_bed;
-  ASSERT_FALSE(bed.kb().loaded());
+  ASSERT_EQ(bed.engine().snapshot_generation(), 1u);  // the built KB
   PaperNumbers built;
   ASSERT_NO_FATAL_FAILURE(ComputePaperNumbers(bed, &built));
 
@@ -385,7 +384,7 @@ TEST(LoadedSnapshotAnalysisTest, MatchesTheBuiltKbFieldForField) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   std::remove(path.c_str());  // a mapping outlives its directory entry
   ASSERT_TRUE(bed.engine().PublishSnapshot(std::move(*loaded)).ok());
-  ASSERT_TRUE(bed.kb().loaded());
+  ASSERT_EQ(bed.engine().snapshot_generation(), 2u);  // the loaded KB
   PaperNumbers reloaded;
   ASSERT_NO_FATAL_FAILURE(ComputePaperNumbers(bed, &reloaded));
 

@@ -6,7 +6,9 @@
 /// reference enumerator that reads the mutable `PropertyGraph` directly
 /// (set-based adjacency, no CSR code involved) and assert bit-identical
 /// canonical cycle sets — lengths 2–5, with and without seed filters and
-/// the chordless restriction, on whole graphs and induced subsets.
+/// the chordless restriction, on whole graphs and induced subsets.  The
+/// knowledge base's structural readers, which serve from the snapshot
+/// alone, get the same treatment against a set-based model.
 
 #include <gtest/gtest.h>
 
@@ -400,7 +402,7 @@ TEST(KnowledgeBaseFreezeTest, FreezeIsOneWay) {
   EXPECT_TRUE(kb.AddBelongs(*b, *c).IsInvalidArgument());
   EXPECT_TRUE(kb.AddInside(*c, *c).IsInvalidArgument());
 
-  // Frozen fast paths agree with the builder-backed slow paths.
+  // Reads serve from the snapshot.
   EXPECT_EQ(kb.ResolveRedirect(*a), *a);
   EXPECT_FALSE(kb.IsRedirect(*a));
   EXPECT_EQ(kb.LinkedFrom(*a), std::vector<NodeId>{*b});
@@ -408,48 +410,239 @@ TEST(KnowledgeBaseFreezeTest, FreezeIsOneWay) {
   EXPECT_EQ(kb.CategoriesOf(*a), std::vector<NodeId>{*c});
 }
 
-TEST(KnowledgeBaseFreezeTest, FrozenStructuralReadsMatchUnfrozen) {
-  auto build = [] {
-    wiki::KnowledgeBase kb;
-    NodeId a = *kb.AddArticle("a");
-    NodeId b = *kb.AddArticle("b");
-    NodeId c = *kb.AddArticle("c");
-    NodeId cat = *kb.AddCategory("cat");
-    NodeId r = *kb.AddRedirect("a alias", a);
-    WQE_CHECK_OK(kb.AddLink(a, b));
-    WQE_CHECK_OK(kb.AddLink(b, a));
-    WQE_CHECK_OK(kb.AddLink(b, c));
-    WQE_CHECK_OK(kb.AddBelongs(a, cat));
-    WQE_CHECK_OK(kb.AddBelongs(b, cat));
-    (void)r;
-    return kb;
-  };
-  wiki::KnowledgeBase cold = build();
-  wiki::KnowledgeBase hot = build();
-  hot.Freeze();
+// ------------------------------------- KB readers vs a set-based model
+// A frozen KB answers every structural read from the CSR alone.  The
+// oracle is a model built from plain sets by the same random insertion
+// script: it predicts which mutations the KB accepts, records the edges
+// that went in, and answers each reader independently of the CSR.
 
-  // List-valued accessors promise the same *set*, not the same order:
-  // unfrozen reads follow insertion order, frozen reads the sorted CSR
-  // rows (see the contract note in knowledge_base.h).
-  auto sorted = [](std::vector<NodeId> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  for (NodeId n = 0; n < cold.graph().num_nodes(); ++n) {
-    EXPECT_EQ(cold.IsRedirect(n), hot.IsRedirect(n));
-    EXPECT_EQ(cold.ResolveRedirect(n), hot.ResolveRedirect(n));
-    EXPECT_EQ(sorted(cold.RedirectsOf(n)), sorted(hot.RedirectsOf(n)));
-    EXPECT_EQ(sorted(cold.CategoriesOf(n)), sorted(hot.CategoriesOf(n)));
-    EXPECT_EQ(sorted(cold.LinkedFrom(n)), sorted(hot.LinkedFrom(n)));
-    EXPECT_EQ(sorted(cold.LinkingTo(n)), sorted(hot.LinkingTo(n)));
-    // Frozen rows come back ascending — pinned, callers may rely on it.
-    std::vector<NodeId> frozen_links = hot.LinkedFrom(n);
-    EXPECT_TRUE(std::is_sorted(frozen_links.begin(), frozen_links.end()));
+using EdgeSet = std::set<std::pair<NodeId, NodeId>>;
+
+/// Ascending heads of the edges leaving `n`.
+std::vector<NodeId> Heads(const EdgeSet& edges, NodeId n) {
+  std::vector<NodeId> out;
+  for (const auto& [src, dst] : edges) {
+    if (src == n) out.push_back(dst);
   }
-  // Same reachable set for an uncapped neighborhood (visit order is
-  // representation-dependent, membership is not).
-  EXPECT_EQ(sorted(cold.Neighborhood({0}, 2, 0)),
-            sorted(hot.Neighborhood({0}, 2, 0)));
+  return out;
+}
+
+/// Ascending tails of the edges entering `n`.
+std::vector<NodeId> Tails(const EdgeSet& edges, NodeId n) {
+  std::vector<NodeId> out;
+  for (const auto& [src, dst] : edges) {
+    if (dst == n) out.push_back(src);
+  }
+  return out;
+}
+
+struct KbModel {
+  std::vector<bool> is_category;
+  std::vector<NodeId> redirect_to;  // kInvalidNode unless a redirect
+  EdgeSet links, belongs, inside;
+
+  uint32_t size() const { return static_cast<uint32_t>(is_category.size()); }
+  bool IsMainArticle(NodeId n) const {
+    return !is_category[n] && redirect_to[n] == kInvalidNode;
+  }
+
+  std::vector<NodeId> RedirectsOf(NodeId n) const {
+    std::vector<NodeId> out;
+    for (NodeId r = 0; r < size(); ++r) {
+      if (redirect_to[r] == n) out.push_back(r);
+    }
+    return out;
+  }
+
+  /// Every main article has a category; a redirect has no edge but its
+  /// redirect.
+  bool Valid() const {
+    for (NodeId n = 0; n < size(); ++n) {
+      if (is_category[n]) continue;
+      const bool redirect = redirect_to[n] != kInvalidNode;
+      const size_t categories = Heads(belongs, n).size();
+      if (redirect && (categories > 0 || !Heads(links, n).empty())) {
+        return false;
+      }
+      if (!redirect && categories == 0) return false;
+    }
+    return true;
+  }
+
+  /// BFS distance from the in-range `sources` over link, belongs and
+  /// inside edges both ways; UINT32_MAX when unreachable.
+  std::vector<uint32_t> Distances(const std::vector<NodeId>& sources) const {
+    std::vector<std::set<NodeId>> adj(size());
+    for (const EdgeSet* edges : {&links, &belongs, &inside}) {
+      for (const auto& [a, b] : *edges) {
+        adj[a].insert(b);
+        adj[b].insert(a);
+      }
+    }
+    std::vector<uint32_t> dist(size(), UINT32_MAX);
+    std::vector<NodeId> queue;
+    for (NodeId s : sources) {
+      if (s < size() && dist[s] == UINT32_MAX) {
+        dist[s] = 0;
+        queue.push_back(s);
+      }
+    }
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (NodeId v : adj[queue[head]]) {
+        if (dist[v] == UINT32_MAX) {
+          dist[v] = dist[queue[head]] + 1;
+          queue.push_back(v);
+        }
+      }
+    }
+    return dist;
+  }
+};
+
+/// Runs one random insertion script against `kb` and `model` alike:
+/// articles, categories, redirects (some aimed at redirects or
+/// categories), and link/belongs/inside attempts whose endpoints now and
+/// then ignore the schema.  Each mutation must succeed exactly when the
+/// model says it may.
+void RunScript(uint64_t seed, wiki::KnowledgeBase* kb, KbModel* model) {
+  Rng rng(seed);
+  auto add_node = [&](bool category, NodeId redirect_to) {
+    model->is_category.push_back(category);
+    model->redirect_to.push_back(redirect_to);
+  };
+  const uint32_t articles = 6 + rng.Uniform(20);
+  const uint32_t categories = 2 + rng.Uniform(6);
+  for (uint32_t i = 0; i < articles; ++i) {
+    ASSERT_TRUE(kb->AddArticle("a" + std::to_string(i)).ok());
+    add_node(false, kInvalidNode);
+  }
+  for (uint32_t i = 0; i < categories; ++i) {
+    ASSERT_TRUE(kb->AddCategory("c" + std::to_string(i)).ok());
+    add_node(true, kInvalidNode);
+  }
+  const uint32_t redirects = rng.Uniform(articles / 2 + 1);
+  for (uint32_t i = 0; i < redirects; ++i) {
+    const NodeId target = rng.Uniform(model->size());
+    Result<NodeId> id = kb->AddRedirect("r" + std::to_string(i), target);
+    ASSERT_EQ(id.ok(), model->IsMainArticle(target)) << "redirect to " << target;
+    if (id.ok()) add_node(false, target);
+  }
+
+  std::vector<NodeId> article_ids, category_ids;
+  for (NodeId n = 0; n < model->size(); ++n) {
+    (model->is_category[n] ? category_ids : article_ids).push_back(n);
+  }
+  auto pick = [&](const std::vector<NodeId>& pool) {
+    return rng.Bernoulli(0.1) ? rng.Uniform(model->size())
+                              : pool[rng.Uniform(
+                                    static_cast<uint32_t>(pool.size()))];
+  };
+  for (uint32_t e = 0; e < 4 * model->size(); ++e) {
+    switch (rng.Uniform(3)) {
+      case 0: {
+        const NodeId a = pick(article_ids), b = pick(article_ids);
+        const bool ok = a != b && model->IsMainArticle(a) &&
+                        model->IsMainArticle(b) && !model->links.count({a, b});
+        ASSERT_EQ(kb->AddLink(a, b).ok(), ok) << "link " << a << "->" << b;
+        if (ok) model->links.insert({a, b});
+        break;
+      }
+      case 1: {
+        const NodeId a = pick(article_ids), c = pick(category_ids);
+        const bool ok = model->IsMainArticle(a) && model->is_category[c] &&
+                        !model->belongs.count({a, c});
+        ASSERT_EQ(kb->AddBelongs(a, c).ok(), ok) << "belongs " << a << "->" << c;
+        if (ok) model->belongs.insert({a, c});
+        break;
+      }
+      default: {
+        const NodeId c = pick(category_ids), p = pick(category_ids);
+        const bool ok = c != p && model->is_category[c] &&
+                        model->is_category[p] && !model->inside.count({c, p});
+        ASSERT_EQ(kb->AddInside(c, p).ok(), ok) << "inside " << c << "->" << p;
+        if (ok) model->inside.insert({c, p});
+        break;
+      }
+    }
+  }
+  // On about half the seeds every main article gets a category, so
+  // Validate is checked both passing and failing.
+  if (rng.Bernoulli(0.5)) {
+    for (NodeId a : article_ids) {
+      if (!model->IsMainArticle(a) || !Heads(model->belongs, a).empty()) {
+        continue;
+      }
+      const NodeId c = category_ids[0];
+      ASSERT_TRUE(kb->AddBelongs(a, c).ok());
+      model->belongs.insert({a, c});
+    }
+  }
+}
+
+TEST(KnowledgeBaseReaderOracleTest, ReadersMatchSetModelAcrossSeeds) {
+  size_t valid_seeds = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    wiki::KnowledgeBase kb;
+    KbModel model;
+    ASSERT_NO_FATAL_FAILURE(RunScript(seed, &kb, &model));
+    kb.Freeze();
+    ASSERT_EQ(kb.csr().num_nodes(), model.size());
+
+    for (NodeId n = 0; n < model.size(); ++n) {
+      SCOPED_TRACE("node " + std::to_string(n));
+      const NodeId target = model.redirect_to[n];
+      EXPECT_EQ(kb.IsRedirect(n), target != kInvalidNode);
+      EXPECT_EQ(kb.ResolveRedirect(n), target == kInvalidNode ? n : target);
+      EXPECT_EQ(kb.RedirectsOf(n), model.RedirectsOf(n));
+      EXPECT_EQ(kb.CategoriesOf(n), Heads(model.belongs, n));
+      EXPECT_EQ(kb.LinkedFrom(n), Heads(model.links, n));
+      EXPECT_EQ(kb.LinkingTo(n), Tails(model.links, n));
+      // Rows come back ascending — pinned, callers may rely on it.
+      std::vector<NodeId> linked = kb.LinkedFrom(n);
+      EXPECT_TRUE(std::is_sorted(linked.begin(), linked.end()));
+    }
+    EXPECT_EQ(kb.Validate().ok(), model.Valid());
+    valid_seeds += model.Valid() ? 1 : 0;
+
+    Rng rng(seed + 1000);
+    for (int round = 0; round < 8; ++round) {
+      std::vector<NodeId> sources;
+      const uint32_t num_sources = 1 + rng.Uniform(3);
+      for (uint32_t k = 0; k < num_sources; ++k) {
+        sources.push_back(rng.Uniform(model.size()));
+      }
+      sources.push_back(sources.front());      // duplicate source
+      sources.push_back(model.size() + 5);     // out of range: ignored
+      const std::vector<uint32_t> dist = model.Distances(sources);
+      const size_t unique_sources = static_cast<size_t>(
+          std::count(dist.begin(), dist.end(), 0u));
+      for (uint32_t radius = 0; radius <= 3; ++radius) {
+        SCOPED_TRACE("radius " + std::to_string(radius));
+        std::set<NodeId> ball;
+        for (NodeId n = 0; n < model.size(); ++n) {
+          if (dist[n] <= radius) ball.insert(n);
+        }
+        const std::vector<NodeId> full = kb.Neighborhood(sources, radius, 0);
+        EXPECT_EQ(std::set<NodeId>(full.begin(), full.end()), ball);
+        EXPECT_EQ(full.size(), ball.size());  // no node twice
+        for (size_t i = 1; i < full.size(); ++i) {  // BFS order
+          EXPECT_LE(dist[full[i - 1]], dist[full[i]]);
+        }
+        // A cap keeps the BFS-order prefix, never dropping a source.
+        for (size_t cap : {1u, 3u, 10u}) {
+          const size_t keep =
+              std::max(unique_sources, std::min(cap, full.size()));
+          EXPECT_EQ(kb.Neighborhood(sources, radius, cap),
+                    std::vector<NodeId>(full.begin(), full.begin() + keep))
+              << "cap " << cap;
+        }
+      }
+    }
+  }
+  // The script reaches both Validate outcomes.
+  EXPECT_GT(valid_seeds, 0u);
+  EXPECT_LT(valid_seeds, 12u);
 }
 
 // --------------------------------------------- structural invariants

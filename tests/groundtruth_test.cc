@@ -181,7 +181,7 @@ TEST(QueryGraphTest, InducedEdgesOnlyAmongMembers) {
     auto targets = sub.OutTargets(n);
     auto kinds = sub.OutKinds(n);
     for (size_t i = 0; i < targets.size(); ++i, ++sub_edges) {
-      EXPECT_TRUE(bed.kb().graph().HasEdge(sub.to_parent[n],
+      EXPECT_TRUE(bed.kb().csr().HasEdge(sub.to_parent[n],
                                          sub.to_parent[targets[i]], kinds[i]));
     }
   }

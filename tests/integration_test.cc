@@ -17,6 +17,8 @@
 #include "ir/eval.h"
 #include "wiki/dump.h"
 
+#include "kb_expect.h"
+
 namespace wqe {
 namespace {
 
@@ -226,8 +228,7 @@ TEST(EndToEndTest, KbSurvivesDumpRoundTripWithinPipeline) {
   std::string dump = wiki::WriteDump(ctx.bed->kb());
   auto kb2 = wiki::ParseDump(dump);
   ASSERT_TRUE(kb2.ok()) << kb2.status();
-  EXPECT_EQ(kb2->num_articles(), ctx.bed->kb().num_articles());
-  EXPECT_EQ(kb2->graph().num_edges(), ctx.bed->kb().graph().num_edges());
+  ExpectSameKb(ctx.bed->kb(), *kb2);
 }
 
 TEST(EndToEndTest, DeterministicAcrossTestbedBuilds) {

@@ -29,13 +29,19 @@ class EntityLinkerTest : public ::testing::Test {
       EXPECT_TRUE(kb_.AddBelongs(a, cat).ok());
     }
   }
+  /// Freezes the KB (tests may add articles first) and builds a linker.
+  EntityLinker Linker(EntityLinkerOptions options = {}) {
+    kb_.Freeze();
+    return EntityLinker(&kb_, options);
+  }
+
   KnowledgeBase kb_;
   graph::NodeId venice_, grand_canal_, grand_canal_venice_, gondola_,
       regatta_, regata_, floating_;
 };
 
 TEST_F(EntityLinkerTest, LinksSimpleMentions) {
-  EntityLinker linker(&kb_);
+  EntityLinker linker = Linker();
   auto articles = linker.LinkToArticles("a gondola in Venice");
   ASSERT_EQ(articles.size(), 2u);
   EXPECT_EQ(articles[0], gondola_);
@@ -43,7 +49,7 @@ TEST_F(EntityLinkerTest, LinksSimpleMentions) {
 }
 
 TEST_F(EntityLinkerTest, PrefersLargestSubstring) {
-  EntityLinker linker(&kb_);
+  EntityLinker linker = Linker();
   // "grand canal of venice" must match the 4-token title, not
   // "grand canal" + "venice".
   auto mentions = linker.Link("the Grand Canal of Venice at dusk");
@@ -53,7 +59,7 @@ TEST_F(EntityLinkerTest, PrefersLargestSubstring) {
 }
 
 TEST_F(EntityLinkerTest, GreedyLeftToRightNonOverlapping) {
-  EntityLinker linker(&kb_);
+  EntityLinker linker = Linker();
   auto mentions = linker.Link("venice gondola regatta");
   ASSERT_EQ(mentions.size(), 3u);
   EXPECT_EQ(mentions[0].article, venice_);
@@ -65,7 +71,7 @@ TEST_F(EntityLinkerTest, GreedyLeftToRightNonOverlapping) {
 }
 
 TEST_F(EntityLinkerTest, RedirectTitlesResolveToMain) {
-  EntityLinker linker(&kb_);
+  EntityLinker linker = Linker();
   auto mentions = linker.Link("the regata of the floating city");
   ASSERT_EQ(mentions.size(), 2u);
   EXPECT_EQ(mentions[0].article, regatta_);
@@ -86,7 +92,7 @@ TEST_F(EntityLinkerTest, SynonymPhraseViaRedirect) {
   ASSERT_TRUE(cat.has_value());
   ASSERT_TRUE(kb_.AddBelongs(*regatta_day, *cat).ok());
 
-  EntityLinker linker(&kb_);
+  EntityLinker linker = Linker();
   auto mentions = linker.Link("the regata day festivities");
   ASSERT_GE(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].article, *regatta_day);
@@ -99,7 +105,7 @@ TEST_F(EntityLinkerTest, SynonymsDisabled) {
   ASSERT_TRUE(regatta_day.ok());
   EntityLinkerOptions options;
   options.use_synonyms = false;
-  EntityLinker linker(&kb_, options);
+  EntityLinker linker = Linker(options);
   auto mentions = linker.Link("the regata day festivities");
   // Without synonyms, "regata" alone matches the redirect (→ regatta).
   ASSERT_EQ(mentions.size(), 1u);
@@ -109,28 +115,28 @@ TEST_F(EntityLinkerTest, SynonymsDisabled) {
 TEST_F(EntityLinkerTest, StopwordSingletonsSkipped) {
   auto the = kb_.AddArticle("The");  // pathological article
   ASSERT_TRUE(the.ok());
-  EntityLinker linker(&kb_);
+  EntityLinker linker = Linker();
   EXPECT_TRUE(linker.LinkToArticles("the the the").empty());
   EntityLinkerOptions options;
   options.skip_stopword_singletons = false;
-  EntityLinker permissive(&kb_, options);
+  EntityLinker permissive = Linker(options);
   EXPECT_EQ(permissive.LinkToArticles("the the the").size(), 1u);
 }
 
 TEST_F(EntityLinkerTest, DedupesArticlesKeepsMentions) {
-  EntityLinker linker(&kb_);
+  EntityLinker linker = Linker();
   EXPECT_EQ(linker.Link("venice and venice again").size(), 2u);
   EXPECT_EQ(linker.LinkToArticles("venice and venice again").size(), 1u);
 }
 
 TEST_F(EntityLinkerTest, NoMatchesYieldEmpty) {
-  EntityLinker linker(&kb_);
+  EntityLinker linker = Linker();
   EXPECT_TRUE(linker.LinkToArticles("completely unrelated words").empty());
   EXPECT_TRUE(linker.LinkToArticles("").empty());
 }
 
 TEST_F(EntityLinkerTest, CaseAndPunctuationInsensitive) {
-  EntityLinker linker(&kb_);
+  EntityLinker linker = Linker();
   auto articles = linker.LinkToArticles("GONDOLA! (venice)");
   ASSERT_EQ(articles.size(), 2u);
 }
@@ -138,7 +144,7 @@ TEST_F(EntityLinkerTest, CaseAndPunctuationInsensitive) {
 TEST_F(EntityLinkerTest, MaxWindowRespected) {
   EntityLinkerOptions options;
   options.max_window = 2;
-  EntityLinker linker(&kb_, options);
+  EntityLinker linker = Linker(options);
   // 4-token title can no longer match; falls back to "grand canal" and
   // "venice".
   auto mentions = linker.Link("grand canal of venice");

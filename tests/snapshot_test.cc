@@ -36,6 +36,8 @@
 #include "wiki/knowledge_base.h"
 #include "wiki/synthetic.h"
 
+#include "kb_expect.h"
+
 namespace wqe::snapshot {
 namespace {
 
@@ -74,38 +76,6 @@ void WriteFileBytes(const std::string& path,
   EXPECT_TRUE(out.good()) << path;
 }
 
-template <typename T>
-void ExpectSpanEq(std::span<const T> expected, std::span<const T> actual,
-                  const char* what) {
-  ASSERT_EQ(expected.size(), actual.size()) << what;
-  if (!expected.empty()) {
-    EXPECT_EQ(std::memcmp(expected.data(), actual.data(),
-                          expected.size() * sizeof(T)),
-              0)
-        << what << " differs byte-wise";
-  }
-}
-
-/// Every flat CSR array byte-identical — the tentpole's core contract.
-void ExpectSectionsBitIdentical(const graph::CsrSections& expected,
-                                const graph::CsrSections& actual) {
-  ExpectSpanEq(expected.kinds, actual.kinds, "kinds");
-  ExpectSpanEq(expected.redirect_target, actual.redirect_target,
-               "redirect_target");
-  ExpectSpanEq(expected.out_offsets, actual.out_offsets, "out_offsets");
-  ExpectSpanEq(expected.out_targets, actual.out_targets, "out_targets");
-  ExpectSpanEq(expected.out_kinds, actual.out_kinds, "out_kinds");
-  ExpectSpanEq(expected.in_offsets, actual.in_offsets, "in_offsets");
-  ExpectSpanEq(expected.in_sources, actual.in_sources, "in_sources");
-  ExpectSpanEq(expected.in_kinds, actual.in_kinds, "in_kinds");
-  ExpectSpanEq(expected.und_offsets, actual.und_offsets, "und_offsets");
-  ExpectSpanEq(expected.und_neighbors, actual.und_neighbors,
-               "und_neighbors");
-  ExpectSpanEq(expected.und_mult, actual.und_mult, "und_mult");
-  EXPECT_EQ(expected.edge_kind_counts, actual.edge_kind_counts);
-  EXPECT_EQ(expected.node_kind_counts, actual.node_kind_counts);
-}
-
 // ----------------------------------------------------------- round trip
 
 TEST(SnapshotRoundTripTest, BitIdenticalAcrossSeedsAndLoadModes) {
@@ -118,7 +88,6 @@ TEST(SnapshotRoundTripTest, BitIdenticalAcrossSeedsAndLoadModes) {
     SCOPED_TRACE("seed=" + std::to_string(config.seed) +
                  " domains=" + std::to_string(config.num_domains));
     wiki::KnowledgeBase kb = SyntheticKb(config.seed, config.num_domains);
-    kb.Freeze();
     const std::string path = TempPath("roundtrip");
     ASSERT_TRUE(WriteSnapshot(kb, path).ok());
 
@@ -130,25 +99,13 @@ TEST(SnapshotRoundTripTest, BitIdenticalAcrossSeedsAndLoadModes) {
       auto loaded = LoadSnapshot(path, options);
       ASSERT_TRUE(loaded.ok()) << loaded.status();
       EXPECT_TRUE(loaded->frozen());
-      EXPECT_TRUE(loaded->loaded());
 
-      ExpectSectionsBitIdentical(kb.csr().Sections(),
-                                 loaded->csr().Sections());
+      ExpectSameKb(kb, *loaded);
       EXPECT_TRUE(loaded->csr().CheckInvariants().ok());
       EXPECT_TRUE(loaded->Validate().ok());
 
-      EXPECT_EQ(loaded->num_articles(), kb.num_articles());
-      EXPECT_EQ(loaded->num_redirects(), kb.num_redirects());
-      EXPECT_EQ(loaded->num_categories(), kb.num_categories());
-      const uint32_t n = kb.csr().num_nodes();
-      ASSERT_EQ(loaded->csr().num_nodes(), n);
-      for (uint32_t u = 0; u < n; ++u) {
-        ASSERT_EQ(loaded->title(u), kb.title(u)) << "node " << u;
-        ASSERT_EQ(loaded->display_title(u), kb.display_title(u))
-            << "node " << u;
-      }
       // The rebuilt title index resolves exactly like the original's.
-      for (uint32_t u = 0; u < n; u += 7) {
+      for (uint32_t u = 0; u < kb.csr().num_nodes(); u += 7) {
         EXPECT_EQ(loaded->FindArticle(kb.title(u)),
                   kb.FindArticle(kb.title(u)))
             << "node " << u;
@@ -158,7 +115,8 @@ TEST(SnapshotRoundTripTest, BitIdenticalAcrossSeedsAndLoadModes) {
 }
 
 TEST(SnapshotRoundTripTest, WriterRequiresFrozenKb) {
-  wiki::KnowledgeBase kb = SyntheticKb(42, 4);
+  wiki::KnowledgeBase kb;  // a builder: generated KBs come back frozen
+  ASSERT_TRUE(kb.AddArticle("venice").ok());
   Status status = WriteSnapshot(kb, TempPath("unfrozen"));
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
@@ -166,7 +124,6 @@ TEST(SnapshotRoundTripTest, WriterRequiresFrozenKb) {
 
 TEST(SnapshotRoundTripTest, ReaderInfoDescribesEverySection) {
   wiki::KnowledgeBase kb = SyntheticKb(42, 4);
-  kb.Freeze();
   const std::string path = TempPath("info");
   ASSERT_TRUE(WriteSnapshot(kb, path).ok());
 
@@ -233,7 +190,6 @@ class SnapshotCorruptionTest : public ::testing::Test {
   /// its bytes.
   static void SetUpTestSuite() {
     wiki::KnowledgeBase kb = SyntheticKb(42, 6);
-    kb.Freeze();
     path_ = new std::string(TempPath("corruption"));
     ASSERT_TRUE(WriteSnapshot(kb, *path_).ok());
     valid_ = new std::vector<std::byte>(ReadFileBytes(*path_));
@@ -622,11 +578,10 @@ TEST(SnapshotRepublishTest, BatchServesOneEpochAcrossAPublish) {
       ASSERT_TRUE(response.ok()) << response.status();
       reference.push_back(*std::move(response));
     }
-    // Frozen up front, so the publish below is only the linker build and
+    // Generated frozen, so the publish below is only the linker build and
     // the swap, well inside the slowed batch.
     wiki::KnowledgeBase other =
         SyntheticKb(options.wiki.seed + 1, options.wiki.num_domains);
-    other.Freeze();
     std::unique_ptr<serve::Server> server;
     if (through_server) {
       serve::ServerOptions serving;

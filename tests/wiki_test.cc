@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 
 #include "graph/cycle_metrics.h"
 #include "wiki/dump.h"
 #include "wiki/knowledge_base.h"
 #include "wiki/synthetic.h"
 #include "wiki/wordlist.h"
+
+#include "kb_expect.h"
 
 namespace wqe::wiki {
 namespace {
@@ -45,6 +49,7 @@ TEST(KnowledgeBaseTest, RedirectResolution) {
   auto main = kb.AddArticle("regatta");
   auto alias = kb.AddRedirect("regata", *main);
   ASSERT_TRUE(alias.ok());
+  kb.Freeze();
   EXPECT_TRUE(kb.IsRedirect(*alias));
   EXPECT_FALSE(kb.IsRedirect(*main));
   EXPECT_EQ(kb.ResolveRedirect(*alias), *main);
@@ -74,6 +79,19 @@ TEST(KnowledgeBaseTest, RedirectsCannotLinkOrBelong) {
   EXPECT_TRUE(kb.AddBelongs(*r, *cat).IsInvalidArgument());
 }
 
+TEST(KnowledgeBaseTest, MutatorsRejectOutOfRangeIds) {
+  KnowledgeBase kb;
+  auto a = kb.AddArticle("a");
+  auto cat = kb.AddCategory("c");
+  ASSERT_TRUE(a.ok() && cat.ok());
+  constexpr NodeId kFar = 1000000;
+  EXPECT_EQ(kb.AddLink(*a, kFar).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(kb.AddLink(kFar, *a).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(kb.AddBelongs(kFar, *cat).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(kb.AddRedirect("alias", kFar).status().code(),
+            StatusCode::kOutOfRange);
+}
+
 TEST(KnowledgeBaseTest, NeighborhoodBfs) {
   KnowledgeBase kb;
   auto a = kb.AddArticle("a");
@@ -83,6 +101,7 @@ TEST(KnowledgeBaseTest, NeighborhoodBfs) {
   ASSERT_TRUE(kb.AddLink(*a, *b).ok());
   ASSERT_TRUE(kb.AddLink(*b, *c).ok());
   ASSERT_TRUE(kb.AddBelongs(*a, *cat).ok());
+  kb.Freeze();
 
   auto r0 = kb.Neighborhood({*a}, 0, 0);
   EXPECT_EQ(r0.size(), 1u);
@@ -97,13 +116,21 @@ TEST(KnowledgeBaseTest, NeighborhoodBfs) {
 }
 
 TEST(KnowledgeBaseTest, ValidateCatchesUncategorizedArticle) {
-  KnowledgeBase kb;
-  auto a = kb.AddArticle("a");
-  (void)a;
-  EXPECT_TRUE(kb.Validate().IsInternal());
-  auto cat = kb.AddCategory("c");
-  ASSERT_TRUE(kb.AddBelongs(*a, *cat).ok());
-  EXPECT_TRUE(kb.Validate().ok());
+  // Validate reads the snapshot, so each state is built and frozen on
+  // its own.
+  auto build = [](bool categorized) {
+    KnowledgeBase kb;
+    auto a = kb.AddArticle("a");
+    auto cat = kb.AddCategory("c");
+    EXPECT_TRUE(a.ok() && cat.ok());
+    if (categorized) {
+      EXPECT_TRUE(kb.AddBelongs(*a, *cat).ok());
+    }
+    kb.Freeze();
+    return kb;
+  };
+  EXPECT_TRUE(build(false).Validate().IsInternal());
+  EXPECT_TRUE(build(true).Validate().ok());
 }
 
 // -------------------------------------------------------------- Wordlist
@@ -139,9 +166,7 @@ class SyntheticWikipediaTest : public ::testing::Test {
       options.num_domains = 24;
       auto result = GenerateSyntheticWikipedia(options);
       EXPECT_TRUE(result.ok()) << result.status();
-      auto* wiki = new SyntheticWikipedia(std::move(result).ValueOrDie());
-      wiki->kb.Freeze();  // structural reads below take the snapshot path
-      return wiki;
+      return new SyntheticWikipedia(std::move(result).ValueOrDie());
     }();
     return *kWiki;
   }
@@ -149,6 +174,7 @@ class SyntheticWikipediaTest : public ::testing::Test {
 
 TEST_F(SyntheticWikipediaTest, ValidatesAndHasExpectedShape) {
   const auto& wiki = Wiki();
+  EXPECT_TRUE(wiki.kb.frozen());
   EXPECT_TRUE(wiki.kb.Validate().ok());
   EXPECT_EQ(wiki.domain_articles.size(), 24u);
   EXPECT_GT(wiki.kb.num_articles(), 24u * 28u);
@@ -174,8 +200,7 @@ TEST_F(SyntheticWikipediaTest, HubsHaveMutualPartners) {
     for (size_t h = 0; h < std::min<size_t>(8, domain.size()); ++h) {
       ++hubs;
       for (NodeId out : wiki.kb.LinkedFrom(domain[h])) {
-        if (wiki.kb.graph().HasEdge(out, domain[h],
-                                    graph::EdgeKind::kLink)) {
+        if (wiki.kb.csr().HasEdge(out, domain[h], graph::EdgeKind::kLink)) {
           ++hubs_with_mutual;
           break;
         }
@@ -190,14 +215,12 @@ TEST_F(SyntheticWikipediaTest, CategoryGraphIsTriangleFreeForest) {
   // Every category has exactly one outgoing `inside` edge (tree-like, as
   // Wikipedia edition rules prescribe), so the pure category graph has no
   // cycles at all.
-  const auto& g = Wiki().kb.graph();
+  const graph::CsrGraph& g = Wiki().kb.csr();
   for (graph::NodeId n = 0; n < g.num_nodes(); ++n) {
     if (!g.IsCategory(n)) continue;
-    size_t inside = 0;
-    for (const graph::Edge& e : g.OutEdges(n)) {
-      if (e.kind == graph::EdgeKind::kInside) ++inside;
-    }
-    EXPECT_LE(inside, 1u);
+    std::span<const graph::EdgeKind> kinds = g.OutKinds(n);
+    EXPECT_LE(std::count(kinds.begin(), kinds.end(), graph::EdgeKind::kInside),
+              1);
   }
 }
 
@@ -208,11 +231,7 @@ TEST_F(SyntheticWikipediaTest, DeterministicForSeed) {
   auto b = GenerateSyntheticWikipedia(options);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->kb.num_articles(), b->kb.num_articles());
-  EXPECT_EQ(a->kb.graph().num_edges(), b->kb.graph().num_edges());
-  for (graph::NodeId n = 0; n < a->kb.graph().num_nodes(); ++n) {
-    ASSERT_EQ(a->kb.title(n), b->kb.title(n));
-  }
+  ExpectSameKb(a->kb, b->kb);
 }
 
 TEST_F(SyntheticWikipediaTest, SeedChangesOutput) {
@@ -223,7 +242,7 @@ TEST_F(SyntheticWikipediaTest, SeedChangesOutput) {
   auto b = GenerateSyntheticWikipedia(options);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_NE(a->kb.graph().num_edges(), b->kb.graph().num_edges());
+  EXPECT_NE(a->kb.csr().num_edges(), b->kb.csr().num_edges());
 }
 
 TEST(SyntheticWikipediaOptionsTest, RejectsBadOptions) {
@@ -306,11 +325,16 @@ TEST(DumpParserTest, BuildsKnowledgeBase) {
   auto gondola = kb->FindArticle("gondola");
   ASSERT_TRUE(venice.has_value());
   ASSERT_TRUE(gondola.has_value());
-  EXPECT_TRUE(kb->graph().HasEdge(*venice, *gondola, graph::EdgeKind::kLink));
-  EXPECT_TRUE(kb->graph().HasEdge(*gondola, *venice, graph::EdgeKind::kLink));
+  EXPECT_TRUE(kb->frozen());
+  EXPECT_TRUE(kb->csr().HasEdge(*venice, *gondola, graph::EdgeKind::kLink));
+  EXPECT_TRUE(kb->csr().HasEdge(*gondola, *venice, graph::EdgeKind::kLink));
   auto regata = kb->FindArticle("regata");
   ASSERT_TRUE(regata.has_value());
   EXPECT_EQ(kb->ResolveRedirect(*regata), *gondola);
+  // A category keeps its page title, minus only the namespace prefix.
+  auto boats = kb->FindByTitle("category:boats");
+  ASSERT_TRUE(boats.has_value());
+  EXPECT_EQ(kb->display_title(*boats), "Boats");
 }
 
 TEST(DumpParserTest, RejectsNonMediawikiRoot) {
@@ -328,15 +352,7 @@ TEST(DumpRoundTripTest, SyntheticKbSurvivesWriteParse) {
   DumpImportStats stats;
   auto kb2 = ParseDump(dump, &stats);
   ASSERT_TRUE(kb2.ok()) << kb2.status();
-  EXPECT_EQ(kb2->num_articles(), wiki->kb.num_articles());
-  EXPECT_EQ(kb2->num_categories(), wiki->kb.num_categories());
-  EXPECT_EQ(kb2->num_redirects(), wiki->kb.num_redirects());
-  EXPECT_EQ(kb2->graph().CountEdges(graph::EdgeKind::kLink),
-            wiki->kb.graph().CountEdges(graph::EdgeKind::kLink));
-  EXPECT_EQ(kb2->graph().CountEdges(graph::EdgeKind::kBelongs),
-            wiki->kb.graph().CountEdges(graph::EdgeKind::kBelongs));
-  EXPECT_EQ(kb2->graph().CountEdges(graph::EdgeKind::kInside),
-            wiki->kb.graph().CountEdges(graph::EdgeKind::kInside));
+  ExpectSameKb(wiki->kb, *kb2);
   EXPECT_EQ(stats.dangling_links, 0u);
 }
 
