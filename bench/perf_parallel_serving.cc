@@ -8,7 +8,7 @@
 ///   2. parallel `serve::Server::QueryBatch` at 1/2/4 worker threads with
 ///      the expansion cache disabled — pure thread-pool scaling;
 ///   3. two passes through a cache-enabled server — the second pass must
-///      serve (almost) every expansion from the sharded LRU.
+///      serve (almost) every expansion from the LRU cache.
 ///
 /// Hard correctness checks (aborts, not just reporting):
 ///   - every parallel ranking is document-identical to the sequential one;
@@ -344,7 +344,6 @@ int main() {
     serve::ServerOptions churn_options;
     churn_options.num_threads = 4;
     churn_options.cache.capacity = 8;  // << distinct keys: every sweep misses
-    churn_options.cache.num_shards = 1;
     churn_options.registry = &churn_registry;
     serve::Server churn_server(engine, churn_options);
     watch.Reset();

@@ -4,6 +4,7 @@
 #
 #   ./ci.sh tier1   — verify build (-Werror) + full ctest
 #   ./ci.sh bench   — Release bench smoke + BENCH_*.json schema/trajectory
+#                     + paper-bench golden diff
 #   ./ci.sh servebench — serving benchmark: its tests + a 2 s run per workload
 #   ./ci.sh tsan    — ThreadSanitizer over the concurrency suites
 #   ./ci.sh asan    — ASan+UBSan (non-recoverable) + libstdc++ bounds
@@ -41,8 +42,10 @@ PAPER_BENCHES="table2_groundtruth_precision table3_component_stats
 # >= 10x mmap-vs-rebuild speedup), hard-failing on crash or malformed
 # JSON so the perf benches and their machine-readable output can't
 # silently rot.  Then every PAPER_BENCHES binary at 12 domains / 8
-# topics: each builds the whole experiment and aborts on any internal
-# inconsistency, so it must exit 0 and print its table.
+# topics and at the default size: each builds the whole experiment and
+# aborts on any internal inconsistency, so it must exit 0, and its
+# stdout must equal its golden under bench/golden/ byte for byte (see
+# bench/golden/README.md for when a golden may change).
 #
 # Set WQE_WRITE_BASELINE=1 to install this run's BENCH_*.json files into
 # bench/baselines/ instead of gating against them — only do this on a
@@ -75,16 +78,25 @@ assert any(r['metric'] == 'speedup_vs_oracle' for r in results), \
 print(f'bench smoke OK: {len(results)} records')
 EOF
   for bench in $PAPER_BENCHES; do
-    if ! out=$(WQE_BENCH_DOMAINS=12 WQE_BENCH_TOPICS=8 "./wqe_bench_$bench"); then
-      echo "ci.sh bench: wqe_bench_$bench failed" >&2
-      exit 1
-    fi
-    if [ -z "$out" ]; then
-      echo "ci.sh bench: wqe_bench_$bench printed nothing" >&2
-      exit 1
-    fi
+    for size in ci default; do
+      if [ "$size" = ci ]; then
+        export WQE_BENCH_DOMAINS=12 WQE_BENCH_TOPICS=8
+      else
+        unset WQE_BENCH_DOMAINS WQE_BENCH_TOPICS
+      fi
+      if ! "./wqe_bench_$bench" > "paper_$bench.$size.txt"; then
+        echo "ci.sh bench: wqe_bench_$bench failed at the $size size" >&2
+        exit 1
+      fi
+      if ! diff -u "../bench/golden/$bench.$size.txt" \
+                   "paper_$bench.$size.txt"; then
+        echo "ci.sh bench: wqe_bench_$bench differs from its $size golden" >&2
+        exit 1
+      fi
+    done
     echo "paper bench $bench OK"
   done
+  unset WQE_BENCH_DOMAINS WQE_BENCH_TOPICS
   # Bench trajectory: the comparator always self-checks (a file must never
   # regress against itself), and gates against a committed baseline when
   # one is present (use `WQE_WRITE_BASELINE=1 ./ci.sh bench` — or
@@ -139,7 +151,7 @@ EOF
 
 # ThreadSanitizer pass over the concurrency subsystem (tests only; the
 # benches and examples don't add coverage and double the build).  Debug
-# so NDEBUG is off and the WQE_DCHECK contracts (registry freeze, nested
+# so NDEBUG is off and the WQE_DCHECK contracts (pool self-join, nested
 # fan-out) are live — the main build's RelWithDebInfo compiles them out.
 # analysis_test for AnalyzeAll's topic fan-out, the one fan-out below the
 # request level (RunParallel's cursor, per-topic result slots, and the
@@ -186,9 +198,9 @@ run_faults() {
 }
 
 # AddressSanitizer + UBSan over the *full* ctest suite.  Debug keeps the
-# WQE_DCHECK validators (CsrGraph::CheckInvariants at freeze time, the
-# cache shard invariants in serve_test) live, so memory errors and
-# structural corruption are both fatal here.  WQE_ASAN also defines
+# WQE_DCHECK validators (CsrGraph::CheckInvariants at freeze time) live,
+# and serve_test audits the expansion cache's invariants under churn, so
+# memory errors and structural corruption are both fatal here.  WQE_ASAN also defines
 # _GLIBCXX_ASSERTIONS, so an out-of-range std::vector/std::span index
 # aborts even when it lands inside a live heap block.
 run_asan() {

@@ -61,24 +61,6 @@ Result<ir::PreparedQuery> PrepareTimed(const ir::SearchEngine& search,
   return search.Prepare(query);
 }
 
-/// Runs `run` over every request in order and fails atomically: the
-/// first failing request aborts the batch, named as "`what` request #i".
-template <typename Response, typename Request, typename Run>
-Result<std::vector<Response>> RunBatch(const std::vector<Request>& requests,
-                                       const char* what, Run run) {
-  std::vector<Response> responses;
-  responses.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Result<Response> response = run(requests[i]);
-    if (!response.ok()) {
-      return response.status().WithContext(std::string(what) + " request #" +
-                                           std::to_string(i));
-    }
-    responses.push_back(std::move(*response));
-  }
-  return responses;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
@@ -90,8 +72,7 @@ Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
   engine->options_ = std::move(options);
   engine->search_ =
       std::make_unique<ir::SearchEngine>(engine->options_.search);
-  engine->registry_ =
-      ExpanderRegistry::WithBuiltins(engine->options_.strategies);
+  engine->registry_ = ExpanderRegistry::WithBuiltins();
   if (!engine->registry_.Contains(engine->options_.default_expander)) {
     return Status::InvalidArgument("default expander '",
                                    engine->options_.default_expander,
@@ -163,16 +144,6 @@ Result<ir::DocId> Engine::AddDocument(std::string_view name,
 
 Status Engine::FinalizeIndex() { return search_->Finalize(); }
 
-ExpanderRegistry& Engine::registry() {
-  // The registry-freeze contract (see LockRegistry in the header): once a
-  // serve::Server has locked the registry, mutable access would race the
-  // lock-free ResolveStrategy reads on its workers.  Dynamic enforcement
-  // — the flag is a phase transition, which the static thread-safety
-  // analysis cannot express.
-  WQE_DCHECK(!registry_locked());  // no registration once serving started
-  return registry_;
-}
-
 std::string Engine::ResolveStrategy(std::string_view expander) const {
   return registry_.Resolve(expander.empty() ? options_.default_expander
                                             : expander);
@@ -235,16 +206,6 @@ Result<QueryResponse> Engine::QueryWithExpansion(ExpandResponse expansion,
   return response;
 }
 
-Result<ExpandResponse> Engine::ExpandPinned(
-    const GraphSnapshot& snapshot, const ExpandRequest& request) const {
-  common::ScopedExecContext exec_scope(
-      RequestExecContext(request.deadline_ms, request.cancel));
-  const std::string name = ResolveStrategy(request.expander);
-  WQE_ASSIGN_OR_RETURN(std::unique_ptr<expansion::Expander> expander,
-                       BuildExpander(snapshot, name, request.overrides));
-  return ExpandWith(*expander, name, request.keywords);
-}
-
 Result<QueryResponse> Engine::QueryPinned(const GraphSnapshot& snapshot,
                                           const QueryRequest& request) const {
   common::ScopedExecContext exec_scope(
@@ -266,36 +227,38 @@ Result<QueryResponse> Engine::QueryPinned(const GraphSnapshot& snapshot,
 // Singles pin the graph epoch for the whole request: a concurrent
 // PublishSnapshot cannot swap the graph out from under the expansion.
 Result<ExpandResponse> Engine::Expand(const ExpandRequest& request) const {
-  return ExpandPinned(*CurrentSnapshot(), request);
+  std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
+  common::ScopedExecContext exec_scope(
+      RequestExecContext(request.deadline_ms, request.cancel));
+  const std::string name = ResolveStrategy(request.expander);
+  WQE_ASSIGN_OR_RETURN(std::unique_ptr<expansion::Expander> expander,
+                       BuildExpander(*snapshot, name, request.overrides));
+  return ExpandWith(*expander, name, request.keywords);
 }
 
 Result<QueryResponse> Engine::Query(const QueryRequest& request) const {
   return QueryPinned(*CurrentSnapshot(), request);
 }
 
-// Batches pin once: every request in a batch runs on the same graph
-// epoch, so its results are mutually consistent even when a republish
-// lands mid-batch.  Budgets stay per request — each item installs (and
-// on exit removes) its own exec context, so one expired deadline never
-// bleeds into its batch neighbors.
-Result<std::vector<ExpandResponse>> Engine::ExpandBatch(
-    const std::vector<ExpandRequest>& requests) const {
-  std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
-  return RunBatch<ExpandResponse>(
-      requests, "ExpandBatch",
-      [&](const ExpandRequest& request) {
-        return ExpandPinned(*snapshot, request);
-      });
-}
-
+// A batch pins once: every request in it runs on the same graph epoch,
+// so its results are mutually consistent even when a republish lands
+// mid-batch.  Budgets stay per request — each item installs (and on exit
+// removes) its own exec context, so one expired deadline never bleeds
+// into its batch neighbors.
 Result<std::vector<QueryResponse>> Engine::QueryBatch(
     const std::vector<QueryRequest>& requests) const {
   std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
-  return RunBatch<QueryResponse>(
-      requests, "QueryBatch",
-      [&](const QueryRequest& request) {
-        return QueryPinned(*snapshot, request);
-      });
+  std::vector<QueryResponse> responses;
+  responses.reserve(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Result<QueryResponse> response = QueryPinned(*snapshot, requests[i]);
+    if (!response.ok()) {
+      return response.status().WithContext("QueryBatch request #" +
+                                           std::to_string(i));
+    }
+    responses.push_back(std::move(*response));
+  }
+  return responses;
 }
 
 }  // namespace wqe::api

@@ -5,18 +5,22 @@
 ///
 /// §4 of the paper proposes embedding dense-cycle expansion in "real query
 /// expansion systems".  The Engine is that system boundary: it owns the
-/// knowledge base, the entity linker, the retrieval engine and a pluggable
-/// `ExpanderRegistry`, and exposes a request/response API —
+/// knowledge base, the entity linker, the retrieval engine and the
+/// `ExpanderRegistry` of built-in strategies, and exposes a
+/// request/response API —
 ///
 ///   - `Expand(request)`   keywords → expansion features + INDRI query,
 ///   - `Query(request)`    expand + retrieve in one call,
-///   - `ExpandBatch` / `QueryBatch`   the same per-request path looped
-///     over every request on one pinned graph epoch, failing atomically,
+///   - `QueryBatch`        the same per-request path looped over every
+///     request on one pinned graph epoch, failing atomically,
 ///
 /// all returning `Result<T>`.  Strategy selection is by registry name with
 /// per-call `ExpanderOverrides` — callers never instantiate concrete
-/// expander classes.  Benches, examples and tests go through this facade
-/// (see `api::Testbed` for the synthetic-experiment builder).
+/// expander classes.  The registry and the strategies' base options are
+/// fixed at `Build`: nothing registers a strategy on a built engine, so
+/// serving threads read the registry without a lock.  Benches, examples
+/// and tests go through this facade (see `api::Testbed` for the
+/// synthetic-experiment builder).
 ///
 /// Hot republish: the KB and the linker built over it live together in a
 /// `GraphSnapshot`, held as a `shared_ptr<const ...>` behind a tiny
@@ -54,9 +58,6 @@ namespace wqe::api {
 struct EngineOptions {
   ir::SearchEngineOptions search;
   linking::EntityLinkerOptions linker;
-  /// Base options of the built-in strategies; per-call overrides layer on
-  /// top of these.
-  StrategyDefaults strategies;
   /// Strategy used when a request names none.
   std::string default_expander = "cycle";
   /// Result count when a query request asks for 0.
@@ -165,14 +166,10 @@ class Engine {
   Result<ExpandResponse> Expand(const ExpandRequest& request) const;
   Result<QueryResponse> Query(const QueryRequest& request) const;
 
-  /// \brief Expands every request, in order, on one pinned snapshot.
-  /// Fails atomically: the first bad request aborts the batch, named as
-  /// "ExpandBatch request #i".
-  Result<std::vector<ExpandResponse>> ExpandBatch(
-      const std::vector<ExpandRequest>& requests) const;
-
-  /// \brief Queries every request as ExpandBatch expands them.  Rankings
-  /// are identical to issuing the requests through `Query` one by one.
+  /// \brief Queries every request, in order, on one pinned snapshot.
+  /// Rankings are identical to issuing the requests through `Query` one
+  /// by one.  Fails atomically: the first bad request aborts the batch,
+  /// named as "QueryBatch request #i".
   Result<std::vector<QueryResponse>> QueryBatch(
       const std::vector<QueryRequest>& requests) const;
   /// @}
@@ -217,22 +214,6 @@ class Engine {
   Result<QueryResponse> QueryWithExpansion(ExpandResponse expansion,
                                            size_t top_k) const;
 
-  /// \brief Freezes the registry: after this, the non-const `registry()`
-  /// accessor is a contract violation (asserted in debug builds).  Called
-  /// by the `serve::Server` constructor — registering strategies while
-  /// worker threads resolve names is unsupported.  Irreversible.
-  ///
-  /// Deliberately a one-way atomic flag, not a `common::Mutex`: the
-  /// serving path (`ResolveStrategy` from every worker) reads the
-  /// registry lock-free, which is only sound because mutation is
-  /// impossible once the flag is set.  Clang's `-Wthread-safety` cannot
-  /// model a phase transition, so this contract is enforced dynamically
-  /// instead: `WQE_DCHECK(!registry_locked())` in the non-const
-  /// `registry()` (death-tested in serve_test.cc) backs up the
-  /// annotated-mutex discipline used everywhere else in the serve layer.
-  void LockRegistry() const { registry_locked_.store(true); }
-  bool registry_locked() const { return registry_locked_.load(); }
-
   /// \brief Pins the current graph epoch.  The returned pointer keeps the
   /// snapshot (KB, linker, any mmap behind the KB's CSR) alive until the
   /// caller drops it, so an in-flight request is immune to republishes.
@@ -264,10 +245,7 @@ class Engine {
 
   /// \name Components
   /// @{
-  /// \brief Mutable registry access, for registering custom strategies
-  /// during setup.  Unsupported once a `serve::Server` wraps this engine
-  /// (see `LockRegistry`); debug builds abort on the violation.
-  ExpanderRegistry& registry();
+  /// \brief The built-in strategies, fixed at `Build`.
   const ExpanderRegistry& registry() const { return registry_; }
   /// \brief Convenience views of the *current* snapshot's KB/linker.
   /// The references stay valid while that snapshot is published (or
@@ -288,12 +266,9 @@ class Engine {
  private:
   Engine() = default;
 
-  /// The one request path, on an already pinned `snapshot`: installs the
-  /// request's exec context, builds its expander and expands (then, for
-  /// queries, retrieves).  The singles pin and call these; the batches
-  /// pin once and loop over them.
-  Result<ExpandResponse> ExpandPinned(const GraphSnapshot& snapshot,
-                                      const ExpandRequest& request) const;
+  /// The one query path, on an already pinned `snapshot`: installs the
+  /// request's exec context, builds its expander, expands and retrieves.
+  /// `Query` pins and calls it; `QueryBatch` pins once and loops over it.
   Result<QueryResponse> QueryPinned(const GraphSnapshot& snapshot,
                                     const QueryRequest& request) const;
 
@@ -326,7 +301,6 @@ class Engine {
   std::unique_ptr<ir::SearchEngine> search_;
   ExpanderRegistry registry_;
   Counters counters_;
-  mutable std::atomic<bool> registry_locked_{false};
 };
 
 }  // namespace wqe::api

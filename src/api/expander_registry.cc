@@ -1,5 +1,6 @@
 #include "api/expander_registry.h"
 
+#include <cmath>
 #include <type_traits>
 #include <utility>
 
@@ -15,9 +16,25 @@ namespace {
 /// caps it at 4 MiB (the default ball cap is 400).
 constexpr size_t kMaxCycleNeighborhoodOverride = 2048;
 
-/// Shared validation for the count-like knobs every strategy interprets
-/// the same way.
+/// A set floating override must be finite: a NaN score breaks the
+/// feature ranking's strict weak ordering, and a NaN field never equals
+/// itself, so its cache key would never find its own entry.
+Status CheckFinite(const std::optional<double>& value, const char* name) {
+  if (value && !std::isfinite(*value)) {
+    return Status::InvalidArgument(name, " override must be finite, got ",
+                                   *value);
+  }
+  return Status::OK();
+}
+
+/// Shared validation for the knobs every strategy interprets the same
+/// way.
 Status ValidateCommon(const ExpanderOverrides& o) {
+  WQE_RETURN_NOT_OK(CheckFinite(o.min_density, "min_density"));
+  WQE_RETURN_NOT_OK(CheckFinite(o.min_category_ratio, "min_category_ratio"));
+  WQE_RETURN_NOT_OK(CheckFinite(o.max_category_ratio, "max_category_ratio"));
+  WQE_RETURN_NOT_OK(CheckFinite(o.two_cycle_weight, "two_cycle_weight"));
+  WQE_RETURN_NOT_OK(CheckFinite(o.length_decay, "length_decay"));
   if (o.max_features && *o.max_features == 0) {
     return Status::InvalidArgument("max_features override must be > 0");
   }
@@ -145,8 +162,7 @@ Result<std::unique_ptr<expansion::Expander>> ExpanderRegistry::Create(
   return it->second(kb, linker, overrides);
 }
 
-ExpanderRegistry ExpanderRegistry::WithBuiltins(
-    const StrategyDefaults& defaults) {
+ExpanderRegistry ExpanderRegistry::WithBuiltins() {
   ExpanderRegistry registry;
 
   WQE_CHECK_OK(registry.Register(
@@ -160,11 +176,10 @@ ExpanderRegistry ExpanderRegistry::WithBuiltins(
 
   WQE_CHECK_OK(registry.Register(
       "direct-link",
-      [base = defaults.direct_link](
-          const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
-          const ExpanderOverrides& o)
+      [](const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
+         const ExpanderOverrides& o)
           -> Result<std::unique_ptr<expansion::Expander>> {
-        expansion::DirectLinkOptions options = base;
+        expansion::DirectLinkOptions options;
         if (o.max_features) options.max_features = *o.max_features;
         if (o.prioritize_mutual) {
           options.prioritize_mutual = *o.prioritize_mutual;
@@ -175,11 +190,10 @@ ExpanderRegistry ExpanderRegistry::WithBuiltins(
 
   WQE_CHECK_OK(registry.Register(
       "community",
-      [base = defaults.community](
-          const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
-          const ExpanderOverrides& o)
+      [](const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
+         const ExpanderOverrides& o)
           -> Result<std::unique_ptr<expansion::Expander>> {
-        expansion::CommunityOptions options = base;
+        expansion::CommunityOptions options;
         if (o.max_features) options.max_features = *o.max_features;
         if (o.neighborhood_radius) {
           options.neighborhood_radius = *o.neighborhood_radius;
@@ -191,11 +205,10 @@ ExpanderRegistry ExpanderRegistry::WithBuiltins(
 
   WQE_CHECK_OK(registry.Register(
       "cycle",
-      [base = defaults.cycle](
-          const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
-          const ExpanderOverrides& o)
+      [](const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
+         const ExpanderOverrides& o)
           -> Result<std::unique_ptr<expansion::Expander>> {
-        expansion::CycleExpanderOptions options = base;
+        expansion::CycleExpanderOptions options;
         if (o.max_features) options.max_features = *o.max_features;
         if (o.neighborhood_radius) {
           options.neighborhood_radius = *o.neighborhood_radius;

@@ -7,12 +7,14 @@
 /// family it compares against (no expansion, per-link expansion, community
 /// expansion).  The registry makes that family — and future strategies —
 /// selectable by string at request time instead of by compile-time wiring:
-/// callers register a factory under a name, and `api::Engine` resolves the
+/// each strategy is a factory under a name, and `api::Engine` resolves the
 /// name (plus per-call option overrides) into a ready `expansion::Expander`.
 ///
 /// Built-in names: "cycle" (§3/§4), "direct-link" (refs [1–3]),
 /// "community" (ref [4]), "no-expansion"; aliases "adjacency" →
-/// "direct-link" and "category" → "community".
+/// "direct-link" and "category" → "community".  Each starts from its
+/// options struct's defaults (the paper's findings for "cycle"); requests
+/// tune it only through `ExpanderOverrides`.
 
 #include <functional>
 #include <map>
@@ -30,9 +32,10 @@
 
 namespace wqe::api {
 
-/// \brief Per-call tuning knobs layered over a strategy's registered
-/// defaults.  Unset fields keep the defaults; knobs a strategy does not
-/// have are ignored (a serving API must tolerate generic requests).
+/// \brief Per-call tuning knobs layered over a strategy's defaults.  Unset
+/// fields keep the defaults; knobs a strategy does not have are ignored
+/// (a serving API must tolerate generic requests).  Every strategy
+/// rejects a NaN or infinite floating override with `InvalidArgument`.
 struct ExpanderOverrides {
   /// \name Generic knobs (every strategy that selects features)
   /// @{
@@ -66,23 +69,18 @@ struct ExpanderOverrides {
   /// @}
 
   /// \brief Deterministic 64-bit hash, consistent with `operator==`: equal
-  /// overrides hash equal, and every field (set or unset) contributes so
-  /// that distinct overrides are distinguished.  Used by the serving
-  /// layer's sharded expansion cache; like any hash it is for bucketing —
-  /// entry identity additionally compares the full key with `==`.
+  /// overrides hash equal (a +0.0 and a -0.0 field alike), and every
+  /// field (set or unset) contributes so that distinct overrides are
+  /// distinguished.  Used by the serving layer's expansion cache; like
+  /// any hash it is for bucketing — entry identity additionally compares
+  /// the full key with `==`.
   uint64_t Hash() const;
 
   /// Field-wise equality (an unset field differs from any set value); the
-  /// other half of the cache-key contract next to `Hash()`.
+  /// other half of the cache-key contract next to `Hash()`.  A NaN field
+  /// equals nothing, itself included, which is why no NaN override gets
+  /// past `ExpanderRegistry::Create` into a cache key.
   bool operator==(const ExpanderOverrides& other) const = default;
-};
-
-/// \brief Default options of the built-in strategies (what an empty
-/// override set resolves to).
-struct StrategyDefaults {
-  expansion::CycleExpanderOptions cycle;
-  expansion::DirectLinkOptions direct_link;
-  expansion::CommunityOptions community;
 };
 
 /// \brief String-keyed expander factory table.
@@ -112,17 +110,17 @@ class ExpanderRegistry {
   std::string Resolve(std::string_view name) const;
 
   /// \brief Instantiates strategy `name` with `overrides` applied over its
-  /// registered defaults.  NotFound for unknown names; InvalidArgument for
-  /// override values the strategy rejects (e.g. `max_features == 0`).
+  /// defaults.  NotFound for unknown names; InvalidArgument for override
+  /// values the strategy rejects (e.g. `max_features == 0`, or any NaN or
+  /// infinite floating value).
   Result<std::unique_ptr<expansion::Expander>> Create(
       std::string_view name, const wiki::KnowledgeBase& kb,
       const linking::EntityLinker& linker,
       const ExpanderOverrides& overrides = {}) const;
 
-  /// \brief A registry pre-loaded with the four built-in systems (and the
-  /// "adjacency"/"category" aliases), using `defaults` as their base
-  /// options.
-  static ExpanderRegistry WithBuiltins(const StrategyDefaults& defaults = {});
+  /// \brief A registry pre-loaded with the four built-in systems and the
+  /// "adjacency"/"category" aliases.
+  static ExpanderRegistry WithBuiltins();
 
  private:
   std::map<std::string, Factory, std::less<>> factories_;

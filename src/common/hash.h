@@ -3,12 +3,13 @@
 /// \file hash.h
 /// \brief Deterministic 64-bit hashing utilities.
 ///
-/// The serving layer's sharded expansion cache keys entries by a canonical
-/// hash of `(keywords, strategy, overrides)`; those hashes must be stable
-/// across runs and platforms (no `std::hash`, whose values are unspecified
-/// and may be identity).  Bytes are hashed with FNV-1a 64 and values are
-/// combined through a splitmix64-style finalizer, which is cheap and mixes
-/// well enough that the low bits are usable for shard selection.
+/// The serving layer's expansion cache keys entries by a canonical hash of
+/// `(keywords, strategy, overrides)`, and snapshot files checksum their
+/// sections with it; those hashes must be stable across runs and
+/// platforms (no `std::hash`, whose values are unspecified and may be
+/// identity).  Bytes are hashed with FNV-1a 64 and values are combined
+/// through a splitmix64-style finalizer, which is cheap and mixes well
+/// enough that the low bits are usable for bucketing.
 ///
 /// Hashes here are for bucketing only: callers that need "distinct keys
 /// never alias" (the cache does) must pair the hash with full-key equality.
@@ -55,8 +56,10 @@ class Hasher {
   }
   Hasher& Add(bool value) { return Add(static_cast<uint64_t>(value)); }
   Hasher& Add(double value) {
-    // Bit pattern, not numeric value: any two distinct doubles (including
-    // -0.0 vs +0.0) must be distinguishable.
+    // The bit pattern of the numeric value: -0.0 == +0.0, so both hash as
+    // +0.0 to keep the hash consistent with `==`.  NaN equals nothing;
+    // keys that need `==` keep it out (see api::ExpanderOverrides).
+    if (value == 0.0) value = 0.0;
     uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(value));
     std::memcpy(&bits, &value, sizeof(bits));

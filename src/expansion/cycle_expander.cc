@@ -16,6 +16,12 @@
 namespace wqe::expansion {
 
 namespace {
+/// Shortest cycle the `min_density` filter applies to.
+constexpr uint32_t kMinDensityFromLength = 4;
+
+/// Most redirect aliases `include_redirect_aliases` adds to a feature list.
+constexpr size_t kMaxAliasFeatures = 3;
+
 /// Query-ball materialization latency (neighborhood walk + undirected
 /// slice), shared across expander instances.
 obs::Histogram* BallExtractionHistogram() {
@@ -54,7 +60,7 @@ bool CycleExpander::AcceptsCycle(const graph::CycleMetrics& metrics) const {
       metrics.category_ratio > options_.max_category_ratio) {
     return false;
   }
-  if (metrics.length >= options_.min_density_from_length &&
+  if (metrics.length >= kMinDensityFromLength &&
       metrics.extra_edge_density < options_.min_density) {
     return false;
   }
@@ -177,10 +183,9 @@ Result<std::vector<NodeId>> CycleExpander::SelectFeatures(
   if (options_.include_redirect_aliases) {
     size_t aliases_added = 0;
     size_t base = features.size();
-    for (size_t i = 0; i < base && aliases_added < options_.max_alias_features;
-         ++i) {
+    for (size_t i = 0; i < base && aliases_added < kMaxAliasFeatures; ++i) {
       for (NodeId alias : kb().RedirectsOf(features[i])) {
-        if (aliases_added >= options_.max_alias_features) break;
+        if (aliases_added >= kMaxAliasFeatures) break;
         features.push_back(alias);
         ++aliases_added;
       }

@@ -33,12 +33,11 @@ struct CycleExpanderOptions {
   uint32_t max_cycle_length = kMaxCycleLength;  ///< at most kMaxCycleLength
 
   /// Minimum extra-edge density ("the denser the cycle, the better its
-  /// contribution", Fig 9), applied to cycles of length >=
-  /// `min_density_from_length`.  Shorter cycles (3) are tight enough that
-  /// the category filter alone suffices; long cycles without extra edges
-  /// are mostly category co-membership noise.
+  /// contribution", Fig 9), applied to cycles of length 4 and 5.  Shorter
+  /// cycles (3) are tight enough that the category filter alone
+  /// suffices; long cycles without extra edges are mostly category
+  /// co-membership noise.
   double min_density = 0.4;
-  uint32_t min_density_from_length = 4;
 
   /// Category-ratio window for cycles of length >= 3 (the paper's "around
   /// the 30%"); category-free cycles are rejected as semantically loose
@@ -68,12 +67,11 @@ struct CycleExpanderOptions {
   /// Safety cap on enumerated cycles.
   size_t max_cycles = 50000;
 
-  /// §4 future-work extension: also emit the redirect aliases of the
+  /// §4 future-work extension: also emit up to 3 redirect aliases of the
   /// selected features ("less common ways to refer a concept").  Redirects
   /// can never close a cycle themselves (they carry only the redirect
   /// edge), so they are reachable only through this explicit opt-in.
   bool include_redirect_aliases = false;
-  size_t max_alias_features = 3;
 
   /// Ball-prune the neighborhood before enumerating (graph/ball_prune.h).
   /// Features are bit-identical either way; this is an execution knob,

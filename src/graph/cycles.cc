@@ -137,24 +137,8 @@ struct DfsContext {
     path_seeds -= IsSeed(v);
   }
 
-  /// True when no chord exists: the only adjacencies among path nodes are
-  /// the consecutive ones (and the closing edge).
-  bool PathIsChordless() const {
-    const size_t n = path.size();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 2; j < n; ++j) {
-        if (i == 0 && j == n - 1) continue;  // closing edge
-        if (view->HasEdge(path[i], path[j])) return false;
-      }
-    }
-    return true;
-  }
-
   void Emit() {
     if (is_seed != nullptr && path_seeds == 0) return;
-    if (options->chordless_only && path.size() >= 4 && !PathIsChordless()) {
-      return;
-    }
     ++emitted;
     if (!(*visitor)(path) ||
         (options->max_cycles != 0 && emitted >= options->max_cycles)) {
@@ -296,14 +280,6 @@ std::vector<Cycle> CycleEnumerator::Enumerate(
   std::vector<Cycle> out;
   Visit(options, CollectInto(*view_, &out));
   return out;
-}
-
-std::vector<Cycle> EnumerateCycles(const CsrGraph& csr,
-                                   const std::vector<NodeId>& nodes,
-                                   const CycleEnumerationOptions& options) {
-  UndirectedView view(csr, nodes);
-  CycleEnumerator enumerator(view);
-  return enumerator.Enumerate(options);
 }
 
 }  // namespace wqe::graph

@@ -6,10 +6,12 @@
 /// A cycle is a sequence of |C| distinct nodes, starting and ending at the
 /// same node, with at least one edge between each consecutive pair,
 /// direction ignored.  Length-2 cycles require two *parallel* edges (e.g.
-/// mutual article links).  Cycles need not be chordless.  The paper bounds
-/// |C| ≤ 5 because enumeration cost grows exponentially with length — this
-/// implementation has the same asymptotics, which the perf bench (E9)
-/// demonstrates.
+/// mutual article links).  Cycles need not be chordless: the paper
+/// deliberately does not enforce it ("we do not enforce the cycles to be
+/// cordless"), and the dense cycles it favors are the chorded ones.  The
+/// paper bounds |C| ≤ 5 because enumeration cost grows exponentially with
+/// length — this implementation has the same asymptotics, which the perf
+/// bench (E9) demonstrates.
 ///
 /// Canonicalization: every cycle is emitted exactly once, as the rotation
 /// starting at its smallest local id, oriented so the second node is
@@ -61,13 +63,6 @@ struct CycleEnumerationOptions {
   std::vector<NodeId> seeds;
   /// Safety valve: stop after this many cycles (0 = unlimited).
   size_t max_cycles = 0;
-  /// Restrict to chordless (induced) cycles: no edge between any pair of
-  /// non-consecutive cycle nodes.  The paper deliberately does *not*
-  /// enforce this ("we do not enforce the cycles to be cordless"); the
-  /// option exists to quantify that choice (every chordless cycle has
-  /// extra-edge density 0, so the dense cycles the paper favors are
-  /// exactly the chorded ones).  Length-2 cycles are trivially chordless.
-  bool chordless_only = false;
   /// Prune the view to nodes that can lie on a qualifying cycle before
   /// enumerating (see graph/ball_prune.h: degree peeling + distance-to-
   /// seed filtering over a bitset).  The surviving subgraph is a superset
@@ -101,12 +96,5 @@ class CycleEnumerator {
  private:
   const UndirectedView* view_;
 };
-
-/// \brief Convenience: enumerates cycles of the subgraph induced by
-/// `nodes` (sliced from the frozen snapshot), keeping only those
-/// containing a seed, with global-id output.
-std::vector<Cycle> EnumerateCycles(const CsrGraph& csr,
-                                   const std::vector<NodeId>& nodes,
-                                   const CycleEnumerationOptions& options);
 
 }  // namespace wqe::graph

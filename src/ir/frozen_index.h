@@ -23,8 +23,8 @@
 /// Positions are the analyzer's compacted token positions (stopwords
 /// dropped), so an exact phrase is a chain of semijoins on
 /// (doc, position + 1) over these lists (`PhraseMatches`).
-/// `ir::InvertedIndex` computes the same statistics from a map of
-/// per-posting vectors and stays as the test oracle.
+/// The test oracle `ir::InvertedIndex` (tests/oracle/inverted_index.h)
+/// computes the same statistics from a map of per-posting vectors.
 
 #include <cstdint>
 #include <span>

@@ -21,9 +21,9 @@
 /// lists), the candidates are a sorted, deduplicated doc-id vector, and
 /// the top k come from `partial_sort`.
 ///
-/// `ir::QueryEvaluator` (scorer.h) computes the same ranking from the
-/// map-based `InvertedIndex` and is kept as the test oracle: ir_test
-/// requires equal documents and bit-identical scores.
+/// The test oracle `ir::QueryEvaluator` (tests/oracle/scorer.h) computes
+/// the same ranking from the map-based `InvertedIndex`: ir_test and
+/// api_test require equal documents and bit-identical scores.
 
 #include <cstdint>
 #include <span>

@@ -21,10 +21,9 @@ bool IsInterruption(const Status& status) {
 /// An already-failed future, for requests shed at admission: batch
 /// collection and single-submit callers consume them exactly like pool
 /// results, so fail-atomic lowest-failing-index semantics are untouched.
-template <typename Response>
-std::future<Result<Response>> ReadyFuture(Status status) {
-  std::promise<Result<Response>> promise;
-  promise.set_value(Result<Response>(std::move(status)));
+std::future<Result<api::QueryResponse>> ReadyFuture(Status status) {
+  std::promise<Result<api::QueryResponse>> promise;
+  promise.set_value(Result<api::QueryResponse>(std::move(status)));
   return promise.get_future();
 }
 
@@ -36,7 +35,6 @@ Server::Server(const api::Engine& engine, ServerOptions options)
       registry_(options_.registry != nullptr ? options_.registry
                                              : &obs::MetricsRegistry::Global()),
       pool_(options_.num_threads) {
-  engine_->LockRegistry();
   const obs::Labels labels = {
       {"server", std::to_string(obs::NextInstanceId())}};
   instruments_.requests = registry_->GetCounter("wqe.server.requests", labels);
@@ -208,12 +206,6 @@ Result<api::ExpandResponse> Server::ExpandResolved(
   return response;
 }
 
-Result<api::ExpandResponse> Server::ExpandOne(
-    const api::GraphSnapshot& snapshot, const api::ExpandRequest& request) {
-  return ExpandResolved(snapshot, engine_->ResolveStrategy(request.expander),
-                        request.keywords, request.overrides);
-}
-
 Result<api::QueryResponse> Server::QueryOne(const api::GraphSnapshot& snapshot,
                                             const api::QueryRequest& request) {
   WQE_ASSIGN_OR_RETURN(
@@ -228,8 +220,8 @@ Result<api::QueryResponse> Server::QueryOne(const api::GraphSnapshot& snapshot,
   return response;
 }
 
-template <typename Response, typename Work>
-Result<Response> Server::ServeRequest(
+template <typename Work>
+Result<api::QueryResponse> Server::ServeRequest(
     const common::ExecContext& exec,
     std::chrono::steady_clock::time_point submitted, Work&& work) {
   NoteQueueWait(std::chrono::duration<double, std::milli>(
@@ -237,7 +229,7 @@ Result<Response> Server::ServeRequest(
                     .count());
   common::ScopedExecContext exec_scope(exec);
   obs::Span span("request", instruments_.request_latency, registry_);
-  Result<Response> result = work();
+  Result<api::QueryResponse> result = work();
   if (result.ok()) {
     // Work that finished after its budget ran out is not a success: the
     // caller has already given up, and honoring the deadline uniformly
@@ -252,16 +244,16 @@ Result<Response> Server::ServeRequest(
   return result;
 }
 
-template <typename Response, typename Work>
-std::future<Result<Response>> Server::Enqueue(const common::ExecContext& exec,
-                                              Work work) {
+template <typename Work>
+std::future<Result<api::QueryResponse>> Server::Enqueue(
+    const common::ExecContext& exec, Work work) {
   instruments_.requests->Inc();
   if (Status admit = AdmitRequest(exec); !admit.ok()) {
-    return ReadyFuture<Response>(std::move(admit));
+    return ReadyFuture(std::move(admit));
   }
   const auto submitted = std::chrono::steady_clock::now();
   auto future = pool_.Submit([this, exec, submitted, work = std::move(work)] {
-    return ServeRequest<Response>(exec, submitted, work);
+    return ServeRequest(exec, submitted, work);
   });
   instruments_.queue_depth->Set(static_cast<double>(pool_.queue_depth()));
   return future;
@@ -274,25 +266,13 @@ std::future<Result<api::QueryResponse>> Server::Submit(
     api::QueryRequest request) {
   const common::ExecContext exec =
       RequestContext(request.deadline_ms, request.cancel);
-  return Enqueue<api::QueryResponse>(
-      exec, [this, request = std::move(request)] {
-        return QueryOne(*engine_->CurrentSnapshot(), request);
-      });
+  return Enqueue(exec, [this, request = std::move(request)] {
+    return QueryOne(*engine_->CurrentSnapshot(), request);
+  });
 }
 
-std::future<Result<api::ExpandResponse>> Server::SubmitExpand(
-    api::ExpandRequest request) {
-  const common::ExecContext exec =
-      RequestContext(request.deadline_ms, request.cancel);
-  return Enqueue<api::ExpandResponse>(
-      exec, [this, request = std::move(request)] {
-        return ExpandOne(*engine_->CurrentSnapshot(), request);
-      });
-}
-
-template <typename Request, typename Response, typename Run>
-Result<std::vector<Response>> Server::RunBatch(
-    const std::vector<Request>& requests, const char* what, Run run) {
+Result<std::vector<api::QueryResponse>> Server::QueryBatch(
+    const std::vector<api::QueryRequest>& requests) {
   // Root span for the whole batch: the per-request `request` spans parent
   // under it (their tasks run with this context re-installed by the
   // pool), so one trace covers submit → queue-wait → stages → merge.
@@ -305,55 +285,37 @@ Result<std::vector<Response>> Server::RunBatch(
   std::shared_ptr<const api::GraphSnapshot> snapshot =
       engine_->CurrentSnapshot();
 
-  // Fan out.  Tasks borrow `requests`, `run` and `snapshot`; the
-  // collection below waits on every future before this frame can unwind,
-  // so the borrows are safe even on failure.  Admission is per item: a
-  // shed slot becomes an already-failed future, so shed, deadline and
-  // ordinary failures share the lowest-failing-index semantics.
-  std::vector<std::future<Result<Response>>> futures;
+  // Fan out.  Tasks borrow `requests` and `snapshot`; the collection
+  // below waits on every future before this frame can unwind, so the
+  // borrows are safe even on failure.  Admission is per item: a shed slot
+  // becomes an already-failed future, so shed, deadline and ordinary
+  // failures share the lowest-failing-index semantics.
+  std::vector<std::future<Result<api::QueryResponse>>> futures;
   futures.reserve(requests.size());
-  for (const Request& request : requests) {
-    futures.push_back(Enqueue<Response>(
-        RequestContext(request.deadline_ms, request.cancel),
-        [&run, &snapshot, &request] { return run(*snapshot, request); }));
+  for (const api::QueryRequest& request : requests) {
+    futures.push_back(
+        Enqueue(RequestContext(request.deadline_ms, request.cancel),
+                [this, &snapshot, &request] {
+                  return QueryOne(*snapshot, request);
+                }));
   }
 
   // Collect every result, then surface the lowest failing index
   // (matching the sequential batch's first-error semantics).
-  std::vector<Result<Response>> results;
+  std::vector<Result<api::QueryResponse>> results;
   results.reserve(futures.size());
   for (auto& future : futures) results.push_back(future.get());
   obs::Span merge_span("merge", /*latency=*/nullptr, registry_);
-  std::vector<Response> responses;
+  std::vector<api::QueryResponse> responses;
   responses.reserve(results.size());
   for (size_t i = 0; i < results.size(); ++i) {
     if (!results[i].ok()) {
-      return results[i].status().WithContext(std::string(what) +
-                                             " request #" + std::to_string(i));
+      return results[i].status().WithContext("QueryBatch request #" +
+                                             std::to_string(i));
     }
     responses.push_back(std::move(*results[i]));
   }
   return responses;
-}
-
-Result<std::vector<api::QueryResponse>> Server::QueryBatch(
-    const std::vector<api::QueryRequest>& requests) {
-  return RunBatch<api::QueryRequest, api::QueryResponse>(
-      requests, "QueryBatch",
-      [this](const api::GraphSnapshot& snapshot,
-             const api::QueryRequest& request) {
-        return QueryOne(snapshot, request);
-      });
-}
-
-Result<std::vector<api::ExpandResponse>> Server::ExpandBatch(
-    const std::vector<api::ExpandRequest>& requests) {
-  return RunBatch<api::ExpandRequest, api::ExpandResponse>(
-      requests, "ExpandBatch",
-      [this](const api::GraphSnapshot& snapshot,
-             const api::ExpandRequest& request) {
-        return ExpandOne(snapshot, request);
-      });
 }
 
 }  // namespace wqe::serve

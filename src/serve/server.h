@@ -8,19 +8,20 @@
 /// a repeated query re-runs linking and cycle enumeration from scratch.
 /// `serve::Server` wraps an engine with the two serving-side pieces:
 ///
-///   - `Submit` / `SubmitExpand` enqueue one request on the worker pool
-///     and return a `std::future` for its `Result`;
-///   - `QueryBatch` / `ExpandBatch` fan a batch across the pool and block
-///     until every response is in, preserving input order and the
-///     engine's fail-atomic error contract ("request #i" contexts);
-///   - every expansion is served through a sharded LRU `ExpansionCache`
-///     keyed by `(keywords, resolved strategy, overrides)`, so repeated
-///     queries skip linking + enumeration entirely (hits/misses are the
-///     cache's own counters, `cache()->stats()`).
+///   - `Submit` enqueues one query on the worker pool and returns a
+///     `std::future` for its `Result`;
+///   - `QueryBatch` fans a batch across the pool and blocks until every
+///     response is in, preserving input order and the engine's
+///     fail-atomic error contract ("request #i" contexts);
+///   - every expansion is served through an LRU `ExpansionCache` keyed by
+///     `(keywords, resolved strategy, overrides)`, so repeated queries
+///     skip linking + enumeration entirely (hits/misses are the cache's
+///     own counters, `cache()->stats()`).
 ///
-/// Singles and batch items run one request path: admission, then on a
-/// worker a cache lookup and, on a miss, the request's own expander
-/// built and run against the pinned snapshot.
+/// The server serves one request type, `api::QueryRequest`.  Singles and
+/// batch items run one request path: admission, then on a worker a cache
+/// lookup and, on a miss, the request's own expander built and run
+/// against the pinned snapshot, then retrieval.
 ///
 /// Rankings are bit-identical to sequential `Engine::Query` calls: scoring
 /// is deterministic (ties break by DocId, see ir/ranker.h) and cached
@@ -42,10 +43,6 @@
 /// epoch are dropped on lookup (see expansion_cache.h), so a republish
 /// invalidates the cache without a sweep.  Batches pin once for the whole
 /// batch, keeping their responses mutually consistent.
-///
-/// The wrapped engine's registry is frozen at construction
-/// (`Engine::LockRegistry`): registering strategies while workers resolve
-/// names is unsupported.
 ///
 /// One pool per server, and one level of parallelism: each request runs
 /// on one worker, start to finish, and never fans out again.
@@ -108,7 +105,7 @@ struct ServerOptions {
 /// is `obs::Counter` instruments (`wqe.server.*{server=N}`).
 struct ServerStats {
   size_t requests = 0;  ///< singles + batched items submitted (shed included)
-  size_t batches = 0;   ///< QueryBatch/ExpandBatch calls
+  size_t batches = 0;   ///< QueryBatch calls
   /// Requests whose `Result` came back non-OK (any stage; the per-stage
   /// split is the `wqe.server.errors_total{stage=...}` counter series).
   /// Includes shed and deadline-exceeded requests.
@@ -142,8 +139,7 @@ struct ServerSnapshot {
 /// all Server entry points are safe to call from non-worker threads.
 class Server {
  public:
-  /// \brief Wraps `engine` (borrowed; must outlive the server) and locks
-  /// its registry.
+  /// \brief Wraps `engine` (borrowed; must outlive the server).
   explicit Server(const api::Engine& engine, ServerOptions options = {});
 
   /// \brief Drains in-flight work and joins the pool.
@@ -152,24 +148,17 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// \name Asynchronous singles
-  /// @{
+  /// \brief Queues one request; the worker pins the current graph epoch
+  /// when the request starts.
   std::future<Result<api::QueryResponse>> Submit(api::QueryRequest request);
-  std::future<Result<api::ExpandResponse>> SubmitExpand(
-      api::ExpandRequest request);
-  /// @}
 
-  /// \name Parallel batches
-  /// Results arrive in input order; identical to `Engine::QueryBatch` /
-  /// `Engine::ExpandBatch` output for the same requests.  On any failing
-  /// request the whole batch fails (after in-flight work completes) with
-  /// the lowest failing index named in the error.
-  /// @{
+  /// \brief Runs a batch in parallel on one pinned graph epoch.  Results
+  /// arrive in input order, identical to `Engine::QueryBatch` output for
+  /// the same requests.  On any failing request the whole batch fails
+  /// (after in-flight work completes) with the lowest failing index named
+  /// in the error.
   Result<std::vector<api::QueryResponse>> QueryBatch(
       const std::vector<api::QueryRequest>& requests);
-  Result<std::vector<api::ExpandResponse>> ExpandBatch(
-      const std::vector<api::ExpandRequest>& requests);
-  /// @}
 
   /// \brief Stops accepting work, finishes what is queued, joins workers.
   /// Idempotent; after shutdown, submissions are a programming error.
@@ -197,11 +186,9 @@ class Server {
       const api::GraphSnapshot& snapshot, const std::string& resolved,
       const std::string& keywords, const api::ExpanderOverrides& overrides);
 
-  /// One request on the pinned `snapshot` (the expansion, plus retrieval
-  /// for queries).  Singles pin on their worker; batches pin once on the
-  /// caller thread and pass that pin to every item.
-  Result<api::ExpandResponse> ExpandOne(const api::GraphSnapshot& snapshot,
-                                        const api::ExpandRequest& request);
+  /// One request on the pinned `snapshot`: the expansion, then retrieval.
+  /// Singles pin on their worker; batches pin once on the caller thread
+  /// and pass that pin to every item.
   Result<api::QueryResponse> QueryOne(const api::GraphSnapshot& snapshot,
                                       const api::QueryRequest& request);
 
@@ -253,25 +240,18 @@ class Server {
   /// comes back OK after the budget ran out is demoted to the
   /// interruption status: work finished past its deadline (or after a
   /// cancel) must never be reported as success.
-  template <typename Response, typename Work>
-  Result<Response> ServeRequest(const common::ExecContext& exec,
-                                std::chrono::steady_clock::time_point submitted,
-                                Work&& work);
+  template <typename Work>
+  Result<api::QueryResponse> ServeRequest(
+      const common::ExecContext& exec,
+      std::chrono::steady_clock::time_point submitted, Work&& work);
 
   /// The one enqueue path of singles and batch items: counts the
   /// request, admits it (a shed request becomes an already-failed
   /// future), stamps the submit time and queues `work` on the pool under
   /// `ServeRequest`, then updates the queue-depth gauge.
-  template <typename Response, typename Work>
-  std::future<Result<Response>> Enqueue(const common::ExecContext& exec,
-                                        Work work);
-
-  /// Shared batch skeleton: pin once (caller thread), enqueue `run` per
-  /// request, collect in order, surface the lowest failing index with
-  /// `what` context.
-  template <typename Request, typename Response, typename Run>
-  Result<std::vector<Response>> RunBatch(const std::vector<Request>& requests,
-                                         const char* what, Run run);
+  template <typename Work>
+  std::future<Result<api::QueryResponse>> Enqueue(
+      const common::ExecContext& exec, Work work);
 
   const api::Engine* engine_;
   ServerOptions options_;

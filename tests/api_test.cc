@@ -9,14 +9,16 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <optional>
 
 #include "api/engine.h"
 #include "api/evaluation.h"
 #include "api/testbed.h"
 #include "expansion/cycle_expander.h"
-#include "ir/inverted_index.h"
-#include "ir/scorer.h"
 #include "obs/metrics.h"
+#include "oracle/inverted_index.h"
+#include "oracle/scorer.h"
 #include "wiki/synthetic.h"
 
 namespace wqe::api {
@@ -131,6 +133,34 @@ TEST(ExpanderRegistryTest, InvalidOverridesAreRejected) {
   at_limits.max_neighborhood = 2048;
   EXPECT_TRUE(
       registry.Create("cycle", bed.kb(), bed.linker(), at_limits).ok());
+
+  // Non-finite floating overrides: NaN in any of the five, and ±inf in
+  // each (a NaN score breaks the feature sort's ordering, and a NaN key
+  // never finds its own cache entry).  Every strategy rejects them, even
+  // the ones that ignore the field.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  using Field = std::optional<double> ExpanderOverrides::*;
+  for (Field field :
+       {&ExpanderOverrides::min_density, &ExpanderOverrides::min_category_ratio,
+        &ExpanderOverrides::max_category_ratio,
+        &ExpanderOverrides::two_cycle_weight,
+        &ExpanderOverrides::length_decay}) {
+    for (double value : {kNaN, kInf, -kInf}) {
+      ExpanderOverrides non_finite;
+      non_finite.*field = value;
+      for (const std::string& name : registry.Names()) {
+        EXPECT_TRUE(registry.Create(name, bed.kb(), bed.linker(), non_finite)
+                        .status()
+                        .IsInvalidArgument())
+            << name << " accepted " << value;
+      }
+    }
+  }
+  ExpanderOverrides signed_zero;  // finite, and >= 0 as a number
+  signed_zero.min_density = -0.0;
+  EXPECT_TRUE(
+      registry.Create("cycle", bed.kb(), bed.linker(), signed_zero).ok());
 }
 
 // --------------------------------------------------------------- engine

@@ -472,18 +472,15 @@ TEST_P(PrunedIdentityProperty, PrunedMatchesUnprunedEverywhere) {
   for (uint32_t min_len : {2u, 3u, 4u}) {
     for (uint32_t max_len : {2u, 3u, 5u}) {
       if (max_len < min_len) continue;
-      for (bool chordless : {false, true}) {
-        for (size_t cap : {size_t{0}, size_t{1}, size_t{5}, size_t{17}}) {
-          CycleEnumerationOptions c;
-          c.min_length = min_len;
-          c.max_length = max_len;
-          c.chordless_only = chordless;
-          c.max_cycles = cap;
-          configs.push_back(c);
-          CycleEnumerationOptions seeded = c;
-          seeded.seeds = {0, 5, 11};
-          configs.push_back(seeded);
-        }
+      for (size_t cap : {size_t{0}, size_t{1}, size_t{5}, size_t{17}}) {
+        CycleEnumerationOptions c;
+        c.min_length = min_len;
+        c.max_length = max_len;
+        c.max_cycles = cap;
+        configs.push_back(c);
+        CycleEnumerationOptions seeded = c;
+        seeded.seeds = {0, 5, 11};
+        configs.push_back(seeded);
       }
     }
   }
@@ -497,7 +494,6 @@ TEST_P(PrunedIdentityProperty, PrunedMatchesUnprunedEverywhere) {
     pruned.prune_ball = true;
     EXPECT_EQ(want, CycleNodes(e.Enumerate(pruned)))
         << "lengths=" << config.min_length << ".." << config.max_length
-        << " chordless=" << config.chordless_only
         << " cap=" << config.max_cycles << " seeds=" << config.seeds.size();
   }
 }
@@ -552,14 +548,6 @@ std::vector<std::vector<uint32_t>> ReferenceCyclePaths(
         std::none_of(path.begin(), path.end(),
                      [&](uint32_t v) { return is_seed[v]; })) {
       return;
-    }
-    if (options.chordless_only && path.size() >= 4) {
-      for (size_t i = 0; i < path.size(); ++i) {
-        for (size_t j = i + 2; j < path.size(); ++j) {
-          if (i == 0 && j == path.size() - 1) continue;
-          if (view.HasEdge(path[i], path[j])) return;
-        }
-      }
     }
     out.push_back(path);
   };
@@ -641,11 +629,10 @@ PropertyGraph UniformSchemaGraph(uint64_t seed, uint32_t num_articles,
 }
 
 /// Runs `Visit` over every length window in 2..5, each seed set,
-/// chordless on and off, `max_cycles` in {0, 1, 5, 17}, and pruning on
-/// and off, and checks each emitted stream and returned count against
-/// `ReferenceCyclePaths`.
-/// Returns for how many (window, seeds, chordless) configurations the
-/// reference emits anything, so callers can rule out a vacuous pass.
+/// `max_cycles` in {0, 1, 5, 17}, and pruning on and off, and checks each
+/// emitted stream and returned count against `ReferenceCyclePaths`.
+/// Returns for how many (window, seeds) configurations the reference
+/// emits anything, so callers can rule out a vacuous pass.
 size_t ExpectVisitMatchesReference(
     const UndirectedView& view,
     const std::vector<std::vector<NodeId>>& seed_sets) {
@@ -654,44 +641,40 @@ size_t ExpectVisitMatchesReference(
   for (uint32_t min_len = 2; min_len <= 5; ++min_len) {
     for (uint32_t max_len = min_len; max_len <= 5; ++max_len) {
       for (const std::vector<NodeId>& seeds : seed_sets) {
-        for (bool chordless : {false, true}) {
-          CycleEnumerationOptions base;
-          base.min_length = min_len;
-          base.max_length = max_len;
-          base.seeds = seeds;
-          base.chordless_only = chordless;
-          const std::vector<std::vector<uint32_t>> full =
-              ReferenceCyclePaths(view, base);
-          if (!full.empty()) ++nonempty;
-          for (size_t cap : {size_t{0}, size_t{1}, size_t{5}, size_t{17}}) {
-            std::vector<std::vector<uint32_t>> want = full;
-            if (cap != 0 && want.size() > cap) want.resize(cap);
-            for (bool prune : {false, true}) {
-              CycleEnumerationOptions options = base;
-              options.max_cycles = cap;
-              options.prune_ball = prune;
-              std::vector<std::vector<uint32_t>> got;
-              const size_t visited =
-                  e.Visit(options, [&](const std::vector<uint32_t>& p) {
-                    got.push_back(p);
-                    return true;
-                  });
-              const auto [got_end, want_end] = std::mismatch(
-                  got.begin(), got.end(), want.begin(), want.end());
-              if (got_end == got.end() && want_end == want.end() &&
-                  visited == want.size()) {
-                continue;
-              }
-              ADD_FAILURE()
-                  << "lengths=" << min_len << ".." << max_len
-                  << " seeds=" << seeds.size() << " chordless=" << chordless
-                  << " cap=" << cap << " prune=" << prune << ": got "
-                  << got.size() << " paths (Visit returned " << visited
-                  << "), want " << want.size()
-                  << "; first difference at index "
-                  << (got_end - got.begin());
-              return nonempty;
+        CycleEnumerationOptions base;
+        base.min_length = min_len;
+        base.max_length = max_len;
+        base.seeds = seeds;
+        const std::vector<std::vector<uint32_t>> full =
+            ReferenceCyclePaths(view, base);
+        if (!full.empty()) ++nonempty;
+        for (size_t cap : {size_t{0}, size_t{1}, size_t{5}, size_t{17}}) {
+          std::vector<std::vector<uint32_t>> want = full;
+          if (cap != 0 && want.size() > cap) want.resize(cap);
+          for (bool prune : {false, true}) {
+            CycleEnumerationOptions options = base;
+            options.max_cycles = cap;
+            options.prune_ball = prune;
+            std::vector<std::vector<uint32_t>> got;
+            const size_t visited =
+                e.Visit(options, [&](const std::vector<uint32_t>& p) {
+                  got.push_back(p);
+                  return true;
+                });
+            const auto [got_end, want_end] = std::mismatch(
+                got.begin(), got.end(), want.begin(), want.end());
+            if (got_end == got.end() && want_end == want.end() &&
+                visited == want.size()) {
+              continue;
             }
+            ADD_FAILURE()
+                << "lengths=" << min_len << ".." << max_len
+                << " seeds=" << seeds.size() << " cap=" << cap
+                << " prune=" << prune << ": got " << got.size()
+                << " paths (Visit returned " << visited << "), want "
+                << want.size() << "; first difference at index "
+                << (got_end - got.begin());
+            return nonempty;
           }
         }
       }
@@ -706,10 +689,10 @@ class OrderExactReferenceProperty
 TEST_P(OrderExactReferenceProperty, UniformRandomGraph) {
   PropertyGraph g = UniformSchemaGraph(GetParam(), 16, 6, 90);
   CsrGraph csr = CsrGraph::Freeze(g);
-  // 10 length windows x 3 seed sets x chordless on/off.
+  // 10 length windows x 3 seed sets.
   EXPECT_GT(ExpectVisitMatchesReference(UndirectedView(csr),
                                         {{}, {3}, {0, 5, 11}}),
-            40u);
+            20u);
 }
 
 TEST_P(OrderExactReferenceProperty, HubSkewedPendantBall) {
@@ -721,12 +704,11 @@ TEST_P(OrderExactReferenceProperty, HubSkewedPendantBall) {
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     if (n % 3 != 2) members.push_back(n);
   }
-  // 10 length windows x 5 seed sets x chordless on/off; nothing qualifies
-  // with seeds {2, 5}.
+  // 10 length windows x 5 seed sets; nothing qualifies with seeds {2, 5}.
   EXPECT_GT(ExpectVisitMatchesReference(
                 UndirectedView(csr, members),
                 {{}, {3}, {0, 4, 9}, {2, 5, 6}, {2, 5}}),
-            50u);
+            25u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrderExactReferenceProperty,
@@ -750,8 +732,8 @@ TEST(OrderExactReferenceTest, SeedAtTheCutBoundaryStillCloses) {
   options.seeds = {3};
   const std::vector<std::vector<uint32_t>> want = {{0, 1, 2, 3, 4}};
   ASSERT_EQ(ReferenceCyclePaths(view, options), want);
-  // Only the windows reaching length 5 emit it, chordless or not.
-  EXPECT_EQ(ExpectVisitMatchesReference(view, {{3}}), 8u);
+  // Only the windows reaching length 5 emit it.
+  EXPECT_EQ(ExpectVisitMatchesReference(view, {{3}}), 4u);
 }
 
 // -------------------------------- deadlines / cooperative cancellation
@@ -852,20 +834,6 @@ TEST(DeadlineCycleTest, CancelMidRunPreservesPrefixIdentity) {
       lengths.push_back(seen.size());
     }
     EXPECT_EQ(lengths[0], lengths[1]) << "k=" << k;
-  }
-}
-
-TEST(EnumerateCyclesHelperTest, InducedConvenienceWrapper) {
-  PropertyGraph g = CompleteArticleGraph(5);
-  CycleEnumerationOptions options;
-  options.min_length = 3;
-  options.max_length = 3;
-  // Restrict to 4 of the 5 nodes: C(4,3) = 4 triangles.
-  std::vector<Cycle> cycles =
-      EnumerateCycles(CsrGraph::Freeze(g), {0, 1, 2, 3}, options);
-  EXPECT_EQ(cycles.size(), 4u);
-  for (const Cycle& c : cycles) {
-    for (NodeId n : c.nodes) EXPECT_LT(n, 4u);
   }
 }
 

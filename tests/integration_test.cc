@@ -102,26 +102,22 @@ TEST(EndToEndTest, AliasFeaturesAreRedirectsOfBaseFeatures) {
   const auto& ctx = Context();
   const api::Testbed& bed = *ctx.bed;
   const wiki::KnowledgeBase& kb = bed.kb();
-  std::vector<api::ExpandRequest> requests;
+  size_t alias_count = 0;
   for (size_t t = 0; t < bed.num_topics(); ++t) {
     api::ExpandRequest request;
     request.keywords = bed.topic(t).keywords;
     request.expander = "cycle";
     request.overrides.include_redirect_aliases = true;
-    requests.push_back(std::move(request));
-  }
-  auto batch = bed.engine().ExpandBatch(requests);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  size_t alias_count = 0;
-  for (const api::ExpandResponse& expanded : *batch) {
-    for (graph::NodeId f : expanded.feature_articles) {
+    auto expanded = bed.engine().Expand(request);
+    ASSERT_TRUE(expanded.ok()) << "topic " << t << ": " << expanded.status();
+    for (graph::NodeId f : expanded->feature_articles) {
       if (!kb.IsRedirect(f)) continue;
       ++alias_count;
       // The alias' main article must itself be a selected feature.
       graph::NodeId main = kb.ResolveRedirect(f);
-      EXPECT_NE(std::find(expanded.feature_articles.begin(),
-                          expanded.feature_articles.end(), main),
-                expanded.feature_articles.end());
+      EXPECT_NE(std::find(expanded->feature_articles.begin(),
+                          expanded->feature_articles.end(), main),
+                expanded->feature_articles.end());
     }
   }
   EXPECT_GT(alias_count, 0u);  // the KB has plenty of redirects

@@ -14,11 +14,11 @@
 #include "ir/document_store.h"
 #include "ir/eval.h"
 #include "ir/frozen_index.h"
-#include "ir/inverted_index.h"
 #include "ir/query.h"
 #include "ir/ranker.h"
-#include "ir/scorer.h"
 #include "ir/search_engine.h"
+#include "oracle/inverted_index.h"
+#include "oracle/scorer.h"
 
 namespace wqe::ir {
 namespace {

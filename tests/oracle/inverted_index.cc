@@ -1,4 +1,4 @@
-#include "ir/inverted_index.h"
+#include "oracle/inverted_index.h"
 
 #include <algorithm>
 

@@ -1,4 +1,4 @@
-#include "ir/scorer.h"
+#include "oracle/scorer.h"
 
 #include <algorithm>
 #include <cmath>

@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "ir/inverted_index.h"
 #include "ir/query.h"
 #include "ir/ranker.h"
+#include "oracle/inverted_index.h"
 
 namespace wqe::ir {
 

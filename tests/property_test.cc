@@ -142,41 +142,6 @@ TEST_P(RandomGraphProperty, EnumeratedCyclesAreValidAndUnique) {
   });
 }
 
-TEST_P(RandomGraphProperty, ChordlessCyclesHaveZeroDensity) {
-  graph::PropertyGraph g = RandomSchemaGraph(GetParam(), 14, 6, 80);
-  graph::CsrGraph csr = graph::CsrGraph::Freeze(g);
-  graph::UndirectedView view(csr);
-  graph::CycleEnumerator enumerator(view);
-  graph::CycleEnumerationOptions options;
-  options.chordless_only = true;
-  options.min_length = 4;  // triangles are trivially chordless
-  for (const graph::Cycle& local : enumerator.Enumerate(options)) {
-    graph::Cycle cycle;
-    for (graph::NodeId n : local.nodes) {
-      cycle.nodes.push_back(view.ToGlobal(n));
-    }
-    graph::CycleMetrics m = ComputeCycleMetrics(csr, cycle);
-    // A chordless cycle can exceed the minimum edge count only through
-    // parallel edges (mutual links) on its own perimeter.
-    EXPECT_LE(m.num_edges, 2 * m.length);
-  }
-}
-
-TEST_P(RandomGraphProperty, ChordlessIsSubsetOfAll) {
-  graph::PropertyGraph g = RandomSchemaGraph(GetParam(), 14, 6, 80);
-  graph::CsrGraph csr = graph::CsrGraph::Freeze(g);
-  graph::UndirectedView view(csr);
-  graph::CycleEnumerator enumerator(view);
-  graph::CycleEnumerationOptions all_options;
-  graph::CycleEnumerationOptions chordless_options;
-  chordless_options.chordless_only = true;
-  size_t all = enumerator.Visit(
-      all_options, [](const std::vector<uint32_t>&) { return true; });
-  size_t chordless = enumerator.Visit(
-      chordless_options, [](const std::vector<uint32_t>&) { return true; });
-  EXPECT_LE(chordless, all);
-}
-
 TEST_P(RandomGraphProperty, CycleMetricsBounds) {
   graph::PropertyGraph g = RandomSchemaGraph(GetParam(), 16, 8, 100);
   graph::CsrGraph csr = graph::CsrGraph::Freeze(g);

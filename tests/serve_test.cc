@@ -1,6 +1,6 @@
 /// \file serve_test.cc
 /// \brief Tests for the `serve::` concurrency subsystem: the thread pool,
-/// the sharded expansion cache (keying, LRU, TTL, counters), and the
+/// the expansion cache (keying, capacity, LRU order, counters), and the
 /// Server's parallel serving — including the determinism contract
 /// (parallel rankings bit-identical to sequential) and a mixed
 /// multi-threaded stress case meant to run under ThreadSanitizer
@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -135,7 +136,6 @@ TEST(ExpansionCacheTest, MissThenHit) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_DOUBLE_EQ(stats.HitRatio(), 0.5);
 }
 
 TEST(ExpansionCacheTest, KeyIsTheFullTriple) {
@@ -220,10 +220,58 @@ TEST(ExpansionCacheTest, DistinctOverridesNeverShareAnEntry) {
   }
 }
 
+// A +0.0 and a -0.0 override compare equal, so they must hash equal and
+// name one entry.
+TEST(ExpansionCacheTest, SignedZeroOverridesShareAnEntry) {
+  api::ExpanderOverrides positive;
+  positive.min_density = 0.0;
+  api::ExpanderOverrides negative;
+  negative.min_density = -0.0;
+  ASSERT_TRUE(positive == negative);
+  EXPECT_EQ(positive.Hash(), negative.Hash());
+  EXPECT_EQ(MakeKey("venice", "cycle", positive).Hash(),
+            MakeKey("venice", "cycle", negative).Hash());
+
+  ExpansionCache cache;
+  cache.Put(MakeKey("venice", "cycle", positive), MakeResponse("zero"));
+  auto hit = cache.Get(MakeKey("venice", "cycle", negative));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->expander, "zero");
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+// At default options, with only the capacity set: the cache holds exactly
+// `capacity` entries, and each eviction drops the least recently used
+// entry of the whole cache.  `k0` is read after every insertion, so it is
+// never the least recent and must survive every eviction.
+TEST(ExpansionCacheTest, CapacityIsExactAndEvictionIsGloballyLru) {
+  for (size_t capacity : {size_t{3}, size_t{100}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    ExpansionCacheOptions options;
+    options.capacity = capacity;
+    ExpansionCache cache(options);
+    const size_t total = capacity + capacity / 2 + 2;
+    for (size_t i = 0; i < total; ++i) {
+      cache.Put(MakeKey("k" + std::to_string(i)), MakeResponse("v"));
+      ASSERT_NE(cache.Get(MakeKey("k0")), nullptr) << "after k" << i;
+      ASSERT_LE(cache.size(), capacity) << "after k" << i;
+    }
+    EXPECT_EQ(cache.size(), capacity);
+    EXPECT_EQ(cache.stats().evictions, total - capacity);
+    // Survivors: k0 and the capacity - 1 newest keys.
+    for (size_t i = 1; i < total; ++i) {
+      const bool kept = i + capacity > total;
+      EXPECT_EQ(cache.Get(MakeKey("k" + std::to_string(i))) != nullptr, kept)
+          << "k" << i;
+    }
+    const Status status = cache.CheckInvariants();
+    EXPECT_TRUE(status.ok()) << status;
+  }
+}
+
 TEST(ExpansionCacheTest, LruEvictsLeastRecentlyUsed) {
   ExpansionCacheOptions options;
   options.capacity = 3;
-  options.num_shards = 1;  // one shard → strict global LRU order
   ExpansionCache cache(options);
   cache.Put(MakeKey("a"), MakeResponse("a"));
   cache.Put(MakeKey("b"), MakeResponse("b"));
@@ -241,7 +289,6 @@ TEST(ExpansionCacheTest, LruEvictsLeastRecentlyUsed) {
 TEST(ExpansionCacheTest, PutRefreshesExistingEntry) {
   ExpansionCacheOptions options;
   options.capacity = 2;
-  options.num_shards = 1;
   ExpansionCache cache(options);
   cache.Put(MakeKey("a"), MakeResponse("a1"));
   cache.Put(MakeKey("b"), MakeResponse("b"));
@@ -255,23 +302,9 @@ TEST(ExpansionCacheTest, PutRefreshesExistingEntry) {
   EXPECT_EQ(cache.Get(MakeKey("b")), nullptr);
 }
 
-TEST(ExpansionCacheTest, TtlExpiresEntries) {
-  ExpansionCacheOptions options;
-  options.ttl = std::chrono::milliseconds(30);
-  ExpansionCache cache(options);
-  cache.Put(MakeKey("a"), MakeResponse("a"));
-  ASSERT_NE(cache.Get(MakeKey("a")), nullptr);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  EXPECT_EQ(cache.Get(MakeKey("a")), nullptr);
-  ExpansionCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.expirations, 1u);
-  EXPECT_EQ(stats.entries, 0u);
-}
-
 TEST(ExpansionCacheTest, EvictedValueStaysAliveForHolders) {
   ExpansionCacheOptions options;
   options.capacity = 1;
-  options.num_shards = 1;
   ExpansionCache cache(options);
   cache.Put(MakeKey("a"), MakeResponse("a"));
   auto held = cache.Get(MakeKey("a"));
@@ -281,17 +314,15 @@ TEST(ExpansionCacheTest, EvictedValueStaysAliveForHolders) {
   EXPECT_EQ(held->expander, "a");  // shared_ptr keeps the value valid
 }
 
-// Concurrent TTL-expiry + capacity-eviction churn, with the structural
-// validator (LRU ↔ index bijection, occupancy ≤ capacity) interleaved
-// live and re-checked after the drain.  Sized to force both eviction
-// (tiny per-shard capacity) and expiration (TTL shorter than the run);
-// the ci.sh asan lane runs this under ASan+UBSan, where a dangling LRU
-// iterator or double-erase in the expiry path would be fatal.
-TEST(ExpansionCacheTest, ConcurrentTtlChurnKeepsShardInvariants) {
+// Concurrent capacity-eviction churn, with the structural validator
+// (LRU ↔ index bijection, occupancy ≤ capacity) interleaved live and
+// re-checked after the drain.  Sized to force eviction (48 keys against a
+// capacity of 16); the ci.sh asan lane runs this under ASan+UBSan, where
+// a dangling LRU iterator or double-erase in the eviction path would be
+// fatal.
+TEST(ExpansionCacheTest, ConcurrentChurnKeepsInvariants) {
   ExpansionCacheOptions options;
   options.capacity = 16;
-  options.num_shards = 4;
-  options.ttl = std::chrono::milliseconds(5);
   ExpansionCache cache(options);
 
   constexpr int kThreads = 4;
@@ -302,8 +333,8 @@ TEST(ExpansionCacheTest, ConcurrentTtlChurnKeepsShardInvariants) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&cache, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        // Overlapping key ranges across threads: hits, refreshes,
-        // evictions and expirations all mix on the same shards.
+        // Overlapping key ranges across threads: hits, refreshes and
+        // evictions all mix.
         std::string key = "k" + std::to_string((t * 17 + i) % 48);
         if (i % 3 == 0) {
           cache.Put(MakeKey(key), MakeResponse(key));
@@ -313,18 +344,18 @@ TEST(ExpansionCacheTest, ConcurrentTtlChurnKeepsShardInvariants) {
             EXPECT_FALSE(hit->expander.empty());
           }
         }
-        if (i % 100 == 0) {
+        if (i % 100 == 0) {  // give the auditor windows mid-churn
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
         }
       }
     });
   }
-  // A validator thread audits the shards while the churn is running —
-  // CheckShardInvariants locks shard by shard, so this also exercises
-  // the lock discipline the annotations promise.
+  // A validator thread audits the cache while the churn is running —
+  // CheckInvariants takes the cache mutex, so this also exercises the
+  // lock discipline the annotations promise.
   std::thread auditor([&cache, &stop] {
     while (!stop.load()) {
-      auto status = cache.CheckShardInvariants();
+      auto status = cache.CheckInvariants();
       EXPECT_TRUE(status.ok()) << status;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -333,29 +364,18 @@ TEST(ExpansionCacheTest, ConcurrentTtlChurnKeepsShardInvariants) {
   stop.store(true);
   auditor.join();
 
-  auto status = cache.CheckShardInvariants();
+  auto status = cache.CheckInvariants();
   EXPECT_TRUE(status.ok()) << status;
   ExpansionCacheStats stats = cache.stats();
   EXPECT_LE(stats.entries, options.capacity);
-  EXPECT_GT(stats.evictions + stats.expirations, 0u)
-      << "churn never aged or evicted anything — test is under-sized";
-  // Let everything expire, then confirm expiry leaves the structures
-  // bijective too (expired entries are torn out of both containers).
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  for (int i = 0; i < 48; ++i) {
-    EXPECT_EQ(cache.Get(MakeKey("k" + std::to_string(i))), nullptr);
-  }
-  status = cache.CheckShardInvariants();
-  EXPECT_TRUE(status.ok()) << status;
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_GT(stats.evictions, 0u)
+      << "churn never evicted anything — test is under-sized";
 }
 
-TEST(ExpansionCacheTest, ShardCountRoundsUpAndClearDropsEverything) {
+TEST(ExpansionCacheTest, ClearDropsEverything) {
   ExpansionCacheOptions options;
   options.capacity = 64;
-  options.num_shards = 5;  // → 8
   ExpansionCache cache(options);
-  EXPECT_EQ(cache.num_shards(), 8u);
   for (int i = 0; i < 40; ++i) {
     cache.Put(MakeKey("k" + std::to_string(i)), MakeResponse("v"));
   }
@@ -394,17 +414,6 @@ std::vector<api::QueryRequest> MixedRequests(size_t count) {
   return requests;
 }
 
-TEST(ServerTest, WrappingLocksTheRegistry) {
-  api::TestbedOptions options;
-  options.wiki.num_domains = 8;
-  options.track.num_topics = 2;
-  auto bed = api::Testbed::Build(options);
-  ASSERT_TRUE(bed.ok()) << bed.status();
-  EXPECT_FALSE((*bed)->engine().registry_locked());
-  Server server((*bed)->engine());
-  EXPECT_TRUE((*bed)->engine().registry_locked());
-}
-
 TEST(ServerTest, SubmitMatchesEngineQuery) {
   const api::Testbed& bed = SmallBed();
   ServerOptions options;
@@ -424,23 +433,24 @@ TEST(ServerTest, SubmitMatchesEngineQuery) {
   EXPECT_EQ(server.stats().requests, 1u);
 }
 
-TEST(ServerTest, SubmitExpandHitsCacheOnRepeat) {
+TEST(ServerTest, SubmitHitsCacheOnRepeat) {
   const api::Testbed& bed = SmallBed();
   ServerOptions options;
   options.num_threads = 2;
   Server server(bed.engine(), options);
 
-  api::ExpandRequest request;
+  api::QueryRequest request;
   request.keywords = bed.topic(1).keywords;
   size_t expanded_before = bed.engine().stats().expand_calls;
 
-  auto first = server.SubmitExpand(request).get();
+  auto first = server.Submit(request).get();
   ASSERT_TRUE(first.ok()) << first.status();
-  auto second = server.SubmitExpand(request).get();
+  auto second = server.Submit(request).get();
   ASSERT_TRUE(second.ok()) << second.status();
 
-  EXPECT_EQ(second->feature_articles, first->feature_articles);
-  EXPECT_EQ(second->titles, first->titles);
+  EXPECT_EQ(second->expansion.feature_articles,
+            first->expansion.feature_articles);
+  EXPECT_EQ(second->expansion.titles, first->expansion.titles);
   // The hit served without expanding.
   EXPECT_EQ(bed.engine().stats().expand_calls - expanded_before, 1u);
   ASSERT_NE(server.cache(), nullptr);
@@ -691,6 +701,33 @@ TEST(ServerTest, QueueDepthBoundShedsWithResourceExhausted) {
   EXPECT_EQ(server.stats().shed, shed);
 }
 
+// A NaN override is rejected before it can reach the cache: a NaN key
+// never equals itself, so a cached NaN entry could never be found again,
+// and each eviction of one would leave its index node behind.
+TEST(ServerTest, NonFiniteOverridesFailWithoutTouchingTheCache) {
+  const api::Testbed& bed = SmallBed();
+  ServerOptions options;
+  options.num_threads = 1;
+  options.cache.capacity = 4;
+  Server server(bed.engine(), options);
+
+  api::QueryRequest request;
+  request.keywords = bed.topic(0).keywords;
+  request.overrides.length_decay = std::numeric_limits<double>::quiet_NaN();
+  for (int i = 0; i < 50; ++i) {
+    Result<api::QueryResponse> result = server.Submit(request).get();
+    ASSERT_FALSE(result.ok()) << "request " << i;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
+  }
+  ASSERT_NE(server.cache(), nullptr);
+  ExpansionCacheStats stats = server.cache()->stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  const Status status = server.cache()->CheckInvariants();
+  EXPECT_TRUE(status.ok()) << status;
+}
+
 TEST(ServerTest, CancelTokenFailsRequestAsCancelled) {
   const api::Testbed& bed = SmallBed();
   ServerOptions options;
@@ -707,35 +744,16 @@ TEST(ServerTest, CancelTokenFailsRequestAsCancelled) {
   EXPECT_TRUE(result.status().IsCancelled()) << result.status();
 }
 
-#ifndef NDEBUG
-// The registry-freeze contract (satellite): mutating the registry after a
-// serve::Server wraps the engine trips WQE_DCHECK.  Only meaningful in
-// builds without NDEBUG — the CI TSan job compiles with
-// -DCMAKE_BUILD_TYPE=Debug precisely so this path is exercised.
-TEST(ServerDeathTest, LateRegistryMutationAssertsInDebug) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  api::TestbedOptions options;
-  options.wiki.num_domains = 8;
-  options.track.num_topics = 2;
-  auto bed = api::Testbed::Build(options);
-  ASSERT_TRUE(bed.ok()) << bed.status();
-  api::Engine& engine = (*bed)->engine();
-  EXPECT_NO_FATAL_FAILURE(engine.registry());  // fine before serving
-  Server server(engine);
-  EXPECT_DEATH(engine.registry(), "registry_locked");
-}
-#endif  // NDEBUG
-
 // The ThreadSanitizer stress case: several caller threads hammer one
-// server with a mix of single Expand/Query submissions and parallel
-// batches, all against one shared engine and cache.  Correctness of every
-// response is checked against precomputed sequential answers.
+// server with a mix of single submissions (checked on their rankings or
+// on their expansions) and parallel batches, all against one shared
+// engine and cache.  Correctness of every response is checked against
+// precomputed sequential answers.
 TEST(ServerStressTest, MixedConcurrentCallersProduceSequentialResults) {
   const api::Testbed& bed = SmallBed();
   ServerOptions options;
   options.num_threads = 4;
   options.cache.capacity = 64;
-  options.cache.num_shards = 4;
   Server server(bed.engine(), options);
 
   // Sequential ground truth, one per topic.
@@ -774,12 +792,12 @@ TEST(ServerStressTest, MixedConcurrentCallersProduceSequentialResults) {
             }
             break;
           }
-          case 1: {  // single expand
-            api::ExpandRequest request;
+          case 1: {  // single query, checked on its expansion
+            api::QueryRequest request;
             request.keywords = bed.topic(t).keywords;
-            auto response = server.SubmitExpand(std::move(request)).get();
+            auto response = server.Submit(std::move(request)).get();
             if (!response.ok() ||
-                response->titles != expected_expand[t].titles) {
+                response->expansion.titles != expected_expand[t].titles) {
               ++failures;
             }
             break;

@@ -389,7 +389,7 @@ TEST(SnapshotCacheGenerationTest, StaleGenerationDropsEntry) {
   // Re-stamping under the new generation works as usual.
   cache.Put(key, response, /*generation=*/2);
   EXPECT_NE(cache.Get(key, /*generation=*/2), nullptr);
-  EXPECT_TRUE(cache.CheckShardInvariants().ok());
+  EXPECT_TRUE(cache.CheckInvariants().ok());
 }
 
 // A request still pinned to the old epoch during a publish must neither
@@ -418,7 +418,7 @@ TEST(SnapshotCacheGenerationTest, OlderCallerLeavesNewerEntry) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->titles, newer.titles);
   EXPECT_EQ(cache.stats().stale_drops, 0u);
-  EXPECT_TRUE(cache.CheckShardInvariants().ok());
+  EXPECT_TRUE(cache.CheckInvariants().ok());
 }
 
 // -------------------------------------------------------- hot republish
@@ -450,11 +450,11 @@ TEST(SnapshotRepublishTest, PublishBumpsGenerationAndInvalidatesCache) {
   serving.num_threads = 2;
   serve::Server server(engine, serving);
 
-  api::ExpandRequest request;
+  api::QueryRequest request;
   request.keywords = (*bed)->topic(0).keywords;
-  auto first = server.SubmitExpand(request).get();
+  auto first = server.Submit(request).get();
   ASSERT_TRUE(first.ok()) << first.status();
-  auto second = server.SubmitExpand(request).get();
+  auto second = server.Submit(request).get();
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(server.cache()->stats().hits, 1u);
   EXPECT_EQ(server.cache()->stats().stale_drops, 0u);
@@ -466,16 +466,17 @@ TEST(SnapshotRepublishTest, PublishBumpsGenerationAndInvalidatesCache) {
   // Same request after the publish: the generation-1 entry is dropped
   // as stale, recomputed on the new snapshot, and — same graph content
   // — comes back bit-identical.
-  auto third = server.SubmitExpand(request).get();
+  auto third = server.Submit(request).get();
   ASSERT_TRUE(third.ok()) << third.status();
   EXPECT_EQ(server.cache()->stats().stale_drops, 1u);
   EXPECT_EQ(server.cache()->stats().hits, 1u);  // no new hits
-  EXPECT_EQ(third->query_articles, first->query_articles);
-  EXPECT_EQ(third->feature_articles, first->feature_articles);
-  EXPECT_EQ(third->titles, first->titles);
+  EXPECT_EQ(third->expansion.query_articles, first->expansion.query_articles);
+  EXPECT_EQ(third->expansion.feature_articles,
+            first->expansion.feature_articles);
+  EXPECT_EQ(third->expansion.titles, first->expansion.titles);
 
   // And the fresh entry serves generation-2 lookups again.
-  auto fourth = server.SubmitExpand(request).get();
+  auto fourth = server.Submit(request).get();
   ASSERT_TRUE(fourth.ok()) << fourth.status();
   EXPECT_EQ(server.cache()->stats().hits, 2u);
 }
@@ -514,15 +515,15 @@ TEST(SnapshotRepublishTest, LiveTrafficSurvivesRepublishTsan) {
       size_t i = static_cast<size_t>(t);
       while (!stop.load(std::memory_order_relaxed)) {
         const size_t topic = i++ % num_topics;
-        api::ExpandRequest request;
+        api::QueryRequest request;
         request.keywords = (*bed)->topic(topic).keywords;
-        auto response = server.SubmitExpand(request).get();
+        auto response = server.Submit(request).get();
         ASSERT_TRUE(response.ok()) << response.status();
-        EXPECT_EQ(response->query_articles,
+        EXPECT_EQ(response->expansion.query_articles,
                   reference[topic].query_articles);
-        EXPECT_EQ(response->feature_articles,
+        EXPECT_EQ(response->expansion.feature_articles,
                   reference[topic].feature_articles);
-        EXPECT_EQ(response->titles, reference[topic].titles);
+        EXPECT_EQ(response->expansion.titles, reference[topic].titles);
         served.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -541,7 +542,7 @@ TEST(SnapshotRepublishTest, LiveTrafficSurvivesRepublishTsan) {
 
   EXPECT_EQ(engine.snapshot_generation(), 4u);  // 1 from Build + 3
   EXPECT_GE(server.cache()->stats().stale_drops, 1u);
-  EXPECT_TRUE(server.cache()->CheckShardInvariants().ok());
+  EXPECT_TRUE(server.cache()->CheckInvariants().ok());
   // The last published snapshot is live and answers directly too.
   api::ExpandRequest request;
   request.keywords = (*bed)->topic(0).keywords;
