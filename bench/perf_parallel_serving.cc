@@ -14,8 +14,12 @@
 ///   - every parallel ranking is document-identical to the sequential one;
 ///   - cache hits are counter-verified from the cache's own counters,
 ///     with every warm-pass request a hit (> 0.9 hit ratio);
-///   - with ≥ 4 hardware threads, 4 workers must reach ≥ 2× the 1-worker
-///     QueryBatch throughput (reported either way on smaller machines);
+///   - 4 workers must reach ≥ 2× the 1-worker QueryBatch throughput
+///     when the host can give 4 threads that much CPU: a CPU-bound probe
+///     (4 threads spinning a fixed loop, against 1 thread) runs right
+///     before and right after the 1/2/4-worker arms, and the bar is
+///     enforced only when both probes read ≥ 3×.  Otherwise the probe
+///     readings are printed and the check is skipped, loudly;
 ///   - the observability instrumentation costs ≤ 2% on the warm-cache
 ///     path (min-of-5 alternating reps with the runtime kill switch).
 ///
@@ -26,6 +30,8 @@
 /// informational until a latency baseline is committed.
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -57,6 +63,37 @@ std::vector<api::QueryRequest> ZipfianRequests(const api::Testbed& bed,
     requests.push_back(std::move(request));
   }
   return requests;
+}
+
+/// A fixed CPU-bound loop (a dependent LCG chain the compiler cannot
+/// shortcut).
+uint64_t Spin(uint64_t iterations) {
+  uint64_t x = 1;
+  for (uint64_t i = 0; i < iterations; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+  }
+  return x;
+}
+
+/// The CPU throughput 4 threads get right now, as a multiple of one
+/// thread's: 4 threads each spin the loop one thread spins alone, so the
+/// reading is 4 × (1-thread time) / (4-thread time).  4.0 on 4 idle
+/// cores; a shared host reads less.
+double CpuScalingProbe() {
+  constexpr uint64_t kIterations = 50'000'000;  // tens of ms of one core
+  std::atomic<uint64_t> sink{0};
+  Stopwatch watch;
+  sink += Spin(kIterations);
+  const double one_ms = watch.ElapsedMillis();
+  watch.Reset();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] { sink += Spin(kIterations); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const double four_ms = watch.ElapsedMillis();
+  WQE_CHECK(sink.load() != 0);
+  return 4.0 * one_ms / four_ms;
 }
 
 void CheckIdenticalRankings(const std::vector<api::QueryResponse>& got,
@@ -98,7 +135,9 @@ int main() {
   bench::BenchJsonWriter json("perf_parallel_serving");
   json.Add("engine_query_batch", "total_ms", sequential_ms, config);
 
-  // Thread-pool scaling, cache off: same work, more workers.
+  // Thread-pool scaling, cache off: same work, more workers.  The CPU
+  // probes bracket the arms, so a host that is busy during them shows.
+  const double probe_before = CpuScalingProbe();
   double one_thread_ms = 0.0;
   double four_thread_ms = 0.0;
   for (size_t threads : {1u, 2u, 4u}) {
@@ -125,6 +164,7 @@ int main() {
     if (threads == 1) one_thread_ms = ms;
     if (threads == 4) four_thread_ms = ms;
   }
+  const double probe_after = CpuScalingProbe();
 
   // Cache effectiveness: cold pass then warm pass, counter-verified.
   obs::MetricsRegistry cached_registry;
@@ -183,12 +223,15 @@ int main() {
   unsigned hw = std::thread::hardware_concurrency();
   double speedup = one_thread_ms / four_thread_ms;
   std::printf("4-thread speedup over 1 thread: %.2fx on %u hardware "
-              "thread(s)\n", speedup, hw);
-  if (hw >= 4) {
-    WQE_CHECK(speedup >= 2.0);  // the ISSUE-2 acceptance bar
+              "thread(s)\n"
+              "CPU-bound 4-thread scaling probe: %.2fx before the arms, "
+              "%.2fx after\n",
+              speedup, hw, probe_before, probe_after);
+  if (probe_before >= 3.0 && probe_after >= 3.0) {
+    WQE_CHECK(speedup >= 2.0);  // the parallel-serving acceptance bar
   } else {
-    std::printf("(< 4 hardware threads: the >= 2x acceptance check is "
-                "skipped on this machine)\n");
+    std::printf("(a probe read below 3x: this host cannot give 4 threads "
+                "the CPU the >= 2x bar needs right now; check skipped)\n");
   }
 
   json.Add("cached_server_cold", "total_ms", cold_ms, config);

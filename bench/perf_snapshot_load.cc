@@ -10,14 +10,14 @@
 ///
 ///   rebuild  — `wiki::ParseDump(xml)`: parse, node/edge inserts, CSR
 ///              construction (the parser returns a frozen KB);
-///   mmap     — `snapshot::LoadSnapshot(kMmap)`: map, validate
-///              (checksums on, the production default), bind spans;
-///   copy     — `snapshot::LoadSnapshot(kCopy)`: same, via one read().
+///   mmap     — `snapshot::LoadSnapshot`: map, validate (checksums
+///              included), bind spans.
 ///
 /// Hard correctness gates (aborts, not just reporting):
-///   - the rebuild and both load modes return a graph whose every CSR
-///     section is byte-identical to the original's, with equal titles,
-///     display titles and counts, before anything is timed;
+///   - the rebuild and the load return a graph whose every CSR section is
+///     byte-identical to the original's, with equal titles, display
+///     titles and counts, and the loaded graph passes the full
+///     `CheckInvariants()`, before anything is timed;
 ///   - `speedup_vs_rebuild` (rebuild_ms / mmap_ms) reaches the >= 10x
 ///     acceptance bar — the win is skipped parsing and graph building,
 ///     not parallelism, so it holds on any machine.
@@ -112,24 +112,18 @@ int main() {
     WQE_CHECK(
         SectionsBitIdentical(kb.csr().Sections(), rebuilt.csr().Sections()));
     CheckSameNames(kb, rebuilt);
-    for (snapshot::LoadMode mode :
-         {snapshot::LoadMode::kMmap, snapshot::LoadMode::kCopy}) {
-      snapshot::ReadOptions read_options;
-      read_options.mode = mode;
-      read_options.verify_invariants = true;
-      auto loaded = snapshot::LoadSnapshot(path, read_options);
-      WQE_CHECK_OK(loaded.status());
-      WQE_CHECK(SectionsBitIdentical(kb.csr().Sections(),
-                                     loaded->csr().Sections()));
-      CheckSameNames(kb, *loaded);
-    }
+    auto loaded = snapshot::LoadSnapshot(path);
+    WQE_CHECK_OK(loaded.status());
+    WQE_CHECK_OK(loaded->csr().CheckInvariants());
+    WQE_CHECK(SectionsBitIdentical(kb.csr().Sections(),
+                                   loaded->csr().Sections()));
+    CheckSameNames(kb, *loaded);
   }
 
-  // Min-of-reps timing, arms alternated so drift hits all three equally.
+  // Min-of-reps timing, arms alternated so drift hits both equally.
   constexpr int kReps = 5;
   double rebuild_ms = 1e300;
   double mmap_ms = 1e300;
-  double copy_ms = 1e300;
   Stopwatch watch;
   for (int rep = 0; rep < kReps; ++rep) {
     watch.Reset();
@@ -137,20 +131,11 @@ int main() {
     rebuild_ms = std::min(rebuild_ms, watch.ElapsedMillis());
     WQE_CHECK(rebuilt.csr().num_nodes() == kb.csr().num_nodes());
 
-    snapshot::ReadOptions mmap_options;  // checksums on: the default
     watch.Reset();
-    auto mapped = snapshot::LoadSnapshot(path, mmap_options);
+    auto mapped = snapshot::LoadSnapshot(path);
     mmap_ms = std::min(mmap_ms, watch.ElapsedMillis());
     WQE_CHECK_OK(mapped.status());
     WQE_CHECK(mapped->csr().num_nodes() == kb.csr().num_nodes());
-
-    snapshot::ReadOptions copy_options;
-    copy_options.mode = snapshot::LoadMode::kCopy;
-    watch.Reset();
-    auto copied = snapshot::LoadSnapshot(path, copy_options);
-    copy_ms = std::min(copy_ms, watch.ElapsedMillis());
-    WQE_CHECK_OK(copied.status());
-    WQE_CHECK(copied->csr().num_nodes() == kb.csr().num_nodes());
   }
   const double speedup = rebuild_ms / mmap_ms;
 
@@ -160,12 +145,9 @@ int main() {
                 FormatDouble(rebuild_ms, 2), "1.00"});
   table.AddRow({"snapshot mmap", std::to_string(snapshot_bytes),
                 FormatDouble(mmap_ms, 2), FormatDouble(speedup, 2)});
-  table.AddRow({"snapshot copy", std::to_string(snapshot_bytes),
-                FormatDouble(copy_ms, 2),
-                FormatDouble(rebuild_ms / copy_ms, 2)});
   table.Print();
 
-  std::printf("\ngraphs bit-identical across all three startup paths "
+  std::printf("\ngraphs bit-identical across both startup paths "
               "(checked before timing)\nspeedup_vs_rebuild: %.1fx\n",
               speedup);
 
@@ -176,7 +158,6 @@ int main() {
   bench::BenchJsonWriter json("perf_snapshot_load");
   json.Add("rebuild_xml", "total_ms", rebuild_ms, config);
   json.Add("snapshot_mmap", "total_ms", mmap_ms, config);
-  json.Add("snapshot_copy", "total_ms", copy_ms, config);
   json.Add("snapshot_mmap", "speedup_vs_rebuild", speedup, config);
   json.Add("snapshot_file", "bytes", static_cast<double>(snapshot_bytes),
            config);

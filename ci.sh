@@ -4,7 +4,7 @@
 #
 #   ./ci.sh tier1   — verify build (-Werror) + full ctest
 #   ./ci.sh bench   — Release bench smoke + BENCH_*.json schema/trajectory
-#                     + paper-bench golden diff
+#                     + paper-bench and serving-digest golden diffs
 #   ./ci.sh servebench — serving benchmark: its tests + a 2 s run per workload
 #   ./ci.sh tsan    — ThreadSanitizer over the concurrency suites
 #   ./ci.sh asan    — ASan+UBSan (non-recoverable) + libstdc++ bounds
@@ -31,6 +31,9 @@ PAPER_BENCHES="table2_groundtruth_precision table3_component_stats
   fig7a_category_ratio fig7b_extra_edge_density
   fig9_density_vs_contribution fig_misc_scalars ablation_expansion_systems
   ablation_cycle_filters ablation_article_frequency"
+# Every bench whose stdout is a committed golden: the paper reproductions
+# plus the digest of the serving answers (every strategy on every topic).
+GOLDEN_BENCHES="$PAPER_BENCHES serving_digest"
 
 # Bench smoke: Release tree (the perf numbers people quote), smallest
 # cycle-enumeration configs (CSR and legacy), the smallest
@@ -41,7 +44,7 @@ PAPER_BENCHES="table2_groundtruth_precision table3_component_stats
 # hard-asserts bit-identical graphs across all startup paths and a
 # >= 10x mmap-vs-rebuild speedup), hard-failing on crash or malformed
 # JSON so the perf benches and their machine-readable output can't
-# silently rot.  Then every PAPER_BENCHES binary at 12 domains / 8
+# silently rot.  Then every GOLDEN_BENCHES binary at 12 domains / 8
 # topics and at the default size: each builds the whole experiment and
 # aborts on any internal inconsistency, so it must exit 0, and its
 # stdout must equal its golden under bench/golden/ byte for byte (see
@@ -77,24 +80,24 @@ assert any(r['metric'] == 'speedup_vs_oracle' for r in results), \
     'missing scorer-vs-oracle speedup record'
 print(f'bench smoke OK: {len(results)} records')
 EOF
-  for bench in $PAPER_BENCHES; do
+  for bench in $GOLDEN_BENCHES; do
     for size in ci default; do
       if [ "$size" = ci ]; then
         export WQE_BENCH_DOMAINS=12 WQE_BENCH_TOPICS=8
       else
         unset WQE_BENCH_DOMAINS WQE_BENCH_TOPICS
       fi
-      if ! "./wqe_bench_$bench" > "paper_$bench.$size.txt"; then
+      if ! "./wqe_bench_$bench" > "stdout_$bench.$size.txt"; then
         echo "ci.sh bench: wqe_bench_$bench failed at the $size size" >&2
         exit 1
       fi
       if ! diff -u "../bench/golden/$bench.$size.txt" \
-                   "paper_$bench.$size.txt"; then
+                   "stdout_$bench.$size.txt"; then
         echo "ci.sh bench: wqe_bench_$bench differs from its $size golden" >&2
         exit 1
       fi
     done
-    echo "paper bench $bench OK"
+    echo "golden bench $bench OK"
   done
   unset WQE_BENCH_DOMAINS WQE_BENCH_TOPICS
   # Bench trajectory: the comparator always self-checks (a file must never
@@ -151,11 +154,11 @@ EOF
 
 # ThreadSanitizer pass over the concurrency subsystem (tests only; the
 # benches and examples don't add coverage and double the build).  Debug
-# so NDEBUG is off and the WQE_DCHECK contracts (pool self-join, nested
-# fan-out) are live — the main build's RelWithDebInfo compiles them out.
+# so NDEBUG is off and the WQE_DCHECK contracts (pool self-join) are
+# live — the main build's RelWithDebInfo compiles them out.
 # analysis_test for AnalyzeAll's topic fan-out, the one fan-out below the
-# request level (RunParallel's cursor, per-topic result slots, and the
-# nested call from a pool worker that must degrade to sequential);
+# request level (its shared cursor, per-topic result slots, and a call
+# from a pool worker, which fans out on a pool of its own);
 # cycles_test for the cancel requested from another thread mid-DFS;
 # ball_prune_test because the pruning kernel records into the shared
 # global metrics registry; obs_test for the lock-free metrics instruments

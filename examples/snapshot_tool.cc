@@ -2,8 +2,7 @@
 /// \brief Snapshot lifecycle CLI: build a knowledge base (synthetic, or
 /// imported from a MediaWiki XML dump), write it to the versioned
 /// on-disk snapshot format, then reload it and print the section table
-/// — sizes, offsets, checksums — plus load timings for both the mmap
-/// and the copy path.
+/// — sizes, offsets, checksums — plus the load timing.
 ///
 /// Usage:
 ///   snapshot_tool [snapshot.bin]            synthetic knowledge base
@@ -54,18 +53,6 @@ wiki::KnowledgeBase BuildKb(int argc, char** argv) {
   return std::move(wiki->kb);
 }
 
-void ReportLoad(const std::string& path, snapshot::LoadMode mode,
-                const char* name) {
-  snapshot::ReadOptions options;
-  options.mode = mode;
-  Stopwatch watch;
-  auto kb = snapshot::LoadSnapshot(path, options);
-  const double ms = watch.ElapsedMillis();
-  WQE_CHECK_OK(kb.status());
-  std::printf("reload (%s): %u nodes, %zu edges in %.2f ms\n", name,
-              kb->csr().num_nodes(), kb->csr().num_edges(), ms);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,8 +84,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.checksum));
   }
 
-  ReportLoad(path, snapshot::LoadMode::kMmap, "mmap");
-  ReportLoad(path, snapshot::LoadMode::kCopy, "copy");
+  Stopwatch load_watch;
+  auto loaded = snapshot::LoadSnapshot(path);
+  const double load_ms = load_watch.ElapsedMillis();
+  WQE_CHECK_OK(loaded.status());
+  std::printf("reload: %u nodes, %zu edges in %.2f ms\n",
+              loaded->csr().num_nodes(), loaded->csr().num_edges(), load_ms);
   std::cout << "snapshot round trip OK.\n";
   return 0;
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <memory>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -33,11 +35,11 @@ Result<TopicAnalysis> QueryGraphAnalyzer::Analyze(size_t topic_index) const {
   const std::shared_ptr<const api::GraphSnapshot> snapshot =
       bed_->engine().CurrentSnapshot();
   const wiki::KnowledgeBase& kb = snapshot->kb;
-  // The query graph's structure is analyzed as an induced slice of the
-  // KB's frozen snapshot — no per-topic adjacency re-materialization; the
-  // view's locals map straight back to KB node ids.
+  // The query graph's structure is analyzed, undirected as in §3, as an
+  // induced slice of the KB's frozen snapshot — no per-topic adjacency
+  // re-materialization; the view's locals map straight back to KB node ids.
   const graph::CsrGraph& csr = kb.csr();
-  graph::UndirectedView view(csr, qg.sub.to_parent);
+  graph::UndirectedView view(csr, qg.nodes);
 
   TopicAnalysis out;
   out.topic_index = topic_index;
@@ -174,8 +176,10 @@ Result<TopicAnalysis> QueryGraphAnalyzer::Analyze(size_t topic_index) const {
 
 Result<std::vector<TopicAnalysis>> QueryGraphAnalyzer::AnalyzeAll() const {
   const size_t num_topics = gt_->entries.size();
-  const uint32_t threads =
-      serve::EffectiveParallelism(options_.num_threads, options_.pool);
+  const size_t threads =
+      options_.num_threads != 0
+          ? options_.num_threads
+          : std::max(1u, std::thread::hardware_concurrency());
   if (threads <= 1 || num_topics < 2) {
     std::vector<TopicAnalysis> out;
     out.reserve(num_topics);
@@ -186,23 +190,32 @@ Result<std::vector<TopicAnalysis>> QueryGraphAnalyzer::AnalyzeAll() const {
     return out;
   }
 
-  // Fan topics across the pool (atomic-cursor stealing: topic cost is
-  // wildly skewed by ball size).  Every participant — including this
-  // thread — analyzes the topics it claims sequentially.  Results land in
-  // topic order; errors are all collected and the lowest failing index
-  // reports, matching the first error a sequential run would return.
+  // Fan topics across a pool made for this call (atomic-cursor stealing:
+  // topic cost is wildly skewed by ball size).  Every participant —
+  // including this thread — analyzes the topics it claims sequentially.
+  // Results land in topic order; errors are all collected and the lowest
+  // failing index reports, matching the first error a sequential run
+  // would return.
   std::vector<Result<TopicAnalysis>> results(
       num_topics, Result<TopicAnalysis>(TopicAnalysis{}));
   std::atomic<size_t> cursor{0};
-  serve::RunParallel(options_.pool,
-                     std::min<size_t>(threads - 1, num_topics - 1), [&] {
-                       for (;;) {
-                         const size_t t =
-                             cursor.fetch_add(1, std::memory_order_relaxed);
-                         if (t >= num_topics) return;
-                         results[t] = Analyze(t);
-                       }
-                     });
+  auto claim_topics = [&] {
+    for (;;) {
+      const size_t t = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (t >= num_topics) return;
+      results[t] = Analyze(t);
+    }
+  };
+  {
+    serve::ThreadPool pool(std::min(threads, num_topics) - 1);
+    std::vector<std::future<void>> futures;
+    futures.reserve(pool.num_threads());
+    for (size_t i = 0; i < pool.num_threads(); ++i) {
+      futures.push_back(pool.Submit(claim_topics));
+    }
+    claim_topics();
+    for (std::future<void>& f : futures) f.get();
+  }
 
   std::vector<TopicAnalysis> out;
   out.reserve(num_topics);

@@ -23,10 +23,6 @@
 #include "graph/triangles.h"
 #include "groundtruth/ground_truth.h"
 
-namespace wqe::serve {
-class ThreadPool;  // fwd: the analyzer only borrows a pool
-}  // namespace wqe::serve
-
 namespace wqe::analysis {
 
 using graph::NodeId;
@@ -77,13 +73,9 @@ struct AnalyzerOptions {
   size_t max_scored_cycles = 4000;
 
   /// Threads for `AnalyzeAll`'s topic fan-out: 1 = sequential (default),
-  /// 0 = auto (see serve::EffectiveParallelism).  Each topic is analyzed
-  /// sequentially by the thread that claims it; `Analyze` is always
-  /// sequential.
+  /// 0 = one per hardware thread.  Each topic is analyzed sequentially by
+  /// the thread that claims it; `Analyze` is always sequential.
   uint32_t num_threads = 1;
-  /// Pool to run on (borrowed); null spawns a transient pool per
-  /// `AnalyzeAll` call that fans out.
-  serve::ThreadPool* pool = nullptr;
 };
 
 /// \brief Per-topic analyzer bound to a testbed + ground truth.
@@ -102,11 +94,12 @@ class QueryGraphAnalyzer {
   Result<TopicAnalysis> Analyze(size_t topic_index) const;
 
   /// \brief Analyses for all topics.  With `num_threads != 1` topics run
-  /// in parallel; output is element-wise identical to the sequential run
+  /// in parallel on a `serve::ThreadPool` of at most `num_threads - 1`
+  /// workers made for the call, with the calling thread as the last
+  /// participant; output is element-wise identical to the sequential run
   /// (each topic's analysis is a pure function of the immutable
   /// testbed), and on failure the lowest failing topic index reports —
-  /// the same error a sequential run would surface first.  Called from a
-  /// pool worker, it runs sequentially (see serve::EffectiveParallelism).
+  /// the same error a sequential run would surface first.
   Result<std::vector<TopicAnalysis>> AnalyzeAll() const;
 
  private:

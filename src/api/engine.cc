@@ -72,7 +72,6 @@ Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
   engine->options_ = std::move(options);
   engine->search_ =
       std::make_unique<ir::SearchEngine>(engine->options_.search);
-  engine->registry_ = ExpanderRegistry::WithBuiltins();
   if (!engine->registry_.Contains(engine->options_.default_expander)) {
     return Status::InvalidArgument("default expander '",
                                    engine->options_.default_expander,

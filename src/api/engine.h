@@ -16,11 +16,10 @@
 ///
 /// all returning `Result<T>`.  Strategy selection is by registry name with
 /// per-call `ExpanderOverrides` — callers never instantiate concrete
-/// expander classes.  The registry and the strategies' base options are
-/// fixed at `Build`: nothing registers a strategy on a built engine, so
-/// serving threads read the registry without a lock.  Benches, examples
-/// and tests go through this facade (see `api::Testbed` for the
-/// synthetic-experiment builder).
+/// expander classes.  The registry is a fixed table and the strategies'
+/// base options are fixed at `Build`, so serving threads read both
+/// without a lock.  Benches, examples and tests go through this facade
+/// (see `api::Testbed` for the synthetic-experiment builder).
 ///
 /// Hot republish: the KB and the linker built over it live together in a
 /// `GraphSnapshot`, held as a `shared_ptr<const ...>` behind a tiny
@@ -245,7 +244,7 @@ class Engine {
 
   /// \name Components
   /// @{
-  /// \brief The built-in strategies, fixed at `Build`.
+  /// \brief The built-in strategies (a fixed table).
   const ExpanderRegistry& registry() const { return registry_; }
   /// \brief Convenience views of the *current* snapshot's KB/linker.
   /// The references stay valid while that snapshot is published (or

@@ -1,6 +1,8 @@
 #include "api/expander_registry.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <type_traits>
 #include <utility>
 
@@ -60,6 +62,128 @@ Status ValidateCommon(const ExpanderOverrides& o) {
   return Status::OK();
 }
 
+using ExpanderResult = Result<std::unique_ptr<expansion::Expander>>;
+
+ExpanderResult CreateNoExpansion(const wiki::KnowledgeBase& kb,
+                                 const linking::EntityLinker& linker,
+                                 const ExpanderOverrides&) {
+  return std::unique_ptr<expansion::Expander>(
+      new expansion::NoExpansion(kb, linker));
+}
+
+ExpanderResult CreateDirectLink(const wiki::KnowledgeBase& kb,
+                                const linking::EntityLinker& linker,
+                                const ExpanderOverrides& o) {
+  expansion::DirectLinkOptions options;
+  if (o.max_features) options.max_features = *o.max_features;
+  if (o.prioritize_mutual) options.prioritize_mutual = *o.prioritize_mutual;
+  return std::unique_ptr<expansion::Expander>(
+      new expansion::DirectLinkExpansion(kb, linker, options));
+}
+
+ExpanderResult CreateCommunity(const wiki::KnowledgeBase& kb,
+                               const linking::EntityLinker& linker,
+                               const ExpanderOverrides& o) {
+  expansion::CommunityOptions options;
+  if (o.max_features) options.max_features = *o.max_features;
+  if (o.neighborhood_radius) {
+    options.neighborhood_radius = *o.neighborhood_radius;
+  }
+  if (o.max_neighborhood) options.max_neighborhood = *o.max_neighborhood;
+  return std::unique_ptr<expansion::Expander>(
+      new expansion::CommunityExpansion(kb, linker, options));
+}
+
+ExpanderResult CreateCycle(const wiki::KnowledgeBase& kb,
+                           const linking::EntityLinker& linker,
+                           const ExpanderOverrides& o) {
+  expansion::CycleExpanderOptions options;
+  if (o.max_features) options.max_features = *o.max_features;
+  if (o.neighborhood_radius) {
+    options.neighborhood_radius = *o.neighborhood_radius;
+  }
+  if (o.max_neighborhood) options.max_neighborhood = *o.max_neighborhood;
+  if (o.min_cycle_length) options.min_cycle_length = *o.min_cycle_length;
+  if (o.max_cycle_length) options.max_cycle_length = *o.max_cycle_length;
+  if (o.min_density) options.min_density = *o.min_density;
+  if (o.min_category_ratio) {
+    options.min_category_ratio = *o.min_category_ratio;
+  }
+  if (o.max_category_ratio) {
+    options.max_category_ratio = *o.max_category_ratio;
+  }
+  if (o.two_cycle_weight) options.two_cycle_weight = *o.two_cycle_weight;
+  if (o.length_decay) options.length_decay = *o.length_decay;
+  if (o.sqrt_count_damping) {
+    options.sqrt_count_damping = *o.sqrt_count_damping;
+  }
+  if (o.max_cycles) options.max_cycles = *o.max_cycles;
+  if (o.include_redirect_aliases) {
+    options.include_redirect_aliases = *o.include_redirect_aliases;
+  }
+  if (o.max_neighborhood &&
+      *o.max_neighborhood > kMaxCycleNeighborhoodOverride) {
+    return Status::InvalidArgument(
+        "cycle expander: max_neighborhood override (", *o.max_neighborhood,
+        ") > ", kMaxCycleNeighborhoodOverride);
+  }
+  if (options.max_cycle_length > expansion::kMaxCycleLength) {
+    return Status::InvalidArgument(
+        "cycle expander: max_cycle_length (", options.max_cycle_length,
+        ") > ", expansion::kMaxCycleLength);
+  }
+  if (options.min_cycle_length > options.max_cycle_length) {
+    return Status::InvalidArgument(
+        "cycle expander: min_cycle_length (", options.min_cycle_length,
+        ") > max_cycle_length (", options.max_cycle_length, ")");
+  }
+  if (options.min_category_ratio > options.max_category_ratio) {
+    return Status::InvalidArgument(
+        "cycle expander: min_category_ratio (", options.min_category_ratio,
+        ") > max_category_ratio (", options.max_category_ratio,
+        "): the window would reject every cycle");
+  }
+  return std::unique_ptr<expansion::Expander>(
+      new expansion::CycleExpander(kb, linker, options));
+}
+
+struct Strategy {
+  std::string_view name;
+  ExpanderResult (*create)(const wiki::KnowledgeBase&,
+                           const linking::EntityLinker&,
+                           const ExpanderOverrides&);
+};
+
+/// The built-in strategies, sorted by name: `Names()` lists them in
+/// this order.
+constexpr Strategy kStrategies[] = {
+    {"community", CreateCommunity},
+    {"cycle", CreateCycle},
+    {"direct-link", CreateDirectLink},
+    {"no-expansion", CreateNoExpansion},
+};
+static_assert(std::ranges::is_sorted(kStrategies, {}, &Strategy::name));
+
+/// Alternative names, each mapped to an entry of `kStrategies`.
+constexpr std::pair<std::string_view, std::string_view> kAliases[] = {
+    {"adjacency", "direct-link"},
+    {"category", "community"},
+};
+
+std::string_view Canonical(std::string_view name) {
+  for (const auto& [alias, canonical] : kAliases) {
+    if (name == alias) return canonical;
+  }
+  return name;
+}
+
+const Strategy* Find(std::string_view canonical) {
+  for (const Strategy& strategy : kStrategies) {
+    if (strategy.name == canonical) return &strategy;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 uint64_t ExpanderOverrides::Hash() const {
@@ -95,173 +219,39 @@ uint64_t ExpanderOverrides::Hash() const {
   return hasher.hash();
 }
 
-Status ExpanderRegistry::Register(std::string name, Factory factory) {
-  if (name.empty()) {
-    return Status::InvalidArgument("expander name must be non-empty");
-  }
-  if (factory == nullptr) {
-    return Status::InvalidArgument("null factory for expander '", name, "'");
-  }
-  if (Contains(name)) {
-    return Status::AlreadyExists("expander '", name, "' already registered");
-  }
-  factories_.emplace(std::move(name), std::move(factory));
-  return Status::OK();
-}
-
-Status ExpanderRegistry::RegisterAlias(std::string alias,
-                                       std::string_view canonical) {
-  if (alias.empty()) {
-    return Status::InvalidArgument("alias must be non-empty");
-  }
-  if (Contains(alias)) {
-    return Status::AlreadyExists("expander '", alias, "' already registered");
-  }
-  auto it = factories_.find(canonical);
-  if (it == factories_.end()) {
-    return Status::NotFound("alias target '", canonical,
-                            "' is not a registered expander");
-  }
-  aliases_.emplace(std::move(alias), it->first);
-  return Status::OK();
-}
-
 bool ExpanderRegistry::Contains(std::string_view name) const {
-  return factories_.count(name) > 0 || aliases_.count(name) > 0;
+  return Find(Canonical(name)) != nullptr;
 }
 
 std::vector<std::string> ExpanderRegistry::Names() const {
   std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;  // std::map keeps them sorted
+  names.reserve(std::size(kStrategies));
+  for (const Strategy& strategy : kStrategies) {
+    names.emplace_back(strategy.name);
+  }
+  return names;
 }
 
 std::string ExpanderRegistry::Resolve(std::string_view name) const {
-  auto it = aliases_.find(name);
-  return it != aliases_.end() ? it->second : std::string(name);
+  return std::string(Canonical(name));
 }
 
 Result<std::unique_ptr<expansion::Expander>> ExpanderRegistry::Create(
     std::string_view name, const wiki::KnowledgeBase& kb,
     const linking::EntityLinker& linker,
     const ExpanderOverrides& overrides) const {
-  auto it = factories_.find(Resolve(name));
-  if (it == factories_.end()) {
+  const Strategy* strategy = Find(Canonical(name));
+  if (strategy == nullptr) {
+    std::string joined;
+    for (const Strategy& s : kStrategies) {
+      if (!joined.empty()) joined += ", ";
+      joined += s.name;
+    }
     return Status::NotFound("unknown expander '", name,
-                            "'; registered: ", [this] {
-                              std::string joined;
-                              for (const auto& n : Names()) {
-                                if (!joined.empty()) joined += ", ";
-                                joined += n;
-                              }
-                              return joined;
-                            }());
+                            "'; registered: ", joined);
   }
   WQE_RETURN_NOT_OK(ValidateCommon(overrides));
-  return it->second(kb, linker, overrides);
-}
-
-ExpanderRegistry ExpanderRegistry::WithBuiltins() {
-  ExpanderRegistry registry;
-
-  WQE_CHECK_OK(registry.Register(
-      "no-expansion",
-      [](const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
-         const ExpanderOverrides&)
-          -> Result<std::unique_ptr<expansion::Expander>> {
-        return std::unique_ptr<expansion::Expander>(
-            new expansion::NoExpansion(kb, linker));
-      }));
-
-  WQE_CHECK_OK(registry.Register(
-      "direct-link",
-      [](const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
-         const ExpanderOverrides& o)
-          -> Result<std::unique_ptr<expansion::Expander>> {
-        expansion::DirectLinkOptions options;
-        if (o.max_features) options.max_features = *o.max_features;
-        if (o.prioritize_mutual) {
-          options.prioritize_mutual = *o.prioritize_mutual;
-        }
-        return std::unique_ptr<expansion::Expander>(
-            new expansion::DirectLinkExpansion(kb, linker, options));
-      }));
-
-  WQE_CHECK_OK(registry.Register(
-      "community",
-      [](const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
-         const ExpanderOverrides& o)
-          -> Result<std::unique_ptr<expansion::Expander>> {
-        expansion::CommunityOptions options;
-        if (o.max_features) options.max_features = *o.max_features;
-        if (o.neighborhood_radius) {
-          options.neighborhood_radius = *o.neighborhood_radius;
-        }
-        if (o.max_neighborhood) options.max_neighborhood = *o.max_neighborhood;
-        return std::unique_ptr<expansion::Expander>(
-            new expansion::CommunityExpansion(kb, linker, options));
-      }));
-
-  WQE_CHECK_OK(registry.Register(
-      "cycle",
-      [](const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
-         const ExpanderOverrides& o)
-          -> Result<std::unique_ptr<expansion::Expander>> {
-        expansion::CycleExpanderOptions options;
-        if (o.max_features) options.max_features = *o.max_features;
-        if (o.neighborhood_radius) {
-          options.neighborhood_radius = *o.neighborhood_radius;
-        }
-        if (o.max_neighborhood) options.max_neighborhood = *o.max_neighborhood;
-        if (o.min_cycle_length) options.min_cycle_length = *o.min_cycle_length;
-        if (o.max_cycle_length) options.max_cycle_length = *o.max_cycle_length;
-        if (o.min_density) options.min_density = *o.min_density;
-        if (o.min_category_ratio) {
-          options.min_category_ratio = *o.min_category_ratio;
-        }
-        if (o.max_category_ratio) {
-          options.max_category_ratio = *o.max_category_ratio;
-        }
-        if (o.two_cycle_weight) options.two_cycle_weight = *o.two_cycle_weight;
-        if (o.length_decay) options.length_decay = *o.length_decay;
-        if (o.sqrt_count_damping) {
-          options.sqrt_count_damping = *o.sqrt_count_damping;
-        }
-        if (o.max_cycles) options.max_cycles = *o.max_cycles;
-        if (o.include_redirect_aliases) {
-          options.include_redirect_aliases = *o.include_redirect_aliases;
-        }
-        if (o.max_neighborhood &&
-            *o.max_neighborhood > kMaxCycleNeighborhoodOverride) {
-          return Status::InvalidArgument(
-              "cycle expander: max_neighborhood override (",
-              *o.max_neighborhood, ") > ", kMaxCycleNeighborhoodOverride);
-        }
-        if (options.max_cycle_length > expansion::kMaxCycleLength) {
-          return Status::InvalidArgument(
-              "cycle expander: max_cycle_length (", options.max_cycle_length,
-              ") > ", expansion::kMaxCycleLength);
-        }
-        if (options.min_cycle_length > options.max_cycle_length) {
-          return Status::InvalidArgument(
-              "cycle expander: min_cycle_length (", options.min_cycle_length,
-              ") > max_cycle_length (", options.max_cycle_length, ")");
-        }
-        if (options.min_category_ratio > options.max_category_ratio) {
-          return Status::InvalidArgument(
-              "cycle expander: min_category_ratio (",
-              options.min_category_ratio, ") > max_category_ratio (",
-              options.max_category_ratio,
-              "): the window would reject every cycle");
-        }
-        return std::unique_ptr<expansion::Expander>(
-            new expansion::CycleExpander(kb, linker, options));
-      }));
-
-  WQE_CHECK_OK(registry.RegisterAlias("adjacency", "direct-link"));
-  WQE_CHECK_OK(registry.RegisterAlias("category", "community"));
-  return registry;
+  return strategy->create(kb, linker, overrides);
 }
 
 }  // namespace wqe::api

@@ -1,23 +1,21 @@
 #pragma once
 
 /// \file expander_registry.h
-/// \brief Named, pluggable construction of expansion systems.
+/// \brief Named construction of expansion systems.
 ///
 /// The paper's §4 frames dense-cycle expansion as one strategy among the
 /// family it compares against (no expansion, per-link expansion, community
-/// expansion).  The registry makes that family — and future strategies —
-/// selectable by string at request time instead of by compile-time wiring:
-/// each strategy is a factory under a name, and `api::Engine` resolves the
-/// name (plus per-call option overrides) into a ready `expansion::Expander`.
+/// expansion).  The registry makes that family selectable by string at
+/// request time: a fixed table maps each name to a factory, and
+/// `api::Engine` resolves the name (plus per-call option overrides) into
+/// a ready `expansion::Expander`.
 ///
-/// Built-in names: "cycle" (§3/§4), "direct-link" (refs [1–3]),
+/// The names: "cycle" (§3/§4), "direct-link" (refs [1–3]),
 /// "community" (ref [4]), "no-expansion"; aliases "adjacency" →
 /// "direct-link" and "category" → "community".  Each starts from its
 /// options struct's defaults (the paper's findings for "cycle"); requests
 /// tune it only through `ExpanderOverrides`.
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -83,23 +81,10 @@ struct ExpanderOverrides {
   bool operator==(const ExpanderOverrides& other) const = default;
 };
 
-/// \brief String-keyed expander factory table.
+/// \brief The fixed table of built-in strategies.  Stateless; every
+/// method is a lookup in that table.
 class ExpanderRegistry {
  public:
-  /// Builds a strategy instance over the engine-owned KB and linker.
-  /// Factories validate the overrides and return a Status instead of
-  /// crashing on bad input.
-  using Factory = std::function<Result<std::unique_ptr<expansion::Expander>>(
-      const wiki::KnowledgeBase& kb, const linking::EntityLinker& linker,
-      const ExpanderOverrides& overrides)>;
-
-  /// \brief Registers `factory` under `name`; AlreadyExists when the name
-  /// (or an alias of it) is taken, InvalidArgument for empty names.
-  Status Register(std::string name, Factory factory);
-
-  /// \brief Registers `alias` as another name for `canonical`.
-  Status RegisterAlias(std::string alias, std::string_view canonical);
-
   /// \brief True when `name` resolves (directly or via an alias).
   bool Contains(std::string_view name) const;
 
@@ -117,14 +102,6 @@ class ExpanderRegistry {
       std::string_view name, const wiki::KnowledgeBase& kb,
       const linking::EntityLinker& linker,
       const ExpanderOverrides& overrides = {}) const;
-
-  /// \brief A registry pre-loaded with the four built-in systems and the
-  /// "adjacency"/"category" aliases.
-  static ExpanderRegistry WithBuiltins();
-
- private:
-  std::map<std::string, Factory, std::less<>> factories_;
-  std::map<std::string, std::string, std::less<>> aliases_;
 };
 
 }  // namespace wqe::api

@@ -149,9 +149,8 @@ CsrGraph CsrGraph::Freeze(const PropertyGraph& builder) {
   return g;
 }
 
-Result<CsrGraph> CsrGraph::FromSections(const CsrSections& sections,
-                                        std::shared_ptr<const void> storage,
-                                        bool check_invariants) {
+CsrGraph CsrGraph::FromSections(const CsrSections& sections,
+                                std::shared_ptr<const void> storage) {
   CsrGraph g;
   g.external_ = std::move(storage);
   g.kinds_ = sections.kinds;
@@ -170,9 +169,6 @@ Result<CsrGraph> CsrGraph::FromSections(const CsrSections& sections,
   }
   for (size_t k = 0; k < 2; ++k) {
     g.node_kind_counts_[k] = static_cast<size_t>(sections.node_kind_counts[k]);
-  }
-  if (check_invariants) {
-    WQE_RETURN_NOT_OK(g.CheckInvariants());
   }
   return g;
 }

@@ -34,7 +34,6 @@
 #include <span>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "graph/graph.h"
 
@@ -42,8 +41,7 @@ namespace wqe::graph {
 
 /// \brief Owned backing storage of one frozen snapshot: the eleven flat
 /// CSR arrays as vectors.  `CsrGraph::Freeze` builds one of these on the
-/// heap and keeps it alive behind the graph's spans; the snapshot
-/// reader's copy mode does the same from file bytes.
+/// heap and keeps it alive behind the graph's spans.
 struct CsrArrays {
   std::vector<NodeKind> kinds;
   std::vector<NodeId> redirect_target;
@@ -91,15 +89,12 @@ class CsrGraph {
 
   /// \brief Reconstitutes a snapshot from raw sections (the snapshot
   /// reader's path).  `storage` is the type-erased owner of the bytes the
-  /// spans point into (an mmap region or a copied-arrays block) and is
-  /// pinned for the graph's lifetime.  With `check_invariants` the full
-  /// `CheckInvariants()` pass runs and corrupt sections come back as a
-  /// precise `Status` instead of a snapshot that would misbehave later;
-  /// callers that skip it (mmap fast loads) must have bounds-validated
-  /// the sections themselves, as `snapshot::Reader` does.
-  static Result<CsrGraph> FromSections(const CsrSections& sections,
-                                       std::shared_ptr<const void> storage,
-                                       bool check_invariants = true);
+  /// spans point into (the reader's mmap region) and is pinned for the
+  /// graph's lifetime.  No check runs here: the caller must have
+  /// bounds-validated the sections, as `snapshot::Reader` does, and may
+  /// run `CheckInvariants()` on the result for the full pass.
+  static CsrGraph FromSections(const CsrSections& sections,
+                               std::shared_ptr<const void> storage);
 
   /// \brief The exact arrays behind this snapshot, as read-only sections.
   /// Valid while the graph (or a copy sharing its storage) is alive.
@@ -218,8 +213,8 @@ class CsrGraph {
   void BindSpans(const CsrArrays& arrays);
 
   /// Every access goes through these spans; the arrays behind them are
-  /// pinned by exactly one of `owned_` (Freeze / copy-loaded) or
-  /// `external_` (mmap-loaded).  Copies of a CsrGraph share storage —
+  /// pinned by exactly one of `owned_` (Freeze) or `external_`
+  /// (snapshot-loaded).  Copies of a CsrGraph share storage —
   /// sound because a frozen snapshot is immutable.
   std::span<const NodeKind> kinds_;
   std::span<const NodeId> redirect_target_;

@@ -1,47 +1,29 @@
 #include "groundtruth/query_graph.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace wqe::groundtruth {
-
-std::vector<NodeId> QueryGraph::LocalQueryArticles() const {
-  std::vector<NodeId> out;
-  for (NodeId q : query_articles) {
-    NodeId local = sub.Local(q);
-    if (local != graph::kInvalidNode) out.push_back(local);
-  }
-  return out;
-}
 
 QueryGraph BuildQueryGraph(const wiki::KnowledgeBase& kb,
                            const std::vector<NodeId>& query_articles,
                            const std::vector<NodeId>& expansion_articles) {
   QueryGraph qg;
-  std::vector<NodeId> nodes;
-  std::unordered_set<NodeId> seen;
-
-  auto add_node = [&](NodeId n) {
-    if (seen.insert(n).second) nodes.push_back(n);
-  };
+  qg.query_articles = query_articles;
+  qg.expansion_articles = expansion_articles;
   auto add_article_with_context = [&](NodeId article) {
-    add_node(article);
+    qg.nodes.push_back(article);
     // Main article of a redirect (the paper includes both).
     NodeId main = kb.ResolveRedirect(article);
-    if (main != article) add_node(main);
+    if (main != article) qg.nodes.push_back(main);
     // Categories (redirects have none).
-    for (NodeId cat : kb.CategoriesOf(main)) add_node(cat);
+    for (NodeId cat : kb.CategoriesOf(main)) qg.nodes.push_back(cat);
   };
+  for (NodeId q : query_articles) add_article_with_context(q);
+  for (NodeId a : expansion_articles) add_article_with_context(a);
 
-  for (NodeId q : query_articles) {
-    add_article_with_context(q);
-    qg.query_articles.push_back(q);
-  }
-  for (NodeId a : expansion_articles) {
-    add_article_with_context(a);
-    qg.expansion_articles.push_back(a);
-  }
-
-  qg.sub = graph::InduceCsr(kb.csr(), nodes);
+  std::sort(qg.nodes.begin(), qg.nodes.end());
+  qg.nodes.erase(std::unique(qg.nodes.begin(), qg.nodes.end()),
+                 qg.nodes.end());
   return qg;
 }
 

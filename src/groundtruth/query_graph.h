@@ -4,13 +4,15 @@
 /// \brief Query-graph assembly (paper §2.3).
 ///
 /// G(q) is the Wikipedia subgraph induced by X(q) = L(q.k) ∪ A′, the main
-/// articles of any redirects among them, and all their categories.  The
-/// struct keeps the provenance of each node (query article vs expansion
-/// article vs category) so the analysis can compute Table 3's ratios.
+/// articles of any redirects among them, and all their categories.  §3
+/// studies it "without taking the edges direction into account", so the
+/// struct keeps only the member list: the analysis slices the KB's frozen
+/// snapshot over it with an induced `graph::UndirectedView`.  It also
+/// keeps the provenance of each input (query article vs expansion
+/// article), so the analysis can compute Table 3's ratios.
 
 #include <vector>
 
-#include "graph/subgraph.h"
 #include "wiki/knowledge_base.h"
 
 namespace wqe::groundtruth {
@@ -19,27 +21,22 @@ using graph::NodeId;
 
 /// \brief One assembled query graph.
 struct QueryGraph {
-  /// Label-free CSR-native induced subgraph (local node ids) + mapping to
-  /// KB node ids (`sub.to_parent`).  Structure only — analysis reads
-  /// labels through the KB when it needs them.
-  graph::CsrSubgraph sub;
+  /// KB ids of G(q)'s members: X(q)'s closure, sorted and unique.
+  std::vector<NodeId> nodes;
   /// KB ids of the query articles L(q.k) included in the graph.
   std::vector<NodeId> query_articles;
   /// KB ids of the expansion articles A'.
   std::vector<NodeId> expansion_articles;
 
-  /// \brief Local ids of the query articles (seeds for cycle search).
-  std::vector<NodeId> LocalQueryArticles() const;
-
-  size_t num_nodes() const { return sub.num_nodes(); }
+  size_t num_nodes() const { return nodes.size(); }
 };
 
-/// \brief Builds G(q) from the knowledge base, which must be frozen (the
-/// subgraph slices the `kb.csr()` snapshot).
+/// \brief Builds G(q) from the knowledge base, which must be frozen (its
+/// structure is read through `kb.csr()`).
 ///
 /// Redirects among the inputs are resolved to their main articles (both
 /// are included, mirroring the paper's construction); categories of every
-/// included article are added; the subgraph is induced over the union.
+/// included article are added; the graph is the union.
 QueryGraph BuildQueryGraph(const wiki::KnowledgeBase& kb,
                            const std::vector<NodeId>& query_articles,
                            const std::vector<NodeId>& expansion_articles);

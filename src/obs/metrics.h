@@ -25,14 +25,13 @@
 /// stable for the registry's lifetime (the global registry's is the
 /// process's: function-local-static instrument handles are sound).
 ///
-/// Kill switches: building with `-DWQE_OBS=0` (CMake `WQE_OBS=OFF`)
-/// compiles histogram recording and span tracing down to no-ops;
-/// `obs::SetEnabled(false)` is the same switch at runtime (used by
+/// Kill switch: `obs::SetEnabled(false)` turns histogram recording and
+/// span tracing into no-ops at runtime (used by
 /// bench/perf_parallel_serving.cc to measure the instrumentation's
-/// overhead in one binary).  Counters and gauges stay live under both —
-/// they back the `EngineStats`/`ServerStats`/`ExpansionCacheStats`
-/// compatibility accessors, whose counting is part of the API contract
-/// (and costs one relaxed fetch_add, same as the structs they replaced).
+/// overhead in one binary).  Counters and gauges stay live — they back
+/// the `EngineStats`/`ServerStats`/`ExpansionCacheStats` compatibility
+/// accessors, whose counting is part of the API contract (and costs one
+/// relaxed fetch_add, same as the structs they replaced).
 
 #include <atomic>
 #include <cstdint>
@@ -46,15 +45,7 @@
 #include "common/mutex.h"
 #include "obs/trace.h"
 
-#ifndef WQE_OBS
-#define WQE_OBS 1
-#endif
-
 namespace wqe::obs {
-
-/// \brief True when this build carries the latency/tracing
-/// instrumentation (CMake option `WQE_OBS`, default ON).
-inline constexpr bool kCompiledIn = WQE_OBS != 0;
 
 namespace internal {
 inline std::atomic<bool> g_runtime_enabled{true};
@@ -63,7 +54,6 @@ inline std::atomic<bool> g_runtime_enabled{true};
 /// \brief Runtime master switch for histogram recording and span
 /// tracing.  Counters/gauges are unaffected (see the file comment).
 inline bool Enabled() {
-  if constexpr (!kCompiledIn) return false;
   return internal::g_runtime_enabled.load(std::memory_order_relaxed);
 }
 inline void SetEnabled(bool on) {
@@ -146,7 +136,7 @@ class Histogram {
   explicit Histogram(HistogramOptions options = {});
 
   /// \brief Records one observation.  Wait-free bucket increment; no-op
-  /// when observability is disabled (compile- or runtime-switched).
+  /// when observability is disabled (`SetEnabled(false)`).
   void Record(double value);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }

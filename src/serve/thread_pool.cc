@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/deadline.h"
 #include "common/fault_injection.h"
@@ -49,7 +47,7 @@ void RecordQueueWait(std::chrono::steady_clock::time_point enqueued,
 }
 }  // namespace
 
-ThreadPool* ThreadPool::CurrentWorkerPool() { return t_current_pool; }
+bool ThreadPool::OnWorkerThread() const { return t_current_pool == this; }
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
@@ -115,32 +113,6 @@ void ThreadPool::Shutdown() {
 size_t ThreadPool::queue_depth() const {
   common::MutexLock lock(mu_);
   return queue_.size();
-}
-
-uint32_t EffectiveParallelism(uint32_t num_threads, const ThreadPool* pool) {
-  if (num_threads == 1) return 1;
-  if (ThreadPool::CurrentWorkerPool() != nullptr) return 1;
-  uint32_t t = num_threads;
-  if (t == 0) {
-    t = pool != nullptr ? static_cast<uint32_t>(pool->num_threads()) + 1
-                        : std::max(1u, std::thread::hardware_concurrency());
-  }
-  return std::max(1u, t);
-}
-
-void RunParallel(ThreadPool* pool, size_t extra,
-                 const std::function<void()>& worker) {
-  WQE_DCHECK(pool == nullptr || !pool->OnWorkerThread());
-  std::unique_ptr<ThreadPool> transient;
-  if (pool == nullptr && extra > 0) {
-    transient = std::make_unique<ThreadPool>(extra);
-    pool = transient.get();
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(extra);
-  for (size_t i = 0; i < extra; ++i) futures.push_back(pool->Submit(worker));
-  worker();
-  for (std::future<void>& f : futures) f.get();
 }
 
 void ThreadPool::WorkerLoop() {

@@ -4,7 +4,8 @@
 /// \brief Fixed-size worker pool with task futures and graceful shutdown.
 ///
 /// The unit of concurrency: `serve::Server` fans requests across one of
-/// these, and `analysis::QueryGraphAnalyzer::AnalyzeAll` fans topics.
+/// these, and `analysis::QueryGraphAnalyzer::AnalyzeAll` fans topics
+/// across one it makes for the call.
 /// Deliberately minimal — a mutex-guarded FIFO and `std::packaged_task`
 /// futures — because the tasks it runs (entity linking + cycle
 /// enumeration + retrieval) are milliseconds-long, so queue contention
@@ -86,17 +87,9 @@ class ThreadPool {
   /// \brief Tasks currently queued (diagnostic; racy by nature).
   size_t queue_depth() const WQE_EXCLUDES(mu_);
 
-  /// \brief The pool whose worker is executing the calling thread, or
-  /// nullptr when the caller is not a pool worker.  Thread-local, O(1).
-  ///
-  /// This is the nested-parallelism guard: a task that wants to fan
-  /// sub-work across a pool must not block on sub-tasks queued behind it
-  /// (the classic pool self-deadlock).  `EffectiveParallelism` consults
-  /// this, so a fan-out requested from a worker runs sequentially.
-  static ThreadPool* CurrentWorkerPool();
-
-  /// \brief True when the calling thread is one of *this* pool's workers.
-  bool OnWorkerThread() const { return CurrentWorkerPool() == this; }
+  /// \brief True when the calling thread is one of *this* pool's workers
+  /// (thread-local, O(1)); `Shutdown` uses it to refuse a self-join.
+  bool OnWorkerThread() const;
 
  private:
   /// Type-erased submit: wraps `fn` with trace-context propagation and
@@ -119,32 +112,5 @@ class ThreadPool {
   bool shutdown_ WQE_GUARDED_BY(mu_) = false;
   std::atomic<size_t> tasks_executed_{0};
 };
-
-/// \name Degrade-aware fan-out helpers
-/// The nested-parallelism policy of the one fan-out below the request
-/// level, `analysis::QueryGraphAnalyzer::AnalyzeAll`'s topic fan-out: a
-/// pool worker never fans out again.
-/// @{
-
-/// \brief Resolves a `num_threads` knob to the count of threads a
-/// fan-out may actually use: 1 stays sequential, 0 means auto (the
-/// pool's workers + the caller when `pool` is set, otherwise one per
-/// hardware thread), and *any* request degrades to 1 when the calling
-/// thread is already a pool worker — nested fan-out would deadlock a
-/// bounded pool (and must not spawn a transient pool per task either).
-uint32_t EffectiveParallelism(uint32_t num_threads, const ThreadPool* pool);
-
-/// \brief Runs `worker` on the calling thread plus `extra` concurrent
-/// copies — on `pool` when given, else on a transient pool torn down
-/// before returning — and joins them all.  `worker` must be safe to run
-/// `extra + 1` times concurrently (the usual shape: an atomic-cursor
-/// steal loop over shared chunks).  Callers must have sized `extra`
-/// from `EffectiveParallelism`, which guarantees the calling thread is
-/// not a worker of `pool` (checked in debug builds) so blocking on the
-/// join cannot deadlock the pool.
-void RunParallel(ThreadPool* pool, size_t extra,
-                 const std::function<void()>& worker);
-
-/// @}
 
 }  // namespace wqe::serve

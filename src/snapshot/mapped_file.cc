@@ -3,19 +3,15 @@
 #include <cerrno>
 #include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define WQE_HAVE_MMAP 1
-#endif
 
 namespace wqe::snapshot {
 
 Result<std::shared_ptr<const MappedFile>> MappedFile::Open(
     const std::string& path) {
-#ifdef WQE_HAVE_MMAP
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Status::IOError("open('", path, "'): ", std::strerror(errno));
@@ -45,16 +41,10 @@ Result<std::shared_ptr<const MappedFile>> MappedFile::Open(
   // only needed to establish it.
   ::close(fd);
   return std::shared_ptr<const MappedFile>(std::move(file));
-#else
-  return Status::NotImplemented("mmap is unavailable on this platform; use "
-                                "snapshot::LoadMode::kCopy");
-#endif
 }
 
 MappedFile::~MappedFile() {
-#ifdef WQE_HAVE_MMAP
   if (data_ != nullptr) ::munmap(data_, size_);
-#endif
 }
 
 }  // namespace wqe::snapshot

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file mapped_file.h
-/// \brief Read-only memory-mapped file (RAII over open/mmap/munmap).
+/// \brief Read-only memory-mapped file (RAII over POSIX open/mmap/munmap).
 ///
-/// The zero-copy half of the snapshot loader: `MappedFile::Open` maps the
-/// whole file `PROT_READ | MAP_PRIVATE`, so loading a snapshot costs page
+/// How the snapshot loader reads a file: `MappedFile::Open` maps the whole
+/// file `PROT_READ | MAP_PRIVATE`, so loading a snapshot costs page
 /// faults instead of reads, the page cache shares the bytes across every
 /// process that maps the same file, and nothing in this process can
 /// scribble on them.  A `MappedFile` is handed around as

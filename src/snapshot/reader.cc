@@ -1,7 +1,5 @@
 #include "snapshot/reader.h"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -45,28 +43,6 @@ Status CorruptF(const std::string& path, Args&&... args) {
                             std::forward<Args>(args)...);
 }
 
-/// Reads the whole file into an owned buffer (the kCopy acquisition path).
-Result<std::shared_ptr<std::vector<std::byte>>> ReadWholeFile(
-    const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("fopen('", path, "'): ", std::strerror(errno));
-  }
-  auto buffer = std::make_shared<std::vector<std::byte>>();
-  bool ok = std::fseek(f, 0, SEEK_END) == 0;
-  long size = ok ? std::ftell(f) : -1;
-  ok = ok && size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
-  if (ok && size > 0) {
-    buffer->resize(static_cast<size_t>(size));
-    ok = std::fread(buffer->data(), 1, buffer->size(), f) == buffer->size();
-  }
-  std::fclose(f);
-  if (!ok) {
-    return Status::IOError("read('", path, "') failed");
-  }
-  return buffer;
-}
-
 /// Checks an offsets array: zero-based, monotone, ends at `data_count`.
 Status CheckOffsets(const std::string& path, const char* name,
                     std::span<const uint64_t> offsets, uint64_t data_count) {
@@ -107,27 +83,17 @@ const char* SectionName(SectionId id) {
 template <typename T>
 std::span<const T> Reader::SectionSpan(SectionId id) const {
   const SectionEntry& e = section(id);
-  // Alignment holds by validated construction: the base is page- (mmap)
-  // or operator-new-aligned and e.offset is kSectionAlignment-checked.
+  // Alignment holds by validated construction: the mapping's base is
+  // page-aligned and e.offset is kSectionAlignment-checked.
   return std::span<const T>(
       reinterpret_cast<const T*>(bytes_.data() + e.offset), e.count);
 }
 
-Result<Reader> Reader::Open(const std::string& path, ReadOptions options) {
+Result<Reader> Reader::Open(const std::string& path) {
   Reader reader;
-  reader.options_ = options;
   reader.path_ = path;
-  if (options.mode == LoadMode::kMmap) {
-    WQE_ASSIGN_OR_RETURN(std::shared_ptr<const MappedFile> file,
-                         MappedFile::Open(path));
-    reader.bytes_ = file->bytes();
-    reader.storage_ = std::move(file);
-  } else {
-    WQE_ASSIGN_OR_RETURN(std::shared_ptr<std::vector<std::byte>> buffer,
-                         ReadWholeFile(path));
-    reader.bytes_ = std::span<const std::byte>(*buffer);
-    reader.storage_ = std::move(buffer);
-  }
+  WQE_ASSIGN_OR_RETURN(reader.file_, MappedFile::Open(path));
+  reader.bytes_ = reader.file_->bytes();
   WQE_RETURN_NOT_OK(reader.Validate());
   return reader;
 }
@@ -230,24 +196,23 @@ Status Reader::Validate() {
   }
 
   // --- Layer 3: payload checksums (every byte touched — the expensive
-  // layer, on by default, skippable for trusted local files). ---
-  if (options_.verify_checksums) {
-    for (const SectionEntry& e : sections_) {
-      const uint64_t actual = HashBytes(bytes_.data() + e.offset, e.size_bytes);
-      if (actual != e.checksum) {
-        return CorruptF(path_, "section '",
-                        SectionName(static_cast<SectionId>(e.id)),
-                        "' checksum mismatch (corrupted payload)");
-      }
-    }
-    if (file_hash.hash() != header.file_checksum) {
-      return Corrupt(path_, "file checksum mismatch");
+  // layer). ---
+  for (const SectionEntry& e : sections_) {
+    const uint64_t actual = HashBytes(bytes_.data() + e.offset, e.size_bytes);
+    if (actual != e.checksum) {
+      return CorruptF(path_, "section '",
+                      SectionName(static_cast<SectionId>(e.id)),
+                      "' checksum mismatch (corrupted payload)");
     }
   }
+  if (file_hash.hash() != header.file_checksum) {
+    return Corrupt(path_, "file checksum mismatch");
+  }
 
-  // --- Layer 4: structural shape (always on — these are the properties
-  // span arithmetic and node indexing rely on, so they hold even when
-  // the caller skipped checksums). ---
+  // --- Layer 4: structural shape — the properties span arithmetic and
+  // node indexing rely on.  A checksum only proves the bytes are the
+  // ones the writer sealed, so these hold even for a file resealed
+  // around a bad payload. ---
   if (section(SectionId::kMeta).count != kMetaFieldCount) {
     return CorruptF(path_, "meta section holds ",
                     section(SectionId::kMeta).count, " fields, expected ",
@@ -343,13 +308,10 @@ Result<wiki::KnowledgeBase> Reader::Load() const {
   sections.node_kind_counts[0] = meta[kMetaNodeKindCount0];
   sections.node_kind_counts[1] = meta[kMetaNodeKindCount1];
 
-  WQE_ASSIGN_OR_RETURN(
-      graph::CsrGraph csr,
-      graph::CsrGraph::FromSections(sections, storage_,
-                                    options_.verify_invariants));
+  graph::CsrGraph csr = graph::CsrGraph::FromSections(sections, file_);
 
-  // Titles are materialized (owned strings) in both modes; zero-copy
-  // applies to the CSR arrays, which dominate the footprint.
+  // Titles are materialized (owned strings); zero-copy applies to the
+  // CSR arrays, which dominate the footprint.
   auto explode = [&](SectionId offsets_id,
                      SectionId bytes_id) -> std::vector<std::string> {
     std::span<const uint64_t> offsets = SectionSpan<uint64_t>(offsets_id);
@@ -376,12 +338,11 @@ Result<wiki::KnowledgeBase> Reader::Load() const {
   return kb;
 }
 
-Result<wiki::KnowledgeBase> LoadSnapshot(const std::string& path,
-                                         ReadOptions options) {
+Result<wiki::KnowledgeBase> LoadSnapshot(const std::string& path) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Span span("snapshot-load",
                  registry.GetHistogram("wqe.snapshot.load_ms"), &registry);
-  WQE_ASSIGN_OR_RETURN(Reader reader, Reader::Open(path, options));
+  WQE_ASSIGN_OR_RETURN(Reader reader, Reader::Open(path));
   WQE_ASSIGN_OR_RETURN(wiki::KnowledgeBase kb, reader.Load());
   registry.GetGauge("wqe.snapshot.bytes")
       ->Set(static_cast<double>(reader.info().file_size));

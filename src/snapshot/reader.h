@@ -3,16 +3,11 @@
 /// \file reader.h
 /// \brief `snapshot::Reader` — validates and loads on-disk snapshots.
 ///
-/// Two load modes:
-///  - `kMmap` (default): the file is mapped read-only and every CSR span
-///    points straight into the mapping — zero copies of the flat arrays,
-///    loading costs page faults instead of reads.  The mapping is pinned
-///    by the returned graph (`CsrGraph::FromSections` storage), so it
-///    lives exactly as long as anything that can reach it.
-///  - `kCopy`: the file is read into an anonymous heap buffer.  Same
-///    validation, no mmap dependency (the fallback on platforms without
-///    one, and the mode to pick when the file may be swapped out from
-///    under the process).
+/// The file is mapped read-only (`MappedFile`) and every CSR span points
+/// straight into the mapping — zero copies of the flat arrays, so loading
+/// costs page faults instead of reads.  The mapping is pinned by the
+/// returned graph (`CsrGraph::FromSections` storage), so it lives exactly
+/// as long as anything that can reach it.
 ///
 /// Validation is layered so a corrupt or version-skewed file is rejected
 /// with a precise `Status` and can never cause UB:
@@ -20,14 +15,17 @@
 ///     files are refused, see format.h), header checksum, declared size;
 ///  2. section table: known ids, exactly one of each, declared element
 ///     sizes, 8-byte alignment, overflow-safe in-bounds extents;
-///  3. payload checksums (on by default, `verify_checksums`);
-///  4. structural shape (always): offset arrays are zero-based, monotone
-///     and end at their row-array sizes; every edge endpoint is a valid
-///     node id — the properties span/row arithmetic relies on;
-///  5. full `CsrGraph::CheckInvariants()` (opt-in, `verify_invariants`).
+///  3. payload checksums: every section's, then the file checksum;
+///  4. structural shape: offset arrays are zero-based, monotone and end
+///     at their row-array sizes; every edge endpoint and redirect target
+///     is a valid node id — the properties span/row arithmetic relies on.
+///
+/// A caller that wants the full `CsrGraph::CheckInvariants()` pass (row
+/// order, symmetry, per-kind counts) runs it on the loaded KB's `csr()`.
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -38,20 +36,7 @@
 
 namespace wqe::snapshot {
 
-/// \brief How the file's bytes are brought into memory.
-enum class LoadMode {
-  kMmap,  ///< zero-copy read-only mapping (POSIX)
-  kCopy,  ///< eager read into an owned heap buffer
-};
-
-/// \brief Load/validation knobs.
-struct ReadOptions {
-  LoadMode mode = LoadMode::kMmap;
-  /// Verify per-section + whole-file checksums (touches every byte).
-  bool verify_checksums = true;
-  /// Additionally run the full `CsrGraph::CheckInvariants()` pass.
-  bool verify_invariants = false;
-};
+class MappedFile;
 
 /// \brief One section as described by the (validated) table — for tools
 /// and tests that introspect a file.
@@ -81,17 +66,16 @@ const char* SectionName(SectionId id);
 /// \brief Open-then-load handle over one snapshot file.
 class Reader {
  public:
-  /// \brief Opens `path` and runs validation layers 1–4 (and 3 unless
-  /// disabled).  ParseError for any corruption or version skew, IOError
-  /// for filesystem trouble.
-  static Result<Reader> Open(const std::string& path, ReadOptions options = {});
+  /// \brief Maps `path` and runs validation layers 1–4.  ParseError for
+  /// any corruption or version skew, IOError for filesystem trouble.
+  static Result<Reader> Open(const std::string& path);
 
   /// \brief The validated file metadata.
   const SnapshotInfo& info() const { return info_; }
 
   /// \brief Reconstitutes the knowledge base.  CSR arrays stay zero-copy
-  /// in `kMmap` mode (spans into the mapping, which the KB's graph pins);
-  /// titles and the title index are materialized either way.
+  /// (spans into the mapping, which the KB's graph pins); titles and the
+  /// title index are materialized.
   Result<wiki::KnowledgeBase> Load() const;
 
  private:
@@ -105,17 +89,15 @@ class Reader {
   template <typename T>
   std::span<const T> SectionSpan(SectionId id) const;
 
-  ReadOptions options_;
   std::string path_;
-  std::shared_ptr<const void> storage_;  ///< MappedFile or byte buffer
-  std::span<const std::byte> bytes_;
+  std::shared_ptr<const MappedFile> file_;
+  std::span<const std::byte> bytes_;  ///< `file_`'s bytes
   std::array<SectionEntry, kNumSections> sections_{};  ///< indexed by id
   SnapshotInfo info_;
 };
 
 /// \brief One-shot convenience: `Open` + `Load` under a `snapshot-load`
 /// span, recording `wqe.snapshot.load_ms` and `wqe.snapshot.bytes`.
-Result<wiki::KnowledgeBase> LoadSnapshot(const std::string& path,
-                                         ReadOptions options = {});
+Result<wiki::KnowledgeBase> LoadSnapshot(const std::string& path);
 
 }  // namespace wqe::snapshot

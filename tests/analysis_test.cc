@@ -290,15 +290,14 @@ TEST(AnalyzerTest, ParallelAnalyzeAllIdenticalToSequential) {
 }
 
 TEST(AnalyzerTest, AnalyzeAllFromPoolWorkerDegradesToSequential) {
-  // AnalyzeAll asked for a 4-thread fan-out on a 1-worker pool, from a
-  // task running on that very worker: a fan-out that waited for the pool
-  // would wait for itself forever.  It must run sequentially instead, so
-  // finishing at all is the deadlock check.
+  // A 4-thread AnalyzeAll called from a task on a 1-worker pool, the one
+  // worker busy with that very call: the fan-out runs on a pool of its
+  // own, so it must finish (finishing at all is the deadlock check) with
+  // the sequential result.
   const Context& ctx = SmallContext();
   serve::ThreadPool pool(1);
   AnalyzerOptions nested;
   nested.num_threads = 4;
-  nested.pool = &pool;
   QueryGraphAnalyzer analyzer(ctx.bed, &ctx.gt, nested);
   auto analyses = pool.Submit([&] { return analyzer.AnalyzeAll(); }).get();
   ASSERT_TRUE(analyses.ok()) << analyses.status();
@@ -353,11 +352,7 @@ void ExpectSameGroundTruth(const groundtruth::GroundTruth& got_gt,
     EXPECT_EQ(got.xq.iterations, want.xq.iterations);
     EXPECT_EQ(got.xq.evaluations, want.xq.evaluations);
     EXPECT_EQ(got.precision_at, want.precision_at);
-    EXPECT_EQ(got.graph.sub.to_parent, want.graph.sub.to_parent);
-    EXPECT_EQ(got.graph.sub.out_offsets, want.graph.sub.out_offsets);
-    EXPECT_EQ(got.graph.sub.out_targets, want.graph.sub.out_targets);
-    EXPECT_TRUE(got.graph.sub.out_kinds == want.graph.sub.out_kinds)
-        << "topic " << t;
+    EXPECT_EQ(got.graph.nodes, want.graph.nodes);
     EXPECT_EQ(got.graph.query_articles, want.graph.query_articles);
     EXPECT_EQ(got.graph.expansion_articles, want.graph.expansion_articles);
   }

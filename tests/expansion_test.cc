@@ -302,7 +302,6 @@ TEST(CycleExpanderTest, FeaturesMatchReferenceAcrossFilterVariants) {
 }
 
 TEST(CycleExpanderTest, RecordsCycleWorkVolumePerRequest) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const auto& bed = SmallBed();
   CycleExpander system(bed.kb(), bed.linker());
   const std::vector<obs::Histogram*> histograms = {
@@ -335,7 +334,6 @@ TEST(CycleExpanderTest, RecordsCycleWorkVolumePerRequest) {
 }
 
 TEST(ExpanderTest, RecordsOneLinkingObservationPerExpand) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const auto& bed = SmallBed();
   obs::Histogram* linking =
       obs::MetricsRegistry::Global().GetHistogram("wqe.expansion.linking_ms");

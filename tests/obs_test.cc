@@ -71,7 +71,6 @@ void CheckPercentiles(std::vector<double> values) {
 }
 
 TEST(HistogramTest, PercentilesMatchExactUniform) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Rng rng(42);
   std::vector<double> values;
   values.reserve(20000);
@@ -82,7 +81,6 @@ TEST(HistogramTest, PercentilesMatchExactUniform) {
 }
 
 TEST(HistogramTest, PercentilesMatchExactLognormal) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Rng rng(7);
   std::vector<double> values;
   values.reserve(20000);
@@ -95,7 +93,6 @@ TEST(HistogramTest, PercentilesMatchExactLognormal) {
 }
 
 TEST(HistogramTest, MeanMatchesSum) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Histogram histogram;
   histogram.Record(1.0);
   histogram.Record(2.0);
@@ -107,7 +104,6 @@ TEST(HistogramTest, MeanMatchesSum) {
 }
 
 TEST(HistogramTest, UnderflowAndOverflowBuckets) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Histogram histogram;  // default layout: [1e-3, 1e-3 * 2^40)
   histogram.Record(0.0);
   histogram.Record(-5.0);   // clamps into underflow, never out of range
@@ -126,7 +122,6 @@ TEST(HistogramTest, UnderflowAndOverflowBuckets) {
 }
 
 TEST(HistogramTest, DeltaSinceIsolatesOnePass) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Histogram histogram;
   for (int i = 0; i < 100; ++i) histogram.Record(1.0);
   HistogramSnapshot cold = histogram.snapshot();
@@ -140,7 +135,6 @@ TEST(HistogramTest, DeltaSinceIsolatesOnePass) {
 }
 
 TEST(HistogramTest, ConcurrentWritersLoseNothing) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Histogram histogram;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
@@ -190,7 +184,6 @@ TEST(RegistryTest, DumpJsonIsStableSchema) {
 }
 
 TEST(RegistryTest, DumpJsonHistogramCarriesQuantiles) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
   Histogram* histogram = registry.GetHistogram("wqe.test.latency_ms");
   histogram->Record(1.0);
@@ -203,7 +196,6 @@ TEST(RegistryTest, DumpJsonHistogramCarriesQuantiles) {
 }
 
 TEST(RegistryTest, DumpPrometheusFormats) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
   registry.GetCounter("wqe.test.requests", {{"server", "1"}})->Inc(3);
   registry.GetHistogram("wqe.test.latency_ms")->Record(1.0);
@@ -251,7 +243,6 @@ TEST(TraceTest, TraceLogRingOverwritesOldest) {
 }
 
 TEST(TraceTest, NestedSpansShareTraceAndChainParents) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   ScopedSampleEvery sample_all(1);
   MetricsRegistry registry;
   {
@@ -277,7 +268,6 @@ TEST(TraceTest, NestedSpansShareTraceAndChainParents) {
 }
 
 TEST(TraceTest, ContextPropagatesAcrossPoolTask) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   SetEnabled(true);
   ScopedSampleEvery sample_all(1);
   MetricsRegistry registry;
@@ -315,7 +305,6 @@ TEST(TraceTest, ContextPropagatesAcrossPoolTask) {
 }
 
 TEST(TraceTest, HeadSamplingKeepsWholeTracesTogether) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   ScopedSampleEvery sample_half(2);
   MetricsRegistry registry;
   for (int i = 0; i < 8; ++i) {
@@ -341,7 +330,6 @@ TEST(TraceTest, HeadSamplingKeepsWholeTracesTogether) {
 // ---------------------------------------------------------- Kill switch
 
 TEST(KillSwitchTest, RuntimeDisableStopsHistogramsAndSpans) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   MetricsRegistry registry;
   Histogram* histogram = registry.GetHistogram("wqe.test.off_ms");
   Counter* counter = registry.GetCounter("wqe.test.off_count");

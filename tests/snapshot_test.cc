@@ -1,9 +1,10 @@
 /// \file snapshot_test.cc
 /// \brief Tests for the `snapshot::` subsystem: round-trip fidelity
-/// (Freeze → Write → Read is bit-identical on every CSR array, in both
-/// mmap and copy load modes), corruption rejection (truncation, bad
-/// magic, future versions, flipped payload bytes, hostile section
-/// tables — each a clean `Status`, never UB), cache generation stamps,
+/// (Freeze → Write → Read is bit-identical on every CSR array),
+/// corruption rejection (truncation, bad magic, future versions, flipped
+/// payload bytes, hostile section tables, and structurally bad payloads
+/// resealed with valid checksums — each a clean `Status`, never UB),
+/// cache generation stamps,
 /// and hot republish into a live `serve::Server` (the race case is
 /// meant to run under ThreadSanitizer — `ci.sh tsan` builds this suite
 /// with `-fsanitize=thread`).
@@ -78,7 +79,7 @@ void WriteFileBytes(const std::string& path,
 
 // ----------------------------------------------------------- round trip
 
-TEST(SnapshotRoundTripTest, BitIdenticalAcrossSeedsAndLoadModes) {
+TEST(SnapshotRoundTripTest, BitIdenticalAcrossSeeds) {
   struct Config {
     uint64_t seed;
     size_t num_domains;
@@ -91,25 +92,19 @@ TEST(SnapshotRoundTripTest, BitIdenticalAcrossSeedsAndLoadModes) {
     const std::string path = TempPath("roundtrip");
     ASSERT_TRUE(WriteSnapshot(kb, path).ok());
 
-    for (LoadMode mode : {LoadMode::kMmap, LoadMode::kCopy}) {
-      SCOPED_TRACE(mode == LoadMode::kMmap ? "mmap" : "copy");
-      ReadOptions options;
-      options.mode = mode;
-      options.verify_invariants = true;  // full CheckInvariants on load
-      auto loaded = LoadSnapshot(path, options);
-      ASSERT_TRUE(loaded.ok()) << loaded.status();
-      EXPECT_TRUE(loaded->frozen());
+    auto loaded = LoadSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_TRUE(loaded->frozen());
 
-      ExpectSameKb(kb, *loaded);
-      EXPECT_TRUE(loaded->csr().CheckInvariants().ok());
-      EXPECT_TRUE(loaded->Validate().ok());
+    ExpectSameKb(kb, *loaded);
+    // The full structural pass the reader leaves to its callers.
+    EXPECT_TRUE(loaded->csr().CheckInvariants().ok());
+    EXPECT_TRUE(loaded->Validate().ok());
 
-      // The rebuilt title index resolves exactly like the original's.
-      for (uint32_t u = 0; u < kb.csr().num_nodes(); u += 7) {
-        EXPECT_EQ(loaded->FindArticle(kb.title(u)),
-                  kb.FindArticle(kb.title(u)))
-            << "node " << u;
-      }
+    // The rebuilt title index resolves exactly like the original's.
+    for (uint32_t u = 0; u < kb.csr().num_nodes(); u += 7) {
+      EXPECT_EQ(loaded->FindArticle(kb.title(u)), kb.FindArticle(kb.title(u)))
+          << "node " << u;
     }
   }
 }
@@ -161,9 +156,7 @@ TEST(SnapshotRoundTripTest, EngineOverLoadedSnapshotAnswersIdentically) {
 
   const std::string path = TempPath("engine");
   ASSERT_TRUE(WriteSnapshot((*bed)->kb(), path).ok());
-  ReadOptions read_options;
-  read_options.mode = LoadMode::kMmap;
-  auto loaded = LoadSnapshot(path, read_options);
+  auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
   auto engine = api::Engine::Build(std::move(*loaded), options.engine);
@@ -208,24 +201,65 @@ class SnapshotCorruptionTest : public ::testing::Test {
     info_ = nullptr;
   }
 
-  /// Writes `bytes` over the snapshot path and asserts both load modes
-  /// reject it with a ParseError mentioning `substring` — and that
+  /// Writes `bytes` over the snapshot path and asserts that `Open`
+  /// rejects it with a ParseError mentioning `substring` — and that
   /// rejection is a Status, not a crash (the suite runs under ASan).
   void ExpectRejected(const std::vector<std::byte>& bytes,
-                      const std::string& substring,
-                      ReadOptions options = {}) {
+                      const std::string& substring) {
     WriteFileBytes(*path_, bytes);
-    for (LoadMode mode : {LoadMode::kMmap, LoadMode::kCopy}) {
-      SCOPED_TRACE(mode == LoadMode::kMmap ? "mmap" : "copy");
-      options.mode = mode;
-      auto reader = Reader::Open(*path_, options);
-      ASSERT_FALSE(reader.ok()) << "corrupt file was accepted";
-      EXPECT_EQ(reader.status().code(), StatusCode::kParseError)
-          << reader.status();
-      EXPECT_NE(reader.status().message().find(substring),
-                std::string::npos)
-          << reader.status();
+    auto reader = Reader::Open(*path_);
+    ASSERT_FALSE(reader.ok()) << "corrupt file was accepted";
+    EXPECT_EQ(reader.status().code(), StatusCode::kParseError)
+        << reader.status();
+    EXPECT_NE(reader.status().message().find(substring), std::string::npos)
+        << reader.status();
+  }
+
+  /// Seals `bytes` the way the writer does, so a poked payload or table
+  /// entry gets past the checksum layer and reaches the structural
+  /// checks: recomputes every section's checksum over its table extent,
+  /// then the file checksum folded from them in table order, then the
+  /// header checksum.  The table itself must still be in bounds.
+  static void Reseal(std::vector<std::byte>* bytes) {
+    FileHeader header;
+    std::memcpy(&header, bytes->data(), sizeof(header));
+    Hasher file_hash;
+    for (uint32_t i = 0; i < header.section_count; ++i) {
+      SectionEntry entry;
+      std::memcpy(&entry, bytes->data() + EntryOffset(i), sizeof(entry));
+      entry.checksum =
+          HashBytes(bytes->data() + entry.offset, entry.size_bytes);
+      std::memcpy(bytes->data() + EntryOffset(i), &entry, sizeof(entry));
+      file_hash.Add(entry.checksum);
     }
+    header.file_checksum = file_hash.hash();
+    header.header_checksum =
+        HashBytes(&header, offsetof(FileHeader, header_checksum));
+    std::memcpy(bytes->data(), &header, sizeof(header));
+  }
+
+  /// The table entry index of section `id` (the file's table order).
+  static size_t EntryIndex(SectionId id) {
+    for (size_t i = 0; i < info_->sections.size(); ++i) {
+      if (info_->sections[i].id == id) return i;
+    }
+    ADD_FAILURE() << "no section " << SectionName(id);
+    return 0;
+  }
+
+  /// A resealed copy of the valid file with element `index` of section
+  /// `id` (elements of type T) set to `value`.
+  template <typename T>
+  static std::vector<std::byte> ResealedWith(SectionId id, size_t index,
+                                             T value) {
+    const SectionInfo& section = info_->sections[EntryIndex(id)];
+    EXPECT_EQ(section.elem_size, sizeof(T)) << section.name;
+    EXPECT_LT(index, section.count) << section.name;
+    std::vector<std::byte> bytes = *valid_;
+    std::memcpy(bytes.data() + section.offset + index * sizeof(T), &value,
+                sizeof(T));
+    Reseal(&bytes);
+    return bytes;
   }
 
   static void Poke32(std::vector<std::byte>* bytes, size_t offset,
@@ -304,19 +338,53 @@ TEST_F(SnapshotCorruptionTest, PayloadBitFlip) {
   ExpectRejected(bytes, "checksum mismatch");
 }
 
-TEST_F(SnapshotCorruptionTest, ShapeChecksHoldWithoutChecksums) {
-  // verify_checksums=false must still never yield a structurally
-  // invalid graph: break out_offsets' monotonicity and load unchecked.
-  size_t out_offsets_at = 0;
-  for (const SectionInfo& section : info_->sections) {
-    if (section.id == SectionId::kOutOffsets) out_offsets_at = section.offset;
+// Structural checks on files whose checksums are valid: each payload is
+// poked and the file resealed, so only layer 4 stands between the bad
+// structure and the span arithmetic that trusts it.
+
+TEST_F(SnapshotCorruptionTest, ResealedOutOfRangeEndpoints) {
+  const graph::NodeId n = static_cast<graph::NodeId>(info_->num_nodes);
+  for (SectionId id : {SectionId::kOutTargets, SectionId::kInSources,
+                       SectionId::kUndNeighbors}) {
+    SCOPED_TRACE(SectionName(id));
+    ExpectRejected(ResealedWith<graph::NodeId>(id, 0, n),
+                   std::string(SectionName(id)) + "[0] = " +
+                       std::to_string(n) + " is out of node range");
   }
-  ASSERT_GT(out_offsets_at, 0u);
+}
+
+TEST_F(SnapshotCorruptionTest, ResealedRedirectTargetOutOfRange) {
+  // Neither a node id nor the kInvalidNode sentinel.
+  const graph::NodeId n = static_cast<graph::NodeId>(info_->num_nodes);
+  ExpectRejected(ResealedWith<graph::NodeId>(SectionId::kRedirectTarget, 0, n),
+                 "redirect_target[0] = " + std::to_string(n) +
+                     " is neither a node nor the invalid sentinel");
+}
+
+TEST_F(SnapshotCorruptionTest, ResealedNonMonotoneOffsets) {
+  for (SectionId id : {SectionId::kOutOffsets, SectionId::kInOffsets,
+                       SectionId::kUndOffsets, SectionId::kLabelOffsets,
+                       SectionId::kDisplayOffsets}) {
+    SCOPED_TRACE(SectionName(id));
+    ExpectRejected(ResealedWith<uint64_t>(id, 1, uint64_t{1} << 40),
+                   std::string(SectionName(id)) +
+                       " is not monotone at index 2");
+  }
+}
+
+TEST_F(SnapshotCorruptionTest, ResealedUndMultOneElementShort) {
+  // The table entry shrinks by one element with its count and size kept
+  // consistent, so only the pairing with und_neighbors is off.
   std::vector<std::byte> bytes = *valid_;
-  Poke64(&bytes, out_offsets_at + sizeof(uint64_t), uint64_t{1} << 40);
-  ReadOptions options;
-  options.verify_checksums = false;
-  ExpectRejected(bytes, "out_offsets", options);
+  const size_t entry = EntryOffset(EntryIndex(SectionId::kUndMult));
+  const SectionInfo& und_mult =
+      info_->sections[EntryIndex(SectionId::kUndMult)];
+  ASSERT_GT(und_mult.count, 0u);
+  Poke64(&bytes, entry + offsetof(SectionEntry, count), und_mult.count - 1);
+  Poke64(&bytes, entry + offsetof(SectionEntry, size_bytes),
+         und_mult.size_bytes - und_mult.elem_size);
+  Reseal(&bytes);
+  ExpectRejected(bytes, "und_neighbors and und_mult are not parallel arrays");
 }
 
 TEST_F(SnapshotCorruptionTest, SectionTableOffsetOutOfBounds) {
@@ -359,7 +427,11 @@ TEST_F(SnapshotCorruptionTest, SectionTableCountSizeDisagree) {
 }
 
 TEST_F(SnapshotCorruptionTest, ValidBytesStillLoadAfterSuite) {
-  // Guard against helper bugs: the pristine byte image itself loads.
+  // Guard against helper bugs: resealing an untouched file reproduces
+  // the writer's bytes, and the pristine byte image itself loads.
+  std::vector<std::byte> resealed = *valid_;
+  Reseal(&resealed);
+  EXPECT_TRUE(resealed == *valid_);
   WriteFileBytes(*path_, *valid_);
   auto loaded = LoadSnapshot(*path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
