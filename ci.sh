@@ -42,7 +42,8 @@ GOLDEN_BENCHES="$PAPER_BENCHES serving_digest"
 # bench (whose setup hard-asserts pruned == unpruned cycle sets and a
 # >= 1.3x best speedup), and the snapshot-load bench (whose setup
 # hard-asserts bit-identical graphs across all startup paths and a
-# >= 10x mmap-vs-rebuild speedup), hard-failing on crash or malformed
+# >= 10x mmap-vs-rebuild speedup, the median of 15 paired per-rep
+# ratios), hard-failing on crash or malformed
 # JSON so the perf benches and their machine-readable output can't
 # silently rot.  Then every GOLDEN_BENCHES binary at 12 domains / 8
 # topics and at the default size: each builds the whole experiment and
@@ -159,7 +160,8 @@ EOF
 # analysis_test for AnalyzeAll's topic fan-out, the one fan-out below the
 # request level (its shared cursor, per-topic result slots, and a call
 # from a pool worker, which fans out on a pool of its own);
-# cycles_test for the cancel requested from another thread mid-DFS;
+# cycles_test for the DFS's deadline polls, which read the thread-local
+# deadline a pool task installs and cut a run mid-way;
 # ball_prune_test because the pruning kernel records into the shared
 # global metrics registry; obs_test for the lock-free metrics instruments
 # (multi-writer histogram stress) and trace propagation across pool
@@ -180,8 +182,8 @@ run_tsan() {
 }
 
 # Fault-injection chaos lane: the seeded fault schedules in chaos_test
-# drive randomized failures, delays, deadlines and cancellation through
-# the serving stack, asserting no deadlock, fail-atomic batches, and
+# drive randomized failures, delays and deadlines through the serving
+# stack, asserting no deadlock, fail-atomic batches, and
 # bit-identical survivors.  Runs in Debug (WQE_DCHECK contracts live)
 # and then again under ThreadSanitizer — injected delays shift thread
 # interleavings, which is precisely when races surface.

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/deadline.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "obs/trace.h"
@@ -10,19 +11,8 @@ namespace wqe::api {
 
 namespace {
 
-/// The execution context a request should run under: its own budget
-/// (deadline computed now, cancel token as given) merged with whatever
-/// ambient context the caller already installed — the tighter deadline
-/// wins, so a serve-layer default cannot be loosened per request.
-common::ExecContext RequestExecContext(double deadline_ms,
-                                       const common::CancelToken& cancel) {
-  common::ExecContext request;
-  if (deadline_ms > 0.0) {
-    request.deadline = common::Deadline::AfterMillis(deadline_ms);
-  }
-  request.cancel = cancel;
-  return common::ExecContext::Merge(common::CurrentExecContext(), request);
-}
+/// The strategy a request that names none runs: the paper's.
+constexpr std::string_view kDefaultStrategy = "cycle";
 
 /// Stage latency histograms, shared by every engine (per-stage timing is
 /// a process-level view; the per-instance split lives in the counters).
@@ -45,20 +35,12 @@ obs::Histogram* SearchHistogram() {
   return histogram;
 }
 
-/// Retrieval needs the finalized index; queries check before expanding,
-/// so an unindexed engine fails without doing the expansion work.
+/// Retrieval needs the finalized index; expansions check before
+/// expanding, so an unindexed engine fails without doing the work.
 Status CheckIndexed(const ir::SearchEngine& search) {
   if (search.finalized()) return Status::OK();
   return Status::InvalidArgument(
       "Query before FinalizeIndex(): the corpus is not indexed yet");
-}
-
-/// Resolves `query` against `search`'s index under its own span, so the
-/// `expansion` and `search` spans time only their own work.
-Result<ir::PreparedQuery> PrepareTimed(const ir::SearchEngine& search,
-                                       const ir::QueryNode& query) {
-  obs::Span span("query-prepare", PrepareHistogram());
-  return search.Prepare(query);
 }
 
 }  // namespace
@@ -69,14 +51,8 @@ Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
     return Status::InvalidArgument("default_top_k must be > 0");
   }
   std::unique_ptr<Engine> engine(new Engine());
-  engine->options_ = std::move(options);
-  engine->search_ =
-      std::make_unique<ir::SearchEngine>(engine->options_.search);
-  if (!engine->registry_.Contains(engine->options_.default_expander)) {
-    return Status::InvalidArgument("default expander '",
-                                   engine->options_.default_expander,
-                                   "' is not registered");
-  }
+  engine->options_ = options;
+  engine->search_ = std::make_unique<ir::SearchEngine>();
   // Register this engine's counter series under a process-unique
   // instance label; the pointers are stable for the process lifetime.
   const obs::Labels labels = {
@@ -107,8 +83,7 @@ std::shared_ptr<const GraphSnapshot> Engine::MakeSnapshot(
   snapshot->kb.Freeze();
   // Built after the KB lands at its final heap address: the linker keeps
   // a pointer to it.
-  snapshot->linker = std::make_unique<linking::EntityLinker>(&snapshot->kb,
-                                                             options_.linker);
+  snapshot->linker = std::make_unique<linking::EntityLinker>(&snapshot->kb);
   snapshot->generation = generation;
   return snapshot;
 }
@@ -144,8 +119,7 @@ Result<ir::DocId> Engine::AddDocument(std::string_view name,
 Status Engine::FinalizeIndex() { return search_->Finalize(); }
 
 std::string Engine::ResolveStrategy(std::string_view expander) const {
-  return registry_.Resolve(expander.empty() ? options_.default_expander
-                                            : expander);
+  return registry_.Resolve(expander.empty() ? kDefaultStrategy : expander);
 }
 
 Result<std::unique_ptr<expansion::Expander>> Engine::BuildExpander(
@@ -158,6 +132,7 @@ Result<std::unique_ptr<expansion::Expander>> Engine::BuildExpander(
 Result<ExpandResponse> Engine::ExpandWith(const expansion::Expander& expander,
                                           std::string_view resolved_name,
                                           std::string_view keywords) const {
+  WQE_RETURN_NOT_OK(CheckIndexed(*search_));
   ExpandResponse response;
   {
     Stopwatch watch;
@@ -171,11 +146,12 @@ Result<ExpandResponse> Engine::ExpandWith(const expansion::Expander& expander,
     response.query = std::move(expanded.query);
     response.expand_ms = watch.ElapsedMillis();
   }
-  // Prepared once per expansion: every retrieval of this response, cache
-  // hits included, scores from the term ids.
-  if (search_->finalized()) {
-    WQE_ASSIGN_OR_RETURN(response.prepared,
-                         PrepareTimed(*search_, response.query));
+  // Prepared once per expansion, under its own span so `expansion` and
+  // `search` time only their own work: every retrieval of this response,
+  // cache hits included, scores from the term ids.
+  {
+    obs::Span span("query-prepare", PrepareHistogram());
+    WQE_ASSIGN_OR_RETURN(response.prepared, search_->Prepare(response.query));
   }
   counters_.expand_calls->Inc();
   return response;
@@ -188,16 +164,11 @@ Result<QueryResponse> Engine::QueryWithExpansion(ExpandResponse expansion,
   QueryResponse response;
   response.expansion = std::move(expansion);
   size_t k = top_k == 0 ? options_.default_top_k : top_k;
-  // Made before FinalizeIndex or by another engine: re-prepare here.
-  ir::PreparedQuery& prepared = response.expansion.prepared;
-  if (prepared.index_id != search_->index().id()) {
-    WQE_ASSIGN_OR_RETURN(prepared,
-                         PrepareTimed(*search_, response.expansion.query));
-  }
   Stopwatch search_watch;
   {
     obs::Span span("search", SearchHistogram());
-    WQE_ASSIGN_OR_RETURN(response.docs, search_->Search(prepared, k));
+    WQE_ASSIGN_OR_RETURN(response.docs,
+                         search_->Search(response.expansion.prepared, k));
   }
   counters_.searches->Inc();
   response.search_ms = search_watch.ElapsedMillis();
@@ -207,12 +178,11 @@ Result<QueryResponse> Engine::QueryWithExpansion(ExpandResponse expansion,
 
 Result<QueryResponse> Engine::QueryPinned(const GraphSnapshot& snapshot,
                                           const QueryRequest& request) const {
-  common::ScopedExecContext exec_scope(
-      RequestExecContext(request.deadline_ms, request.cancel));
+  common::ScopedDeadline deadline_scope(
+      common::RequestDeadline(request.deadline_ms));
   const std::string name = ResolveStrategy(request.expander);
   WQE_ASSIGN_OR_RETURN(std::unique_ptr<expansion::Expander> expander,
                        BuildExpander(snapshot, name, request.overrides));
-  WQE_RETURN_NOT_OK(CheckIndexed(*search_));
   Stopwatch total;
   WQE_ASSIGN_OR_RETURN(ExpandResponse expansion,
                        ExpandWith(*expander, name, request.keywords));
@@ -225,16 +195,6 @@ Result<QueryResponse> Engine::QueryPinned(const GraphSnapshot& snapshot,
 
 // Singles pin the graph epoch for the whole request: a concurrent
 // PublishSnapshot cannot swap the graph out from under the expansion.
-Result<ExpandResponse> Engine::Expand(const ExpandRequest& request) const {
-  std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();
-  common::ScopedExecContext exec_scope(
-      RequestExecContext(request.deadline_ms, request.cancel));
-  const std::string name = ResolveStrategy(request.expander);
-  WQE_ASSIGN_OR_RETURN(std::unique_ptr<expansion::Expander> expander,
-                       BuildExpander(*snapshot, name, request.overrides));
-  return ExpandWith(*expander, name, request.keywords);
-}
-
 Result<QueryResponse> Engine::Query(const QueryRequest& request) const {
   return QueryPinned(*CurrentSnapshot(), request);
 }
@@ -242,8 +202,8 @@ Result<QueryResponse> Engine::Query(const QueryRequest& request) const {
 // A batch pins once: every request in it runs on the same graph epoch,
 // so its results are mutually consistent even when a republish lands
 // mid-batch.  Budgets stay per request — each item installs (and on exit
-// removes) its own exec context, so one expired deadline never bleeds
-// into its batch neighbors.
+// removes) its own deadline, so one expired deadline never bleeds into
+// its batch neighbors.
 Result<std::vector<QueryResponse>> Engine::QueryBatch(
     const std::vector<QueryRequest>& requests) const {
   std::shared_ptr<const GraphSnapshot> snapshot = CurrentSnapshot();

@@ -9,17 +9,22 @@
 /// `ExpanderRegistry` of built-in strategies, and exposes a
 /// request/response API —
 ///
-///   - `Expand(request)`   keywords → expansion features + INDRI query,
-///   - `Query(request)`    expand + retrieve in one call,
+///   - `Query(request)`    keywords → expansion features + INDRI query →
+///     ranked documents, in one call,
 ///   - `QueryBatch`        the same per-request path looped over every
 ///     request on one pinned graph epoch, failing atomically,
 ///
-/// all returning `Result<T>`.  Strategy selection is by registry name with
-/// per-call `ExpanderOverrides` — callers never instantiate concrete
+/// both returning `Result<T>`.  Strategy selection is by registry name
+/// with per-call `ExpanderOverrides` — callers never instantiate concrete
 /// expander classes.  The registry is a fixed table and the strategies'
 /// base options are fixed at `Build`, so serving threads read both
-/// without a lock.  Benches, examples and tests go through this facade
-/// (see `api::Testbed` for the synthetic-experiment builder).
+/// without a lock.  The engine runs the paper's one configuration: the
+/// analyzer stops and stems (text/analyzer.h), the linker's window and
+/// synonym search are fixed (linking/entity_linker.h), Dirichlet μ is
+/// `ir::kDirichletMu`, and a request that names no strategy runs
+/// "cycle".  A request's one budget is its deadline.  Benches, examples
+/// and tests go through this facade (see `api::Testbed` for the
+/// synthetic-experiment builder).
 ///
 /// Hot republish: the KB and the linker built over it live together in a
 /// `GraphSnapshot`, held as a `shared_ptr<const ...>` behind a tiny
@@ -42,7 +47,6 @@
 #include <vector>
 
 #include "api/expander_registry.h"
-#include "common/deadline.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "ir/search_engine.h"
@@ -55,21 +59,17 @@ namespace wqe::api {
 /// \brief Facade configuration.  The knowledge base itself is passed to
 /// `Engine::Build` (it is data, not an option).
 struct EngineOptions {
-  ir::SearchEngineOptions search;
-  linking::EntityLinkerOptions linker;
-  /// Strategy used when a request names none.
-  std::string default_expander = "cycle";
   /// Result count when a query request asks for 0.
   size_t default_top_k = 15;
 };
 
-/// \brief One expansion request.
-struct ExpandRequest {
+/// \brief One end-to-end query request (expand + retrieve).
+struct QueryRequest {
   std::string keywords;
-  /// Registry name ("cycle", "direct-link", ...); empty → the engine's
-  /// default strategy.
+  /// Registry name ("cycle", "direct-link", ...); empty → "cycle".
   std::string expander;
   ExpanderOverrides overrides;
+  size_t top_k = 0;  ///< 0 → EngineOptions::default_top_k
   /// Request budget in milliseconds; 0 (the default) means no deadline.
   /// Execution knobs like this are deliberately *not* `ExpanderOverrides`
   /// fields: they must never split serving-cache keys (the result is the
@@ -77,20 +77,6 @@ struct ExpandRequest {
   /// tighter one wins.  Expired budgets surface as
   /// `Status::DeadlineExceeded`.
   double deadline_ms = 0.0;
-  /// Optional cooperative-cancellation token (`common::CancelSource` is
-  /// kept by the caller).  Null by default.  Cancellation surfaces as
-  /// `Status::Cancelled`.
-  common::CancelToken cancel;
-};
-
-/// \brief One end-to-end query request (expand + retrieve).
-struct QueryRequest {
-  std::string keywords;
-  std::string expander;  ///< as in ExpandRequest
-  ExpanderOverrides overrides;
-  size_t top_k = 0;  ///< 0 → EngineOptions::default_top_k
-  double deadline_ms = 0.0;     ///< as in ExpandRequest
-  common::CancelToken cancel;   ///< as in ExpandRequest
 };
 
 /// \brief Expansion outcome.
@@ -101,8 +87,8 @@ struct ExpandResponse {
   std::vector<std::string> titles;              ///< issued phrase titles
   ir::QueryNode query;                          ///< #combine of phrases
   /// `query` resolved to term ids against the engine's index, once, by
-  /// `ExpandWith` (left unprepared before `FinalizeIndex`).  It rides in
-  /// the serving cache, so a hit retrieves without re-analyzing `query`.
+  /// `ExpandWith`.  It rides in the serving cache, so a hit retrieves
+  /// without re-analyzing `query`.
   ir::PreparedQuery prepared;
   double expand_ms = 0.0;  ///< expansion only, not query preparation
 };
@@ -146,8 +132,7 @@ class Engine {
   /// \brief Takes ownership of `kb`, freezes it into its immutable
   /// `graph::CsrGraph` snapshot (shared by every expander and worker
   /// thread — see graph/csr.h), builds the linker, the retrieval engine
-  /// and the built-in registry, and validates the options (the default
-  /// strategy must resolve).
+  /// and the built-in registry, and validates the options.
   static Result<std::unique_ptr<Engine>> Build(wiki::KnowledgeBase kb,
                                                EngineOptions options = {});
 
@@ -156,13 +141,12 @@ class Engine {
   /// \brief Adds a document to the retrieval index (before FinalizeIndex).
   Result<ir::DocId> AddDocument(std::string_view name, std::string_view text);
   /// \brief Freezes the corpus and builds the index; required before
-  /// Query/QueryBatch.
+  /// any expansion or query.
   Status FinalizeIndex();
   /// @}
 
   /// \name Serving
   /// @{
-  Result<ExpandResponse> Expand(const ExpandRequest& request) const;
   Result<QueryResponse> Query(const QueryRequest& request) const;
 
   /// \brief Queries every request, in order, on one pinned snapshot.
@@ -179,8 +163,8 @@ class Engine {
   /// caching server can skip the expansion half on a hit, while the
   /// stats semantics stay inside the engine.
   /// @{
-  /// \brief A request's canonical strategy name: empty resolves to the
-  /// engine default, aliases to their targets.  Unknown names pass through
+  /// \brief A request's canonical strategy name: empty resolves to
+  /// "cycle", aliases to their targets.  Unknown names pass through
   /// unchanged (they fail later, in `BuildExpander`, with a proper error).
   std::string ResolveStrategy(std::string_view expander) const;
 
@@ -195,19 +179,19 @@ class Engine {
       const ExpanderOverrides& overrides) const;
 
   /// \brief Expands `keywords` with a caller-built expander instance;
-  /// `resolved_name` is echoed into the response.  Once the index is
-  /// finalized, also prepares the response's query against it, under a
-  /// `query-prepare` span of its own.
+  /// `resolved_name` is echoed into the response.  Fails with
+  /// InvalidArgument before expanding when the index is not finalized;
+  /// otherwise also prepares the response's query against the index,
+  /// under a `query-prepare` span of its own.
   Result<ExpandResponse> ExpandWith(const expansion::Expander& expander,
                                     std::string_view resolved_name,
                                     std::string_view keywords) const;
 
   /// \brief Completes a query from an already-computed expansion (a
-  /// serving-cache hit): retrieval only, no linking or feature selection,
-  /// and no query analysis when `expansion.prepared` came from this
-  /// engine's index.  An expansion prepared elsewhere (or not at all:
-  /// made before `FinalizeIndex`, or by another engine) is re-prepared
-  /// from `expansion.query`; foreign term ids are never read.
+  /// serving-cache hit): retrieval only, no linking, feature selection or
+  /// query analysis.  `expansion.prepared` must come from this engine's
+  /// `ExpandWith`; one prepared by another engine fails with
+  /// InvalidArgument, and its term ids are never read.
   /// `expansion.expand_ms` is left as recorded when the expansion was
   /// first computed.  `top_k == 0` uses the engine default.
   Result<QueryResponse> QueryWithExpansion(ExpandResponse expansion,
@@ -266,7 +250,7 @@ class Engine {
   Engine() = default;
 
   /// The one query path, on an already pinned `snapshot`: installs the
-  /// request's exec context, builds its expander, expands and retrieves.
+  /// request's deadline, builds its expander, expands and retrieves.
   /// `Query` pins and calls it; `QueryBatch` pins once and loops over it.
   Result<QueryResponse> QueryPinned(const GraphSnapshot& snapshot,
                                     const QueryRequest& request) const;

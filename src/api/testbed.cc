@@ -19,8 +19,7 @@ Result<std::unique_ptr<Testbed>> Testbed::Build(
 
   // The track generator is the last consumer of the generator provenance;
   // from here on only the KB itself is needed, and the engine owns it.
-  WQE_ASSIGN_OR_RETURN(bed->engine_,
-                       Engine::Build(std::move(wiki.kb), options.engine));
+  WQE_ASSIGN_OR_RETURN(bed->engine_, Engine::Build(std::move(wiki.kb)));
 
   // Index the §2.1-extracted text of every metadata file.
   for (const clef::TrackDocument& doc : bed->track_.documents) {

@@ -4,9 +4,10 @@
 /// \brief Synthetic-experiment builder for the `api::Engine` facade.
 ///
 /// Generates the Wikipedia-shaped knowledge base and the ImageCLEF-style
-/// track, builds an Engine over them (KB + linker + indexed metadata
-/// text), and keeps the evaluation fixture — topics, resolved relevance
-/// judgments, and the generator's planted provenance — next to it.  This
+/// track, builds an Engine over them with default `EngineOptions` (KB +
+/// linker + indexed metadata text), and keeps the evaluation fixture —
+/// topics, resolved relevance judgments, and the generator's planted
+/// provenance — next to it.  This
 /// is the one experiment fixture: §4's expansion systems serve through
 /// its engine, and the §2/§3 machinery (`groundtruth::GroundTruthBuilder`,
 /// `analysis::QueryGraphAnalyzer`, the `analysis::paper_report`
@@ -26,11 +27,11 @@
 
 namespace wqe::api {
 
-/// \brief Aggregated configuration: generators + facade.
+/// \brief Aggregated configuration: the two generators.  The engine runs
+/// with default `EngineOptions`.
 struct TestbedOptions {
   wiki::SyntheticWikipediaOptions wiki;
   clef::TrackGeneratorOptions track;
-  EngineOptions engine;
 };
 
 /// \brief Engine + evaluation fixture (immutable after Build).

@@ -1,12 +1,13 @@
 #include "common/deadline.h"
 
 #include <cmath>
+#include <limits>
 
 namespace wqe::common {
 
 namespace {
 
-thread_local ExecContext g_exec_context;
+thread_local Deadline g_deadline;
 
 }  // namespace
 
@@ -17,10 +18,10 @@ Deadline Deadline::AfterMillis(double ms) {
     d.when_ = now;
     return d;
   }
-  // Saturate absurd budgets at infinite instead of overflowing the
-  // duration arithmetic.
+  // Saturate absurd budgets (and NaN) at infinite instead of overflowing
+  // the duration arithmetic.
   const double max_ms = 1e15;
-  if (ms >= max_ms) return d;
+  if (!(ms < max_ms)) return d;
   d.when_ = now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                       std::chrono::duration<double, std::milli>(ms));
   return d;
@@ -33,25 +34,21 @@ double Deadline::remaining_ms() const {
       .count();
 }
 
-const ExecContext& CurrentExecContext() { return g_exec_context; }
+const Deadline& CurrentDeadline() { return g_deadline; }
 
-ExecContext ExchangeCurrentExecContext(ExecContext ctx) {
-  ExecContext previous = std::move(g_exec_context);
-  g_exec_context = std::move(ctx);
+Deadline ExchangeCurrentDeadline(Deadline deadline) {
+  const Deadline previous = g_deadline;
+  g_deadline = deadline;
   return previous;
 }
 
-bool ExecInterrupted() {
-  const ExecContext& ctx = g_exec_context;
-  // Cheap checks first: a relaxed flag load beats a clock read.
-  if (ctx.cancel.cancelled()) return true;
-  return ctx.deadline.expired();
+Deadline RequestDeadline(double budget_ms) {
+  if (!(budget_ms > 0.0)) return g_deadline;  // NaN brings no budget
+  return Deadline::Tighten(g_deadline, Deadline::AfterMillis(budget_ms));
 }
 
 Status ExecStatus() {
-  const ExecContext& ctx = g_exec_context;
-  if (ctx.cancel.cancelled()) return Status::Cancelled("request cancelled");
-  if (ctx.deadline.expired()) {
+  if (g_deadline.expired()) {
     return Status::DeadlineExceeded("request deadline exceeded");
   }
   return Status::OK();

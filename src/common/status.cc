@@ -26,8 +26,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "Internal error";
     case StatusCode::kDeadlineExceeded:
       return "Deadline exceeded";
-    case StatusCode::kCancelled:
-      return "Cancelled";
     case StatusCode::kResourceExhausted:
       return "Resource exhausted";
   }

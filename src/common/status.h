@@ -29,7 +29,6 @@ enum class StatusCode : int8_t {
   kNotImplemented = 8,
   kInternal = 9,
   kDeadlineExceeded = 10,
-  kCancelled = 11,
   kResourceExhausted = 12,
 };
 
@@ -97,10 +96,6 @@ class Status {
     return Make(StatusCode::kDeadlineExceeded, std::forward<Args>(args)...);
   }
   template <typename... Args>
-  static Status Cancelled(Args&&... args) {
-    return Make(StatusCode::kCancelled, std::forward<Args>(args)...);
-  }
-  template <typename... Args>
   static Status ResourceExhausted(Args&&... args) {
     return Make(StatusCode::kResourceExhausted, std::forward<Args>(args)...);
   }
@@ -125,7 +120,6 @@ class Status {
   bool IsDeadlineExceeded() const {
     return code_ == StatusCode::kDeadlineExceeded;
   }
-  bool IsCancelled() const { return code_ == StatusCode::kCancelled; }
   bool IsResourceExhausted() const {
     return code_ == StatusCode::kResourceExhausted;
   }

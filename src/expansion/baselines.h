@@ -22,7 +22,6 @@ namespace wqe::expansion {
 class NoExpansion : public Expander {
  public:
   using Expander::Expander;
-  const char* name() const override { return "no-expansion"; }
 
  protected:
   Result<std::vector<NodeId>> SelectFeatures(
@@ -45,9 +44,6 @@ class DirectLinkExpansion : public Expander {
                       const linking::EntityLinker& linker,
                       DirectLinkOptions options = {})
       : Expander(kb, linker), options_(options) {}
-  const char* name() const override {
-    return options_.prioritize_mutual ? "direct-link+mutual" : "direct-link";
-  }
 
  protected:
   Result<std::vector<NodeId>> SelectFeatures(
@@ -71,7 +67,6 @@ class CommunityExpansion : public Expander {
                      const linking::EntityLinker& linker,
                      CommunityOptions options = {})
       : Expander(kb, linker), options_(options) {}
-  const char* name() const override { return "community"; }
 
  protected:
   Result<std::vector<NodeId>> SelectFeatures(

@@ -140,7 +140,7 @@ Result<std::vector<NodeId>> CycleExpander::SelectFeatures(
   BallNodesHistogram()->Record(static_cast<double>(ball.size()));
   CyclesVisitedHistogram()->Record(static_cast<double>(visited));
   CyclesAcceptedHistogram()->Record(static_cast<double>(accepted));
-  // An enumeration truncated by a deadline/cancel interruption has seen
+  // An enumeration truncated by an expired deadline has seen
   // only a prefix of the cycles; a ranking built from it must never be
   // reported as success.  Surface the interruption as the request status.
   WQE_RETURN_NOT_OK(common::ExecStatus());

@@ -89,8 +89,6 @@ class CycleExpander : public Expander {
                 CycleExpanderOptions options = {})
       : Expander(kb, linker), options_(options) {}
 
-  const char* name() const override { return "cycle-expansion"; }
-
   /// \brief True when a cycle (by its metrics) passes the structural
   /// filters. Exposed for tests and the filter-ablation bench.
   bool AcceptsCycle(const graph::CycleMetrics& metrics) const;

@@ -9,7 +9,9 @@
 /// query keywords, links them to Wikipedia articles, selects expansion
 /// features from the knowledge-base structure, and emits a ready-to-run
 /// exact-phrase query.  Implementations: `CycleExpander` (the paper's
-/// dense-cycle criterion) and the baselines in baselines.h.
+/// dense-cycle criterion) and the baselines in baselines.h.  An expander
+/// has no name of its own: `api::ExpanderRegistry` names the strategies,
+/// and a response carries the registry name it was served under.
 
 #include <string>
 #include <string_view>
@@ -47,9 +49,6 @@ class Expander {
            const linking::EntityLinker& linker)
       : kb_(&kb), linker_(&linker) {}
   virtual ~Expander() = default;
-
-  /// \brief System name (for reports).
-  virtual const char* name() const = 0;
 
   /// \brief Runs the full expansion.  When the keywords link to no
   /// article, the query falls back to the raw keywords with no features.

@@ -123,12 +123,12 @@ BallPruneStats PruneBall(const UndirectedView& view,
     std::vector<uint32_t> frontier;
     std::vector<uint32_t> next;
     for (;;) {
-      // Cooperative deadline/cancel check per BFS round: stopping early
+      // Cooperative deadline check per BFS round: stopping early
       // leaves `alive` a superset of the exact fixed point, which is
       // still sound (pruning only ever removes provably cycle-free
       // nodes) — the enumerator just does a little more work, and the
       // request's own cooperative checks surface the interruption.
-      if (common::ExecInterrupted()) break;
+      if (common::CurrentDeadline().expired()) break;
       ++stats.rounds;
       std::fill(visited.begin(), visited.end(), 0);
       if (seed_distance != nullptr) seed_distance->assign(n, UINT32_MAX);

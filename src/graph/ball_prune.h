@@ -87,7 +87,7 @@ inline bool BallPruneAlive(const uint64_t* alive, uint32_t i) {
 /// survivor was reached).  It is a lower bound on the in-cycle
 /// distance from a survivor to any seed on a surviving cycle.  It comes
 /// back empty when there is no distance to report: no seeds were given,
-/// or a deadline/cancel interruption came before the first round.
+/// or an expired deadline stopped it before the first round.
 BallPruneStats PruneBall(const UndirectedView& view,
                          const std::vector<NodeId>& seeds,
                          uint32_t max_cycle_length,

@@ -12,13 +12,13 @@ namespace wqe::graph {
 namespace {
 
 /// How many DFS extensions / start visits pass between cooperative
-/// deadline/cancel checks.  Large enough that the clock read is noise
+/// deadline checks.  Large enough that the clock read is noise
 /// against the enumeration work, small enough that an expired deadline
 /// stops the run soon after.  An extension includes its fused last level
 /// and the visitor calls it makes: on servebench's cold_miss balls
 /// (4-vCPU host, Release) 256 of them take about 15 µs at the median and
 /// under 50 µs at p99.
-constexpr int kExecCheckInterval = 256;
+constexpr int kDeadlineCheckInterval = 256;
 
 /// Whole-enumeration latency, shared by every enumerator: this is the
 /// kernel the serve stack's `enumeration` span bottoms out in.
@@ -83,10 +83,10 @@ struct DfsContext {
   uint32_t path_seeds = 0;  ///< seeds among `path`
   size_t emitted = 0;       ///< cycles handed to the visitor
   bool aborted = false;
-  /// Whether the ambient ExecContext has anything to check; cached at
-  /// construction so the (overwhelmingly common) no-deadline path costs
-  /// one branch per check site.
-  bool exec_active = false;
+  /// Whether the ambient deadline is finite; cached at construction so
+  /// the (overwhelmingly common) no-deadline path costs one branch per
+  /// check site.
+  bool deadline_active = false;
   /// Starts at 1 so the very first check consults the clock: a request
   /// that is already over budget then deterministically emits nothing.
   int check_countdown = 1;
@@ -104,15 +104,15 @@ struct DfsContext {
                           : filters.seed_distance.data()),
         on_path(v.num_nodes(), 0),
         closes(v.num_nodes(), 0),
-        exec_active(common::CurrentExecContext().active()) {}
+        deadline_active(!common::CurrentDeadline().is_infinite()) {}
 
-  /// Countdown-gated cooperative check: consults the clock / cancel flag
-  /// every `kExecCheckInterval` calls, and aborts the run once the
-  /// deadline has passed or cancellation was requested.
+  /// Countdown-gated cooperative check: consults the clock every
+  /// `kDeadlineCheckInterval` calls, and aborts the run once the ambient
+  /// deadline has passed.
   bool Interrupted() {
-    if (!exec_active || --check_countdown > 0) return false;
-    check_countdown = kExecCheckInterval;
-    aborted = common::ExecInterrupted();
+    if (!deadline_active || --check_countdown > 0) return false;
+    check_countdown = kDeadlineCheckInterval;
+    aborted = common::CurrentDeadline().expired();
     return aborted;
   }
 

@@ -87,9 +87,9 @@ class CycleEnumerator {
   std::vector<Cycle> Enumerate(const CycleEnumerationOptions& options) const;
 
   /// \brief Streaming enumeration; avoids materializing cycles.
-  /// Returns the number of cycles visited.  An expired deadline or a
-  /// cancel request in the ambient `common::ExecContext` stops the run
-  /// early; what was emitted is then a prefix of the full stream.
+  /// Returns the number of cycles visited.  An expired ambient
+  /// `common::Deadline` stops the run early; what was emitted is then a
+  /// prefix of the full stream.
   size_t Visit(const CycleEnumerationOptions& options,
                const CycleVisitor& visitor) const;
 

@@ -56,10 +56,10 @@ struct LeafMatches {
   double collection_prob = 0.0;
 };
 
-double LogBelief(uint32_t tf, uint32_t doc_length, double collection_prob,
-                 double mu) {
-  const double p = (static_cast<double>(tf) + mu * collection_prob) /
-                   (static_cast<double>(doc_length) + mu);
+double LogBelief(uint32_t tf, uint32_t doc_length, double collection_prob) {
+  const double p =
+      (static_cast<double>(tf) + kDirichletMu * collection_prob) /
+      (static_cast<double>(doc_length) + kDirichletMu);
   return std::log(std::max(p, 1e-300));
 }
 
@@ -76,8 +76,7 @@ PreparedQuery PrepareQuery(const FrozenIndex& index,
 
 Result<std::vector<ScoredDoc>> RankPrepared(const FrozenIndex& index,
                                             const PreparedQuery& query,
-                                            size_t k,
-                                            const ScorerOptions& options) {
+                                            size_t k) {
   if (query.index_id == 0 || query.index_id != index.id()) {
     return Status::InvalidArgument(
         "query was not prepared against this index");
@@ -149,7 +148,7 @@ Result<std::vector<ScoredDoc>> RankPrepared(const FrozenIndex& index,
       uint32_t tf = 0;
       if (m < leaf.end && match_docs[m] == candidate.doc) tf = match_tfs[m++];
       candidate.score += LogBelief(tf, index.doc_length(candidate.doc),
-                                   leaf.collection_prob, options.mu);
+                                   leaf.collection_prob);
     }
   }
   for (ScoredDoc& candidate : scored) {

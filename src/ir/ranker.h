@@ -7,7 +7,7 @@
 /// document's belief for one leaf of the query — a term or an exact
 /// phrase `#1(...)` — is
 ///
-///   P(leaf|d) = (tf(leaf,d) + μ·P(leaf|C)) / (|d| + μ)
+///   P(leaf|d) = (tf(leaf,d) + μ·P(leaf|C)) / (|d| + μ),  μ = kDirichletMu
 ///
 /// and `#combine` averages the leaves' log-beliefs.  A phrase's tf and
 /// collection frequency are its occurrence counts.
@@ -44,13 +44,11 @@ struct ScoredDoc {
   bool operator==(const ScoredDoc& other) const = default;
 };
 
-/// \brief Scoring parameters.
-struct ScorerOptions {
-  /// Dirichlet μ. The classic default is 2500; the ImageCLEF-style
-  /// metadata documents are short (tens of tokens), so the engine default
-  /// is smaller.
-  double mu = 300.0;
-};
+/// \brief Dirichlet μ.  The classic default is 2500; the ImageCLEF-style
+/// metadata documents are short (tens of tokens), so retrieval uses a
+/// smaller one.  `RankPrepared` and the test oracle `QueryEvaluator` both
+/// read it.
+inline constexpr double kDirichletMu = 300.0;
 
 /// \brief A query's leaves, analyzed and resolved to term ids.
 ///
@@ -96,7 +94,6 @@ PreparedQuery PrepareQuery(const FrozenIndex& index,
 /// weaken it (regression-tested in ir_test.cc).
 Result<std::vector<ScoredDoc>> RankPrepared(const FrozenIndex& index,
                                             const PreparedQuery& query,
-                                            size_t k,
-                                            const ScorerOptions& options);
+                                            size_t k);
 
 }  // namespace wqe::ir

@@ -4,9 +4,6 @@
 
 namespace wqe::ir {
 
-SearchEngine::SearchEngine(SearchEngineOptions options)
-    : options_(options), analyzer_(options.analyzer) {}
-
 Result<DocId> SearchEngine::AddDocument(std::string_view name,
                                         std::string_view text) {
   if (finalized_) {
@@ -38,7 +35,7 @@ Result<std::vector<ScoredDoc>> SearchEngine::Search(const PreparedQuery& query,
   if (!finalized_) {
     return Status::InvalidArgument("engine not finalized");
   }
-  return RankPrepared(index_, query, k, options_.scorer);
+  return RankPrepared(index_, query, k);
 }
 
 Result<std::vector<ScoredDoc>> SearchEngine::Search(const QueryNode& query,

@@ -7,7 +7,9 @@
 /// exposes the operations the paper's pipeline needs: index a collection,
 /// then rank documents for a structured (or free-text) query.  A query
 /// can be prepared once (`Prepare`) and ranked many times (`Search` on
-/// the `PreparedQuery`); see ranker.h.
+/// the `PreparedQuery`); see ranker.h.  It has no settings: text is
+/// analyzed the one way text/analyzer.h describes, and ranking smooths
+/// with `kDirichletMu`.
 
 #include <string>
 #include <string_view>
@@ -22,18 +24,10 @@
 
 namespace wqe::ir {
 
-/// \brief Engine configuration.
-struct SearchEngineOptions {
-  text::AnalyzerOptions analyzer;
-  ScorerOptions scorer;
-};
-
 /// \brief Index + search facade.  Every const method is safe to call
 /// from several threads once `Finalize` has returned.
 class SearchEngine {
  public:
-  explicit SearchEngine(SearchEngineOptions options = {});
-
   /// \brief Adds a document (before `Finalize`).
   Result<DocId> AddDocument(std::string_view name, std::string_view text);
 
@@ -70,7 +64,6 @@ class SearchEngine {
   bool finalized() const { return finalized_; }
 
  private:
-  SearchEngineOptions options_;
   text::Analyzer analyzer_;
   DocumentStore store_;
   FrozenIndex index_;

@@ -10,6 +10,9 @@ namespace wqe::linking {
 
 namespace {
 
+/// Longest title window, in tokens.
+constexpr size_t kMaxWindow = 5;
+
 /// Joins token texts [i, i+len) with single spaces (tokens are already
 /// lowercase, which matches normalized titles).
 std::string WindowText(const std::vector<text::Token>& tokens, size_t i,
@@ -73,27 +76,21 @@ NodeId EntityLinker::MatchWindowViaSynonyms(
 }
 
 std::vector<EntityMention> EntityLinker::Link(std::string_view input) const {
-  text::TokenizerOptions tok_options;
-  text::Tokenizer tokenizer(tok_options);
-  std::vector<text::Token> tokens = tokenizer.Tokenize(input);
+  std::vector<text::Token> tokens = text::Tokenizer().Tokenize(input);
   const text::StopwordSet& stopwords = text::StopwordSet::Default();
 
   std::vector<EntityMention> mentions;
   size_t i = 0;
   while (i < tokens.size()) {
-    size_t longest = std::min<size_t>(options_.max_window,
-                                      tokens.size() - i);
+    size_t longest = std::min(kMaxWindow, tokens.size() - i);
     bool matched = false;
     for (size_t len = longest; len >= 1 && !matched; --len) {
       // Skip stopword singletons ("the" is not an entity).
-      if (len == 1 && options_.skip_stopword_singletons &&
-          stopwords.Contains(tokens[i].text)) {
-        break;
-      }
+      if (len == 1 && stopwords.Contains(tokens[i].text)) break;
       NodeId node = MatchWindow(tokens, i, len);
       bool via_synonym = false;
       std::string surface = WindowText(tokens, i, len);
-      if (node == graph::kInvalidNode && options_.use_synonyms && len > 1) {
+      if (node == graph::kInvalidNode && len > 1) {
         node = MatchWindowViaSynonyms(tokens, i, len, &surface);
         via_synonym = node != graph::kInvalidNode;
       }

@@ -12,6 +12,11 @@
 /// synonyms, where the synonyms of a term t are the titles of the
 /// redirects of the article titled t (and, symmetrically, the main title
 /// when t is itself a redirect title).
+///
+/// The linker has no settings: windows span at most five tokens, the
+/// synonym search is always on, a single-token stopword never forms a
+/// mention, and the input is tokenized by the same `text::Tokenizer`
+/// that indexing and query analysis use.
 
 #include <string>
 #include <string_view>
@@ -34,21 +39,10 @@ struct EntityMention {
   bool via_synonym = false;              ///< matched a synonym phrase
 };
 
-/// \brief Linker options.
-struct EntityLinkerOptions {
-  /// Longest title window, in tokens.
-  uint32_t max_window = 5;
-  /// Enable the synonym-phrase search.
-  bool use_synonyms = true;
-  /// Skip single-token mentions that are stopwords.
-  bool skip_stopword_singletons = true;
-};
-
 /// \brief Greedy largest-substring entity linker.
 class EntityLinker {
  public:
-  EntityLinker(const wiki::KnowledgeBase* kb, EntityLinkerOptions options = {})
-      : kb_(kb), options_(options) {}
+  explicit EntityLinker(const wiki::KnowledgeBase* kb) : kb_(kb) {}
 
   /// \brief All mentions in reading order (non-overlapping).
   std::vector<EntityMention> Link(std::string_view text) const;
@@ -71,7 +65,6 @@ class EntityLinker {
   std::vector<std::string> SynonymsOf(const std::string& term) const;
 
   const wiki::KnowledgeBase* kb_;
-  EntityLinkerOptions options_;
 };
 
 }  // namespace wqe::linking

@@ -97,35 +97,28 @@ double Gauge::Decode(uint64_t bits) {
 
 // ------------------------------------------------------------- Histogram
 
-Histogram::Histogram(HistogramOptions options)
-    : options_(options),
-      buckets_(2 + size_t(options.num_octaves) *
-                       size_t(options.sub_buckets_per_octave)) {
-  WQE_CHECK(options_.min_value > 0.0);
-  WQE_CHECK(options_.num_octaves > 0);
-  WQE_CHECK(options_.sub_buckets_per_octave > 0);
-}
+Histogram::Histogram()
+    : buckets_(2 + size_t(kHistogramOctaves) * size_t(kHistogramSubBuckets)) {}
 
 size_t Histogram::BucketIndex(double value) const {
   // Underflow also absorbs NaN (the !(>=) form) so Record never indexes
   // out of range on garbage input.
-  if (!(value >= options_.min_value)) return 0;
-  const double ratio = value / options_.min_value;
+  if (!(value >= kHistogramMinValue)) return 0;
+  const double ratio = value / kHistogramMinValue;
   const int octave = std::ilogb(ratio);  // floor(log2) for finite positives
-  if (octave >= int(options_.num_octaves)) return buckets_.size() - 1;
-  const double base = std::ldexp(options_.min_value, octave);
-  uint32_t sub = uint32_t((value - base) / base *
-                          double(options_.sub_buckets_per_octave));
-  sub = std::min(sub, options_.sub_buckets_per_octave - 1);
-  return 1 + size_t(octave) * options_.sub_buckets_per_octave + sub;
+  if (octave >= int(kHistogramOctaves)) return buckets_.size() - 1;
+  const double base = std::ldexp(kHistogramMinValue, octave);
+  uint32_t sub =
+      uint32_t((value - base) / base * double(kHistogramSubBuckets));
+  sub = std::min(sub, kHistogramSubBuckets - 1);
+  return 1 + size_t(octave) * kHistogramSubBuckets + sub;
 }
 
 double Histogram::BucketWidthFor(double value) const {
-  if (!(value >= options_.min_value)) return options_.min_value;
-  const int octave = std::ilogb(value / options_.min_value);
-  if (octave >= int(options_.num_octaves)) return 0.0;  // overflow: clamped
-  return std::ldexp(options_.min_value, octave) /
-         double(options_.sub_buckets_per_octave);
+  if (!(value >= kHistogramMinValue)) return kHistogramMinValue;
+  const int octave = std::ilogb(value / kHistogramMinValue);
+  if (octave >= int(kHistogramOctaves)) return 0.0;  // overflow: clamped
+  return std::ldexp(kHistogramMinValue, octave) / double(kHistogramSubBuckets);
 }
 
 void Histogram::Record(double value) {
@@ -151,7 +144,6 @@ void Histogram::Record(double value) {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  snap.layout = options_;
   snap.buckets.resize(buckets_.size());
   for (size_t i = 0; i < buckets_.size(); ++i) {
     snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
@@ -171,7 +163,7 @@ double HistogramSnapshot::Percentile(double p) const {
   if (count == 0 || buckets.empty()) return 0.0;
   p = std::clamp(p, 0.0, 1.0);
   const double rank = p * double(count - 1);
-  const uint32_t sub = layout.sub_buckets_per_octave;
+  const uint32_t sub = kHistogramSubBuckets;
   uint64_t cum = 0;
   for (size_t i = 0; i < buckets.size(); ++i) {
     if (buckets[i] == 0) continue;
@@ -183,14 +175,14 @@ double HistogramSnapshot::Percentile(double p) const {
     double lo, width;
     if (i == 0) {
       lo = 0.0;
-      width = layout.min_value;
+      width = kHistogramMinValue;
     } else if (i == buckets.size() - 1) {
-      return std::ldexp(layout.min_value, int(layout.num_octaves));
+      return std::ldexp(kHistogramMinValue, int(kHistogramOctaves));
     } else {
       const size_t body = i - 1;
       const int octave = int(body / sub);
       const uint32_t j = uint32_t(body % sub);
-      const double base = std::ldexp(layout.min_value, octave);
+      const double base = std::ldexp(kHistogramMinValue, octave);
       lo = base * (1.0 + double(j) / double(sub));
       width = base / double(sub);
     }
@@ -200,13 +192,12 @@ double HistogramSnapshot::Percentile(double p) const {
   }
   // rank == count - 1 landed exactly past the loop (all-counted): top
   // non-empty bucket's upper edge.
-  return std::ldexp(layout.min_value, int(layout.num_octaves));
+  return std::ldexp(kHistogramMinValue, int(kHistogramOctaves));
 }
 
 HistogramSnapshot HistogramSnapshot::DeltaSince(
     const HistogramSnapshot& earlier) const {
   HistogramSnapshot delta;
-  delta.layout = layout;
   delta.buckets.resize(buckets.size());
   WQE_CHECK(earlier.buckets.size() == buckets.size());
   uint64_t total = 0;
@@ -231,8 +222,7 @@ MetricsRegistry& MetricsRegistry::Global() {
 }
 
 MetricsRegistry::Instrument& MetricsRegistry::GetOrCreate(
-    std::string_view name, Labels labels, Kind kind,
-    const HistogramOptions* hist_options) {
+    std::string_view name, Labels labels, Kind kind) {
   std::sort(labels.begin(), labels.end());
   std::string key = InstrumentKey(name, labels);
   common::MutexLock lock(mu_);
@@ -250,8 +240,7 @@ MetricsRegistry::Instrument& MetricsRegistry::GetOrCreate(
         instrument.gauge = std::make_unique<Gauge>();
         break;
       case Kind::kHistogram:
-        instrument.histogram = std::make_unique<Histogram>(
-            hist_options != nullptr ? *hist_options : HistogramOptions{});
+        instrument.histogram = std::make_unique<Histogram>();
         break;
     }
     it = instruments_.emplace(std::move(key), std::move(instrument)).first;
@@ -261,18 +250,16 @@ MetricsRegistry::Instrument& MetricsRegistry::GetOrCreate(
 }
 
 Counter* MetricsRegistry::GetCounter(std::string_view name, Labels labels) {
-  return GetOrCreate(name, std::move(labels), Kind::kCounter, nullptr)
-      .counter.get();
+  return GetOrCreate(name, std::move(labels), Kind::kCounter).counter.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(std::string_view name, Labels labels) {
-  return GetOrCreate(name, std::move(labels), Kind::kGauge, nullptr)
-      .gauge.get();
+  return GetOrCreate(name, std::move(labels), Kind::kGauge).gauge.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(std::string_view name, Labels labels,
-                                         HistogramOptions options) {
-  return GetOrCreate(name, std::move(labels), Kind::kHistogram, &options)
+Histogram* MetricsRegistry::GetHistogram(std::string_view name,
+                                         Labels labels) {
+  return GetOrCreate(name, std::move(labels), Kind::kHistogram)
       .histogram.get();
 }
 

@@ -11,7 +11,8 @@
 ///   - `Counter`   — monotonic, relaxed-atomic `Inc` (wait-free);
 ///   - `Gauge`     — last-value double, atomic `Set`/`Add`;
 ///   - `Histogram` — log-linear buckets (8 linear sub-buckets per power
-///     of two), relaxed-atomic bucket increments, p50/p95/p99 derived
+///     of two, one layout for every histogram: the `kHistogram*`
+///     constants), relaxed-atomic bucket increments, p50/p95/p99 derived
 ///     from a bucket snapshot and cross-checked against the exact
 ///     `wqe::PercentileSorted` in tests/obs_test.cc (error is bounded by
 ///     one bucket width, i.e. ~12.5% relative).
@@ -95,27 +96,27 @@ class Gauge {
   std::atomic<uint64_t> bits_{0};  // IEEE bits of 0.0
 };
 
-/// \brief Histogram bucket layout (fixed per instrument).
-struct HistogramOptions {
-  /// Lower edge of the first octave; values below land in the underflow
-  /// bucket (whose range is [0, min_value)).
-  double min_value = 1e-3;
-  /// Powers of two covered; values >= min_value * 2^num_octaves land in
-  /// the overflow bucket and clamp percentiles to the top edge.
-  uint32_t num_octaves = 40;
-  /// Linear sub-buckets per octave: relative bucket width 1/8 = 12.5%.
-  uint32_t sub_buckets_per_octave = 8;
-};
+/// \name Histogram bucket layout
+/// Every histogram shares one layout.  Values below `kHistogramMinValue`
+/// land in the underflow bucket (whose range is [0, kHistogramMinValue));
+/// values >= kHistogramMinValue * 2^kHistogramOctaves land in the
+/// overflow bucket and clamp percentiles to the top edge.  Each octave
+/// has `kHistogramSubBuckets` linear sub-buckets: relative bucket width
+/// 1/8 = 12.5%.
+/// @{
+inline constexpr double kHistogramMinValue = 1e-3;
+inline constexpr uint32_t kHistogramOctaves = 40;
+inline constexpr uint32_t kHistogramSubBuckets = 8;
+/// @}
 
 /// \brief One consistent-enough copy of a histogram's state (relaxed
 /// per-bucket loads; exact totals once writers quiesce).  Percentiles
 /// are computed from this, so a snapshot taken before and after a
 /// workload can be diffed for per-pass latencies (`DeltaSince`).
 struct HistogramSnapshot {
-  HistogramOptions layout;
   uint64_t count = 0;
   double sum = 0.0;
-  /// buckets[0] = underflow, then num_octaves * sub_buckets_per_octave
+  /// buckets[0] = underflow, then kHistogramOctaves * kHistogramSubBuckets
   /// log-linear buckets, then overflow.
   std::vector<uint64_t> buckets;
 
@@ -133,7 +134,7 @@ struct HistogramSnapshot {
 /// `Record` is one relaxed bucket fetch_add plus a lock-free sum update.
 class Histogram {
  public:
-  explicit Histogram(HistogramOptions options = {});
+  Histogram();
 
   /// \brief Records one observation.  Wait-free bucket increment; no-op
   /// when observability is disabled (`SetEnabled(false)`).
@@ -146,12 +147,9 @@ class Histogram {
   /// error bound the accuracy test asserts against.
   double BucketWidthFor(double value) const;
 
-  const HistogramOptions& options() const { return options_; }
-
  private:
   size_t BucketIndex(double value) const;
 
-  HistogramOptions options_;
   std::vector<std::atomic<uint64_t>> buckets_;  // underflow + body + overflow
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_bits_{0};  // IEEE bits; CAS-added (lock-free)
@@ -181,8 +179,8 @@ class MetricsRegistry {
       WQE_EXCLUDES(mu_);
   Gauge* GetGauge(std::string_view name, Labels labels = {})
       WQE_EXCLUDES(mu_);
-  Histogram* GetHistogram(std::string_view name, Labels labels = {},
-                          HistogramOptions options = {}) WQE_EXCLUDES(mu_);
+  Histogram* GetHistogram(std::string_view name, Labels labels = {})
+      WQE_EXCLUDES(mu_);
   /// @}
 
   /// \brief Stable-schema JSON dump: `{"metrics": [...]}` with one
@@ -213,8 +211,7 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  Instrument& GetOrCreate(std::string_view name, Labels labels, Kind kind,
-                          const HistogramOptions* hist_options)
+  Instrument& GetOrCreate(std::string_view name, Labels labels, Kind kind)
       WQE_EXCLUDES(mu_);
 
   mutable common::Mutex mu_;

@@ -11,11 +11,13 @@ namespace wqe::serve {
 
 namespace {
 
-/// Interruption outcomes (deadline/cancel) get their own obs stages; the
-/// per-stage error counters for expander-construction/expansion/search
-/// skip them so one failed request is attributed exactly once.
-bool IsInterruption(const Status& status) {
-  return status.IsDeadlineExceeded() || status.IsCancelled();
+/// The deadline `request` runs under: its own budget, or the server's
+/// default when it brings none, from now and tightened by any ambient
+/// deadline on the submitting thread.
+common::Deadline RequestDeadline(const api::QueryRequest& request,
+                                 double default_deadline_ms) {
+  return common::RequestDeadline(
+      request.deadline_ms > 0.0 ? request.deadline_ms : default_deadline_ms);
 }
 
 /// An already-failed future, for requests shed at admission: batch
@@ -52,7 +54,6 @@ Server::Server(const api::Engine& engine, ServerOptions options)
   instruments_.errors_search = stage_errors("search");
   instruments_.errors_admission = stage_errors("admission");
   instruments_.errors_deadline = stage_errors("deadline");
-  instruments_.errors_cancelled = stage_errors("cancelled");
   instruments_.shed_total =
       registry_->GetCounter("wqe.server.shed_total", labels);
   instruments_.deadline_exceeded =
@@ -102,27 +103,15 @@ ServerSnapshot Server::StatsSnapshot() const {
   return snapshot;
 }
 
-common::ExecContext Server::RequestContext(
-    double deadline_ms, const common::CancelToken& cancel) const {
-  common::ExecContext request;
-  const double budget_ms =
-      deadline_ms > 0.0 ? deadline_ms : options_.default_deadline_ms;
-  if (budget_ms > 0.0) {
-    request.deadline = common::Deadline::AfterMillis(budget_ms);
-  }
-  request.cancel = cancel;
-  return common::ExecContext::Merge(common::CurrentExecContext(), request);
-}
-
-Status Server::AdmitRequest(const common::ExecContext& exec) {
+Status Server::AdmitRequest(const common::Deadline& deadline) {
   Status shed = Status::OK();
   const size_t depth = pool_.queue_depth();
   if (options_.max_queue_depth != 0 && depth >= options_.max_queue_depth) {
     shed = Status::ResourceExhausted("shed: queue depth ", depth,
                                      " at max_queue_depth ",
                                      options_.max_queue_depth);
-  } else if (!exec.deadline.is_infinite()) {
-    const double remaining_ms = exec.deadline.remaining_ms();
+  } else if (!deadline.is_infinite()) {
+    const double remaining_ms = deadline.remaining_ms();
     const double expected_wait_ms =
         queue_wait_ewma_ms_.load(std::memory_order_relaxed);
     if (remaining_ms <= 0.0) {
@@ -150,15 +139,6 @@ void Server::NoteQueueWait(double wait_ms) {
     next = old_ewma == 0.0 ? wait_ms : 0.8 * old_ewma + 0.2 * wait_ms;
   } while (!queue_wait_ewma_ms_.compare_exchange_weak(
       old_ewma, next, std::memory_order_relaxed));
-}
-
-void Server::AttributeFailure(const Status& status) {
-  if (status.IsDeadlineExceeded()) {
-    instruments_.deadline_exceeded->Inc();
-    instruments_.errors_deadline->Inc();
-  } else if (status.IsCancelled()) {
-    instruments_.errors_cancelled->Inc();
-  }
 }
 
 Result<api::ExpandResponse> Server::ExpandResolved(
@@ -192,7 +172,9 @@ Result<api::ExpandResponse> Server::ExpandResolved(
   Result<api::ExpandResponse> response =
       engine_->ExpandWith(*expander, resolved, keywords);
   if (!response.ok()) {
-    if (!IsInterruption(response.status())) {
+    // A deadline failure counts in the `deadline` stage (ServeRequest), so
+    // one failed request is attributed exactly once.
+    if (!response.status().IsDeadlineExceeded()) {
       instruments_.errors_expansion->Inc();
     }
     return response.status();
@@ -214,7 +196,7 @@ Result<api::QueryResponse> Server::QueryOne(const api::GraphSnapshot& snapshot,
                      request.keywords, request.overrides));
   Result<api::QueryResponse> response =
       engine_->QueryWithExpansion(std::move(expansion), request.top_k);
-  if (!response.ok() && !IsInterruption(response.status())) {
+  if (!response.ok() && !response.status().IsDeadlineExceeded()) {
     instruments_.errors_search->Inc();
   }
   return response;
@@ -222,12 +204,12 @@ Result<api::QueryResponse> Server::QueryOne(const api::GraphSnapshot& snapshot,
 
 template <typename Work>
 Result<api::QueryResponse> Server::ServeRequest(
-    const common::ExecContext& exec,
+    const common::Deadline& deadline,
     std::chrono::steady_clock::time_point submitted, Work&& work) {
   NoteQueueWait(std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - submitted)
                     .count());
-  common::ScopedExecContext exec_scope(exec);
+  common::ScopedDeadline deadline_scope(deadline);
   obs::Span span("request", instruments_.request_latency, registry_);
   Result<api::QueryResponse> result = work();
   if (result.ok()) {
@@ -239,22 +221,26 @@ Result<api::QueryResponse> Server::ServeRequest(
   }
   if (!result.ok()) {
     instruments_.requests_failed->Inc();
-    AttributeFailure(result.status());
+    if (result.status().IsDeadlineExceeded()) {
+      instruments_.deadline_exceeded->Inc();
+      instruments_.errors_deadline->Inc();
+    }
   }
   return result;
 }
 
 template <typename Work>
 std::future<Result<api::QueryResponse>> Server::Enqueue(
-    const common::ExecContext& exec, Work work) {
+    const common::Deadline& deadline, Work work) {
   instruments_.requests->Inc();
-  if (Status admit = AdmitRequest(exec); !admit.ok()) {
+  if (Status admit = AdmitRequest(deadline); !admit.ok()) {
     return ReadyFuture(std::move(admit));
   }
   const auto submitted = std::chrono::steady_clock::now();
-  auto future = pool_.Submit([this, exec, submitted, work = std::move(work)] {
-    return ServeRequest(exec, submitted, work);
-  });
+  auto future =
+      pool_.Submit([this, deadline, submitted, work = std::move(work)] {
+        return ServeRequest(deadline, submitted, work);
+      });
   instruments_.queue_depth->Set(static_cast<double>(pool_.queue_depth()));
   return future;
 }
@@ -264,9 +250,9 @@ std::future<Result<api::QueryResponse>> Server::Enqueue(
 // PublishSnapshot retires the old epoch only after pins like it drain.
 std::future<Result<api::QueryResponse>> Server::Submit(
     api::QueryRequest request) {
-  const common::ExecContext exec =
-      RequestContext(request.deadline_ms, request.cancel);
-  return Enqueue(exec, [this, request = std::move(request)] {
+  const common::Deadline deadline =
+      RequestDeadline(request, options_.default_deadline_ms);
+  return Enqueue(deadline, [this, request = std::move(request)] {
     return QueryOne(*engine_->CurrentSnapshot(), request);
   });
 }
@@ -294,7 +280,7 @@ Result<std::vector<api::QueryResponse>> Server::QueryBatch(
   futures.reserve(requests.size());
   for (const api::QueryRequest& request : requests) {
     futures.push_back(
-        Enqueue(RequestContext(request.deadline_ms, request.cancel),
+        Enqueue(RequestDeadline(request, options_.default_deadline_ms),
                 [this, &snapshot, &request] {
                   return QueryOne(*snapshot, request);
                 }));

@@ -46,6 +46,11 @@
 ///
 /// One pool per server, and one level of parallelism: each request runs
 /// on one worker, start to finish, and never fans out again.
+///
+/// A request's one budget is its deadline: `QueryRequest::deadline_ms`,
+/// or `ServerOptions::default_deadline_ms` when it brings none, computed
+/// at submission (`common::RequestDeadline`, the helper `api::Engine`
+/// uses too) and carried onto the worker by the pool.
 
 #include <atomic>
 #include <chrono>
@@ -205,7 +210,6 @@ class Server {
     obs::Counter* errors_search = nullptr;
     obs::Counter* errors_admission = nullptr;
     obs::Counter* errors_deadline = nullptr;
-    obs::Counter* errors_cancelled = nullptr;
     obs::Counter* shed_total = nullptr;
     obs::Counter* deadline_exceeded = nullptr;
     obs::Histogram* request_latency = nullptr;
@@ -214,35 +218,25 @@ class Server {
     obs::Gauge* queue_depth = nullptr;
   };
 
-  /// The execution context one request runs under: its own deadline (or
-  /// the server default) computed now, merged with any ambient context
-  /// on the submitting thread (the tighter deadline wins).
-  common::ExecContext RequestContext(double deadline_ms,
-                                     const common::CancelToken& cancel) const;
-
   /// Admission decision for one request, made on the submitting thread
   /// *before* any task is queued: OK to admit, `ResourceExhausted` (with
   /// counters recorded) to shed.  See `ServerOptions::max_queue_depth`.
-  Status AdmitRequest(const common::ExecContext& exec);
+  Status AdmitRequest(const common::Deadline& deadline);
 
   /// Folds one observed enqueue→start gap into the queue-wait EWMA the
   /// admission policy consults.
   void NoteQueueWait(double wait_ms);
 
-  /// Attributes a failed request's status to its obs stage counters
-  /// (deadline/cancelled get their own stages and totals).
-  void AttributeFailure(const Status& status);
-
   /// Runs `work()` under a root `request` span (latency → the
-  /// `wqe.server.request_latency_ms` histogram), with `exec` installed
-  /// as the task's execution context, counting acceptance and failure.
-  /// The shared tail of every per-request pool task.  A result that
-  /// comes back OK after the budget ran out is demoted to the
-  /// interruption status: work finished past its deadline (or after a
-  /// cancel) must never be reported as success.
+  /// `wqe.server.request_latency_ms` histogram), with `deadline`
+  /// installed as the task's ambient deadline, counting acceptance and
+  /// failure (a deadline failure gets its own stage and total).  The
+  /// shared tail of every per-request pool task.  A result that comes
+  /// back OK after the budget ran out is demoted to DeadlineExceeded:
+  /// work finished past its deadline must never be reported as success.
   template <typename Work>
   Result<api::QueryResponse> ServeRequest(
-      const common::ExecContext& exec,
+      const common::Deadline& deadline,
       std::chrono::steady_clock::time_point submitted, Work&& work);
 
   /// The one enqueue path of singles and batch items: counts the
@@ -251,7 +245,7 @@ class Server {
   /// `ServeRequest`, then updates the queue-depth gauge.
   template <typename Work>
   std::future<Result<api::QueryResponse>> Enqueue(
-      const common::ExecContext& exec, Work work);
+      const common::Deadline& deadline, Work work);
 
   const api::Engine* engine_;
   ServerOptions options_;

@@ -65,22 +65,21 @@ ThreadPool::~ThreadPool() { Shutdown(); }
 void ThreadPool::Enqueue(std::function<void()> fn) {
   // Capture the submitter's trace context so spans opened inside the task
   // parent under the submitting request, and timestamp the enqueue so the
-  // dequeue side can account the queue wait.  The submitter's execution
-  // budget (deadline / cancel token) is captured unconditionally — a
-  // request's deadline must bind its pool-side work even with
-  // observability off.
+  // dequeue side can account the queue wait.  The submitter's deadline
+  // is captured unconditionally — a request's deadline must bind its
+  // pool-side work even with observability off.
   const bool timed = obs::Enabled();
   const common::TraceContext ctx =
       timed ? common::CurrentTraceContext() : common::TraceContext{};
-  const common::ExecContext exec = common::CurrentExecContext();
+  const common::Deadline deadline = common::CurrentDeadline();
   const auto enqueued = timed ? std::chrono::steady_clock::now()
                               : std::chrono::steady_clock::time_point{};
   {
     common::MutexLock lock(mu_);
     WQE_CHECK(!shutdown_);
-    queue_.push_back([fn = std::move(fn), ctx, exec, enqueued, timed] {
+    queue_.push_back([fn = std::move(fn), ctx, deadline, enqueued, timed] {
       obs::ScopedTraceContext scope(ctx);
-      common::ScopedExecContext exec_scope(exec);
+      common::ScopedDeadline deadline_scope(deadline);
       if (timed) RecordQueueWait(enqueued, ctx);
       WQE_FAULT_DELAY("serve.pool_dispatch");
       fn();

@@ -5,7 +5,8 @@
 ///
 /// The unit of concurrency: `serve::Server` fans requests across one of
 /// these, and `analysis::QueryGraphAnalyzer::AnalyzeAll` fans topics
-/// across one it makes for the call.
+/// across one it makes for the call.  A task runs under its submitter's
+/// trace context and ambient `common::Deadline` (see `Submit`).
 /// Deliberately minimal — a mutex-guarded FIFO and `std::packaged_task`
 /// futures — because the tasks it runs (entity linking + cycle
 /// enumeration + retrieval) are milliseconds-long, so queue contention
@@ -53,9 +54,9 @@ class ThreadPool {
   /// inside the task parent under the submitting request; the
   /// enqueue→dequeue gap is recorded as a `queue-wait` span and into the
   /// `wqe.serve.queue_wait_ms` histogram (see Enqueue).  The submitter's
-  /// `common::ExecContext` (deadline + cancel token) is propagated the
-  /// same way, so cooperative checks inside the task see the budget of
-  /// the request that submitted it.
+  /// ambient `common::Deadline` is propagated the same way, so
+  /// cooperative checks inside the task see the budget of the request
+  /// that submitted it.
   template <typename F>
   auto Submit(F&& fn) WQE_EXCLUDES(mu_)
       -> std::future<std::invoke_result_t<std::decay_t<F>>> {

@@ -4,12 +4,11 @@ namespace wqe::text {
 
 std::vector<AnalyzedTerm> Analyzer::Analyze(std::string_view input) const {
   std::vector<Token> tokens = tokenizer_.Tokenize(input);
+  const StopwordSet& stopwords = StopwordSet::Default();
   std::vector<AnalyzedTerm> out;
   out.reserve(tokens.size());
   for (Token& tok : tokens) {
-    if (options_.remove_stopwords && stopwords_->Contains(tok.text)) {
-      continue;
-    }
+    if (stopwords.Contains(tok.text)) continue;
     AnalyzedTerm term;
     term.term = ProcessToken(tok.text);
     // Positions are compacted over the kept terms (INDRI-style stopping):
@@ -33,7 +32,6 @@ std::vector<std::string> Analyzer::AnalyzeToStrings(
 }
 
 std::string Analyzer::ProcessToken(std::string_view token) const {
-  if (!options_.stem) return std::string(token);
   return stemmer_.Stem(token);
 }
 

@@ -4,8 +4,10 @@
 /// \brief The full text-analysis pipeline: tokenize → stop → stem.
 ///
 /// Documents at index time and queries at search time must pass through the
-/// *same* analyzer instance configuration, otherwise term vocabularies
-/// diverge; `ir::SearchEngine` owns one analyzer and applies it to both.
+/// same analysis, otherwise term vocabularies diverge; `ir::SearchEngine`
+/// owns one analyzer and applies it to both.  There is one analysis: every
+/// analyzer removes the default English stopwords (`StopwordSet::Default`)
+/// and Porter-stems what is left, as the paper's INDRI setup does.
 
 #include <string>
 #include <string_view>
@@ -16,13 +18,6 @@
 #include "text/tokenizer.h"
 
 namespace wqe::text {
-
-/// \brief Analyzer configuration.
-struct AnalyzerOptions {
-  TokenizerOptions tokenizer;
-  bool remove_stopwords = true;
-  bool stem = true;
-};
 
 /// \brief An analyzed term: processed text plus token position and source
 /// span.  Positions index the *kept* term sequence (stopwords removed and
@@ -38,28 +33,18 @@ struct AnalyzedTerm {
 /// \brief Tokenize → stopword-filter → stem pipeline.
 class Analyzer {
  public:
-  explicit Analyzer(AnalyzerOptions options = {},
-                    const StopwordSet* stopwords = &StopwordSet::Default())
-      : options_(options), tokenizer_(options.tokenizer),
-        stopwords_(stopwords) {}
-
   /// \brief Runs the full pipeline on `input`.
   std::vector<AnalyzedTerm> Analyze(std::string_view input) const;
 
   /// \brief Terms only, no positions.
   std::vector<std::string> AnalyzeToStrings(std::string_view input) const;
 
-  /// \brief Applies stemming (if enabled) to one lowercase token.
+  /// \brief Stems one lowercase token.
   std::string ProcessToken(std::string_view token) const;
 
-  const StopwordSet& stopwords() const { return *stopwords_; }
-  const AnalyzerOptions& options() const { return options_; }
-
  private:
-  AnalyzerOptions options_;
   Tokenizer tokenizer_;
   PorterStemmer stemmer_;
-  const StopwordSet* stopwords_;
 };
 
 }  // namespace wqe::text

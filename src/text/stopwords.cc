@@ -39,9 +39,4 @@ const StopwordSet& StopwordSet::Default() {
   return *kDefault;
 }
 
-const StopwordSet& StopwordSet::Empty() {
-  static const StopwordSet* kEmpty = new StopwordSet();
-  return *kEmpty;
-}
-
 }  // namespace wqe::text

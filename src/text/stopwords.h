@@ -17,12 +17,8 @@ class StopwordSet {
   /// entity linker (single-term stopwords never form entities on their own).
   static const StopwordSet& Default();
 
-  /// \brief An empty set (stopping disabled).
-  static const StopwordSet& Empty();
-
   /// \brief Builds a custom set.
   explicit StopwordSet(std::initializer_list<std::string_view> words);
-  StopwordSet() = default;
 
   /// \brief True when `word` (already lowercase) is a stopword.
   bool Contains(std::string_view word) const;

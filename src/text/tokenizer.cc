@@ -4,15 +4,12 @@ namespace wqe::text {
 
 namespace {
 
-bool IsWordByte(unsigned char c, bool keep_numbers) {
+bool IsWordByte(unsigned char c) {
   if (c >= 0x80) return true;  // UTF-8 continuation/lead bytes: keep
   if (c >= 'a' && c <= 'z') return true;
   if (c >= 'A' && c <= 'Z') return true;
-  if (c >= '0' && c <= '9') return keep_numbers || true;  // classified below
-  return false;
+  return c >= '0' && c <= '9';
 }
-
-bool IsDigit(unsigned char c) { return c >= '0' && c <= '9'; }
 
 char LowerAscii(char c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
@@ -26,7 +23,7 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view input) const {
   const size_t n = input.size();
   while (i < n) {
     unsigned char c = static_cast<unsigned char>(input[i]);
-    if (!IsWordByte(c, options_.keep_numbers)) {
+    if (!IsWordByte(c)) {
       ++i;
       continue;
     }
@@ -34,36 +31,22 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view input) const {
     std::string tok;
     while (i < n) {
       unsigned char cur = static_cast<unsigned char>(input[i]);
-      if (IsWordByte(cur, options_.keep_numbers)) {
+      if (IsWordByte(cur)) {
         tok.push_back(LowerAscii(input[i]));
         ++i;
         continue;
       }
       // Inner punctuation: keep a single '-' or '\'' when flanked by word
       // bytes on both sides.
-      if (options_.keep_inner_punct && (cur == '-' || cur == '\'') &&
-          i + 1 < n &&
-          IsWordByte(static_cast<unsigned char>(input[i + 1]),
-                     options_.keep_numbers)) {
+      if ((cur == '-' || cur == '\'') && i + 1 < n &&
+          IsWordByte(static_cast<unsigned char>(input[i + 1]))) {
         tok.push_back(static_cast<char>(cur));
         ++i;
         continue;
       }
       break;
     }
-    bool all_digits = true;
-    for (char tc : tok) {
-      if (!IsDigit(static_cast<unsigned char>(tc))) {
-        all_digits = false;
-        break;
-      }
-    }
-    if (all_digits && !options_.keep_numbers) {
-      continue;  // drop numeric token
-    }
-    if (!tok.empty()) {
-      out.push_back(Token{std::move(tok), start, i});
-    }
+    out.push_back(Token{std::move(tok), start, i});
   }
   return out;
 }

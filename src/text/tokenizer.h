@@ -22,33 +22,21 @@ struct Token {
   bool operator==(const Token& other) const = default;
 };
 
-/// \brief Tokenization options.
-struct TokenizerOptions {
-  /// Keep digit-only tokens (e.g. "1712"). Wikipedia titles contain years,
-  /// so the default is true.
-  bool keep_numbers = true;
-  /// Treat intra-word hyphens/apostrophes as part of the token
-  /// ("bouches-du-rhone" stays one token).
-  bool keep_inner_punct = true;
-};
-
 /// \brief Splits text into lowercase word tokens.
 ///
-/// A token is a maximal run of alphanumeric bytes (plus inner `-`/`'` when
-/// `keep_inner_punct`). Non-ASCII bytes are treated as letters so UTF-8
-/// words survive intact (unlowered).
+/// A token is a maximal run of alphanumeric bytes plus inner `-`/`'`
+/// flanked by word bytes ("bouches-du-rhone" stays one token).
+/// Digit-only tokens are kept: Wikipedia titles contain years ("1712").
+/// Non-ASCII bytes are treated as letters so UTF-8 words survive intact
+/// (unlowered).  Indexing, query analysis and entity linking all
+/// tokenize this one way.
 class Tokenizer {
  public:
-  explicit Tokenizer(TokenizerOptions options = {}) : options_(options) {}
-
   /// \brief Tokenizes `input`; offsets refer to `input` bytes.
   std::vector<Token> Tokenize(std::string_view input) const;
 
   /// \brief Convenience: tokens as plain strings (no offsets).
   std::vector<std::string> TokenizeToStrings(std::string_view input) const;
-
- private:
-  TokenizerOptions options_;
 };
 
 }  // namespace wqe::text

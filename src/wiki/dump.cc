@@ -1,5 +1,8 @@
 #include "wiki/dump.h"
 
+#include <charconv>
+#include <string_view>
+#include <system_error>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -101,12 +104,14 @@ Result<std::vector<DumpPage>> ParseDumpPages(std::string_view xml_text) {
           WQE_ASSIGN_OR_RETURN(page.title, parser.ReadElementText());
         } else if (pev.name == "ns") {
           WQE_ASSIGN_OR_RETURN(std::string ns_text, parser.ReadElementText());
-          std::string trimmed(Trim(ns_text));
-          if (trimmed.empty()) {
-            return Status::ParseError("empty <ns> for page '", page.title,
-                                      "'");
+          const std::string_view trimmed = Trim(ns_text);
+          const char* last = trimmed.data() + trimmed.size();
+          const auto [end, ec] =
+              std::from_chars(trimmed.data(), last, page.ns);
+          if (trimmed.empty() || ec != std::errc() || end != last) {
+            return Status::ParseError("bad <ns> '", trimmed, "' for page '",
+                                      page.title, "'");
           }
-          page.ns = std::atoi(trimmed.c_str());
         } else if (pev.name == "redirect") {
           page.redirect_title = std::string(pev.Attr("title"));
           if (!pev.self_closing) {

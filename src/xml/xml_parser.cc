@@ -1,6 +1,8 @@
 #include "xml/xml_parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "common/macros.h"
 
@@ -19,6 +21,14 @@ bool IsNameChar(char c) {
 
 bool IsSpace(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+/// XML 1.0's `Char` production: #x9 | #xA | #xD | [#x20-#xD7FF] |
+/// [#xE000-#xFFFD] | [#x10000-#x10FFFF].
+bool IsXmlChar(uint32_t cp) {
+  return cp == 0x9 || cp == 0xA || cp == 0xD ||
+         (cp >= 0x20 && cp <= 0xD7FF) || (cp >= 0xE000 && cp <= 0xFFFD) ||
+         (cp >= 0x10000 && cp <= 0x10FFFF);
 }
 
 void AppendUtf8(std::string* out, uint32_t cp) {
@@ -69,26 +79,16 @@ Result<std::string> DecodeXmlEntities(std::string_view raw) {
     } else if (ent == "quot") {
       out.push_back('"');
     } else if (!ent.empty() && ent[0] == '#') {
+      const bool hex = ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X');
+      const std::string_view digits = ent.substr(hex ? 2 : 1);
       uint32_t cp = 0;
-      bool ok = ent.size() > 1;
-      if (ent.size() > 2 && (ent[1] == 'x' || ent[1] == 'X')) {
-        for (size_t k = 2; k < ent.size(); ++k) {
-          char h = ent[k];
-          uint32_t digit;
-          if (h >= '0' && h <= '9') digit = h - '0';
-          else if (h >= 'a' && h <= 'f') digit = 10 + h - 'a';
-          else if (h >= 'A' && h <= 'F') digit = 10 + h - 'A';
-          else { ok = false; break; }
-          cp = cp * 16 + digit;
-        }
-      } else {
-        for (size_t k = 1; k < ent.size(); ++k) {
-          char d = ent[k];
-          if (d < '0' || d > '9') { ok = false; break; }
-          cp = cp * 10 + static_cast<uint32_t>(d - '0');
-        }
-      }
-      if (!ok || cp == 0 || cp > 0x10FFFF) {
+      const auto [end, ec] = std::from_chars(
+          digits.data(), digits.data() + digits.size(), cp, hex ? 16 : 10);
+      // The whole reference must be digits, fit in 32 bits, and name an
+      // XML 1.0 Char (no controls, surrogates, U+FFFE/U+FFFF or values
+      // past U+10FFFF).
+      if (digits.empty() || ec != std::errc() ||
+          end != digits.data() + digits.size() || !IsXmlChar(cp)) {
         return Status::ParseError("bad numeric character reference '&", ent,
                                   ";'");
       }

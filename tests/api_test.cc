@@ -153,14 +153,6 @@ TEST(ExpanderRegistryTest, InvalidOverridesAreRejected) {
 
 // --------------------------------------------------------------- engine
 
-TEST(EngineTest, BuildRejectsUnknownDefaultExpander) {
-  EngineOptions options;
-  options.default_expander = "nope";
-  auto engine = Engine::Build(wiki::KnowledgeBase(), options);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_TRUE(engine.status().IsInvalidArgument());
-}
-
 TEST(EngineTest, QueryBeforeFinalizeFails) {
   auto engine = Engine::Build(wiki::KnowledgeBase());
   ASSERT_TRUE(engine.ok());
@@ -183,38 +175,39 @@ TEST(EngineTest, EmptyExpanderUsesDefault) {
   request.keywords = SmallBed().topic(0).keywords;
   auto response = engine.Query(request);
   ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->expansion.expander, engine.options().default_expander);
+  EXPECT_EQ(response->expansion.expander, "cycle");
   EXPECT_FALSE(response->docs.empty());
 }
 
 TEST(EngineTest, AliasResolvesToCanonicalStrategy) {
   const Engine& engine = SmallBed().engine();
-  ExpandRequest request;
+  QueryRequest request;
   request.keywords = SmallBed().topic(0).keywords;
   request.expander = "adjacency";
-  auto response = engine.Expand(request);
+  auto response = engine.Query(request);
   ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->expander, "direct-link");
+  EXPECT_EQ(response->expansion.expander, "direct-link");
 }
 
 TEST(EngineTest, PerCallOverridesApply) {
   const Engine& engine = SmallBed().engine();
-  ExpandRequest base;
+  QueryRequest base;
   base.keywords = SmallBed().topic(0).keywords;
   base.expander = "cycle";
-  auto unlimited = engine.Expand(base);
+  auto unlimited = engine.Query(base);
   ASSERT_TRUE(unlimited.ok());
-  ASSERT_GT(unlimited->feature_articles.size(), 1u);
+  ASSERT_GT(unlimited->expansion.feature_articles.size(), 1u);
 
-  ExpandRequest capped = base;
+  QueryRequest capped = base;
   capped.overrides.max_features = 1;
-  auto one = engine.Expand(capped);
+  auto one = engine.Query(capped);
   ASSERT_TRUE(one.ok());
-  EXPECT_EQ(one->feature_articles.size(), 1u);
+  EXPECT_EQ(one->expansion.feature_articles.size(), 1u);
   // The overridden call must not disturb subsequent default calls.
-  auto again = engine.Expand(base);
+  auto again = engine.Query(base);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->feature_articles, unlimited->feature_articles);
+  EXPECT_EQ(again->expansion.feature_articles,
+            unlimited->expansion.feature_articles);
 }
 
 TEST(EngineTest, UnlinkableKeywordsFallBackToRawQuery) {
@@ -287,12 +280,11 @@ TEST(EngineBatchTest, BatchErrorNamesOffendingRequest) {
 // ----------------------------------------------------- retrieval oracle
 
 /// The ranking oracle over `engine`'s corpus: the map-based index and the
-/// reference evaluator, with the engine's analyzer and scoring options.
+/// reference evaluator, with the engine's analyzer.
 class RetrievalOracle {
  public:
   explicit RetrievalOracle(const Engine& engine)
-      : index_(&engine.search_engine().analyzer()),
-        evaluator_(&index_, engine.options().search.scorer) {
+      : index_(&engine.search_engine().analyzer()), evaluator_(&index_) {
     EXPECT_TRUE(index_.AddAll(engine.search_engine().store()).ok());
   }
   std::vector<ir::ScoredDoc> Rank(const ir::QueryNode& query,
@@ -393,57 +385,47 @@ std::unique_ptr<Engine> EngineOverBedKb(const std::string& extra,
   return std::move(*engine);
 }
 
-TEST(RetrievalOracleTest, ExpansionMadeBeforeFinalizeIsPreparedAtQuery) {
+TEST(RetrievalOracleTest, ExpandBeforeFinalizeFailsWithoutExpanding) {
   const Testbed& bed = SmallBed();
   std::unique_ptr<Engine> engine = EngineOverBedKb("", /*finalize=*/false);
-  ExpandRequest request;
-  request.keywords = bed.topic(2).keywords;
-  auto early = engine->Expand(request);
-  ASSERT_TRUE(early.ok()) << early.status();
-  EXPECT_EQ(early->prepared.index_id, 0u);  // nothing to resolve against
-  ASSERT_TRUE(engine->FinalizeIndex().ok());
-
-  auto response = engine->QueryWithExpansion(*early, 0);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->expansion.prepared.index_id,
-            engine->search_engine().index().id());
-  RetrievalOracle oracle(*engine);
-  ExpectSameDocs(response->docs,
-                 oracle.Rank(early->query, engine->options().default_top_k));
-  // The same ranking the bed's own engine gives the same request.
-  QueryRequest query;
-  query.keywords = request.keywords;
-  auto reference = bed.engine().Query(query);
-  ASSERT_TRUE(reference.ok());
-  ExpectSameDocs(response->docs, reference->docs);
+  std::shared_ptr<const GraphSnapshot> pin = engine->CurrentSnapshot();
+  auto expander = engine->BuildExpander(*pin, "cycle", {});
+  ASSERT_TRUE(expander.ok()) << expander.status();
+  auto early = engine->ExpandWith(**expander, "cycle", bed.topic(2).keywords);
+  ASSERT_FALSE(early.ok());
+  EXPECT_TRUE(early.status().IsInvalidArgument()) << early.status();
+  EXPECT_EQ(engine->stats().expand_calls, 0u);
 }
 
-TEST(RetrievalOracleTest, ExpansionFromAnotherEngineIsReprepared) {
+TEST(RetrievalOracleTest, ExpansionFromAnotherEngineIsRejected) {
   const Testbed& bed = SmallBed();
   const Engine& engine = bed.engine();
   // "aaaa" sorts ahead of the query terms, so the other engine's term ids
   // all differ from this engine's.
   std::unique_ptr<Engine> other = EngineOverBedKb("aaaa", /*finalize=*/true);
-  ExpandRequest request;
+  QueryRequest request;
   request.keywords = bed.topic(3).keywords;
-  auto foreign = other->Expand(request);
-  auto own = engine.Expand(request);
+  auto foreign = other->Query(request);
+  auto own = engine.Query(request);
   ASSERT_TRUE(foreign.ok() && own.ok());
-  EXPECT_EQ(foreign->query.ToString(), own->query.ToString());
-  ASSERT_NE(foreign->prepared.terms, own->prepared.terms);
+  EXPECT_EQ(foreign->expansion.query.ToString(),
+            own->expansion.query.ToString());
+  ASSERT_NE(foreign->expansion.prepared.terms, own->expansion.prepared.terms);
   EXPECT_TRUE(engine.search_engine()
-                  .Search(foreign->prepared, 15)
+                  .Search(foreign->expansion.prepared, 15)
                   .status()
                   .IsInvalidArgument());
-
-  auto response = engine.QueryWithExpansion(*foreign, 0);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->expansion.prepared.index_id,
-            engine.search_engine().index().id());
-  EXPECT_EQ(response->expansion.prepared.terms, own->prepared.terms);
+  const size_t searches = engine.stats().searches;
+  auto response = engine.QueryWithExpansion(foreign->expansion, 0);
+  ASSERT_FALSE(response.ok());
+  EXPECT_TRUE(response.status().IsInvalidArgument()) << response.status();
+  EXPECT_EQ(engine.stats().searches, searches);
+  // The engine's own expansion completes, and matches the oracle.
+  auto completed = engine.QueryWithExpansion(own->expansion, 0);
+  ASSERT_TRUE(completed.ok()) << completed.status();
   RetrievalOracle oracle(engine);
-  ExpectSameDocs(response->docs,
-                 oracle.Rank(own->query, engine.options().default_top_k));
+  ExpectSameDocs(completed->docs, oracle.Rank(own->expansion.query,
+                                              engine.options().default_top_k));
 }
 
 // ----------------------------------------------------------- evaluation

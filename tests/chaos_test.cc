@@ -2,15 +2,15 @@
 /// \brief Deterministic fault-injection chaos suite for the serving
 /// stack.  Seeded fault schedules (`common::FaultInjector`) drive
 /// randomized failures and delays through `serve::Server::Submit` and
-/// `QueryBatch` while deadlines and cancellation fire mid-flight.  The
-/// invariants checked on every schedule:
+/// `QueryBatch` while deadlines fire mid-flight.  The invariants checked
+/// on every schedule:
 ///
 ///  - no deadlock: every future becomes ready within a loose wall-clock
 ///    bound (the test itself would hang otherwise);
 ///  - no partial ranking reported as success: every OK response is
 ///    bit-identical to the sequential no-fault reference;
 ///  - every failure is attributable: an injected code, or one of the
-///    lifecycle codes (DeadlineExceeded / Cancelled / ResourceExhausted);
+///    lifecycle codes (DeadlineExceeded / ResourceExhausted);
 ///  - batches stay fail-atomic: a failing batch yields no responses and
 ///    names a failing request index;
 ///  - with injection disabled and no deadlines set, serving output is
@@ -25,12 +25,10 @@
 #include <chrono>
 #include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/engine.h"
 #include "api/testbed.h"
-#include "common/deadline.h"
 #include "common/fault_injection.h"
 #include "common/status.h"
 #include "serve/server.h"
@@ -69,7 +67,7 @@ std::vector<api::QueryRequest> RequestMix(size_t count) {
 }
 
 /// Sequential no-fault reference for the mix, computed once.  Requests
-/// carry no deadline and no token, so this is the plain engine output.
+/// carry no deadline, so this is the plain engine output.
 const std::vector<api::QueryResponse>& Reference(
     const std::vector<api::QueryRequest>& requests) {
   static const std::vector<api::QueryResponse>* kReference = [&requests] {
@@ -87,11 +85,10 @@ bool SameRanking(const api::QueryResponse& got, const api::QueryResponse& want) 
 }
 
 /// A failure the chaos run is allowed to surface: one of the injected
-/// codes, or a lifecycle outcome of deadlines / cancellation / shedding.
+/// codes, or a lifecycle outcome of deadlines / shedding.
 bool AttributableFailure(const Status& status) {
   return status.IsInternal() || status.IsIOError() ||
-         status.IsDeadlineExceeded() || status.IsCancelled() ||
-         status.IsResourceExhausted();
+         status.IsDeadlineExceeded() || status.IsResourceExhausted();
 }
 
 constexpr auto kNoDeadlockBound = std::chrono::seconds(30);
@@ -165,21 +162,16 @@ TEST(ChaosTest, SeededFaultSchedulesPreserveServingInvariants) {
     };
     CheckBatch(mix);
 
-    // --- singles under fire, a few with tight deadlines and one
-    // cancelled mid-flight.
-    common::CancelSource source;
+    // --- singles under fire, a few with tight deadlines.
     std::vector<std::future<Result<api::QueryResponse>>> futures;
     std::vector<size_t> indices;
     constexpr size_t kSingles = 36;
     for (size_t i = 0; i < kSingles; ++i) {
       api::QueryRequest request = mix[i % mix.size()];
       if (i % 6 == 5) request.deadline_ms = 3.0;
-      if (i == kSingles / 2) request.cancel = source.token();
       indices.push_back(i % mix.size());
       futures.push_back(server.Submit(std::move(request)));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    source.RequestCancel();
     total_requests += kSingles;
     for (size_t i = 0; i < futures.size(); ++i) {
       Result<api::QueryResponse> result =
@@ -206,7 +198,7 @@ TEST(ChaosTest, SeededFaultSchedulesPreserveServingInvariants) {
 }
 
 TEST(ChaosTest, DisabledInjectionIsBitIdenticalToSequential) {
-  // The inert path: no injection, no deadlines, no tokens.  Parallel
+  // The inert path: no injection, no deadlines.  Parallel
   // serving must reproduce the sequential engine bit-for-bit — the
   // robustness machinery may not perturb a healthy request stream.
   common::FaultInjector::Global().Disable();

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -55,14 +56,12 @@ TEST(StatusTest, AllCodesRoundTripThroughToString) {
   EXPECT_TRUE(Status::NotImplemented("x").IsNotImplemented());
   EXPECT_TRUE(Status::Internal("x").IsInternal());
   EXPECT_TRUE(Status::DeadlineExceeded("x").IsDeadlineExceeded());
-  EXPECT_TRUE(Status::Cancelled("x").IsCancelled());
   EXPECT_TRUE(Status::ResourceExhausted("x").IsResourceExhausted());
 }
 
 TEST(StatusTest, LifecycleCodesToString) {
   EXPECT_EQ(Status::DeadlineExceeded("late").ToString(),
             "Deadline exceeded: late");
-  EXPECT_EQ(Status::Cancelled("stop").ToString(), "Cancelled: stop");
   EXPECT_EQ(Status::ResourceExhausted("full").ToString(),
             "Resource exhausted: full");
 }
@@ -540,88 +539,43 @@ TEST(DeadlineTest, TightenPicksTheEarlier) {
   EXPECT_TRUE(common::Deadline::Tighten(infinite, infinite).is_infinite());
 }
 
-TEST(CancelTokenTest, DefaultTokenNeverCancels) {
-  common::CancelToken token;
-  EXPECT_FALSE(token.valid());
-  EXPECT_FALSE(token.cancelled());
-}
-
-TEST(CancelTokenTest, SourceCancelsItsTokens) {
-  common::CancelSource source;
-  common::CancelToken token = source.token();
-  EXPECT_TRUE(token.valid());
-  EXPECT_FALSE(token.cancelled());
-  source.RequestCancel();
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_TRUE(source.cancel_requested());
-  // Tokens taken after the cancel observe it too.
-  EXPECT_TRUE(source.token().cancelled());
-}
-
-TEST(ExecContextTest, DefaultIsInactiveAndCheapChecksPass) {
-  EXPECT_FALSE(common::CurrentExecContext().active());
-  EXPECT_FALSE(common::ExecInterrupted());
+TEST(AmbientDeadlineTest, DefaultIsInfiniteAndChecksPass) {
+  EXPECT_TRUE(common::CurrentDeadline().is_infinite());
+  EXPECT_FALSE(common::CurrentDeadline().expired());
   EXPECT_TRUE(common::ExecStatus().ok());
 }
 
-TEST(ExecContextTest, ScopedInstallAndRestore) {
-  common::ExecContext ctx;
-  ctx.deadline = common::Deadline::AfterMillis(60'000.0);
+TEST(AmbientDeadlineTest, ScopedInstallAndRestore) {
   {
-    common::ScopedExecContext scope(ctx);
-    EXPECT_TRUE(common::CurrentExecContext().active());
-    EXPECT_FALSE(common::ExecInterrupted());
+    common::ScopedDeadline scope(common::Deadline::AfterMillis(60'000.0));
+    EXPECT_FALSE(common::CurrentDeadline().is_infinite());
+    EXPECT_FALSE(common::CurrentDeadline().expired());
   }
-  EXPECT_FALSE(common::CurrentExecContext().active());
+  EXPECT_TRUE(common::CurrentDeadline().is_infinite());
 }
 
-TEST(ExecContextTest, ExpiredDeadlineSurfacesAsDeadlineExceeded) {
-  common::ExecContext ctx;
-  ctx.deadline = common::Deadline::AfterMillis(0.0);
-  common::ScopedExecContext scope(ctx);
-  EXPECT_TRUE(common::ExecInterrupted());
+TEST(AmbientDeadlineTest, ExpiredDeadlineSurfacesAsDeadlineExceeded) {
+  common::ScopedDeadline scope(common::Deadline::AfterMillis(0.0));
+  EXPECT_TRUE(common::CurrentDeadline().expired());
   EXPECT_TRUE(common::ExecStatus().IsDeadlineExceeded());
 }
 
-TEST(ExecContextTest, CancelSurfacesAsCancelledAndWinsOverDeadline) {
-  common::CancelSource source;
-  common::ExecContext ctx;
-  ctx.deadline = common::Deadline::AfterMillis(0.0);
-  ctx.cancel = source.token();
-  common::ScopedExecContext scope(ctx);
-  EXPECT_TRUE(common::ExecStatus().IsDeadlineExceeded());  // not cancelled yet
-  source.RequestCancel();
-  EXPECT_TRUE(common::ExecInterrupted());
-  EXPECT_TRUE(common::ExecStatus().IsCancelled());
+TEST(AmbientDeadlineTest, RequestDeadlineKeepsTheTighterOne) {
+  // No budget of its own (0, negative or NaN): the ambient deadline.
+  for (double none : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(common::RequestDeadline(none).is_infinite()) << none;
+  }
+  EXPECT_FALSE(common::RequestDeadline(60'000.0).is_infinite());
+  // A request cannot loosen the ambient deadline it was issued under.
+  common::ScopedDeadline scope(common::Deadline::AfterMillis(0.0));
+  EXPECT_TRUE(common::RequestDeadline(60'000.0).expired());
+  EXPECT_TRUE(common::RequestDeadline(0.0).expired());
 }
 
-TEST(ExecContextTest, MergePrefersTighterDeadlineAndRequestToken) {
-  common::CancelSource ambient_source;
-  common::CancelSource request_source;
-  common::ExecContext ambient;
-  ambient.deadline = common::Deadline::AfterMillis(0.0);  // tighter
-  ambient.cancel = ambient_source.token();
-  common::ExecContext request;
-  request.deadline = common::Deadline::AfterMillis(60'000.0);
-  request.cancel = request_source.token();
-  common::ExecContext merged = common::ExecContext::Merge(ambient, request);
-  EXPECT_TRUE(merged.deadline.expired());  // ambient's tighter deadline won
-  request_source.RequestCancel();
-  EXPECT_TRUE(merged.cancel.cancelled());  // request's token won
-  // With no request token, the ambient token is inherited.
-  common::ExecContext bare_request;
-  common::ExecContext inherited =
-      common::ExecContext::Merge(ambient, bare_request);
-  ambient_source.RequestCancel();
-  EXPECT_TRUE(inherited.cancel.cancelled());
-}
-
-TEST(ExecContextTest, PropagatesAcrossPoolSubmit) {
-  common::ExecContext ctx;
-  ctx.deadline = common::Deadline::AfterMillis(0.0);
-  common::ScopedExecContext scope(ctx);
+TEST(AmbientDeadlineTest, PropagatesAcrossPoolSubmit) {
+  common::ScopedDeadline scope(common::Deadline::AfterMillis(0.0));
   serve::ThreadPool pool(1);
-  // The worker thread has no context of its own; Submit must carry the
+  // The worker thread has no deadline of its own; Submit must carry the
   // submitter's budget across the hop.
   EXPECT_TRUE(
       pool.Submit([] { return common::ExecStatus().IsDeadlineExceeded(); })

@@ -5,11 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <set>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/deadline.h"
@@ -736,12 +734,12 @@ TEST(OrderExactReferenceTest, SeedAtTheCutBoundaryStillCloses) {
   EXPECT_EQ(ExpectVisitMatchesReference(view, {{3}}), 4u);
 }
 
-// -------------------------------- deadlines / cooperative cancellation
+// --------------------------------------------------------------- deadlines
 //
-// The contract: an enumeration interrupted by an expired deadline or a
-// cancel request emits a *prefix* of the full emission order — never a
-// reordered or gap-ridden subset (the same abort-prefix identity the
-// visitor-abort path guarantees).
+// The contract: an enumeration interrupted by an expired deadline emits
+// a *prefix* of the full emission order — never a reordered or
+// gap-ridden subset (the same abort-prefix identity the visitor-abort
+// path guarantees).
 
 bool IsPrefixOf(const std::vector<std::vector<NodeId>>& prefix,
                 const std::vector<std::vector<NodeId>>& full) {
@@ -756,9 +754,7 @@ TEST(DeadlineCycleTest, ExpiredDeadlineEmitsNothing) {
   CycleEnumerator e(view);
   ASSERT_FALSE(e.Enumerate({}).empty());  // the graph does have cycles
 
-  common::ExecContext ctx;
-  ctx.deadline = common::Deadline::AfterMillis(0.0);
-  common::ScopedExecContext scope(ctx);
+  common::ScopedDeadline scope(common::Deadline::AfterMillis(0.0));
   size_t visited = e.Visit({}, [](const std::vector<uint32_t>&) {
     ADD_FAILURE() << "emitted a cycle under an already-expired deadline";
     return true;
@@ -767,8 +763,8 @@ TEST(DeadlineCycleTest, ExpiredDeadlineEmitsNothing) {
   EXPECT_TRUE(common::ExecStatus().IsDeadlineExceeded());
 }
 
-TEST(DeadlineCycleTest, CancelMidRunPreservesPrefixIdentity) {
-  // Wherever a cancel request lands, the emitted sequence must be a
+TEST(DeadlineCycleTest, DeadlineMidRunPreservesPrefixIdentity) {
+  // Wherever a deadline cuts the run, the emitted sequence must be a
   // prefix of the full order.
   PropertyGraph g = SkewedSchemaGraph(42, 34, 11, 420);
   CsrGraph csr = CsrGraph::Freeze(g);
@@ -777,7 +773,7 @@ TEST(DeadlineCycleTest, CancelMidRunPreservesPrefixIdentity) {
   const std::vector<std::vector<NodeId>> full = CycleNodes(e.Enumerate({}));
   ASSERT_GT(full.size(), 5000u);
 
-  // Visits under the installed context, collecting global-id cycles;
+  // Visits under the ambient deadline, collecting global-id cycles;
   // `on_emit` sees the count emitted so far.
   auto visit = [&](const std::function<void(size_t)>& on_emit) {
     std::vector<std::vector<NodeId>> seen;
@@ -793,44 +789,38 @@ TEST(DeadlineCycleTest, CancelMidRunPreservesPrefixIdentity) {
     return seen;
   };
 
-  // A helper thread requests cancellation at staggered offsets while the
-  // enumeration runs: the cut point depends on timing, the prefix
-  // property does not.
-  for (int delay_us : {0, 50, 200, 1000}) {
-    common::CancelSource source;
-    common::ExecContext ctx;
-    ctx.cancel = source.token();
-    common::ScopedExecContext scope(ctx);
-    std::thread canceller([&source, delay_us] {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-      source.RequestCancel();
-    });
+  // Staggered budgets: the cut point depends on timing, the prefix
+  // property does not.  A run that was cut reports the deadline.
+  for (double budget_ms : {0.01, 0.05, 0.2, 1.0}) {
+    common::ScopedDeadline scope(common::Deadline::AfterMillis(budget_ms));
     const std::vector<std::vector<NodeId>> seen = visit([](size_t) {});
-    canceller.join();
     EXPECT_TRUE(IsPrefixOf(seen, full))
-        << "delay_us=" << delay_us << " seen=" << seen.size() << "/"
+        << "budget_ms=" << budget_ms << " seen=" << seen.size() << "/"
         << full.size();
-    EXPECT_TRUE(common::ExecStatus().IsCancelled());
+    if (seen.size() < full.size()) {
+      EXPECT_TRUE(common::ExecStatus().IsDeadlineExceeded());
+    }
   }
 
-  // The visitor itself requests cancellation at its k-th emission, and
-  // the run stops at the next cooperative check: a cut point that does
-  // not depend on timing, so a second run stops at the same length.
+  // A far deadline turns the polling on; the visitor swaps in an expired
+  // one at its k-th emission, and the run stops at the next cooperative
+  // check: a cut point that does not depend on timing, so a second run
+  // stops at the same length.
   for (size_t k : {size_t{1}, size_t{400}, size_t{5000}}) {
     std::vector<size_t> lengths;
     for (int repeat = 0; repeat < 2; ++repeat) {
-      common::CancelSource source;
-      common::ExecContext ctx;
-      ctx.cancel = source.token();
-      common::ScopedExecContext scope(ctx);
+      common::ScopedDeadline scope(common::Deadline::AfterMillis(60'000.0));
       const std::vector<std::vector<NodeId>> seen =
           visit([&](size_t emitted) {
-            if (emitted == k) source.RequestCancel();
+            if (emitted == k) {
+              common::ExchangeCurrentDeadline(
+                  common::Deadline::AfterMillis(0.0));
+            }
           });
       EXPECT_TRUE(IsPrefixOf(seen, full)) << "k=" << k;
       EXPECT_GE(seen.size(), k);
       EXPECT_LT(seen.size(), full.size()) << "k=" << k;
-      EXPECT_TRUE(common::ExecStatus().IsCancelled()) << "k=" << k;
+      EXPECT_TRUE(common::ExecStatus().IsDeadlineExceeded()) << "k=" << k;
       lengths.push_back(seen.size());
     }
     EXPECT_EQ(lengths[0], lengths[1]) << "k=" << k;

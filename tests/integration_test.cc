@@ -104,20 +104,21 @@ TEST(EndToEndTest, AliasFeaturesAreRedirectsOfBaseFeatures) {
   const wiki::KnowledgeBase& kb = bed.kb();
   size_t alias_count = 0;
   for (size_t t = 0; t < bed.num_topics(); ++t) {
-    api::ExpandRequest request;
+    api::QueryRequest request;
     request.keywords = bed.topic(t).keywords;
     request.expander = "cycle";
     request.overrides.include_redirect_aliases = true;
-    auto expanded = bed.engine().Expand(request);
-    ASSERT_TRUE(expanded.ok()) << "topic " << t << ": " << expanded.status();
-    for (graph::NodeId f : expanded->feature_articles) {
+    auto response = bed.engine().Query(request);
+    ASSERT_TRUE(response.ok()) << "topic " << t << ": " << response.status();
+    const std::vector<graph::NodeId>& features =
+        response->expansion.feature_articles;
+    for (graph::NodeId f : features) {
       if (!kb.IsRedirect(f)) continue;
       ++alias_count;
       // The alias' main article must itself be a selected feature.
       graph::NodeId main = kb.ResolveRedirect(f);
-      EXPECT_NE(std::find(expanded->feature_articles.begin(),
-                          expanded->feature_articles.end(), main),
-                expanded->feature_articles.end());
+      EXPECT_NE(std::find(features.begin(), features.end(), main),
+                features.end());
     }
   }
   EXPECT_GT(alias_count, 0u);  // the KB has plenty of redirects

@@ -30,9 +30,9 @@ class EntityLinkerTest : public ::testing::Test {
     }
   }
   /// Freezes the KB (tests may add articles first) and builds a linker.
-  EntityLinker Linker(EntityLinkerOptions options = {}) {
+  EntityLinker Linker() {
     kb_.Freeze();
-    return EntityLinker(&kb_, options);
+    return EntityLinker(&kb_);
   }
 
   KnowledgeBase kb_;
@@ -100,27 +100,11 @@ TEST_F(EntityLinkerTest, SynonymPhraseViaRedirect) {
   EXPECT_EQ(mentions[0].surface, "regatta day");
 }
 
-TEST_F(EntityLinkerTest, SynonymsDisabled) {
-  auto regatta_day = kb_.AddArticle("Regatta Day");
-  ASSERT_TRUE(regatta_day.ok());
-  EntityLinkerOptions options;
-  options.use_synonyms = false;
-  EntityLinker linker = Linker(options);
-  auto mentions = linker.Link("the regata day festivities");
-  // Without synonyms, "regata" alone matches the redirect (→ regatta).
-  ASSERT_EQ(mentions.size(), 1u);
-  EXPECT_EQ(mentions[0].article, regatta_);
-}
-
 TEST_F(EntityLinkerTest, StopwordSingletonsSkipped) {
   auto the = kb_.AddArticle("The");  // pathological article
   ASSERT_TRUE(the.ok());
   EntityLinker linker = Linker();
   EXPECT_TRUE(linker.LinkToArticles("the the the").empty());
-  EntityLinkerOptions options;
-  options.skip_stopword_singletons = false;
-  EntityLinker permissive = Linker(options);
-  EXPECT_EQ(permissive.LinkToArticles("the the the").size(), 1u);
 }
 
 TEST_F(EntityLinkerTest, DedupesArticlesKeepsMentions) {
@@ -142,15 +126,17 @@ TEST_F(EntityLinkerTest, CaseAndPunctuationInsensitive) {
 }
 
 TEST_F(EntityLinkerTest, MaxWindowRespected) {
-  EntityLinkerOptions options;
-  options.max_window = 2;
-  EntityLinker linker = Linker(options);
-  // 4-token title can no longer match; falls back to "grand canal" and
-  // "venice".
-  auto mentions = linker.Link("grand canal of venice");
-  ASSERT_EQ(mentions.size(), 2u);
-  EXPECT_EQ(mentions[0].article, grand_canal_);
-  EXPECT_EQ(mentions[1].article, venice_);
+  // Windows span at most five tokens: a five-token title links, and a
+  // six-token title (none of whose shorter windows is a title) does not.
+  auto five = kb_.AddArticle("Museo Correr Napoleonic Wing Gallery");
+  ASSERT_TRUE(five.ok());
+  ASSERT_TRUE(kb_.AddArticle("Palazzo Ducale Prison Bridge Cell Block").ok());
+  EntityLinker linker = Linker();
+  auto mentions = linker.Link("museo correr napoleonic wing gallery");
+  ASSERT_EQ(mentions.size(), 1u);
+  EXPECT_EQ(mentions[0].article, *five);
+  EXPECT_TRUE(
+      linker.LinkToArticles("palazzo ducale prison bridge cell block").empty());
 }
 
 }  // namespace

@@ -113,11 +113,10 @@ TEST(HistogramTest, UnderflowAndOverflowBuckets) {
   // Median sits in the underflow bucket: somewhere in [0, min_value].
   const double p50 = snap.Percentile(0.5);
   EXPECT_GE(p50, 0.0);
-  EXPECT_LE(p50, histogram.options().min_value);
+  EXPECT_LE(p50, kHistogramMinValue);
   // The tail clamps to the instrumented range's top edge (with n=3 the
   // max — rank 2 — is the first rank that reaches the overflow bucket).
-  const double top = std::ldexp(histogram.options().min_value,
-                                int(histogram.options().num_octaves));
+  const double top = std::ldexp(kHistogramMinValue, int(kHistogramOctaves));
   EXPECT_EQ(snap.Percentile(1.0), top);
 }
 

@@ -69,8 +69,7 @@ double QueryEvaluator::LeafLogBelief(const Leaf& leaf, DocId doc) const {
   auto it = leaf.tf.find(doc);
   if (it != leaf.tf.end()) tf = static_cast<double>(it->second);
   double len = static_cast<double>(index_->doc_length(doc));
-  double mu = options_.mu;
-  double p = (tf + mu * leaf.collection_prob) / (len + mu);
+  double p = (tf + kDirichletMu * leaf.collection_prob) / (len + kDirichletMu);
   return std::log(std::max(p, 1e-300));
 }
 

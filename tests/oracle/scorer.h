@@ -26,8 +26,7 @@ namespace wqe::ir {
 /// \brief Evaluates query ASTs against an index.
 class QueryEvaluator {
  public:
-  QueryEvaluator(const InvertedIndex* index, ScorerOptions options = {})
-      : index_(index), options_(options) {}
+  explicit QueryEvaluator(const InvertedIndex* index) : index_(index) {}
 
   /// \brief Scores and ranks the top `k` documents for `query`, under
   /// the same candidate rule and (score desc, doc asc) order as
@@ -48,7 +47,6 @@ class QueryEvaluator {
   double LeafLogBelief(const Leaf& leaf, DocId doc) const;
 
   const InvertedIndex* index_;
-  ScorerOptions options_;
 };
 
 }  // namespace wqe::ir

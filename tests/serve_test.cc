@@ -17,12 +17,12 @@
 #include <vector>
 
 #include "api/testbed.h"
-#include "common/deadline.h"
 #include "common/fault_injection.h"
 #include "obs/metrics.h"
 #include "serve/expansion_cache.h"
 #include "serve/server.h"
 #include "serve/thread_pool.h"
+#include "wiki/synthetic.h"
 
 namespace wqe::serve {
 namespace {
@@ -712,20 +712,32 @@ TEST(ServerTest, NonFiniteOverridesFailWithoutTouchingTheCache) {
   EXPECT_TRUE(status.ok()) << status;
 }
 
-TEST(ServerTest, CancelTokenFailsRequestAsCancelled) {
+// An engine with documents but no index refuses a request before it
+// expands: nothing is expanded, and no unprepared entry reaches the cache.
+TEST(ServerTest, UnindexedEngineFailsBeforeExpanding) {
   const api::Testbed& bed = SmallBed();
+  wiki::SyntheticWikipediaOptions wiki_options;
+  wiki_options.num_domains = 12;
+  auto wiki = wiki::GenerateSyntheticWikipedia(wiki_options);
+  ASSERT_TRUE(wiki.ok()) << wiki.status();
+  auto engine = api::Engine::Build(std::move(wiki->kb));
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  for (const ir::Document& doc :
+       bed.engine().search_engine().store().documents()) {
+    ASSERT_TRUE((*engine)->AddDocument(doc.name, doc.text).ok());
+  }
   ServerOptions options;
   options.num_threads = 1;
-  Server server(bed.engine(), options);
+  Server server(**engine, options);
 
-  common::CancelSource source;
-  source.RequestCancel();  // cancelled before the worker ever runs
   api::QueryRequest request;
   request.keywords = bed.topic(0).keywords;
-  request.cancel = source.token();
   Result<api::QueryResponse> result = server.Submit(request).get();
   ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsCancelled()) << result.status();
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
+  EXPECT_EQ((*engine)->stats().expand_calls, 0u);
+  ASSERT_NE(server.cache(), nullptr);
+  EXPECT_EQ(server.cache()->size(), 0u);
 }
 
 // The ThreadSanitizer stress case: several caller threads hammer one
@@ -742,18 +754,12 @@ TEST(ServerStressTest, MixedConcurrentCallersProduceSequentialResults) {
 
   // Sequential ground truth, one per topic.
   std::vector<api::QueryResponse> expected_query;
-  std::vector<api::ExpandResponse> expected_expand;
   for (size_t t = 0; t < bed.num_topics(); ++t) {
     api::QueryRequest query;
     query.keywords = bed.topic(t).keywords;
     auto q = bed.engine().Query(query);
     ASSERT_TRUE(q.ok()) << q.status();
     expected_query.push_back(std::move(*q));
-    api::ExpandRequest expand;
-    expand.keywords = bed.topic(t).keywords;
-    auto e = bed.engine().Expand(expand);
-    ASSERT_TRUE(e.ok()) << e.status();
-    expected_expand.push_back(std::move(*e));
   }
 
   constexpr int kCallers = 4;
@@ -781,7 +787,8 @@ TEST(ServerStressTest, MixedConcurrentCallersProduceSequentialResults) {
             request.keywords = bed.topic(t).keywords;
             auto response = server.Submit(std::move(request)).get();
             if (!response.ok() ||
-                response->expansion.titles != expected_expand[t].titles) {
+                response->expansion.titles !=
+                    expected_query[t].expansion.titles) {
               ++failures;
             }
             break;

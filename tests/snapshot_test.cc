@@ -146,8 +146,8 @@ TEST(SnapshotRoundTripTest, ReaderInfoDescribesEverySection) {
 }
 
 TEST(SnapshotRoundTripTest, EngineOverLoadedSnapshotAnswersIdentically) {
-  // An engine served from the mmap'd snapshot must expand exactly like
-  // the engine that built the graph in-process.
+  // An engine served from the mmap'd snapshot, over the same corpus,
+  // must answer exactly like the engine that built the graph in-process.
   api::TestbedOptions options;
   options.wiki.num_domains = 8;
   options.track.num_topics = 3;
@@ -159,19 +159,27 @@ TEST(SnapshotRoundTripTest, EngineOverLoadedSnapshotAnswersIdentically) {
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
-  auto engine = api::Engine::Build(std::move(*loaded), options.engine);
+  auto engine = api::Engine::Build(std::move(*loaded));
   ASSERT_TRUE(engine.ok()) << engine.status();
+  for (const ir::Document& doc :
+       (*bed)->engine().search_engine().store().documents()) {
+    ASSERT_TRUE((*engine)->AddDocument(doc.name, doc.text).ok());
+  }
+  ASSERT_TRUE((*engine)->FinalizeIndex().ok());
 
   for (size_t topic = 0; topic < (*bed)->num_topics(); ++topic) {
-    api::ExpandRequest request;
+    api::QueryRequest request;
     request.keywords = (*bed)->topic(topic).keywords;
-    auto expected = (*bed)->engine().Expand(request);
-    auto actual = (*engine)->Expand(request);
+    auto expected = (*bed)->engine().Query(request);
+    auto actual = (*engine)->Query(request);
     ASSERT_TRUE(expected.ok()) << expected.status();
     ASSERT_TRUE(actual.ok()) << actual.status();
-    EXPECT_EQ(actual->query_articles, expected->query_articles);
-    EXPECT_EQ(actual->feature_articles, expected->feature_articles);
-    EXPECT_EQ(actual->titles, expected->titles);
+    EXPECT_EQ(actual->expansion.query_articles,
+              expected->expansion.query_articles);
+    EXPECT_EQ(actual->expansion.feature_articles,
+              expected->expansion.feature_articles);
+    EXPECT_EQ(actual->expansion.titles, expected->expansion.titles);
+    EXPECT_EQ(actual->docs, expected->docs);
   }
 }
 
@@ -567,11 +575,11 @@ TEST(SnapshotRepublishTest, LiveTrafficSurvivesRepublishTsan) {
   const size_t num_topics = (*bed)->num_topics();
   std::vector<api::ExpandResponse> reference;
   for (size_t topic = 0; topic < num_topics; ++topic) {
-    api::ExpandRequest request;
+    api::QueryRequest request;
     request.keywords = (*bed)->topic(topic).keywords;
-    auto response = engine.Expand(request);
+    auto response = engine.Query(request);
     ASSERT_TRUE(response.ok()) << response.status();
-    reference.push_back(*std::move(response));
+    reference.push_back(std::move(response->expansion));
   }
 
   serve::ServerOptions serving;
@@ -616,11 +624,11 @@ TEST(SnapshotRepublishTest, LiveTrafficSurvivesRepublishTsan) {
   EXPECT_GE(server.cache()->stats().stale_drops, 1u);
   EXPECT_TRUE(server.cache()->CheckInvariants().ok());
   // The last published snapshot is live and answers directly too.
-  api::ExpandRequest request;
+  api::QueryRequest request;
   request.keywords = (*bed)->topic(0).keywords;
-  auto response = engine.Expand(request);
+  auto response = engine.Query(request);
   ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->titles, reference[0].titles);
+  EXPECT_EQ(response->expansion.titles, reference[0].titles);
 }
 
 TEST(SnapshotRepublishTest, BatchServesOneEpochAcrossAPublish) {

@@ -42,23 +42,11 @@ TEST(TokenizerTest, InnerHyphenAndApostropheKept) {
   EXPECT_EQ(tokens[2], "leading");
 }
 
-TEST(TokenizerTest, InnerPunctDisabled) {
-  TokenizerOptions options;
-  options.keep_inner_punct = false;
-  Tokenizer t(options);
-  auto tokens = t.TokenizeToStrings("bouches-du-rhone");
-  ASSERT_EQ(tokens.size(), 3u);
-}
-
-TEST(TokenizerTest, NumbersKeptByDefaultDroppedOnRequest) {
-  Tokenizer keep;
-  EXPECT_EQ(keep.TokenizeToStrings("1712 establishments").size(), 2u);
-  TokenizerOptions options;
-  options.keep_numbers = false;
-  Tokenizer drop(options);
-  auto tokens = drop.TokenizeToStrings("1712 establishments");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0], "establishments");
+TEST(TokenizerTest, NumbersKept) {
+  Tokenizer t;
+  auto tokens = t.TokenizeToStrings("1712 establishments");
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_EQ(tokens[0], "1712");
 }
 
 TEST(TokenizerTest, Utf8BytesSurvive) {
@@ -161,11 +149,6 @@ TEST(StopwordsTest, DefaultContainsFunctionWords) {
   EXPECT_GT(sw.size(), 100u);
 }
 
-TEST(StopwordsTest, EmptySetContainsNothing) {
-  EXPECT_FALSE(StopwordSet::Empty().Contains("the"));
-  EXPECT_EQ(StopwordSet::Empty().size(), 0u);
-}
-
 // ---------------------------------------------------------------- Analyzer
 
 TEST(AnalyzerTest, FullPipelineStopsAndStems) {
@@ -185,22 +168,6 @@ TEST(AnalyzerTest, PositionsCompactedOverStopwords) {
   ASSERT_EQ(terms.size(), 2u);
   EXPECT_EQ(terms[0].position, 0u);
   EXPECT_EQ(terms[1].position, 1u);
-}
-
-TEST(AnalyzerTest, StemmingDisabled) {
-  AnalyzerOptions options;
-  options.stem = false;
-  Analyzer analyzer(options);
-  auto terms = analyzer.AnalyzeToStrings("bridges");
-  ASSERT_EQ(terms.size(), 1u);
-  EXPECT_EQ(terms[0], "bridges");
-}
-
-TEST(AnalyzerTest, StopwordsDisabled) {
-  AnalyzerOptions options;
-  options.remove_stopwords = false;
-  Analyzer analyzer(options);
-  EXPECT_EQ(analyzer.AnalyzeToStrings("the bridge").size(), 2u);
 }
 
 TEST(AnalyzerTest, SpansPointIntoSource) {

@@ -337,6 +337,29 @@ TEST(DumpParserTest, BuildsKnowledgeBase) {
   EXPECT_EQ(kb->display_title(*boats), "Boats");
 }
 
+TEST(DumpParserTest, RejectsMalformedNamespace) {
+  // atoi would read "abc" as 0 (an article) and "14x" as 14 (a category).
+  for (const char* ns : {"abc", "14x", "", " ", "99999999999", "1 4"}) {
+    const std::string dump = std::string(
+        "<mediawiki><page><title>Bad Page</title><ns>") + ns +
+        "</ns><id>1</id><revision><text>x</text></revision></page>"
+        "</mediawiki>";
+    auto pages = ParseDumpPages(dump);
+    ASSERT_FALSE(pages.ok()) << "<ns>" << ns << "</ns>";
+    EXPECT_TRUE(pages.status().IsParseError()) << pages.status();
+    EXPECT_NE(pages.status().message().find("Bad Page"), std::string::npos)
+        << pages.status();
+  }
+  // Surrounding whitespace is fine, and negative namespaces are valid.
+  auto pages = ParseDumpPages(
+      "<mediawiki><page><title>T</title><ns> -1 </ns></page>"
+      "<page><title>Category:C</title><ns>\n14\n</ns></page></mediawiki>");
+  ASSERT_TRUE(pages.ok()) << pages.status();
+  ASSERT_EQ(pages->size(), 2u);
+  EXPECT_EQ((*pages)[0].ns, -1);
+  EXPECT_EQ((*pages)[1].ns, 14);
+}
+
 TEST(DumpParserTest, RejectsNonMediawikiRoot) {
   EXPECT_TRUE(ParseDump("<notwiki></notwiki>").status().IsParseError());
   EXPECT_TRUE(ParseDump("").status().IsParseError());

@@ -62,6 +62,40 @@ TEST(PullParserTest, NumericCharacterReferences) {
   EXPECT_EQ(events[1].text, "AB\xC3\xA9");  // é in UTF-8
 }
 
+// A numeric reference must name an XML 1.0 Char: #x9 | #xA | #xD |
+// [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF].
+TEST(DecodeXmlEntitiesTest, CharBoundariesDecode) {
+  auto decoded =
+      DecodeXmlEntities("&#x9;&#xD7FF;&#xE000;&#xFFFD;&#x10000;&#x10FFFF;");
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded,
+            "\t\xED\x9F\xBF\xEE\x80\x80\xEF\xBF\xBD\xF0\x90\x80\x80"
+            "\xF4\x8F\xBF\xBF");
+}
+
+TEST(DecodeXmlEntitiesTest, OverflowingReferenceRejected) {
+  // 0x100000041 and 4294967361 are 2^32 + 'A': they must not wrap to "A".
+  for (const char* raw : {"&#x100000041;", "&#4294967361;"}) {
+    auto decoded = DecodeXmlEntities(raw);
+    EXPECT_TRUE(decoded.status().IsParseError())
+        << raw << " decoded to '" << (decoded.ok() ? *decoded : "") << "'";
+  }
+}
+
+TEST(DecodeXmlEntitiesTest, SurrogateReferenceRejected) {
+  // A surrogate would be written as invalid UTF-8 (ED A0 80).
+  for (const char* raw : {"&#xD800;", "&#xDFFF;", "&#55296;"}) {
+    EXPECT_TRUE(DecodeXmlEntities(raw).status().IsParseError()) << raw;
+  }
+}
+
+TEST(DecodeXmlEntitiesTest, NonCharReferenceRejected) {
+  for (const char* raw :
+       {"&#1;", "&#x1F;", "&#xFFFE;", "&#xFFFF;", "&#x110000;", "&#0;"}) {
+    EXPECT_TRUE(DecodeXmlEntities(raw).status().IsParseError()) << raw;
+  }
+}
+
 TEST(PullParserTest, CommentsAndPIsSkipped) {
   auto events =
       Drain("<?xml version=\"1.0\"?><!-- hi --><a><!-- inner -->x</a>");
