@@ -23,11 +23,12 @@
 ///   - the observability instrumentation costs ≤ 2% on the warm-cache
 ///     path (min-of-5 alternating reps with the runtime kill switch).
 ///
-/// SLO records: each server runs against its own `obs::MetricsRegistry`,
-/// and the per-request latency histogram's p50/p99 land in the BENCH
-/// JSON per configuration (`latency_p50_ms` / `latency_p99_ms`; the warm
-/// cached pass via a snapshot delta).  bench_compare.py treats them as
-/// informational until a latency baseline is committed.
+/// SLO records: each server's own `{server=N}`-labeled
+/// `wqe.server.request_latency_ms` histogram (`Server::stats()`) gives
+/// its p50/p99, which land in the BENCH JSON per configuration
+/// (`latency_p50_ms` / `latency_p99_ms`; the warm cached pass via a
+/// snapshot delta).  bench_compare.py treats them as informational until
+/// a latency baseline is committed.
 
 #include <algorithm>
 #include <atomic>
@@ -141,13 +142,11 @@ int main() {
   double one_thread_ms = 0.0;
   double four_thread_ms = 0.0;
   for (size_t threads : {1u, 2u, 4u}) {
-    // Per-configuration registry (declared before the server, which
-    // borrows it): clean percentiles, no cross-config bleed.
-    obs::MetricsRegistry registry;
+    // A fresh server per configuration: its labeled latency histogram
+    // holds this configuration's requests only.
     serve::ServerOptions options;
     options.num_threads = threads;
     options.enable_cache = false;
-    options.registry = &registry;
     serve::Server server(engine, options);
     watch.Reset();
     auto parallel = server.QueryBatch(requests);
@@ -157,8 +156,7 @@ int main() {
     add_row("serve::Server::QueryBatch", threads, ms);
     const std::string name = "server_query_batch_t" + std::to_string(threads);
     json.Add(name, "total_ms", ms, config);
-    const obs::HistogramSnapshot latency =
-        server.StatsSnapshot().request_latency_ms;
+    const obs::HistogramSnapshot latency = server.stats().request_latency_ms;
     json.Add(name, "latency_p50_ms", latency.Percentile(0.5), config);
     json.Add(name, "latency_p99_ms", latency.Percentile(0.99), config);
     if (threads == 1) one_thread_ms = ms;
@@ -167,11 +165,9 @@ int main() {
   const double probe_after = CpuScalingProbe();
 
   // Cache effectiveness: cold pass then warm pass, counter-verified.
-  obs::MetricsRegistry cached_registry;
   serve::ServerOptions cached;
   cached.num_threads = 4;
   cached.cache.capacity = 4096;
-  cached.registry = &cached_registry;
   serve::Server server(engine, cached);
 
   watch.Reset();
@@ -179,8 +175,7 @@ int main() {
   double cold_ms = watch.ElapsedMillis();
   WQE_CHECK_OK(cold.status());
   size_t cold_hits = server.cache()->stats().hits;
-  const obs::HistogramSnapshot cold_latency =
-      server.StatsSnapshot().request_latency_ms;
+  const obs::HistogramSnapshot cold_latency = server.stats().request_latency_ms;
 
   watch.Reset();
   auto warm = server.QueryBatch(requests);
@@ -191,7 +186,7 @@ int main() {
   // The histogram accumulates; the warm pass's distribution is the
   // difference of the two snapshots.
   const obs::HistogramSnapshot warm_latency =
-      server.StatsSnapshot().request_latency_ms.DeltaSince(cold_latency);
+      server.stats().request_latency_ms.DeltaSince(cold_latency);
 
   CheckIdenticalRankings(*cold, *sequential);
   CheckIdenticalRankings(*warm, *sequential);
@@ -301,7 +296,7 @@ int main() {
   // --- Traffic-replay scenarios (ROADMAP item 5's second half). ---
   // Three workload shapes real frontends produce that the uniform-Zipfian
   // batch above does not: multi-tenant skew mixes, cache-hostile key
-  // churn, and bursty arrivals.  Each runs against its own registry and
+  // churn, and bursty arrivals.  Each runs on a server of its own and
   // emits its own SLO records; rankings stay counter- and
   // content-verified against the sequential reference.
 
@@ -343,10 +338,8 @@ int main() {
     auto reference = engine.QueryBatch(tenant_requests);
     WQE_CHECK_OK(reference.status());
 
-    obs::MetricsRegistry tenant_registry;
     serve::ServerOptions tenant_options;
     tenant_options.num_threads = 4;
-    tenant_options.registry = &tenant_registry;
     serve::Server tenant_server(engine, tenant_options);
     watch.Reset();
     auto got = tenant_server.QueryBatch(tenant_requests);
@@ -354,7 +347,7 @@ int main() {
     WQE_CHECK_OK(got.status());
     CheckIdenticalRankings(*got, *reference);
     const obs::HistogramSnapshot tenant_latency =
-        tenant_server.StatsSnapshot().request_latency_ms;
+        tenant_server.stats().request_latency_ms;
     const std::string tenant_config =
         "requests=" + std::to_string(tenant_requests.size()) + ";tenants=3";
     json.Add("tenant_mix", "total_ms", tenant_ms, tenant_config);
@@ -383,11 +376,9 @@ int main() {
     auto reference = engine.QueryBatch(churn_requests);
     WQE_CHECK_OK(reference.status());
 
-    obs::MetricsRegistry churn_registry;
     serve::ServerOptions churn_options;
     churn_options.num_threads = 4;
     churn_options.cache.capacity = 8;  // << distinct keys: every sweep misses
-    churn_options.registry = &churn_registry;
     serve::Server churn_server(engine, churn_options);
     watch.Reset();
     auto got = churn_server.QueryBatch(churn_requests);
@@ -405,7 +396,7 @@ int main() {
     WQE_CHECK(churn_ratio < 0.5);
     WQE_CHECK(churn_stats.evictions > 0);
     const obs::HistogramSnapshot churn_latency =
-        churn_server.StatsSnapshot().request_latency_ms;
+        churn_server.stats().request_latency_ms;
     const std::string churn_config =
         "requests=" + std::to_string(churn_requests.size()) +
         ";cache_capacity=8";
@@ -429,11 +420,9 @@ int main() {
   {
     auto reference = engine.QueryBatch(requests);
     WQE_CHECK_OK(reference.status());
-    obs::MetricsRegistry burst_registry;
     serve::ServerOptions burst_options;
     burst_options.num_threads = 4;
     burst_options.enable_cache = false;
-    burst_options.registry = &burst_registry;
     serve::Server burst_server(engine, burst_options);
 
     constexpr size_t kBurst = 32;
@@ -456,7 +445,7 @@ int main() {
     const double burst_ms = watch.ElapsedMillis();
     CheckIdenticalRankings(responses, *reference);
     const obs::HistogramSnapshot burst_latency =
-        burst_server.StatsSnapshot().request_latency_ms;
+        burst_server.stats().request_latency_ms;
     const std::string burst_config =
         "requests=" + std::to_string(n) + ";burst=32";
     json.Add("bursty_arrivals", "total_ms", burst_ms, burst_config);
@@ -486,8 +475,6 @@ int main() {
     overload_options.enable_cache = false;
     overload_options.max_queue_depth = 8;
     overload_options.default_deadline_ms = 50.0;
-    obs::MetricsRegistry overload_registry;
-    overload_options.registry = &overload_registry;
     serve::Server overload_server(engine, overload_options);
 
     std::vector<std::future<Result<api::QueryResponse>>> inflight;
@@ -540,7 +527,7 @@ int main() {
     const double shed_rate =
         static_cast<double>(shed + late) / static_cast<double>(inflight.size());
     const obs::HistogramSnapshot overload_latency =
-        overload_server.StatsSnapshot().request_latency_ms;
+        overload_server.stats().request_latency_ms;
     const std::string overload_config =
         "requests=" + std::to_string(inflight.size()) +
         ";queue_depth=8;deadline_ms=50";

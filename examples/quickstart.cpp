@@ -61,8 +61,7 @@ int main() {
     for (graph::NodeId f : response->expansion.feature_articles) {
       std::cout << " \"" << engine.kb().display_title(f) << "\"";
     }
-    std::cout << "\n  O(A,D) = " << o << ", P@10 = " << p10 << "  ("
-              << response->total_ms << " ms)\n";
+    std::cout << "\n  O(A,D) = " << o << ", P@10 = " << p10 << "\n";
   }
   return 0;
 }

@@ -4,7 +4,6 @@
 
 #include "common/deadline.h"
 #include "common/macros.h"
-#include "common/stopwatch.h"
 #include "obs/trace.h"
 
 namespace wqe::api {
@@ -67,40 +66,41 @@ Result<std::unique_ptr<Engine>> Engine::Build(wiki::KnowledgeBase kb,
   // Publish the initial graph epoch (generation 1).  Freezing happens
   // inside MakeSnapshot — the one-way bridge that compiles the structural
   // CSR every expander and worker thread will share.
+  std::shared_ptr<GraphSnapshot> snapshot = engine->MakeSnapshot(std::move(kb));
+  snapshot->generation = 1;
   {
     common::MutexLock lock(engine->snapshot_mu_);
-    engine->snapshot_ =
-        engine->MakeSnapshot(std::move(kb), ++engine->next_generation_);
+    engine->snapshot_ = std::move(snapshot);
   }
   engine->counters_.snapshot_generation->Set(1.0);
   return engine;
 }
 
-std::shared_ptr<const GraphSnapshot> Engine::MakeSnapshot(
-    wiki::KnowledgeBase kb, uint64_t generation) const {
+std::shared_ptr<GraphSnapshot> Engine::MakeSnapshot(
+    wiki::KnowledgeBase kb) const {
   auto snapshot = std::make_shared<GraphSnapshot>();
   snapshot->kb = std::move(kb);
   snapshot->kb.Freeze();
   // Built after the KB lands at its final heap address: the linker keeps
   // a pointer to it.
   snapshot->linker = std::make_unique<linking::EntityLinker>(&snapshot->kb);
-  snapshot->generation = generation;
   return snapshot;
 }
 
 Status Engine::PublishSnapshot(wiki::KnowledgeBase kb) {
   obs::Span span("snapshot-publish");
-  std::shared_ptr<const GraphSnapshot> snapshot =
-      MakeSnapshot(std::move(kb), ++next_generation_);
+  std::shared_ptr<GraphSnapshot> snapshot = MakeSnapshot(std::move(kb));
   // The mutex publishes the fully built KB/linker to every reader that
-  // pins after this point.  Old epochs retire when the last in-flight
-  // request that pinned them drains — publishing never waits for them.
-  {
-    common::MutexLock lock(snapshot_mu_);
-    snapshot_ = snapshot;
-  }
+  // pins after this point.  The generation is stamped here, not before
+  // the build: concurrent publishers swap in the order their builds
+  // finish, and each swap must still move the generation forward.  Old
+  // epochs retire when the last in-flight request that pinned them
+  // drains — publishing never waits for them.
+  common::MutexLock lock(snapshot_mu_);
+  snapshot->generation = snapshot_->generation + 1;
   counters_.snapshot_generation->Set(
       static_cast<double>(snapshot->generation));
+  snapshot_ = std::move(snapshot);
   return Status::OK();
 }
 
@@ -135,7 +135,6 @@ Result<ExpandResponse> Engine::ExpandWith(const expansion::Expander& expander,
   WQE_RETURN_NOT_OK(CheckIndexed(*search_));
   ExpandResponse response;
   {
-    Stopwatch watch;
     obs::Span span("expansion", ExpandHistogram());
     WQE_ASSIGN_OR_RETURN(expansion::ExpandedQuery expanded,
                          expander.Expand(keywords));
@@ -144,7 +143,6 @@ Result<ExpandResponse> Engine::ExpandWith(const expansion::Expander& expander,
     response.feature_articles = std::move(expanded.feature_articles);
     response.titles = std::move(expanded.titles);
     response.query = std::move(expanded.query);
-    response.expand_ms = watch.ElapsedMillis();
   }
   // Prepared once per expansion, under its own span so `expansion` and
   // `search` time only their own work: every retrieval of this response,
@@ -160,19 +158,15 @@ Result<ExpandResponse> Engine::ExpandWith(const expansion::Expander& expander,
 Result<QueryResponse> Engine::QueryWithExpansion(ExpandResponse expansion,
                                                  size_t top_k) const {
   WQE_RETURN_NOT_OK(CheckIndexed(*search_));
-  Stopwatch total;
   QueryResponse response;
   response.expansion = std::move(expansion);
   size_t k = top_k == 0 ? options_.default_top_k : top_k;
-  Stopwatch search_watch;
   {
     obs::Span span("search", SearchHistogram());
     WQE_ASSIGN_OR_RETURN(response.docs,
                          search_->Search(response.expansion.prepared, k));
   }
   counters_.searches->Inc();
-  response.search_ms = search_watch.ElapsedMillis();
-  response.total_ms = total.ElapsedMillis();
   return response;
 }
 
@@ -183,14 +177,9 @@ Result<QueryResponse> Engine::QueryPinned(const GraphSnapshot& snapshot,
   const std::string name = ResolveStrategy(request.expander);
   WQE_ASSIGN_OR_RETURN(std::unique_ptr<expansion::Expander> expander,
                        BuildExpander(snapshot, name, request.overrides));
-  Stopwatch total;
   WQE_ASSIGN_OR_RETURN(ExpandResponse expansion,
                        ExpandWith(*expander, name, request.keywords));
-  WQE_ASSIGN_OR_RETURN(
-      QueryResponse response,
-      QueryWithExpansion(std::move(expansion), request.top_k));
-  response.total_ms = total.ElapsedMillis();
-  return response;
+  return QueryWithExpansion(std::move(expansion), request.top_k);
 }
 
 // Singles pin the graph epoch for the whole request: a concurrent

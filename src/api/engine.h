@@ -40,7 +40,6 @@
 /// layer's `ExpansionCache` stamps into entries so a republish implicitly
 /// invalidates stale cached expansions (see serve/expansion_cache.h).
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -90,15 +89,15 @@ struct ExpandResponse {
   /// `ExpandWith`.  It rides in the serving cache, so a hit retrieves
   /// without re-analyzing `query`.
   ir::PreparedQuery prepared;
-  double expand_ms = 0.0;  ///< expansion only, not query preparation
 };
 
-/// \brief Query outcome: the expansion plus the ranked documents.
+/// \brief Query outcome: the expansion plus the ranked documents.  Stage
+/// timings are the `expansion`, `search` and `request` spans' histograms
+/// (`wqe.engine.expand_ms`, `wqe.engine.search_ms`,
+/// `wqe.server.request_latency_ms`), not response fields.
 struct QueryResponse {
   ExpandResponse expansion;
   std::vector<ir::ScoredDoc> docs;
-  double search_ms = 0.0;
-  double total_ms = 0.0;
 };
 
 /// \brief Snapshot of the engine's cumulative work counters (tests assert
@@ -191,9 +190,8 @@ class Engine {
   /// serving-cache hit): retrieval only, no linking, feature selection or
   /// query analysis.  `expansion.prepared` must come from this engine's
   /// `ExpandWith`; one prepared by another engine fails with
-  /// InvalidArgument, and its term ids are never read.
-  /// `expansion.expand_ms` is left as recorded when the expansion was
-  /// first computed.  `top_k == 0` uses the engine default.
+  /// InvalidArgument, and its term ids are never read.  `top_k == 0`
+  /// uses the engine default.
   Result<QueryResponse> QueryWithExpansion(ExpandResponse expansion,
                                            size_t top_k) const;
 
@@ -211,13 +209,15 @@ class Engine {
   }
 
   /// \brief Atomically replaces the graph snapshot with `kb` (frozen here
-  /// if the caller has not done so): builds the linker over it, stamps
-  /// the next generation, and publishes.  In-flight requests finish on
-  /// the snapshot they pinned; new requests see the new one.  The
-  /// retrieval index, registry and options are untouched — this swaps
-  /// the *graph*, not the engine.  Thread-safe against serving calls;
-  /// concurrent publishers serialize on the snapshot mutex (last one
-  /// wins).  Records a `snapshot-publish` span and sets the
+  /// if the caller has not done so): builds the linker over it, then,
+  /// under the snapshot mutex, stamps it with the replaced snapshot's
+  /// generation + 1 and publishes it.  In-flight requests finish on the
+  /// snapshot they pinned; new requests see the new one.  The retrieval
+  /// index, registry and options are untouched — this swaps the *graph*,
+  /// not the engine.  Thread-safe against serving calls; concurrent
+  /// publishers build in parallel and swap in the order their builds
+  /// finish (the last swap wins), and the published generation only ever
+  /// grows.  Records a `snapshot-publish` span and sets the
   /// `wqe.server.snapshot_generation` gauge.
   Status PublishSnapshot(wiki::KnowledgeBase kb);
 
@@ -255,10 +255,10 @@ class Engine {
   Result<QueryResponse> QueryPinned(const GraphSnapshot& snapshot,
                                     const QueryRequest& request) const;
 
-  /// Freezes `kb`, builds the linker over it and wraps both with
-  /// `generation` (shared by Build and PublishSnapshot).
-  std::shared_ptr<const GraphSnapshot> MakeSnapshot(wiki::KnowledgeBase kb,
-                                                    uint64_t generation) const;
+  /// Freezes `kb` and builds the linker over it (shared by Build and
+  /// PublishSnapshot).  The generation is left 0: it is stamped under
+  /// `snapshot_mu_` when the snapshot is swapped in.
+  std::shared_ptr<GraphSnapshot> MakeSnapshot(wiki::KnowledgeBase kb) const;
 
   /// The registry instruments behind `stats()`.  Resolved once in
   /// `Build` (global-registry pointers are stable for the process);
@@ -280,7 +280,6 @@ class Engine {
   mutable common::Mutex snapshot_mu_;
   std::shared_ptr<const GraphSnapshot> snapshot_
       WQE_GUARDED_BY(snapshot_mu_);
-  std::atomic<uint64_t> next_generation_{0};
   std::unique_ptr<ir::SearchEngine> search_;
   ExpanderRegistry registry_;
   Counters counters_;

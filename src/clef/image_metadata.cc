@@ -61,9 +61,15 @@ Result<ImageMetadata> ParseImageMetadata(std::string_view xml_text) {
 
     if (ev.name == "image") {
       got_image = true;
-      std::string id_text(ev.Attr("id"));
+      // An absent or empty id means 0.
+      const std::string_view id_text = Trim(ev.Attr("id"));
       if (!id_text.empty()) {
-        meta.id = static_cast<uint32_t>(std::atol(id_text.c_str()));
+        const std::optional<uint32_t> id = ParseUint32(id_text);
+        if (!id.has_value()) {
+          return Status::ParseError("<image> has bad id attribute '", id_text,
+                                    "'");
+        }
+        meta.id = *id;
       }
       meta.file = std::string(ev.Attr("file"));
       continue;

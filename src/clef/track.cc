@@ -29,7 +29,12 @@ Result<std::vector<Topic>> ParseTopics(std::string_view text) {
                                 fields.size());
     }
     Topic t;
-    t.id = static_cast<uint32_t>(std::atol(fields[0].c_str()));
+    const std::optional<uint32_t> id = ParseUint32(fields[0]);
+    if (!id.has_value()) {
+      return Status::ParseError("topic line ", line_no, " has bad id '",
+                                Trim(fields[0]), "'");
+    }
+    t.id = *id;
     t.keywords = std::string(Trim(fields[1]));
     if (t.keywords.empty()) {
       return Status::ParseError("topic line ", line_no, " has empty keywords");

@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <sstream>
 
 namespace wqe {
@@ -34,6 +35,15 @@ std::string_view Trim(std::string_view s) {
   while (b < e && IsAsciiSpace(s[b])) ++b;
   while (e > b && IsAsciiSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
+}
+
+std::optional<uint32_t> ParseUint32(std::string_view s) {
+  const std::string_view trimmed = Trim(s);
+  const char* last = trimmed.data() + trimmed.size();
+  uint32_t value = 0;
+  const auto [end, ec] = std::from_chars(trimmed.data(), last, value);
+  if (trimmed.empty() || ec != std::errc() || end != last) return std::nullopt;
+  return value;
 }
 
 std::vector<std::string> Split(std::string_view s, char sep) {

@@ -3,6 +3,8 @@
 /// \file string_util.h
 /// \brief Small string helpers shared across modules.
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +19,11 @@ std::string ToUpper(std::string_view s);
 
 /// \brief Strips leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
+
+/// \brief Parses `s`, after `Trim`, as a decimal `uint32_t`.  Nullopt
+/// when the text is empty, has anything but digits (a sign, a trailing
+/// `x`), or is out of range.
+std::optional<uint32_t> ParseUint32(std::string_view s);
 
 /// \brief Splits on a single character; empty fields are kept.
 std::vector<std::string> Split(std::string_view s, char sep);

@@ -263,11 +263,6 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
       .histogram.get();
 }
 
-size_t MetricsRegistry::num_instruments() const {
-  common::MutexLock lock(mu_);
-  return instruments_.size();
-}
-
 std::string MetricsRegistry::DumpJson() const {
   common::MutexLock lock(mu_);
   std::string out = "{\"metrics\":[";

@@ -9,7 +9,7 @@
 /// kinds live in a `MetricsRegistry`:
 ///
 ///   - `Counter`   — monotonic, relaxed-atomic `Inc` (wait-free);
-///   - `Gauge`     — last-value double, atomic `Set`/`Add`;
+///   - `Gauge`     — last-value double, atomic `Set`;
 ///   - `Histogram` — log-linear buckets (8 linear sub-buckets per power
 ///     of two, one layout for every histogram: the `kHistogram*`
 ///     constants), relaxed-atomic bucket increments, p50/p95/p99 derived
@@ -79,13 +79,6 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) { bits_.store(Encode(v), std::memory_order_relaxed); }
-  void Add(double delta) {
-    uint64_t observed = bits_.load(std::memory_order_relaxed);
-    while (!bits_.compare_exchange_weak(observed,
-                                        Encode(Decode(observed) + delta),
-                                        std::memory_order_relaxed)) {
-    }
-  }
   double value() const {
     return Decode(bits_.load(std::memory_order_relaxed));
   }
@@ -123,7 +116,6 @@ struct HistogramSnapshot {
   /// \brief Linear-interpolated percentile from the bucket counts;
   /// `p` in [0, 1].  Returns 0 when the snapshot is empty.
   double Percentile(double p) const;
-  double Mean() const { return count == 0 ? 0.0 : sum / double(count); }
 
   /// \brief This snapshot minus an earlier one of the same instrument
   /// (bucket-wise); the per-pass view used by the serving bench.
@@ -157,9 +149,10 @@ class Histogram {
 
 /// \brief Named-instrument registry with stable-schema exporters.
 ///
-/// `Global()` is the process-wide instance; standalone instances exist
-/// for isolation (each `serve::Server` can be pointed at its own, which
-/// is how the serving bench gets clean per-configuration percentiles).
+/// `Global()` is the process-wide instance, and the only one the
+/// serving stack records into: per-instance series stay apart by their
+/// `{engine=N}`, `{server=N}` and `{cache=N}` labels.  Standalone
+/// instances exist for unit-testing the instruments and exporters.
 class MetricsRegistry {
  public:
   MetricsRegistry();
@@ -195,10 +188,9 @@ class MetricsRegistry {
   /// `_count`).  Dots and dashes in names become underscores.
   std::string DumpPrometheus() const WQE_EXCLUDES(mu_);
 
-  /// \brief Finished-span ring for this registry (spans append here).
+  /// \brief Finished-span ring.  Every `Span` and the pools' `queue-wait`
+  /// records append to the global registry's.
   TraceLog& trace_log() const { return trace_log_; }
-
-  size_t num_instruments() const WQE_EXCLUDES(mu_);
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

@@ -81,8 +81,8 @@ double MillisSinceProcessStart(std::chrono::steady_clock::time_point tp) {
   return std::chrono::duration<double, std::milli>(tp - anchor).count();
 }
 
-Span::Span(const char* stage, Histogram* latency, MetricsRegistry* registry)
-    : stage_(stage), latency_(latency), registry_(registry) {
+Span::Span(const char* stage, Histogram* latency)
+    : stage_(stage), latency_(latency) {
   if (!Enabled()) return;
   active_ = true;
   parent_ = common::CurrentTraceContext();
@@ -113,9 +113,7 @@ Span::~Span() {
   record.stage = stage_;
   record.start_ms = MillisSinceProcessStart(start_);
   record.duration_ms = duration_ms;
-  MetricsRegistry& registry =
-      registry_ != nullptr ? *registry_ : MetricsRegistry::Global();
-  registry.trace_log().Append(std::move(record));
+  MetricsRegistry::Global().trace_log().Append(std::move(record));
 }
 
 }  // namespace wqe::obs

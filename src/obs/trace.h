@@ -8,8 +8,9 @@
 /// thread's trace context as its parent (starting a fresh trace when none
 /// is in scope), installs itself as the current context for its lifetime,
 /// and on destruction appends a finished `SpanRecord` — (trace id, span
-/// id, parent, stage, start, duration) — to its registry's `TraceLog`,
-/// optionally recording the duration into a latency `Histogram`.
+/// id, parent, stage, start, duration) — to the global registry's
+/// `TraceLog`, optionally recording the duration into a latency
+/// `Histogram`.  Every span of every request lands in that one log.
 ///
 /// Propagation is implicit: anything called under an open span (engine →
 /// expander → `graph::CycleEnumerator`) sees the context via the
@@ -33,7 +34,6 @@
 namespace wqe::obs {
 
 class Histogram;
-class MetricsRegistry;
 
 /// \brief One finished span.
 struct SpanRecord {
@@ -92,11 +92,9 @@ double MillisSinceProcessStart(std::chrono::steady_clock::time_point tp);
 class Span {
  public:
   /// \brief Opens a span for `stage`.  `latency` (may be null) receives
-  /// the duration on close; `registry` (null = the global registry)
-  /// receives the finished record in its trace log.  Inert when
-  /// observability is disabled.
-  explicit Span(const char* stage, Histogram* latency = nullptr,
-                MetricsRegistry* registry = nullptr);
+  /// the duration on close, and the finished record goes to the global
+  /// registry's trace log.  Inert when observability is disabled.
+  explicit Span(const char* stage, Histogram* latency = nullptr);
   ~Span();
 
   Span(const Span&) = delete;
@@ -108,7 +106,6 @@ class Span {
  private:
   const char* stage_;
   Histogram* latency_;
-  MetricsRegistry* registry_;
   bool active_ = false;
   common::TraceContext ctx_;
   common::TraceContext parent_;

@@ -20,11 +20,8 @@ uint64_t ExpansionCache::Key::Hash() const {
 }
 
 ExpansionCache::ExpansionCache(ExpansionCacheOptions options)
-    : options_(std::move(options)),
-      capacity_(std::max<size_t>(1, options_.capacity)) {
-  obs::MetricsRegistry& registry = options_.registry != nullptr
-                                       ? *options_.registry
-                                       : obs::MetricsRegistry::Global();
+    : capacity_(std::max<size_t>(1, options.capacity)) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const obs::Labels labels = {{"cache", std::to_string(obs::NextInstanceId())}};
   hits_ = registry.GetCounter("wqe.cache.hits", labels);
   misses_ = registry.GetCounter("wqe.cache.misses", labels);

@@ -45,10 +45,6 @@ namespace wqe::serve {
 struct ExpansionCacheOptions {
   /// Entry budget; 0 is treated as 1.
   size_t capacity = 4096;
-  /// Where the cache registers its `wqe.cache.*{cache=N}` counters;
-  /// null uses the global registry.  The `serve::Server` propagates its
-  /// own registry choice here so one knob isolates a whole stack.
-  obs::MetricsRegistry* registry = nullptr;
 };
 
 /// \brief Counter snapshot (monotonic except `entries`).
@@ -115,7 +111,6 @@ class ExpansionCache {
 
   ExpansionCacheStats stats() const;
   size_t size() const;
-  const ExpansionCacheOptions& options() const { return options_; }
 
  private:
   struct KeyHash {
@@ -129,15 +124,13 @@ class ExpansionCache {
     uint64_t generation = 0;  ///< graph-snapshot epoch that computed it
   };
 
-  ExpansionCacheOptions options_;
-  size_t capacity_ = 0;  ///< options_.capacity, at least 1
+  size_t capacity_ = 0;  ///< `ExpansionCacheOptions::capacity`, at least 1
   mutable common::Mutex mu_;
   std::list<Entry> lru_ WQE_GUARDED_BY(mu_);  ///< front = most recent
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_
       WQE_GUARDED_BY(mu_);
-  /// Registry-backed outcome counters (`wqe.cache.*{cache=N}`), resolved
-  /// in the constructor; recording stays one relaxed fetch_add, exactly
-  /// what the member atomics they replaced cost.
+  /// Outcome counters in the global registry (`wqe.cache.*{cache=N}`),
+  /// resolved in the constructor; recording is one relaxed fetch_add.
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
   obs::Counter* evictions_ = nullptr;

@@ -34,19 +34,18 @@ std::future<Result<api::QueryResponse>> ReadyFuture(Status status) {
 Server::Server(const api::Engine& engine, ServerOptions options)
     : engine_(&engine),
       options_(std::move(options)),
-      registry_(options_.registry != nullptr ? options_.registry
-                                             : &obs::MetricsRegistry::Global()),
       pool_(options_.num_threads) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const obs::Labels labels = {
       {"server", std::to_string(obs::NextInstanceId())}};
-  instruments_.requests = registry_->GetCounter("wqe.server.requests", labels);
-  instruments_.batches = registry_->GetCounter("wqe.server.batches", labels);
+  instruments_.requests = registry.GetCounter("wqe.server.requests", labels);
+  instruments_.batches = registry.GetCounter("wqe.server.batches", labels);
   instruments_.requests_failed =
-      registry_->GetCounter("wqe.server.requests_failed", labels);
+      registry.GetCounter("wqe.server.requests_failed", labels);
   auto stage_errors = [&](const char* stage) {
     obs::Labels staged = labels;
     staged.emplace_back("stage", stage);
-    return registry_->GetCounter("wqe.server.errors_total", std::move(staged));
+    return registry.GetCounter("wqe.server.errors_total", std::move(staged));
   };
   instruments_.errors_expander_construction =
       stage_errors("expander-construction");
@@ -54,24 +53,15 @@ Server::Server(const api::Engine& engine, ServerOptions options)
   instruments_.errors_search = stage_errors("search");
   instruments_.errors_admission = stage_errors("admission");
   instruments_.errors_deadline = stage_errors("deadline");
-  instruments_.shed_total =
-      registry_->GetCounter("wqe.server.shed_total", labels);
-  instruments_.deadline_exceeded =
-      registry_->GetCounter("wqe.server.deadline_exceeded", labels);
   instruments_.request_latency =
-      registry_->GetHistogram("wqe.server.request_latency_ms", labels);
+      registry.GetHistogram("wqe.server.request_latency_ms", labels);
   instruments_.cache_lookup =
-      registry_->GetHistogram("wqe.server.cache_lookup_ms", labels);
+      registry.GetHistogram("wqe.server.cache_lookup_ms", labels);
   instruments_.expander_construction =
-      registry_->GetHistogram("wqe.server.expander_construction_ms", labels);
+      registry.GetHistogram("wqe.server.expander_construction_ms", labels);
   instruments_.queue_depth =
-      registry_->GetGauge("wqe.server.queue_depth", labels);
-  // The cache registers its own counters; default it into this server's
-  // registry so one knob isolates the whole stack.
+      registry.GetGauge("wqe.server.queue_depth", labels);
   if (options_.enable_cache) {
-    if (options_.cache.registry == nullptr) {
-      options_.cache.registry = registry_;
-    }
     cache_ = std::make_unique<ExpansionCache>(options_.cache);
   }
 }
@@ -85,22 +75,14 @@ ServerStats Server::stats() const {
   stats.requests = instruments_.requests->value();
   stats.batches = instruments_.batches->value();
   stats.requests_failed = instruments_.requests_failed->value();
-  stats.shed = instruments_.shed_total->value();
-  stats.deadline_exceeded = instruments_.deadline_exceeded->value();
+  stats.shed = instruments_.errors_admission->value();
+  stats.deadline_exceeded = instruments_.errors_deadline->value();
+  stats.expander_construction_errors =
+      instruments_.errors_expander_construction->value();
+  stats.expansion_errors = instruments_.errors_expansion->value();
+  stats.search_errors = instruments_.errors_search->value();
+  stats.request_latency_ms = instruments_.request_latency->snapshot();
   return stats;
-}
-
-ServerSnapshot Server::StatsSnapshot() const {
-  ServerSnapshot snapshot;
-  snapshot.server = stats();
-  snapshot.engine = engine_->stats();
-  snapshot.cache_enabled = cache_ != nullptr;
-  if (cache_ != nullptr) snapshot.cache = cache_->stats();
-  snapshot.request_latency_ms = instruments_.request_latency->snapshot();
-  snapshot.queue_depth = pool_.queue_depth();
-  snapshot.pool_threads = pool_.num_threads();
-  snapshot.tasks_executed = pool_.tasks_executed();
-  return snapshot;
 }
 
 Status Server::AdmitRequest(const common::Deadline& deadline) {
@@ -125,7 +107,6 @@ Status Server::AdmitRequest(const common::Deadline& deadline) {
     }
   }
   if (!shed.ok()) {
-    instruments_.shed_total->Inc();
     instruments_.errors_admission->Inc();
     instruments_.requests_failed->Inc();
   }
@@ -149,7 +130,7 @@ Result<api::ExpandResponse> Server::ExpandResolved(
     key = ExpansionCache::Key{keywords, resolved, overrides};
     std::shared_ptr<const api::ExpandResponse> hit;
     {
-      obs::Span span("cache-lookup", instruments_.cache_lookup, registry_);
+      obs::Span span("cache-lookup", instruments_.cache_lookup);
       WQE_FAULT_POINT("serve.cache_lookup");
       hit = cache_->Get(key, snapshot.generation);
     }
@@ -158,8 +139,7 @@ Result<api::ExpandResponse> Server::ExpandResolved(
   // Only a miss needs an expander, built against the pinned epoch.
   std::unique_ptr<expansion::Expander> expander;
   {
-    obs::Span span("expander-construction", instruments_.expander_construction,
-                   registry_);
+    obs::Span span("expander-construction", instruments_.expander_construction);
     WQE_FAULT_POINT("serve.expander_construction");
     Result<std::unique_ptr<expansion::Expander>> built =
         engine_->BuildExpander(snapshot, resolved, overrides);
@@ -210,7 +190,7 @@ Result<api::QueryResponse> Server::ServeRequest(
                     std::chrono::steady_clock::now() - submitted)
                     .count());
   common::ScopedDeadline deadline_scope(deadline);
-  obs::Span span("request", instruments_.request_latency, registry_);
+  obs::Span span("request", instruments_.request_latency);
   Result<api::QueryResponse> result = work();
   if (result.ok()) {
     // Work that finished after its budget ran out is not a success: the
@@ -222,7 +202,6 @@ Result<api::QueryResponse> Server::ServeRequest(
   if (!result.ok()) {
     instruments_.requests_failed->Inc();
     if (result.status().IsDeadlineExceeded()) {
-      instruments_.deadline_exceeded->Inc();
       instruments_.errors_deadline->Inc();
     }
   }
@@ -262,7 +241,7 @@ Result<std::vector<api::QueryResponse>> Server::QueryBatch(
   // Root span for the whole batch: the per-request `request` spans parent
   // under it (their tasks run with this context re-installed by the
   // pool), so one trace covers submit → queue-wait → stages → merge.
-  obs::Span batch_span("batch", /*latency=*/nullptr, registry_);
+  obs::Span batch_span("batch");
   instruments_.batches->Inc();
 
   // One pin for the whole batch, on the caller thread: every item runs
@@ -291,7 +270,7 @@ Result<std::vector<api::QueryResponse>> Server::QueryBatch(
   std::vector<Result<api::QueryResponse>> results;
   results.reserve(futures.size());
   for (auto& future : futures) results.push_back(future.get());
-  obs::Span merge_span("merge", /*latency=*/nullptr, registry_);
+  obs::Span merge_span("merge");
   std::vector<api::QueryResponse> responses;
   responses.reserve(results.size());
   for (size_t i = 0; i < results.size(); ++i) {

@@ -51,6 +51,11 @@
 /// or `ServerOptions::default_deadline_ms` when it brings none, computed
 /// at submission (`common::RequestDeadline`, the helper `api::Engine`
 /// uses too) and carried onto the worker by the pool.
+///
+/// Observability: the server records into the global metrics registry,
+/// like the engine, the cache and the pool, so every span of a request
+/// lands in one trace log.  Its instruments carry a `{server=N}` label
+/// that keeps each server's series apart; `stats()` reads them.
 
 #include <atomic>
 #include <chrono>
@@ -78,16 +83,6 @@ struct ServerOptions {
   /// measurements of the uncached path).
   bool enable_cache = true;
   ExpansionCacheOptions cache;
-  /// Where this server registers its instruments and appends its spans;
-  /// null uses the process-global registry.  Must outlive the server.
-  /// Propagated into `cache.registry` when that is unset, so pointing a
-  /// server at a private registry isolates the whole stack — how the
-  /// serving bench gets clean per-configuration percentiles.  The
-  /// pool-level `wqe.serve.queue_wait_ms` histogram is the one exception:
-  /// pools are registry-agnostic, so queue waits always aggregate
-  /// globally (their spans still land in this server's trace log via the
-  /// submitter's context).
-  obs::MetricsRegistry* registry = nullptr;
   /// Default per-request budget in milliseconds, applied to every
   /// request that does not carry its own `deadline_ms`; 0 (the default)
   /// means no deadline.  The deadline starts at submission (queue wait
@@ -105,36 +100,27 @@ struct ServerOptions {
   size_t max_queue_depth = 0;
 };
 
-/// \brief Snapshot of the server-side counters (the engine and cache keep
-/// their own).  Returned by value from `Server::stats()`; the live state
-/// is `obs::Counter` instruments (`wqe.server.*{server=N}`).
+/// \brief Snapshot of the server's own instruments (the engine, cache
+/// and pool report through `engine().stats()`, `cache()->stats()` and
+/// `pool()`).  Returned by value from `Server::stats()`; the live state
+/// is the `wqe.server.*{server=N}` instruments.
 struct ServerStats {
   size_t requests = 0;  ///< singles + batched items submitted (shed included)
   size_t batches = 0;   ///< QueryBatch calls
-  /// Requests whose `Result` came back non-OK (any stage; the per-stage
-  /// split is the `wqe.server.errors_total{stage=...}` counter series).
-  /// Includes shed and deadline-exceeded requests.
+  /// Requests whose `Result` came back non-OK, shed and deadline-exceeded
+  /// ones included.  The five counts below split them by the stage that
+  /// failed: the `wqe.server.errors_total{stage=...}` series.
   size_t requests_failed = 0;
-  /// Requests refused at admission (`wqe.server.shed_total`).
-  size_t shed = 0;
-  /// Requests that failed with `Status::DeadlineExceeded` after being
-  /// admitted (`wqe.server.deadline_exceeded`).
+  size_t shed = 0;  ///< refused at admission (stage `admission`)
+  /// Admitted, then failed with `Status::DeadlineExceeded` (stage
+  /// `deadline`).
   size_t deadline_exceeded = 0;
-};
-
-/// \brief One coherent-enough view of a serving stack: server, engine and
-/// cache counters plus the request-latency distribution — everything the
-/// SLO records in the serving bench and the README example are built
-/// from.  `request_latency_ms.Percentile(0.99)` is the p99.
-struct ServerSnapshot {
-  ServerStats server;
-  api::EngineStats engine;
-  bool cache_enabled = false;
-  ExpansionCacheStats cache;  ///< zeros when the cache is disabled
+  size_t expander_construction_errors = 0;  ///< `expander-construction`
+  size_t expansion_errors = 0;              ///< `expansion`
+  size_t search_errors = 0;                 ///< `search`
+  /// Latency of every request that reached a worker, failures included
+  /// (`wqe.server.request_latency_ms`); `Percentile(0.99)` is the p99.
   obs::HistogramSnapshot request_latency_ms;
-  size_t queue_depth = 0;  ///< racy by nature (see ThreadPool)
-  size_t pool_threads = 0;
-  size_t tasks_executed = 0;
 };
 
 /// \brief Concurrent front-end over one `api::Engine`.  Thread-safe: any
@@ -173,15 +159,9 @@ class Server {
   const ThreadPool& pool() const { return pool_; }
   /// \brief Null when the cache is disabled.
   const ExpansionCache* cache() const { return cache_.get(); }
-  /// \brief Coherent-enough copy of the server counters (relaxed reads;
-  /// exact once in-flight requests drain).
+  /// \brief Coherent-enough copy of the server's instruments (relaxed
+  /// reads; exact once in-flight requests drain).
   ServerStats stats() const;
-  /// \brief Full serving-stack snapshot: counters, latency distribution,
-  /// pool state.  See `ServerSnapshot`.
-  ServerSnapshot StatsSnapshot() const;
-  /// \brief The registry this server records into (the global one unless
-  /// `ServerOptions::registry` redirected it).
-  obs::MetricsRegistry& metrics_registry() const { return *registry_; }
 
  private:
   /// Serves one expansion on the pinned `snapshot`: cache lookup first
@@ -197,10 +177,10 @@ class Server {
   Result<api::QueryResponse> QueryOne(const api::GraphSnapshot& snapshot,
                                       const api::QueryRequest& request);
 
-  /// This server's registry instruments (`{server=N}`-labeled), resolved
-  /// once at construction; recording through them is wait-free.  The
-  /// stage-error counters share one name (`wqe.server.errors_total`)
-  /// split by a `stage` label, mirroring the span stages that can fail.
+  /// This server's instruments (`{server=N}`-labeled), resolved once at
+  /// construction; recording through them is wait-free.  The stage-error
+  /// counters share one name (`wqe.server.errors_total`) split by a
+  /// `stage` label, mirroring the span stages that can fail.
   struct Instruments {
     obs::Counter* requests = nullptr;
     obs::Counter* batches = nullptr;
@@ -210,8 +190,6 @@ class Server {
     obs::Counter* errors_search = nullptr;
     obs::Counter* errors_admission = nullptr;
     obs::Counter* errors_deadline = nullptr;
-    obs::Counter* shed_total = nullptr;
-    obs::Counter* deadline_exceeded = nullptr;
     obs::Histogram* request_latency = nullptr;
     obs::Histogram* cache_lookup = nullptr;
     obs::Histogram* expander_construction = nullptr;
@@ -230,7 +208,7 @@ class Server {
   /// Runs `work()` under a root `request` span (latency → the
   /// `wqe.server.request_latency_ms` histogram), with `deadline`
   /// installed as the task's ambient deadline, counting acceptance and
-  /// failure (a deadline failure gets its own stage and total).  The
+  /// failure (a deadline failure gets its own stage).  The
   /// shared tail of every per-request pool task.  A result that comes
   /// back OK after the budget ran out is demoted to DeadlineExceeded:
   /// work finished past its deadline must never be reported as success.
@@ -249,7 +227,6 @@ class Server {
 
   const api::Engine* engine_;
   ServerOptions options_;
-  obs::MetricsRegistry* registry_;  ///< never null after construction
   Instruments instruments_;
   std::unique_ptr<ExpansionCache> cache_;  ///< null when disabled
   /// EWMA (0.8 old / 0.2 new) of observed enqueue→start gaps in ms; the

@@ -128,7 +128,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     task();
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

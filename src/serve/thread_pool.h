@@ -14,7 +14,6 @@
 /// runtime this subsystem is modeled after) only pay off for microsecond
 /// tasks.
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -51,12 +50,14 @@ class ThreadPool {
   ///
   /// Observability: the submitter's `common::TraceContext` is captured
   /// here and re-installed for the task's duration, so spans opened
-  /// inside the task parent under the submitting request; the
-  /// enqueue→dequeue gap is recorded as a `queue-wait` span and into the
-  /// `wqe.serve.queue_wait_ms` histogram (see Enqueue).  The submitter's
-  /// ambient `common::Deadline` is propagated the same way, so
-  /// cooperative checks inside the task see the budget of the request
-  /// that submitted it.
+  /// inside the task parent under the submitting request.  The
+  /// enqueue→dequeue gap always goes into the `wqe.serve.queue_wait_ms`
+  /// histogram, and becomes a `queue-wait` span only when the submitter
+  /// had a trace open: a `serve::Server` batch item's does, while a
+  /// single `Server::Submit` opens its root span on the worker, so its
+  /// wait is in the histogram only.  The submitter's ambient
+  /// `common::Deadline` is propagated the same way, so cooperative checks
+  /// inside the task see the budget of the request that submitted it.
   template <typename F>
   auto Submit(F&& fn) WQE_EXCLUDES(mu_)
       -> std::future<std::invoke_result_t<std::decay_t<F>>> {
@@ -79,11 +80,6 @@ class ThreadPool {
   /// \brief Configured worker count (immutable — safe to read while
   /// another thread shuts the pool down).
   size_t num_threads() const { return num_threads_; }
-
-  /// \brief Tasks completed so far (monotonic).
-  size_t tasks_executed() const {
-    return tasks_executed_.load(std::memory_order_relaxed);
-  }
 
   /// \brief Tasks currently queued (diagnostic; racy by nature).
   size_t queue_depth() const WQE_EXCLUDES(mu_);
@@ -111,7 +107,6 @@ class ThreadPool {
   size_t num_threads_ = 0;
   common::Mutex shutdown_mu_;
   bool shutdown_ WQE_GUARDED_BY(mu_) = false;
-  std::atomic<size_t> tasks_executed_{0};
 };
 
 }  // namespace wqe::serve

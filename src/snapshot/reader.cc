@@ -341,7 +341,7 @@ Result<wiki::KnowledgeBase> Reader::Load() const {
 Result<wiki::KnowledgeBase> LoadSnapshot(const std::string& path) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Span span("snapshot-load",
-                 registry.GetHistogram("wqe.snapshot.load_ms"), &registry);
+                 registry.GetHistogram("wqe.snapshot.load_ms"));
   WQE_ASSIGN_OR_RETURN(Reader reader, Reader::Open(path));
   WQE_ASSIGN_OR_RETURN(wiki::KnowledgeBase kb, reader.Load());
   registry.GetGauge("wqe.snapshot.bytes")

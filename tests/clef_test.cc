@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "clef/image_metadata.h"
 #include "clef/track.h"
@@ -83,6 +87,32 @@ TEST(ImageMetadataTest, ParseErrors) {
   EXPECT_TRUE(ParseImageMetadata("").status().IsParseError());
 }
 
+// An id is the whole attribute, digits only, within uint32.  An absent or
+// empty one means 0.
+TEST(ImageMetadataTest, IdAttributeIsADecimalUint32) {
+  auto image = [](const std::string& id_attribute) {
+    return ParseImageMetadata("<image" + id_attribute + "><name>x</name>" +
+                              "<license>GFDL</license></image>");
+  };
+  for (const char* bad : {"abc", "7x", "4294967297", "-3", "+7", "1 2"}) {
+    SCOPED_TRACE(bad);
+    const auto parsed = image(std::string(" id=\"") + bad + "\"");
+    EXPECT_TRUE(parsed.status().IsParseError()) << parsed.status();
+    EXPECT_NE(parsed.status().message().find("id attribute"),
+              std::string::npos)
+        << parsed.status();
+  }
+  for (const auto& [attribute, id] :
+       std::vector<std::pair<std::string, uint32_t>>{
+           {"", 0}, {" id=\"\"", 0}, {" id=\" 12 \"", 12},
+           {" id=\"4294967295\"", 4294967295u}}) {
+    SCOPED_TRACE(attribute);
+    const auto parsed = image(attribute);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->id, id);
+  }
+}
+
 TEST(ExtractTemplateDescriptionTest, PullsDescriptionField) {
   EXPECT_EQ(ExtractTemplateDescription(
                 "({{Information |Description= Flowers in Belgium |Source= "
@@ -143,6 +173,22 @@ TEST(TopicsFormatTest, ParseErrors) {
   auto empty = ParseTopics("\n\n");
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
+}
+
+// A topic id is the whole first field, digits only, within uint32; the
+// error names the line.
+TEST(TopicsFormatTest, IdIsADecimalUint32) {
+  for (const char* bad : {"abc", "12x", "", " ", "4294967297", "-1", "+1"}) {
+    SCOPED_TRACE(bad);
+    const auto parsed =
+        ParseTopics("70\tgondola\t1.xml\n" + std::string(bad) + "\tart\t2.xml");
+    EXPECT_TRUE(parsed.status().IsParseError()) << parsed.status();
+    EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos)
+        << parsed.status();
+  }
+  const auto parsed = ParseTopics(" 4294967295 \tgondola\t1.xml");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ((*parsed)[0].id, 4294967295u);
 }
 
 // ---------------------------------------------------------- TrackGenerator

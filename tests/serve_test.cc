@@ -12,13 +12,16 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/testbed.h"
 #include "common/fault_injection.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/expansion_cache.h"
 #include "serve/server.h"
 #include "serve/thread_pool.h"
@@ -39,10 +42,6 @@ TEST(ThreadPoolTest, ExecutesTasksAndReturnsFutures) {
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(futures[i].get(), i * i);
   }
-  // The counter increments after the future is fulfilled, so only a full
-  // drain makes it final — don't assert it right after get().
-  pool.Shutdown();
-  EXPECT_EQ(pool.tasks_executed(), 32u);
 }
 
 TEST(ThreadPoolTest, ManyConcurrentIncrements) {
@@ -565,13 +564,7 @@ TEST(ServerTest, BatchFailureNamesLowestFailingRequest) {
 
 TEST(ServerTest, FailedRequestsAreCountedByStage) {
   const api::Testbed& bed = SmallBed();
-  // A private registry isolates this server's instruments from every
-  // other test's servers (each stack would otherwise share the global
-  // registry under fresh instance labels — correct, but noisy to query).
-  obs::MetricsRegistry registry;
-  ServerOptions options;
-  options.registry = &registry;
-  Server server(bed.engine(), options);
+  Server server(bed.engine());
 
   api::QueryRequest good;
   good.keywords = bed.topic(0).keywords;
@@ -584,19 +577,16 @@ TEST(ServerTest, FailedRequestsAreCountedByStage) {
   ASSERT_FALSE(failed.ok());
   EXPECT_TRUE(failed.status().IsNotFound());
 
-  ServerSnapshot snapshot = server.StatsSnapshot();
-  EXPECT_EQ(snapshot.server.requests, 2u);
-  EXPECT_EQ(snapshot.server.requests_failed, 1u);
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.requests_failed, 1u);
   // Failures are latencies too: both requests landed in the histogram.
-  EXPECT_EQ(snapshot.request_latency_ms.count, 2u);
+  EXPECT_EQ(stats.request_latency_ms.count, 2u);
   // The per-stage error series names the stage that failed (the unknown
   // strategy dies in expander construction) and nothing else.
-  const std::string prom = registry.DumpPrometheus();
-  EXPECT_NE(prom.find("stage=\"expander-construction\"} 1"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("stage=\"expansion\"} 0"), std::string::npos) << prom;
-  EXPECT_NE(prom.find("stage=\"search\"} 0"), std::string::npos) << prom;
+  EXPECT_EQ(stats.expander_construction_errors, 1u);
+  EXPECT_EQ(stats.expansion_errors, 0u);
+  EXPECT_EQ(stats.search_errors, 0u);
 }
 
 TEST(ServerTest, MixedBatchAttributesShedAndDeadlineOutcomes) {
@@ -607,9 +597,7 @@ TEST(ServerTest, MixedBatchAttributesShedAndDeadlineOutcomes) {
   // index (#1, the shed) names the error — and each outcome lands in its
   // own stage counter exactly once.
   const api::Testbed& bed = SmallBed();
-  obs::MetricsRegistry registry;
   ServerOptions options;
-  options.registry = &registry;
   options.num_threads = 1;
   Server server(bed.engine(), options);
 
@@ -637,22 +625,19 @@ TEST(ServerTest, MixedBatchAttributesShedAndDeadlineOutcomes) {
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.requests_failed, 2u);
+  // `shed` and `deadline_exceeded` are the `admission` and `deadline`
+  // stage series.
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(stats.deadline_exceeded, 1u);
-  const std::string prom = registry.DumpPrometheus();
-  EXPECT_NE(prom.find("stage=\"admission\"} 1"), std::string::npos) << prom;
-  EXPECT_NE(prom.find("stage=\"deadline\"} 1"), std::string::npos) << prom;
   // The interrupted request must not double-count into the pipeline-stage
   // series it happened to be inside when the budget ran out.
-  EXPECT_NE(prom.find("stage=\"expansion\"} 0"), std::string::npos) << prom;
-  EXPECT_NE(prom.find("stage=\"search\"} 0"), std::string::npos) << prom;
+  EXPECT_EQ(stats.expansion_errors, 0u);
+  EXPECT_EQ(stats.search_errors, 0u);
 }
 
 TEST(ServerTest, QueueDepthBoundShedsWithResourceExhausted) {
   const api::Testbed& bed = SmallBed();
-  obs::MetricsRegistry registry;
   ServerOptions options;
-  options.registry = &registry;
   options.num_threads = 1;
   options.max_queue_depth = 1;
   Server server(bed.engine(), options);
@@ -710,6 +695,80 @@ TEST(ServerTest, NonFiniteOverridesFailWithoutTouchingTheCache) {
   EXPECT_EQ(stats.evictions, 0u);
   const Status status = server.cache()->CheckInvariants();
   EXPECT_TRUE(status.ok()) << status;
+}
+
+/// The global trace log's records, grouped by trace id.
+std::map<uint64_t, std::vector<obs::SpanRecord>> TracesInGlobalLog() {
+  std::map<uint64_t, std::vector<obs::SpanRecord>> traces;
+  for (const obs::SpanRecord& record :
+       obs::MetricsRegistry::Global().trace_log().Snapshot()) {
+    traces[record.trace_id].push_back(record);
+  }
+  return traces;
+}
+
+/// The stages of `trace`'s roots; every other span's parent must be a
+/// span of the same trace.
+std::vector<std::string> RootStages(const std::vector<obs::SpanRecord>& trace) {
+  std::set<uint64_t> span_ids;
+  for (const obs::SpanRecord& record : trace) span_ids.insert(record.span_id);
+  std::vector<std::string> roots;
+  for (const obs::SpanRecord& record : trace) {
+    if (record.parent_span_id == 0) {
+      roots.emplace_back(record.stage);
+    } else {
+      EXPECT_EQ(span_ids.count(record.parent_span_id), 1u)
+          << record.stage << "'s parent is not in its trace";
+    }
+  }
+  return roots;
+}
+
+// Every span of a served request lands in the one trace log, as one tree.
+// A single opens its root `request` span on the worker, so its queue
+// wait is in the histogram only; a batch item's trace is rooted at
+// `batch` and holds the pool's `queue-wait` record too.
+TEST(ServerTest, ServedRequestLeavesOneSpanTree) {
+  const api::Testbed& bed = SmallBed();
+  const uint32_t sample_every = obs::GetTraceSampleEvery();
+  obs::SetTraceSampleEvery(1);
+  obs::MetricsRegistry::Global().trace_log().Clear();
+  ServerOptions options;
+  options.num_threads = 1;
+  Server server(bed.engine(), options);
+
+  api::QueryRequest single;
+  single.keywords = bed.topic(0).keywords;
+  EXPECT_TRUE(server.Submit(single).get().ok());
+  std::map<uint64_t, std::vector<obs::SpanRecord>> traces =
+      TracesInGlobalLog();
+  ASSERT_EQ(traces.size(), 1u);
+  const std::vector<obs::SpanRecord>& trace = traces.begin()->second;
+  EXPECT_EQ(RootStages(trace), std::vector<std::string>{"request"});
+  std::multiset<std::string> stages;
+  for (const obs::SpanRecord& record : trace) stages.emplace(record.stage);
+  EXPECT_EQ(stages, (std::multiset<std::string>{
+                        "request", "cache-lookup", "expander-construction",
+                        "expansion", "linking", "ball-extraction",
+                        "enumeration", "pruning", "query-prepare", "search"}));
+
+  // Another topic, so the batch item misses the cache too.
+  obs::MetricsRegistry::Global().trace_log().Clear();
+  api::QueryRequest item;
+  item.keywords = bed.topic(1).keywords;
+  EXPECT_TRUE(server.QueryBatch({item}).ok());
+  traces = TracesInGlobalLog();
+  ASSERT_EQ(traces.size(), 1u);
+  const std::vector<obs::SpanRecord>& batch_trace = traces.begin()->second;
+  EXPECT_EQ(RootStages(batch_trace), std::vector<std::string>{"batch"});
+  std::set<std::string> batch_stages;
+  for (const obs::SpanRecord& record : batch_trace) {
+    batch_stages.emplace(record.stage);
+  }
+  EXPECT_EQ(batch_stages.count("queue-wait"), 1u);
+  EXPECT_EQ(batch_stages.count("request"), 1u);
+  EXPECT_EQ(batch_stages.count("search"), 1u);
+  obs::SetTraceSampleEvery(sample_every);
 }
 
 // An engine with documents but no index refuses a request before it

@@ -59,6 +59,20 @@ wiki::KnowledgeBase SyntheticKb(uint64_t seed, size_t num_domains) {
   return std::move(generated->kb);
 }
 
+/// An unfrozen KB of `n` articles with `links` outgoing links each.
+wiki::KnowledgeBase UnfrozenKb(uint32_t n, uint32_t links) {
+  wiki::KnowledgeBase kb;
+  for (uint32_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(kb.AddArticle("article " + std::to_string(i)).ok());
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = 1; j <= links; ++j) {
+      EXPECT_TRUE(kb.AddLink(i, (i + j * 7919) % n).ok());
+    }
+  }
+  return kb;
+}
+
 std::vector<std::byte> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
@@ -629,6 +643,44 @@ TEST(SnapshotRepublishTest, LiveTrafficSurvivesRepublishTsan) {
   auto response = engine.Query(request);
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->expansion.titles, reference[0].titles);
+}
+
+TEST(SnapshotRepublishTest, ConcurrentPublishesOnlyMoveTheGenerationForward) {
+  // Publisher A hands over a KB it must first freeze (tens of ms);
+  // publisher B starts 5 ms later with a frozen 3-article KB and swaps
+  // while A is still freezing.  Each swap stamps the replaced snapshot's
+  // generation + 1, so after both the generation is 3 whichever swapped
+  // last, and a reader polling it never sees it move back.
+  auto engine = api::Engine::Build(UnfrozenKb(3, 1));
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  wiki::KnowledgeBase slow = UnfrozenKb(20000, 32);
+  wiki::KnowledgeBase fast = UnfrozenKb(3, 1);
+  fast.Freeze();
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> moved_back{false};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    // The last poll comes after both publishes have returned.
+    for (bool finished = false; !finished;) {
+      finished = done.load();
+      const uint64_t generation = (*engine)->snapshot_generation();
+      if (generation < last) moved_back.store(true);
+      last = generation;
+      std::this_thread::yield();
+    }
+  });
+  std::thread publisher_a([&] {
+    EXPECT_TRUE((*engine)->PublishSnapshot(std::move(slow)).ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE((*engine)->PublishSnapshot(std::move(fast)).ok());
+  publisher_a.join();
+  done.store(true);
+  reader.join();
+
+  EXPECT_EQ((*engine)->snapshot_generation(), 3u);
+  EXPECT_FALSE(moved_back.load());
 }
 
 TEST(SnapshotRepublishTest, BatchServesOneEpochAcrossAPublish) {
