@@ -85,11 +85,11 @@ Result<std::vector<Table4Row>> ComputeTable4(
       }
       std::vector<std::string> titles;
       for (graph::NodeId q : entry.query_articles) {
-        titles.push_back(kb.display_title(q));
+        titles.emplace_back(kb.display_title(q));
         feature_set.erase(q);
       }
       for (graph::NodeId f : feature_set) {
-        titles.push_back(kb.display_title(f));
+        titles.emplace_back(kb.display_title(f));
       }
       if (titles.empty()) continue;
 

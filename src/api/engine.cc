@@ -95,12 +95,18 @@ Status Engine::PublishSnapshot(wiki::KnowledgeBase kb) {
   // the build: concurrent publishers swap in the order their builds
   // finish, and each swap must still move the generation forward.  Old
   // epochs retire when the last in-flight request that pinned them
-  // drains — publishing never waits for them.
-  common::MutexLock lock(snapshot_mu_);
-  snapshot->generation = snapshot_->generation + 1;
-  counters_.snapshot_generation->Set(
-      static_cast<double>(snapshot->generation));
-  snapshot_ = std::move(snapshot);
+  // drains — publishing never waits for them.  The replaced pointer
+  // leaves the lock in `retired`: when it is the last pin, the old
+  // epoch's teardown runs here, after the unlock, so no reader waits
+  // on it.
+  std::shared_ptr<const GraphSnapshot> retired;
+  {
+    common::MutexLock lock(snapshot_mu_);
+    snapshot->generation = snapshot_->generation + 1;
+    counters_.snapshot_generation->Set(
+        static_cast<double>(snapshot->generation));
+    retired = std::exchange(snapshot_, std::move(snapshot));
+  }
   return Status::OK();
 }
 

@@ -34,8 +34,12 @@
 /// snapshot/reader.h) while serving continues: every request pins the
 /// snapshot it started on via a `shared_ptr` copy and finishes there;
 /// requests arriving after the swap see the new one.  The old snapshot
-/// is destroyed when its last in-flight request drains —
-/// epoch-style retirement that never blocks a request.  Each snapshot
+/// is destroyed when its last pin drops — epoch-style retirement that
+/// never blocks a request: an in-flight request that drains last tears
+/// it down on its own thread, and otherwise the publisher does, after
+/// releasing the snapshot mutex, so no reader waits on a teardown.  A
+/// snapshot-loaded KB serves its arrays and names from the mapping, so
+/// its teardown is one unmap and a few frees.  Each snapshot
 /// carries a monotonically increasing `generation`, which the serve
 /// layer's `ExpansionCache` stamps into entries so a republish implicitly
 /// invalidates stale cached expansions (see serve/expansion_cache.h).
@@ -211,7 +215,8 @@ class Engine {
   /// \brief Atomically replaces the graph snapshot with `kb` (frozen here
   /// if the caller has not done so): builds the linker over it, then,
   /// under the snapshot mutex, stamps it with the replaced snapshot's
-  /// generation + 1 and publishes it.  In-flight requests finish on the
+  /// generation + 1 and publishes it.  The replaced snapshot is dropped
+  /// after the mutex is released.  In-flight requests finish on the
   /// snapshot they pinned; new requests see the new one.  The retrieval
   /// index, registry and options are untouched — this swaps the *graph*,
   /// not the engine.  Thread-safe against serving calls; concurrent
@@ -275,8 +280,9 @@ class Engine {
   EngineOptions options_;
   /// The published graph epoch.  Readers pin by copying the pointer
   /// under `snapshot_mu_` (`CurrentSnapshot`); `PublishSnapshot`
-  /// replaces it under the same lock.  Retirement is reference-counted:
-  /// the old epoch dies when its last pinning request drains.
+  /// replaces it under the same lock and drops the old pointer after
+  /// unlocking.  Retirement is reference-counted: the old epoch dies when
+  /// its last pin drops, never under this lock.
   mutable common::Mutex snapshot_mu_;
   std::shared_ptr<const GraphSnapshot> snapshot_
       WQE_GUARDED_BY(snapshot_mu_);

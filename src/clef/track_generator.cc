@@ -54,11 +54,11 @@ std::string MentionTitle(const KnowledgeBase& kb, NodeId article, Rng& rng,
   if (rng.Bernoulli(alias_prob)) {
     std::vector<NodeId> aliases = kb.RedirectsOf(article);
     if (!aliases.empty()) {
-      return kb.display_title(
-          aliases[rng.Uniform(static_cast<uint32_t>(aliases.size()))]);
+      return std::string(kb.display_title(
+          aliases[rng.Uniform(static_cast<uint32_t>(aliases.size()))]));
     }
   }
-  return kb.display_title(article);
+  return std::string(kb.display_title(article));
 }
 
 /// Builds a sentence interleaving the given mention phrases with filler.
@@ -87,7 +87,7 @@ std::string ForeignText(const wiki::SyntheticWikipedia& wiki, uint32_t domain,
   if (other == domain) other = (other + 1) % num_domains;
   const auto& articles = wiki.domain_articles[other];
   NodeId a = articles[rng.Uniform(static_cast<uint32_t>(articles.size()))];
-  return "Ein Bild von " + kb.display_title(a) + " im Sommer.";
+  return "Ein Bild von " + std::string(kb.display_title(a)) + " im Sommer.";
 }
 
 bool Contains(const std::vector<NodeId>& v, NodeId x) {
@@ -484,7 +484,7 @@ Result<Track> GenerateTrack(const wiki::SyntheticWikipedia& wiki,
       uint32_t other = topic_rng.Uniform(num_domains);
       if (other == plan.domain) other = (other + 1) % num_domains;
       const auto& others = wiki.domain_articles[other];
-      desc.push_back(kb.display_title(
+      desc.emplace_back(kb.display_title(
           others[topic_rng.Uniform(static_cast<uint32_t>(others.size()))]));
 
       ImageMetadata meta = MakeDocument(next_doc_id++, name_mentions, desc,

@@ -37,10 +37,10 @@ Result<ExpandedQuery> Expander::Expand(std::string_view keywords) const {
                        SelectFeatures(out.query_articles));
 
   for (NodeId q : out.query_articles) {
-    out.titles.push_back(kb().display_title(q));
+    out.titles.emplace_back(kb().display_title(q));
   }
   for (NodeId f : out.feature_articles) {
-    out.titles.push_back(kb().display_title(f));
+    out.titles.emplace_back(kb().display_title(f));
   }
   out.query = ir::QueryNode::CombinePhrases(out.titles);
   return out;

@@ -16,7 +16,7 @@
 /// A snapshot is fully self-contained — it copies node kinds and never
 /// points back into the builder — so it can be moved freely and shared
 /// read-only across any number of serving threads.  Labels are not part
-/// of it: `wiki::KnowledgeBase` keeps them in its own per-node store,
+/// of it: `wiki::KnowledgeBase` keeps them in its own name blobs,
 /// releases the builder once frozen, and hands out the snapshot through
 /// `csr()`.
 ///

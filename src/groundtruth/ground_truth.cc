@@ -71,10 +71,10 @@ Result<GroundTruthEntry> GroundTruthBuilder::BuildEntry(
   {
     std::vector<std::string> titles;
     for (NodeId a : entry.query_articles) {
-      titles.push_back(kb.display_title(a));
+      titles.emplace_back(kb.display_title(a));
     }
     for (NodeId a : entry.xq.selected) {
-      titles.push_back(kb.display_title(a));
+      titles.emplace_back(kb.display_title(a));
     }
     if (!titles.empty()) {
       WQE_ASSIGN_OR_RETURN(std::vector<ir::ScoredDoc> results,
@@ -113,7 +113,7 @@ std::string WriteGroundTruth(const GroundTruth& gt,
   std::string out;
   for (const GroundTruthEntry& e : gt.entries) {
     std::vector<std::string> titles;
-    for (NodeId a : e.xq.selected) titles.push_back(kb.display_title(a));
+    for (NodeId a : e.xq.selected) titles.emplace_back(kb.display_title(a));
     out += std::to_string(e.topic_id);
     out += "\t";
     out += e.keywords;

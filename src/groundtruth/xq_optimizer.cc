@@ -45,7 +45,7 @@ Result<double> XqOptimizer::EvaluateArticles(
   std::vector<std::string> titles;
   titles.reserve(articles.size());
   for (NodeId a : articles) {
-    titles.push_back(kb_->display_title(a));
+    titles.emplace_back(kb_->display_title(a));
   }
   auto results = engine_->SearchTitles(titles, options_.top_k);
   if (!results.ok()) {

@@ -34,9 +34,9 @@ NodeId EntityLinker::MatchWindow(const std::vector<text::Token>& tokens,
   return hit.has_value() ? *hit : graph::kInvalidNode;
 }
 
-std::vector<std::string> EntityLinker::SynonymsOf(
-    const std::string& term) const {
-  std::vector<std::string> out;
+std::vector<std::string_view> EntityLinker::SynonymsOf(
+    std::string_view term) const {
+  std::vector<std::string_view> out;
   auto node = kb_->FindArticle(term);
   if (!node.has_value()) return out;
   if (kb_->IsRedirect(*node)) {
@@ -58,16 +58,19 @@ NodeId EntityLinker::MatchWindowViaSynonyms(
   // lookup ("we derive a synonym phrase by replacing at least one term of
   // the input text by a synonymous term").
   for (size_t k = 0; k < len; ++k) {
-    std::vector<std::string> synonyms = SynonymsOf(tokens[i + k].text);
-    for (const std::string& syn : synonyms) {
+    for (std::string_view syn : SynonymsOf(tokens[i + k].text)) {
       std::string key;
       for (size_t m = 0; m < len; ++m) {
         if (m > 0) key += " ";
-        key += (m == k) ? syn : tokens[i + m].text;
+        if (m == k) {
+          key += syn;
+        } else {
+          key += tokens[i + m].text;
+        }
       }
       auto hit = kb_->FindArticle(key);
       if (hit.has_value()) {
-        *surface = key;
+        *surface = std::move(key);
         return *hit;
       }
     }

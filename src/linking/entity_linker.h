@@ -61,8 +61,9 @@ class EntityLinker {
                                 size_t i, size_t len,
                                 std::string* surface) const;
 
-  /// Collects synonym strings of a single term.
-  std::vector<std::string> SynonymsOf(const std::string& term) const;
+  /// Collects synonym strings of a single term: views of the KB's
+  /// titles, valid while the KB lives.
+  std::vector<std::string_view> SynonymsOf(std::string_view term) const;
 
   const wiki::KnowledgeBase* kb_;
 };

@@ -125,39 +125,41 @@ void Server::NoteQueueWait(double wait_ms) {
 Result<api::ExpandResponse> Server::ExpandResolved(
     const api::GraphSnapshot& snapshot, const std::string& resolved,
     const std::string& keywords, const api::ExpanderOverrides& overrides) {
+  // A failure counts in one stage counter here, except a deadline
+  // failure, which counts in the `deadline` stage (ServeRequest): one
+  // failed request is attributed exactly once.
+  auto fail = [](obs::Counter* stage, Status status) {
+    if (!status.IsDeadlineExceeded()) stage->Inc();
+    return status;
+  };
   ExpansionCache::Key key;
   if (cache_ != nullptr) {
     key = ExpansionCache::Key{keywords, resolved, overrides};
-    std::shared_ptr<const api::ExpandResponse> hit;
-    {
+    Result<std::shared_ptr<const api::ExpandResponse>> hit =
+        [&]() -> Result<std::shared_ptr<const api::ExpandResponse>> {
       obs::Span span("cache-lookup", instruments_.cache_lookup);
       WQE_FAULT_POINT("serve.cache_lookup");
-      hit = cache_->Get(key, snapshot.generation);
-    }
-    if (hit != nullptr) return *hit;  // copy out of the shared entry
+      return cache_->Get(key, snapshot.generation);
+    }();
+    // The lookup is the first step of the expansion, and fails with it.
+    if (!hit.ok()) return fail(instruments_.errors_expansion, hit.status());
+    if (*hit != nullptr) return **hit;  // copy out of the shared entry
   }
   // Only a miss needs an expander, built against the pinned epoch.
-  std::unique_ptr<expansion::Expander> expander;
-  {
-    obs::Span span("expander-construction", instruments_.expander_construction);
+  Result<std::unique_ptr<expansion::Expander>> built =
+      [&]() -> Result<std::unique_ptr<expansion::Expander>> {
+    obs::Span span("expander-construction",
+                   instruments_.expander_construction);
     WQE_FAULT_POINT("serve.expander_construction");
-    Result<std::unique_ptr<expansion::Expander>> built =
-        engine_->BuildExpander(snapshot, resolved, overrides);
-    if (!built.ok()) {
-      instruments_.errors_expander_construction->Inc();
-      return built.status();
-    }
-    expander = std::move(*built);
+    return engine_->BuildExpander(snapshot, resolved, overrides);
+  }();
+  if (!built.ok()) {
+    return fail(instruments_.errors_expander_construction, built.status());
   }
   Result<api::ExpandResponse> response =
-      engine_->ExpandWith(*expander, resolved, keywords);
+      engine_->ExpandWith(**built, resolved, keywords);
   if (!response.ok()) {
-    // A deadline failure counts in the `deadline` stage (ServeRequest), so
-    // one failed request is attributed exactly once.
-    if (!response.status().IsDeadlineExceeded()) {
-      instruments_.errors_expansion->Inc();
-    }
-    return response.status();
+    return fail(instruments_.errors_expansion, response.status());
   }
   // An OK response is always a *complete* expansion (the expander turns
   // truncated enumerations into errors), so it is safe to cache even if

@@ -9,8 +9,9 @@
 /// process that maps the same file, and nothing in this process can
 /// scribble on them.  A `MappedFile` is handed around as
 /// `std::shared_ptr<const MappedFile>` and pinned inside whatever points
-/// into it (`graph::CsrGraph::FromSections` storage), so the mapping
-/// outlives every span derived from it.
+/// into it (`graph::CsrGraph::FromSections` and
+/// `wiki::KnowledgeBase::FromSnapshot` storage), so the mapping outlives
+/// every span and name view derived from it.
 
 #include <cstddef>
 #include <memory>

@@ -310,28 +310,16 @@ Result<wiki::KnowledgeBase> Reader::Load() const {
 
   graph::CsrGraph csr = graph::CsrGraph::FromSections(sections, file_);
 
-  // Titles are materialized (owned strings); zero-copy applies to the
-  // CSR arrays, which dominate the footprint.
-  auto explode = [&](SectionId offsets_id,
-                     SectionId bytes_id) -> std::vector<std::string> {
-    std::span<const uint64_t> offsets = SectionSpan<uint64_t>(offsets_id);
-    std::span<const char> chars = SectionSpan<char>(bytes_id);
-    std::vector<std::string> out;
-    out.reserve(offsets.size() - 1);
-    for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-      out.emplace_back(chars.data() + offsets[i], offsets[i + 1] - offsets[i]);
-    }
-    return out;
-  };
-  std::vector<std::string> labels =
-      explode(SectionId::kLabelOffsets, SectionId::kLabelBytes);
-  std::vector<std::string> displays =
-      explode(SectionId::kDisplayOffsets, SectionId::kDisplayBytes);
-
+  // Names are served in place too: the KB's label and display-title
+  // blobs are spans into the mapping, which the KB pins like its CSR.
+  const wiki::NameBlob labels{SectionSpan<uint64_t>(SectionId::kLabelOffsets),
+                              SectionSpan<char>(SectionId::kLabelBytes)};
+  const wiki::NameBlob displays{
+      SectionSpan<uint64_t>(SectionId::kDisplayOffsets),
+      SectionSpan<char>(SectionId::kDisplayBytes)};
   Result<wiki::KnowledgeBase> kb = wiki::KnowledgeBase::FromSnapshot(
-      std::move(csr), std::move(labels), std::move(displays),
-      meta[kMetaNumArticles], meta[kMetaNumRedirects],
-      meta[kMetaNumCategories]);
+      std::move(csr), labels, displays, file_, meta[kMetaNumArticles],
+      meta[kMetaNumRedirects], meta[kMetaNumCategories]);
   if (!kb.ok()) {
     return CorruptF(path_, kb.status().message());
   }

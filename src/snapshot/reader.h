@@ -3,11 +3,13 @@
 /// \file reader.h
 /// \brief `snapshot::Reader` — validates and loads on-disk snapshots.
 ///
-/// The file is mapped read-only (`MappedFile`) and every CSR span points
-/// straight into the mapping — zero copies of the flat arrays, so loading
-/// costs page faults instead of reads.  The mapping is pinned by the
-/// returned graph (`CsrGraph::FromSections` storage), so it lives exactly
-/// as long as anything that can reach it.
+/// The file is mapped read-only (`MappedFile`) and every CSR span, label
+/// and display title points straight into the mapping — zero copies, so
+/// loading costs page faults instead of reads.  The mapping is pinned by
+/// the returned KB (its graph's `CsrGraph::FromSections` storage and its
+/// `KnowledgeBase::FromSnapshot` name storage), so it lives exactly as
+/// long as anything that can reach it.  Loading builds only the title
+/// index: one flat table of node ids, O(V).
 ///
 /// Validation is layered so a corrupt or version-skewed file is rejected
 /// with a precise `Status` and can never cause UB:
@@ -73,9 +75,9 @@ class Reader {
   /// \brief The validated file metadata.
   const SnapshotInfo& info() const { return info_; }
 
-  /// \brief Reconstitutes the knowledge base.  CSR arrays stay zero-copy
-  /// (spans into the mapping, which the KB's graph pins); titles and the
-  /// title index are materialized.
+  /// \brief Reconstitutes the knowledge base.  CSR arrays, labels and
+  /// display titles stay zero-copy (spans into the mapping, which the KB
+  /// pins); only the title index is built.
   Result<wiki::KnowledgeBase> Load() const;
 
  private:

@@ -42,20 +42,6 @@ uint64_t AlignUp(uint64_t offset) {
   return (offset + kSectionAlignment - 1) & ~(kSectionAlignment - 1);
 }
 
-/// Concatenates per-node strings into (offsets, bytes) blob form.
-void BuildStringBlob(const wiki::KnowledgeBase& kb, bool display,
-                     std::vector<uint64_t>* offsets,
-                     std::vector<char>* bytes) {
-  const uint32_t n = kb.csr().num_nodes();
-  offsets->reserve(n + 1);
-  offsets->push_back(0);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    const std::string& s = display ? kb.display_title(u) : kb.title(u);
-    bytes->insert(bytes->end(), s.begin(), s.end());
-    offsets->push_back(bytes->size());
-  }
-}
-
 Status IOFail(const char* what, const std::string& path) {
   return Status::IOError(what, " failed for snapshot file '", path, "'");
 }
@@ -85,11 +71,6 @@ Status Writer::Write(const wiki::KnowledgeBase& kb, const std::string& path) {
   meta[kMetaNumRedirects] = kb.num_redirects();
   meta[kMetaNumCategories] = kb.num_categories();
 
-  std::vector<uint64_t> label_offsets, display_offsets;
-  std::vector<char> label_bytes, display_bytes;
-  BuildStringBlob(kb, /*display=*/false, &label_offsets, &label_bytes);
-  BuildStringBlob(kb, /*display=*/true, &display_offsets, &display_bytes);
-
   std::vector<PendingSection> sections;
   sections.reserve(kNumSections);
   sections.push_back(
@@ -106,14 +87,14 @@ Status Writer::Write(const wiki::KnowledgeBase& kb, const std::string& path) {
   sections.push_back(MakeSection(SectionId::kUndOffsets, g.und_offsets));
   sections.push_back(MakeSection(SectionId::kUndNeighbors, g.und_neighbors));
   sections.push_back(MakeSection(SectionId::kUndMult, g.und_mult));
-  sections.push_back(MakeSection(SectionId::kLabelOffsets,
-                                 std::span<const uint64_t>(label_offsets)));
-  sections.push_back(MakeSection(SectionId::kLabelBytes,
-                                 std::span<const char>(label_bytes)));
-  sections.push_back(MakeSection(SectionId::kDisplayOffsets,
-                                 std::span<const uint64_t>(display_offsets)));
-  sections.push_back(MakeSection(SectionId::kDisplayBytes,
-                                 std::span<const char>(display_bytes)));
+  // The KB's name blobs are already in section form.
+  sections.push_back(
+      MakeSection(SectionId::kLabelOffsets, kb.labels().offsets));
+  sections.push_back(MakeSection(SectionId::kLabelBytes, kb.labels().bytes));
+  sections.push_back(
+      MakeSection(SectionId::kDisplayOffsets, kb.display_titles().offsets));
+  sections.push_back(
+      MakeSection(SectionId::kDisplayBytes, kb.display_titles().bytes));
 
   // --- Lay out offsets and checksums. ---
   uint64_t cursor = sizeof(FileHeader) + sections.size() * sizeof(SectionEntry);

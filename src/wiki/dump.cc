@@ -275,9 +275,8 @@ std::string WriteDump(const KnowledgeBase& kb) {
     bool is_redirect = kb.IsRedirect(n);
 
     w.StartElement("page");
-    w.WriteElement("title", is_category
-                                ? "Category:" + kb.display_title(n)
-                                : kb.display_title(n));
+    const std::string title(kb.display_title(n));
+    w.WriteElement("title", is_category ? "Category:" + title : title);
     w.WriteElement("ns", is_category ? "14" : "0");
     w.WriteElement("id", std::to_string(n + 1));
     if (is_redirect) {
@@ -289,19 +288,23 @@ std::string WriteDump(const KnowledgeBase& kb) {
     // Synthesize wikitext from the out-row.
     std::string text;
     if (is_redirect) {
-      text = "#REDIRECT [[" +
-             kb.display_title(kb.ResolveRedirect(n)) + "]]";
+      text.append("#REDIRECT [[")
+          .append(kb.display_title(kb.ResolveRedirect(n)))
+          .append("]]");
     } else {
       std::span<const NodeId> targets = g.OutTargets(n);
       std::span<const graph::EdgeKind> kinds = g.OutKinds(n);
       for (size_t i = 0; i < targets.size(); ++i) {
         switch (kinds[i]) {
           case graph::EdgeKind::kLink:
-            text += "[[" + kb.display_title(targets[i]) + "]] ";
+            text.append("[[").append(kb.display_title(targets[i])).append(
+                "]] ");
             break;
           case graph::EdgeKind::kBelongs:
           case graph::EdgeKind::kInside:
-            text += "[[Category:" + kb.display_title(targets[i]) + "]] ";
+            text.append("[[Category:")
+                .append(kb.display_title(targets[i]))
+                .append("]] ");
             break;
           case graph::EdgeKind::kRedirect:
             break;

@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "common/hash.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 
@@ -10,6 +11,41 @@ namespace wqe::wiki {
 namespace {
 
 constexpr std::string_view kCategoryPrefix = "category:";
+
+/// The hash of the key `(category ? "category:" : "") + name`.  A
+/// category's continues FNV-1a from the prefix over its label, so it
+/// equals the joined key's hash without building the joined key.
+uint64_t KeyHash(bool category, std::string_view name) {
+  const uint64_t seed =
+      category ? HashBytes(kCategoryPrefix.data(), kCategoryPrefix.size())
+               : kHashSeed;
+  return MixHash(HashBytes(name.data(), name.size(), seed));
+}
+
+/// True when the keys `(a_category ? "category:" : "") + a` and
+/// `(b_category ? "category:" : "") + b` are equal: an article titled
+/// "category:foo" has category foo's key.
+bool KeysEqual(bool a_category, std::string_view a, bool b_category,
+               std::string_view b) {
+  if (a_category == b_category) return a == b;
+  if (a_category) std::swap(a, b);  // now only `b` carries the prefix
+  return a.size() == kCategoryPrefix.size() + b.size() &&
+         a.starts_with(kCategoryPrefix) &&
+         a.substr(kCategoryPrefix.size()) == b;
+}
+
+/// The joined key, for error messages.
+std::string Key(bool category, std::string_view name) {
+  return (category ? std::string(kCategoryPrefix) : std::string())
+      .append(name);
+}
+
+/// Title-index slots for `n` keys: a power of two at most 3/4 full.
+size_t SlotsFor(size_t n) {
+  size_t slots = 16;
+  while (slots * 3 < n * 4) slots *= 2;
+  return slots;
+}
 
 /// The nodes of one CSR row whose edge kind is `kind`, in row order.
 std::vector<NodeId> RowOfKind(std::span<const NodeId> nodes,
@@ -23,6 +59,14 @@ std::vector<NodeId> RowOfKind(std::span<const NodeId> nodes,
 }
 
 }  // namespace
+
+KnowledgeBase::KnowledgeBase()
+    : owned_names_(std::make_unique<OwnedNames>()),
+      title_slots_(SlotsFor(0), kInvalidNode) {
+  labels_ = {owned_names_->label_offsets, owned_names_->label_bytes};
+  display_titles_ = {owned_names_->display_offsets,
+                     owned_names_->display_bytes};
+}
 
 Status KnowledgeBase::CheckMutable() const {
   if (frozen()) {
@@ -46,15 +90,52 @@ const graph::CsrGraph& KnowledgeBase::csr() const {
   return csr_;
 }
 
+size_t KnowledgeBase::FindSlot(bool category, std::string_view name) const {
+  const size_t mask = title_slots_.size() - 1;
+  for (size_t i = KeyHash(category, name) & mask;; i = (i + 1) & mask) {
+    const NodeId u = title_slots_[i];
+    if (u == kInvalidNode ||
+        KeysEqual(category, name, KindOf(u) == graph::NodeKind::kCategory,
+                  labels_[u])) {
+      return i;
+    }
+  }
+}
+
+std::optional<NodeId> KnowledgeBase::Lookup(bool category,
+                                            std::string_view name) const {
+  const NodeId u = title_slots_[FindSlot(category, name)];
+  if (u == kInvalidNode) return std::nullopt;
+  return u;
+}
+
+Status KnowledgeBase::IndexTitles(size_t keys) {
+  const size_t n = labels_.offsets.size() - 1;
+  title_slots_.assign(SlotsFor(keys), kInvalidNode);
+  for (NodeId u = 0; u < n; ++u) {
+    const bool category = KindOf(u) == graph::NodeKind::kCategory;
+    NodeId& slot = title_slots_[FindSlot(category, labels_[u])];
+    if (slot != kInvalidNode) {
+      return Status::InvalidArgument("snapshot title '",
+                                     Key(category, labels_[u]),
+                                     "' appears on nodes ", slot, " and ", u);
+    }
+    slot = u;
+  }
+  return Status::OK();
+}
+
 Result<KnowledgeBase> KnowledgeBase::FromSnapshot(
-    graph::CsrGraph csr, std::vector<std::string> labels,
-    std::vector<std::string> display_titles, size_t num_articles,
+    graph::CsrGraph csr, NameBlob labels, NameBlob display_titles,
+    std::shared_ptr<const void> storage, size_t num_articles,
     size_t num_redirects, size_t num_categories) {
   const size_t n = csr.num_nodes();
-  if (labels.size() != n || display_titles.size() != n) {
+  if (labels.offsets.size() != n + 1 ||
+      display_titles.offsets.size() != n + 1) {
     return Status::InvalidArgument(
-        "snapshot carries ", labels.size(), " labels and ",
-        display_titles.size(), " display titles for ", n, " nodes");
+        "snapshot carries ", labels.offsets.size(), " label offsets and ",
+        display_titles.offsets.size(), " display title offsets for ", n,
+        " nodes");
   }
   const graph::CsrSections sections = csr.Sections();
   if (num_articles + num_redirects != sections.node_kind_counts[0] ||
@@ -72,63 +153,58 @@ Result<KnowledgeBase> KnowledgeBase::FromSnapshot(
   kb.num_articles_ = num_articles;
   kb.num_redirects_ = num_redirects;
   kb.num_categories_ = num_categories;
-  kb.labels_ = std::move(labels);
-  kb.display_titles_ = std::move(display_titles);
-  // Rebuild the title index exactly as the builder populated it: the raw
-  // label for articles, "category:"-prefixed for categories.
-  kb.title_index_.reserve(n);
-  for (NodeId u = 0; u < n; ++u) {
-    std::string key = kb.csr_.IsCategory(u)
-                          ? std::string(kCategoryPrefix) + kb.labels_[u]
-                          : kb.labels_[u];
-    auto [it, inserted] = kb.title_index_.emplace(std::move(key), u);
-    if (!inserted) {
-      return Status::InvalidArgument("snapshot title '", it->first,
-                                     "' appears on nodes ", it->second,
-                                     " and ", u);
-    }
-  }
+  kb.owned_names_.reset();
+  kb.mapped_names_ = std::move(storage);
+  kb.labels_ = labels;
+  kb.display_titles_ = display_titles;
+  // The same keys the builder indexed: the label for articles,
+  // "category:"-prefixed for categories.
+  WQE_RETURN_NOT_OK(kb.IndexTitles(n));
   return kb;
 }
 
 Result<NodeId> KnowledgeBase::AddEntry(graph::NodeKind kind,
                                        std::string_view title,
-                                       std::string_view index_key) {
+                                       std::string_view label) {
   WQE_RETURN_NOT_OK(CheckMutable());
-  std::string key(index_key);
-  if (key.empty() ||
-      (kind == graph::NodeKind::kCategory &&
-       key.size() == kCategoryPrefix.size())) {
-    return Status::InvalidArgument("empty title");
+  if (label.empty()) return Status::InvalidArgument("empty title");
+  const bool category = kind == graph::NodeKind::kCategory;
+  const size_t n = labels_.offsets.size() - 1;
+  if (title_slots_.size() < SlotsFor(n + 1)) {
+    WQE_RETURN_NOT_OK(IndexTitles(n + 1));  // grow: the keys are unique
   }
-  auto it = title_index_.find(key);
-  if (it != title_index_.end()) {
-    return Status::AlreadyExists("title '", key, "' already exists as node ",
-                                 it->second);
+  const size_t slot = FindSlot(category, label);
+  if (title_slots_[slot] != kInvalidNode) {
+    return Status::AlreadyExists("title '", Key(category, label),
+                                 "' already exists as node ",
+                                 title_slots_[slot]);
   }
-  // The label lives in `labels_`, not on the builder node, so it outlives
-  // the builder.
   NodeId id = builder_->AddNode(kind, {});
-  labels_.emplace_back(kind == graph::NodeKind::kCategory
-                           ? index_key.substr(kCategoryPrefix.size())
-                           : index_key);
-  display_titles_.emplace_back(title);
-  title_index_.emplace(std::move(key), id);
+  OwnedNames& names = *owned_names_;
+  names.label_bytes.insert(names.label_bytes.end(), label.begin(),
+                           label.end());
+  names.label_offsets.push_back(names.label_bytes.size());
+  names.display_bytes.insert(names.display_bytes.end(), title.begin(),
+                             title.end());
+  names.display_offsets.push_back(names.display_bytes.size());
+  labels_ = {names.label_offsets, names.label_bytes};
+  display_titles_ = {names.display_offsets, names.display_bytes};
+  title_slots_[slot] = id;
   return id;
 }
 
 Result<NodeId> KnowledgeBase::AddArticle(std::string_view title) {
-  std::string norm = NormalizeTitle(title);
-  WQE_ASSIGN_OR_RETURN(NodeId id,
-                       AddEntry(graph::NodeKind::kArticle, title, norm));
+  WQE_ASSIGN_OR_RETURN(
+      NodeId id,
+      AddEntry(graph::NodeKind::kArticle, title, NormalizeTitle(title)));
   ++num_articles_;
   return id;
 }
 
 Result<NodeId> KnowledgeBase::AddCategory(std::string_view name) {
-  std::string norm = std::string(kCategoryPrefix) + NormalizeTitle(name);
-  WQE_ASSIGN_OR_RETURN(NodeId id,
-                       AddEntry(graph::NodeKind::kCategory, name, norm));
+  WQE_ASSIGN_OR_RETURN(
+      NodeId id,
+      AddEntry(graph::NodeKind::kCategory, name, NormalizeTitle(name)));
   ++num_categories_;
   return id;
 }
@@ -152,9 +228,9 @@ Result<NodeId> KnowledgeBase::AddRedirect(std::string_view alias_title,
         "redirect target '", title(main),
         "' is itself a redirect; chains are not allowed");
   }
-  std::string norm = NormalizeTitle(alias_title);
   WQE_ASSIGN_OR_RETURN(NodeId id,
-                       AddEntry(graph::NodeKind::kArticle, alias_title, norm));
+                       AddEntry(graph::NodeKind::kArticle, alias_title,
+                                NormalizeTitle(alias_title)));
   WQE_RETURN_NOT_OK(builder_->AddEdge(id, main, graph::EdgeKind::kRedirect));
   ++num_redirects_;
   return id;
@@ -187,22 +263,15 @@ Status KnowledgeBase::AddInside(NodeId category, NodeId parent) {
 
 std::optional<NodeId> KnowledgeBase::FindByTitle(
     std::string_view normalized_title) const {
-  auto it = title_index_.find(std::string(normalized_title));
-  if (it != title_index_.end()) return it->second;
-  it = title_index_.find(std::string(kCategoryPrefix) +
-                         std::string(normalized_title));
-  if (it != title_index_.end()) return it->second;
-  return std::nullopt;
+  if (std::optional<NodeId> hit = Lookup(false, normalized_title)) return hit;
+  return Lookup(true, normalized_title);
 }
 
 std::optional<NodeId> KnowledgeBase::FindArticle(
     std::string_view normalized_title) const {
-  auto it = title_index_.find(std::string(normalized_title));
-  if (it == title_index_.end()) return std::nullopt;
-  const bool is_article = builder_ ? builder_->IsArticle(it->second)
-                                   : csr_.IsArticle(it->second);
-  if (!is_article) return std::nullopt;
-  return it->second;
+  std::optional<NodeId> hit = Lookup(false, normalized_title);
+  if (!hit || KindOf(*hit) != graph::NodeKind::kArticle) return std::nullopt;
+  return hit;
 }
 
 bool KnowledgeBase::IsRedirect(NodeId node) const {

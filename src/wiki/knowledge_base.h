@@ -22,11 +22,24 @@
 /// same code: every structural read (redirects, link/category rows,
 /// neighborhoods, `Validate`) runs over the CSR and requires a frozen KB.
 /// Titles, display titles and title lookups work in both states.
+///
+/// Names: labels and display titles are two `NameBlob`s, (offsets, bytes)
+/// pairs in the snapshot's own section layout.  A built KB owns its
+/// blobs and `AddEntry` appends to them; a loaded KB's blobs are spans
+/// into the snapshot mapping, pinned by the KB the way its CSR arrays
+/// are, so loading copies no name.  The title index is a flat table of
+/// node ids that reads each key back through those blobs.  `title()` and
+/// `display_title()` return views into the blobs: a view stays valid
+/// while the KB that returned it lives (moving the KB keeps it valid;
+/// `AddEntry` on a builder may move the bytes of earlier views).  The
+/// KB is move-only.
 
+#include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -39,11 +52,24 @@ namespace wqe::wiki {
 using graph::NodeId;
 using graph::kInvalidNode;
 
+/// \brief Per-node strings as one blob: node `u`'s string is
+/// `bytes[offsets[u], offsets[u + 1])`.  The layout of the snapshot's
+/// label and display-title sections (snapshot/format.h).
+struct NameBlob {
+  std::span<const uint64_t> offsets;  ///< num_nodes + 1, zero-based, monotone
+  std::span<const char> bytes;        ///< ends at offsets.back()
+
+  std::string_view operator[](NodeId u) const {
+    return std::string_view(bytes.data() + offsets[u],
+                            offsets[u + 1] - offsets[u]);
+  }
+};
+
 /// \brief Wikipedia knowledge base: a builder until `Freeze()`, then an
 /// immutable snapshot.
 class KnowledgeBase {
  public:
-  KnowledgeBase() = default;
+  KnowledgeBase();
 
   /// \name Construction
   /// @{
@@ -74,14 +100,19 @@ class KnowledgeBase {
 
   /// \brief Reconstitutes a frozen KB from snapshot sections (the
   /// `snapshot::Reader` path).  `labels`/`display_titles` are per-node,
-  /// parallel to `csr`'s node ids; the counts are the KB-level entity
-  /// tallies from the snapshot's meta section.  Rebuilds the title index
-  /// (O(V)) and cross-checks the counts against the graph's node-kind
-  /// tallies — inconsistencies (duplicate titles, count drift) come back
-  /// as a `Status`, since they indicate a corrupt or hand-rolled file.
+  /// parallel to `csr`'s node ids, and are served in place: `storage` is
+  /// the type-erased owner of their bytes (the reader's mmap region) and
+  /// is pinned for the KB's lifetime.  As with `CsrGraph::FromSections`,
+  /// the caller must have checked each blob's offsets (zero-based,
+  /// monotone, ending at its byte count), as `snapshot::Reader` does.  The
+  /// counts are the KB-level entity tallies from the snapshot's meta
+  /// section.  Indexes the titles (O(V)) and cross-checks the counts
+  /// against the graph's node-kind tallies — inconsistencies (duplicate
+  /// titles, count drift) come back as a `Status`, since they indicate a
+  /// corrupt or hand-rolled file.
   static Result<KnowledgeBase> FromSnapshot(
-      graph::CsrGraph csr, std::vector<std::string> labels,
-      std::vector<std::string> display_titles, size_t num_articles,
+      graph::CsrGraph csr, NameBlob labels, NameBlob display_titles,
+      std::shared_ptr<const void> storage, size_t num_articles,
       size_t num_redirects, size_t num_categories);
   /// @}
 
@@ -111,13 +142,19 @@ class KnowledgeBase {
   /// source: "the synonyms of t are the titles of the redirects of a").
   std::vector<NodeId> RedirectsOf(NodeId main) const;
 
-  /// \brief Normalized title of a node.
-  const std::string& title(NodeId node) const { return labels_[node]; }
+  /// \brief Normalized title of a node (a view into the label blob).
+  std::string_view title(NodeId node) const { return labels_[node]; }
 
   /// \brief Display title (original casing/punctuation).
-  const std::string& display_title(NodeId node) const {
+  std::string_view display_title(NodeId node) const {
     return display_titles_[node];
   }
+
+  /// \brief Every node's normalized title, as one blob (what the
+  /// snapshot writer stores).
+  const NameBlob& labels() const { return labels_; }
+  /// \brief Every node's display title, as one blob.
+  const NameBlob& display_titles() const { return display_titles_; }
 
   /// \brief Categories an article belongs to.
   std::vector<NodeId> CategoriesOf(NodeId article) const;
@@ -163,8 +200,18 @@ class KnowledgeBase {
   Status Validate() const;
 
  private:
+  /// A built KB's name bytes, which `AddEntry` appends to.
+  struct OwnedNames {
+    std::vector<uint64_t> label_offsets{0};
+    std::vector<char> label_bytes;
+    std::vector<uint64_t> display_offsets{0};
+    std::vector<char> display_bytes;
+  };
+
+  /// Appends a node whose title key is `label`, "category:"-prefixed
+  /// when `kind` is a category; fails when the key is empty or taken.
   Result<NodeId> AddEntry(graph::NodeKind kind, std::string_view title,
-                          std::string_view index_key);
+                          std::string_view label);
 
   /// Fails when the KB is frozen (mutators call this first).
   Status CheckMutable() const;
@@ -173,15 +220,38 @@ class KnowledgeBase {
   /// `node` carries a redirect out-edge.
   bool BuilderIsRedirect(NodeId node) const;
 
+  /// A node's kind, from the builder or the CSR.
+  graph::NodeKind KindOf(NodeId node) const {
+    return builder_ ? builder_->kind(node) : csr_.kind(node);
+  }
+
+  /// The slot of the title index that holds the key
+  /// `(category ? "category:" : "") + name`, or the empty slot where it
+  /// would go.
+  size_t FindSlot(bool category, std::string_view name) const;
+
+  /// The node whose key is `(category ? "category:" : "") + name`.
+  std::optional<NodeId> Lookup(bool category, std::string_view name) const;
+
+  /// Re-creates the title index over every node, with room for `keys`
+  /// keys.  Fails on the first key that two nodes share.
+  Status IndexTitles(size_t keys);
+
   /// The builder graph: engaged until `Freeze()` consumes it, never in a
   /// KB from `FromSnapshot`.
   std::optional<graph::PropertyGraph> builder_{std::in_place};
   graph::CsrGraph csr_;
-  /// Per-node normalized labels and display titles, filled by the
-  /// mutators and by `FromSnapshot` alike.
-  std::vector<std::string> labels_;
-  std::vector<std::string> display_titles_;
-  std::unordered_map<std::string, NodeId> title_index_;
+  /// Per-node normalized labels and display titles.  Their bytes are
+  /// `owned_names_` (a built KB) or pinned by `mapped_names_` (a loaded
+  /// KB); either way every read goes through these blobs.
+  NameBlob labels_;
+  NameBlob display_titles_;
+  std::unique_ptr<OwnedNames> owned_names_;
+  std::shared_ptr<const void> mapped_names_;
+  /// The title index: open-addressed, linearly probed slots of node ids
+  /// (`kInvalidNode` is empty), a power of two at most 3/4 full.  A slot
+  /// stores no key; it is read back through `labels_` and the node's kind.
+  std::vector<NodeId> title_slots_;
   size_t num_articles_ = 0;
   size_t num_redirects_ = 0;
   size_t num_categories_ = 0;

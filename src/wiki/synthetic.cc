@@ -257,7 +257,7 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
       uint32_t aliases = 1 + (redirect_rng.Bernoulli(0.25) ? 1 : 0);
       for (uint32_t k = 0; k < aliases; ++k) {
         // Alias styles: "old <title>", "<title> the <word>", "<w> <title>".
-        const std::string& main_title = wiki.kb.display_title(a);
+        const std::string main_title(wiki.kb.display_title(a));
         std::string alias;
         switch (redirect_rng.Uniform(3)) {
           case 0:

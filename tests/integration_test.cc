@@ -203,10 +203,10 @@ TEST(EndToEndTest, PartialGroundTruthTable4UsesItsOwnQrels) {
     }
     std::vector<std::string> titles;
     for (graph::NodeId q : partial.entries[0].query_articles) {
-      titles.push_back(kb.display_title(q));
+      titles.emplace_back(kb.display_title(q));
       features.erase(q);
     }
-    for (graph::NodeId f : features) titles.push_back(kb.display_title(f));
+    for (graph::NodeId f : features) titles.emplace_back(kb.display_title(f));
     ASSERT_FALSE(titles.empty());
     auto results = bed.engine().search_engine().SearchTitles(titles, 15);
     ASSERT_TRUE(results.ok()) << results.status();

@@ -589,6 +589,45 @@ TEST(ServerTest, FailedRequestsAreCountedByStage) {
   EXPECT_EQ(stats.search_errors, 0u);
 }
 
+TEST(ServerTest, InjectedFailuresLandInExactlyOneStage) {
+  // Every fault site a request passes fails it once, and the failure is
+  // counted in exactly one of the five stages: a cache-lookup failure is
+  // the expansion's, a construction failure the construction's.
+  const api::Testbed& bed = SmallBed();
+  struct Site {
+    const char* name;
+    size_t ServerStats::*stage;
+  };
+  const Site sites[] = {
+      {"serve.cache_lookup", &ServerStats::expansion_errors},
+      {"serve.expander_construction",
+       &ServerStats::expander_construction_errors},
+      {"expansion.enumeration", &ServerStats::expansion_errors},
+  };
+  for (const Site& site : sites) {
+    SCOPED_TRACE(site.name);
+    ServerOptions options;
+    options.num_threads = 1;
+    Server server(bed.engine(), options);
+    common::FaultSpec fail;
+    fail.fail_probability = 1.0;
+    common::FaultInjector::Global().Configure(/*seed=*/9, {{site.name, fail}});
+    api::QueryRequest request;
+    request.keywords = bed.topic(0).keywords;
+    Result<api::QueryResponse> response = server.Submit(request).get();
+    common::FaultInjector::Global().Disable();
+
+    ASSERT_FALSE(response.ok());
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.requests_failed, 1u);
+    EXPECT_EQ(stats.requests_failed,
+              stats.shed + stats.deadline_exceeded +
+                  stats.expander_construction_errors +
+                  stats.expansion_errors + stats.search_errors);
+    EXPECT_EQ(stats.*site.stage, 1u);
+  }
+}
+
 TEST(ServerTest, MixedBatchAttributesShedAndDeadlineOutcomes) {
   // One batch, three fates: #0 completes, #1 is shed at admission (its
   // budget is already spent when it arrives), #2 is admitted but blows

@@ -19,9 +19,13 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
@@ -448,6 +452,52 @@ TEST_F(SnapshotCorruptionTest, SectionTableCountSizeDisagree) {
   ExpectRejected(bytes, "count/size disagree");
 }
 
+TEST_F(SnapshotCorruptionTest, ResealedDuplicateLabelRejectedAtLoad) {
+  // The later of two same-kind nodes with same-length labels gets the
+  // earlier one's label bytes: every layer of `Open` passes, and the
+  // title index refuses the file when `Load` builds it.
+  const SectionInfo& kinds = info_->sections[EntryIndex(SectionId::kNodeKinds)];
+  const SectionInfo& offsets =
+      info_->sections[EntryIndex(SectionId::kLabelOffsets)];
+  const SectionInfo& chars = info_->sections[EntryIndex(SectionId::kLabelBytes)];
+  std::vector<std::byte> bytes = *valid_;
+  auto offset = [&](size_t u) {
+    uint64_t value = 0;
+    std::memcpy(&value, bytes.data() + offsets.offset + u * sizeof(value),
+                sizeof(value));
+    return value;
+  };
+  const size_t n = kinds.count;
+  size_t first = n;
+  size_t second = n;
+  std::map<std::pair<std::byte, uint64_t>, size_t> seen;  // (kind, length)
+  for (size_t u = 0; u < n && second == n; ++u) {
+    auto [it, inserted] = seen.emplace(
+        std::make_pair(bytes[kinds.offset + u], offset(u + 1) - offset(u)), u);
+    if (!inserted) {
+      first = it->second;
+      second = u;
+    }
+  }
+  ASSERT_LT(second, n);
+  std::memcpy(bytes.data() + chars.offset + offset(second),
+              bytes.data() + chars.offset + offset(first),
+              offset(second + 1) - offset(second));
+  Reseal(&bytes);
+  WriteFileBytes(*path_, bytes);
+
+  auto reader = Reader::Open(*path_);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto loaded = reader->Load();
+  ASSERT_FALSE(loaded.ok()) << "a duplicate title was accepted";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find(
+                "appears on nodes " + std::to_string(first) + " and " +
+                std::to_string(second)),
+            std::string::npos)
+      << loaded.status();
+}
+
 TEST_F(SnapshotCorruptionTest, ValidBytesStillLoadAfterSuite) {
   // Guard against helper bugs: resealing an untouched file reproduces
   // the writer's bytes, and the pristine byte image itself loads.
@@ -767,6 +817,150 @@ TEST(SnapshotRepublishTest, BatchServesOneEpochAcrossAPublish) {
       }
     }
     EXPECT_GE(changed_after_publish, 1u);
+  }
+}
+
+TEST(SnapshotRepublishTest, ReplacedEpochIsTornDownAfterTheLockIsReleased) {
+  // The published KB borrows `source`'s arrays and names through a pin
+  // whose deleter is a probe: it runs when the epoch's last pin drops.
+  // During the publish, the probe has a helper thread pin the current
+  // epoch; the helper cannot return while the publisher still holds the
+  // snapshot lock.
+  const wiki::KnowledgeBase source = SyntheticKb(42, 4);
+  std::unique_ptr<api::Engine> engine;
+  std::thread helper;
+  std::promise<void> pinned;
+  std::future<void> pinned_future = pinned.get_future();
+  bool publishing = false;
+  std::optional<bool> pinned_in_time;  // set by the probe
+  std::thread::id torn_down_on;
+  auto probe = [&](const void*) {
+    if (!publishing) return;
+    torn_down_on = std::this_thread::get_id();
+    helper = std::thread([&] {
+      engine->CurrentSnapshot();
+      pinned.set_value();
+    });
+    pinned_in_time = pinned_future.wait_for(std::chrono::seconds(2)) ==
+                     std::future_status::ready;
+  };
+  {
+    std::shared_ptr<const void> pin(&source, probe);
+    auto retiring = wiki::KnowledgeBase::FromSnapshot(
+        graph::CsrGraph::FromSections(source.csr().Sections(), pin),
+        source.labels(), source.display_titles(), pin, source.num_articles(),
+        source.num_redirects(), source.num_categories());
+    ASSERT_TRUE(retiring.ok()) << retiring.status();
+    auto built = api::Engine::Build(std::move(*retiring));
+    ASSERT_TRUE(built.ok()) << built.status();
+    engine = std::move(*built);
+  }
+
+  publishing = true;
+  const Status published = engine->PublishSnapshot(SyntheticKb(7, 4));
+  publishing = false;
+  if (helper.joinable()) helper.join();
+  ASSERT_TRUE(published.ok()) << published;
+  ASSERT_TRUE(pinned_in_time.has_value()) << "the old epoch was not torn down";
+  EXPECT_TRUE(*pinned_in_time)
+      << "CurrentSnapshot() waited while the old epoch was torn down";
+  EXPECT_EQ(torn_down_on, std::this_thread::get_id());
+  EXPECT_EQ(engine->snapshot_generation(), 2u);
+}
+
+// ------------------------------------------------------ mapped names
+
+TEST(SnapshotLifetimeTest, LoadedNamesOutliveTheReaderAndTheFile) {
+  // A loaded KB's titles are views into the mapping.  The KB pins it, so
+  // they outlive the Reader, a republish of the file and its removal.
+  auto bed = api::Testbed::Build(RepublishOptions());
+  ASSERT_TRUE(bed.ok()) << bed.status();
+  const wiki::KnowledgeBase& built = (*bed)->kb();
+  const std::string path = TempPath("lifetime");
+  ASSERT_TRUE(WriteSnapshot(built, path).ok());
+
+  std::optional<Result<Reader>> reader(Reader::Open(path));
+  ASSERT_TRUE(reader->ok()) << reader->status();
+  auto loaded = (*reader)->Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto engine = api::Engine::Build(std::move(*loaded));
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  for (const ir::Document& doc :
+       (*bed)->engine().search_engine().store().documents()) {
+    ASSERT_TRUE((*engine)->AddDocument(doc.name, doc.text).ok());
+  }
+  ASSERT_TRUE((*engine)->FinalizeIndex().ok());
+  std::vector<api::QueryRequest> requests((*bed)->num_topics());
+  std::vector<api::QueryResponse> before;
+  for (size_t topic = 0; topic < requests.size(); ++topic) {
+    requests[topic].keywords = (*bed)->topic(topic).keywords;
+    auto response = (*engine)->Query(requests[topic]);
+    ASSERT_TRUE(response.ok()) << response.status();
+    before.push_back(*std::move(response));
+  }
+
+  reader.reset();
+  ASSERT_TRUE(WriteSnapshot(SyntheticKb(7, 4), path).ok());  // renamed over
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+
+  ExpectSameKb(built, (*engine)->kb());
+  for (size_t topic = 0; topic < requests.size(); ++topic) {
+    auto response = (*engine)->Query(requests[topic]);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->expansion.query_articles,
+              before[topic].expansion.query_articles);
+    EXPECT_EQ(response->expansion.feature_articles,
+              before[topic].expansion.feature_articles);
+    EXPECT_EQ(response->expansion.titles, before[topic].expansion.titles);
+    EXPECT_EQ(response->docs, before[topic].docs);
+  }
+}
+
+/// Takes views of every name of `kb`, moves it twice (construct, then
+/// assign over a KB with names of its own) and drops the moved-from KBs:
+/// the views still read the same bytes, and the last KB still finds
+/// every title.
+void ExpectViewsSurviveMoves(wiki::KnowledgeBase kb) {
+  const uint32_t n = kb.csr().num_nodes();
+  ASSERT_GT(n, 0u);
+  std::vector<std::string_view> views;
+  std::vector<std::string> copies;
+  for (uint32_t u = 0; u < n; ++u) {
+    for (std::string_view name : {kb.title(u), kb.display_title(u)}) {
+      views.push_back(name);
+      copies.emplace_back(name);
+    }
+  }
+  wiki::KnowledgeBase assigned;
+  ASSERT_TRUE(assigned.AddArticle("replaced by the move").ok());
+  {
+    wiki::KnowledgeBase moved(std::move(kb));
+    assigned = std::move(moved);
+  }
+  for (size_t i = 0; i < views.size(); ++i) {
+    ASSERT_EQ(views[i], copies[i]) << "name " << i;
+  }
+  for (uint32_t u = 0; u < n; ++u) {
+    ASSERT_EQ(assigned.title(u), copies[2 * u]) << "node " << u;
+    ASSERT_EQ(assigned.display_title(u), copies[2 * u + 1]) << "node " << u;
+    ASSERT_EQ(assigned.FindByTitle(copies[2 * u]).has_value(), true)
+        << "node " << u;
+  }
+}
+
+TEST(SnapshotLifetimeTest, NameViewsSurviveMovingTheKb) {
+  {
+    SCOPED_TRACE("built");
+    ExpectViewsSurviveMoves(SyntheticKb(42, 4));
+  }
+  {
+    SCOPED_TRACE("loaded");
+    const std::string path = TempPath("moves");
+    ASSERT_TRUE(WriteSnapshot(SyntheticKb(42, 4), path).ok());
+    auto loaded = LoadSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    ExpectViewsSurviveMoves(std::move(*loaded));
   }
 }
 

@@ -4,10 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
+#include <optional>
 #include <set>
 #include <span>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "graph/cycle_metrics.h"
+#include "snapshot/reader.h"
+#include "snapshot/writer.h"
 #include "wiki/dump.h"
 #include "wiki/knowledge_base.h"
 #include "wiki/synthetic.h"
@@ -377,6 +385,195 @@ TEST(DumpRoundTripTest, SyntheticKbSurvivesWriteParse) {
   ASSERT_TRUE(kb2.ok()) << kb2.status();
   ExpectSameKb(wiki->kb, *kb2);
   EXPECT_EQ(stats.dangling_links, 0u);
+}
+
+// ---------------------------------------------------------- title index
+
+/// The title index as the string-keyed map it replaced: every key (a
+/// normalized title, "category:"-prefixed for a category) to its node,
+/// plus which nodes are categories.
+struct TitleOracle {
+  std::map<std::string, NodeId> keys;
+  std::set<NodeId> categories;
+
+  void Add(NodeId node, bool category, std::string_view label) {
+    std::string key = (category ? "category:" : "") + std::string(label);
+    EXPECT_TRUE(keys.emplace(key, node).second) << "two nodes keyed " << key;
+    if (category) categories.insert(node);
+  }
+  std::optional<NodeId> Find(const std::string& key) const {
+    auto it = keys.find(key);
+    if (it == keys.end()) return std::nullopt;
+    return it->second;
+  }
+  std::optional<NodeId> FindByTitle(const std::string& title) const {
+    std::optional<NodeId> hit = Find(title);
+    return hit ? hit : Find("category:" + title);
+  }
+  std::optional<NodeId> FindArticle(const std::string& title) const {
+    std::optional<NodeId> hit = Find(title);
+    if (hit && categories.count(*hit) > 0) return std::nullopt;
+    return hit;
+  }
+};
+
+/// The oracle of a frozen KB, read off its node kinds and labels.
+TitleOracle OracleOf(const KnowledgeBase& kb) {
+  TitleOracle oracle;
+  for (NodeId u = 0; u < kb.csr().num_nodes(); ++u) {
+    oracle.Add(u, kb.csr().IsCategory(u), kb.title(u));
+  }
+  return oracle;
+}
+
+/// `FindByTitle` and `FindArticle` answer every key, every bare
+/// category label and 10,000 seeded non-keys the way the map does; the
+/// non-keys (prefixes, extensions and one-byte edits of keys, a bare
+/// "category:", the empty string) are all missed.
+void ExpectIndexMatchesOracle(const KnowledgeBase& kb,
+                              const TitleOracle& oracle, uint64_t seed) {
+  auto expect_same = [&](const std::string& probe) {
+    EXPECT_EQ(kb.FindByTitle(probe), oracle.FindByTitle(probe)) << probe;
+    EXPECT_EQ(kb.FindArticle(probe), oracle.FindArticle(probe)) << probe;
+  };
+  std::vector<std::string> keys;
+  for (const auto& [key, node] : oracle.keys) {
+    keys.push_back(key);
+    ASSERT_EQ(kb.FindByTitle(key), node) << key;
+    expect_same(key);
+    if (oracle.categories.count(node) > 0) {
+      expect_same(key.substr(std::string_view("category:").size()));
+    }
+  }
+  ASSERT_FALSE(keys.empty());
+  std::vector<std::string> probes = {"", "category:", "category",
+                                     "category:category:"};
+  Rng rng(seed);
+  size_t misses = 0;
+  for (size_t i = 0; misses < 10000; ++i) {
+    std::string probe;
+    if (i < probes.size()) {
+      probe = probes[i];
+    } else {
+      probe = keys[rng.Uniform(static_cast<uint32_t>(keys.size()))];
+      const auto at = static_cast<uint32_t>(probe.size());
+      switch (rng.Uniform(4)) {
+        case 0:  // a proper prefix
+          probe.resize(rng.Uniform(at));
+          break;
+        case 1:  // an extension
+          probe.push_back(static_cast<char>('a' + rng.Uniform(26)));
+          break;
+        case 2:  // a one-byte edit
+          probe[rng.Uniform(at)] ^= static_cast<char>(1 + rng.Uniform(127));
+          break;
+        default:  // prefixed once more
+          probe = "category:" + probe;
+          break;
+      }
+    }
+    expect_same(probe);
+    if (oracle.FindByTitle(probe).has_value()) continue;
+    EXPECT_EQ(kb.FindByTitle(probe), std::nullopt) << probe;
+    EXPECT_EQ(kb.FindArticle(probe), std::nullopt) << probe;
+    ++misses;
+  }
+}
+
+TEST(TitleIndexTest, AgreesWithAMapOnBuiltParsedAndLoadedKbs) {
+  // Hand-built: an article and a category with the same label, titles
+  // that are prefixes of each other.  Checked while building and once
+  // frozen.
+  KnowledgeBase hand;
+  TitleOracle hand_oracle;
+  auto add = [&](Result<NodeId> added, bool category) {
+    ASSERT_TRUE(added.ok()) << added.status();
+    hand_oracle.Add(*added, category, hand.title(*added));
+  };
+  add(hand.AddArticle("Venice"), false);
+  add(hand.AddCategory("Venice"), true);
+  add(hand.AddArticle("Venice Lagoon"), false);
+  add(hand.AddCategory("Cities"), true);
+  add(hand.AddCategory("Cities of Italy"), true);
+  add(hand.AddRedirect("La Serenissima", 0), false);
+  for (int i = 0; i < 40; ++i) {  // enough keys to grow the table twice
+    add(hand.AddArticle("Island " + std::to_string(i)), false);
+  }
+  EXPECT_TRUE(hand.AddCategory("CITIES").status().IsAlreadyExists());
+  EXPECT_TRUE(hand.AddArticle("venice  lagoon").status().IsAlreadyExists());
+  EXPECT_TRUE(hand.AddCategory("").status().IsInvalidArgument());
+  EXPECT_TRUE(hand.AddArticle(":").status().IsInvalidArgument());
+  EXPECT_EQ(hand.FindByTitle("category:cities"), 3u);
+  EXPECT_EQ(hand.FindByTitle("cities"), 3u);  // as "category:cities"
+  EXPECT_EQ(hand.FindArticle("cities"), std::nullopt);
+  ExpectIndexMatchesOracle(hand, hand_oracle, /*seed=*/1);
+  hand.Freeze();
+  ExpectIndexMatchesOracle(hand, hand_oracle, /*seed=*/2);
+
+  // A 12-domain synthetic KB, its dump round trip and its snapshot load.
+  SyntheticWikipediaOptions options;
+  options.num_domains = 12;
+  auto wiki = GenerateSyntheticWikipedia(options);
+  ASSERT_TRUE(wiki.ok()) << wiki.status();
+  const TitleOracle oracle = OracleOf(wiki->kb);
+  {
+    SCOPED_TRACE("synthetic");
+    ExpectIndexMatchesOracle(wiki->kb, oracle, /*seed=*/3);
+  }
+  {
+    SCOPED_TRACE("dump round trip");
+    auto parsed = ParseDump(WriteDump(wiki->kb));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    ExpectIndexMatchesOracle(*parsed, OracleOf(*parsed), /*seed=*/4);
+    EXPECT_EQ(OracleOf(*parsed).keys, oracle.keys);
+  }
+  {
+    SCOPED_TRACE("snapshot load");
+    const std::string path = ::testing::TempDir() + "wqe_title_index.bin";
+    ASSERT_TRUE(snapshot::WriteSnapshot(wiki->kb, path).ok());
+    auto loaded = snapshot::LoadSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    std::remove(path.c_str());
+    ExpectIndexMatchesOracle(*loaded, oracle, /*seed=*/5);
+  }
+}
+
+TEST(TitleIndexTest, OneNamespaceForArticlesAndCategories) {
+  // An article's normalized title never holds a ':' (NormalizeTitle makes
+  // it a separator), so only a snapshot's name blobs can carry an article
+  // keyed like a category.  Two nodes: an article and a category.
+  KnowledgeBase shape;
+  ASSERT_TRUE(shape.AddArticle("a").ok());
+  ASSERT_TRUE(shape.AddCategory("b").ok());
+  shape.Freeze();
+  const std::vector<uint64_t> offsets = {0, 12, 15};
+  const std::string displays = "Category:FooFoo";
+  const NameBlob display_blob{offsets, displays};
+  auto load = [&](const std::string& labels) {
+    return KnowledgeBase::FromSnapshot(shape.csr(), NameBlob{offsets, labels},
+                                       display_blob, nullptr, 1, 0, 1);
+  };
+  // "category:foo" on the article is category foo's key.
+  const std::string colliding = "category:foofoo";
+  auto rejected = load(colliding);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument()) << rejected.status();
+  EXPECT_NE(rejected.status().message().find(
+                "title 'category:foo' appears on nodes 0 and 1"),
+            std::string::npos)
+      << rejected.status();
+
+  const std::string distinct = "category:fobfoo";
+  auto kb = load(distinct);
+  ASSERT_TRUE(kb.ok()) << kb.status();
+  EXPECT_EQ(kb->FindArticle("category:fob"), 0u);
+  EXPECT_EQ(kb->FindByTitle("fob"), 0u);  // as "category:fob"
+  EXPECT_EQ(kb->FindByTitle("category:foo"), 1u);
+  EXPECT_EQ(kb->FindArticle("category:foo"), std::nullopt);
+  TitleOracle oracle;
+  oracle.Add(0, false, "category:fob");
+  oracle.Add(1, true, "foo");
+  ExpectIndexMatchesOracle(*kb, oracle, /*seed=*/6);
 }
 
 }  // namespace
