@@ -88,6 +88,11 @@ Result<std::vector<NodeId>> CycleExpander::SelectFeatures(
     obs::Span span("ball-extraction", BallExtractionHistogram());
     ball = kb().Neighborhood(query_articles, options_.neighborhood_radius,
                              options_.max_neighborhood);
+    if (ball.size() > graph::kMaxCycleViewNodes) {
+      return Status::InvalidArgument("cycle expander: query ball of ",
+                                     ball.size(), " nodes > ",
+                                     graph::kMaxCycleViewNodes);
+    }
     view_storage.emplace(csr, ball);
   }
   const graph::UndirectedView& view = *view_storage;

@@ -26,7 +26,10 @@ struct CycleExpanderOptions {
   uint32_t neighborhood_radius = 2;
   /// Cap on the ball size (cycle enumeration is exponential in length).
   /// Each request also builds an n² byte pair table over its ball (see
-  /// `graph::BallCycleScorer`).
+  /// `graph::BallCycleScorer`).  The BFS stops growing the ball here, but
+  /// every linked query article is in it.  A ball above
+  /// `graph::kMaxCycleViewNodes` nodes, from a cap above that or from more
+  /// linked articles, fails the request with InvalidArgument.
   size_t max_neighborhood = 400;
 
   uint32_t min_cycle_length = 2;

@@ -18,20 +18,31 @@
 /// smaller than the last.  Subset views assign local ids in ascending
 /// global order, so the canonical form is stable across view scopes.
 ///
-/// The enumerator exploits the view's sorted flat rows: the canonical
-/// start is the path minimum, so each DFS step binary-searches past the
-/// dead `<= start` prefix.  Entering a start node marks its neighbours
-/// in a byte array, so every closing-edge test is one load.  The last
-/// level is fused: with one node left to add, the DFS scans the row part
-/// above path[1] (the orientation rule) and emits each marked neighbour
-/// in place instead of making one recursive call per leaf.  With seeds,
-/// a path holding none is abandoned once d(u) + d(start) >
-/// max_length + 1 − |path|, where u is its last node and d the distance
-/// to the nearest seed measured by ball pruning's BFS (graph/ball_prune.h):
-/// no extension can then reach a seed and still close in time.  Both
-/// shortcuts skip only work that emits nothing, so the emitted stream is
-/// the plain DFS's, cycle for cycle and in order (tests/cycles_test.cc
-/// checks it against such a DFS).
+/// The DFS runs over bit rows.  Each local id gets a row of ⌈n/64⌉
+/// words with one bit per alive neighbour (ball pruning's survivors,
+/// graph/ball_prune.h), and the path is a word mask too.  The canonical
+/// start is the path minimum, so an extension's candidates are
+/// row(u) ∧ ¬on_path ∧ above(start).  The last level is fused: with one
+/// node left to add, the candidates are row(u) ∧ row(start) ∧ ¬on_path ∧
+/// above(path[1]) (the orientation rule), narrowed to the seeds when the
+/// path holds none, and each is emitted in place instead of making one
+/// recursive call per leaf.  Candidates are taken lowest bit first.
+/// Bit order is ascending local-id order, which is the order of the
+/// view's sorted rows, so the emission order is the one a plain DFS over
+/// those rows produces.  With seeds, a path holding none is abandoned
+/// once d(u) + d(start) > max_length + 1 − |path|, where u is its last
+/// node and d the distance to the nearest seed measured by ball pruning's
+/// BFS: no extension can then reach a seed and still close in time.
+/// Every shortcut skips only work that emits nothing, so the emitted
+/// stream is the plain DFS's, cycle for cycle and in order
+/// (tests/cycles_test.cc checks it against such a DFS).  Length-2 cycles
+/// are read off the multiplicity rows, not the bit rows.
+///
+/// The rows take n²/8 bytes for a view of n nodes, so a view may have at
+/// most `kMaxCycleViewNodes` nodes (2 MiB of rows); `Visit` WQE_CHECKs
+/// it.  The cycle expander, whose ball grows with the number of articles
+/// a request links, refuses a larger ball with a status before it
+/// enumerates (expansion/cycle_expander.h).
 ///
 /// Enumeration runs on the calling thread.  Parallelism lives one level
 /// up: a `serve::Server` runs one request per pool worker, and
@@ -45,6 +56,9 @@
 #include "graph/undirected_view.h"
 
 namespace wqe::graph {
+
+/// \brief Largest view `CycleEnumerator` accepts (see the file comment).
+inline constexpr uint32_t kMaxCycleViewNodes = 4096;
 
 /// \brief One enumerated cycle; `nodes` holds global ids in cycle order
 /// (first node is the canonical minimum; no repetition of the start).
@@ -78,7 +92,8 @@ struct CycleEnumerationOptions {
 /// abort enumeration early.
 using CycleVisitor = std::function<bool(const std::vector<uint32_t>&)>;
 
-/// \brief DFS cycle enumerator over an undirected view.
+/// \brief DFS cycle enumerator over an undirected view of at most
+/// `kMaxCycleViewNodes` nodes.
 class CycleEnumerator {
  public:
   explicit CycleEnumerator(const UndirectedView& view) : view_(&view) {}

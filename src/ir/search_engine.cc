@@ -44,12 +44,6 @@ Result<std::vector<ScoredDoc>> SearchEngine::Search(const QueryNode& query,
   return Search(prepared, k);
 }
 
-Result<std::vector<ScoredDoc>> SearchEngine::SearchText(
-    std::string_view query, size_t k) const {
-  WQE_ASSIGN_OR_RETURN(QueryNode node, ParseQuery(query));
-  return Search(node, k);
-}
-
 Result<std::vector<ScoredDoc>> SearchEngine::SearchTitles(
     const std::vector<std::string>& titles, size_t k) const {
   QueryNode node = QueryNode::CombinePhrases(titles);

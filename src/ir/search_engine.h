@@ -5,11 +5,11 @@
 ///
 /// Owns the analyzer, document store and frozen positional index, and
 /// exposes the operations the paper's pipeline needs: index a collection,
-/// then rank documents for a structured (or free-text) query.  A query
-/// can be prepared once (`Prepare`) and ranked many times (`Search` on
-/// the `PreparedQuery`); see ranker.h.  It has no settings: text is
-/// analyzed the one way text/analyzer.h describes, and ranking smooths
-/// with `kDirichletMu`.
+/// then rank documents for a structured query.  A query can be prepared
+/// once (`Prepare`) and ranked many times (`Search` on the
+/// `PreparedQuery`); see ranker.h.  It has no settings: text is analyzed
+/// the one way text/analyzer.h describes, and ranking smooths with
+/// `kDirichletMu`.
 
 #include <string>
 #include <string_view>
@@ -47,10 +47,6 @@ class SearchEngine {
   /// \brief `Prepare` then `Search`.
   Result<std::vector<ScoredDoc>> Search(const QueryNode& query,
                                         size_t k) const;
-
-  /// \brief Parses INDRI-subset text and ranks.
-  Result<std::vector<ScoredDoc>> SearchText(std::string_view query,
-                                            size_t k) const;
 
   /// \brief The paper's §2.2 query construction: `#combine` of exact-phrase
   /// subqueries, one per title in `titles`.

@@ -10,14 +10,17 @@
 #include <span>
 #include <vector>
 
+#include "api/testbed.h"
 #include "common/deadline.h"
 #include "common/rng.h"
+#include "expansion/cycle_expander.h"
 #include "graph/ball_prune.h"
 #include "graph/cycle_metrics.h"
 #include "graph/csr.h"
 #include "graph/cycles.h"
 #include "graph/graph.h"
 #include "graph/undirected_view.h"
+#include "obs/metrics.h"
 
 namespace wqe::graph {
 namespace {
@@ -178,6 +181,38 @@ TEST(CycleEnumeratorTest, VisitorCanAbort) {
     return seen < 3;
   });
   EXPECT_EQ(seen, 3u);
+}
+
+TEST(CycleEnumeratorTest, RecordsExtendCallsPerEnumeration) {
+  // K_4 has no pendants, so nothing is pruned, and no seeds, so no cut.
+  // With lengths up to 5, start 0 makes its root call, 3 calls at length
+  // 2 and 6 at each of lengths 3 and 4, whose last level is fused (16);
+  // start 1 makes 1 + 2 + 2, start 2 makes 1 + 1 and start 3 its root
+  // call: 24.  With lengths up to 3 the level below the root is the last:
+  // 4 + 3 + 2 + 1 = 10.
+  PropertyGraph g = CompleteArticleGraph(4);
+  CsrGraph csr = CsrGraph::Freeze(g);
+  UndirectedView view(csr);
+  CycleEnumerator e(view);
+  obs::Histogram* extensions =
+      obs::MetricsRegistry::Global().GetHistogram("wqe.graph.dfs_extensions");
+  struct Case {
+    uint32_t max_length;
+    size_t cycles;
+    double extend_calls;
+  };
+  for (const Case& c : {Case{5, 7, 24.0}, Case{3, 4, 10.0}}) {
+    CycleEnumerationOptions options;
+    options.max_length = c.max_length;
+    const obs::HistogramSnapshot before = extensions->snapshot();
+    const size_t visited =
+        e.Visit(options, [](const std::vector<uint32_t>&) { return true; });
+    const obs::HistogramSnapshot delta =
+        extensions->snapshot().DeltaSince(before);
+    EXPECT_EQ(visited, c.cycles) << "max_length=" << c.max_length;
+    EXPECT_EQ(delta.count, 1u) << "max_length=" << c.max_length;
+    EXPECT_EQ(delta.sum, c.extend_calls) << "max_length=" << c.max_length;
+  }
 }
 
 TEST(CycleEnumeratorTest, LengthBoundsRespected) {
@@ -626,6 +661,34 @@ PropertyGraph UniformSchemaGraph(uint64_t seed, uint32_t num_articles,
   return g;
 }
 
+/// Runs `Visit` with `options` and checks the emitted stream and the
+/// returned count against `want`, element by element.  Returns whether
+/// they matched; a mismatch is reported with its first differing index.
+bool VisitMatches(const UndirectedView& view,
+                  const CycleEnumerationOptions& options,
+                  const std::vector<std::vector<uint32_t>>& want) {
+  std::vector<std::vector<uint32_t>> got;
+  const size_t visited = CycleEnumerator(view).Visit(
+      options, [&](const std::vector<uint32_t>& p) {
+        got.push_back(p);
+        return true;
+      });
+  const auto [got_end, want_end] =
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+  if (got_end == got.end() && want_end == want.end() &&
+      visited == want.size()) {
+    return true;
+  }
+  ADD_FAILURE() << "lengths=" << options.min_length << ".."
+                << options.max_length << " seeds=" << options.seeds.size()
+                << " cap=" << options.max_cycles
+                << " prune=" << options.prune_ball << ": got " << got.size()
+                << " paths (Visit returned " << visited << "), want "
+                << want.size() << "; first difference at index "
+                << (got_end - got.begin());
+  return false;
+}
+
 /// Runs `Visit` over every length window in 2..5, each seed set,
 /// `max_cycles` in {0, 1, 5, 17}, and pruning on and off, and checks each
 /// emitted stream and returned count against `ReferenceCyclePaths`.
@@ -634,7 +697,6 @@ PropertyGraph UniformSchemaGraph(uint64_t seed, uint32_t num_articles,
 size_t ExpectVisitMatchesReference(
     const UndirectedView& view,
     const std::vector<std::vector<NodeId>>& seed_sets) {
-  CycleEnumerator e(view);
   size_t nonempty = 0;
   for (uint32_t min_len = 2; min_len <= 5; ++min_len) {
     for (uint32_t max_len = min_len; max_len <= 5; ++max_len) {
@@ -653,26 +715,7 @@ size_t ExpectVisitMatchesReference(
             CycleEnumerationOptions options = base;
             options.max_cycles = cap;
             options.prune_ball = prune;
-            std::vector<std::vector<uint32_t>> got;
-            const size_t visited =
-                e.Visit(options, [&](const std::vector<uint32_t>& p) {
-                  got.push_back(p);
-                  return true;
-                });
-            const auto [got_end, want_end] = std::mismatch(
-                got.begin(), got.end(), want.begin(), want.end());
-            if (got_end == got.end() && want_end == want.end() &&
-                visited == want.size()) {
-              continue;
-            }
-            ADD_FAILURE()
-                << "lengths=" << min_len << ".." << max_len
-                << " seeds=" << seeds.size() << " cap=" << cap
-                << " prune=" << prune << ": got " << got.size()
-                << " paths (Visit returned " << visited << "), want "
-                << want.size() << "; first difference at index "
-                << (got_end - got.begin());
-            return nonempty;
+            if (!VisitMatches(view, options, want)) return nonempty;
           }
         }
       }
@@ -732,6 +775,155 @@ TEST(OrderExactReferenceTest, SeedAtTheCutBoundaryStillCloses) {
   ASSERT_EQ(ReferenceCyclePaths(view, options), want);
   // Only the windows reaching length 5 emit it.
   EXPECT_EQ(ExpectVisitMatchesReference(view, {{3}}), 4u);
+}
+
+// ---- Multi-word rows.  The graphs above have at most 64 nodes, so every
+// bit row fits in one word and an off-by-one in above(start) or
+// above(path[1]) at a word boundary would pass them.  These views put
+// starts and second nodes on both sides of 63/64 and 127/128.
+
+/// Articles 0..n-1.  The hot ones, within 4 of a multiple of 64 (from 60
+/// on) or among the top 4, carry a clique on each boundary b's ids
+/// b-2..b+2 and random links, a quarter of them mutual; every other
+/// article hangs off a random hot one by a single link, so rows span all
+/// words and pruning has pendants to peel.
+PropertyGraph WordBoundaryGraph(uint64_t seed, uint32_t n,
+                                uint32_t num_links) {
+  Rng rng(seed);
+  PropertyGraph g;
+  std::vector<uint32_t> hot;
+  for (uint32_t i = 0; i < n; ++i) {
+    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+    if ((i >= 60 && (i % 64 >= 60 || i % 64 < 4)) || i + 4 >= n) {
+      hot.push_back(i);
+    }
+  }
+  for (uint32_t b = 64; b < n; b += 64) {
+    for (uint32_t u = b - 2; u <= b + 2 && u < n; ++u) {
+      for (uint32_t v = u + 1; v <= b + 2 && v < n; ++v) {
+        EXPECT_TRUE(g.AddEdge(u, v, EdgeKind::kLink).ok());
+      }
+    }
+  }
+  const auto pick = [&] {
+    return hot[rng.Uniform(static_cast<uint32_t>(hot.size()))];
+  };
+  for (uint32_t e = 0; e < num_links; ++e) {
+    const uint32_t u = pick();
+    const uint32_t v = pick();
+    if (u == v) continue;
+    (void)g.AddEdge(u, v, EdgeKind::kLink);
+    if (rng.Uniform(4) == 0) (void)g.AddEdge(v, u, EdgeKind::kLink);
+  }
+  for (uint32_t u = 0; u < n; ++u) {
+    if (!std::binary_search(hot.begin(), hot.end(), u)) {
+      EXPECT_TRUE(g.AddEdge(u, pick(), EdgeKind::kLink).ok());
+    }
+  }
+  return g;
+}
+
+/// Checks that `view`'s cycles of length >= 3 turn at its word
+/// boundaries: for each b in {64, 128} below n, a cycle has b - 1 as its
+/// second node.  Where an id above b exists, one starts at b - 1 and one
+/// has b as its second node; where two do, one starts at b.
+void ExpectWordBoundariesExercised(const UndirectedView& view) {
+  CycleEnumerationOptions all;
+  all.min_length = 3;
+  const std::vector<std::vector<uint32_t>> full =
+      ReferenceCyclePaths(view, all);
+  const uint32_t n = view.num_nodes();
+  for (uint32_t b : {64u, 128u}) {
+    if (b >= n) continue;
+    auto any = [&](size_t at, uint32_t id) {
+      return std::any_of(full.begin(), full.end(),
+                         [&](const auto& p) { return p[at] == id; });
+    };
+    EXPECT_TRUE(any(1, b - 1)) << "b=" << b;
+    if (b + 1 < n) {
+      EXPECT_TRUE(any(0, b - 1)) << "b=" << b;
+      EXPECT_TRUE(any(1, b)) << "b=" << b;
+    }
+    if (b + 2 < n) {
+      EXPECT_TRUE(any(0, b)) << "b=" << b;
+    }
+  }
+}
+
+class MultiWordRowsProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MultiWordRowsProperty, WholeGraphViews) {
+  for (uint32_t n : {65u, 130u, 200u, 300u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    PropertyGraph g = WordBoundaryGraph(GetParam(), n, n / 4);
+    CsrGraph csr = CsrGraph::Freeze(g);
+    UndirectedView view(csr);
+    ASSERT_EQ(view.num_nodes(), n);
+    ExpectWordBoundariesExercised(view);
+    // 10 length windows x 4 seed sets (ids past n lie outside the view).
+    EXPECT_GT(ExpectVisitMatchesReference(
+                  view, {{}, {63}, {64, 127}, {128, n - 1}}),
+              20u);
+  }
+}
+
+TEST_P(MultiWordRowsProperty, SubsetView) {
+  // Leaving out ids 0..59 and 68..71 moves the hot windows one word down
+  // in local ids: locals 63/64 are globals 127/128, and locals 127/128
+  // are globals 191/192.
+  PropertyGraph g = WordBoundaryGraph(GetParam(), 300, 120);
+  CsrGraph csr = CsrGraph::Freeze(g);
+  std::vector<NodeId> members;
+  for (NodeId v = 60; v < g.num_nodes(); ++v) {
+    if (v < 68 || v >= 72) members.push_back(v);
+  }
+  UndirectedView view(csr, members);
+  ASSERT_EQ(view.num_nodes(), 236u);
+  ASSERT_EQ(view.ToGlobal(63), 127u);
+  ASSERT_EQ(view.ToGlobal(128), 192u);
+  ExpectWordBoundariesExercised(view);
+  // 10 length windows x 3 seed sets, as globals; 0 lies outside the view.
+  EXPECT_GT(ExpectVisitMatchesReference(view, {{}, {0, 127}, {192, 299}}),
+            15u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MultiWordRowsProperty,
+                         ::testing::Values(7, 19, 42));
+
+TEST(OrderExactReferenceTest, EveryTestbedTopicBall) {
+  // The cycle expander's input for every topic of a small testbed: link
+  // the keywords, take the ball at the default radius and cap, enumerate
+  // with the default lengths and cap.
+  api::TestbedOptions bed_options;
+  bed_options.wiki.num_domains = 12;
+  bed_options.track.num_topics = 8;
+  bed_options.track.background_docs = 40;
+  auto bed = api::Testbed::Build(bed_options);
+  ASSERT_TRUE(bed.ok()) << bed.status();
+  const wiki::KnowledgeBase& kb = (*bed)->kb();
+  const expansion::CycleExpanderOptions defaults;
+  size_t emitting = 0;
+  for (size_t t = 0; t < (*bed)->num_topics(); ++t) {
+    CycleEnumerationOptions options;
+    options.min_length = defaults.min_cycle_length;
+    options.max_length = defaults.max_cycle_length;
+    options.seeds = (*bed)->linker().LinkToArticles((*bed)->topic(t).keywords);
+    options.max_cycles = defaults.max_cycles;
+    if (options.seeds.empty()) continue;
+    const UndirectedView view(
+        kb.csr(), kb.Neighborhood(options.seeds, defaults.neighborhood_radius,
+                                  defaults.max_neighborhood));
+    SCOPED_TRACE("topic " + std::to_string(t) + ", " +
+                 std::to_string(view.num_nodes()) + " nodes");
+    const std::vector<std::vector<uint32_t>> want =
+        ReferenceCyclePaths(view, options);
+    if (!want.empty()) ++emitting;
+    for (bool prune : {false, true}) {
+      options.prune_ball = prune;
+      EXPECT_TRUE(VisitMatches(view, options, want));
+    }
+  }
+  EXPECT_GE(emitting, 6u);
 }
 
 // --------------------------------------------------------------- deadlines

@@ -361,6 +361,28 @@ TEST(CycleExpanderTest, RejectsCycleLengthPastTallies) {
       system.Expand(bed.topic(0).keywords).status().IsInvalidArgument());
 }
 
+TEST(CycleExpanderTest, RejectsBallPastEnumerationBound) {
+  // "hub" links to kMaxCycleViewNodes articles, so its ball is one node
+  // past the enumerator's bound once the cap lets it grow that far.
+  wiki::KnowledgeBase kb;
+  const auto hub = kb.AddArticle("hub");
+  ASSERT_TRUE(hub.ok());
+  for (uint32_t i = 0; i < graph::kMaxCycleViewNodes; ++i) {
+    const auto leaf = kb.AddArticle("leaf " + std::to_string(i));
+    ASSERT_TRUE(leaf.ok());
+    ASSERT_TRUE(kb.AddLink(*hub, *leaf).ok());
+  }
+  kb.Freeze();
+  const linking::EntityLinker linker(&kb);
+  CycleExpanderOptions options;
+  EXPECT_TRUE(CycleExpander(kb, linker, options).Expand("hub").ok());
+  options.max_neighborhood = graph::kMaxCycleViewNodes + 1;
+  EXPECT_TRUE(CycleExpander(kb, linker, options)
+                  .Expand("hub")
+                  .status()
+                  .IsInvalidArgument());
+}
+
 TEST(EvaluationTest, CycleExpansionBeatsNoExpansion) {
   const auto& bed = SmallBed();
   const auto topics = bed.EvalTopics();

@@ -267,7 +267,7 @@ class ScoringTest : public ::testing::Test {
 };
 
 TEST_F(ScoringTest, ExactPhraseBeatsScatteredWords) {
-  auto results = engine_.SearchText("#1(grand canal)", 3);
+  auto results = engine_.Search(*ParseQuery("#1(grand canal)"), 3);
   ASSERT_TRUE(results.ok());
   ASSERT_GE(results->size(), 1u);
   EXPECT_EQ(results->front().doc, 0u);
@@ -282,7 +282,7 @@ TEST_F(ScoringTest, TermQueryRanksByTf) {
   ASSERT_TRUE(engine.AddDocument("a", "canal canal canal").ok());
   ASSERT_TRUE(engine.AddDocument("b", "canal boat boat").ok());
   ASSERT_TRUE(engine.Finalize().ok());
-  auto results = engine.SearchText("canal", 2);
+  auto results = engine.Search(*ParseQuery("canal"), 2);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 2u);
   EXPECT_EQ(results->front().doc, 0u);
@@ -295,13 +295,13 @@ TEST_F(ScoringTest, CombineAveragesAcrossLeaves) {
   ASSERT_TRUE(engine.AddDocument("both", "gondola venice").ok());
   ASSERT_TRUE(engine.AddDocument("one", "gondola mountain").ok());
   ASSERT_TRUE(engine.Finalize().ok());
-  auto results = engine.SearchText("#combine(gondola venice)", 2);
+  auto results = engine.Search(*ParseQuery("#combine(gondola venice)"), 2);
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->front().doc, 0u);
 }
 
 TEST_F(ScoringTest, PureStopwordQueryFails) {
-  auto results = engine_.SearchText("#combine(the of)", 5);
+  auto results = engine_.Search(*ParseQuery("#combine(the of)"), 5);
   EXPECT_TRUE(results.status().IsInvalidArgument());
 }
 
@@ -310,14 +310,14 @@ TEST_F(ScoringTest, DeterministicTieBreakByDocId) {
   ASSERT_TRUE(engine.AddDocument("x", "canal").ok());
   ASSERT_TRUE(engine.AddDocument("y", "canal").ok());
   ASSERT_TRUE(engine.Finalize().ok());
-  auto results = engine.SearchText("canal", 2);
+  auto results = engine.Search(*ParseQuery("canal"), 2);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 2u);
   EXPECT_LT(results->front().doc, results->back().doc);
 }
 
 TEST_F(ScoringTest, TopKTruncates) {
-  auto results = engine_.SearchText("canal", 1);
+  auto results = engine_.Search(*ParseQuery("canal"), 1);
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 1u);
 }
@@ -334,7 +334,7 @@ TEST_F(ScoringTest, TieBreakIsStableAcrossRepeatedEvaluations) {
         engine.AddDocument("doc" + std::to_string(i), "gondola pier").ok());
   }
   ASSERT_TRUE(engine.Finalize().ok());
-  auto first = engine.SearchText("gondola", 25);  // cut inside the tie
+  auto first = engine.Search(*ParseQuery("gondola"), 25);  // cut inside the tie
   ASSERT_TRUE(first.ok());
   ASSERT_EQ(first->size(), 25u);
   for (size_t i = 1; i < first->size(); ++i) {
@@ -342,7 +342,7 @@ TEST_F(ScoringTest, TieBreakIsStableAcrossRepeatedEvaluations) {
     EXPECT_GT((*first)[i].doc, (*first)[i - 1].doc);
   }
   for (int round = 0; round < 3; ++round) {
-    auto again = engine.SearchText("gondola", 25);
+    auto again = engine.Search(*ParseQuery("gondola"), 25);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again, *first) << "round " << round;
   }
@@ -662,7 +662,7 @@ TEST(SearchConcurrencyTest, FourThreadsMatchSequentialBitForBit) {
 
 TEST(SearchEngineTest, LifecycleErrors) {
   SearchEngine engine;
-  EXPECT_TRUE(engine.SearchText("x", 5).status().IsInvalidArgument());
+  EXPECT_TRUE(engine.Search(*ParseQuery("x"), 5).status().IsInvalidArgument());
   EXPECT_TRUE(engine.Finalize().IsInvalidArgument());  // no docs
   ASSERT_TRUE(engine.AddDocument("d", "text").ok());
   ASSERT_TRUE(engine.Finalize().ok());
