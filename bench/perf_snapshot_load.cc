@@ -10,8 +10,10 @@
 ///
 ///   rebuild  — `wiki::ParseDump(xml)`: parse, node/edge inserts, CSR
 ///              construction (the parser returns a frozen KB);
-///   mmap     — `snapshot::LoadSnapshot`: map, validate (checksums
-///              included), bind spans, index the titles.
+///   mmap     — `snapshot::LoadSnapshot`: map, validate (the XXH64
+///              checksum of every section of a format-2 file included,
+///              so every payload byte is read), bind spans, index the
+///              titles.
 ///
 /// Each loaded KB is then dropped under the clock too (`drop_ms`): the
 /// teardown a republish pays when the replaced epoch dies, which for a

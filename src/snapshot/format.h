@@ -21,18 +21,22 @@
 ///   │ payload sections, each 8-byte aligned, zero-padded between │
 ///   └────────────────────────────────────────────────────────────┘
 ///
-/// Integrity: every section carries an FNV-1a checksum of its payload
-/// bytes; the file checksum folds the per-section checksums together in
-/// table order; the header checksum covers the header's own fields.  The
-/// reader rejects bad magic, endianness mismatch, versions newer than it
-/// knows, truncation, out-of-bounds or misaligned section table entries,
-/// and checksum mismatches — each with a precise `Status`, never UB.
+/// Integrity: every section carries a checksum of its payload bytes —
+/// XXH64 (`Xxh64`, seed 0) from version 2 on, FNV-1a (`HashBytes`) in
+/// version 1; the file checksum folds the per-section checksums together
+/// in table order (`Hasher`); the header checksum is FNV-1a over the
+/// header's own fields in every version.  The reader rejects bad magic,
+/// endianness mismatch, versions newer than it knows, truncation,
+/// out-of-bounds or misaligned section table entries, and checksum
+/// mismatches — each with a precise `Status`, never UB.
 ///
-/// Compatibility policy: `kFormatVersion` bumps on any layout change.
-/// Readers accept exactly the versions they know how to parse (currently
-/// only version 1) and reject newer files ("future version") rather than
-/// guessing; old readers therefore fail cleanly on new files and new
-/// readers may add back-compat paths per old version when one ships.
+/// Compatibility policy: `kFormatVersion` bumps on any layout or checksum
+/// change.  Readers accept exactly the versions they know how to parse
+/// and reject newer files ("future version") rather than guessing; old
+/// readers therefore fail cleanly on new files, and new readers keep a
+/// back-compat path per old version.  Versions 1 and 2 share the layout
+/// below byte for byte and differ only in the section checksum, so this
+/// reader still opens version-1 files, verifying them with FNV-1a.
 
 #include <cstdint>
 
@@ -41,8 +45,8 @@ namespace wqe::snapshot {
 /// "WQESNAP\x01" as a little-endian u64 — doubles as a byte-order probe.
 inline constexpr uint64_t kMagic = 0x0150414e53455157ULL;
 
-/// Current (and only) format version.
-inline constexpr uint32_t kFormatVersion = 1;
+/// The version this code writes.  It reads every version from 1 up.
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// Endianness tag: written as the native value of this constant; a reader
 /// seeing it byte-swapped is running on the other endianness.
@@ -78,7 +82,7 @@ enum class SectionId : uint32_t {
   kDisplayBytes = 15,   ///< uint8,  concatenated display titles
 };
 
-/// Number of sections a version-1 file carries (all of SectionId).
+/// Number of sections a file carries (all of SectionId).
 inline constexpr uint32_t kNumSections = 16;
 
 /// \brief Indices into the kMeta section's uint64 array.
@@ -117,7 +121,7 @@ struct SectionEntry {
   uint64_t offset = 0;     ///< absolute file offset, kSectionAlignment-ed
   uint64_t count = 0;      ///< elements
   uint64_t size_bytes = 0; ///< == count * elem_size
-  uint64_t checksum = 0;   ///< FNV-1a over the payload bytes
+  uint64_t checksum = 0;   ///< over the payload bytes: XXH64 (v1: FNV-1a)
 };
 static_assert(sizeof(SectionEntry) == 40, "on-disk section entry drifted");
 

@@ -43,13 +43,22 @@ Status CorruptF(const std::string& path, Args&&... args) {
                             std::forward<Args>(args)...);
 }
 
+// The element checks below decide with one branch-free pass over the
+// whole span (an OR-reduction with no early exit, which -O3 vectorizes
+// over the 32-bit id arrays) and rescan for the first offender only to
+// word the error.
+
 /// Checks an offsets array: zero-based, monotone, ends at `data_count`.
 Status CheckOffsets(const std::string& path, const char* name,
                     std::span<const uint64_t> offsets, uint64_t data_count) {
   if (offsets.empty() || offsets.front() != 0) {
     return CorruptF(path, name, " does not start at 0");
   }
+  unsigned descents = 0;
   for (size_t i = 1; i < offsets.size(); ++i) {
+    descents |= offsets[i] < offsets[i - 1];
+  }
+  for (size_t i = 1; descents != 0 && i < offsets.size(); ++i) {
     if (offsets[i] < offsets[i - 1]) {
       return CorruptF(path, name, " is not monotone at index ", i);
     }
@@ -61,13 +70,33 @@ Status CheckOffsets(const std::string& path, const char* name,
   return Status::OK();
 }
 
-/// Checks that every id in `ids` addresses a valid node.
+/// Checks that every id in `ids` addresses one of `num_nodes` nodes.
 Status CheckEndpoints(const std::string& path, const char* name,
-                      std::span<const graph::NodeId> ids, uint64_t num_nodes) {
-  for (size_t i = 0; i < ids.size(); ++i) {
+                      std::span<const graph::NodeId> ids,
+                      graph::NodeId num_nodes) {
+  unsigned out_of_range = 0;
+  for (graph::NodeId id : ids) out_of_range |= id >= num_nodes;
+  for (size_t i = 0; out_of_range != 0 && i < ids.size(); ++i) {
     if (ids[i] >= num_nodes) {
       return CorruptF(path, name, "[", i, "] = ", ids[i],
                       " is out of node range ", num_nodes);
+    }
+  }
+  return Status::OK();
+}
+
+/// Checks that every redirect target is a node or the invalid sentinel.
+Status CheckRedirects(const std::string& path,
+                      std::span<const graph::NodeId> targets,
+                      graph::NodeId num_nodes) {
+  unsigned invalid = 0;
+  for (graph::NodeId t : targets) {
+    invalid |= (t >= num_nodes) & (t != graph::kInvalidNode);
+  }
+  for (size_t i = 0; invalid != 0 && i < targets.size(); ++i) {
+    if (targets[i] >= num_nodes && targets[i] != graph::kInvalidNode) {
+      return CorruptF(path, "redirect_target[", i, "] = ", targets[i],
+                      " is neither a node nor the invalid sentinel");
     }
   }
   return Status::OK();
@@ -130,8 +159,8 @@ Status Reader::Validate() {
   }
   if (header.section_count != kNumSections ||
       header.section_count > kMaxSections) {
-    return CorruptF(path_, "version-1 files carry ", kNumSections,
-                    " sections, found ", header.section_count);
+    return CorruptF(path_, "version-", header.version, " files carry ",
+                    kNumSections, " sections, found ", header.section_count);
   }
   const uint64_t table_end = sizeof(FileHeader) +
                              uint64_t{header.section_count} *
@@ -196,9 +225,13 @@ Status Reader::Validate() {
   }
 
   // --- Layer 3: payload checksums (every byte touched — the expensive
-  // layer). ---
+  // layer).  The section checksum is the one thing that differs between
+  // format versions 1 and 2 (see format.h). ---
   for (const SectionEntry& e : sections_) {
-    const uint64_t actual = HashBytes(bytes_.data() + e.offset, e.size_bytes);
+    const std::byte* payload = bytes_.data() + e.offset;
+    const uint64_t actual = header.version == 1
+                                ? HashBytes(payload, e.size_bytes)
+                                : Xxh64(payload, e.size_bytes);
     if (actual != e.checksum) {
       return CorruptF(path_, "section '",
                       SectionName(static_cast<SectionId>(e.id)),
@@ -226,6 +259,7 @@ Status Reader::Validate() {
   if (n >= graph::kInvalidNode) {
     return CorruptF(path_, "node count ", n, " exceeds the NodeId space");
   }
+  const auto num_nodes = static_cast<graph::NodeId>(n);
   const struct {
     SectionId id;
     uint64_t expected;
@@ -265,24 +299,18 @@ Status Reader::Validate() {
       CheckOffsets(path_, "display_offsets",
                    SectionSpan<uint64_t>(SectionId::kDisplayOffsets),
                    section(SectionId::kDisplayBytes).count));
-  WQE_RETURN_NOT_OK(
-      CheckEndpoints(path_, "out_targets",
-                     SectionSpan<graph::NodeId>(SectionId::kOutTargets), n));
-  WQE_RETURN_NOT_OK(
-      CheckEndpoints(path_, "in_sources",
-                     SectionSpan<graph::NodeId>(SectionId::kInSources), n));
+  WQE_RETURN_NOT_OK(CheckEndpoints(
+      path_, "out_targets", SectionSpan<graph::NodeId>(SectionId::kOutTargets),
+      num_nodes));
+  WQE_RETURN_NOT_OK(CheckEndpoints(
+      path_, "in_sources", SectionSpan<graph::NodeId>(SectionId::kInSources),
+      num_nodes));
   WQE_RETURN_NOT_OK(CheckEndpoints(
       path_, "und_neighbors",
-      SectionSpan<graph::NodeId>(SectionId::kUndNeighbors), n));
-  std::span<const graph::NodeId> redirects =
-      SectionSpan<graph::NodeId>(SectionId::kRedirectTarget);
-  for (size_t i = 0; i < redirects.size(); ++i) {
-    if (redirects[i] >= n && redirects[i] != graph::kInvalidNode) {
-      return CorruptF(path_, "redirect_target[", i, "] = ", redirects[i],
-                      " is neither a node nor the invalid sentinel");
-    }
-  }
-  return Status::OK();
+      SectionSpan<graph::NodeId>(SectionId::kUndNeighbors), num_nodes));
+  return CheckRedirects(
+      path_, SectionSpan<graph::NodeId>(SectionId::kRedirectTarget),
+      num_nodes);
 }
 
 Result<wiki::KnowledgeBase> Reader::Load() const {

@@ -103,7 +103,7 @@ Status Writer::Write(const wiki::KnowledgeBase& kb, const std::string& path) {
     cursor = AlignUp(cursor);
     s.entry.offset = cursor;
     cursor += s.entry.size_bytes;
-    s.entry.checksum = HashBytes(s.data, s.entry.size_bytes);
+    s.entry.checksum = Xxh64(s.data, s.entry.size_bytes);
     file_hash.Add(s.entry.checksum);
   }
 

@@ -6,7 +6,7 @@
 ///
 /// Writing is build-time/offline work: one pass assembles the section
 /// table (every flat CSR array plus label/display-title string blobs),
-/// one pass streams the payloads with their FNV-1a checksums.  The
+/// one pass streams the payloads with their XXH64 checksums.  The
 /// bytes land in a sibling `<path>.tmp` file that is atomically
 /// renamed over `path` only after a clean flush+close, so (a) a
 /// crashed write can never look like a valid snapshot and (b)

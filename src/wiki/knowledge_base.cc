@@ -16,10 +16,11 @@ constexpr std::string_view kCategoryPrefix = "category:";
 /// category's continues FNV-1a from the prefix over its label, so it
 /// equals the joined key's hash without building the joined key.
 uint64_t KeyHash(bool category, std::string_view name) {
-  const uint64_t seed =
-      category ? HashBytes(kCategoryPrefix.data(), kCategoryPrefix.size())
-               : kHashSeed;
-  return MixHash(HashBytes(name.data(), name.size(), seed));
+  // FNV-1a's state after the prefix, hashed once per process.
+  static const uint64_t kCategorySeed =
+      HashBytes(kCategoryPrefix.data(), kCategoryPrefix.size());
+  return MixHash(HashBytes(name.data(), name.size(),
+                           category ? kCategorySeed : kHashSeed));
 }
 
 /// True when the keys `(a_category ? "category:" : "") + a` and

@@ -8,14 +8,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "common/macros.h"
 #include "common/mutex.h"
 #include "common/result.h"
@@ -319,6 +322,66 @@ TEST(StringUtilTest, Fnv1a64IsStable) {
   EXPECT_NE(Fnv1a64("hello"), Fnv1a64("hellp"));
   // Known FNV-1a vector.
   EXPECT_EQ(Fnv1a64(""), 14695981039346656037ULL);
+}
+
+// ------------------------------------------------------------------ hash
+
+uint64_t Xxh64Of(std::string_view bytes) {
+  return Xxh64(bytes.data(), bytes.size());
+}
+
+TEST(HashTest, Xxh64MatchesReferenceVectors) {
+  // Seed-0 digests from the reference xxHash library (0.8.1).
+  EXPECT_EQ(Xxh64Of(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(Xxh64Of("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(Xxh64Of("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(Xxh64Of("message digest"), 0x066ed728fceeb3beULL);
+  EXPECT_EQ(Xxh64Of("abcdefghijklmnopqrstuvwxyz"), 0xcfe1f278fa89835cULL);
+  std::string digits;
+  for (int i = 0; i < 8; ++i) digits += "1234567890";
+  EXPECT_EQ(Xxh64Of(digits), 0xe04a477f19ee145dULL);
+  EXPECT_EQ(Xxh64(nullptr, 0), 0xef46db3751d8e999ULL);
+  EXPECT_NE(Xxh64("abc", 3, /*seed=*/1), Xxh64Of("abc"));
+}
+
+// Lengths 0-300 cross the 32-byte stripe and the 8-, 4- and 1-byte tail
+// boundaries: every single-bit flip must change the hash, and the same
+// bytes must hash the same at every alignment.
+std::vector<unsigned char> SeededBytes(size_t size) {
+  std::vector<unsigned char> bytes(size);
+  Rng rng(2024);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.NextU32());
+  return bytes;
+}
+
+TEST(HashTest, Xxh64SeesEverySingleBitFlip) {
+  std::vector<unsigned char> bytes = SeededBytes(300);
+  size_t flips = 0;
+  for (size_t size = 0; size <= bytes.size(); ++size) {
+    const uint64_t base = Xxh64(bytes.data(), size);
+    for (size_t bit = 0; bit < size * 8; ++bit) {
+      bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+      if (Xxh64(bytes.data(), size) == base) {
+        ADD_FAILURE() << "flip of bit " << bit << " at length " << size;
+      }
+      bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+      ++flips;
+    }
+  }
+  EXPECT_EQ(flips, 361200u);
+}
+
+TEST(HashTest, Xxh64IgnoresAlignment) {
+  const std::vector<unsigned char> bytes = SeededBytes(300);
+  std::vector<unsigned char> shifted(bytes.size() + 8);
+  for (size_t offset = 1; offset < 8; ++offset) {
+    std::copy(bytes.begin(), bytes.end(), shifted.begin() + offset);
+    for (size_t size = 0; size <= bytes.size(); ++size) {
+      ASSERT_EQ(Xxh64(shifted.data() + offset, size),
+                Xxh64(bytes.data(), size))
+          << "offset " << offset << ", length " << size;
+    }
+  }
 }
 
 TEST(StringUtilTest, NormalizeTitle) {

@@ -4,7 +4,8 @@
 /// corruption rejection (truncation, bad magic, future versions, flipped
 /// payload bytes, hostile section tables, and structurally bad payloads
 /// resealed with valid checksums — each a clean `Status`, never UB),
-/// cache generation stamps,
+/// format versions 1 and 2 each verified with their own section hash, a
+/// seeded mutation fuzzer over `Reader::Open`, cache generation stamps,
 /// and hot republish into a live `serve::Server` (the race case is
 /// meant to run under ThreadSanitizer — `ci.sh tsan` builds this suite
 /// with `-fsanitize=thread`).
@@ -32,6 +33,7 @@
 #include "api/testbed.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "graph/csr.h"
 #include "serve/expansion_cache.h"
 #include "serve/server.h"
@@ -143,7 +145,7 @@ TEST(SnapshotRoundTripTest, ReaderInfoDescribesEverySection) {
   auto reader = Reader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
   const SnapshotInfo& info = reader->info();
-  EXPECT_EQ(info.version, kFormatVersion);
+  EXPECT_EQ(info.version, 2u);
   EXPECT_EQ(info.num_nodes, kb.csr().num_nodes());
   EXPECT_EQ(info.num_edges, kb.csr().num_edges());
   EXPECT_EQ(info.file_size, ReadFileBytes(path).size());
@@ -203,6 +205,15 @@ TEST(SnapshotRoundTripTest, EngineOverLoadedSnapshotAnswersIdentically) {
 
 // ----------------------------------------------------------- corruption
 
+/// A section checksum: each format version has its own.
+using SectionHash = uint64_t (*)(const void* data, size_t size);
+uint64_t Fnv1aSection(const void* data, size_t size) {  // version 1
+  return HashBytes(data, size);
+}
+uint64_t Xxh64Section(const void* data, size_t size) {  // version 2
+  return Xxh64(data, size);
+}
+
 class SnapshotCorruptionTest : public ::testing::Test {
  protected:
   /// One valid snapshot, built once; each case mutates a fresh copy of
@@ -241,20 +252,20 @@ class SnapshotCorruptionTest : public ::testing::Test {
         << reader.status();
   }
 
-  /// Seals `bytes` the way the writer does, so a poked payload or table
-  /// entry gets past the checksum layer and reaches the structural
-  /// checks: recomputes every section's checksum over its table extent,
-  /// then the file checksum folded from them in table order, then the
-  /// header checksum.  The table itself must still be in bounds.
-  static void Reseal(std::vector<std::byte>* bytes) {
+  /// Seals `bytes` the way the writer does, with section checksum
+  /// `hash`, so a poked payload or table entry gets past the checksum
+  /// layer and reaches the structural checks: recomputes every section's
+  /// checksum over its table extent, then the file checksum folded from
+  /// them in table order, then the header checksum (FNV-1a in every
+  /// version).  The table itself must still be in bounds.
+  static void Reseal(std::vector<std::byte>* bytes, SectionHash hash) {
     FileHeader header;
     std::memcpy(&header, bytes->data(), sizeof(header));
     Hasher file_hash;
     for (uint32_t i = 0; i < header.section_count; ++i) {
       SectionEntry entry;
       std::memcpy(&entry, bytes->data() + EntryOffset(i), sizeof(entry));
-      entry.checksum =
-          HashBytes(bytes->data() + entry.offset, entry.size_bytes);
+      entry.checksum = hash(bytes->data() + entry.offset, entry.size_bytes);
       std::memcpy(bytes->data() + EntryOffset(i), &entry, sizeof(entry));
       file_hash.Add(entry.checksum);
     }
@@ -284,7 +295,16 @@ class SnapshotCorruptionTest : public ::testing::Test {
     std::vector<std::byte> bytes = *valid_;
     std::memcpy(bytes.data() + section.offset + index * sizeof(T), &value,
                 sizeof(T));
-    Reseal(&bytes);
+    Reseal(&bytes, Xxh64Section);
+    return bytes;
+  }
+
+  /// The valid file relabelled as `version` and sealed with `hash`.
+  static std::vector<std::byte> AsVersion(uint32_t version,
+                                          SectionHash hash) {
+    std::vector<std::byte> bytes = *valid_;
+    Poke32(&bytes, offsetof(FileHeader, version), version);
+    Reseal(&bytes, hash);
     return bytes;
   }
 
@@ -301,15 +321,75 @@ class SnapshotCorruptionTest : public ::testing::Test {
     return sizeof(FileHeader) + index * sizeof(SectionEntry);
   }
 
-  /// Finds a section with a non-empty payload to poke bytes into.
-  const SectionInfo& NonEmptySection() const {
-    for (const SectionInfo& section : info_->sections) {
-      if (section.size_bytes > 0 && section.id != SectionId::kMeta) {
-        return section;
+  static const SectionInfo& Section(SectionId id) {
+    return info_->sections[EntryIndex(id)];
+  }
+
+  /// The elements of section `id` in `bytes` (laid out as the valid
+  /// file's table says).
+  template <typename T>
+  static std::vector<T> Elements(const std::vector<std::byte>& bytes,
+                                 SectionId id) {
+    const SectionInfo& section = Section(id);
+    EXPECT_EQ(section.elem_size, sizeof(T)) << section.name;
+    std::vector<T> values(section.count);
+    std::memcpy(values.data(), bytes.data() + section.offset,
+                section.size_bytes);
+    return values;
+  }
+
+  /// The oracle for layer 4's element checks: the first bad element a
+  /// plain loop finds in the five offset arrays, the three endpoint
+  /// arrays and redirect_target of `bytes`, in the reader's order and
+  /// worded as the reader words it; empty when every element is good.
+  static std::string FirstBadElement(const std::vector<std::byte>& bytes) {
+    const struct {
+      SectionId offsets;
+      SectionId rows;
+    } kOffsetArrays[] = {
+        {SectionId::kOutOffsets, SectionId::kOutTargets},
+        {SectionId::kInOffsets, SectionId::kInSources},
+        {SectionId::kUndOffsets, SectionId::kUndNeighbors},
+        {SectionId::kLabelOffsets, SectionId::kLabelBytes},
+        {SectionId::kDisplayOffsets, SectionId::kDisplayBytes},
+    };
+    for (const auto& [id, rows] : kOffsetArrays) {
+      const std::string name = SectionName(id);
+      const std::vector<uint64_t> offsets = Elements<uint64_t>(bytes, id);
+      if (offsets[0] != 0) return name + " does not start at 0";
+      for (size_t i = 1; i < offsets.size(); ++i) {
+        if (offsets[i] < offsets[i - 1]) {
+          return name + " is not monotone at index " + std::to_string(i);
+        }
+      }
+      if (offsets.back() != Section(rows).count) {
+        return name + " ends at " + std::to_string(offsets.back()) +
+               " but its row array holds " +
+               std::to_string(Section(rows).count) + " elements";
       }
     }
-    ADD_FAILURE() << "no non-empty section";
-    return info_->sections.front();
+    const uint64_t n = info_->num_nodes;
+    for (SectionId id : {SectionId::kOutTargets, SectionId::kInSources,
+                         SectionId::kUndNeighbors}) {
+      const std::vector<graph::NodeId> ids = Elements<graph::NodeId>(bytes, id);
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (ids[i] >= n) {
+          return std::string(SectionName(id)) + "[" + std::to_string(i) +
+                 "] = " + std::to_string(ids[i]) + " is out of node range " +
+                 std::to_string(n);
+        }
+      }
+    }
+    const std::vector<graph::NodeId> targets =
+        Elements<graph::NodeId>(bytes, SectionId::kRedirectTarget);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      if (targets[i] >= n && targets[i] != graph::kInvalidNode) {
+        return "redirect_target[" + std::to_string(i) + "] = " +
+               std::to_string(targets[i]) +
+               " is neither a node nor the invalid sentinel";
+      }
+    }
+    return "";
   }
 
   static std::string* path_;
@@ -358,10 +438,49 @@ TEST_F(SnapshotCorruptionTest, HeaderBitFlip) {
 }
 
 TEST_F(SnapshotCorruptionTest, PayloadBitFlip) {
-  const SectionInfo& section = NonEmptySection();
-  std::vector<std::byte> bytes = *valid_;
-  bytes[section.offset + section.size_bytes / 2] ^= std::byte{0x20};
-  ExpectRejected(bytes, "checksum mismatch");
+  size_t flipped = 0;
+  for (const SectionInfo& section : info_->sections) {
+    if (section.size_bytes == 0) continue;
+    SCOPED_TRACE(section.name);
+    std::vector<std::byte> bytes = *valid_;
+    bytes[section.offset + section.size_bytes / 2] ^= std::byte{0x20};
+    ExpectRejected(bytes, std::string("section '") + section.name +
+                              "' checksum mismatch");
+    ++flipped;
+  }
+  EXPECT_EQ(flipped, size_t{kNumSections});
+}
+
+// Versions 1 and 2 differ only in the section checksum: FNV-1a, then
+// XXH64.  Each must be verified with its own.
+
+TEST_F(SnapshotCorruptionTest, Version1FileLoadsLikeVersion2) {
+  WriteFileBytes(*path_, *valid_);
+  auto v2 = LoadSnapshot(*path_);
+  ASSERT_TRUE(v2.ok()) << v2.status();
+
+  // Kept under the temp dir after the run, so the bytes can be compared
+  // with what a version-1 writer produces for the same KB.
+  const std::string v1_path = TempPath("version1");
+  WriteFileBytes(v1_path, AsVersion(1, Fnv1aSection));
+  auto reader = Reader::Open(v1_path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_EQ(reader->info().version, 1u);
+  auto v1 = reader->Load();
+  ASSERT_TRUE(v1.ok()) << v1.status();
+  ExpectSameKb(*v2, *v1);
+  EXPECT_TRUE(v1->Validate().ok());
+}
+
+TEST_F(SnapshotCorruptionTest, EachVersionRefusesTheOtherVersionsHash) {
+  {
+    SCOPED_TRACE("version 1 sealed with XXH64");
+    ExpectRejected(AsVersion(1, Xxh64Section), "checksum mismatch");
+  }
+  {
+    SCOPED_TRACE("version 2 sealed with FNV-1a");
+    ExpectRejected(AsVersion(2, Fnv1aSection), "checksum mismatch");
+  }
 }
 
 // Structural checks on files whose checksums are valid: each payload is
@@ -409,7 +528,7 @@ TEST_F(SnapshotCorruptionTest, ResealedUndMultOneElementShort) {
   Poke64(&bytes, entry + offsetof(SectionEntry, count), und_mult.count - 1);
   Poke64(&bytes, entry + offsetof(SectionEntry, size_bytes),
          und_mult.size_bytes - und_mult.elem_size);
-  Reseal(&bytes);
+  Reseal(&bytes, Xxh64Section);
   ExpectRejected(bytes, "und_neighbors and und_mult are not parallel arrays");
 }
 
@@ -483,7 +602,7 @@ TEST_F(SnapshotCorruptionTest, ResealedDuplicateLabelRejectedAtLoad) {
   std::memcpy(bytes.data() + chars.offset + offset(second),
               bytes.data() + chars.offset + offset(first),
               offset(second + 1) - offset(second));
-  Reseal(&bytes);
+  Reseal(&bytes, Xxh64Section);
   WriteFileBytes(*path_, bytes);
 
   auto reader = Reader::Open(*path_);
@@ -498,11 +617,138 @@ TEST_F(SnapshotCorruptionTest, ResealedDuplicateLabelRejectedAtLoad) {
       << loaded.status();
 }
 
+// A seeded mutation fuzzer over `Reader::Open`, on a version-1 and a
+// version-2 file of the fixture's KB.  Every mutant must come back OK or
+// as a ParseError, never as a crash (the asan lane runs this suite under
+// ASan with bounds-checked spans).  Resealed pokes of the elements that
+// layer 4 checks are a differential test of its branch-free passes: the
+// file must be refused exactly when `FirstBadElement` finds a bad
+// element, with that element's message.  `Load` is left out: on a
+// resealed file it can reach `CsrGraph::FromSections`, whose Debug
+// invariant check aborts by design.
+TEST_F(SnapshotCorruptionTest, SeededMutantsAreRefusedCleanly) {
+  constexpr int kMutantsPerVersion = 2000;
+  const struct {
+    SectionId id;
+    SectionId rows;  // of an offset array: the array it indexes
+  } kPokable[] = {
+      {SectionId::kOutOffsets, SectionId::kOutTargets},
+      {SectionId::kInOffsets, SectionId::kInSources},
+      {SectionId::kUndOffsets, SectionId::kUndNeighbors},
+      {SectionId::kLabelOffsets, SectionId::kLabelBytes},
+      {SectionId::kDisplayOffsets, SectionId::kDisplayBytes},
+      {SectionId::kOutTargets, {}},
+      {SectionId::kInSources, {}},
+      {SectionId::kUndNeighbors, {}},
+      {SectionId::kRedirectTarget, {}},
+  };
+  const auto n = static_cast<graph::NodeId>(info_->num_nodes);
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const SectionHash hash = version == 1 ? Fnv1aSection : Xxh64Section;
+    const std::vector<std::byte> base = AsVersion(version, hash);
+    Rng rng(/*seed=*/version);
+    size_t pokes_accepted = 0;
+    size_t pokes_refused = 0;
+    for (int m = 0; m < kMutantsPerVersion; ++m) {
+      SCOPED_TRACE("mutant " + std::to_string(m));
+      std::vector<std::byte> bytes = base;
+      std::string expected;  // the oracle's verdict on a resealed poke
+      const uint32_t kind = rng.Uniform(8);
+      if (kind == 0) {  // random byte flips anywhere
+        for (uint32_t k = 1 + rng.Uniform(4); k > 0; --k) {
+          bytes[rng.Uniform(static_cast<uint32_t>(bytes.size()))] ^=
+              static_cast<std::byte>(1 + rng.Uniform(255));
+        }
+      } else if (kind == 1) {  // truncation
+        bytes.resize(rng.Uniform(static_cast<uint32_t>(bytes.size())));
+      } else if (kind == 2) {  // extension
+        for (uint32_t k = 1 + rng.Uniform(64); k > 0; --k) {
+          bytes.push_back(static_cast<std::byte>(rng.Uniform(256)));
+        }
+      } else {  // 1-3 resealed pokes of checked elements
+        for (uint32_t k = 1 + rng.Uniform(3); k > 0; --k) {
+          const auto& target = kPokable[rng.Uniform(std::size(kPokable))];
+          const SectionInfo& section = Section(target.id);
+          const auto count = static_cast<uint32_t>(section.count);
+          const uint32_t where = rng.Uniform(4);
+          const size_t index = where == 0   ? 0
+                               : where == 1 ? count - 1
+                                            : rng.Uniform(count);
+          std::byte* at =
+              bytes.data() + section.offset + index * section.elem_size;
+          if (section.elem_size == sizeof(uint64_t)) {
+            const uint64_t rows = Section(target.rows).count;
+            uint64_t old = 0;
+            uint64_t before = 0;  // the element before, or `old`
+            std::memcpy(&old, at, sizeof(old));
+            std::memcpy(&before, index > 0 ? at - sizeof(before) : at,
+                        sizeof(before));
+            const uint64_t candidates[] = {
+                0,
+                old - 1,
+                old + 1,
+                rows,
+                rows + 1,
+                rng.NextU64(),
+                static_cast<uint64_t>(rng.UniformRange(
+                    0, static_cast<int64_t>(rows))),
+                before,
+            };
+            std::memcpy(at, &candidates[rng.Uniform(std::size(candidates))],
+                        sizeof(uint64_t));
+          } else {
+            graph::NodeId old = 0;
+            std::memcpy(&old, at, sizeof(old));
+            const graph::NodeId candidates[] = {
+                0,
+                n - 1,
+                n,
+                n + 1,
+                graph::kInvalidNode,
+                rng.Uniform(n),
+                rng.NextU32(),
+                old ^ (graph::NodeId{1} << rng.Uniform(32)),
+            };
+            std::memcpy(at, &candidates[rng.Uniform(std::size(candidates))],
+                        sizeof(graph::NodeId));
+          }
+        }
+        Reseal(&bytes, hash);
+        expected = FirstBadElement(bytes);
+      }
+
+      WriteFileBytes(*path_, bytes);
+      auto reader = Reader::Open(*path_);
+      if (!reader.ok()) {
+        ASSERT_EQ(reader.status().code(), StatusCode::kParseError)
+            << reader.status();
+      }
+      if (kind == 1 || kind == 2) {
+        ASSERT_FALSE(reader.ok()) << "a resized file was accepted";
+      } else if (kind > 2) {
+        if (expected.empty()) {
+          ASSERT_TRUE(reader.ok()) << reader.status();
+          ++pokes_accepted;
+        } else {
+          ASSERT_FALSE(reader.ok()) << "accepted, but " << expected;
+          ASSERT_EQ(reader.status().message(),
+                    "snapshot '" + *path_ + "': " + expected);
+          ++pokes_refused;
+        }
+      }
+    }
+    // Both verdicts are exercised.
+    EXPECT_GE(pokes_accepted, 100u);
+    EXPECT_GE(pokes_refused, 500u);
+  }
+}
+
 TEST_F(SnapshotCorruptionTest, ValidBytesStillLoadAfterSuite) {
   // Guard against helper bugs: resealing an untouched file reproduces
   // the writer's bytes, and the pristine byte image itself loads.
   std::vector<std::byte> resealed = *valid_;
-  Reseal(&resealed);
+  Reseal(&resealed, Xxh64Section);
   EXPECT_TRUE(resealed == *valid_);
   WriteFileBytes(*path_, *valid_);
   auto loaded = LoadSnapshot(*path_);
