@@ -42,7 +42,7 @@ GOLDEN_BENCHES="$PAPER_BENCHES serving_digest"
 # bench (whose setup hard-asserts pruned == unpruned cycle sets and a
 # >= 1.3x best speedup), and the snapshot-load bench (whose setup
 # hard-asserts bit-identical graphs across all startup paths and a
-# >= 10x mmap-vs-rebuild speedup, the median of 15 paired per-rep
+# >= 30x mmap-vs-rebuild speedup, the median of 15 paired per-rep
 # ratios), hard-failing on crash or malformed
 # JSON so the perf benches and their machine-readable output can't
 # silently rot.  Then every GOLDEN_BENCHES binary at 12 domains / 8

@@ -117,15 +117,6 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
-uint64_t Fnv1a64(std::string_view s) {
-  uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::string FormatDouble(double v, int precision) {
   std::ostringstream ss;
   ss.setf(std::ios::fixed);

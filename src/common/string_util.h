@@ -47,10 +47,6 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 /// \brief Case-insensitive (ASCII) equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
-/// \brief 64-bit FNV-1a hash; stable across platforms, used for
-/// deterministic bucketing and title fingerprints.
-uint64_t Fnv1a64(std::string_view s);
-
 /// \brief Formats a double with fixed precision (no locale surprises).
 std::string FormatDouble(double v, int precision);
 

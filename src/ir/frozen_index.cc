@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/macros.h"
+#include "text/tokenizer.h"
 
 namespace wqe::ir {
 
@@ -19,30 +22,44 @@ Result<FrozenIndex> FrozenIndex::Build(const DocumentStore& store,
                                        const text::Analyzer& analyzer) {
   FrozenIndex index;
 
-  // Analysis pass: the collection as one stream of (term, position) in
-  // doc order.  Terms get provisional ids by first sight; `spelling`
-  // points at the map's (node-stable) keys.
+  // Analysis pass: the collection as one stream of term ids in doc
+  // order; a document's stretch of it is its kept terms, so a term's
+  // position is its offset there.  Terms get provisional ids by first
+  // sight; `spelling` points at the map's (node-stable) keys.  `memo`
+  // remembers each raw spelling's id, or `kStopped`, so a repeated
+  // spelling costs one lookup; its keys view `doc.text`, which the const
+  // store keeps alive for the whole build.
+  constexpr uint32_t kStopped = UINT32_MAX;
   std::unordered_map<std::string, uint32_t> provisional;
+  std::unordered_map<std::string_view, uint32_t> memo;
   std::vector<const std::string*> spelling;
   std::vector<uint32_t> stream_terms;
-  std::vector<uint32_t> stream_positions;
   index.doc_lengths_.reserve(store.size());
   for (const Document& doc : store.documents()) {
     WQE_DCHECK(doc.id == index.doc_lengths_.size());
-    std::vector<text::AnalyzedTerm> terms = analyzer.Analyze(doc.text);
-    if (terms.size() >= UINT32_MAX - stream_terms.size()) {
+    const std::string_view text = doc.text;
+    const size_t doc_start = stream_terms.size();
+    text::Tokenizer::ForEachSpan(text, [&](size_t begin, size_t end) {
+      const std::string_view raw = text.substr(begin, end - begin);
+      auto [known, inserted] = memo.try_emplace(raw, kStopped);
+      if (inserted) {
+        if (std::optional<std::string> term = analyzer.AnalyzeToken(raw)) {
+          auto [it, fresh] = provisional.try_emplace(
+              std::move(*term), static_cast<uint32_t>(spelling.size()));
+          if (fresh) spelling.push_back(&it->first);
+          known->second = it->second;
+        }
+      }
+      if (known->second != kStopped) stream_terms.push_back(known->second);
+    });
+    if (stream_terms.size() >= UINT32_MAX) {
       return Status::ResourceExhausted(
           "collection exceeds 2^32 tokens at document ", doc.id);
     }
-    index.doc_lengths_.push_back(static_cast<uint32_t>(terms.size()));
-    for (text::AnalyzedTerm& t : terms) {
-      auto [it, inserted] = provisional.try_emplace(
-          std::move(t.term), static_cast<uint32_t>(spelling.size()));
-      if (inserted) spelling.push_back(&it->first);
-      stream_terms.push_back(it->second);
-      stream_positions.push_back(t.position);
-    }
+    index.doc_lengths_.push_back(
+        static_cast<uint32_t>(stream_terms.size() - doc_start));
   }
+  memo = {};
 
   // Dictionary: sort the spellings; rank is the term id.
   const size_t num_terms = spelling.size();
@@ -99,7 +116,8 @@ Result<FrozenIndex> FrozenIndex::Build(const DocumentStore& store,
   }
   index.term_begin_[num_terms] = num_postings;
 
-  // Fill pass: each occurrence lands at its term's cursors.  Docs arrive
+  // Fill pass: each occurrence lands at its term's cursors, with its
+  // offset in its document's stretch as its position.  Docs arrive
   // ascending and positions ascending within a doc, so every list comes
   // out sorted.
   std::vector<uint32_t> next_posting(index.term_begin_.begin(),
@@ -111,6 +129,7 @@ Result<FrozenIndex> FrozenIndex::Build(const DocumentStore& store,
   std::fill(last_doc.begin(), last_doc.end(), kInvalidDoc);
   at = 0;
   for (DocId doc = 0; doc < index.doc_lengths_.size(); ++doc) {
+    const size_t doc_start = at;
     for (const size_t end = at + index.doc_lengths_[doc]; at < end; ++at) {
       const TermId t = stream_terms[at];
       if (last_doc[t] != doc) {
@@ -120,7 +139,8 @@ Result<FrozenIndex> FrozenIndex::Build(const DocumentStore& store,
         index.posting_pos_begin_[p] = next_position[t];
       }
       ++index.posting_tfs_[next_posting[t] - 1];
-      index.positions_[next_position[t]++] = stream_positions[at];
+      index.positions_[next_position[t]++] =
+          static_cast<uint32_t>(at - doc_start);
     }
   }
   index.posting_pos_begin_[num_postings] = num_positions;

@@ -20,9 +20,20 @@
 /// pass that writes each posting in place, in the reserve-then-write
 /// style of a column store.  Nothing is allocated per posting.
 ///
+/// The analysis pass runs the analyzer's two steps, the span scan
+/// (`text::Tokenizer::ForEachSpan`) and `text::Analyzer::AnalyzeToken`,
+/// behind a memo that lives only inside `Build`: raw spelling (a view
+/// into the document text) → term id, or "stopped".  Only a spelling's
+/// first sight is analyzed; every later token is one hash lookup, and no
+/// string is made per token.  Ids are assigned as the stems are first
+/// seen, so the index does not depend on the memo.
+///
 /// Positions are the analyzer's compacted token positions (stopwords
-/// dropped), so an exact phrase is a chain of semijoins on
-/// (doc, position + 1) over these lists (`PhraseMatches`).
+/// dropped): a kept term's position is its index among its document's
+/// kept terms, so the fill pass derives it from the stream and no
+/// position is stored during analysis.  An exact phrase is then a chain
+/// of semijoins on (doc, position + 1) over these lists
+/// (`PhraseMatches`).
 /// The test oracle `ir::InvertedIndex` (tests/oracle/inverted_index.h)
 /// computes the same statistics from a map of per-posting vectors.
 

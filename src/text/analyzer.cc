@@ -1,24 +1,21 @@
 #include "text/analyzer.h"
 
+#include "common/string_util.h"
+
 namespace wqe::text {
 
 std::vector<AnalyzedTerm> Analyzer::Analyze(std::string_view input) const {
-  std::vector<Token> tokens = tokenizer_.Tokenize(input);
-  const StopwordSet& stopwords = StopwordSet::Default();
   std::vector<AnalyzedTerm> out;
-  out.reserve(tokens.size());
-  for (Token& tok : tokens) {
-    if (stopwords.Contains(tok.text)) continue;
-    AnalyzedTerm term;
-    term.term = ProcessToken(tok.text);
+  Tokenizer::ForEachSpan(input, [&](size_t begin, size_t end) {
+    std::optional<std::string> term =
+        AnalyzeToken(input.substr(begin, end - begin));
+    if (!term) return;
     // Positions are compacted over the kept terms (INDRI-style stopping):
     // "bridge of sighs" indexes as bridge@0 sighs@1, so the title used as
     // an exact phrase matches documents containing it verbatim.
-    term.position = static_cast<uint32_t>(out.size());
-    term.begin = tok.begin;
-    term.end = tok.end;
-    out.push_back(std::move(term));
-  }
+    out.push_back(AnalyzedTerm{std::move(*term),
+                               static_cast<uint32_t>(out.size()), begin, end});
+  });
   return out;
 }
 
@@ -31,8 +28,10 @@ std::vector<std::string> Analyzer::AnalyzeToStrings(
   return out;
 }
 
-std::string Analyzer::ProcessToken(std::string_view token) const {
-  return stemmer_.Stem(token);
+std::optional<std::string> Analyzer::AnalyzeToken(std::string_view raw) const {
+  const std::string lower = ToLower(raw);
+  if (StopwordSet::Default().Contains(lower)) return std::nullopt;
+  return stemmer_.Stem(lower);
 }
 
 }  // namespace wqe::text

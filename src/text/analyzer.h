@@ -8,7 +8,17 @@
 /// owns one analyzer and applies it to both.  There is one analysis: every
 /// analyzer removes the default English stopwords (`StopwordSet::Default`)
 /// and Porter-stems what is left, as the paper's INDRI setup does.
+///
+/// The pipeline is two steps, each defined once: the tokenizer's span
+/// scan (`Tokenizer::ForEachSpan`) and `AnalyzeToken`, which turns one
+/// raw token into its term or stops it.  `Analyze` is the two in
+/// sequence.  `ir::FrozenIndex::Build` runs the same two, remembering
+/// `AnalyzeToken`'s answer per raw spelling for the length of one build;
+/// the analyzer itself keeps no state, so one analyzer serves every
+/// thread.
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,11 +49,12 @@ class Analyzer {
   /// \brief Terms only, no positions.
   std::vector<std::string> AnalyzeToStrings(std::string_view input) const;
 
-  /// \brief Stems one lowercase token.
-  std::string ProcessToken(std::string_view token) const;
+  /// \brief Analyzes one raw token, the bytes of a span that
+  /// `Tokenizer::ForEachSpan` found: lowercases it and returns its Porter
+  /// stem, or nullopt when the lowercased token is a stopword.
+  std::optional<std::string> AnalyzeToken(std::string_view raw) const;
 
  private:
-  Tokenizer tokenizer_;
   PorterStemmer stemmer_;
 };
 

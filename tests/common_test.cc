@@ -317,17 +317,19 @@ TEST(StringUtilTest, EqualsIgnoreCase) {
   EXPECT_FALSE(EqualsIgnoreCase("a", "ab"));
 }
 
-TEST(StringUtilTest, Fnv1a64IsStable) {
-  EXPECT_EQ(Fnv1a64("hello"), Fnv1a64("hello"));
-  EXPECT_NE(Fnv1a64("hello"), Fnv1a64("hellp"));
-  // Known FNV-1a vector.
-  EXPECT_EQ(Fnv1a64(""), 14695981039346656037ULL);
-}
-
 // ------------------------------------------------------------------ hash
 
 uint64_t Xxh64Of(std::string_view bytes) {
   return Xxh64(bytes.data(), bytes.size());
+}
+
+TEST(HashTest, HashBytesIsFnv1a64) {
+  // Version-1 section checksums and every header checksum are this
+  // function, so its values must never move: FNV-1a 64 reference vectors.
+  EXPECT_EQ(HashBytes("", 0), 14695981039346656037ULL);
+  EXPECT_EQ(HashBytes("a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(HashBytes("foobar", 6), 0x85944171f73967e8ULL);
+  EXPECT_NE(HashBytes("hello", 5), HashBytes("hellp", 5));
 }
 
 TEST(HashTest, Xxh64MatchesReferenceVectors) {

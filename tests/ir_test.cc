@@ -135,6 +135,91 @@ TEST(OracleIndexTest, RequiresIdOrder) {
   EXPECT_TRUE(index.Add(7, "skip ahead").IsInvalidArgument());
 }
 
+/// Raw spellings that stress `Build`'s per-spelling memo: one word in
+/// several casings, stopwords in capitals, inner and dangling `-`/`'`,
+/// digits, UTF-8 bytes, tokens past the 15-byte small-string buffer, and
+/// variants that stem together.
+const std::vector<std::string>& AdversarialWords() {
+  static const std::vector<std::string> words = {
+      "Venice", "VENICE", "venice", "vEnIcE", "The", "THE", "the", "OF",
+      "of", "In", "AND", "bouches-du-rhone", "Bouches-du-Rhone", "o'neill",
+      "O'NEILL", "rock-", "-rock", "rock", "rock--roll", "'tis",
+      "rock'n'roll", "1712", "1712s", "2nd", "blühendes", "BLÜHENDES",
+      "café", "internationalization", "INTERNATIONALIZATIONS",
+      "counterrevolutionaries", "supercalifragilisticexpialidocious",
+      "connect", "Connected", "connecting", "connection", "CONNECTIONS",
+      "gondola", "gondolas", "bridge", "Bridges", "...", "(", ","};
+  return words;
+}
+
+/// A random document over `AdversarialWords()`: empty one time in eight,
+/// all stopwords one time in eight, and otherwise up to 30 words whose
+/// separators sometimes glue them into longer spellings.
+std::string AdversarialText(Rng& rng) {
+  static const std::vector<std::string> stopwords = {"The", "of", "OF",
+                                                      "and", "In", "the"};
+  static const std::vector<std::string> separators = {" ", " ", " ", ", ",
+                                                      "\n", "-", "'", ""};
+  const uint32_t kind = rng.Uniform(8);
+  if (kind == 0) return "";
+  const std::vector<std::string>& words =
+      kind == 1 ? stopwords : AdversarialWords();
+  std::string text;
+  const uint32_t length = 1 + rng.Uniform(30);
+  for (uint32_t w = 0; w < length; ++w) {
+    if (w > 0) {
+      text += separators[rng.Uniform(static_cast<uint32_t>(separators.size()))];
+    }
+    text += words[rng.Uniform(static_cast<uint32_t>(words.size()))];
+  }
+  return text;
+}
+
+TEST(FrozenIndexOracleTest, AdversarialSpellingsMatchTermByTerm) {
+  text::Analyzer analyzer;
+  size_t empty_docs = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    DocumentStore store;
+    const uint32_t num_docs = 50 + rng.Uniform(100);
+    for (uint32_t d = 0; d < num_docs; ++d) {
+      ASSERT_TRUE(
+          store.Add("d" + std::to_string(d), AdversarialText(rng)).ok());
+    }
+    auto built = FrozenIndex::Build(store, analyzer);
+    ASSERT_TRUE(built.ok()) << built.status();
+    InvertedIndex oracle(&analyzer);
+    ASSERT_TRUE(oracle.AddAll(store).ok());
+
+    ASSERT_EQ(built->num_docs(), store.size());
+    for (DocId d = 0; d < store.size(); ++d) {
+      EXPECT_EQ(built->doc_length(d), oracle.doc_length(d)) << "doc " << d;
+      empty_docs += built->doc_length(d) == 0;
+    }
+    EXPECT_EQ(built->total_tokens(), oracle.total_tokens());
+    const std::vector<std::string> terms = oracle.Terms();
+    ASSERT_EQ(built->num_terms(), terms.size());
+    for (TermId t = 0; t < terms.size(); ++t) {
+      SCOPED_TRACE("term " + terms[t]);
+      ASSERT_EQ(built->term(t), terms[t]);
+      const PostingsList& list = *oracle.Find(terms[t]);
+      EXPECT_EQ(built->collection_tf(t), list.collection_tf);
+      ASSERT_EQ(built->df(t), list.postings.size());
+      for (size_t i = 0; i < list.postings.size(); ++i) {
+        const Posting& want = list.postings[i];
+        EXPECT_EQ(built->docs(t)[i], want.doc);
+        EXPECT_EQ(built->tfs(t)[i], want.tf());
+        const std::span<const uint32_t> positions = built->positions(t, i);
+        EXPECT_EQ(std::vector<uint32_t>(positions.begin(), positions.end()),
+                  want.positions)
+            << "doc " << want.doc;
+      }
+    }
+  }
+  EXPECT_GT(empty_docs, 0u);  // the corpus holds term-less documents
+}
+
 TEST_F(IndexTest, PhraseTfExactAdjacency) {
   // "grand canal" appears once in doc2 only.
   EXPECT_EQ(PhraseTf({"grand", "canal"}, 2), 1u);

@@ -37,6 +37,14 @@ const PostingsList* InvertedIndex::Find(std::string_view analyzed_term) const {
   return it == postings_.end() ? nullptr : &it->second;
 }
 
+std::vector<std::string> InvertedIndex::Terms() const {
+  std::vector<std::string> terms;
+  terms.reserve(postings_.size());
+  for (const auto& [term, list] : postings_) terms.push_back(term);
+  std::sort(terms.begin(), terms.end());
+  return terms;
+}
+
 namespace {
 
 /// Counts positions in `next` that are exactly one past a position in

@@ -52,6 +52,9 @@ class InvertedIndex {
   /// \brief Postings of an *analyzed* term; nullptr when absent.
   const PostingsList* Find(std::string_view analyzed_term) const;
 
+  /// \brief Every indexed (analyzed) term, sorted.
+  std::vector<std::string> Terms() const;
+
   /// \brief Length (analyzed token count) of one document.
   uint32_t doc_length(DocId doc) const { return doc_lengths_[doc]; }
 

@@ -238,6 +238,14 @@ class SnapshotCorruptionTest : public ::testing::Test {
     info_ = nullptr;
   }
 
+  /// A reader that refuses the writer's own file stops `SetUpTestSuite`
+  /// with these still null; each case then fails here instead of
+  /// dereferencing them.
+  void SetUp() override {
+    ASSERT_NE(valid_, nullptr);
+    ASSERT_NE(info_, nullptr);
+  }
+
   /// Writes `bytes` over the snapshot path and asserts that `Open`
   /// rejects it with a ParseError mentioning `substring` — and that
   /// rejection is a Status, not a crash (the suite runs under ASan).

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "text/analyzer.h"
 #include "text/porter_stemmer.h"
 #include "text/stopwords.h"
@@ -60,6 +62,59 @@ TEST(TokenizerTest, EmptyAndAllPunct) {
   Tokenizer t;
   EXPECT_TRUE(t.Tokenize("").empty());
   EXPECT_TRUE(t.Tokenize("... !!! ???").empty());
+}
+
+/// Inputs that stress token boundaries and analysis: casings of one
+/// word, capitalized stopwords, inner and dangling `-`/`'`, digits, UTF-8
+/// bytes, tokens past 15 bytes and variants that stem together, plus
+/// seeded random gluings of them.
+std::vector<std::string> AdversarialInputs() {
+  static const std::vector<std::string> words = {
+      "Venice", "VENICE", "venice", "The", "OF", "of", "In",
+      "bouches-du-rhone", "O'Neill", "o'neill", "rock-", "-rock", "'tis",
+      "rock--roll", "1712", "2nd", "blühendes", "BLÜHENDES",
+      "INTERNATIONALIZATIONS", "counterrevolutionaries", "connect",
+      "Connected", "connecting", "...", "(", ""};
+  static const std::vector<std::string> separators = {" ", ", ", "-", "'",
+                                                      "\n", ""};
+  std::vector<std::string> inputs = {"", "... !!! ???", "The Bridge OF Sighs",
+                                     "-rock- rock-- 'o'neill'"};
+  Rng rng(11);
+  for (int i = 0; i < 200; ++i) {
+    std::string text;
+    const uint32_t length = rng.Uniform(12);
+    for (uint32_t w = 0; w < length; ++w) {
+      text += separators[rng.Uniform(static_cast<uint32_t>(separators.size()))];
+      text += words[rng.Uniform(static_cast<uint32_t>(words.size()))];
+    }
+    inputs.push_back(std::move(text));
+  }
+  return inputs;
+}
+
+TEST(TokenizerTest, TokenizeIsTheSpanScanLowercased) {
+  Tokenizer t;
+  for (const std::string& input : AdversarialInputs()) {
+    SCOPED_TRACE(input);
+    std::vector<Token> spans;
+    std::string outside;  // every byte no span covers
+    size_t last = 0;
+    Tokenizer::ForEachSpan(input, [&](size_t begin, size_t end) {
+      ASSERT_LE(last, begin);
+      ASSERT_LT(begin, end);
+      ASSERT_LE(end, input.size());
+      // A span starts and ends on a word byte.
+      EXPECT_TRUE(Tokenizer::IsWordByte(input[begin]));
+      EXPECT_TRUE(Tokenizer::IsWordByte(input[end - 1]));
+      outside += input.substr(last, begin - last);
+      last = end;
+      spans.push_back(
+          Token{ToLower(input.substr(begin, end - begin)), begin, end});
+    });
+    outside += input.substr(last);
+    for (char c : outside) EXPECT_FALSE(Tokenizer::IsWordByte(c)) << c;
+    EXPECT_EQ(t.Tokenize(input), spans);
+  }
 }
 
 // ----------------------------------------------------------- PorterStemmer
@@ -168,6 +223,31 @@ TEST(AnalyzerTest, PositionsCompactedOverStopwords) {
   ASSERT_EQ(terms.size(), 2u);
   EXPECT_EQ(terms[0].position, 0u);
   EXPECT_EQ(terms[1].position, 1u);
+}
+
+TEST(AnalyzerTest, AnalyzeIsTokenizeThenStopThenStem) {
+  // The pipeline spelled out step by step: a kept token's position is
+  // its index among the kept tokens.
+  Analyzer analyzer;
+  PorterStemmer stemmer;
+  for (const std::string& input : AdversarialInputs()) {
+    SCOPED_TRACE(input);
+    std::vector<AnalyzedTerm> want;
+    for (const Token& token : Tokenizer().Tokenize(input)) {
+      if (StopwordSet::Default().Contains(token.text)) continue;
+      want.push_back(AnalyzedTerm{stemmer.Stem(token.text),
+                                  static_cast<uint32_t>(want.size()),
+                                  token.begin, token.end});
+    }
+    const std::vector<AnalyzedTerm> got = analyzer.Analyze(input);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].term, want[i].term);
+      EXPECT_EQ(got[i].position, want[i].position);
+      EXPECT_EQ(got[i].begin, want[i].begin);
+      EXPECT_EQ(got[i].end, want[i].end);
+    }
+  }
 }
 
 TEST(AnalyzerTest, SpansPointIntoSource) {
