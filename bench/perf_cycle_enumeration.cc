@@ -66,7 +66,11 @@ struct BallWorkload {
 
 /// The BFS ball around domain 0's first two articles, cut at `ball_cap`
 /// nodes.  Radius 4 holds 417 nodes, past every cap the benchmarks sweep
-/// (radius 2 holds only 79), so each cap is the ball's size.
+/// (radius 2 holds only 79), so each cap is the ball's size.  Every
+/// cycle of length <= 5 through the two articles lies in that radius-2
+/// ball, so the caps time the same cycles on growing balls, as in
+/// serving: no servebench request (seed 1) has a radius-2 ball of 200
+/// nodes, so caps 200 and 400 never cut one.
 BallWorkload SharedBall(size_t ball_cap) {
   const auto& wiki = SharedWiki();
   BallWorkload w;
@@ -375,7 +379,7 @@ void BM_CsrFreeze(benchmark::State& state) {
   const graph::CsrGraph& frozen = SharedWiki().kb.csr();
   graph::PropertyGraph builder;
   for (graph::NodeId n = 0; n < frozen.num_nodes(); ++n) {
-    builder.AddNode(frozen.kind(n), {});
+    builder.AddNode(frozen.kind(n));
   }
   for (graph::NodeId n = 0; n < frozen.num_nodes(); ++n) {
     std::span<const graph::NodeId> targets = frozen.OutTargets(n);

@@ -36,20 +36,28 @@ PAPER_BENCHES="table2_groundtruth_precision table3_component_stats
 GOLDEN_BENCHES="$PAPER_BENCHES serving_digest"
 
 # Bench smoke: Release tree (the perf numbers people quote), smallest
-# cycle-enumeration configs (CSR and legacy), the smallest
-# cycle-scoring config (whose setup hard-asserts the ball-local scorer
-# equals the oracle on every cycle), the ball-pruning
-# bench (whose setup hard-asserts pruned == unpruned cycle sets and a
-# >= 1.3x best speedup), and the snapshot-load bench (whose setup
-# hard-asserts bit-identical graphs across all startup paths and a
-# >= 30x mmap-vs-rebuild speedup, the median of 15 paired per-rep
-# ratios), hard-failing on crash or malformed
-# JSON so the perf benches and their machine-readable output can't
-# silently rot.  Then every GOLDEN_BENCHES binary at 12 domains / 8
-# topics and at the default size: each builds the whole experiment and
-# aborts on any internal inconsistency, so it must exit 0, and its
-# stdout must equal its golden under bench/golden/ byte for byte (see
-# bench/golden/README.md for when a golden may change).
+# cycle-enumeration configs (CSR and legacy), the smallest cycle-scoring
+# config (whose setup hard-asserts the ball-local scorer equals the
+# oracle on every cycle), the ball-pruning bench (whose setup
+# hard-asserts pruned == unpruned cycle sets and a >= 1.3x best
+# speedup), the snapshot-load bench (whose setup hard-asserts
+# bit-identical graphs across all startup paths and a >= 30x
+# mmap-vs-rebuild speedup, the median of 15 paired per-rep ratios), and
+# the parallel-serving bench E13 (the only caller of
+# `Engine::QueryBatch` and `Server::QueryBatch`; it hard-asserts that
+# parallel rankings equal sequential ones, counter-verified warm-pass
+# cache hits, tenant and burst identity, and that under overload every
+# request is served identically, shed or past its deadline with the
+# counters agreeing; its >= 2x 4-worker bar is enforced only when a
+# CPU-bound probe reads >= 3x before and after the scaling arms, and
+# its overhead bar only when its paired-diff noise allows),
+# hard-failing on crash or malformed JSON so the perf benches and their
+# machine-readable output can't silently rot.  Then every GOLDEN_BENCHES
+# binary at 12 domains / 8 topics and at the default size: each builds
+# the whole experiment and aborts on any internal inconsistency, so it
+# must exit 0, and its stdout must equal its golden under bench/golden/
+# byte for byte (see bench/golden/README.md for when a golden may
+# change).
 #
 # Set WQE_WRITE_BASELINE=1 to install this run's BENCH_*.json files into
 # bench/baselines/ instead of gating against them — only do this on a
@@ -65,6 +73,7 @@ run_bench() {
     --benchmark_min_time=0.05
   ./wqe_bench_perf_ball_pruning
   ./wqe_bench_perf_snapshot_load
+  ./wqe_bench_perf_parallel_serving
   python3 - <<'EOF'
 import json
 with open('BENCH_perf_cycle_enumeration.json') as f:
@@ -108,11 +117,12 @@ EOF
   if [ "${WQE_WRITE_BASELINE:-0}" = "1" ]; then
     python3 ../bench/bench_compare.py --write-baseline ../bench/baselines \
       BENCH_perf_cycle_enumeration.json BENCH_perf_ball_pruning.json \
-      BENCH_perf_snapshot_load.json
+      BENCH_perf_snapshot_load.json BENCH_perf_parallel_serving.json
   else
     for bench_json in BENCH_perf_cycle_enumeration.json \
                       BENCH_perf_ball_pruning.json \
-                      BENCH_perf_snapshot_load.json; do
+                      BENCH_perf_snapshot_load.json \
+                      BENCH_perf_parallel_serving.json; do
       python3 ../bench/bench_compare.py "$bench_json" "$bench_json"
       if [ -f "../bench/baselines/$bench_json" ]; then
         python3 ../bench/bench_compare.py \

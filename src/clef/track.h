@@ -7,11 +7,10 @@
 /// paper: a collection of image-metadata documents and fifty topics, each a
 /// keyword query `k` with its set `D` of correct documents.
 
+#include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/result.h"
 #include "graph/graph.h"
 
 namespace wqe::clef {
@@ -29,9 +28,8 @@ struct Topic {
   std::vector<std::string> relevant;   ///< names of the documents in D
 
   /// \name Generator provenance (planted ground truth)
-  /// Populated by the synthetic generator for tests and sanity checks;
-  /// empty when a track is loaded from files. The analysis pipeline never
-  /// reads these.
+  /// Populated by the synthetic generator for tests and sanity checks.
+  /// The analysis pipeline never reads these.
   /// @{
   uint32_t domain = UINT32_MAX;
   std::vector<graph::NodeId> query_articles;
@@ -45,12 +43,5 @@ struct Track {
   std::vector<TrackDocument> documents;
   std::vector<Topic> topics;
 };
-
-/// \brief Serializes the topic list (id, keywords, qrels) to a plain-text
-/// format: one topic per line, `id <TAB> keywords <TAB> doc1;doc2;...`.
-std::string WriteTopics(const std::vector<Topic>& topics);
-
-/// \brief Parses the `WriteTopics` format.
-Result<std::vector<Topic>> ParseTopics(std::string_view text);
 
 }  // namespace wqe::clef

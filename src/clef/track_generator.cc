@@ -17,6 +17,43 @@ namespace {
 using wiki::KnowledgeBase;
 using graph::NodeId;
 
+/// Relevant documents per topic: uniform in [min, max].
+constexpr uint32_t kMinRelevantDocs = 25;
+constexpr uint32_t kMaxRelevantDocs = 40;
+
+/// Distractor documents per topic.
+constexpr uint32_t kDistractorsPerTopic = 24;
+
+/// Fraction of relevant documents that are "core" documents (the rest
+/// are vocabulary-mismatch tail documents).
+constexpr double kCoreDocFraction = 0.45;
+
+/// Probability a relevant document mentions a query title verbatim.
+/// High enough that the unexpanded query has non-trivial precision —
+/// keeping per-cycle contributions (Figures 5/9) in the paper's range
+/// rather than exploding against a near-zero baseline.
+constexpr double kQueryTitleInCoreDocProb = 0.4;
+constexpr double kQueryTitleInTailDocProb = 0.15;
+
+/// Probability a mention uses a redirect alias instead of the main
+/// title (exercises the synonym-linking path).
+constexpr double kAliasMentionProb = 0.20;
+
+/// Probability a relevant document also mentions a weak decoy.
+constexpr double kWeakInRelevantProb = 0.30;
+
+/// Probability a relevant document mentions one article from a *foreign*
+/// domain.  Such articles enter L(q.D) and often X(q), but their
+/// categories do not connect to the topic domain — producing the
+/// disconnected satellite components the paper observes in query graphs
+/// (Figure 3, Table 3's %size < 1).
+constexpr double kForeignMentionProb = 0.25;
+
+/// Strata sizes.
+constexpr uint32_t kMaxCoreArticles = 8;
+constexpr uint32_t kMaxPeripheralArticles = 14;
+constexpr uint32_t kMaxWeakArticles = 4;
+
 /// Generic filler vocabulary; deliberately disjoint from the knowledge
 /// base's title vocabulary so filler never entity-links.
 const char* const kFiller[] = {
@@ -96,9 +133,7 @@ bool Contains(const std::vector<NodeId>& v, NodeId x) {
 
 /// Classifies the domain's articles into core / peripheral / weak strata
 /// relative to the query articles.
-void ClassifyStrata(const wiki::SyntheticWikipedia& wiki,
-                    const TrackGeneratorOptions& options, TopicPlan* plan,
-                    Rng& rng) {
+void ClassifyStrata(const wiki::SyntheticWikipedia& wiki, TopicPlan* plan) {
   const KnowledgeBase& kb = wiki.kb;
   const auto& candidates = wiki.domain_articles[plan->domain];
 
@@ -146,11 +181,11 @@ void ClassifyStrata(const wiki::SyntheticWikipedia& wiki,
                    });
 
   for (const Scored& s : scored) {
-    if (s.score >= 3.0 && plan->core.size() < options.max_core_articles) {
+    if (s.score >= 3.0 && plan->core.size() < kMaxCoreArticles) {
       plan->core.push_back(s.article);
       plan->good_scored.emplace_back(s.article, s.score);
     } else if (s.score >= 2.0 && s.score < 3.0 &&
-               plan->peripheral.size() < options.max_peripheral_articles) {
+               plan->peripheral.size() < kMaxPeripheralArticles) {
       plan->peripheral.push_back(s.article);
       plan->good_scored.emplace_back(s.article, s.score);
     }
@@ -158,7 +193,7 @@ void ClassifyStrata(const wiki::SyntheticWikipedia& wiki,
   // Weak decoys: the *least* related unassigned candidates (scored is
   // sorted descending, so walk from the back).
   for (auto it = scored.rbegin();
-       it != scored.rend() && plan->weak.size() < options.max_weak_articles;
+       it != scored.rend() && plan->weak.size() < kMaxWeakArticles;
        ++it) {
     if (it->score <= 1.5 && !Contains(plan->core, it->article) &&
         !Contains(plan->peripheral, it->article)) {
@@ -189,7 +224,6 @@ void ClassifyStrata(const wiki::SyntheticWikipedia& wiki,
       }
     }
   }
-  (void)rng;
 }
 
 /// Picks `count` mention titles from `articles` without replacement.
@@ -299,11 +333,6 @@ Result<Track> GenerateTrack(const wiki::SyntheticWikipedia& wiki,
   if (options.num_topics == 0) {
     return Status::InvalidArgument("num_topics must be positive");
   }
-  if (options.min_relevant_docs < 2 ||
-      options.min_relevant_docs > options.max_relevant_docs) {
-    return Status::InvalidArgument(
-        "relevant docs per topic must satisfy 2 <= min <= max");
-  }
 
   Track track;
   Rng rng(options.seed);
@@ -364,7 +393,7 @@ Result<Track> GenerateTrack(const wiki::SyntheticWikipedia& wiki,
       }
     }
 
-    ClassifyStrata(wiki, options, &plan, topic_rng);
+    ClassifyStrata(wiki, &plan);
 
     // Keyword string, e.g. "gondola in venice".
     Topic topic;
@@ -388,16 +417,16 @@ Result<Track> GenerateTrack(const wiki::SyntheticWikipedia& wiki,
 
     // --- Relevant documents. ---
     uint32_t num_relevant = static_cast<uint32_t>(topic_rng.UniformRange(
-        options.min_relevant_docs, options.max_relevant_docs));
+        kMinRelevantDocs, kMaxRelevantDocs));
     for (uint32_t d = 0; d < num_relevant; ++d) {
       bool core_doc =
           static_cast<double>(d) <
-          options.core_doc_fraction * static_cast<double>(num_relevant);
+          kCoreDocFraction * static_cast<double>(num_relevant);
 
       std::vector<std::string> desc;
       std::vector<std::string> captions;
       std::vector<std::string> name_mentions;
-      double ap = options.alias_mention_prob;
+      double ap = kAliasMentionProb;
       // Each relevant document is *about one* good article (its primary
       // subject, mentioned in the name, description and caption).  One
       // subject per document keeps per-title coverage low, so assembling a
@@ -410,8 +439,8 @@ Result<Track> GenerateTrack(const wiki::SyntheticWikipedia& wiki,
         captions = primary;
         name_mentions = primary;
       }
-      double query_prob = core_doc ? options.query_title_in_core_doc_prob
-                                   : options.query_title_in_tail_doc_prob;
+      double query_prob = core_doc ? kQueryTitleInCoreDocProb
+                                   : kQueryTitleInTailDocProb;
       if (topic_rng.Bernoulli(query_prob)) {
         // A document genuinely about the query subject names it both in
         // the description and in the file name (higher phrase tf than a
@@ -424,7 +453,7 @@ Result<Track> GenerateTrack(const wiki::SyntheticWikipedia& wiki,
         desc.push_back(title);
         name_mentions.push_back(title);
       }
-      if (topic_rng.Bernoulli(options.weak_in_relevant_prob) &&
+      if (topic_rng.Bernoulli(kWeakInRelevantProb) &&
           !plan.weak.empty()) {
         desc.push_back(MentionTitle(
             kb,
@@ -434,7 +463,7 @@ Result<Track> GenerateTrack(const wiki::SyntheticWikipedia& wiki,
       }
       // Cross-domain mention: puts a foreign article into L(q.D), which
       // becomes a disconnected satellite in the query graph.
-      if (topic_rng.Bernoulli(options.foreign_mention_prob) &&
+      if (topic_rng.Bernoulli(kForeignMentionProb) &&
           num_domains > 1) {
         uint32_t other = topic_rng.Uniform(num_domains);
         if (other == plan.domain) other = (other + 1) % num_domains;
@@ -453,7 +482,7 @@ Result<Track> GenerateTrack(const wiki::SyntheticWikipedia& wiki,
     }
 
     // --- Distractor documents: exact query phrases in foreign contexts. ---
-    for (uint32_t d = 0; d < options.distractors_per_topic; ++d) {
+    for (uint32_t d = 0; d < kDistractorsPerTopic; ++d) {
       std::vector<std::string> desc;
       // The query phrase itself — in the description AND the file name,
       // exactly like a genuinely relevant document (this vocabulary

@@ -25,7 +25,7 @@
 /// titles, which exercises the §2.1 rule that only the English section is
 /// linked.
 
-#include <vector>
+#include <cstdint>
 
 #include "clef/track.h"
 #include "common/result.h"
@@ -33,50 +33,14 @@
 
 namespace wqe::clef {
 
-/// \brief Generator parameters.
+/// \brief Generator parameters.  The planting knobs are fixed, as named
+/// constants in track_generator.cc.
 struct TrackGeneratorOptions {
   uint64_t seed = 7;
   uint32_t num_topics = 50;
 
-  /// Relevant documents per topic: uniform in [min, max].
-  uint32_t min_relevant_docs = 25;
-  uint32_t max_relevant_docs = 40;
-
-  /// Distractor documents per topic.
-  uint32_t distractors_per_topic = 24;
-
   /// Topic-independent background documents.
   uint32_t background_docs = 600;
-
-  /// Fraction of relevant documents that are "core" documents (the rest
-  /// are vocabulary-mismatch tail documents).
-  double core_doc_fraction = 0.45;
-
-  /// Probability a relevant document mentions a query title verbatim.
-  /// High enough that the unexpanded query has non-trivial precision —
-  /// keeping per-cycle contributions (Figures 5/9) in the paper's range
-  /// rather than exploding against a near-zero baseline.
-  double query_title_in_core_doc_prob = 0.4;
-  double query_title_in_tail_doc_prob = 0.15;
-
-  /// Probability a mention uses a redirect alias instead of the main
-  /// title (exercises the synonym-linking path).
-  double alias_mention_prob = 0.20;
-
-  /// Probability a relevant document also mentions a weak decoy.
-  double weak_in_relevant_prob = 0.30;
-
-  /// Probability a relevant document mentions one article from a *foreign*
-  /// domain.  Such articles enter L(q.D) and often X(q), but their
-  /// categories do not connect to the topic domain — producing the
-  /// disconnected satellite components the paper observes in query graphs
-  /// (Figure 3, Table 3's %size < 1).
-  double foreign_mention_prob = 0.25;
-
-  /// Strata sizes.
-  uint32_t max_core_articles = 8;
-  uint32_t max_peripheral_articles = 14;
-  uint32_t max_weak_articles = 4;
 };
 
 /// \brief Generates the full track against a synthetic knowledge base.

@@ -47,14 +47,6 @@ double Mean(const std::vector<double>& values) {
   return sum / static_cast<double>(values.size());
 }
 
-double StdDev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  double m = Mean(values);
-  double acc = 0.0;
-  for (double v : values) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values.size() - 1));
-}
-
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y) {
   if (x.size() != y.size() || x.size() < 2) return 0.0;

@@ -37,9 +37,6 @@ double PercentileSorted(const std::vector<double>& sorted, double p);
 /// \brief Arithmetic mean; 0 for empty input.
 double Mean(const std::vector<double>& values);
 
-/// \brief Sample standard deviation (n-1 denominator); 0 when n < 2.
-double StdDev(const std::vector<double>& values);
-
 /// \brief Pearson correlation of paired samples; 0 when undefined.
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y);

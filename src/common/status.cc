@@ -18,10 +18,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "IO error";
     case StatusCode::kParseError:
       return "Parse error";
-    case StatusCode::kCapacityError:
-      return "Capacity error";
-    case StatusCode::kNotImplemented:
-      return "Not implemented";
     case StatusCode::kInternal:
       return "Internal error";
     case StatusCode::kDeadlineExceeded:

@@ -16,7 +16,8 @@
 
 namespace wqe {
 
-/// \brief Machine-readable category of a failure.
+/// \brief Machine-readable category of a failure.  Retired codes leave
+/// their values unused.
 enum class StatusCode : int8_t {
   kOk = 0,
   kInvalidArgument = 1,
@@ -25,8 +26,6 @@ enum class StatusCode : int8_t {
   kOutOfRange = 4,
   kIOError = 5,
   kParseError = 6,
-  kCapacityError = 7,
-  kNotImplemented = 8,
   kInternal = 9,
   kDeadlineExceeded = 10,
   kResourceExhausted = 12,
@@ -80,14 +79,6 @@ class Status {
     return Make(StatusCode::kParseError, std::forward<Args>(args)...);
   }
   template <typename... Args>
-  static Status CapacityError(Args&&... args) {
-    return Make(StatusCode::kCapacityError, std::forward<Args>(args)...);
-  }
-  template <typename... Args>
-  static Status NotImplemented(Args&&... args) {
-    return Make(StatusCode::kNotImplemented, std::forward<Args>(args)...);
-  }
-  template <typename... Args>
   static Status Internal(Args&&... args) {
     return Make(StatusCode::kInternal, std::forward<Args>(args)...);
   }
@@ -112,10 +103,6 @@ class Status {
   bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
   bool IsIOError() const { return code_ == StatusCode::kIOError; }
   bool IsParseError() const { return code_ == StatusCode::kParseError; }
-  bool IsCapacityError() const { return code_ == StatusCode::kCapacityError; }
-  bool IsNotImplemented() const {
-    return code_ == StatusCode::kNotImplemented;
-  }
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
   bool IsDeadlineExceeded() const {
     return code_ == StatusCode::kDeadlineExceeded;

@@ -21,14 +21,6 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
-std::string ToUpper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
@@ -44,18 +36,6 @@ std::optional<uint32_t> ParseUint32(std::string_view s) {
   const auto [end, ec] = std::from_chars(trimmed.data(), last, value);
   if (trimmed.empty() || ec != std::errc() || end != last) return std::nullopt;
   return value;
-}
-
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
 }
 
 std::vector<std::string> SplitWhitespace(std::string_view s) {
@@ -77,33 +57,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
     out.append(parts[i]);
   }
   return out;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string ReplaceAll(std::string_view s, std::string_view from,
-                       std::string_view to) {
-  if (from.empty()) return std::string(s);
-  std::string out;
-  out.reserve(s.size());
-  size_t pos = 0;
-  for (;;) {
-    size_t hit = s.find(from, pos);
-    if (hit == std::string_view::npos) {
-      out.append(s.substr(pos));
-      return out;
-    }
-    out.append(s.substr(pos, hit - pos));
-    out.append(to);
-    pos = hit + from.size();
-  }
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {

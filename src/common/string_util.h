@@ -14,9 +14,6 @@ namespace wqe {
 /// \brief ASCII lowercase (non-ASCII bytes pass through unchanged).
 std::string ToLower(std::string_view s);
 
-/// \brief ASCII uppercase (non-ASCII bytes pass through unchanged).
-std::string ToUpper(std::string_view s);
-
 /// \brief Strips leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 
@@ -25,24 +22,11 @@ std::string_view Trim(std::string_view s);
 /// `x`), or is out of range.
 std::optional<uint32_t> ParseUint32(std::string_view s);
 
-/// \brief Splits on a single character; empty fields are kept.
-std::vector<std::string> Split(std::string_view s, char sep);
-
 /// \brief Splits on any run of ASCII whitespace; empty fields dropped.
 std::vector<std::string> SplitWhitespace(std::string_view s);
 
 /// \brief Joins with a separator.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// \brief True when `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
-/// \brief True when `s` ends with `suffix`.
-bool EndsWith(std::string_view s, std::string_view suffix);
-
-/// \brief Replaces every occurrence of `from` (non-empty) with `to`.
-std::string ReplaceAll(std::string_view s, std::string_view from,
-                       std::string_view to);
 
 /// \brief Case-insensitive (ASCII) equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);

@@ -30,10 +30,9 @@ const char* EdgeKindToString(EdgeKind kind) {
   return "?";
 }
 
-NodeId PropertyGraph::AddNode(NodeKind kind, std::string label) {
+NodeId PropertyGraph::AddNode(NodeKind kind) {
   NodeId id = static_cast<NodeId>(kinds_.size());
   kinds_.push_back(kind);
-  labels_.push_back(std::move(label));
   out_.emplace_back();
   in_.emplace_back();
   return id;

@@ -11,7 +11,6 @@
 /// makes the paper's length-2 cycles possible.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -59,9 +58,9 @@ class PropertyGraph {
  public:
   PropertyGraph() = default;
 
-  /// \brief Adds a node and returns its id. `label` is free-form (the wiki
-  /// layer stores normalized titles here).
-  NodeId AddNode(NodeKind kind, std::string label);
+  /// \brief Adds a node and returns its id.  Names live in the layer
+  /// above (the KB's title blobs), not here.
+  NodeId AddNode(NodeKind kind);
 
   /// \brief Adds a typed edge; validates endpoint kinds against the schema
   /// and rejects self-loops and duplicate identical edges.
@@ -74,7 +73,6 @@ class PropertyGraph {
   size_t num_edges() const { return num_edges_; }
 
   NodeKind kind(NodeId n) const { return kinds_[n]; }
-  const std::string& label(NodeId n) const { return labels_[n]; }
   bool IsArticle(NodeId n) const { return kinds_[n] == NodeKind::kArticle; }
   bool IsCategory(NodeId n) const { return kinds_[n] == NodeKind::kCategory; }
 
@@ -99,7 +97,6 @@ class PropertyGraph {
 
  private:
   std::vector<NodeKind> kinds_;
-  std::vector<std::string> labels_;
   std::vector<std::vector<Edge>> out_;
   std::vector<std::vector<Edge>> in_;
   size_t num_edges_ = 0;

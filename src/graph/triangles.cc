@@ -1,47 +1,32 @@
 #include "graph/triangles.h"
 
-#include <algorithm>
+#include <span>
 
 namespace wqe::graph {
 
-TriangleStats CountTriangles(const UndirectedView& view) {
-  const uint32_t n = view.num_nodes();
-  TriangleStats stats;
-  stats.per_node.assign(n, 0);
+namespace {
 
-  // For each node u, consider ordered neighbor pairs (v, w) with
-  // u < v < w; the triangle u-v-w is counted exactly once.
-  for (uint32_t u = 0; u < n; ++u) {
-    const auto& nu = view.Neighbors(u);
-    // neighbors > u
-    auto from = std::upper_bound(nu.begin(), nu.end(), u);
-    for (auto itv = from; itv != nu.end(); ++itv) {
-      for (auto itw = itv + 1; itw != nu.end(); ++itw) {
-        if (view.HasEdge(*itv, *itw)) {
-          ++stats.triangle_count;
-          ++stats.per_node[u];
-          ++stats.per_node[*itv];
-          ++stats.per_node[*itw];
-        }
-      }
+/// True when two neighbours of `u` are adjacent.  Rows are sorted and
+/// unique and hold no self-loop (the builder refuses them), so any such
+/// pair closes a triangle of three distinct nodes.
+bool OnTriangle(const UndirectedView& view, uint32_t u) {
+  const std::span<const uint32_t> neighbors = view.Neighbors(u);
+  for (size_t i = 0; i < neighbors.size(); ++i) {
+    for (size_t j = i + 1; j < neighbors.size(); ++j) {
+      if (view.HasEdge(neighbors[i], neighbors[j])) return true;
     }
   }
-  for (uint32_t u = 0; u < n; ++u) {
-    if (stats.per_node[u] > 0) ++stats.nodes_in_triangles;
-  }
-  stats.tpr = n == 0 ? 0.0
-                     : static_cast<double>(stats.nodes_in_triangles) /
-                           static_cast<double>(n);
-  return stats;
+  return false;
 }
+
+}  // namespace
 
 double TriangleParticipationRatio(const UndirectedView& view,
                                   const std::vector<uint32_t>& nodes) {
   if (nodes.empty()) return 0.0;
-  TriangleStats stats = CountTriangles(view);
   size_t in_triangle = 0;
   for (uint32_t u : nodes) {
-    if (stats.per_node[u] > 0) ++in_triangle;
+    if (OnTriangle(view, u)) ++in_triangle;
   }
   return static_cast<double>(in_triangle) / static_cast<double>(nodes.size());
 }

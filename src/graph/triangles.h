@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file triangles.h
-/// \brief Triangle counting and the triangle participation ratio (TPR).
+/// \brief The triangle participation ratio (TPR).
 ///
 /// §3 of the paper reports an average TPR ≈ 0.3 for the largest connected
 /// components — notable because the category graph alone is tree-like and
@@ -15,19 +15,9 @@
 
 namespace wqe::graph {
 
-/// \brief Per-view triangle statistics.
-struct TriangleStats {
-  size_t triangle_count = 0;          ///< distinct triangles
-  std::vector<uint32_t> per_node;     ///< triangles incident to each node
-  size_t nodes_in_triangles = 0;      ///< nodes with per_node > 0
-  double tpr = 0.0;                   ///< nodes_in_triangles / num_nodes
-};
-
-/// \brief Counts all triangles via neighbor-intersection on the ordered
-/// adjacency (each triangle counted once).
-TriangleStats CountTriangles(const UndirectedView& view);
-
-/// \brief TPR restricted to a node subset (e.g. a single component).
+/// \brief TPR restricted to a node subset (e.g. a single component): the
+/// fraction of `nodes` that lie on a triangle of `view`.  0 when `nodes`
+/// is empty.
 double TriangleParticipationRatio(const UndirectedView& view,
                                   const std::vector<uint32_t>& nodes);
 

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/macros.h"
-#include "common/string_util.h"
 
 namespace wqe::groundtruth {
 
@@ -106,26 +105,6 @@ Result<GroundTruth> GroundTruthBuilder::Build() const {
     gt.entries.push_back(std::move(entry));
   }
   return gt;
-}
-
-std::string WriteGroundTruth(const GroundTruth& gt,
-                             const wiki::KnowledgeBase& kb) {
-  std::string out;
-  for (const GroundTruthEntry& e : gt.entries) {
-    std::vector<std::string> titles;
-    for (NodeId a : e.xq.selected) titles.emplace_back(kb.display_title(a));
-    out += std::to_string(e.topic_id);
-    out += "\t";
-    out += e.keywords;
-    out += "\t";
-    out += Join(titles, ";");
-    out += "\t";
-    out += FormatDouble(e.xq.quality, 4);
-    out += "\t";
-    out += FormatDouble(e.xq.baseline_quality, 4);
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace wqe::groundtruth

@@ -57,10 +57,4 @@ class GroundTruthBuilder {
   XqOptimizerOptions xq_options_;
 };
 
-/// \brief Serializes ground truth as text: one line per topic,
-/// `id <TAB> keywords <TAB> title;title;... <TAB> quality <TAB> baseline`.
-/// (The paper published its ground truth in a similar flat format.)
-std::string WriteGroundTruth(const GroundTruth& gt,
-                             const wiki::KnowledgeBase& kb);
-
 }  // namespace wqe::groundtruth

@@ -1,7 +1,6 @@
 #include "ir/eval.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace wqe::ir {
 
@@ -23,60 +22,11 @@ double PrecisionAtR(const std::vector<ScoredDoc>& results,
 }
 
 double AverageTopRPrecision(const std::vector<ScoredDoc>& results,
-                            const RelevantSet& relevant,
-                            const std::vector<size_t>& cutoffs) {
-  if (cutoffs.empty()) return 0.0;
+                            const RelevantSet& relevant) {
+  const std::vector<size_t>& cutoffs = PaperRankCutoffs();
   double sum = 0.0;
   for (size_t r : cutoffs) sum += PrecisionAtR(results, relevant, r);
   return sum / static_cast<double>(cutoffs.size());
-}
-
-double AverageTopRPrecision(const std::vector<ScoredDoc>& results,
-                            const RelevantSet& relevant) {
-  return AverageTopRPrecision(results, relevant, PaperRankCutoffs());
-}
-
-double RecallAtR(const std::vector<ScoredDoc>& results,
-                 const RelevantSet& relevant, size_t r) {
-  if (relevant.empty()) return 0.0;
-  size_t hits = 0;
-  size_t upto = std::min(r, results.size());
-  for (size_t i = 0; i < upto; ++i) {
-    if (relevant.count(results[i].doc)) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(relevant.size());
-}
-
-double AveragePrecision(const std::vector<ScoredDoc>& results,
-                        const RelevantSet& relevant) {
-  if (relevant.empty()) return 0.0;
-  double sum = 0.0;
-  size_t hits = 0;
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (relevant.count(results[i].doc)) {
-      ++hits;
-      sum += static_cast<double>(hits) / static_cast<double>(i + 1);
-    }
-  }
-  return sum / static_cast<double>(relevant.size());
-}
-
-double NdcgAtR(const std::vector<ScoredDoc>& results,
-               const RelevantSet& relevant, size_t r) {
-  if (relevant.empty() || r == 0) return 0.0;
-  double dcg = 0.0;
-  size_t upto = std::min(r, results.size());
-  for (size_t i = 0; i < upto; ++i) {
-    if (relevant.count(results[i].doc)) {
-      dcg += 1.0 / std::log2(static_cast<double>(i) + 2.0);
-    }
-  }
-  double idcg = 0.0;
-  size_t ideal = std::min(r, relevant.size());
-  for (size_t i = 0; i < ideal; ++i) {
-    idcg += 1.0 / std::log2(static_cast<double>(i) + 2.0);
-  }
-  return idcg == 0.0 ? 0.0 : dcg / idcg;
 }
 
 }  // namespace wqe::ir

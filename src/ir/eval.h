@@ -9,7 +9,8 @@
 ///
 /// where P(A, r, D) = |T(A,r) ∩ D| / r is top-r precision of the results
 /// obtained by querying with the titles of A against expected set D.
-/// MAP and nDCG are provided for the extended benchmarks.
+/// These two are the only measures the paper reports, so the only ones
+/// here.
 
 #include <unordered_set>
 #include <vector>
@@ -34,23 +35,5 @@ double PrecisionAtR(const std::vector<ScoredDoc>& results,
 /// \brief O(A, D): mean of P over the paper's cutoffs (Equation 1).
 double AverageTopRPrecision(const std::vector<ScoredDoc>& results,
                             const RelevantSet& relevant);
-
-/// \brief O over custom cutoffs.
-double AverageTopRPrecision(const std::vector<ScoredDoc>& results,
-                            const RelevantSet& relevant,
-                            const std::vector<size_t>& cutoffs);
-
-/// \brief Recall at rank r.
-double RecallAtR(const std::vector<ScoredDoc>& results,
-                 const RelevantSet& relevant, size_t r);
-
-/// \brief Average precision (area under the P-R curve, standard MAP
-/// component). 0 when `relevant` is empty.
-double AveragePrecision(const std::vector<ScoredDoc>& results,
-                        const RelevantSet& relevant);
-
-/// \brief Binary nDCG at rank r (log2 discounting).
-double NdcgAtR(const std::vector<ScoredDoc>& results,
-               const RelevantSet& relevant, size_t r);
 
 }  // namespace wqe::ir

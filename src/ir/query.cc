@@ -1,6 +1,5 @@
 #include "ir/query.h"
 
-#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace wqe::ir {
@@ -24,12 +23,6 @@ QueryNode QueryNode::Combine(std::vector<QueryNode> children) {
   n.kind = Kind::kCombine;
   n.children = std::move(children);
   return n;
-}
-
-QueryNode QueryNode::PhraseFromText(std::string_view text) {
-  std::vector<std::string> words = SplitWhitespace(ToLower(text));
-  if (words.size() == 1) return Term(words[0]);
-  return Phrase(std::move(words));
 }
 
 QueryNode QueryNode::CombinePhrases(const std::vector<std::string>& texts) {
@@ -68,123 +61,6 @@ std::string QueryNode::ToString() const {
     }
   }
   return "";
-}
-
-namespace {
-
-/// Recursive-descent parser over a token cursor.
-class Parser {
- public:
-  explicit Parser(std::string_view input) : input_(input) {}
-
-  Result<QueryNode> Parse() {
-    SkipSpace();
-    WQE_ASSIGN_OR_RETURN(QueryNode root, ParseNode());
-    SkipSpace();
-    if (pos_ != input_.size()) {
-      return Status::ParseError("trailing input at offset ", pos_, ": '",
-                                input_.substr(pos_), "'");
-    }
-    return root;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < input_.size() &&
-           (input_[pos_] == ' ' || input_[pos_] == '\t' ||
-            input_[pos_] == '\n' || input_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool ConsumeLiteral(std::string_view lit) {
-    if (input_.size() - pos_ < lit.size()) return false;
-    if (input_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  Result<std::string> ParseWord() {
-    size_t start = pos_;
-    while (pos_ < input_.size()) {
-      char c = input_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '(' ||
-          c == ')' || c == '#') {
-        break;
-      }
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Status::ParseError("expected a term at offset ", start);
-    }
-    return ToLower(input_.substr(start, pos_ - start));
-  }
-
-  Result<QueryNode> ParseNode() {
-    SkipSpace();
-    if (pos_ >= input_.size()) {
-      return Status::ParseError("unexpected end of query");
-    }
-    if (input_[pos_] == '#') {
-      if (ConsumeLiteral("#combine(")) {
-        std::vector<QueryNode> children;
-        for (;;) {
-          SkipSpace();
-          if (pos_ < input_.size() && input_[pos_] == ')') {
-            ++pos_;
-            break;
-          }
-          WQE_ASSIGN_OR_RETURN(QueryNode child, ParseNode());
-          children.push_back(std::move(child));
-        }
-        if (children.empty()) {
-          return Status::ParseError("#combine requires at least one child");
-        }
-        return QueryNode::Combine(std::move(children));
-      }
-      if (ConsumeLiteral("#1(")) {
-        std::vector<std::string> terms;
-        for (;;) {
-          SkipSpace();
-          if (pos_ < input_.size() && input_[pos_] == ')') {
-            ++pos_;
-            break;
-          }
-          WQE_ASSIGN_OR_RETURN(std::string word, ParseWord());
-          terms.push_back(std::move(word));
-        }
-        if (terms.empty()) {
-          return Status::ParseError("#1 requires at least one term");
-        }
-        if (terms.size() == 1) return QueryNode::Term(terms[0]);
-        return QueryNode::Phrase(std::move(terms));
-      }
-      return Status::ParseError("unknown operator at offset ", pos_, ": '",
-                                input_.substr(pos_, 12), "'");
-    }
-    WQE_ASSIGN_OR_RETURN(std::string word, ParseWord());
-    return QueryNode::Term(word);
-  }
-
-  std::string_view input_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-Result<QueryNode> ParseQuery(std::string_view input) {
-  // Bare multi-term queries ("graffiti street art") are implicitly wrapped
-  // in #combine, matching INDRI's behaviour.
-  Parser single(input);
-  auto direct = single.Parse();
-  if (direct.ok()) return direct;
-
-  // Try: sequence of nodes → #combine.
-  std::string wrapped = "#combine(" + std::string(input) + ")";
-  Parser multi(wrapped);
-  auto combined = multi.Parse();
-  if (combined.ok()) return combined;
-  return direct.status();  // report the original error
 }
 
 }  // namespace wqe::ir

@@ -1,24 +1,23 @@
 #pragma once
 
 /// \file query.h
-/// \brief INDRI-subset structured query language.
+/// \brief The INDRI-subset query tree the paper's queries are built as.
 ///
 /// The paper evaluates expansion-feature sets by writing INDRI queries
-/// "based on exact phrase matching" from article titles (§2.2).  The subset
-/// implemented here is what that needs:
+/// "based on exact phrase matching" from article titles (§2.2).
+/// `CombinePhrases` builds that query from a list of titles; the tree has
+/// the shape
 ///
 ///   query    := node
 ///   node     := term | '#1(' term+ ')' | '#combine(' node+ ')'
 ///
 /// `#1(...)` is INDRI's ordered-window-1 operator (exact phrase);
-/// `#combine(...)` averages the log-beliefs of its children.
+/// `#combine(...)` averages the log-beliefs of its children.  Nothing
+/// parses this syntax; `ToString` renders a tree in it for display.
 
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "common/result.h"
-#include "common/status.h"
 
 namespace wqe::ir {
 
@@ -35,7 +34,7 @@ struct QueryNode {
   std::vector<std::string> phrase;       ///< kPhrase: raw terms in order
   std::vector<QueryNode> children;       ///< kCombine
 
-  /// \brief Renders the node back to INDRI syntax.
+  /// \brief Renders the node in INDRI syntax.
   std::string ToString() const;
 
   /// \name Factories
@@ -44,19 +43,13 @@ struct QueryNode {
   static QueryNode Phrase(std::vector<std::string> terms);
   static QueryNode Combine(std::vector<QueryNode> children);
 
-  /// \brief Phrase node from free text (tokenized on whitespace); a single
-  /// word becomes a plain term.  This is how article titles are turned into
-  /// exact-phrase subqueries.
-  static QueryNode PhraseFromText(std::string_view text);
-
-  /// \brief `#combine` over `PhraseFromText` of every string: the paper's
-  /// query construction for a set of titles (keywords + expansion
-  /// features).  Empty inputs are skipped.
+  /// \brief `#combine` over one child per string: the paper's query
+  /// construction for a set of titles (keywords + expansion features).
+  /// Each text is lowercased and split on whitespace; a single word
+  /// becomes a term, more words an exact phrase.  Empty inputs are
+  /// skipped.
   static QueryNode CombinePhrases(const std::vector<std::string>& texts);
   /// @}
 };
-
-/// \brief Parses INDRI-subset syntax into an AST.
-Result<QueryNode> ParseQuery(std::string_view input);
 
 }  // namespace wqe::ir

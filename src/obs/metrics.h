@@ -3,10 +3,11 @@
 /// \file metrics.h
 /// \brief Process-wide metrics: named, labeled instruments + exporters.
 ///
-/// The serving stack's visibility layer (ROADMAP item 5's SLO records and
-/// the per-stage timing every later item — snapshot republish, sharded
-/// serving, incremental updates — will report through).  Three instrument
-/// kinds live in a `MetricsRegistry`:
+/// The serving stack's visibility layer: the per-stage timings, work
+/// volumes (ball nodes, cycles visited and accepted) and SLO records that
+/// requests, snapshot loads and publishes report, and that the benches and
+/// servebench read back.  Three instrument kinds live in a
+/// `MetricsRegistry`:
 ///
 ///   - `Counter`   — monotonic, relaxed-atomic `Inc` (wait-free);
 ///   - `Gauge`     — last-value double, atomic `Set`;

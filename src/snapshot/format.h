@@ -21,22 +21,20 @@
 ///   │ payload sections, each 8-byte aligned, zero-padded between │
 ///   └────────────────────────────────────────────────────────────┘
 ///
-/// Integrity: every section carries a checksum of its payload bytes —
-/// XXH64 (`Xxh64`, seed 0) from version 2 on, FNV-1a (`HashBytes`) in
-/// version 1; the file checksum folds the per-section checksums together
-/// in table order (`Hasher`); the header checksum is FNV-1a over the
-/// header's own fields in every version.  The reader rejects bad magic,
-/// endianness mismatch, versions newer than it knows, truncation,
-/// out-of-bounds or misaligned section table entries, and checksum
-/// mismatches — each with a precise `Status`, never UB.
+/// Integrity: every section carries an XXH64 checksum (`Xxh64`, seed 0)
+/// of its payload bytes; the file checksum folds the per-section
+/// checksums together in table order (`Hasher`); the header checksum is
+/// FNV-1a (`HashBytes`) over the header's own fields.  The reader rejects
+/// bad magic, endianness mismatch, any version but `kFormatVersion`,
+/// truncation, out-of-bounds or misaligned section table entries, and
+/// checksum mismatches — each with a precise `Status`, never UB.
 ///
 /// Compatibility policy: `kFormatVersion` bumps on any layout or checksum
-/// change.  Readers accept exactly the versions they know how to parse
-/// and reject newer files ("future version") rather than guessing; old
-/// readers therefore fail cleanly on new files, and new readers keep a
-/// back-compat path per old version.  Versions 1 and 2 share the layout
-/// below byte for byte and differ only in the section checksum, so this
-/// reader still opens version-1 files, verifying them with FNV-1a.
+/// change, and a reader opens exactly the version its writer writes.  A
+/// newer file is refused as a "future version" rather than guessed at; an
+/// older one is refused with a request to rewrite it.  Every snapshot is
+/// derived from a dump or from the generator, so rewriting one is always
+/// possible, and no reader carries a back-compat path.
 
 #include <cstdint>
 
@@ -45,7 +43,7 @@ namespace wqe::snapshot {
 /// "WQESNAP\x01" as a little-endian u64 — doubles as a byte-order probe.
 inline constexpr uint64_t kMagic = 0x0150414e53455157ULL;
 
-/// The version this code writes.  It reads every version from 1 up.
+/// The version this code writes, and the only one it reads.
 inline constexpr uint32_t kFormatVersion = 2;
 
 /// Endianness tag: written as the native value of this constant; a reader
@@ -121,7 +119,7 @@ struct SectionEntry {
   uint64_t offset = 0;     ///< absolute file offset, kSectionAlignment-ed
   uint64_t count = 0;      ///< elements
   uint64_t size_bytes = 0; ///< == count * elem_size
-  uint64_t checksum = 0;   ///< over the payload bytes: XXH64 (v1: FNV-1a)
+  uint64_t checksum = 0;   ///< XXH64 over the payload bytes
 };
 static_assert(sizeof(SectionEntry) == 40, "on-disk section entry drifted");
 

@@ -142,10 +142,16 @@ Status Reader::Validate() {
     return Corrupt(path_,
                    "endianness mismatch (written on a foreign byte order)");
   }
-  if (header.version == 0 || header.version > kFormatVersion) {
+  if (header.version > kFormatVersion) {
     return CorruptF(path_, "format version ", header.version,
                     " is newer than the supported version ", kFormatVersion,
                     " (future-version files are refused, not guessed at)");
+  }
+  if (header.version != kFormatVersion) {
+    return CorruptF(path_, "format version ", header.version,
+                    " is older than the supported version ", kFormatVersion,
+                    " and is no longer read; rewrite the file with the "
+                    "current writer");
   }
   const uint64_t header_checksum =
       HashBytes(bytes_.data(), offsetof(FileHeader, header_checksum));
@@ -225,14 +231,9 @@ Status Reader::Validate() {
   }
 
   // --- Layer 3: payload checksums (every byte touched — the expensive
-  // layer).  The section checksum is the one thing that differs between
-  // format versions 1 and 2 (see format.h). ---
+  // layer). ---
   for (const SectionEntry& e : sections_) {
-    const std::byte* payload = bytes_.data() + e.offset;
-    const uint64_t actual = header.version == 1
-                                ? HashBytes(payload, e.size_bytes)
-                                : Xxh64(payload, e.size_bytes);
-    if (actual != e.checksum) {
+    if (Xxh64(bytes_.data() + e.offset, e.size_bytes) != e.checksum) {
       return CorruptF(path_, "section '",
                       SectionName(static_cast<SectionId>(e.id)),
                       "' checksum mismatch (corrupted payload)");

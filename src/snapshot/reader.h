@@ -13,15 +13,13 @@
 ///
 /// Validation is layered so a corrupt or version-skewed file is rejected
 /// with a precise `Status` and can never cause UB:
-///  1. header: magic, endianness tag, known version ("future version"
-///     files are refused, see format.h), header checksum, declared size;
+///  1. header: magic, endianness tag, exactly `kFormatVersion` (newer
+///     and older files are both refused, see format.h), header checksum,
+///     declared size;
 ///  2. section table: known ids, exactly one of each, declared element
 ///     sizes, 8-byte alignment, overflow-safe in-bounds extents;
-///  3. payload checksums: every section's, then the file checksum.  A
-///     version-2 file is verified with XXH64 and a version-1 file with
-///     FNV-1a, the hash each was sealed with; this is the only step that
-///     depends on the version.  XXH64 reads the 27 MB servebench
-///     snapshot in about 5 ms, FNV-1a in about 40;
+///  3. payload checksums: every section's XXH64, then the file checksum.
+///     XXH64 reads the 27 MB servebench snapshot in about 5 ms;
 ///  4. structural shape: offset arrays are zero-based, monotone and end
 ///     at their row-array sizes; every edge endpoint and redirect target
 ///     is a valid node id — the properties span/row arithmetic relies on.

@@ -180,7 +180,7 @@ Result<NodeId> KnowledgeBase::AddEntry(graph::NodeKind kind,
                                  "' already exists as node ",
                                  title_slots_[slot]);
   }
-  NodeId id = builder_->AddNode(kind, {});
+  NodeId id = builder_->AddNode(kind);
   OwnedNames& names = *owned_names_;
   names.label_bytes.insert(names.label_bytes.end(), label.begin(),
                            label.end());

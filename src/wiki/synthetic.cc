@@ -14,6 +14,59 @@ namespace {
 /// Words per domain vocabulary chunk.
 constexpr size_t kWordsPerDomain = 8;
 
+/// Articles per domain: uniform in [min, max].
+constexpr uint32_t kMinArticlesPerDomain = 28;
+constexpr uint32_t kMaxArticlesPerDomain = 56;
+
+/// Categories per domain: uniform in [min, max]; arranged as a tree.
+/// Generous counts keep query graphs category-dominated, as the paper
+/// observes on real Wikipedia (Table 3: ~78% categories).
+constexpr uint32_t kMinCategoriesPerDomain = 16;
+constexpr uint32_t kMaxCategoriesPerDomain = 28;
+
+/// Top-level categories shared by all domains.
+constexpr uint32_t kNumRootCategories = 5;
+
+/// Out-links per article: 2 + Zipf(kLinkZipfN, kLinkZipfS).  The
+/// exponent is calibrated against the *corrected* rejection-inversion
+/// sampler (p(k) ∝ 1/(k+1)^s): s = 2.4 keeps the mean extra fanout ~0.6
+/// so tail articles stay link-sparse and the planted hub structure —
+/// not background link noise — dominates short cycles, as on real
+/// Wikipedia.
+constexpr uint32_t kLinkZipfN = 9;
+constexpr double kLinkZipfS = 2.4;
+
+/// Popularity-bias exponent for link targets: half of all links aim at
+/// a Zipf(num_articles, kLinkTargetS) rank, concentrating in-links on
+/// the domain hubs.
+constexpr double kLinkTargetS = 1.6;
+
+/// Probability that an ordinary link is reciprocated (creates a
+/// length-2 cycle).  Together with the planted hub partnerships below
+/// this calibrates the global reciprocal-pair rate to the paper's
+/// measured 11.47%.
+constexpr double kReciprocalLinkProb = 0.02;
+
+/// Mutual-link partners planted per hub article (hubs are the first
+/// `kHubCount` articles of a domain).  Real Wikipedia's reciprocal pairs
+/// concentrate among related prominent articles ("Venice" ↔ "Grand
+/// Canal"), which is what makes length-2 cycles informative.
+constexpr uint32_t kHubMutualPartners = 1;
+constexpr uint32_t kHubCount = 8;
+
+/// Probability an article gets one extra cross-domain link.
+constexpr double kCrossDomainLinkProb = 0.08;
+
+/// Probability an article belongs to a category of another domain.
+constexpr double kCrossDomainCategoryProb = 0.04;
+
+/// Extra categories per article beyond the mandatory one:
+/// article belongs to 1 + Binomial(4, kExtraCategoryProb) categories.
+constexpr double kExtraCategoryProb = 0.5;
+
+/// Probability an article has ≥1 redirect alias (then 1–2 aliases).
+constexpr double kRedirectProb = 0.30;
+
 /// Composes an article title; `rank` steers hubs (low ranks) to short,
 /// iconic theme-word titles.  Tail articles draw mostly from the domain's
 /// *extra* vocabulary (pseudo-words disjoint from every theme word), so
@@ -62,24 +115,13 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
   if (options.num_domains == 0) {
     return Status::InvalidArgument("num_domains must be positive");
   }
-  if (options.min_articles_per_domain < 3 ||
-      options.min_articles_per_domain > options.max_articles_per_domain) {
-    return Status::InvalidArgument(
-        "articles per domain must satisfy 3 <= min <= max");
-  }
-  if (options.min_categories_per_domain < 1 ||
-      options.min_categories_per_domain > options.max_categories_per_domain) {
-    return Status::InvalidArgument(
-        "categories per domain must satisfy 1 <= min <= max");
-  }
 
   SyntheticWikipedia wiki;
-  wiki.options = options;
   Rng rng(options.seed);
 
   // --- Top-level categories shared across domains. ---
   std::vector<NodeId> roots;
-  for (uint32_t r = 0; r < options.num_root_categories; ++r) {
+  for (uint32_t r = 0; r < kNumRootCategories; ++r) {
     WQE_ASSIGN_OR_RETURN(
         NodeId c, wiki.kb.AddCategory("main topic " + std::to_string(r + 1)));
     roots.push_back(c);
@@ -101,7 +143,7 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
 
     // --- Categories: a tree rooted at the domain root category. ---
     uint32_t num_cats = static_cast<uint32_t>(domain_rng.UniformRange(
-        options.min_categories_per_domain, options.max_categories_per_domain));
+        kMinCategoriesPerDomain, kMaxCategoriesPerDomain));
     std::vector<NodeId>& cats = wiki.domain_categories[d];
     for (uint32_t c = 0; c < num_cats; ++c) {
       std::string name = ComposeCategoryName(words, c, domain_rng);
@@ -128,7 +170,7 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
 
     // --- Articles. ---
     uint32_t num_articles = static_cast<uint32_t>(domain_rng.UniformRange(
-        options.min_articles_per_domain, options.max_articles_per_domain));
+        kMinArticlesPerDomain, kMaxArticlesPerDomain));
     std::vector<NodeId>& articles = wiki.domain_articles[d];
     for (uint32_t a = 0; a < num_articles; ++a) {
       std::string title = ComposeTitle(words, extra, a, domain_rng);
@@ -150,7 +192,7 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
           static_cast<uint32_t>(cats.size()), 1.1);
       WQE_RETURN_NOT_OK(wiki.kb.AddBelongs(a, cats[primary]));
       for (int extra = 0; extra < 4; ++extra) {
-        if (!domain_rng.Bernoulli(options.extra_category_prob)) continue;
+        if (!domain_rng.Bernoulli(kExtraCategoryProb)) continue;
         uint32_t c = domain_rng.Uniform(static_cast<uint32_t>(cats.size()));
         if (c != primary) {
           Status st = wiki.kb.AddBelongs(a, cats[c]);
@@ -171,7 +213,7 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
     // expansion features and whose pairs close length-2 cycles.  Remaining
     // hubs get one mutual partner each.
     uint32_t hubs = std::min<uint32_t>(
-        options.hub_count, static_cast<uint32_t>(articles.size()));
+        kHubCount, static_cast<uint32_t>(articles.size()));
     auto add_mutual = [&](NodeId a, NodeId b) -> Status {
       Status fwd = wiki.kb.AddLink(a, b);
       if (!fwd.ok() && !fwd.IsAlreadyExists()) return fwd;
@@ -186,7 +228,7 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
     }
     if (hubs >= 2) {
       for (uint32_t h = 3; h < hubs; ++h) {
-        for (uint32_t p = 0; p < options.hub_mutual_partners; ++p) {
+        for (uint32_t p = 0; p < kHubMutualPartners; ++p) {
           uint32_t other = link_rng.Uniform(hubs);
           if (other == h) continue;
           WQE_RETURN_NOT_OK(add_mutual(articles[h], articles[other]));
@@ -199,8 +241,7 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
       // real Wikipedia) — which is precisely why naive per-link expansion
       // drowns in weakly related neighbors.
       uint32_t base_fanout = idx < hubs ? 8 : 2;
-      uint32_t fanout = base_fanout + link_rng.Zipf(options.link_zipf_n,
-                                                    options.link_zipf_s);
+      uint32_t fanout = base_fanout + link_rng.Zipf(kLinkZipfN, kLinkZipfS);
       for (uint32_t l = 0; l < fanout; ++l) {
         // Half the links are popularity-biased (hubs attract most links);
         // the rest land anywhere — article link lists mix prominent
@@ -208,18 +249,18 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
         uint32_t target_rank =
             link_rng.Bernoulli(0.5)
                 ? link_rng.Zipf(static_cast<uint32_t>(articles.size()),
-                                options.link_target_s)
+                                kLinkTargetS)
                 : link_rng.Uniform(static_cast<uint32_t>(articles.size()));
         NodeId dst = articles[target_rank];
         if (dst == src) continue;
         Status st = wiki.kb.AddLink(src, dst);
         if (!st.ok() && !st.IsAlreadyExists()) return st;
-        if (st.ok() && link_rng.Bernoulli(options.reciprocal_link_prob)) {
+        if (st.ok() && link_rng.Bernoulli(kReciprocalLinkProb)) {
           Status back = wiki.kb.AddLink(dst, src);
           if (!back.ok() && !back.IsAlreadyExists()) return back;
         }
       }
-      if (link_rng.Bernoulli(options.cross_domain_link_prob) &&
+      if (link_rng.Bernoulli(kCrossDomainLinkProb) &&
           options.num_domains > 1) {
         uint32_t other;
         do {
@@ -227,12 +268,12 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
         } while (other == d);
         const auto& others = wiki.domain_articles[other];
         NodeId dst = others[link_rng.Zipf(
-            static_cast<uint32_t>(others.size()), options.link_target_s)];
+            static_cast<uint32_t>(others.size()), kLinkTargetS)];
         Status st = wiki.kb.AddLink(src, dst);
         if (!st.ok() && !st.IsAlreadyExists()) return st;
       }
       // Rare cross-domain category membership.
-      if (link_rng.Bernoulli(options.cross_domain_category_prob) &&
+      if (link_rng.Bernoulli(kCrossDomainCategoryProb) &&
           options.num_domains > 1) {
         uint32_t other;
         do {
@@ -253,7 +294,7 @@ Result<SyntheticWikipedia> GenerateSyntheticWikipedia(
         VocabularySlice(static_cast<size_t>(d) * kWordsPerDomain,
                         kWordsPerDomain);
     for (NodeId a : wiki.domain_articles[d]) {
-      if (!redirect_rng.Bernoulli(options.redirect_prob)) continue;
+      if (!redirect_rng.Bernoulli(kRedirectProb)) continue;
       uint32_t aliases = 1 + (redirect_rng.Bernoulli(0.25) ? 1 : 0);
       for (uint32_t k = 0; k < aliases; ++k) {
         // Alias styles: "old <title>", "<title> the <word>", "<w> <title>".

@@ -55,8 +55,6 @@ TEST(StatusTest, AllCodesRoundTripThroughToString) {
   EXPECT_TRUE(Status::OutOfRange("x").IsOutOfRange());
   EXPECT_TRUE(Status::IOError("x").IsIOError());
   EXPECT_TRUE(Status::ParseError("x").IsParseError());
-  EXPECT_TRUE(Status::CapacityError("x").IsCapacityError());
-  EXPECT_TRUE(Status::NotImplemented("x").IsNotImplemented());
   EXPECT_TRUE(Status::Internal("x").IsInternal());
   EXPECT_TRUE(Status::DeadlineExceeded("x").IsDeadlineExceeded());
   EXPECT_TRUE(Status::ResourceExhausted("x").IsResourceExhausted());
@@ -271,9 +269,8 @@ TEST(RngTest, ForkProducesIndependentStreams) {
 
 // ----------------------------------------------------------- string_util
 
-TEST(StringUtilTest, ToLowerUpper) {
+TEST(StringUtilTest, ToLower) {
   EXPECT_EQ(ToLower("Hello World 42"), "hello world 42");
-  EXPECT_EQ(ToUpper("hello"), "HELLO");
 }
 
 TEST(StringUtilTest, Trim) {
@@ -281,13 +278,6 @@ TEST(StringUtilTest, Trim) {
   EXPECT_EQ(Trim("\t\nab\r "), "ab");
   EXPECT_EQ(Trim(""), "");
   EXPECT_EQ(Trim("   "), "");
-}
-
-TEST(StringUtilTest, SplitKeepsEmptyFields) {
-  auto parts = Split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[3], "");
 }
 
 TEST(StringUtilTest, SplitWhitespaceDropsEmpty) {
@@ -298,18 +288,9 @@ TEST(StringUtilTest, SplitWhitespaceDropsEmpty) {
   EXPECT_TRUE(SplitWhitespace("   ").empty());
 }
 
-TEST(StringUtilTest, JoinAndReplace) {
+TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(ReplaceAll("aXbXc", "X", "--"), "a--b--c");
-  EXPECT_EQ(ReplaceAll("aaa", "aa", "b"), "ba");
-}
-
-TEST(StringUtilTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("category:foo", "category:"));
-  EXPECT_FALSE(StartsWith("cat", "category:"));
-  EXPECT_TRUE(EndsWith("image.jpg", ".jpg"));
-  EXPECT_FALSE(EndsWith("jpg", "image.jpg"));
 }
 
 TEST(StringUtilTest, EqualsIgnoreCase) {
@@ -427,11 +408,9 @@ TEST(StatsTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(PercentileSorted(sorted, 0.25), 2.5);
 }
 
-TEST(StatsTest, MeanAndStdDev) {
+TEST(StatsTest, Mean) {
   EXPECT_DOUBLE_EQ(Mean({1, 2, 3, 4}), 2.5);
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);
-  EXPECT_NEAR(StdDev({2, 4, 4, 4, 5, 5, 7, 9}), 2.138, 0.001);
-  EXPECT_DOUBLE_EQ(StdDev({1}), 0.0);
 }
 
 TEST(StatsTest, PearsonCorrelation) {

@@ -30,7 +30,7 @@ namespace {
 PropertyGraph CompleteArticleGraph(uint32_t n) {
   PropertyGraph g;
   for (uint32_t i = 0; i < n; ++i) {
-    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+    g.AddNode(NodeKind::kArticle);
   }
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
@@ -64,8 +64,8 @@ TEST(CycleEnumeratorTest, TriangleFoundOnce) {
 
 TEST(CycleEnumeratorTest, TwoCycleNeedsParallelEdges) {
   PropertyGraph g;
-  NodeId a = g.AddNode(NodeKind::kArticle, "a");
-  NodeId b = g.AddNode(NodeKind::kArticle, "b");
+  NodeId a = g.AddNode(NodeKind::kArticle);
+  NodeId b = g.AddNode(NodeKind::kArticle);
   ASSERT_TRUE(g.AddEdge(a, b, EdgeKind::kLink).ok());
   {
     CsrGraph csr = CsrGraph::Freeze(g);
@@ -88,8 +88,8 @@ TEST(CycleEnumeratorTest, RedirectNeverClosesCycle) {
   // Redirect r -> a plus link a -> r would be a parallel pair, but the
   // redirect edge is excluded from the cycle view (paper §4).
   PropertyGraph g;
-  NodeId a = g.AddNode(NodeKind::kArticle, "a");
-  NodeId r = g.AddNode(NodeKind::kArticle, "r");
+  NodeId a = g.AddNode(NodeKind::kArticle);
+  NodeId r = g.AddNode(NodeKind::kArticle);
   ASSERT_TRUE(g.AddEdge(r, a, EdgeKind::kRedirect).ok());
   ASSERT_TRUE(g.AddEdge(a, r, EdgeKind::kLink).ok());
   CsrGraph csr = CsrGraph::Freeze(g);
@@ -144,7 +144,7 @@ TEST(CycleEnumeratorTest, SeedFilterKeepsOnlyTouchingCycles) {
   // Two disjoint triangles; seed in the first.
   PropertyGraph g;
   for (int i = 0; i < 6; ++i) {
-    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+    g.AddNode(NodeKind::kArticle);
   }
   for (auto [u, v] : {std::pair{0, 1}, {1, 2}, {0, 2},
                       {3, 4}, {4, 5}, {3, 5}}) {
@@ -235,9 +235,9 @@ TEST(CycleEnumeratorTest, MixedArticleCategoryCycle) {
   // The paper's Figure 4(b) shape: venice - grand canal - palazzo bembo
   // via links and a shared category forms length-3 cycles.
   PropertyGraph g;
-  NodeId q = g.AddNode(NodeKind::kArticle, "venice");
-  NodeId x = g.AddNode(NodeKind::kArticle, "grand canal");
-  NodeId c = g.AddNode(NodeKind::kCategory, "canals");
+  NodeId q = g.AddNode(NodeKind::kArticle);
+  NodeId x = g.AddNode(NodeKind::kArticle);
+  NodeId c = g.AddNode(NodeKind::kCategory);
   ASSERT_TRUE(g.AddEdge(q, x, EdgeKind::kLink).ok());
   ASSERT_TRUE(g.AddEdge(q, c, EdgeKind::kBelongs).ok());
   ASSERT_TRUE(g.AddEdge(x, c, EdgeKind::kBelongs).ok());
@@ -264,9 +264,9 @@ TEST(CycleMetricsTest, MaxEdgesFormula) {
 TEST(CycleMetricsTest, DenseTriangleWithCategory) {
   // a <-> b mutual links; both belong to c: E=4, M=4, density 1.
   PropertyGraph g;
-  NodeId a = g.AddNode(NodeKind::kArticle, "a");
-  NodeId b = g.AddNode(NodeKind::kArticle, "b");
-  NodeId c = g.AddNode(NodeKind::kCategory, "c");
+  NodeId a = g.AddNode(NodeKind::kArticle);
+  NodeId b = g.AddNode(NodeKind::kArticle);
+  NodeId c = g.AddNode(NodeKind::kCategory);
   ASSERT_TRUE(g.AddEdge(a, b, EdgeKind::kLink).ok());
   ASSERT_TRUE(g.AddEdge(b, a, EdgeKind::kLink).ok());
   ASSERT_TRUE(g.AddEdge(a, c, EdgeKind::kBelongs).ok());
@@ -286,10 +286,10 @@ TEST(CycleMetricsTest, DenseTriangleWithCategory) {
 TEST(CycleMetricsTest, PlainCategoryBridgedFourCycleHasZeroDensity) {
   // q - c1 - x - c2 - q with no chords: E = |C| = 4 → density 0.
   PropertyGraph g;
-  NodeId q = g.AddNode(NodeKind::kArticle, "q");
-  NodeId x = g.AddNode(NodeKind::kArticle, "x");
-  NodeId c1 = g.AddNode(NodeKind::kCategory, "c1");
-  NodeId c2 = g.AddNode(NodeKind::kCategory, "c2");
+  NodeId q = g.AddNode(NodeKind::kArticle);
+  NodeId x = g.AddNode(NodeKind::kArticle);
+  NodeId c1 = g.AddNode(NodeKind::kCategory);
+  NodeId c2 = g.AddNode(NodeKind::kCategory);
   ASSERT_TRUE(g.AddEdge(q, c1, EdgeKind::kBelongs).ok());
   ASSERT_TRUE(g.AddEdge(x, c1, EdgeKind::kBelongs).ok());
   ASSERT_TRUE(g.AddEdge(q, c2, EdgeKind::kBelongs).ok());
@@ -306,10 +306,10 @@ TEST(CycleMetricsTest, PlainCategoryBridgedFourCycleHasZeroDensity) {
 TEST(CycleMetricsTest, ChordRaisesDensity) {
   // Same 4-cycle plus c1 inside c2: one extra edge → density 1/3.
   PropertyGraph g;
-  NodeId q = g.AddNode(NodeKind::kArticle, "q");
-  NodeId x = g.AddNode(NodeKind::kArticle, "x");
-  NodeId c1 = g.AddNode(NodeKind::kCategory, "c1");
-  NodeId c2 = g.AddNode(NodeKind::kCategory, "c2");
+  NodeId q = g.AddNode(NodeKind::kArticle);
+  NodeId x = g.AddNode(NodeKind::kArticle);
+  NodeId c1 = g.AddNode(NodeKind::kCategory);
+  NodeId c2 = g.AddNode(NodeKind::kCategory);
   ASSERT_TRUE(g.AddEdge(q, c1, EdgeKind::kBelongs).ok());
   ASSERT_TRUE(g.AddEdge(x, c1, EdgeKind::kBelongs).ok());
   ASSERT_TRUE(g.AddEdge(q, c2, EdgeKind::kBelongs).ok());
@@ -324,8 +324,8 @@ TEST(CycleMetricsTest, ChordRaisesDensity) {
 
 TEST(CycleMetricsTest, TwoCycleDensityGuard) {
   PropertyGraph g;
-  NodeId a = g.AddNode(NodeKind::kArticle, "a");
-  NodeId b = g.AddNode(NodeKind::kArticle, "b");
+  NodeId a = g.AddNode(NodeKind::kArticle);
+  NodeId b = g.AddNode(NodeKind::kArticle);
   ASSERT_TRUE(g.AddEdge(a, b, EdgeKind::kLink).ok());
   ASSERT_TRUE(g.AddEdge(b, a, EdgeKind::kLink).ok());
   Cycle cycle;
@@ -338,8 +338,8 @@ TEST(CycleMetricsTest, TwoCycleDensityGuard) {
 
 TEST(CycleMetricsTest, RedirectEdgesExcludedFromInducedCount) {
   PropertyGraph g;
-  NodeId a = g.AddNode(NodeKind::kArticle, "a");
-  NodeId b = g.AddNode(NodeKind::kArticle, "b");
+  NodeId a = g.AddNode(NodeKind::kArticle);
+  NodeId b = g.AddNode(NodeKind::kArticle);
   ASSERT_TRUE(g.AddEdge(a, b, EdgeKind::kLink).ok());
   ASSERT_TRUE(g.AddEdge(b, a, EdgeKind::kRedirect).ok());
   EXPECT_EQ(CountInducedEdges(CsrGraph::Freeze(g), {a, b}), 1u);
@@ -352,12 +352,12 @@ TEST(CycleMetricsTest, BallScorerMatchesOracleOnMutualAndRedirectPairs) {
   // the redirect excluded).  Node x sits outside the subset view, so its
   // local ids differ from the global ones.
   PropertyGraph g;
-  NodeId x = g.AddNode(NodeKind::kArticle, "x");
-  NodeId a = g.AddNode(NodeKind::kArticle, "a");
-  NodeId b = g.AddNode(NodeKind::kArticle, "b");
-  NodeId d = g.AddNode(NodeKind::kArticle, "d");
-  NodeId c1 = g.AddNode(NodeKind::kCategory, "c1");
-  NodeId c2 = g.AddNode(NodeKind::kCategory, "c2");
+  NodeId x = g.AddNode(NodeKind::kArticle);
+  NodeId a = g.AddNode(NodeKind::kArticle);
+  NodeId b = g.AddNode(NodeKind::kArticle);
+  NodeId d = g.AddNode(NodeKind::kArticle);
+  NodeId c1 = g.AddNode(NodeKind::kCategory);
+  NodeId c2 = g.AddNode(NodeKind::kCategory);
   ASSERT_TRUE(g.AddEdge(a, b, EdgeKind::kLink).ok());
   ASSERT_TRUE(g.AddEdge(b, a, EdgeKind::kLink).ok());
   ASSERT_TRUE(g.AddEdge(c1, c2, EdgeKind::kInside).ok());
@@ -402,7 +402,7 @@ TEST(CycleMetricsTest, BallScorerMatchesOracleOnMutualAndRedirectPairs) {
 TEST(ReciprocalLinkRateTest, CountsMutualFraction) {
   PropertyGraph g;
   for (int i = 0; i < 4; ++i) {
-    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+    g.AddNode(NodeKind::kArticle);
   }
   // Pairs: (0,1) mutual, (0,2) single, (1,3) single → rate 1/3.
   ASSERT_TRUE(g.AddEdge(0, 1, EdgeKind::kLink).ok());
@@ -426,10 +426,10 @@ PropertyGraph SkewedSchemaGraph(uint64_t seed, uint32_t num_articles,
   Rng rng(seed);
   PropertyGraph g;
   for (uint32_t i = 0; i < num_articles; ++i) {
-    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+    g.AddNode(NodeKind::kArticle);
   }
   for (uint32_t i = 0; i < num_categories; ++i) {
-    g.AddNode(NodeKind::kCategory, "c" + std::to_string(i));
+    g.AddNode(NodeKind::kCategory);
   }
   const uint32_t n = num_articles + num_categories;
   auto skewed = [&] {
@@ -474,9 +474,7 @@ PropertyGraph SkewedGraphWithPendants(uint64_t seed, uint32_t num_articles,
   for (uint32_t anchor = 0; anchor < core; anchor += 4) {
     NodeId prev = anchor;
     for (int hop = 0; hop < 3; ++hop) {
-      NodeId leaf = g.AddNode(NodeKind::kArticle,
-                              "p" + std::to_string(anchor) + "_" +
-                                  std::to_string(hop));
+      NodeId leaf = g.AddNode(NodeKind::kArticle);
       if (g.IsArticle(prev)) {
         EXPECT_TRUE(g.AddEdge(prev, leaf, EdgeKind::kLink).ok());
       } else {
@@ -637,10 +635,10 @@ PropertyGraph UniformSchemaGraph(uint64_t seed, uint32_t num_articles,
   Rng rng(seed);
   PropertyGraph g;
   for (uint32_t i = 0; i < num_articles; ++i) {
-    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+    g.AddNode(NodeKind::kArticle);
   }
   for (uint32_t i = 0; i < num_categories; ++i) {
-    g.AddNode(NodeKind::kCategory, "c" + std::to_string(i));
+    g.AddNode(NodeKind::kCategory);
   }
   const uint32_t n = num_articles + num_categories;
   for (uint32_t e = 0; e < num_edges; ++e) {
@@ -762,7 +760,7 @@ TEST(OrderExactReferenceTest, SeedAtTheCutBoundaryStillCloses) {
   // cycle must still be emitted.
   PropertyGraph g;
   for (int i = 0; i < 5; ++i) {
-    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+    g.AddNode(NodeKind::kArticle);
   }
   for (auto [u, v] : {std::pair{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}) {
     ASSERT_TRUE(g.AddEdge(u, v, EdgeKind::kLink).ok());
@@ -793,7 +791,7 @@ PropertyGraph WordBoundaryGraph(uint64_t seed, uint32_t n,
   PropertyGraph g;
   std::vector<uint32_t> hot;
   for (uint32_t i = 0; i < n; ++i) {
-    g.AddNode(NodeKind::kArticle, "a" + std::to_string(i));
+    g.AddNode(NodeKind::kArticle);
     if ((i >= 60 && (i % 64 >= 60 || i % 64 < 4)) || i + 4 >= n) {
       hot.push_back(i);
     }

@@ -1,6 +1,6 @@
 /// \file ir_test.cc
 /// \brief Tests for the retrieval engine: store, frozen index, query
-/// language, scoring (differentially against the map-based oracle,
+/// tree, scoring (differentially against the map-based oracle,
 /// `InvertedIndex` + `QueryEvaluator`) and evaluation metrics.
 
 #include <gtest/gtest.h>
@@ -22,6 +22,9 @@
 
 namespace wqe::ir {
 namespace {
+
+/// The query-tree factories, spelled short for the test queries below.
+using Q = QueryNode;
 
 // ----------------------------------------------------------- DocumentStore
 
@@ -263,76 +266,28 @@ TEST(IndexStopwordPositionTest, PhraseMatchesAcrossStopwords) {
   EXPECT_NE((*results)[1].doc, 2u);
 }
 
-// ------------------------------------------------------------ Query parser
-
-TEST(QueryParserTest, ParsesTermPhraseCombine) {
-  auto q = ParseQuery("#combine(venice #1(grand canal) gondola)");
-  ASSERT_TRUE(q.ok()) << q.status();
-  ASSERT_EQ(q->kind, QueryNode::Kind::kCombine);
-  ASSERT_EQ(q->children.size(), 3u);
-  EXPECT_EQ(q->children[0].kind, QueryNode::Kind::kTerm);
-  EXPECT_EQ(q->children[0].term, "venice");
-  EXPECT_EQ(q->children[1].kind, QueryNode::Kind::kPhrase);
-  ASSERT_EQ(q->children[1].phrase.size(), 2u);
-  EXPECT_EQ(q->children[1].phrase[1], "canal");
-}
-
-TEST(QueryParserTest, BareTermsImplicitlyCombined) {
-  auto q = ParseQuery("graffiti street art");
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->kind, QueryNode::Kind::kCombine);
-  EXPECT_EQ(q->children.size(), 3u);
-}
-
-TEST(QueryParserTest, SingleTermStaysTerm) {
-  auto q = ParseQuery("venice");
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->kind, QueryNode::Kind::kTerm);
-}
-
-TEST(QueryParserTest, SingleWordPhraseCollapses) {
-  auto q = ParseQuery("#1(venice)");
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->kind, QueryNode::Kind::kTerm);
-}
-
-TEST(QueryParserTest, NestedCombine) {
-  auto q = ParseQuery("#combine(#combine(a b) c)");
-  ASSERT_TRUE(q.ok());
-  ASSERT_EQ(q->children.size(), 2u);
-  EXPECT_EQ(q->children[0].kind, QueryNode::Kind::kCombine);
-}
-
-TEST(QueryParserTest, Lowercases) {
-  auto q = ParseQuery("#1(Grand CANAL)");
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->phrase[0], "grand");
-  EXPECT_EQ(q->phrase[1], "canal");
-}
-
-TEST(QueryParserTest, Errors) {
-  EXPECT_FALSE(ParseQuery("").ok());
-  EXPECT_FALSE(ParseQuery("#combine()").ok());
-  EXPECT_FALSE(ParseQuery("#1()").ok());
-  EXPECT_FALSE(ParseQuery("#unknown(a)").ok());
-  EXPECT_FALSE(ParseQuery("#combine(a").ok());
-}
+// -------------------------------------------------------------- Query tree
 
 TEST(QueryNodeTest, ToStringRoundTrip) {
-  auto q = ParseQuery("#combine(venice #1(grand canal))");
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->ToString(), "#combine(venice #1(grand canal))");
-  auto q2 = ParseQuery(q->ToString());
-  ASSERT_TRUE(q2.ok());
-  EXPECT_EQ(q2->ToString(), q->ToString());
+  const QueryNode q =
+      Q::Combine({Q::Term("venice"), Q::Phrase({"grand", "canal"})});
+  EXPECT_EQ(q.ToString(), "#combine(venice #1(grand canal))");
+  EXPECT_EQ(Q::Combine({q, Q::Term("gondola")}).ToString(),
+            "#combine(#combine(venice #1(grand canal)) gondola)");
+  // The paper's title query renders the same tree.
+  EXPECT_EQ(QueryNode::CombinePhrases({"Venice", "Grand Canal"}).ToString(),
+            q.ToString());
 }
 
 TEST(QueryNodeTest, CombinePhrasesBuildsTitleQuery) {
-  QueryNode q = QueryNode::CombinePhrases({"Venice", "Grand Canal", ""});
+  QueryNode q =
+      QueryNode::CombinePhrases({"Venice", "Grand  CANAL", "", " \t"});
   ASSERT_EQ(q.kind, QueryNode::Kind::kCombine);
   ASSERT_EQ(q.children.size(), 2u);
   EXPECT_EQ(q.children[0].kind, QueryNode::Kind::kTerm);
+  EXPECT_EQ(q.children[0].term, "venice");
   EXPECT_EQ(q.children[1].kind, QueryNode::Kind::kPhrase);
+  EXPECT_EQ(q.children[1].phrase, (std::vector<std::string>{"grand", "canal"}));
 }
 
 // ----------------------------------------------------------------- Scoring
@@ -352,7 +307,7 @@ class ScoringTest : public ::testing::Test {
 };
 
 TEST_F(ScoringTest, ExactPhraseBeatsScatteredWords) {
-  auto results = engine_.Search(*ParseQuery("#1(grand canal)"), 3);
+  auto results = engine_.Search(Q::Phrase({"grand", "canal"}), 3);
   ASSERT_TRUE(results.ok());
   ASSERT_GE(results->size(), 1u);
   EXPECT_EQ(results->front().doc, 0u);
@@ -367,7 +322,7 @@ TEST_F(ScoringTest, TermQueryRanksByTf) {
   ASSERT_TRUE(engine.AddDocument("a", "canal canal canal").ok());
   ASSERT_TRUE(engine.AddDocument("b", "canal boat boat").ok());
   ASSERT_TRUE(engine.Finalize().ok());
-  auto results = engine.Search(*ParseQuery("canal"), 2);
+  auto results = engine.Search(Q::Term("canal"), 2);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 2u);
   EXPECT_EQ(results->front().doc, 0u);
@@ -380,13 +335,14 @@ TEST_F(ScoringTest, CombineAveragesAcrossLeaves) {
   ASSERT_TRUE(engine.AddDocument("both", "gondola venice").ok());
   ASSERT_TRUE(engine.AddDocument("one", "gondola mountain").ok());
   ASSERT_TRUE(engine.Finalize().ok());
-  auto results = engine.Search(*ParseQuery("#combine(gondola venice)"), 2);
+  auto results =
+      engine.Search(Q::Combine({Q::Term("gondola"), Q::Term("venice")}), 2);
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->front().doc, 0u);
 }
 
 TEST_F(ScoringTest, PureStopwordQueryFails) {
-  auto results = engine_.Search(*ParseQuery("#combine(the of)"), 5);
+  auto results = engine_.Search(Q::Combine({Q::Term("the"), Q::Term("of")}), 5);
   EXPECT_TRUE(results.status().IsInvalidArgument());
 }
 
@@ -395,14 +351,14 @@ TEST_F(ScoringTest, DeterministicTieBreakByDocId) {
   ASSERT_TRUE(engine.AddDocument("x", "canal").ok());
   ASSERT_TRUE(engine.AddDocument("y", "canal").ok());
   ASSERT_TRUE(engine.Finalize().ok());
-  auto results = engine.Search(*ParseQuery("canal"), 2);
+  auto results = engine.Search(Q::Term("canal"), 2);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 2u);
   EXPECT_LT(results->front().doc, results->back().doc);
 }
 
 TEST_F(ScoringTest, TopKTruncates) {
-  auto results = engine_.Search(*ParseQuery("canal"), 1);
+  auto results = engine_.Search(Q::Term("canal"), 1);
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 1u);
 }
@@ -419,7 +375,7 @@ TEST_F(ScoringTest, TieBreakIsStableAcrossRepeatedEvaluations) {
         engine.AddDocument("doc" + std::to_string(i), "gondola pier").ok());
   }
   ASSERT_TRUE(engine.Finalize().ok());
-  auto first = engine.Search(*ParseQuery("gondola"), 25);  // cut inside the tie
+  auto first = engine.Search(Q::Term("gondola"), 25);  // cut inside the tie
   ASSERT_TRUE(first.ok());
   ASSERT_EQ(first->size(), 25u);
   for (size_t i = 1; i < first->size(); ++i) {
@@ -427,7 +383,7 @@ TEST_F(ScoringTest, TieBreakIsStableAcrossRepeatedEvaluations) {
     EXPECT_GT((*first)[i].doc, (*first)[i - 1].doc);
   }
   for (int round = 0; round < 3; ++round) {
-    auto again = engine.Search(*ParseQuery("gondola"), 25);
+    auto again = engine.Search(Q::Term("gondola"), 25);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again, *first) << "round " << round;
   }
@@ -478,11 +434,9 @@ void ExpectOracleRanking(const SearchEngine& engine, const Oracle& oracle,
 }
 
 void ExpectOracleRanking(const SearchEngine& engine, const Oracle& oracle,
-                         std::string_view query_text) {
-  auto query = ParseQuery(query_text);
-  ASSERT_TRUE(query.ok()) << query.status();
+                         const QueryNode& query) {
   for (size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{1000}}) {
-    ExpectOracleRanking(engine, oracle, *query, k);
+    ExpectOracleRanking(engine, oracle, query, k);
   }
 }
 
@@ -576,41 +530,57 @@ class OracleEdgeCaseTest : public ::testing::Test {
 
 TEST_F(OracleEdgeCaseTest, RepeatedTermPhrases) {
   Oracle oracle(engine_);
-  ExpectOracleRanking(engine_, oracle, "#1(venice venice)");
-  ExpectOracleRanking(engine_, oracle, "#1(venice venice venice)");
-  ExpectOracleRanking(engine_, oracle, "#1(canal grand canal)");  // overlaps
-  ExpectOracleRanking(engine_, oracle, "#1(canal grand canal grand canal)");
-  ExpectOracleRanking(engine_, oracle, "#1(grand canal grand canal)");
-  ExpectOracleRanking(engine_, oracle, "#1(canal grand canal canal)");
-  ExpectOracleRanking(engine_, oracle, "#combine(#1(venice venice) gondola)");
+  for (const QueryNode& query : {
+           Q::Phrase({"venice", "venice"}),
+           Q::Phrase({"venice", "venice", "venice"}),
+           Q::Phrase({"canal", "grand", "canal"}),  // overlaps
+           Q::Phrase({"canal", "grand", "canal", "grand", "canal"}),
+           Q::Phrase({"grand", "canal", "grand", "canal"}),
+           Q::Phrase({"canal", "grand", "canal", "canal"}),
+           Q::Combine({Q::Phrase({"venice", "venice"}), Q::Term("gondola")}),
+       }) {
+    ExpectOracleRanking(engine_, oracle, query);
+  }
 }
 
 TEST_F(OracleEdgeCaseTest, PhrasesSpanningStopwords) {
   Oracle oracle(engine_);
-  ExpectOracleRanking(engine_, oracle, "#1(bridge of sighs)");
-  ExpectOracleRanking(engine_, oracle, "#1(canal of venice)");
-  ExpectOracleRanking(engine_, oracle, "#1(the bridge of the sighs)");
+  for (const QueryNode& query : {
+           Q::Phrase({"bridge", "of", "sighs"}),
+           Q::Phrase({"canal", "of", "venice"}),
+           Q::Phrase({"the", "bridge", "of", "the", "sighs"}),
+       }) {
+    ExpectOracleRanking(engine_, oracle, query);
+  }
 }
 
 TEST_F(OracleEdgeCaseTest, OutOfVocabularyTerms) {
   Oracle oracle(engine_);
-  ExpectOracleRanking(engine_, oracle, "zzz");
-  ExpectOracleRanking(engine_, oracle, "#combine(zzz venice)");
-  ExpectOracleRanking(engine_, oracle, "#1(zzz venice)");
-  ExpectOracleRanking(engine_, oracle, "#1(grand zzz canal)");
-  ExpectOracleRanking(engine_, oracle, "#combine(#1(grand zzz) canal)");
+  for (const QueryNode& query : {
+           Q::Term("zzz"),
+           Q::Combine({Q::Term("zzz"), Q::Term("venice")}),
+           Q::Phrase({"zzz", "venice"}),
+           Q::Phrase({"grand", "zzz", "canal"}),
+           Q::Combine({Q::Phrase({"grand", "zzz"}), Q::Term("canal")}),
+       }) {
+    ExpectOracleRanking(engine_, oracle, query);
+  }
 }
 
 TEST_F(OracleEdgeCaseTest, StopwordAndDuplicateLeaves) {
   Oracle oracle(engine_);
-  ExpectOracleRanking(engine_, oracle, "#combine(the venice)");
-  ExpectOracleRanking(engine_, oracle, "#combine(#1(the of) gondola)");
-  ExpectOracleRanking(engine_, oracle, "#combine(the of)");  // both fail
-  ExpectOracleRanking(engine_, oracle, "#1(the of)");
-  ExpectOracleRanking(engine_, oracle, "#combine(venice venice)");
-  ExpectOracleRanking(engine_, oracle,
-                      "#combine(#1(grand canal) #1(grand canal) venice)");
-  ExpectOracleRanking(engine_, oracle, "#combine(#combine(canal) canal)");
+  for (const QueryNode& query : {
+           Q::Combine({Q::Term("the"), Q::Term("venice")}),
+           Q::Combine({Q::Phrase({"the", "of"}), Q::Term("gondola")}),
+           Q::Combine({Q::Term("the"), Q::Term("of")}),  // both fail
+           Q::Phrase({"the", "of"}),
+           Q::Combine({Q::Term("venice"), Q::Term("venice")}),
+           Q::Combine({Q::Phrase({"grand", "canal"}),
+                       Q::Phrase({"grand", "canal"}), Q::Term("venice")}),
+           Q::Combine({Q::Combine({Q::Term("canal")}), Q::Term("canal")}),
+       }) {
+    ExpectOracleRanking(engine_, oracle, query);
+  }
 }
 
 TEST(OracleRankingTest, TiesCutAtK) {
@@ -623,20 +593,20 @@ TEST(OracleRankingTest, TiesCutAtK) {
   }
   ASSERT_TRUE(engine.Finalize().ok());
   Oracle oracle(engine);
-  auto query = ParseQuery("#combine(gondola pier)");
-  ASSERT_TRUE(query.ok());
+  const QueryNode query = Q::Combine({Q::Term("gondola"), Q::Term("pier")});
   for (size_t k : {size_t{0}, size_t{1}, size_t{13}, size_t{14}, size_t{25},
                    size_t{40}, size_t{41}}) {
-    ExpectOracleRanking(engine, oracle, *query, k);
+    ExpectOracleRanking(engine, oracle, query, k);
   }
 }
 
 // ------------------------------------------------------- prepared queries
 
 TEST_F(OracleEdgeCaseTest, PrepareMarksOovAndDropsStopwordLeaves) {
-  auto query = ParseQuery("#combine(the #1(grand zzz canal) venice #1(of the))");
-  ASSERT_TRUE(query.ok());
-  auto prepared = engine_.Prepare(*query);
+  const QueryNode query =
+      Q::Combine({Q::Term("the"), Q::Phrase({"grand", "zzz", "canal"}),
+                  Q::Term("venice"), Q::Phrase({"of", "the"})});
+  auto prepared = engine_.Prepare(query);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   EXPECT_EQ(prepared->index_id, engine_.index().id());
   ASSERT_EQ(prepared->num_leaves(), 2u);
@@ -649,12 +619,12 @@ TEST_F(OracleEdgeCaseTest, PrepareMarksOovAndDropsStopwordLeaves) {
   EXPECT_EQ(std::vector<TermId>(term.begin(), term.end()),
             (std::vector<TermId>{index.Lookup("venic")}));
   // Preparing once and ranking many times is the same as ranking the AST.
-  EXPECT_EQ(*engine_.Search(*prepared, 5), *engine_.Search(*query, 5));
+  EXPECT_EQ(*engine_.Search(*prepared, 5), *engine_.Search(query, 5));
 }
 
 TEST_F(OracleEdgeCaseTest, QueryPreparedElsewhereIsRejected) {
-  auto query = ParseQuery("#combine(venice #1(grand canal))");
-  ASSERT_TRUE(query.ok());
+  const QueryNode query =
+      Q::Combine({Q::Term("venice"), Q::Phrase({"grand", "canal"})});
   EXPECT_TRUE(engine_.Search(PreparedQuery{}, 5).status().IsInvalidArgument());
 
   // Same collection, separate build: its ids are not this engine's.
@@ -663,13 +633,13 @@ TEST_F(OracleEdgeCaseTest, QueryPreparedElsewhereIsRejected) {
     ASSERT_TRUE(other.AddDocument(doc.name, doc.text).ok());
   }
   ASSERT_TRUE(other.Finalize().ok());
-  auto foreign = other.Prepare(*query);
+  auto foreign = other.Prepare(query);
   ASSERT_TRUE(foreign.ok());
   EXPECT_NE(foreign->index_id, engine_.index().id());
   EXPECT_TRUE(engine_.Search(*foreign, 5).status().IsInvalidArgument());
 
   // A query with this index's id but a broken shape fails cleanly.
-  auto prepared = engine_.Prepare(*query);
+  auto prepared = engine_.Prepare(query);
   ASSERT_TRUE(prepared.ok());
   PreparedQuery bad_term = *prepared;
   bad_term.terms[0] = static_cast<TermId>(engine_.index().num_terms());
@@ -682,7 +652,7 @@ TEST_F(OracleEdgeCaseTest, QueryPreparedElsewhereIsRejected) {
   EXPECT_TRUE(engine_.Search(empty_leaf, 5).status().IsInvalidArgument());
 
   SearchEngine unfinalized;
-  EXPECT_TRUE(unfinalized.Prepare(*query).status().IsInvalidArgument());
+  EXPECT_TRUE(unfinalized.Prepare(query).status().IsInvalidArgument());
   EXPECT_TRUE(
       unfinalized.Search(PreparedQuery{}, 5).status().IsInvalidArgument());
 }
@@ -747,7 +717,7 @@ TEST(SearchConcurrencyTest, FourThreadsMatchSequentialBitForBit) {
 
 TEST(SearchEngineTest, LifecycleErrors) {
   SearchEngine engine;
-  EXPECT_TRUE(engine.Search(*ParseQuery("x"), 5).status().IsInvalidArgument());
+  EXPECT_TRUE(engine.Search(Q::Term("x"), 5).status().IsInvalidArgument());
   EXPECT_TRUE(engine.Finalize().IsInvalidArgument());  // no docs
   ASSERT_TRUE(engine.AddDocument("d", "text").ok());
   ASSERT_TRUE(engine.Finalize().ok());
@@ -784,31 +754,6 @@ TEST_F(EvalTest, Equation1AveragesCutoffs) {
   double expected =
       (1.0 + 3.0 / 5.0 + 3.0 / 10.0 + 3.0 / 15.0) / 4.0;
   EXPECT_DOUBLE_EQ(AverageTopRPrecision(results_, relevant_), expected);
-  EXPECT_DOUBLE_EQ(
-      AverageTopRPrecision(results_, relevant_, {1}), 1.0);
-  EXPECT_DOUBLE_EQ(AverageTopRPrecision(results_, relevant_, {}), 0.0);
-}
-
-TEST_F(EvalTest, RecallAtR) {
-  EXPECT_DOUBLE_EQ(RecallAtR(results_, relevant_, 5), 3.0 / 4.0);
-  EXPECT_DOUBLE_EQ(RecallAtR(results_, {}, 5), 0.0);
-}
-
-TEST_F(EvalTest, AveragePrecision) {
-  // Hits at ranks 1, 3, 5: AP = (1/1 + 2/3 + 3/5) / 4.
-  double expected = (1.0 + 2.0 / 3.0 + 3.0 / 5.0) / 4.0;
-  EXPECT_NEAR(AveragePrecision(results_, relevant_), expected, 1e-12);
-  EXPECT_DOUBLE_EQ(AveragePrecision(results_, {}), 0.0);
-}
-
-TEST_F(EvalTest, NdcgBounds) {
-  double ndcg = NdcgAtR(results_, relevant_, 10);
-  EXPECT_GT(ndcg, 0.0);
-  EXPECT_LE(ndcg, 1.0);
-  // Perfect ranking of a single relevant doc.
-  std::vector<ScoredDoc> perfect = {{5, 1.0}};
-  EXPECT_DOUBLE_EQ(NdcgAtR(perfect, {5}, 1), 1.0);
-  EXPECT_DOUBLE_EQ(NdcgAtR(perfect, {}, 5), 0.0);
 }
 
 TEST(PaperCutoffsTest, MatchesPaper) {

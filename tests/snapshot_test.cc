@@ -3,15 +3,17 @@
 /// (Freeze → Write → Read is bit-identical on every CSR array),
 /// corruption rejection (truncation, bad magic, future versions, flipped
 /// payload bytes, hostile section tables, and structurally bad payloads
-/// resealed with valid checksums — each a clean `Status`, never UB),
-/// format versions 1 and 2 each verified with their own section hash, a
-/// seeded mutation fuzzer over `Reader::Open`, cache generation stamps,
+/// resealed with valid checksums — each a clean `Status`, never UB), the
+/// one readable format version, a seeded mutation fuzzer over
+/// `Reader::Open` with plain-loop oracles, cache generation stamps,
 /// and hot republish into a live `serve::Server` (the race case is
 /// meant to run under ThreadSanitizer — `ci.sh tsan` builds this suite
 /// with `-fsanitize=thread`).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -205,7 +207,7 @@ TEST(SnapshotRoundTripTest, EngineOverLoadedSnapshotAnswersIdentically) {
 
 // ----------------------------------------------------------- corruption
 
-/// A section checksum: each format version has its own.
+/// A section checksum: XXH64 is the current format's, FNV-1a version 1's.
 using SectionHash = uint64_t (*)(const void* data, size_t size);
 uint64_t Fnv1aSection(const void* data, size_t size) {  // version 1
   return HashBytes(data, size);
@@ -265,7 +267,9 @@ class SnapshotCorruptionTest : public ::testing::Test {
   /// layer and reaches the structural checks: recomputes every section's
   /// checksum over its table extent, then the file checksum folded from
   /// them in table order, then the header checksum (FNV-1a in every
-  /// version).  The table itself must still be in bounds.
+  /// version).  The table itself must still be in bounds; an entry whose
+  /// extent leaves the file keeps its checksum, since layer 2 refuses it
+  /// before any checksum is read.
   static void Reseal(std::vector<std::byte>* bytes, SectionHash hash) {
     FileHeader header;
     std::memcpy(&header, bytes->data(), sizeof(header));
@@ -273,7 +277,10 @@ class SnapshotCorruptionTest : public ::testing::Test {
     for (uint32_t i = 0; i < header.section_count; ++i) {
       SectionEntry entry;
       std::memcpy(&entry, bytes->data() + EntryOffset(i), sizeof(entry));
-      entry.checksum = hash(bytes->data() + entry.offset, entry.size_bytes);
+      if (entry.size_bytes <= bytes->size() &&
+          entry.offset <= bytes->size() - entry.size_bytes) {
+        entry.checksum = hash(bytes->data() + entry.offset, entry.size_bytes);
+      }
       std::memcpy(bytes->data() + EntryOffset(i), &entry, sizeof(entry));
       file_hash.Add(entry.checksum);
     }
@@ -333,24 +340,95 @@ class SnapshotCorruptionTest : public ::testing::Test {
     return info_->sections[EntryIndex(id)];
   }
 
-  /// The elements of section `id` in `bytes` (laid out as the valid
-  /// file's table says).
+  /// The `entry.count` elements of type T that `entry` places in `bytes`.
   template <typename T>
   static std::vector<T> Elements(const std::vector<std::byte>& bytes,
-                                 SectionId id) {
-    const SectionInfo& section = Section(id);
-    EXPECT_EQ(section.elem_size, sizeof(T)) << section.name;
-    std::vector<T> values(section.count);
-    std::memcpy(values.data(), bytes.data() + section.offset,
-                section.size_bytes);
+                                 const SectionEntry& entry) {
+    std::vector<T> values(entry.count);
+    std::memcpy(values.data(), bytes.data() + entry.offset,
+                entry.count * sizeof(T));
     return values;
   }
 
-  /// The oracle for layer 4's element checks: the first bad element a
-  /// plain loop finds in the five offset arrays, the three endpoint
-  /// arrays and redirect_target of `bytes`, in the reader's order and
-  /// worded as the reader words it; empty when every element is good.
-  static std::string FirstBadElement(const std::vector<std::byte>& bytes) {
+  /// The oracle for layers 2 and 4, on a file with the valid header whose
+  /// checksums are resealed, so that layers 1 and 3 pass: the reader's
+  /// first objection, found by plain loops over the file's own section
+  /// table and payload, in the reader's order and worded as the reader
+  /// words it; empty when the file must be accepted.  Element sizes come
+  /// from the valid file's table, that is, from the writer.
+  static std::string OracleVerdict(const std::vector<std::byte>& bytes) {
+    using std::to_string;
+    const uint64_t size = bytes.size();
+    std::array<SectionEntry, kNumSections> table{};  // by id
+    std::array<bool, kNumSections> seen{};
+    for (size_t i = 0; i < kNumSections; ++i) {
+      SectionEntry e;
+      std::memcpy(&e, bytes.data() + EntryOffset(i), sizeof(e));
+      if (e.id >= kNumSections) {
+        return "section table entry " + to_string(i) + " has unknown id " +
+               to_string(e.id);
+      }
+      const auto id = static_cast<SectionId>(e.id);
+      const std::string name = std::string("section '") + SectionName(id) +
+                               "'";
+      if (seen[e.id]) return "duplicate " + name;
+      seen[e.id] = true;
+      const uint32_t elem_size = Section(id).elem_size;
+      if (e.elem_size != elem_size) {
+        return name + " declares element size " + to_string(e.elem_size) +
+               ", expected " + to_string(elem_size);
+      }
+      if (e.offset % 8 != 0) {
+        return name + " is misaligned (offset " + to_string(e.offset) + ")";
+      }
+      if (e.size_bytes > size || e.offset > size - e.size_bytes) {
+        return name + " extends past end of file (offset " +
+               to_string(e.offset) + ", size " + to_string(e.size_bytes) +
+               ")";
+      }
+      if (e.size_bytes % elem_size != 0 ||
+          e.size_bytes / elem_size != e.count) {
+        return name + " count/size disagree (count " + to_string(e.count) +
+               ", size " + to_string(e.size_bytes) + ")";
+      }
+      table[e.id] = e;
+    }
+    // Sixteen entries with sixteen distinct known ids: none is missing.
+    auto entry = [&](SectionId id) -> const SectionEntry& {
+      return table[static_cast<size_t>(id)];
+    };
+
+    if (entry(SectionId::kMeta).count != kMetaFieldCount) {
+      return "meta section holds " + to_string(entry(SectionId::kMeta).count) +
+             " fields, expected " + to_string(kMetaFieldCount);
+    }
+    const std::vector<uint64_t> meta =
+        Elements<uint64_t>(bytes, entry(SectionId::kMeta));
+    const uint64_t n = meta[kMetaNumNodes];
+    const uint64_t e = meta[kMetaNumEdges];
+    if (n >= graph::kInvalidNode) {
+      return "node count " + to_string(n) + " exceeds the NodeId space";
+    }
+    const std::pair<SectionId, uint64_t> kCounts[] = {
+        {SectionId::kNodeKinds, n},      {SectionId::kRedirectTarget, n},
+        {SectionId::kOutOffsets, n + 1}, {SectionId::kOutTargets, e},
+        {SectionId::kOutKinds, e},       {SectionId::kInOffsets, n + 1},
+        {SectionId::kInSources, e},      {SectionId::kInKinds, e},
+        {SectionId::kUndOffsets, n + 1}, {SectionId::kLabelOffsets, n + 1},
+        {SectionId::kDisplayOffsets, n + 1},
+    };
+    for (const auto& [id, expected] : kCounts) {
+      if (entry(id).count != expected) {
+        return std::string("section '") + SectionName(id) + "' holds " +
+               to_string(entry(id).count) + " elements, expected " +
+               to_string(expected);
+      }
+    }
+    if (entry(SectionId::kUndNeighbors).count !=
+        entry(SectionId::kUndMult).count) {
+      return "und_neighbors and und_mult are not parallel arrays";
+    }
+
     const struct {
       SectionId offsets;
       SectionId rows;
@@ -363,37 +441,38 @@ class SnapshotCorruptionTest : public ::testing::Test {
     };
     for (const auto& [id, rows] : kOffsetArrays) {
       const std::string name = SectionName(id);
-      const std::vector<uint64_t> offsets = Elements<uint64_t>(bytes, id);
+      const std::vector<uint64_t> offsets =
+          Elements<uint64_t>(bytes, entry(id));
       if (offsets[0] != 0) return name + " does not start at 0";
       for (size_t i = 1; i < offsets.size(); ++i) {
         if (offsets[i] < offsets[i - 1]) {
-          return name + " is not monotone at index " + std::to_string(i);
+          return name + " is not monotone at index " + to_string(i);
         }
       }
-      if (offsets.back() != Section(rows).count) {
-        return name + " ends at " + std::to_string(offsets.back()) +
-               " but its row array holds " +
-               std::to_string(Section(rows).count) + " elements";
+      if (offsets.back() != entry(rows).count) {
+        return name + " ends at " + to_string(offsets.back()) +
+               " but its row array holds " + to_string(entry(rows).count) +
+               " elements";
       }
     }
-    const uint64_t n = info_->num_nodes;
     for (SectionId id : {SectionId::kOutTargets, SectionId::kInSources,
                          SectionId::kUndNeighbors}) {
-      const std::vector<graph::NodeId> ids = Elements<graph::NodeId>(bytes, id);
+      const std::vector<graph::NodeId> ids =
+          Elements<graph::NodeId>(bytes, entry(id));
       for (size_t i = 0; i < ids.size(); ++i) {
         if (ids[i] >= n) {
-          return std::string(SectionName(id)) + "[" + std::to_string(i) +
-                 "] = " + std::to_string(ids[i]) + " is out of node range " +
-                 std::to_string(n);
+          return std::string(SectionName(id)) + "[" + to_string(i) +
+                 "] = " + to_string(ids[i]) + " is out of node range " +
+                 to_string(n);
         }
       }
     }
     const std::vector<graph::NodeId> targets =
-        Elements<graph::NodeId>(bytes, SectionId::kRedirectTarget);
+        Elements<graph::NodeId>(bytes, entry(SectionId::kRedirectTarget));
     for (size_t i = 0; i < targets.size(); ++i) {
       if (targets[i] >= n && targets[i] != graph::kInvalidNode) {
-        return "redirect_target[" + std::to_string(i) + "] = " +
-               std::to_string(targets[i]) +
+        return "redirect_target[" + to_string(i) + "] = " +
+               to_string(targets[i]) +
                " is neither a node nor the invalid sentinel";
       }
     }
@@ -459,36 +538,22 @@ TEST_F(SnapshotCorruptionTest, PayloadBitFlip) {
   EXPECT_EQ(flipped, size_t{kNumSections});
 }
 
-// Versions 1 and 2 differ only in the section checksum: FNV-1a, then
-// XXH64.  Each must be verified with its own.
+// Version 1 had the current layout byte for byte and sealed its sections
+// with FNV-1a.  The reader opens only the version the writer writes: an
+// older file is refused at the header, before any checksum is read, with
+// a request to rewrite it.
 
-TEST_F(SnapshotCorruptionTest, Version1FileLoadsLikeVersion2) {
-  WriteFileBytes(*path_, *valid_);
-  auto v2 = LoadSnapshot(*path_);
-  ASSERT_TRUE(v2.ok()) << v2.status();
-
-  // Kept under the temp dir after the run, so the bytes can be compared
-  // with what a version-1 writer produces for the same KB.
-  const std::string v1_path = TempPath("version1");
-  WriteFileBytes(v1_path, AsVersion(1, Fnv1aSection));
-  auto reader = Reader::Open(v1_path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->info().version, 1u);
-  auto v1 = reader->Load();
-  ASSERT_TRUE(v1.ok()) << v1.status();
-  ExpectSameKb(*v2, *v1);
-  EXPECT_TRUE(v1->Validate().ok());
+TEST_F(SnapshotCorruptionTest, Version1FileRefused) {
+  for (SectionHash hash : {Fnv1aSection, Xxh64Section}) {
+    ExpectRejected(AsVersion(1, hash),
+                   "format version 1 is older than the supported version 2 "
+                   "and is no longer read; rewrite the file");
+  }
 }
 
-TEST_F(SnapshotCorruptionTest, EachVersionRefusesTheOtherVersionsHash) {
-  {
-    SCOPED_TRACE("version 1 sealed with XXH64");
-    ExpectRejected(AsVersion(1, Xxh64Section), "checksum mismatch");
-  }
-  {
-    SCOPED_TRACE("version 2 sealed with FNV-1a");
-    ExpectRejected(AsVersion(2, Fnv1aSection), "checksum mismatch");
-  }
+TEST_F(SnapshotCorruptionTest, CurrentVersionSealedWithFnv1aRefused) {
+  ExpectRejected(AsVersion(kFormatVersion, Fnv1aSection),
+                 "checksum mismatch");
 }
 
 // Structural checks on files whose checksums are valid: each payload is
@@ -625,17 +690,19 @@ TEST_F(SnapshotCorruptionTest, ResealedDuplicateLabelRejectedAtLoad) {
       << loaded.status();
 }
 
-// A seeded mutation fuzzer over `Reader::Open`, on a version-1 and a
-// version-2 file of the fixture's KB.  Every mutant must come back OK or
-// as a ParseError, never as a crash (the asan lane runs this suite under
-// ASan with bounds-checked spans).  Resealed pokes of the elements that
-// layer 4 checks are a differential test of its branch-free passes: the
-// file must be refused exactly when `FirstBadElement` finds a bad
-// element, with that element's message.  `Load` is left out: on a
+// A seeded mutation fuzzer over `Reader::Open`, in two halves of 2,000
+// mutants.  Every mutant must come back OK or as a ParseError, never as a
+// crash (the asan lane runs this suite under ASan with bounds-checked
+// spans).  The first half flips, truncates and extends the valid file and
+// makes resealed pokes of the elements that layer 4 checks; the second
+// makes resealed mutations of the section table and the meta counts.  A
+// resealed mutant passes layers 1 and 3, so it is a differential test of
+// layers 2 and 4: the file must be refused exactly when `OracleVerdict`
+// objects, with that objection as its message.  `Load` is left out: on a
 // resealed file it can reach `CsrGraph::FromSections`, whose Debug
 // invariant check aborts by design.
 TEST_F(SnapshotCorruptionTest, SeededMutantsAreRefusedCleanly) {
-  constexpr int kMutantsPerVersion = 2000;
+  constexpr int kMutants = 2000;
   const struct {
     SectionId id;
     SectionId rows;  // of an offset array: the array it indexes
@@ -651,104 +718,229 @@ TEST_F(SnapshotCorruptionTest, SeededMutantsAreRefusedCleanly) {
       {SectionId::kRedirectTarget, {}},
   };
   const auto n = static_cast<graph::NodeId>(info_->num_nodes);
-  for (uint32_t version : {1u, 2u}) {
-    SCOPED_TRACE("version " + std::to_string(version));
-    const SectionHash hash = version == 1 ? Fnv1aSection : Xxh64Section;
-    const std::vector<std::byte> base = AsVersion(version, hash);
-    Rng rng(/*seed=*/version);
-    size_t pokes_accepted = 0;
-    size_t pokes_refused = 0;
-    for (int m = 0; m < kMutantsPerVersion; ++m) {
-      SCOPED_TRACE("mutant " + std::to_string(m));
-      std::vector<std::byte> bytes = base;
-      std::string expected;  // the oracle's verdict on a resealed poke
-      const uint32_t kind = rng.Uniform(8);
-      if (kind == 0) {  // random byte flips anywhere
-        for (uint32_t k = 1 + rng.Uniform(4); k > 0; --k) {
-          bytes[rng.Uniform(static_cast<uint32_t>(bytes.size()))] ^=
-              static_cast<std::byte>(1 + rng.Uniform(255));
-        }
-      } else if (kind == 1) {  // truncation
-        bytes.resize(rng.Uniform(static_cast<uint32_t>(bytes.size())));
-      } else if (kind == 2) {  // extension
-        for (uint32_t k = 1 + rng.Uniform(64); k > 0; --k) {
-          bytes.push_back(static_cast<std::byte>(rng.Uniform(256)));
-        }
-      } else {  // 1-3 resealed pokes of checked elements
-        for (uint32_t k = 1 + rng.Uniform(3); k > 0; --k) {
-          const auto& target = kPokable[rng.Uniform(std::size(kPokable))];
-          const SectionInfo& section = Section(target.id);
-          const auto count = static_cast<uint32_t>(section.count);
-          const uint32_t where = rng.Uniform(4);
-          const size_t index = where == 0   ? 0
-                               : where == 1 ? count - 1
-                                            : rng.Uniform(count);
-          std::byte* at =
-              bytes.data() + section.offset + index * section.elem_size;
-          if (section.elem_size == sizeof(uint64_t)) {
-            const uint64_t rows = Section(target.rows).count;
-            uint64_t old = 0;
-            uint64_t before = 0;  // the element before, or `old`
-            std::memcpy(&old, at, sizeof(old));
-            std::memcpy(&before, index > 0 ? at - sizeof(before) : at,
-                        sizeof(before));
-            const uint64_t candidates[] = {
-                0,
-                old - 1,
-                old + 1,
-                rows,
-                rows + 1,
-                rng.NextU64(),
-                static_cast<uint64_t>(rng.UniformRange(
-                    0, static_cast<int64_t>(rows))),
-                before,
-            };
-            std::memcpy(at, &candidates[rng.Uniform(std::size(candidates))],
-                        sizeof(uint64_t));
-          } else {
-            graph::NodeId old = 0;
-            std::memcpy(&old, at, sizeof(old));
-            const graph::NodeId candidates[] = {
-                0,
-                n - 1,
-                n,
-                n + 1,
-                graph::kInvalidNode,
-                rng.Uniform(n),
-                rng.NextU32(),
-                old ^ (graph::NodeId{1} << rng.Uniform(32)),
-            };
-            std::memcpy(at, &candidates[rng.Uniform(std::size(candidates))],
-                        sizeof(graph::NodeId));
-          }
-        }
-        Reseal(&bytes, hash);
-        expected = FirstBadElement(bytes);
+  Rng rng(/*seed=*/2);
+  size_t pokes_accepted = 0;
+  size_t pokes_refused = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    std::vector<std::byte> bytes = *valid_;
+    std::string expected;  // the oracle's verdict on a resealed poke
+    const uint32_t kind = rng.Uniform(8);
+    if (kind == 0) {  // random byte flips anywhere
+      for (uint32_t k = 1 + rng.Uniform(4); k > 0; --k) {
+        bytes[rng.Uniform(static_cast<uint32_t>(bytes.size()))] ^=
+            static_cast<std::byte>(1 + rng.Uniform(255));
       }
-
-      WriteFileBytes(*path_, bytes);
-      auto reader = Reader::Open(*path_);
-      if (!reader.ok()) {
-        ASSERT_EQ(reader.status().code(), StatusCode::kParseError)
-            << reader.status();
+    } else if (kind == 1) {  // truncation
+      bytes.resize(rng.Uniform(static_cast<uint32_t>(bytes.size())));
+    } else if (kind == 2) {  // extension
+      for (uint32_t k = 1 + rng.Uniform(64); k > 0; --k) {
+        bytes.push_back(static_cast<std::byte>(rng.Uniform(256)));
       }
-      if (kind == 1 || kind == 2) {
-        ASSERT_FALSE(reader.ok()) << "a resized file was accepted";
-      } else if (kind > 2) {
-        if (expected.empty()) {
-          ASSERT_TRUE(reader.ok()) << reader.status();
-          ++pokes_accepted;
+    } else {  // 1-3 resealed pokes of checked elements
+      for (uint32_t k = 1 + rng.Uniform(3); k > 0; --k) {
+        const auto& target = kPokable[rng.Uniform(std::size(kPokable))];
+        const SectionInfo& section = Section(target.id);
+        const auto count = static_cast<uint32_t>(section.count);
+        const uint32_t where = rng.Uniform(4);
+        const size_t index = where == 0   ? 0
+                             : where == 1 ? count - 1
+                                          : rng.Uniform(count);
+        std::byte* at =
+            bytes.data() + section.offset + index * section.elem_size;
+        if (section.elem_size == sizeof(uint64_t)) {
+          const uint64_t rows = Section(target.rows).count;
+          uint64_t old = 0;
+          uint64_t before = 0;  // the element before, or `old`
+          std::memcpy(&old, at, sizeof(old));
+          std::memcpy(&before, index > 0 ? at - sizeof(before) : at,
+                      sizeof(before));
+          const uint64_t candidates[] = {
+              0,
+              old - 1,
+              old + 1,
+              rows,
+              rows + 1,
+              rng.NextU64(),
+              static_cast<uint64_t>(rng.UniformRange(
+                  0, static_cast<int64_t>(rows))),
+              before,
+          };
+          std::memcpy(at, &candidates[rng.Uniform(std::size(candidates))],
+                      sizeof(uint64_t));
         } else {
-          ASSERT_FALSE(reader.ok()) << "accepted, but " << expected;
-          ASSERT_EQ(reader.status().message(),
-                    "snapshot '" + *path_ + "': " + expected);
-          ++pokes_refused;
+          graph::NodeId old = 0;
+          std::memcpy(&old, at, sizeof(old));
+          const graph::NodeId candidates[] = {
+              0,
+              n - 1,
+              n,
+              n + 1,
+              graph::kInvalidNode,
+              rng.Uniform(n),
+              rng.NextU32(),
+              old ^ (graph::NodeId{1} << rng.Uniform(32)),
+          };
+          std::memcpy(at, &candidates[rng.Uniform(std::size(candidates))],
+                      sizeof(graph::NodeId));
         }
+      }
+      Reseal(&bytes, Xxh64Section);
+      expected = OracleVerdict(bytes);
+    }
+
+    WriteFileBytes(*path_, bytes);
+    auto reader = Reader::Open(*path_);
+    if (!reader.ok()) {
+      ASSERT_EQ(reader.status().code(), StatusCode::kParseError)
+          << reader.status();
+    }
+    if (kind == 1 || kind == 2) {
+      ASSERT_FALSE(reader.ok()) << "a resized file was accepted";
+    } else if (kind > 2) {
+      if (expected.empty()) {
+        ASSERT_TRUE(reader.ok()) << reader.status();
+        ++pokes_accepted;
+      } else {
+        ASSERT_FALSE(reader.ok()) << "accepted, but " << expected;
+        ASSERT_EQ(reader.status().message(),
+                  "snapshot '" + *path_ + "': " + expected);
+        ++pokes_refused;
       }
     }
-    // Both verdicts are exercised.
-    EXPECT_GE(pokes_accepted, 100u);
-    EXPECT_GE(pokes_refused, 500u);
+  }
+  // Both verdicts are exercised.
+  EXPECT_GE(pokes_accepted, 100u);
+  EXPECT_GE(pokes_refused, 500u);
+}
+
+TEST_F(SnapshotCorruptionTest, SeededTableAndMetaMutantsMatchTheOracle) {
+  constexpr int kMutants = 2000;
+  const uint64_t size = valid_->size();
+  const uint64_t table_end = EntryOffset(kNumSections);
+  const SectionInfo& meta = Section(SectionId::kMeta);
+  // Each refusal reason of layers 2 and 4 that guards the table and the
+  // counts, by a fragment of its message.
+  const char* const kReasons[] = {
+      "has unknown id",         "duplicate section",
+      "declares element size",  "is misaligned",
+      "extends past end of file", "count/size disagree",
+      "meta section holds",     "exceeds the NodeId space",
+      "elements, expected",     "are not parallel arrays",
+      "does not start at 0",    "but its row array holds",
+  };
+  std::map<std::string, size_t> refused;
+  size_t accepted = 0;
+  Rng rng(/*seed=*/3);
+  for (int m = 0; m < kMutants; ++m) {
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    std::vector<std::byte> bytes = *valid_;
+    for (uint32_t k = 1 + rng.Uniform(2); k > 0; --k) {
+      if (rng.Uniform(4) == 0) {  // a meta field, mostly the two counts
+        const uint32_t pick = rng.Uniform(5);
+        const size_t field =
+            pick < 2   ? size_t{kMetaNumNodes}
+            : pick < 4 ? size_t{kMetaNumEdges}
+                       : rng.Uniform(static_cast<uint32_t>(kMetaFieldCount));
+        std::byte* at = bytes.data() + meta.offset + field * sizeof(uint64_t);
+        uint64_t old = 0;
+        std::memcpy(&old, at, sizeof(old));
+        const uint64_t candidates[] = {
+            old - 1, old + 1, 0, graph::kInvalidNode - 1, graph::kInvalidNode,
+            rng.NextU64(), old * 2,
+        };
+        std::memcpy(at, &candidates[rng.Uniform(std::size(candidates))],
+                    sizeof(uint64_t));
+        continue;
+      }
+      // A section-table entry: one field, or count and size together.
+      const uint32_t i = rng.Uniform(kNumSections);
+      const uint32_t j = rng.Uniform(kNumSections);
+      SectionEntry e;
+      SectionEntry other;
+      std::memcpy(&e, bytes.data() + EntryOffset(i), sizeof(e));
+      std::memcpy(&other, bytes.data() + EntryOffset(j), sizeof(other));
+      switch (rng.Uniform(6)) {
+        case 0: {  // id: a known one, an unknown one, or swapped with j's
+          const uint32_t ids[] = {rng.Uniform(kNumSections),
+                                  kNumSections + rng.Uniform(16),
+                                  rng.NextU32(), other.id};
+          const uint32_t choice = rng.Uniform(std::size(ids));
+          if (choice == 3) {
+            Poke32(&bytes, EntryOffset(j) + offsetof(SectionEntry, id), e.id);
+          }
+          e.id = ids[choice];
+          break;
+        }
+        case 1: {
+          const uint32_t sizes[] = {0, 1, 2, 4, 8, rng.NextU32()};
+          e.elem_size = sizes[rng.Uniform(std::size(sizes))];
+          break;
+        }
+        case 2: {  // never into the header or the table, whose bytes
+                   // change as the seal is written, so no seal covers them
+          const uint64_t offsets[] = {
+              e.offset + 8, e.offset - 8,       e.offset + 1, table_end,
+              size,         size - e.size_bytes, other.offset, rng.NextU64(),
+          };
+          e.offset =
+              std::max(offsets[rng.Uniform(std::size(offsets))], table_end);
+          break;
+        }
+        case 3: {
+          const uint64_t counts[] = {
+              e.count + 1, e.count - 1, 0, rng.NextU64(),
+              UINT64_MAX / std::max(e.elem_size, 1u) + 1,  // the product wraps
+          };
+          e.count = counts[rng.Uniform(std::size(counts))];
+          break;
+        }
+        case 4: {
+          const uint64_t sizes[] = {
+              e.size_bytes + 1, e.size_bytes - 1,
+              e.size_bytes + e.elem_size, e.size_bytes - e.elem_size,
+              0, rng.NextU64(),
+          };
+          e.size_bytes = sizes[rng.Uniform(std::size(sizes))];
+          break;
+        }
+        default: {  // count and size agree, the extent still in the file
+          const uint64_t counts[] = {e.count + 1, e.count - 1, e.count + 2,
+                                     0};
+          const uint64_t count = counts[rng.Uniform(std::size(counts))];
+          if (e.elem_size != 0 && e.offset <= size &&
+              count <= (size - e.offset) / e.elem_size) {
+            e.count = count;
+            e.size_bytes = count * e.elem_size;
+          }
+          break;
+        }
+      }
+      std::memcpy(bytes.data() + EntryOffset(i), &e, sizeof(e));
+    }
+    Reseal(&bytes, Xxh64Section);
+    const std::string expected = OracleVerdict(bytes);
+
+    WriteFileBytes(*path_, bytes);
+    auto reader = Reader::Open(*path_);
+    if (expected.empty()) {
+      ASSERT_TRUE(reader.ok()) << reader.status();
+      ++accepted;
+      continue;
+    }
+    ASSERT_FALSE(reader.ok()) << "accepted, but " << expected;
+    ASSERT_EQ(reader.status().code(), StatusCode::kParseError)
+        << reader.status();
+    ASSERT_EQ(reader.status().message(),
+              "snapshot '" + *path_ + "': " + expected);
+    for (const char* reason : kReasons) {
+      if (expected.find(reason) != std::string::npos) ++refused[reason];
+    }
+  }
+  // Both verdicts, and every reason above, are exercised.
+  EXPECT_GE(accepted, 50u);
+  for (const char* reason : kReasons) {
+    EXPECT_GE(refused[reason], 10u) << reason;
   }
 }
 

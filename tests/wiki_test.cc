@@ -258,15 +258,6 @@ TEST(SyntheticWikipediaOptionsTest, RejectsBadOptions) {
   options.num_domains = 0;
   EXPECT_TRUE(GenerateSyntheticWikipedia(options).status()
                   .IsInvalidArgument());
-  options = {};
-  options.min_articles_per_domain = 50;
-  options.max_articles_per_domain = 10;
-  EXPECT_TRUE(GenerateSyntheticWikipedia(options).status()
-                  .IsInvalidArgument());
-  options = {};
-  options.min_categories_per_domain = 0;
-  EXPECT_TRUE(GenerateSyntheticWikipedia(options).status()
-                  .IsInvalidArgument());
 }
 
 // ------------------------------------------------------------------ Dump
